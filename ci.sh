@@ -3,7 +3,9 @@
 #
 # Runs, in order: rustfmt check, clippy with warnings denied, rustdoc with
 # warnings denied (so documentation rot fails the gate), the doc-test suite,
-# a release build, the test suite, and then explicitly labeled gates: the
+# a release build (of the workspace, then of the frozen standing benchmark
+# under benchmark/ against it), the test suite, and then explicitly labeled
+# gates: the
 # golden-ranking regression corpus, the concurrency stress test, the
 # dn-store corruption-hardening suite, the crash-recovery suite, a
 # tempdir-hygiene check, an end-to-end HTTP smoke (dn-serve started on
@@ -36,9 +38,10 @@
 # only starts mattering as more stress tests are added to that binary.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   skip the criterion benches and the exp_serving/exp_http/
-#             exp_replica/exp_parallel/exp_ingest/exp_trace smoke runs (keeps
-#             everything tier-1: build, tests, golden, stress, recovery,
+#   --quick   skip the standing benchmark's determinism run, the criterion
+#             benches and the exp_serving/exp_http/exp_replica/exp_parallel/
+#             exp_ingest/exp_trace smoke runs (keeps everything tier-1:
+#             build, benchmark build, tests, golden, stress, recovery,
 #             HTTP + replication + ingest smokes)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -70,6 +73,16 @@ cargo test --doc -q
 
 echo "==> cargo build --release"
 cargo build --release
+
+# The standing benchmark (benchmark/, contract in BENCHMARK.json) is a
+# package of its own, outside the workspace, and frozen: the bench
+# pipeline builds it against whatever the crates export. Build it here
+# against the working tree so a crate-API change that breaks it fails
+# locally instead of there. Its target dir lives under target/ so it
+# shares the ignore rule and the offline vendor shims.
+echo "==> gate: standing benchmark builds against the working tree"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
 
 # Skip the suites that run next as labeled gates. (--skip is a substring
 # filter applied inside every test binary, so use the full test-function
@@ -280,6 +293,11 @@ wait "${ING_PID}" || ingest_gate_fail "server exited non-zero"
 rm -rf "${ING_DIR}"
 
 if [[ "$QUICK" -eq 0 ]]; then
+    # Every workload twice from one seed: same operation stream, request
+    # count, store bytes and ops delivered both times.
+    echo "==> gate: standing benchmark determinism (--check-determinism --seconds 2)"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --target-dir target/benchmark -- --check-determinism --seconds 2
     echo "==> criterion benches (offline shim, indicative timings)"
     cargo bench -q
     echo "==> exp_serving smoke (--scale 0.3)"

@@ -33,7 +33,7 @@ use datagen::tus::TusGenerator;
 use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
 use dn_server::api::{MutationRequest, TablesResponse, TopKResponse};
 use dn_server::{percent_encode, serve_http, Client, Limits, Route, Server, ServerConfig};
-use dn_service::{serve, serve_sharded, ServiceConfig};
+use dn_service::{serve_sharded, ServiceConfig};
 use domainnet::Measure;
 use lake::delta::{LakeView, MutableLake};
 use rand::rngs::StdRng;
@@ -123,7 +123,7 @@ fn inprocess_single_reader_qps(
     window: Duration,
     mutation_seed: u64,
 ) -> f64 {
-    let (service, mut writer) = serve(
+    let (service, mut writer) = serve_sharded(
         base.clone(),
         ServiceConfig {
             measures: measures.to_vec(),
@@ -131,17 +131,17 @@ fn inprocess_single_reader_qps(
             prune_single_attribute_values: true,
             threads: 1,
         },
+        1,
     );
-    let snapshot = service.current();
-    let hot: Vec<String> = snapshot
-        .ranking(measures[0])
+    let view = service.current();
+    let hot: Vec<String> = view
+        .top_k(measures[0], 64)
         .expect("served measure")
-        .iter()
-        .take(64)
-        .map(|s| s.value.clone())
+        .into_iter()
+        .map(|s| s.value)
         .collect();
-    let tables: Vec<String> = snapshot.table_names().map(str::to_owned).collect();
-    drop(snapshot);
+    let tables = view.table_names();
+    drop(view);
 
     let stop = Arc::new(AtomicBool::new(false));
     let writer_stop = Arc::clone(&stop);

@@ -221,7 +221,7 @@ fn run_config(
 fn serve_measures(base: &MutableLake, seed: u64) -> Vec<Measure> {
     // Sample-size heuristic only: the lake's value + attribute counts bound
     // the graph's node count closely enough, without paying a throwaway
-    // graph build before serve() builds the real one.
+    // graph build before serve_sharded() builds the real one.
     let nodes = LakeView::value_count(base) + LakeView::attribute_count(base);
     vec![
         Measure::lcc(),

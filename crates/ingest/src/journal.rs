@@ -4,7 +4,7 @@
 //! generation whose deltas were *applied* by the sink, plus the sequence
 //! number of the last applied batch and (transiently) the one pending batch
 //! in flight. Every save is atomic — serialize, CRC-32 the payload, write a
-//! `.tmp` sibling, fsync, rename — so a crash leaves either the previous
+//! `.tmp` sibling, fsync, rename, fsync the directory — so a crash leaves either the previous
 //! state or the new one, never a torn file. A journal whose checksum does
 //! not verify is a fatal [`IngestError::Journal`]: guessing at its content
 //! could double-apply or drop a batch.
@@ -19,7 +19,7 @@
 //! idempotency rules (see the crate docs) make that redelivery a no-op.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -131,29 +131,16 @@ impl Journal {
             })
     }
 
-    /// Atomically persist `state`: tmp sibling + fsync + rename + dir fsync.
+    /// Atomically persist `state` (see [`dn_store::write_atomic`]).
     pub fn save(&self, state: &JournalState) -> Result<(), IngestError> {
         let _journal = dn_trace::span(dn_trace::Phase::IngestJournal);
-        let bytes = encode(state);
         if let Some(parent) = self.path.parent() {
             fs::create_dir_all(parent).map_err(|e| IngestError::io(parent, e))?;
         }
-        let tmp = self.path.with_extension("journal.tmp");
-        {
-            let mut file = fs::File::create(&tmp).map_err(|e| IngestError::io(&tmp, e))?;
-            file.write_all(&bytes)
-                .map_err(|e| IngestError::io(&tmp, e))?;
-            file.sync_all().map_err(|e| IngestError::io(&tmp, e))?;
-        }
-        fs::rename(&tmp, &self.path).map_err(|e| IngestError::io(&self.path, e))?;
-        if let Some(parent) = self.path.parent() {
-            // Make the rename durable; non-fatal on filesystems that refuse
-            // directory fsync.
-            if let Ok(dir) = fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        dn_store::write_atomic(&self.path, &encode(state)).map_err(|e| match e {
+            dn_store::StoreError::Io { path, source } => IngestError::Io { path, source },
+            other => IngestError::io(&self.path, io::Error::other(other)),
+        })
     }
 }
 

@@ -150,11 +150,6 @@ impl RouteMetrics {
 pub struct ShardGauges {
     /// The shard's own published epoch.
     pub epoch: u64,
-    /// The shard engine's own top-k cache hits (the merged coordinator
-    /// cache is the unlabeled `dn_cache_*` family).
-    pub cache_hits: u64,
-    /// The shard engine's own top-k cache misses.
-    pub cache_misses: u64,
     /// Bytes of batch records in the shard's WAL (`None` on a
     /// non-durable server or when the coordinator lock was contended at
     /// render time).
@@ -439,20 +434,6 @@ impl Metrics {
                     shard.epoch
                 ));
             }
-            out.push_str("# TYPE dn_shard_cache_hits_total counter\n");
-            for (i, shard) in gauges.shards.iter().enumerate() {
-                out.push_str(&format!(
-                    "dn_shard_cache_hits_total{{shard=\"{i}\"}} {}\n",
-                    shard.cache_hits
-                ));
-            }
-            out.push_str("# TYPE dn_shard_cache_misses_total counter\n");
-            for (i, shard) in gauges.shards.iter().enumerate() {
-                out.push_str(&format!(
-                    "dn_shard_cache_misses_total{{shard=\"{i}\"}} {}\n",
-                    shard.cache_misses
-                ));
-            }
             if gauges.shards.iter().any(|s| s.wal_record_bytes.is_some()) {
                 out.push_str("# TYPE dn_shard_wal_record_bytes gauge\n");
                 for (i, shard) in gauges.shards.iter().enumerate() {
@@ -505,15 +486,11 @@ mod tests {
             shards: vec![
                 ShardGauges {
                     epoch: 4,
-                    cache_hits: 1,
-                    cache_misses: 2,
                     wal_record_bytes: Some(1024),
                     store_snapshots: Some(1),
                 },
                 ShardGauges {
                     epoch: 3,
-                    cache_hits: 0,
-                    cache_misses: 0,
                     wal_record_bytes: Some(3072),
                     store_snapshots: Some(1),
                 },
@@ -549,7 +526,11 @@ mod tests {
         // Per-shard families carry the shard label.
         assert!(text.contains("dn_shard_epoch{shard=\"0\"} 4\n"));
         assert!(text.contains("dn_shard_epoch{shard=\"1\"} 3\n"));
-        assert!(text.contains("dn_shard_cache_hits_total{shard=\"0\"} 1\n"));
+        assert!(
+            !text.contains("dn_shard_cache_"),
+            "shards have no cache of their own; dn_cache_* is the coordinator's"
+        );
+        assert!(text.contains("dn_cache_hits_total 10\n"));
         assert!(text.contains("dn_shard_wal_record_bytes{shard=\"1\"} 3072\n"));
         assert!(text.contains("dn_shard_store_snapshots{shard=\"0\"} 1\n"));
         assert!(text.contains("dn_replica_lag_epochs 2\n"));

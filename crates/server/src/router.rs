@@ -227,18 +227,15 @@ fn metrics(state: &ServerState) -> Result<Response, ApiError> {
             }
         }),
     };
-    // Sample store/cache gauges opportunistically: /metrics must never
-    // queue behind a long commit, so a contended coordinator lock just
-    // omits them for this scrape.
+    // Sample store gauges opportunistically: /metrics must never queue
+    // behind a long commit, so a contended coordinator lock just omits
+    // them for this scrape.
     if let Ok(coordinator) = state.coordinator.try_lock() {
         let mut total_wal = 0u64;
         let mut total_snapshots = 0u64;
         let mut durable = false;
         for (i, shard) in gauges.shards.iter_mut().enumerate() {
-            let shard_cache = coordinator.shard_cache_stats(i);
-            shard.cache_hits = shard_cache.hits;
-            shard.cache_misses = shard_cache.misses;
-            if let Ok(Some(stats)) = coordinator.shard_store_stats(i) {
+            if let Ok(Some(stats)) = coordinator.shard(i).store_stats() {
                 durable = true;
                 shard.wal_record_bytes = Some(stats.wal_record_bytes);
                 shard.store_snapshots = Some(stats.snapshot_count as u64);
@@ -426,7 +423,7 @@ fn wal(state: &ServerState, req: &Request) -> Result<Response, ApiError> {
             coordinator.shard_count()
         )));
     }
-    let tail = match coordinator.shard_wal_after(shard, from_seq) {
+    let tail = match coordinator.shard(shard).wal_after(from_seq) {
         Ok(tail) => tail,
         // The only Corrupt a range read raises itself is a from_seq ahead
         // of the log — the caller's position is wrong, not the log.
@@ -474,7 +471,8 @@ fn snapshot(state: &ServerState, req: &Request) -> Result<Response, ApiError> {
         )));
     }
     let (seq, bytes) = coordinator
-        .shard_snapshot_bytes(shard)
+        .shard(shard)
+        .newest_snapshot_bytes()
         .map_err(|e| ApiError::from_service(&e))?;
     drop(coordinator);
     ok_json(&SnapshotResponse {

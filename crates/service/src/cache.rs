@@ -29,7 +29,7 @@ struct CacheEntry {
 }
 
 /// Aggregate cache counters, exposed via
-/// [`crate::engine::ServiceHandle::cache_stats`].
+/// [`crate::CoordinatorHandle::cache_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

@@ -45,8 +45,8 @@
 //!
 //! The coordinator epoch is the **sum of the shard epochs** — monotone,
 //! and recoverable shard-by-shard from the per-shard WAL epoch tags. With
-//! one shard it degenerates to the engine's own epoch numbering, which is
-//! part of the shard-count=1 bit-identity contract. Readers pin an
+//! one shard it is that shard's own epoch numbering, which is part of
+//! the shard-count=1 bit-identity contract. Readers pin an
 //! [`Arc<MultiView>`] (the coordinator epoch plus one snapshot per
 //! shard, swapped atomically on publish), so a reader never observes a
 //! mixture of shard epochs.
@@ -54,8 +54,8 @@
 //! ## Batch semantics
 //!
 //! With one shard, a staged batch is delegated wholesale to the single
-//! engine — commit, error, and `DeltaStats` behavior are bit-identical to
-//! the unsharded [`crate::engine::Writer`]. With several shards the batch
+//! shard [`Writer`] — one WAL record and one incremental pass, cross-delta
+//! cancellation included. With several shards the batch
 //! is applied op by op (each op is routed, then committed on its shard):
 //! the first failing op stops the batch with earlier ops applied — the
 //! same first-failure contract — but cross-delta cancellation only
@@ -65,7 +65,7 @@
 //! until [`Coordinator::publish`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -90,21 +90,14 @@ use crate::snapshot::{ScoreCard, Snapshot, SnapshotStats, TableSummary, ValueExp
 /// The lake's live tables are partitioned by connected component (tables
 /// transitively linked through shared values stay together) and each
 /// shard builds its own engine over its sub-lake. With `shards == 1` the
-/// lake is passed through untouched, so the single shard is bit-identical
-/// to [`serve`] — same ids, same generation, same rankings.
+/// lake is passed through untouched, so the single shard holds exactly the
+/// ids, generation, and rankings of an unsharded build.
 pub fn serve_sharded(
     lake: MutableLake,
     config: ServiceConfig,
     shards: usize,
 ) -> (CoordinatorHandle, Coordinator) {
-    let mut subs: Vec<Option<MutableLake>> = partition_lake(lake, shards.max(1))
-        .into_iter()
-        .map(Some)
-        .collect();
-    let writers = dn_pool::Pool::new(config.threads.max(1)).run_over_mut(&mut subs, |_, sub| {
-        let sub = sub.take().expect("each sub-lake is built exactly once");
-        serve(sub, config.clone()).1
-    });
+    let writers = build_shards(lake, shards, &config, |_, sub| serve(sub, &config));
     build_coordinator(writers, config, None)
 }
 
@@ -129,17 +122,12 @@ pub fn serve_sharded_durable(
             root.display()
         ))));
     }
-    let shards = shards.max(1);
-    dn_store::write_shard_manifest(&root, shards)?;
-    let mut subs: Vec<Option<MutableLake>> =
-        partition_lake(lake, shards).into_iter().map(Some).collect();
-    let writers = dn_pool::Pool::new(config.threads.max(1))
-        .run_over_mut(&mut subs, |i, sub| {
-            let sub = sub.take().expect("each sub-lake is built exactly once");
-            Ok(serve_durable(sub, config.clone(), dn_store::shard_dir(&root, i), policy)?.1)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, ServiceError>>()?;
+    dn_store::write_shard_manifest(&root, shards.max(1))?;
+    let writers = build_shards(lake, shards, &config, |i, sub| {
+        serve_durable(sub, &config, dn_store::shard_dir(&root, i), policy)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, ServiceError>>()?;
     Ok(build_coordinator(writers, config, Some(root)))
 }
 
@@ -170,25 +158,7 @@ pub fn serve_sharded_from_dir(
     policy: CheckpointPolicy,
 ) -> Result<(CoordinatorHandle, Coordinator), ServiceError> {
     let root = root.into();
-    let manifest = dn_store::read_shard_manifest(&root)?.ok_or_else(|| {
-        ServiceError::Store(dn_store::StoreError::corrupt(format!(
-            "{} holds no shard manifest (not a sharded store)",
-            root.display()
-        )))
-    })?;
-    let ctx = dn_trace::current();
-    let writers = dn_pool::Pool::new(config.threads.max(1))
-        .run(manifest.shards, |i| {
-            let _replay = if ctx.is_active() {
-                ctx.enter(dn_trace::Phase::PoolWalReplay, &format!("shard{i}"))
-            } else {
-                dn_trace::SpanGuard::noop()
-            };
-            recover_shard_writer(dn_store::shard_dir(&root, i), &config, policy)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let (handle, mut coordinator) = build_coordinator(writers, config, Some(root.clone()));
+    let (handle, mut coordinator) = recover_shards_lenient(&root, config, policy)?;
     if let Some(intent) = dn_store::read_rebalance_intent(&root)? {
         coordinator.complete_rebalance(&intent)?;
         dn_store::clear_rebalance_intent(&root)?;
@@ -197,23 +167,22 @@ pub fn serve_sharded_from_dir(
     Ok((handle, coordinator))
 }
 
-/// Follower-side recovery: like [`serve_sharded_from_dir`], but without
-/// rebalance-intent completion or table-ownership verification. A replica
-/// replays the primary's per-shard logs *as shipped*, and a cross-shard
-/// migration is two records in two different logs — so between applying
-/// them a follower legitimately holds the table on both shards (or
-/// neither). The primary already enforced the invariants when it committed;
-/// re-checking them mid-window would reject valid replica states. The
-/// table index uses the same first-owner-wins rule as
-/// [`build_coordinator`], and converges once the second migration record
-/// is applied.
+/// The recovery body proper, and on its own the follower-side recovery:
+/// [`serve_sharded_from_dir`] without rebalance-intent completion or
+/// table-ownership verification. A replica replays the primary's
+/// per-shard logs *as shipped*, and a cross-shard migration is two records
+/// in two different logs — so between applying them a follower
+/// legitimately holds the table on both shards (or neither). The primary
+/// already enforced the invariants when it committed; re-checking them
+/// mid-window would reject valid replica states. The table index resolves
+/// such a duplicate first-owner-wins (see `Coordinator::reindex_tables`)
+/// and converges once the second migration record is applied.
 pub(crate) fn recover_shards_lenient(
-    root: impl Into<PathBuf>,
+    root: &Path,
     config: ServiceConfig,
     policy: CheckpointPolicy,
 ) -> Result<(CoordinatorHandle, Coordinator), ServiceError> {
-    let root = root.into();
-    let manifest = dn_store::read_shard_manifest(&root)?.ok_or_else(|| {
+    let manifest = dn_store::read_shard_manifest(root)?.ok_or_else(|| {
         ServiceError::Store(dn_store::StoreError::corrupt(format!(
             "{} holds no shard manifest (not a sharded store)",
             root.display()
@@ -227,78 +196,82 @@ pub(crate) fn recover_shards_lenient(
             } else {
                 dn_trace::SpanGuard::noop()
             };
-            recover_shard_writer(dn_store::shard_dir(&root, i), &config, policy)
+            recover_shard_writer(dn_store::shard_dir(root, i), &config, policy)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(build_coordinator(writers, config, Some(root)))
+    Ok(build_coordinator(writers, config, Some(root.to_path_buf())))
+}
+
+/// Partition `lake` into `shards` (at least one) sub-lakes and run `build`
+/// over them on the worker pool, one call per shard, results in shard
+/// order.
+fn build_shards<T: Send>(
+    lake: MutableLake,
+    shards: usize,
+    config: &ServiceConfig,
+    build: impl Fn(usize, MutableLake) -> T + Sync,
+) -> Vec<T> {
+    let mut subs: Vec<Option<MutableLake>> = partition_lake(lake, shards.max(1))
+        .into_iter()
+        .map(Some)
+        .collect();
+    dn_pool::Pool::new(config.threads.max(1)).run_over_mut(&mut subs, |i, sub| {
+        build(i, sub.take().expect("each sub-lake is built exactly once"))
+    })
 }
 
 /// Bring one shard store back up, whatever state a crash left it in:
 /// recover a real store, build a fresh empty shard where nothing was ever
 /// acknowledged, and clear out an aborted initialization (record-free WAL,
-/// no snapshot) before rebuilding. Shared by [`serve_sharded_from_dir`]
-/// and [`recover_shards_lenient`], which fan shards out over the worker
-/// pool — each shard's recovery touches only its own directory.
+/// no snapshot) before rebuilding. Shards fan out over the worker pool —
+/// each shard's recovery touches only its own directory.
 fn recover_shard_writer(
     dir: PathBuf,
     config: &ServiceConfig,
     policy: CheckpointPolicy,
 ) -> Result<Writer, ServiceError> {
-    Ok(match Store::probe(&dir)? {
-        StorePresence::Recoverable => serve_from_dir(dir, config.clone(), policy)?.1,
-        StorePresence::Fresh => serve_durable(MutableLake::new(), config.clone(), dir, policy)?.1,
+    match Store::probe(&dir)? {
+        StorePresence::Recoverable => serve_from_dir(dir, config, policy),
+        StorePresence::Fresh => serve_durable(MutableLake::new(), config, dir, policy),
         StorePresence::AbortedInit { wal_path } => {
             std::fs::remove_file(&wal_path).map_err(|e| {
                 ServiceError::Store(dn_store::StoreError::io_with_path(e, wal_path))
             })?;
-            serve_durable(MutableLake::new(), config.clone(), dir, policy)?.1
+            serve_durable(MutableLake::new(), config, dir, policy)
         }
-    })
+    }
 }
 
-/// Shared tail of the entry points: sum the shard epochs, publish the
-/// initial [`MultiView`], and index table ownership.
+/// Shared tail of the entry points: wrap the shards in a coordinator,
+/// publish the initial [`MultiView`], and index table ownership.
 fn build_coordinator(
     shards: Vec<Writer>,
     config: ServiceConfig,
     root_dir: Option<PathBuf>,
 ) -> (CoordinatorHandle, Coordinator) {
-    let epoch = shards.iter().map(Writer::epoch).sum();
-    let threads = config.threads.max(1);
-    let view = Arc::new(MultiView {
-        epoch,
-        shards: shards.iter().map(|w| w.service().current()).collect(),
-        threads,
+    let placeholder = Arc::new(MultiView {
+        epoch: 0,
+        shards: Vec::new(),
+        threads: 1,
     });
-    let shared = Arc::new(CoordShared {
-        current: RwLock::new(view),
-        cache: Mutex::new(TopKCache::new(config.cache_capacity)),
-        epochs_published: AtomicU64::new(1),
-    });
-    let mut table_shard = HashMap::new();
-    for (i, writer) in shards.iter().enumerate() {
-        for name in writer.lake().live_table_names() {
-            // First owner wins on a (transient, crash-mid-migration)
-            // duplicate; serve_sharded_from_dir resolves those via the
-            // intent file before traffic starts.
-            table_shard.entry(name.to_owned()).or_insert(i);
-        }
-    }
-    let handle = CoordinatorHandle {
-        shared: Arc::clone(&shared),
-    };
-    let coordinator = Coordinator {
+    let mut coordinator = Coordinator {
         shards,
-        table_shard,
+        table_shard: HashMap::new(),
         dirty: BTreeSet::new(),
         staged: Vec::new(),
-        epoch,
-        shared,
+        epoch: 0,
+        shared: Arc::new(CoordShared {
+            current: RwLock::new(placeholder),
+            cache: Mutex::new(TopKCache::new(config.cache_capacity)),
+            epochs_published: AtomicU64::new(0),
+        }),
         root_dir,
-        threads,
+        threads: config.threads.max(1),
     };
-    (handle, coordinator)
+    coordinator.install_view();
+    coordinator.reindex_tables();
+    (coordinator.handle(), coordinator)
 }
 
 // ---------------------------------------------------------------------------
@@ -713,8 +686,7 @@ impl CoordShared {
 }
 
 /// Cloneable read-side handle onto a sharded coordinator: mints
-/// [`CoordinatorReader`]s and reports aggregate stats. The sharded
-/// counterpart of [`crate::engine::ServiceHandle`].
+/// [`CoordinatorReader`]s and reports aggregate stats.
 #[derive(Clone)]
 pub struct CoordinatorHandle {
     shared: Arc<CoordShared>,
@@ -813,6 +785,47 @@ impl CoordinatorReader {
     pub fn table_summary(&self, table: &str, measure: Measure, k: usize) -> Option<TableSummary> {
         self.pinned.table_summary(table, measure, k)
     }
+
+    /// Dump the merged top-`k` ranking under `measure` as CSV (header +
+    /// `rank,value,score,attribute_count,cardinality` rows) — the export
+    /// the golden-corpus workflow and external diffing tools consume.
+    /// Scores are rendered with Rust's shortest-round-trip float
+    /// formatting, so re-parsing the CSV recovers them exactly. Returns
+    /// the number of data rows written.
+    ///
+    /// # Errors
+    /// [`lake::LakeError::NotFound`] when the pinned view does not serve
+    /// `measure`; I/O errors from the underlying writer.
+    pub fn export_top_k_csv<W: std::io::Write>(
+        &self,
+        measure: Measure,
+        k: usize,
+        out: &mut W,
+    ) -> lake::Result<usize> {
+        let ranking = self.top_k(measure, k).ok_or_else(|| {
+            lake::LakeError::NotFound(format!(
+                "measure {measure:?} in the view of epoch {}",
+                self.epoch()
+            ))
+        })?;
+        let mut records = Vec::with_capacity(ranking.len() + 1);
+        records.push(
+            ["rank", "value", "score", "attribute_count", "cardinality"]
+                .map(str::to_owned)
+                .to_vec(),
+        );
+        for (i, scored) in ranking.iter().enumerate() {
+            records.push(vec![
+                (i + 1).to_string(),
+                scored.value.clone(),
+                scored.score.to_string(),
+                scored.attribute_count.to_string(),
+                scored.cardinality.to_string(),
+            ]);
+        }
+        lake::csv::write_records(out, &records)?;
+        Ok(ranking.len())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -822,8 +835,9 @@ impl CoordinatorReader {
 /// The unique write-side coordinator: owns the shard [`Writer`]s, routes
 /// staged deltas by connected component, rebalances components across
 /// shard boundaries when a mutation merges them, and publishes
-/// [`MultiView`]s. The sharded counterpart of [`Writer`], with the same
-/// stage → commit → publish lifecycle.
+/// [`MultiView`]s through a stage → commit → publish lifecycle.
+/// Single-writer discipline is enforced by ownership — there is exactly
+/// one `Coordinator` per store and it is not `Clone`.
 pub struct Coordinator {
     shards: Vec<Writer>,
     /// Live table name -> owning shard.
@@ -859,8 +873,8 @@ impl Coordinator {
     /// only (rebalance migrations are internal bookkeeping and excluded).
     ///
     /// # Errors
-    /// The first failing op stops the batch (earlier ops stay applied,
-    /// exactly like [`Writer::commit`]); store failures during a
+    /// The first failing op stops the batch (earlier ops stay applied, as
+    /// within one shard's batch); store failures during a
     /// migration abort the rebalance with the intent file left in place,
     /// so recovery (or the next commit touching the same values) finishes
     /// the move.
@@ -873,11 +887,8 @@ impl Coordinator {
         if self.shards.len() == 1 {
             // Single shard: delegate the whole batch for bit-identical
             // engine semantics (cross-delta cancellation included).
-            for delta in staged {
-                self.shards[0].stage(delta);
-            }
             self.dirty.insert(0);
-            return self.shards[0].commit();
+            return self.shards[0].commit(&staged);
         }
         let mut total = DeltaStats::default();
         for delta in &staged {
@@ -891,29 +902,51 @@ impl Coordinator {
     /// Publish the committed state: every dirty shard publishes its own
     /// epoch, and one new [`MultiView`] (coordinator epoch = sum of
     /// shard epochs) is swapped in atomically, invalidating the merged
-    /// top-k cache. With nothing dirty, every shard republishes — the
-    /// unconditional-bump behavior of [`Writer::publish`], preserved for
-    /// the single-shard identity.
+    /// top-k cache. With nothing dirty, every shard republishes — a
+    /// publish always bumps the epoch.
     pub fn publish(&mut self) -> u64 {
         let to_publish: Vec<usize> = if self.dirty.is_empty() {
             (0..self.shards.len()).collect()
         } else {
-            self.dirty.iter().copied().collect()
+            std::mem::take(&mut self.dirty).into_iter().collect()
         };
-        for &i in &to_publish {
+        for i in to_publish {
             self.shards[i].publish();
         }
-        self.dirty.clear();
+        self.install_view()
+    }
+
+    /// Swap in a [`MultiView`] over the shards' current snapshots (epoch =
+    /// sum of shard epochs), invalidate the merged top-k cache, and count
+    /// the publication. The one place a view becomes visible to readers.
+    fn install_view(&mut self) -> u64 {
         self.epoch = self.shards.iter().map(Writer::epoch).sum();
         let view = Arc::new(MultiView {
             epoch: self.epoch,
-            shards: self.shards.iter().map(|w| w.service().current()).collect(),
+            shards: self
+                .shards
+                .iter()
+                .map(|w| Arc::clone(w.current()))
+                .collect(),
             threads: self.threads,
         });
         *self.shared.current.write().expect("multiview pointer lock") = view;
         self.shared.cache.lock().expect("cache lock").invalidate();
         self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
         self.epoch
+    }
+
+    /// Rebuild the table → shard index from the shard lakes. First owner
+    /// wins on a (transient, crash- or replay-mid-migration) duplicate;
+    /// [`serve_sharded_from_dir`] resolves those via the intent file
+    /// before traffic starts.
+    fn reindex_tables(&mut self) {
+        self.table_shard.clear();
+        for (i, writer) in self.shards.iter().enumerate() {
+            for name in writer.lake().live_table_names() {
+                self.table_shard.entry(name.to_owned()).or_insert(i);
+            }
+        }
     }
 
     /// Convenience: stage one delta, commit, and publish.
@@ -967,32 +1000,14 @@ impl Coordinator {
         self.shards.len()
     }
 
-    /// The published epoch of one shard.
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shards[shard].epoch()
-    }
-
-    /// Bytes of batch records in one shard's WAL (0 when non-durable).
-    pub fn shard_wal_record_bytes(&self, shard: usize) -> u64 {
-        self.shards[shard].wal_record_bytes()
-    }
-
-    /// Store counters of one shard (`None` when non-durable).
+    /// Read-only access to one shard: its epoch, live lake and net, and
+    /// store counters (WAL bytes, last sequence, WAL suffixes and snapshot
+    /// bytes for shipping).
     ///
-    /// # Errors
-    /// [`ServiceError::Store`] when the shard's directory cannot be
-    /// listed.
-    pub fn shard_store_stats(
-        &self,
-        shard: usize,
-    ) -> Result<Option<dn_store::StoreStats>, ServiceError> {
-        self.shards[shard].store_stats()
-    }
-
-    /// Cache counters of one shard's own engine-level top-k cache (the
-    /// coordinator's merged cache is [`CoordinatorHandle::cache_stats`]).
-    pub fn shard_cache_stats(&self, shard: usize) -> CacheStats {
-        self.shards[shard].service().cache_stats()
+    /// # Panics
+    /// When `shard >= self.shard_count()`.
+    pub fn shard(&self, shard: usize) -> &Writer {
+        &self.shards[shard]
     }
 
     /// Total WAL record bytes across the shards.
@@ -1005,16 +1020,6 @@ impl Coordinator {
         self.table_shard.get(table).copied()
     }
 
-    /// Live table names of one shard, in that shard's lake order.
-    pub fn shard_live_tables(&self, shard: usize) -> Vec<String> {
-        self.shards[shard]
-            .lake()
-            .live_table_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect()
-    }
-
     /// A read handle onto this coordinator.
     pub fn handle(&self) -> CoordinatorHandle {
         CoordinatorHandle {
@@ -1024,15 +1029,17 @@ impl Coordinator {
 
     // -- replication ------------------------------------------------------
 
-    /// Apply one replicated batch to one shard (see
-    /// [`Writer::apply_replicated`]) and keep the table-ownership index in
-    /// step with the shipped ops. Does **not** swap the merged view — a
+    /// Apply one replicated batch to one shard — log it under the
+    /// primary's `seq`/`epoch` tags, replay it through the incremental
+    /// path, adopt the primary's post-batch epoch — and keep the
+    /// table-ownership index in step with the shipped ops. Does **not** swap the merged view — a
     /// sync pass applies every shard's tail first, then calls
     /// [`Coordinator::refresh_view`] once.
     ///
     /// # Errors
-    /// As [`Writer::apply_replicated`]; additionally
-    /// [`ServiceError::Maintenance`] for an out-of-range shard index.
+    /// [`ServiceError::Maintenance`] for an out-of-range shard index or a
+    /// non-durable coordinator; [`ServiceError::Store`] when the record
+    /// cannot be made durable (including an out-of-order `seq`).
     pub fn apply_replicated(
         &mut self,
         shard: usize,
@@ -1049,7 +1056,7 @@ impl Coordinator {
             for op in delta.ops() {
                 match op {
                     LakeOp::AddTable(table) => {
-                        // Last write wins here (unlike build_coordinator's
+                        // Last write wins here (unlike reindex_tables'
                         // first-wins tie-break): the stream is ordered, so
                         // the newest add IS the current owner.
                         self.table_shard.insert(table.name().to_owned(), shard);
@@ -1071,16 +1078,7 @@ impl Coordinator {
     /// primary's. Returns the coordinator epoch (sum of shard epochs).
     pub fn refresh_view(&mut self) -> u64 {
         self.dirty.clear();
-        self.epoch = self.shards.iter().map(Writer::epoch).sum();
-        let view = Arc::new(MultiView {
-            epoch: self.epoch,
-            shards: self.shards.iter().map(|w| w.service().current()).collect(),
-            threads: self.threads,
-        });
-        *self.shared.current.write().expect("multiview pointer lock") = view;
-        self.shared.cache.lock().expect("cache lock").invalidate();
-        self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.epoch
+        self.install_view()
     }
 
     /// Tear down one shard and rebuild it from a shipped snapshot (the
@@ -1115,41 +1113,9 @@ impl Coordinator {
                 .map_err(|e| ServiceError::Store(dn_store::StoreError::io_with_path(e, &dir)))?;
         }
         dn_store::install_snapshot(&dir, snapshot_bytes)?;
-        let (_, writer) = serve_from_dir(dir, config.clone(), policy)?;
-        self.shards[shard] = writer;
-        self.table_shard.clear();
-        for (i, writer) in self.shards.iter().enumerate() {
-            for name in writer.lake().live_table_names() {
-                self.table_shard.entry(name.to_owned()).or_insert(i);
-            }
-        }
+        self.shards[shard] = serve_from_dir(dir, config, policy)?;
+        self.reindex_tables();
         Ok(())
-    }
-
-    /// Sequence number of the last batch in one shard's log.
-    pub fn shard_last_seq(&self, shard: usize) -> u64 {
-        self.shards[shard].last_seq()
-    }
-
-    /// One shard's WAL suffix after `from_seq`, for shipping. See
-    /// [`Writer::wal_after`].
-    ///
-    /// # Errors
-    /// As [`Writer::wal_after`].
-    pub fn shard_wal_after(
-        &self,
-        shard: usize,
-        from_seq: u64,
-    ) -> Result<dn_store::WalTail, ServiceError> {
-        self.shards[shard].wal_after(from_seq)
-    }
-
-    /// One shard's newest on-disk snapshot bytes, for replica bootstrap.
-    ///
-    /// # Errors
-    /// As [`Writer::newest_snapshot_bytes`].
-    pub fn shard_snapshot_bytes(&self, shard: usize) -> Result<(u64, Vec<u8>), ServiceError> {
-        self.shards[shard].newest_snapshot_bytes()
     }
 
     // -- routing ----------------------------------------------------------
@@ -1227,11 +1193,10 @@ impl Coordinator {
         result
     }
 
-    /// Stage and commit one delta on one shard, marking it dirty.
+    /// Commit one delta on one shard, marking it dirty.
     fn commit_shard(&mut self, shard: usize, delta: LakeDelta) -> Result<DeltaStats, ServiceError> {
-        self.shards[shard].stage(delta);
         self.dirty.insert(shard);
-        self.shards[shard].commit()
+        self.shards[shard].commit(&[delta])
     }
 
     /// Shards on which at least one of `values` (normalized) is live,
@@ -1400,6 +1365,46 @@ mod tests {
         MutableLake::from_catalog(&lake::fixtures::running_example())
     }
 
+    /// The unsharded reference: one shard engine's snapshot of `lake`,
+    /// built without any coordinator in the way.
+    fn unsharded(lake: MutableLake) -> Arc<Snapshot> {
+        Arc::clone(serve(lake, &config()).current())
+    }
+
+    fn zebra_table() -> LakeDelta {
+        LakeDelta::new().add_table(
+            TableBuilder::new("T9")
+                .column("animal", ["Jaguar", "Zebra", "Okapi"])
+                .build()
+                .unwrap(),
+        )
+    }
+
+    fn store_dir(name: &str) -> PathBuf {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp")
+            .join(format!("dn_store_coord_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `view`'s single shard ranks every served measure like a fresh
+    /// build of `lake` (1e-9 on scores, identical order).
+    fn assert_matches_fresh_build(view: &MultiView, lake: &MutableLake) {
+        let fresh = domainnet::DomainNetBuilder::new()
+            .prune_single_attribute_values(false)
+            .build(lake);
+        for measure in [Measure::lcc(), Measure::exact_bc()] {
+            let a = view.shard(0).ranking(measure).unwrap();
+            let b = fresh.rank_shared(measure);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.value, y.value, "{measure:?}");
+                assert!((x.score - y.score).abs() < 1e-9, "{measure:?} {}", x.value);
+            }
+        }
+    }
+
     /// Two disconnected components: animals and currencies.
     fn two_component_lake() -> MutableLake {
         let mut lake = MutableLake::new();
@@ -1464,10 +1469,8 @@ mod tests {
                 ),
             )
             .unwrap();
-        let (zoo_service, _zw) = serve(zoo_lake, config());
-        let (cars_service, _cw) = serve(cars_lake, config());
-        let zoo = zoo_service.current();
-        let cars = cars_service.current();
+        let zoo = unsharded(zoo_lake);
+        let cars = unsharded(cars_lake);
         let zoo_answer = zoo.explain("Jaguar").unwrap();
         let cars_answer = cars.explain("Jaguar").unwrap();
         assert_ne!(
@@ -1496,13 +1499,12 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_is_bit_identical_to_the_engine() {
-        let (plain_service, _pw) = serve(running_lake(), config());
+    fn single_shard_is_bit_identical_to_an_unsharded_snapshot() {
+        let plain = unsharded(running_lake());
         let (handle, _coordinator) = serve_sharded(running_lake(), config(), 1);
         assert_eq!(handle.shard_count(), 1);
         assert_eq!(handle.epoch(), 0);
         let view = handle.current();
-        let plain = plain_service.current();
         for measure in [Measure::lcc(), Measure::exact_bc()] {
             let a = view.top_k(measure, usize::MAX).unwrap();
             let b = plain.top_k(measure, usize::MAX).unwrap();
@@ -1562,8 +1564,7 @@ mod tests {
                 ),
             )
             .unwrap();
-        let (reference, _w) = serve(reference_lake, config());
-        let reference_view = reference.current();
+        let reference_view = unsharded(reference_lake);
         for measure in [Measure::lcc(), Measure::exact_bc()] {
             let merged = view.top_k(measure, usize::MAX).unwrap();
             let plain = reference_view.top_k(measure, usize::MAX).unwrap();
@@ -1578,9 +1579,8 @@ mod tests {
     #[test]
     fn global_score_cards_match_the_unsharded_engine() {
         let (sharded, _c) = serve_sharded(two_component_lake(), config(), 2);
-        let (plain, _w) = serve(two_component_lake(), config());
         let view = sharded.current();
-        let reference = plain.current();
+        let reference = unsharded(two_component_lake());
         for measure in [Measure::lcc(), Measure::exact_bc()] {
             for value in ["Jaguar", "USD", "Okapi", "GBP", "Fiat"] {
                 let merged = view.score_card(measure, value).unwrap();
@@ -1629,16 +1629,22 @@ mod tests {
     #[test]
     fn merged_top_k_is_cached_per_epoch() {
         let (handle, mut coordinator) = serve_sharded(two_component_lake(), config(), 2);
-        let reader = handle.reader();
-        let first = reader.top_k(Measure::lcc(), 4).unwrap();
-        let second = reader.top_k(Measure::lcc(), 4).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
+        let (reader_a, reader_b) = (handle.reader(), handle.reader());
+        let first = reader_a.top_k(Measure::lcc(), 4).unwrap();
+        let second = reader_b.top_k(Measure::lcc(), 4).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "same epoch + same k share one cached prefix across readers"
+        );
         let stats = handle.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         coordinator
             .apply_and_publish(LakeDelta::new().remove_table("prices"))
             .unwrap();
         assert_eq!(handle.cache_stats().entries, 0, "publish invalidates");
+        // A still-pinned reader recomputes under its old epoch key.
+        let again = reader_a.top_k(Measure::lcc(), 4).unwrap();
+        assert_eq!(*again, *first);
     }
 
     #[test]
@@ -1650,14 +1656,10 @@ mod tests {
         view.verify_consistency().unwrap();
         assert_eq!(view.table_names().len(), 4);
         let all = view.top_k(Measure::lcc(), usize::MAX).unwrap();
-        let (plain, _w) = serve(two_component_lake(), config());
+        let plain = unsharded(two_component_lake());
         assert_eq!(
             all.len(),
-            plain
-                .current()
-                .top_k(Measure::lcc(), usize::MAX)
-                .unwrap()
-                .len()
+            plain.top_k(Measure::lcc(), usize::MAX).unwrap().len()
         );
     }
 
@@ -1678,9 +1680,293 @@ mod tests {
             .unwrap();
         assert_eq!(
             coordinator.epoch(),
-            coordinator.shard_epoch(0) + coordinator.shard_epoch(1)
+            coordinator.shard(0).epoch() + coordinator.shard(1).epoch()
         );
         assert_eq!(handle.epoch(), coordinator.epoch());
         assert!(coordinator.epoch() >= 1);
+    }
+
+    // -- the single-engine contract, at shards = 1 -------------------------
+
+    #[test]
+    fn epoch_zero_serves_the_initial_lake() {
+        let (service, coordinator) = serve_sharded(running_lake(), config(), 1);
+        assert_eq!(service.epoch(), 0);
+        assert_eq!(coordinator.epoch(), 0);
+        let reader = service.reader();
+        let top = reader.top_k(Measure::exact_bc(), 1).unwrap();
+        assert_eq!(top[0].value, "JAGUAR");
+        reader.view().verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn pinned_readers_keep_their_epoch_until_they_re_pin() {
+        let (service, mut coordinator) = serve_sharded(running_lake(), config(), 1);
+        let mut reader = service.reader();
+        let before = reader.view().stats();
+
+        coordinator.apply_and_publish(zebra_table()).unwrap();
+
+        // Unpinned: still epoch 0, same counts, fully consistent.
+        assert_eq!(reader.epoch(), 0);
+        assert_eq!(reader.view().stats(), before);
+        reader.view().verify_consistency().unwrap();
+
+        // Re-pin: epoch 1 with the new table visible.
+        assert_eq!(reader.pin(), 1);
+        let after = reader.view().stats();
+        assert!(after.live_candidates > before.live_candidates);
+        assert!(reader.explain("Zebra").is_some());
+        reader.view().verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn commit_without_publish_is_invisible_to_readers() {
+        let (service, mut coordinator) = serve_sharded(running_lake(), config(), 1);
+        coordinator.stage(zebra_table());
+        let stats = coordinator.commit().unwrap();
+        assert!(stats.edges_added > 0);
+        assert_eq!(service.epoch(), 0, "not yet published");
+        assert!(service.current().explain("Zebra").is_none());
+        coordinator.publish();
+        assert_eq!(service.epoch(), 1);
+        assert!(service.current().explain("Zebra").is_some());
+    }
+
+    #[test]
+    fn batched_commit_matches_a_fresh_build() {
+        let (service, mut coordinator) = serve_sharded(running_lake(), config(), 1);
+        coordinator.stage(zebra_table());
+        coordinator.stage(LakeDelta::new().remove_table("T3"));
+        coordinator.stage(LakeDelta::new().replace_value("T4", "Name", "Puma", "Lynx"));
+        coordinator.commit().unwrap();
+        coordinator.publish();
+        assert_matches_fresh_build(&service.current(), coordinator.shard(0).lake());
+    }
+
+    #[test]
+    fn failed_batches_resync_the_writer() {
+        let (service, mut coordinator) = serve_sharded(running_lake(), config(), 1);
+        coordinator.stage(zebra_table());
+        coordinator.stage(LakeDelta::new().remove_table("no-such-table"));
+        let err = coordinator.commit().unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::Lake(lake::LakeError::NotFound(_))
+        ));
+        assert_eq!(coordinator.staged_len(), 0, "failed batch is dropped");
+
+        // The first op stuck (documented batch semantics); the shard
+        // resynced its net, so continuing to mutate and publish works and
+        // matches a fresh build of the final lake.
+        coordinator
+            .apply_and_publish(LakeDelta::new().remove_table("T1"))
+            .unwrap();
+        let view = service.current();
+        view.verify_consistency().unwrap();
+        assert!(view.explain("Zebra").is_some(), "partial batch is visible");
+        // Scores only: the resynced net breaks exact ties in another order.
+        let fresh = domainnet::DomainNetBuilder::new()
+            .prune_single_attribute_values(false)
+            .build(coordinator.shard(0).lake());
+        let a = view.top_k(Measure::lcc(), usize::MAX).unwrap();
+        let b = fresh.rank_shared(Measure::lcc());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert!((x.score - y.score).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn empty_commit_is_a_cheap_no_op() {
+        let (_service, mut coordinator) = serve_sharded(running_lake(), config(), 1);
+        let stats = coordinator.commit().unwrap();
+        assert_eq!(stats, DeltaStats::default());
+        assert_eq!(coordinator.epoch(), 0, "no publish happened");
+        assert_eq!(
+            coordinator.measures(),
+            &[Measure::lcc(), Measure::exact_bc()]
+        );
+        assert!(
+            coordinator.shard(0).store_stats().unwrap().is_none(),
+            "non-durable shards report no store stats"
+        );
+    }
+
+    #[test]
+    fn durable_coordinator_survives_a_drop_mid_stream() {
+        let dir = store_dir("survive");
+        let (service, mut coordinator) = serve_sharded_durable(
+            running_lake(),
+            config(),
+            &dir,
+            CheckpointPolicy::manual(),
+            1,
+        )
+        .unwrap();
+        coordinator.apply_and_publish(zebra_table()).unwrap();
+        coordinator
+            .apply_and_publish(LakeDelta::new().remove_table("T3"))
+            .unwrap();
+        let reference = service.current();
+        drop(coordinator); // crash: nothing flushed beyond the WAL appends
+
+        let (recovered_service, recovered) =
+            serve_sharded_from_dir(&dir, config(), CheckpointPolicy::manual()).unwrap();
+        assert_eq!(recovered.epoch(), 2, "epoch numbering resumes");
+        let view = recovered_service.current();
+        view.verify_consistency().unwrap();
+        for measure in [Measure::lcc(), Measure::exact_bc()] {
+            let a = reference.top_k(measure, usize::MAX).unwrap();
+            let b = view.top_k(measure, usize::MAX).unwrap();
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.value, y.value);
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{}", x.value);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovered_coordinator_keeps_serving_and_checkpointing() {
+        let dir = store_dir("resume");
+        let policy = CheckpointPolicy::every_epochs(1);
+        let (_, mut coordinator) =
+            serve_sharded_durable(running_lake(), config(), &dir, policy, 1).unwrap();
+        coordinator.apply_and_publish(zebra_table()).unwrap();
+        drop(coordinator);
+
+        let (service, mut coordinator) = serve_sharded_from_dir(&dir, config(), policy).unwrap();
+        coordinator
+            .apply_and_publish(LakeDelta::new().replace_value("T4", "Name", "Puma", "Lynx"))
+            .unwrap();
+        assert!(coordinator.checkpoint_now().unwrap());
+        assert_eq!(
+            coordinator.wal_record_bytes(),
+            0,
+            "checkpoint trimmed the log"
+        );
+        let view = service.current();
+        view.verify_consistency().unwrap();
+        assert!(view.explain("Lynx").is_some());
+        assert!(view.explain("Zebra").is_some(), "pre-crash batch survived");
+
+        // The whole lineage — durable start, crash, recover, mutate — must
+        // equal a fresh build of the final lake.
+        assert_matches_fresh_build(&view, coordinator.shard(0).lake());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_checkpoint_policy_counts_wal_only_epochs() {
+        // Epochs whose batches live only in the WAL (no checkpoint yet)
+        // must keep counting toward the policy after a crash: the age is
+        // measured from the last on-disk checkpoint, not from the
+        // recovered epoch, or frequent crashes would let the WAL grow
+        // without bound.
+        let dir = store_dir("policy_age");
+        let policy = CheckpointPolicy::every_epochs(1);
+        let (_, mut coordinator) =
+            serve_sharded_durable(running_lake(), config(), &dir, policy, 1).unwrap();
+        coordinator.apply_and_publish(zebra_table()).unwrap(); // epoch 1, in WAL only
+        assert!(coordinator.wal_record_bytes() > 0);
+        drop(coordinator);
+
+        let (_, mut coordinator) = serve_sharded_from_dir(&dir, config(), policy).unwrap();
+        // First post-recovery commit: one epoch has passed since the last
+        // on-disk checkpoint (epoch 0), so the policy fires *now* — the
+        // pre-batch state is checkpointed and the log trimmed before the
+        // new batch is appended.
+        coordinator
+            .apply_and_publish(LakeDelta::new().remove_table("T3"))
+            .unwrap();
+        let snaps = dn_store::list_snapshots(&dn_store::shard_dir(&dir, 0)).unwrap();
+        assert_eq!(snaps.len(), 2, "initial + post-recovery checkpoint");
+        assert_eq!(snaps[0].0, 1, "checkpoint covers the WAL-only batch");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn size_based_policy_checkpoints_on_commit() {
+        let dir = store_dir("bytes");
+        let (_, mut coordinator) = serve_sharded_durable(
+            running_lake(),
+            config(),
+            &dir,
+            CheckpointPolicy::max_wal_bytes(1),
+            1,
+        )
+        .unwrap();
+        coordinator.apply_and_publish(zebra_table()).unwrap();
+        let shard = coordinator.shard(0);
+        assert!(shard.wal_record_bytes() > 0, "batch logged");
+        let stats = shard.store_stats().unwrap().expect("durable shard");
+        assert_eq!(stats.wal_record_bytes, shard.wal_record_bytes());
+        assert!(stats.wal_file_bytes >= stats.wal_record_bytes);
+        assert_eq!(stats.snapshot_count, 1, "only the initial checkpoint");
+        assert_eq!(stats.newest_snapshot_seq, Some(0));
+        assert_eq!(stats.last_seq, 1);
+        // The next commit sees a non-empty WAL >= 1 byte and checkpoints
+        // the pre-batch state before appending.
+        coordinator
+            .apply_and_publish(LakeDelta::new().remove_table("T9"))
+            .unwrap();
+        let snaps = dn_store::list_snapshots(&dn_store::shard_dir(&dir, 0)).unwrap();
+        assert_eq!(snaps.len(), 2, "initial + policy checkpoint");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn export_top_k_csv_round_trips() {
+        let (service, _coordinator) = serve_sharded(running_lake(), config(), 1);
+        let reader = service.reader();
+        let mut out = Vec::new();
+        let rows = reader
+            .export_top_k_csv(Measure::exact_bc(), 3, &mut out)
+            .unwrap();
+        assert_eq!(rows, 3);
+        let records = lake::csv::parse_str(std::str::from_utf8(&out).unwrap()).unwrap();
+        assert_eq!(records.len(), 4, "header + 3 rows");
+        assert_eq!(records[0][1], "value");
+        assert_eq!(records[1][0], "1");
+        assert_eq!(records[1][1], "JAGUAR");
+
+        // Unserved measures are a typed error, not a panic.
+        let err = reader
+            .export_top_k_csv(Measure::approx_bc(64, 7), 3, &mut Vec::new())
+            .unwrap_err();
+        assert!(matches!(err, lake::LakeError::NotFound(_)));
+    }
+
+    #[test]
+    fn export_top_k_csv_is_byte_identical_across_shard_counts() {
+        let mut exports = Vec::new();
+        for shards in [1usize, 2] {
+            let (service, _coordinator) = serve_sharded(two_component_lake(), config(), shards);
+            let reader = service.reader();
+            for measure in [Measure::lcc(), Measure::exact_bc()] {
+                let mut out = Vec::new();
+                let rows = reader
+                    .export_top_k_csv(measure, usize::MAX, &mut out)
+                    .unwrap();
+                // Shortest-round-trip float formatting: every score
+                // re-parses to the exact bits the merged ranking holds.
+                let ranking = reader.top_k(measure, usize::MAX).unwrap();
+                assert_eq!(rows, ranking.len());
+                let records = lake::csv::parse_str(std::str::from_utf8(&out).unwrap()).unwrap();
+                assert_eq!(records.len(), rows + 1, "header + one row per value");
+                for (record, scored) in records[1..].iter().zip(ranking.iter()) {
+                    assert_eq!(record[1], scored.value);
+                    let parsed: f64 = record[2].parse().unwrap();
+                    assert_eq!(parsed.to_bits(), scored.score.to_bits(), "{}", scored.value);
+                }
+                exports.push((shards, measure, out));
+            }
+        }
+        let (one, two) = exports.split_at(2);
+        for ((_, measure, a), (_, _, b)) in one.iter().zip(two) {
+            assert_eq!(a, b, "{measure:?}: 1-shard and 2-shard exports differ");
+        }
     }
 }

@@ -1,39 +1,35 @@
-//! The single-writer / many-reader serving engine.
+//! One shard: a single-writer engine over a lake, its net, and (when
+//! durable) its store.
 //!
-//! ## Epoch lifecycle
+//! A [`Writer`] is the unit the [coordinator](crate::coordinator) shards
+//! over. It owns the mutable state and nothing a reader can reach: every
+//! publish extracts an immutable [`Snapshot`] and keeps it as
+//! [`Writer::current`]; the coordinator collects those into the
+//! [`MultiView`](crate::coordinator::MultiView) readers pin. There is no
+//! lock and no cache down here — sharing and caching live once, in the
+//! coordinator.
 //!
 //! ```text
-//!   Writer thread                       Reader threads (N)
-//!   ─────────────                       ──────────────────
-//!   stage(Δ1) stage(Δ2) ...             reader.pin()  ──┐ clones Arc<Snapshot>
-//!   commit():                                           │ (read-lock, ns-scale)
-//!     lake.apply_batch([Δ1, Δ2, ...])                   ▼
-//!     net.apply_delta(effects)          queries run lock-free against the
-//!     net.warm_rankings(measures)       pinned snapshot until the next pin
+//!   commit([Δ1, Δ2, ...]):
+//!     store.append_batch([Δ1, Δ2, ...])      (durable shards: WAL first)
+//!     lake.apply_batch([Δ1, Δ2, ...])
+//!     net.apply_delta(effects)
+//!     net.warm_rankings(measures)
 //!   publish():
-//!     Snapshot::extract  ──►  swap current, bump epoch, invalidate cache
+//!     epoch += 1;  current = Arc::new(Snapshot::extract(..))
 //! ```
-//!
-//! Readers never block the writer and the writer never blocks readers: the
-//! only shared mutable state is the `RwLock` around the *pointer* to the
-//! current snapshot (held for a clone) and the `Mutex` around the top-k
-//! cache (held for a hash lookup). A reader pinned to epoch `e` keeps
-//! answering from `e` — with full internal consistency — until it re-pins,
-//! which is the database-style snapshot-isolation contract.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use dn_store::{Store, StoreError};
-use domainnet::{DeltaStats, DomainNet, DomainNetBuilder, Measure, ScoredValue};
+use domainnet::{DeltaStats, DomainNet, DomainNetBuilder, Measure};
 use lake::delta::{LakeDelta, MutableLake};
 use lake::LakeError;
 
-use crate::cache::{CacheKey, CacheStats, TopKCache};
-use crate::snapshot::{ScoreCard, Snapshot, TableSummary, ValueExplanation};
+use crate::snapshot::Snapshot;
 
-/// Configuration for [`serve`].
+/// Configuration shared by every shard behind a coordinator.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The measures the service answers queries for. Every publish warms
@@ -97,10 +93,10 @@ impl From<StoreError> for ServiceError {
     }
 }
 
-/// When the durable writer checkpoints (writes a snapshot and trims the
+/// When a durable shard checkpoints (writes a snapshot and trims the
 /// WAL). Both triggers are optional and OR-ed; the check runs at the start
-/// of every [`Writer::commit`], so "every N epochs" means "at the first
-/// commit after N epochs have been published since the last checkpoint".
+/// of every commit, so "every N epochs" means "at the first commit after N
+/// epochs have been published since the last checkpoint".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once this many epochs were published since the last one.
@@ -135,7 +131,8 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Never checkpoint automatically (use [`Writer::checkpoint_now`]).
+    /// Never checkpoint automatically (use
+    /// [`Coordinator::checkpoint_now`](crate::Coordinator::checkpoint_now)).
     pub fn manual() -> Self {
         CheckpointPolicy {
             every_epochs: None,
@@ -159,74 +156,61 @@ struct Persistence {
     last_checkpoint_epoch: u64,
 }
 
-struct Shared {
-    current: RwLock<Arc<Snapshot>>,
-    cache: Mutex<TopKCache>,
-    epochs_published: AtomicU64,
-}
-
-impl Shared {
-    fn current(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read().expect("snapshot pointer lock"))
-    }
-}
-
-/// Start serving a lake: build the net, warm the configured measures, and
-/// publish epoch 0. Returns the cloneable read handle and the unique
-/// [`Writer`] (single-writer discipline is enforced by ownership — there is
-/// exactly one `Writer` and it is not `Clone`).
-pub fn serve(lake: MutableLake, config: ServiceConfig) -> (ServiceHandle, Writer) {
+/// Build the net over `lake` and warm the configured measures.
+fn build_net(lake: &MutableLake, config: &ServiceConfig) -> DomainNet {
     let mut net = DomainNetBuilder::new()
         .prune_single_attribute_values(config.prune_single_attribute_values)
-        .build(&lake);
+        .build(lake);
     net.set_compute_threads(config.threads);
     net.warm_rankings(&config.measures);
-    build_service(lake, net, config, 0, None)
+    net
+}
+
+/// A non-durable shard over `lake`, published at epoch 0.
+pub(crate) fn serve(lake: MutableLake, config: &ServiceConfig) -> Writer {
+    let net = build_net(&lake, config);
+    Writer::new(lake, net, config, 0, None)
 }
 
 /// Like [`serve`], but durable: every committed batch is appended to a
 /// write-ahead log in `dir` before it is applied, and the
-/// [`CheckpointPolicy`] periodically snapshots the engine and trims the
+/// [`CheckpointPolicy`] periodically snapshots the shard and trims the
 /// log. `dir` must not already hold a store — reopening one after a crash
 /// (or a clean exit; the two are handled identically) goes through
 /// [`serve_from_dir`].
 ///
-/// An initial checkpoint of the freshly built engine is written before the
-/// service comes up, so recovery always has a snapshot to start from.
+/// An initial checkpoint of the freshly built shard is written before it
+/// comes up, so recovery always has a snapshot to start from.
 ///
 /// # Errors
 /// [`ServiceError::Store`] if the directory holds a store already or the
 /// initial checkpoint cannot be written.
-pub fn serve_durable(
+pub(crate) fn serve_durable(
     lake: MutableLake,
-    config: ServiceConfig,
-    dir: impl Into<PathBuf>,
+    config: &ServiceConfig,
+    dir: PathBuf,
     policy: CheckpointPolicy,
-) -> Result<(ServiceHandle, Writer), ServiceError> {
+) -> Result<Writer, ServiceError> {
     let mut store = Store::create(dir)?;
     store.set_threads(config.threads);
-    let mut net = DomainNetBuilder::new()
-        .prune_single_attribute_values(config.prune_single_attribute_values)
-        .build(&lake);
-    net.set_compute_threads(config.threads);
-    net.warm_rankings(&config.measures);
+    let net = build_net(&lake, config);
     store.checkpoint(&lake, &net, 0, &config.measures)?;
     let persistence = Persistence {
         store,
         policy,
         last_checkpoint_epoch: 0,
     };
-    Ok(build_service(lake, net, config, 0, Some(persistence)))
+    Ok(Writer::new(lake, net, config, 0, Some(persistence)))
 }
 
-/// Restore a serving engine from a store directory: load the newest valid
+/// Restore a shard from its store directory: load the newest valid
 /// snapshot, replay the WAL suffix through the incremental path, and
 /// publish the recovered state as the current epoch (numbering resumes
-/// where the crashed engine left off).
+/// where the crashed shard left off).
 ///
 /// The recovered net keeps the graph configuration it was persisted with
 /// (`config.prune_single_attribute_values` does not re-prune an existing
-/// graph). `config.measures` should match the measures the crashed engine
+/// graph). `config.measures` should match the measures the crashed shard
 /// served — recovery replays and re-warms the *persisted* measure list so
 /// incremental approximate-BC estimates continue their exact sequence;
 /// any additional measures requested here are computed fresh on the
@@ -235,13 +219,12 @@ pub fn serve_durable(
 /// # Errors
 /// [`ServiceError::Store`] when the directory holds no usable snapshot or
 /// its contents fail validation.
-pub fn serve_from_dir(
-    dir: impl Into<PathBuf>,
-    config: ServiceConfig,
+pub(crate) fn serve_from_dir(
+    dir: PathBuf,
+    config: &ServiceConfig,
     policy: CheckpointPolicy,
-) -> Result<(ServiceHandle, Writer), ServiceError> {
+) -> Result<Writer, ServiceError> {
     let (store, recovered) = Store::recover_threaded(dir, config.threads)?;
-    let epoch = recovered.epoch;
     let (lake, mut net) = (recovered.lake, recovered.net);
     net.set_compute_threads(config.threads);
     net.warm_rankings(&config.measures);
@@ -254,209 +237,56 @@ pub fn serve_from_dir(
         // often than it checkpoints would replay an ever-growing log.
         last_checkpoint_epoch: recovered.snapshot_epoch,
     };
-    Ok(build_service(lake, net, config, epoch, Some(persistence)))
-}
-
-/// Shared tail of the three entry points: publish `net` (already warmed)
-/// as the current snapshot at `epoch` and hand out the handle + writer.
-fn build_service(
-    lake: MutableLake,
-    net: DomainNet,
-    config: ServiceConfig,
-    epoch: u64,
-    persistence: Option<Persistence>,
-) -> (ServiceHandle, Writer) {
-    let snapshot = Arc::new(Snapshot::extract(&net, &lake, &config.measures, epoch));
-    let shared = Arc::new(Shared {
-        current: RwLock::new(snapshot),
-        cache: Mutex::new(TopKCache::new(config.cache_capacity)),
-        epochs_published: AtomicU64::new(1),
-    });
-    let handle = ServiceHandle {
-        shared: Arc::clone(&shared),
-    };
-    let writer = Writer {
-        shared,
+    Ok(Writer::new(
         lake,
         net,
-        measures: config.measures,
-        staged: Vec::new(),
-        epoch,
-        persistence,
-    };
-    (handle, writer)
+        config,
+        recovered.epoch,
+        Some(persistence),
+    ))
 }
 
-/// Cloneable read-side handle: mints [`Reader`]s and reports service stats.
-#[derive(Clone)]
-pub struct ServiceHandle {
-    shared: Arc<Shared>,
-}
-
-impl ServiceHandle {
-    /// A new reader, pinned to the current snapshot.
-    pub fn reader(&self) -> Reader {
-        Reader {
-            pinned: self.shared.current(),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// The current snapshot (for one-off queries; readers that issue many
-    /// queries should hold a [`Reader`] and pin explicitly).
-    pub fn current(&self) -> Arc<Snapshot> {
-        self.shared.current()
-    }
-
-    /// The epoch of the current snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.shared.current().epoch()
-    }
-
-    /// Number of snapshots published so far (epoch 0 included).
-    pub fn epochs_published(&self) -> u64 {
-        self.shared.epochs_published.load(Ordering::Relaxed)
-    }
-
-    /// Counters of the shared top-k cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.lock().expect("cache lock").stats()
-    }
-}
-
-/// A reader pinned to one epoch. Queries are answered entirely from the
-/// pinned snapshot; call [`Reader::pin`] to move to the latest epoch.
-pub struct Reader {
-    shared: Arc<Shared>,
-    pinned: Arc<Snapshot>,
-}
-
-impl Reader {
-    /// Re-pin to the current snapshot, returning its epoch. The pinned
-    /// epoch never moves backwards.
-    pub fn pin(&mut self) -> u64 {
-        self.pinned = self.shared.current();
-        self.pinned.epoch()
-    }
-
-    /// The pinned snapshot.
-    pub fn snapshot(&self) -> &Arc<Snapshot> {
-        &self.pinned
-    }
-
-    /// The pinned epoch.
-    pub fn epoch(&self) -> u64 {
-        self.pinned.epoch()
-    }
-
-    /// The top-`k` most homograph-like values under a measure, served from
-    /// the shared LRU cache when a reader of the same epoch asked before.
-    pub fn top_k(&self, measure: Measure, k: usize) -> Option<Arc<Vec<ScoredValue>>> {
-        let key = CacheKey {
-            epoch: self.pinned.epoch(),
-            measure,
-            k,
-        };
-        if let Some(hit) = self.shared.cache.lock().expect("cache lock").get(&key) {
-            return Some(hit);
-        }
-        let fresh = Arc::new(self.pinned.top_k(measure, k)?);
-        self.shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&fresh));
-        Some(fresh)
-    }
-
-    /// Score/rank/percentile lookup for one value. See
-    /// [`Snapshot::score_card`].
-    pub fn score_card(&self, measure: Measure, value: &str) -> Option<ScoreCard> {
-        self.pinned.score_card(measure, value)
-    }
-
-    /// Attribute-neighborhood explanation for one value. See
-    /// [`Snapshot::explain`].
-    pub fn explain(&self, value: &str) -> Option<ValueExplanation> {
-        self.pinned.explain(value)
-    }
-
-    /// Per-table summary. See [`Snapshot::table_summary`].
-    pub fn table_summary(&self, table: &str, measure: Measure, k: usize) -> Option<TableSummary> {
-        self.pinned.table_summary(table, measure, k)
-    }
-
-    /// Dump the top-`k` ranking under `measure` as CSV (header +
-    /// `rank,value,score,attribute_count,cardinality` rows) — the export
-    /// the golden-corpus workflow and external diffing tools consume.
-    /// Scores are rendered with Rust's shortest-round-trip float
-    /// formatting, so re-parsing the CSV recovers them exactly. Returns
-    /// the number of data rows written.
-    ///
-    /// # Errors
-    /// [`lake::LakeError::NotFound`] when the pinned snapshot does not
-    /// serve `measure`; I/O errors from the underlying writer.
-    pub fn export_top_k_csv<W: std::io::Write>(
-        &self,
-        measure: Measure,
-        k: usize,
-        out: &mut W,
-    ) -> lake::Result<usize> {
-        let ranking = self.top_k(measure, k).ok_or_else(|| {
-            LakeError::NotFound(format!(
-                "measure {measure:?} in the snapshot of epoch {}",
-                self.epoch()
-            ))
-        })?;
-        let mut records = Vec::with_capacity(ranking.len() + 1);
-        records.push(
-            ["rank", "value", "score", "attribute_count", "cardinality"]
-                .map(str::to_owned)
-                .to_vec(),
-        );
-        for (i, scored) in ranking.iter().enumerate() {
-            records.push(vec![
-                (i + 1).to_string(),
-                scored.value.clone(),
-                scored.score.to_string(),
-                scored.attribute_count.to_string(),
-                scored.cardinality.to_string(),
-            ]);
-        }
-        lake::csv::write_records(out, &records)?;
-        Ok(ranking.len())
-    }
-}
-
-/// The unique writer: stages delta batches, folds them into the net via the
-/// incremental path, and publishes epochs.
+/// One shard's write side: folds delta batches into the net via the
+/// incremental path and publishes epochs. Only the
+/// [`Coordinator`](crate::Coordinator) drives it; outside the crate a
+/// `Writer` is reachable read-only through
+/// [`Coordinator::shard`](crate::Coordinator::shard).
 pub struct Writer {
-    shared: Arc<Shared>,
     lake: MutableLake,
     net: DomainNet,
     measures: Vec<Measure>,
-    staged: Vec<LakeDelta>,
     epoch: u64,
-    /// `Some` for writers created by [`serve_durable`] / [`serve_from_dir`].
+    /// The snapshot published at `epoch`.
+    current: Arc<Snapshot>,
+    /// `Some` for durable shards.
     persistence: Option<Persistence>,
 }
 
 impl Writer {
-    /// Stage a delta for the next [`Writer::commit`].
-    pub fn stage(&mut self, delta: LakeDelta) {
-        self.staged.push(delta);
+    /// Publish `net` (already warmed) as the snapshot of `epoch`.
+    fn new(
+        lake: MutableLake,
+        net: DomainNet,
+        config: &ServiceConfig,
+        epoch: u64,
+        persistence: Option<Persistence>,
+    ) -> Writer {
+        let current = Arc::new(Snapshot::extract(&net, &lake, &config.measures, epoch));
+        Writer {
+            lake,
+            net,
+            measures: config.measures.clone(),
+            epoch,
+            current,
+            persistence,
+        }
     }
 
-    /// Number of staged, uncommitted deltas.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Apply every staged delta as one batch through the incremental path
-    /// and warm the served measures. Does **not** publish — readers keep
-    /// seeing the previous epoch until [`Writer::publish`].
+    /// Apply `batch` as one unit through the incremental path and warm the
+    /// served measures. Does **not** publish — the shard's
+    /// [`Writer::current`] snapshot stays at the previous epoch.
     ///
-    /// For a durable writer the batch is appended to the write-ahead log
+    /// For a durable shard the batch is appended to the write-ahead log
     /// (flushed and synced) **before** it is applied, so an acknowledged
     /// commit survives a crash at any later instant; the checkpoint policy
     /// is also evaluated here, snapshotting the pre-batch state and
@@ -466,32 +296,18 @@ impl Writer {
     /// On a lake-level failure the batch stops at the failing op (earlier
     /// ops remain applied, see [`MutableLake::apply_batch`]); the net is
     /// then rebuilt from the lake's live state so writer-side state stays
-    /// coherent, and the error is returned. The staged queue is cleared
-    /// either way. (The WAL keeps the failed batch: replay reproduces the
-    /// same partial application and the same rebuild, so recovery lands on
-    /// the same state.) A [`ServiceError::Store`] failure, by contrast,
-    /// leaves the lake untouched — nothing was applied that was not first
-    /// made durable.
-    pub fn commit(&mut self) -> Result<DeltaStats, ServiceError> {
+    /// coherent, and the error is returned. (The WAL keeps the failed
+    /// batch: replay reproduces the same partial application and the same
+    /// rebuild, so recovery lands on the same state.) A
+    /// [`ServiceError::Store`] failure, by contrast, leaves the lake
+    /// untouched — nothing was applied that was not first made durable.
+    pub(crate) fn commit(&mut self, batch: &[LakeDelta]) -> Result<DeltaStats, ServiceError> {
         let _apply = dn_trace::span(dn_trace::Phase::ShardApply);
-        let staged = std::mem::take(&mut self.staged);
-        if staged.is_empty() {
-            return Ok(DeltaStats::default());
-        }
+        self.checkpoint_if_due()?;
         if let Some(persistence) = self.persistence.as_mut() {
-            let epochs_since = self.epoch.saturating_sub(persistence.last_checkpoint_epoch);
-            if persistence
-                .policy
-                .is_due(epochs_since, persistence.store.wal_record_bytes())
-            {
-                persistence
-                    .store
-                    .checkpoint(&self.lake, &self.net, self.epoch, &self.measures)?;
-                persistence.last_checkpoint_epoch = self.epoch;
-            }
-            persistence.store.append_batch(self.epoch, &staged)?;
+            persistence.store.append_batch(self.epoch, batch)?;
         }
-        let effects = match self.lake.apply_batch(staged.iter()) {
+        let effects = match self.lake.apply_batch(batch.iter()) {
             Ok(effects) => effects,
             Err(e) => {
                 self.resync();
@@ -509,64 +325,62 @@ impl Writer {
         Ok(stats)
     }
 
-    /// Extract a snapshot of the net's current state and swap it in as the
-    /// new epoch, invalidating the top-k cache. Returns the new epoch.
-    pub fn publish(&mut self) -> u64 {
+    /// Bump the epoch and publish the net's current state as its snapshot.
+    /// Returns the new epoch.
+    pub(crate) fn publish(&mut self) -> u64 {
         let _publish = dn_trace::span(dn_trace::Phase::ShardPublish);
-        self.epoch += 1;
-        let snapshot = Arc::new(Snapshot::extract(
+        self.publish_at(self.epoch + 1)
+    }
+
+    /// Shared tail of [`Writer::publish`] and [`Writer::apply_replicated`]:
+    /// move to `epoch` and extract + store its snapshot.
+    fn publish_at(&mut self, epoch: u64) -> u64 {
+        self.epoch = epoch;
+        self.current = Arc::new(Snapshot::extract(
             &self.net,
             &self.lake,
             &self.measures,
-            self.epoch,
+            epoch,
         ));
-        *self.shared.current.write().expect("snapshot pointer lock") = snapshot;
-        self.shared.cache.lock().expect("cache lock").invalidate();
-        self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.epoch
-    }
-
-    /// Convenience: stage one delta, commit, and publish.
-    pub fn apply_and_publish(
-        &mut self,
-        delta: LakeDelta,
-    ) -> Result<(DeltaStats, u64), ServiceError> {
-        self.stage(delta);
-        let stats = self.commit()?;
-        Ok((stats, self.publish()))
+        epoch
     }
 
     /// Write a checkpoint immediately, regardless of policy. Returns
     /// `true` when a snapshot was written (`false` for a non-durable
-    /// writer, for which this is a no-op).
+    /// shard, for which this is a no-op).
     ///
     /// # Errors
     /// [`ServiceError::Store`] if the snapshot cannot be written.
-    pub fn checkpoint_now(&mut self) -> Result<bool, ServiceError> {
-        match self.persistence.as_mut() {
-            None => Ok(false),
-            Some(persistence) => {
-                persistence
-                    .store
-                    .checkpoint(&self.lake, &self.net, self.epoch, &self.measures)?;
-                persistence.last_checkpoint_epoch = self.epoch;
-                Ok(true)
-            }
+    pub(crate) fn checkpoint_now(&mut self) -> Result<bool, ServiceError> {
+        let Some(p) = self.persistence.as_mut() else {
+            return Ok(false);
+        };
+        p.store
+            .checkpoint(&self.lake, &self.net, self.epoch, &self.measures)?;
+        p.last_checkpoint_epoch = self.epoch;
+        Ok(true)
+    }
+
+    /// Checkpoint the current (pre-batch) state when the policy says one
+    /// is due; runs ahead of every WAL append.
+    fn checkpoint_if_due(&mut self) -> Result<(), ServiceError> {
+        let due = self.persistence.as_ref().is_some_and(|p| {
+            let epochs_since = self.epoch.saturating_sub(p.last_checkpoint_epoch);
+            p.policy.is_due(epochs_since, p.store.wal_record_bytes())
+        });
+        if due {
+            self.checkpoint_now()?;
         }
+        Ok(())
     }
 
-    /// Whether this writer persists commits to a store directory.
-    pub fn is_durable(&self) -> bool {
-        self.persistence.is_some()
-    }
-
-    /// The measures this writer warms and publishes with every epoch.
+    /// The measures this shard warms and publishes with every epoch.
     pub fn measures(&self) -> &[Measure] {
         &self.measures
     }
 
     /// Size/progress counters of the backing store: `None` for a
-    /// non-durable writer, `Err` when the store directory cannot be
+    /// non-durable shard, `Err` when the store directory cannot be
     /// listed. Exposed for observability surfaces (`/metrics`).
     pub fn store_stats(&self) -> Result<Option<dn_store::StoreStats>, ServiceError> {
         match self.persistence.as_ref() {
@@ -576,7 +390,7 @@ impl Writer {
     }
 
     /// Bytes of batch records currently in the write-ahead log (0 for a
-    /// non-durable writer).
+    /// non-durable shard).
     pub fn wal_record_bytes(&self) -> u64 {
         self.persistence
             .as_ref()
@@ -589,7 +403,7 @@ impl Writer {
     ///
     /// This is the follower-side mirror of `commit` + `publish`, with two
     /// deliberate differences. First, the epoch is *adopted*, not minted:
-    /// after applying a record the writer publishes at
+    /// after applying a record the shard publishes at
     /// `max(self.epoch, record_epoch + 1)`, which is exactly where the
     /// primary landed after committing that batch — so digests can be
     /// compared at equal epochs. Second, a lake/net-level failure is **not**
@@ -599,29 +413,20 @@ impl Writer {
     /// [`Store::recover`](dn_store::Store::recover)'s replay semantics).
     ///
     /// # Errors
-    /// [`ServiceError::Maintenance`] when the writer is not durable (a
+    /// [`ServiceError::Maintenance`] when the shard is not durable (a
     /// follower must have a log to resume from), [`ServiceError::Store`]
     /// when the record cannot be made durable — including an out-of-order
     /// `seq`, which means the stream is corrupt.
-    pub fn apply_replicated(
+    pub(crate) fn apply_replicated(
         &mut self,
         seq: u64,
         epoch: u64,
         batch: &[LakeDelta],
     ) -> Result<(), ServiceError> {
+        self.checkpoint_if_due()?;
         let persistence = self.persistence.as_mut().ok_or_else(|| {
             ServiceError::Maintenance("replication requires a durable writer".to_string())
         })?;
-        let epochs_since = self.epoch.saturating_sub(persistence.last_checkpoint_epoch);
-        if persistence
-            .policy
-            .is_due(epochs_since, persistence.store.wal_record_bytes())
-        {
-            persistence
-                .store
-                .checkpoint(&self.lake, &self.net, self.epoch, &self.measures)?;
-            persistence.last_checkpoint_epoch = self.epoch;
-        }
         persistence.store.append_replicated(seq, epoch, batch)?;
         match self.lake.apply_batch(batch.iter()) {
             Ok(effects) => {
@@ -635,53 +440,42 @@ impl Writer {
         // Adopt the primary's post-batch epoch. `publish()` would mint
         // `self.epoch + 1`, which drifts whenever the primary's history
         // contains epochs this follower never saw (pre-snapshot commits).
-        self.epoch = self.epoch.max(epoch + 1);
-        let snapshot = Arc::new(Snapshot::extract(
-            &self.net,
-            &self.lake,
-            &self.measures,
-            self.epoch,
-        ));
-        *self.shared.current.write().expect("snapshot pointer lock") = snapshot;
-        self.shared.cache.lock().expect("cache lock").invalidate();
-        self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
+        self.publish_at(self.epoch.max(epoch + 1));
         Ok(())
     }
 
-    /// Sequence number of the last batch in this writer's store (0 when no
-    /// batch was ever logged, or for a non-durable writer).
+    /// Sequence number of the last batch in this shard's store (0 when no
+    /// batch was ever logged, or for a non-durable shard).
     pub fn last_seq(&self) -> u64 {
         self.persistence.as_ref().map_or(0, |p| p.store.last_seq())
+    }
+
+    /// The store behind a durable shard, or the typed refusal `purpose`
+    /// gets from a non-durable one.
+    fn store(&self, purpose: &str) -> Result<&Store, ServiceError> {
+        self.persistence.as_ref().map(|p| &p.store).ok_or_else(|| {
+            ServiceError::Maintenance(format!("{purpose} requires a durable writer"))
+        })
     }
 
     /// The WAL suffix after `from_seq`, for shipping to a replica. See
     /// [`Store::wal_after`](dn_store::Store::wal_after).
     ///
     /// # Errors
-    /// [`ServiceError::Maintenance`] for a non-durable writer;
+    /// [`ServiceError::Maintenance`] for a non-durable shard;
     /// [`ServiceError::Store`] on log-read failures or a `from_seq` ahead
     /// of the log.
     pub fn wal_after(&self, from_seq: u64) -> Result<dn_store::WalTail, ServiceError> {
-        match self.persistence.as_ref() {
-            None => Err(ServiceError::Maintenance(
-                "WAL shipping requires a durable writer".to_string(),
-            )),
-            Some(p) => Ok(p.store.wal_after(from_seq)?),
-        }
+        Ok(self.store("WAL shipping")?.wal_after(from_seq)?)
     }
 
     /// The raw bytes of the newest on-disk snapshot, for replica bootstrap.
     ///
     /// # Errors
-    /// [`ServiceError::Maintenance`] for a non-durable writer;
+    /// [`ServiceError::Maintenance`] for a non-durable shard;
     /// [`ServiceError::Store`] when no snapshot exists or it cannot be read.
     pub fn newest_snapshot_bytes(&self) -> Result<(u64, Vec<u8>), ServiceError> {
-        match self.persistence.as_ref() {
-            None => Err(ServiceError::Maintenance(
-                "snapshot shipping requires a durable writer".to_string(),
-            )),
-            Some(p) => Ok(p.store.newest_snapshot_bytes()?),
-        }
+        Ok(self.store("snapshot shipping")?.newest_snapshot_bytes()?)
     }
 
     /// Rebuild the net from the lake's live state (the escape hatch after a
@@ -691,7 +485,7 @@ impl Writer {
         self.net.warm_rankings(&self.measures);
     }
 
-    /// The maintained lake (the writer's live state, possibly ahead of the
+    /// The maintained lake (the shard's live state, possibly ahead of the
     /// published epoch).
     pub fn lake(&self) -> &MutableLake {
         &self.lake
@@ -707,350 +501,8 @@ impl Writer {
         self.epoch
     }
 
-    /// A read handle onto the service this writer publishes to.
-    pub fn service(&self) -> ServiceHandle {
-        ServiceHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use domainnet::DomainNetBuilder;
-    use lake::table::TableBuilder;
-
-    fn running_lake() -> MutableLake {
-        MutableLake::from_catalog(&lake::fixtures::running_example())
-    }
-
-    fn config() -> ServiceConfig {
-        ServiceConfig {
-            measures: vec![Measure::lcc(), Measure::exact_bc()],
-            cache_capacity: 8,
-            prune_single_attribute_values: false,
-            threads: 1,
-        }
-    }
-
-    fn zebra_table() -> LakeDelta {
-        LakeDelta::new().add_table(
-            TableBuilder::new("T9")
-                .column("animal", ["Jaguar", "Zebra", "Okapi"])
-                .build()
-                .unwrap(),
-        )
-    }
-
-    #[test]
-    fn epoch_zero_serves_the_initial_lake() {
-        let (service, writer) = serve(running_lake(), config());
-        assert_eq!(service.epoch(), 0);
-        assert_eq!(writer.epoch(), 0);
-        let reader = service.reader();
-        let top = reader.top_k(Measure::exact_bc(), 1).unwrap();
-        assert_eq!(top[0].value, "JAGUAR");
-        reader.snapshot().verify_consistency().unwrap();
-    }
-
-    #[test]
-    fn pinned_readers_keep_their_epoch_until_they_re_pin() {
-        let (service, mut writer) = serve(running_lake(), config());
-        let mut reader = service.reader();
-        let before = reader.snapshot().stats();
-
-        writer.apply_and_publish(zebra_table()).unwrap();
-
-        // Unpinned: still epoch 0, same counts, fully consistent.
-        assert_eq!(reader.epoch(), 0);
-        assert_eq!(reader.snapshot().stats(), before);
-        reader.snapshot().verify_consistency().unwrap();
-
-        // Re-pin: epoch 1 with the new table visible.
-        assert_eq!(reader.pin(), 1);
-        let after = reader.snapshot().stats();
-        assert!(after.live_candidates > before.live_candidates);
-        assert!(reader.snapshot().explain("Zebra").is_some());
-        reader.snapshot().verify_consistency().unwrap();
-    }
-
-    #[test]
-    fn commit_without_publish_is_invisible_to_readers() {
-        let (service, mut writer) = serve(running_lake(), config());
-        writer.stage(zebra_table());
-        let stats = writer.commit().unwrap();
-        assert!(stats.edges_added > 0);
-        assert_eq!(service.epoch(), 0, "not yet published");
-        assert!(service.current().explain("Zebra").is_none());
-        writer.publish();
-        assert_eq!(service.epoch(), 1);
-        assert!(service.current().explain("Zebra").is_some());
-    }
-
-    #[test]
-    fn batched_commit_matches_a_fresh_build() {
-        let (_service, mut writer) = serve(running_lake(), config());
-        writer.stage(zebra_table());
-        writer.stage(LakeDelta::new().remove_table("T3"));
-        writer.stage(LakeDelta::new().replace_value("T4", "Name", "Puma", "Lynx"));
-        writer.commit().unwrap();
-        writer.publish();
-
-        let fresh = DomainNetBuilder::new()
-            .prune_single_attribute_values(false)
-            .build(writer.lake());
-        let snap = writer.service().current();
-        for measure in [Measure::lcc(), Measure::exact_bc()] {
-            let a = snap.ranking(measure).unwrap();
-            let b = fresh.rank_shared(measure);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.value, y.value, "{measure:?}");
-                assert!((x.score - y.score).abs() < 1e-9, "{measure:?} {}", x.value);
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_cache_is_shared_and_invalidated_on_publish() {
-        let (service, mut writer) = serve(running_lake(), config());
-        let reader_a = service.reader();
-        let reader_b = service.reader();
-        let first = reader_a.top_k(Measure::exact_bc(), 3).unwrap();
-        let second = reader_b.top_k(Measure::exact_bc(), 3).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "same epoch + same k must share one cached prefix"
-        );
-        let stats = service.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-
-        writer.apply_and_publish(zebra_table()).unwrap();
-        assert_eq!(service.cache_stats().entries, 0, "publish invalidates");
-        // A still-pinned reader recomputes under its old epoch key.
-        let again = reader_a.top_k(Measure::exact_bc(), 3).unwrap();
-        assert_eq!(again.len(), 3);
-        assert_eq!(
-            again.iter().map(|s| &s.value).collect::<Vec<_>>(),
-            first.iter().map(|s| &s.value).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn failed_batches_resync_the_writer() {
-        let (service, mut writer) = serve(running_lake(), config());
-        writer.stage(zebra_table());
-        writer.stage(LakeDelta::new().remove_table("no-such-table"));
-        let err = writer.commit().unwrap_err();
-        assert!(matches!(err, ServiceError::Lake(LakeError::NotFound(_))));
-        assert_eq!(writer.staged_len(), 0, "failed batch is dropped");
-
-        // The first op stuck (documented batch semantics); the writer
-        // resynced its net, so continuing to mutate and publish works and
-        // matches a fresh build of the final lake.
-        writer
-            .apply_and_publish(LakeDelta::new().remove_table("T1"))
-            .unwrap();
-        let snap = service.current();
-        snap.verify_consistency().unwrap();
-        assert!(snap.explain("Zebra").is_some(), "partial batch is visible");
-        let fresh = DomainNetBuilder::new()
-            .prune_single_attribute_values(false)
-            .build(writer.lake());
-        let a = snap.ranking(Measure::lcc()).unwrap();
-        let b = fresh.rank_shared(Measure::lcc());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x.score - y.score).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn empty_commit_is_a_cheap_no_op() {
-        let (_service, mut writer) = serve(running_lake(), config());
-        let stats = writer.commit().unwrap();
-        assert_eq!(stats, DeltaStats::default());
-        assert_eq!(writer.epoch(), 0, "no publish happened");
-        assert_eq!(writer.measures(), &[Measure::lcc(), Measure::exact_bc()]);
-        assert!(
-            writer.store_stats().unwrap().is_none(),
-            "non-durable writers report no store stats"
-        );
-    }
-
-    fn store_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("dn_store_engine_{name}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn durable_writer_survives_a_drop_mid_stream() {
-        let dir = store_dir("survive");
-        let (service, mut writer) =
-            serve_durable(running_lake(), config(), &dir, CheckpointPolicy::manual()).unwrap();
-        writer.apply_and_publish(zebra_table()).unwrap();
-        writer
-            .apply_and_publish(LakeDelta::new().remove_table("T3"))
-            .unwrap();
-        let reference = service.current();
-        drop(writer); // crash: nothing flushed beyond the WAL appends
-
-        let (recovered_service, recovered_writer) =
-            serve_from_dir(&dir, config(), CheckpointPolicy::manual()).unwrap();
-        assert_eq!(recovered_writer.epoch(), 2, "epoch numbering resumes");
-        let snap = recovered_service.current();
-        snap.verify_consistency().unwrap();
-        for measure in [Measure::lcc(), Measure::exact_bc()] {
-            let a = reference.ranking(measure).unwrap();
-            let b = snap.ranking(measure).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.value, y.value);
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{}", x.value);
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovered_writer_keeps_serving_and_checkpointing() {
-        let dir = store_dir("resume");
-        let (_, mut writer) = serve_durable(
-            running_lake(),
-            config(),
-            &dir,
-            CheckpointPolicy::every_epochs(1),
-        )
-        .unwrap();
-        writer.apply_and_publish(zebra_table()).unwrap();
-        drop(writer);
-
-        let (service, mut writer) =
-            serve_from_dir(&dir, config(), CheckpointPolicy::every_epochs(1)).unwrap();
-        writer
-            .apply_and_publish(LakeDelta::new().replace_value("T4", "Name", "Puma", "Lynx"))
-            .unwrap();
-        assert!(writer.checkpoint_now().unwrap());
-        assert_eq!(writer.wal_record_bytes(), 0, "checkpoint trimmed the log");
-        let snap = service.current();
-        snap.verify_consistency().unwrap();
-        assert!(snap.explain("Lynx").is_some());
-        assert!(snap.explain("Zebra").is_some(), "pre-crash batch survived");
-
-        // The whole lineage — serve_durable, crash, recover, mutate — must
-        // equal a fresh build of the final lake.
-        let fresh = DomainNetBuilder::new()
-            .prune_single_attribute_values(false)
-            .build(writer.lake());
-        for measure in [Measure::lcc(), Measure::exact_bc()] {
-            let a = snap.ranking(measure).unwrap();
-            let b = fresh.rank_shared(measure);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.value, y.value, "{measure:?}");
-                assert!((x.score - y.score).abs() < 1e-9, "{measure:?} {}", x.value);
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_checkpoint_policy_counts_wal_only_epochs() {
-        // Epochs whose batches live only in the WAL (no checkpoint yet)
-        // must keep counting toward the policy after a crash: the age is
-        // measured from the last on-disk checkpoint, not from the
-        // recovered epoch, or frequent crashes would let the WAL grow
-        // without bound.
-        let dir = store_dir("policy_age");
-        let (_, mut writer) = serve_durable(
-            running_lake(),
-            config(),
-            &dir,
-            CheckpointPolicy::every_epochs(1),
-        )
-        .unwrap();
-        writer.apply_and_publish(zebra_table()).unwrap(); // epoch 1, in WAL only
-        assert!(writer.wal_record_bytes() > 0);
-        drop(writer);
-
-        let (_, mut writer) =
-            serve_from_dir(&dir, config(), CheckpointPolicy::every_epochs(1)).unwrap();
-        // First post-recovery commit: one epoch has passed since the last
-        // on-disk checkpoint (epoch 0), so the policy fires *now* — the
-        // pre-batch state is checkpointed and the log trimmed before the
-        // new batch is appended.
-        writer
-            .apply_and_publish(LakeDelta::new().remove_table("T3"))
-            .unwrap();
-        let snaps = dn_store::list_snapshots(writer_store_dir(&writer)).unwrap();
-        assert_eq!(snaps.len(), 2, "initial + post-recovery checkpoint");
-        assert_eq!(snaps[0].0, 1, "checkpoint covers the WAL-only batch");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn size_based_policy_checkpoints_on_commit() {
-        let dir = store_dir("bytes");
-        let (_, mut writer) = serve_durable(
-            running_lake(),
-            config(),
-            &dir,
-            CheckpointPolicy::max_wal_bytes(1),
-        )
-        .unwrap();
-        writer.apply_and_publish(zebra_table()).unwrap();
-        assert!(writer.wal_record_bytes() > 0, "batch logged");
-        let stats = writer.store_stats().unwrap().expect("durable writer");
-        assert_eq!(stats.wal_record_bytes, writer.wal_record_bytes());
-        assert!(stats.wal_file_bytes >= stats.wal_record_bytes);
-        assert_eq!(stats.snapshot_count, 1, "only the initial checkpoint");
-        assert_eq!(stats.newest_snapshot_seq, Some(0));
-        assert_eq!(stats.last_seq, 1);
-        // The next commit sees a non-empty WAL >= 1 byte and checkpoints
-        // the pre-batch state before appending.
-        writer
-            .apply_and_publish(LakeDelta::new().remove_table("T9"))
-            .unwrap();
-        let snaps = dn_store::list_snapshots(writer_store_dir(&writer)).unwrap();
-        assert_eq!(snaps.len(), 2, "initial + policy checkpoint");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn writer_store_dir(writer: &Writer) -> &std::path::Path {
-        writer
-            .persistence
-            .as_ref()
-            .expect("durable writer")
-            .store
-            .dir()
-    }
-
-    #[test]
-    fn export_top_k_csv_round_trips() {
-        let (service, _writer) = serve(running_lake(), config());
-        let reader = service.reader();
-        let mut out = Vec::new();
-        let rows = reader
-            .export_top_k_csv(Measure::exact_bc(), 3, &mut out)
-            .unwrap();
-        assert_eq!(rows, 3);
-        let records = lake::csv::parse_str(std::str::from_utf8(&out).unwrap()).unwrap();
-        assert_eq!(records.len(), 4, "header + 3 rows");
-        assert_eq!(records[0][1], "value");
-        assert_eq!(records[1][0], "1");
-        assert_eq!(records[1][1], "JAGUAR");
-        // Shortest-round-trip float formatting: the score re-parses exactly.
-        let top = reader.top_k(Measure::exact_bc(), 3).unwrap();
-        let parsed: f64 = records[1][2].parse().unwrap();
-        assert_eq!(parsed.to_bits(), top[0].score.to_bits());
-
-        // Unserved measures are a typed error, not a panic.
-        let err = reader
-            .export_top_k_csv(Measure::approx_bc(64, 7), 3, &mut Vec::new())
-            .unwrap_err();
-        assert!(matches!(err, LakeError::NotFound(_)));
+    /// The snapshot published at [`Writer::epoch`].
+    pub fn current(&self) -> &Arc<Snapshot> {
+        &self.current
     }
 }

@@ -6,54 +6,58 @@
 //! deployment: *serving* those scores under concurrent load while the lake
 //! keeps mutating.
 //!
-//! The design is a classic single-writer / many-reader epoch scheme:
+//! The design is a classic single-writer / many-reader epoch scheme with
+//! **one serving stack**, the [`coordinator`], and three ways to stand it
+//! up — [`serve_sharded`] (in memory), [`serve_sharded_durable`] (fresh
+//! store directory) and [`serve_sharded_from_dir`] (recover one):
 //!
-//! * one [`engine::Writer`] owns the [`lake::MutableLake`] and the
-//!   [`domainnet::DomainNet`], applies **batched** [`lake::LakeDelta`]s
-//!   through the incremental maintenance path, and publishes immutable
-//!   [`snapshot::Snapshot`]s behind `Arc`s;
-//! * any number of [`engine::Reader`]s pin the current snapshot and answer
+//! * one [`Coordinator`] owns N component-sharded engines (each an
+//!   [`engine::Writer`]: a [`lake::MutableLake`], its
+//!   [`domainnet::DomainNet`], and optionally a `dn-store` WAL +
+//!   checkpoints), routes **batched** [`lake::LakeDelta`]s to them through
+//!   the incremental maintenance path, rebalances components that a
+//!   mutation merges across shard boundaries, and publishes immutable
+//!   [`MultiView`]s — one [`snapshot::Snapshot`] per shard — behind `Arc`s;
+//!   `shards = 1` is the unsharded engine, bit for bit;
+//! * any number of [`CoordinatorReader`]s pin the current view and answer
 //!   queries against it with no further synchronization — top-k rankings,
 //!   per-value score/rank/percentile cards, attribute-neighborhood
-//!   explanations, and per-table summaries;
-//! * a small shared LRU cache ([`cache::CacheStats`]) short-circuits
-//!   repeated top-k queries within an epoch and is invalidated on publish;
-//! * the writer can be made **durable** ([`serve_durable`]): commits are
-//!   write-ahead logged before they apply, a [`CheckpointPolicy`]
-//!   periodically snapshots the engine (via the `dn-store` crate) and
-//!   trims the log, and [`serve_from_dir`] restores an equal engine from
-//!   disk after a crash — skipping the CSV re-parse and the cold LCC/BC
-//!   scoring pass entirely;
-//! * for lakes too big for one writer, [`serve_sharded`] (and its durable
-//!   siblings) partitions the lake by connected component across N
-//!   independent engines behind a [`coordinator::Coordinator`] that
-//!   routes deltas, rebalances components across shard boundaries, and
-//!   scatter-gathers queries with exact global rank/percentile semantics
-//!   — see the [`coordinator`] module docs.
+//!   explanations, and per-table summaries, all with exact global
+//!   rank/percentile semantics across shards;
+//! * one shared LRU cache ([`cache::CacheStats`]) short-circuits repeated
+//!   merged top-k queries within an epoch and is invalidated on publish;
+//! * a durable coordinator write-ahead logs every commit before it
+//!   applies, a [`CheckpointPolicy`] periodically snapshots each shard and
+//!   trims its log, and recovery restores an equal coordinator from disk
+//!   after a crash — skipping the CSV re-parse and the cold LCC/BC scoring
+//!   pass entirely;
+//! * a [`Follower`] keeps a read-only copy in step by tailing the
+//!   primary's per-shard WALs — see the [`replica`] module docs.
 //!
 //! ## Example
 //!
 //! ```
-//! use dn_service::{serve, ServiceConfig};
+//! use dn_service::{serve_sharded, ServiceConfig};
 //! use domainnet::Measure;
 //! use lake::delta::{LakeDelta, MutableLake};
 //! use lake::table::TableBuilder;
 //!
 //! let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
-//! let (service, mut writer) = serve(lake, ServiceConfig::default());
+//! let (service, mut coordinator) = serve_sharded(lake, ServiceConfig::default(), 2);
 //!
 //! // Readers answer from the published epoch...
 //! let mut reader = service.reader();
 //! let top = reader.top_k(Measure::exact_bc(), 1).unwrap();
 //! assert_eq!(top[0].value, "JAGUAR");
 //!
-//! // ...while the writer batches mutations and publishes new epochs.
-//! writer.stage(LakeDelta::new().add_table(
+//! // ...while the coordinator batches mutations and publishes new epochs.
+//! coordinator.stage(LakeDelta::new().add_table(
 //!     TableBuilder::new("T9").column("animal", ["Jaguar", "Okapi"]).build().unwrap(),
 //! ));
-//! writer.commit().unwrap();
-//! writer.publish();
-//! assert_eq!(reader.pin(), 1);
+//! coordinator.commit().unwrap();
+//! let epoch = coordinator.publish();
+//! assert_eq!(reader.pin(), epoch);
+//! assert!(reader.view().table_names().contains(&"T9".to_owned()));
 //! ```
 
 #![warn(missing_docs)]
@@ -70,10 +74,7 @@ pub use coordinator::{
     serve_sharded, serve_sharded_durable, serve_sharded_from_dir, Coordinator, CoordinatorHandle,
     CoordinatorReader, MultiView,
 };
-pub use engine::{
-    serve, serve_durable, serve_from_dir, CheckpointPolicy, Reader, ServiceConfig, ServiceError,
-    ServiceHandle, Writer,
-};
+pub use engine::{CheckpointPolicy, ServiceConfig, ServiceError, Writer};
 pub use replica::{
     snapshot_digest, FetchedRecord, Follower, LocalReplicaSource, PrimaryStatus, ReplicaError,
     ReplicaShared, ReplicaSource, ShardPeerStatus, SyncReport, WalFetch,

@@ -12,7 +12,7 @@
 //!    its own last sequence number.
 //! 2. **Tail** — [`Follower::sync_once`] asks the source for each shard's
 //!    WAL suffix after the follower's local position and applies it through
-//!    [`Writer::apply_replicated`](crate::engine::Writer::apply_replicated)
+//!    [`Coordinator::apply_replicated`]
 //!    — the same incremental path crash recovery replays, so a follower is
 //!    state-identical to a primary that recovered from the same log. When
 //!    the primary has checkpointed past the follower's position
@@ -263,13 +263,14 @@ impl ReplicaSource for LocalReplicaSource {
     fn fetch_snapshot(&self, shard: usize) -> Result<(u64, Vec<u8>), ReplicaError> {
         let primary = self.coordinator.lock().expect("primary lock");
         primary
-            .shard_snapshot_bytes(shard)
+            .shard(shard)
+            .newest_snapshot_bytes()
             .map_err(|e| ReplicaError::Source(e.to_string()))
     }
 
     fn fetch_wal(&self, shard: usize, from_seq: u64) -> Result<WalFetch, ReplicaError> {
         let primary = self.coordinator.lock().expect("primary lock");
-        match primary.shard_wal_after(shard, from_seq) {
+        match primary.shard(shard).wal_after(from_seq) {
             Ok(dn_store::WalTail::Records(records)) => Ok(WalFetch::Records(
                 records
                     .into_iter()
@@ -376,7 +377,7 @@ impl Follower {
             let shard_count = local.shard_count();
             for shard in 0..shard_count.min(status.shards.len()) {
                 loop {
-                    let from_seq = local.shard_last_seq(shard);
+                    let from_seq = local.shard(shard).last_seq();
                     match source.fetch_wal(shard, from_seq)? {
                         WalFetch::Records(records) => {
                             if records.is_empty() {

@@ -254,7 +254,7 @@ impl Snapshot {
     }
 
     /// Materialize the top-`k` prefix of a ranking. Readers should prefer
-    /// [`crate::engine::Reader::top_k`], which caches the result.
+    /// [`crate::CoordinatorReader::top_k`], which caches the result.
     pub fn top_k(&self, measure: Measure, k: usize) -> Option<Vec<ScoredValue>> {
         self.rankings
             .get(&measure)

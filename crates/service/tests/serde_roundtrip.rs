@@ -8,15 +8,15 @@
 //! shortest-round-trip formatting.
 
 use dn_service::{
-    serve, AttributeNeighborhood, CacheStats, ScoreCard, ServiceConfig, SnapshotStats,
+    serve_sharded, AttributeNeighborhood, CacheStats, ScoreCard, ServiceConfig, SnapshotStats,
     TableSummary, ValueExplanation,
 };
 use domainnet::Measure;
 use lake::delta::MutableLake;
 
-fn service() -> dn_service::ServiceHandle {
+fn service() -> dn_service::CoordinatorHandle {
     let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
-    let (service, _writer) = serve(
+    let (service, _coordinator) = serve_sharded(
         lake,
         ServiceConfig {
             measures: vec![Measure::lcc(), Measure::exact_bc()],
@@ -24,6 +24,7 @@ fn service() -> dn_service::ServiceHandle {
             prune_single_attribute_values: false,
             threads: 1,
         },
+        1,
     );
     service
 }

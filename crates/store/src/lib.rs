@@ -23,7 +23,11 @@
 //! [`store::Store::recover`] replays the WAL suffix through the *same*
 //! incremental path the live writer uses — so a recovered engine is equal,
 //! score-for-score, to one that never crashed. The `dn-service` crate
-//! builds its `serve_durable` / `serve_from_dir` entry points on top.
+//! builds its `serve_sharded_durable` / `serve_sharded_from_dir` entry
+//! points on top, one store per shard. [`write_atomic`] is the one
+//! tmp + fsync + rename + directory-fsync writer behind every file
+//! recovery trusts (snapshots, shard manifest, rebalance intent, and the
+//! ingest journal).
 //!
 //! Like the rest of the workspace, the crate is fully self-contained: the
 //! binary codec, CRC-32, and file formats are hand-rolled on `std`, with
@@ -68,6 +72,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod atomic;
 pub mod codec;
 pub mod digest;
 pub mod error;
@@ -76,6 +81,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use atomic::write_atomic;
 pub use codec::{from_hex, to_hex};
 pub use digest::Digest64;
 pub use error::{Result, StoreError};

@@ -16,18 +16,18 @@
 //! recovery then treats every missing or aborted shard directory as a
 //! fresh, empty shard (nothing acknowledged can live there — a shard only
 //! acknowledges commits after its own WAL append). The intent file is the
-//! crash guard for cross-shard component migrations: it is written (tmp +
-//! rename, fsynced) before the first table moves and removed only after
+//! crash guard for cross-shard component migrations: it is written
+//! ([`crate::write_atomic`]) before the first table moves and removed only after
 //! the whole move-set has been re-homed, so recovery can always finish a
 //! half-done rebalance instead of leaving one component split across two
 //! shards.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use crate::atomic::write_atomic;
 use crate::error::{Result, StoreError};
 
 /// File name of the shard-count manifest under the sharded root.
@@ -79,21 +79,6 @@ pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
 /// Whether `root` holds a sharded store (i.e. a manifest).
 pub fn sharded_store_exists(root: &Path) -> bool {
     root.join(SHARD_MANIFEST_FILE).is_file()
-}
-
-/// Atomically write a small file: write to a `.tmp` sibling, fsync, rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file =
-            fs::File::create(&tmp).map_err(|e| StoreError::io_with_path(e, tmp.clone()))?;
-        file.write_all(bytes)
-            .map_err(|e| StoreError::io_with_path(e, tmp.clone()))?;
-        file.sync_all()
-            .map_err(|e| StoreError::io_with_path(e, tmp.clone()))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| StoreError::io_with_path(e, path.to_path_buf()))?;
-    Ok(())
 }
 
 /// Write the shard manifest under `root` (creating the root if needed).
@@ -195,7 +180,7 @@ mod tests {
         assert_eq!(manifest.shards, 4);
         assert_eq!(manifest.format, SHARD_MANIFEST_FORMAT);
         // No tmp sibling left behind.
-        assert!(!root.join("shards.tmp").exists());
+        assert!(!root.join("shards.json.tmp").exists());
 
         // Rewriting replaces the count.
         write_shard_manifest(&root, 2).unwrap();

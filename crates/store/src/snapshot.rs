@@ -36,7 +36,6 @@
 //! [`StoreError`], never a half-loaded engine.
 
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 use dn_graph::bipartite::BipartiteGraph;
@@ -693,8 +692,8 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
     })
 }
 
-/// Write a snapshot atomically: encode, write to a sibling temp file,
-/// fsync, then rename into place. Returns the snapshot size in bytes.
+/// Encode a snapshot and write it atomically ([`crate::write_atomic`]).
+/// Returns the snapshot size in bytes.
 pub fn write_snapshot(
     path: &Path,
     lake: &MutableLake,
@@ -714,15 +713,7 @@ pub fn write_snapshot_threaded(
     threads: usize,
 ) -> Result<u64> {
     let bytes = encode_snapshot_threaded(lake, net, manifest, threads);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| StoreError::io_with_path(e, &tmp))?;
-        file.write_all(&bytes)
-            .map_err(|e| StoreError::io_with_path(e, &tmp))?;
-        file.sync_all()
-            .map_err(|e| StoreError::io_with_path(e, &tmp))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| StoreError::io_with_path(e, path))?;
+    crate::write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -882,7 +873,7 @@ mod tests {
         let bytes_written = write_snapshot(&path, &lake, &net, &manifest).unwrap();
         assert_eq!(bytes_written, fs::metadata(&path).unwrap().len());
         assert!(
-            !path.with_extension("tmp").exists(),
+            !dir.join("snap.dnsnap.tmp").exists(),
             "temp file renamed away"
         );
         let restored = read_snapshot(&path).unwrap();

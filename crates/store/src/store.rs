@@ -159,17 +159,7 @@ pub fn install_snapshot(dir: &Path, bytes: &[u8]) -> Result<u64> {
             dir.display()
         )));
     }
-    let path = snapshot_path(dir, last_seq);
-    let tmp = path.with_extension("tmp");
-    {
-        use std::io::Write;
-        let mut file = fs::File::create(&tmp).map_err(|e| StoreError::io_with_path(e, &tmp))?;
-        file.write_all(bytes)
-            .map_err(|e| StoreError::io_with_path(e, &tmp))?;
-        file.sync_all()
-            .map_err(|e| StoreError::io_with_path(e, &tmp))?;
-    }
-    fs::rename(&tmp, &path).map_err(|e| StoreError::io_with_path(e, &path))?;
+    crate::write_atomic(&snapshot_path(dir, last_seq), bytes)?;
     Wal::create(&dir.join(WAL_FILE))?;
     Ok(last_seq)
 }

@@ -352,7 +352,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     let mid_apply_seqs: Vec<u64> = {
         let local = follower.coordinator();
         let local = local.lock().unwrap();
-        (0..SHARDS).map(|s| local.shard_last_seq(s)).collect()
+        (0..SHARDS).map(|s| local.shard(s).last_seq()).collect()
     };
     drop(follower);
 
@@ -367,7 +367,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     let resumed_seqs: Vec<u64> = {
         let local = follower.coordinator();
         let local = local.lock().unwrap();
-        (0..SHARDS).map(|s| local.shard_last_seq(s)).collect()
+        (0..SHARDS).map(|s| local.shard(s).last_seq()).collect()
     };
     assert_eq!(
         resumed_seqs, mid_apply_seqs,
@@ -379,7 +379,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     let expected_suffix: u64 = {
         let p = primary.lock().unwrap();
         (0..SHARDS)
-            .map(|s| p.shard_last_seq(s) - resumed_seqs[s])
+            .map(|s| p.shard(s).last_seq() - resumed_seqs[s])
             .sum()
     };
     assert!(

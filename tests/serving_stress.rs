@@ -1,4 +1,4 @@
-//! Concurrency stress test for the `dn-service` snapshot engine.
+//! Concurrency stress test for the `dn-service` serving stack (one shard).
 //!
 //! One writer replays 200 seeded single-table mutations against an SB-style
 //! lake, committed in batches and published as epochs, while 8 reader
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use datagen::mutate::{MutationConfig, MutationStream};
 use datagen::sb::{SbConfig, SbGenerator};
-use dn_service::{serve, ServiceConfig};
+use dn_service::{serve_sharded, ServiceConfig};
 use domainnet::{DomainNetBuilder, Measure};
 use lake::delta::MutableLake;
 
@@ -34,7 +34,7 @@ fn readers_always_observe_consistent_epochs() {
     })
     .generate();
     let lake = MutableLake::from_catalog(&base.catalog);
-    let (service, mut writer) = serve(
+    let (service, mut writer) = serve_sharded(
         lake,
         ServiceConfig {
             measures: measures(),
@@ -42,6 +42,7 @@ fn readers_always_observe_consistent_epochs() {
             prune_single_attribute_values: true,
             threads: 1,
         },
+        1,
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -68,7 +69,7 @@ fn readers_always_observe_consistent_epochs() {
                         last_epoch = epoch;
                     }
                     max_epoch_seen.fetch_max(epoch, Ordering::Relaxed);
-                    let snap = Arc::clone(reader.snapshot());
+                    let snap = Arc::clone(reader.view().shard(0));
 
                     // 1. Everything inside the snapshot cross-references.
                     //    The full O(candidates) sweep runs once per newly
@@ -129,7 +130,7 @@ fn readers_always_observe_consistent_epochs() {
     // Deltas are generated against a shadow copy of the lake so that the
     // deltas inside one staged batch stay mutually consistent before the
     // writer applies them.
-    let mut shadow = writer.lake().clone();
+    let mut shadow = writer.shard(0).lake().clone();
     let mut applied_ops = 0usize;
     while applied_ops < MUTATIONS {
         for _ in 0..DELTAS_PER_EPOCH {
@@ -170,10 +171,11 @@ fn readers_always_observe_consistent_epochs() {
     // graphs lay nodes out in different orders, so float summation order
     // (and therefore rank order among exact ties) can differ at the last
     // ulp; scores are compared per value, like `exp_incremental` does.
-    let final_snap = service.current();
+    let final_view = service.current();
+    let final_snap = final_view.shard(0);
     final_snap.verify_consistency().unwrap();
     assert_eq!(final_snap.epoch(), writer.epoch());
-    let fresh = DomainNetBuilder::new().build(writer.lake());
+    let fresh = DomainNetBuilder::new().build(writer.shard(0).lake());
     for measure in measures() {
         let served = final_snap.ranking(measure).expect("served measure");
         let rebuilt = fresh.rank_shared(measure);

@@ -30,8 +30,7 @@ use std::path::PathBuf;
 
 use datagen::mutate::{MutationConfig, MutationStream};
 use dn_service::{
-    serve_durable, serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy,
-    ServiceConfig,
+    serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, ServiceConfig,
 };
 use domainnet::{DomainNetBuilder, Measure};
 use lake::delta::{LakeDelta, MutableLake};
@@ -180,12 +179,12 @@ fn kill_between_shard_checkpoints_recovers_a_consistent_epoch() {
             coordinator.commit().expect("batch commits cleanly");
             coordinator.publish();
         }
-        let per_shard: Vec<u64> = (0..shards).map(|i| coordinator.shard_epoch(i)).collect();
+        let per_shard: Vec<u64> = (0..shards).map(|i| coordinator.shard(i).epoch()).collect();
         // The kill must actually land *between* shard checkpoints: routing
         // is uneven, so at least one shard is sitting on an un-checkpointed
         // WAL suffix while another just snapshotted.
         assert!(
-            (0..shards).any(|i| coordinator.shard_wal_record_bytes(i) > 0),
+            (0..shards).any(|i| coordinator.shard(i).wal_record_bytes() > 0),
             "every shard happened to be exactly checkpointed; weaken the policy"
         );
         assert_eq!(coordinator.epoch(), per_shard.iter().sum::<u64>());
@@ -195,7 +194,7 @@ fn kill_between_shard_checkpoints_recovers_a_consistent_epoch() {
 
     let (handle, mut recovered) =
         serve_sharded_from_dir(&root, config(), policy).expect("sharded recovery");
-    let recovered_per_shard: Vec<u64> = (0..shards).map(|i| recovered.shard_epoch(i)).collect();
+    let recovered_per_shard: Vec<u64> = (0..shards).map(|i| recovered.shard(i).epoch()).collect();
     assert_eq!(
         recovered_per_shard, per_shard_epochs,
         "per-shard WAL replay must restore the exact pre-kill epochs"
@@ -247,15 +246,15 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
                 .add_table(table("mover", "code", &["USD", "EUR"])),
         )
         .expect("shard 1 lake");
+    // Each shard store is an initial checkpoint of its lake, written the
+    // way a shard engine writes it, then abandoned: the simulated kill.
     for (i, lake) in [lake0, lake1].into_iter().enumerate() {
-        let (_, writer) = serve_durable(
-            lake,
-            config(),
-            dn_store::shard_dir(&root, i),
-            CheckpointPolicy::manual(),
-        )
-        .expect("shard store");
-        drop(writer); // simulated kill
+        let net = DomainNetBuilder::new().build(&lake);
+        net.warm_rankings(&measures());
+        dn_store::Store::create(dn_store::shard_dir(&root, i))
+            .expect("shard store")
+            .checkpoint(&lake, &net, 0, &measures())
+            .expect("initial checkpoint");
     }
     dn_store::write_rebalance_intent(
         &root,
@@ -278,8 +277,8 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
         "recovery must clear the completed intent"
     );
     assert_eq!(recovered.table_owner("mover"), Some(1));
-    assert!(!recovered.shard_live_tables(0).contains(&"mover".to_owned()));
-    assert!(recovered.shard_live_tables(1).contains(&"mover".to_owned()));
+    assert!(recovered.shard(0).lake().table("mover").is_none());
+    assert!(recovered.shard(1).lake().table("mover").is_some());
 
     // The finished state equals a fresh build of the three live tables.
     let mut expected = MutableLake::new();

@@ -2,9 +2,10 @@
 //!
 //! Two suites:
 //!
-//! * `kill_and_recover_*` — the acceptance scenario: a durable writer on
-//!   the seeded SB workload is dropped mid-stream after K committed
-//!   batches; `serve_from_dir` recovers, and the recovered top-k rankings
+//! * `kill_and_recover_*` — the acceptance scenario: a durable
+//!   single-shard coordinator on the seeded SB workload is dropped
+//!   mid-stream after K committed batches; `serve_sharded_from_dir`
+//!   recovers, and the recovered top-k rankings
 //!   for all five golden-corpus measures (LCC, LCC(attr), exact BC, and
 //!   the seeded approx-BC — see `tests/golden_rankings.rs`) must match the
 //!   uninterrupted run within 1e-9, with ids and edges exactly equal.
@@ -12,7 +13,7 @@
 //!   random lakes and mutation streams, with checkpoints taken at random
 //!   points, recovery after a kill at an arbitrary step equals the
 //!   uninterrupted run — exact on value ids and edges, 1e-9 on scores —
-//!   and the recovered writer keeps serving correctly afterwards.
+//!   and the recovered coordinator keeps serving correctly afterwards.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).
@@ -24,7 +25,8 @@ use datagen::sb::{SbConfig, SbGenerator};
 use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
 use dn_graph::lcc::LccMethod;
 use dn_service::{
-    serve, serve_durable, serve_from_dir, CheckpointPolicy, ServiceConfig, ServiceHandle, Writer,
+    serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator,
+    CoordinatorHandle, ServiceConfig,
 };
 use domainnet_suite::prelude::*;
 use rand::rngs::StdRng;
@@ -88,12 +90,12 @@ fn config(measures: Vec<Measure>, prune: bool) -> ServiceConfig {
 /// served measure, identical ranked orders.
 fn assert_engines_equal(
     label: &str,
-    reference: (&ServiceHandle, &Writer),
-    recovered: (&ServiceHandle, &Writer),
+    reference: (&CoordinatorHandle, &Coordinator),
+    recovered: (&CoordinatorHandle, &Coordinator),
     measures: &[Measure],
 ) {
-    let (ref_service, ref_writer) = reference;
-    let (rec_service, rec_writer) = recovered;
+    let (ref_service, rec_service) = (reference.0, recovered.0);
+    let (ref_writer, rec_writer) = (reference.1.shard(0), recovered.1.shard(0));
 
     // Ids: the interners must agree entry by entry.
     let (a, b) = (ref_writer.lake().interner(), rec_writer.lake().interner());
@@ -113,11 +115,11 @@ fn assert_engines_equal(
     assert_eq!(ga.value_labels(), gb.value_labels(), "{label}");
 
     // Scores: every served measure, whole ranking, 1e-9.
-    let (ref_snap, rec_snap) = (ref_service.current(), rec_service.current());
-    rec_snap.verify_consistency().unwrap();
+    let (ref_view, rec_view) = (ref_service.current(), rec_service.current());
+    rec_view.verify_consistency().unwrap();
     for &measure in measures {
-        let a = ref_snap.ranking(measure).unwrap();
-        let b = rec_snap.ranking(measure).unwrap();
+        let a = ref_view.shard(0).ranking(measure).unwrap();
+        let b = rec_view.shard(0).ranking(measure).unwrap();
         assert_eq!(a.len(), b.len(), "{label}: {measure:?} ranking sizes");
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.value, y.value, "{label}: {measure:?} order");
@@ -145,12 +147,14 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
     .generate();
     let lake = MutableLake::from_catalog(&sb.catalog);
 
-    let (ref_service, mut ref_writer) = serve(lake.clone(), config(measures.clone(), true));
-    let (dur_service, mut dur_writer) = serve_durable(
+    let (ref_service, mut ref_writer) =
+        serve_sharded(lake.clone(), config(measures.clone(), true), 1);
+    let (dur_service, mut dur_writer) = serve_sharded_durable(
         lake,
         config(measures.clone(), true),
         &dir,
         CheckpointPolicy::every_epochs(2),
+        1,
     )
     .unwrap();
 
@@ -163,7 +167,7 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
         ..MutationConfig::default()
     });
     for _ in 0..k {
-        let delta = stream.next_delta(dur_writer.lake());
+        let delta = stream.next_delta(dur_writer.shard(0).lake());
         dur_writer.apply_and_publish(delta.clone()).unwrap();
         ref_writer.apply_and_publish(delta).unwrap();
     }
@@ -175,7 +179,7 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
     drop(dur_writer); // kill mid-stream
     drop(dur_service);
 
-    let (rec_service, mut rec_writer) = serve_from_dir(
+    let (rec_service, mut rec_writer) = serve_sharded_from_dir(
         &dir,
         config(measures.clone(), true),
         CheckpointPolicy::every_epochs(2),
@@ -198,7 +202,7 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
 
     // The recovered engine is fully live: one more identical batch keeps
     // the two lineages equal.
-    let delta = stream.next_delta(rec_writer.lake());
+    let delta = stream.next_delta(rec_writer.shard(0).lake());
     rec_writer.apply_and_publish(delta.clone()).unwrap();
     ref_writer.apply_and_publish(delta).unwrap();
     assert_engines_equal(
@@ -228,12 +232,14 @@ fn random_checkpoint_recovery_equivalence() {
                 .unwrap();
         }
 
-        let (ref_service, mut ref_writer) = serve(base.clone(), config(measures.clone(), prune));
-        let (_dur_service, mut dur_writer) = serve_durable(
+        let (ref_service, mut ref_writer) =
+            serve_sharded(base.clone(), config(measures.clone(), prune), 1);
+        let (_dur_service, mut dur_writer) = serve_sharded_durable(
             base,
             config(measures.clone(), prune),
             &dir,
             CheckpointPolicy::manual(),
+            1,
         )
         .unwrap();
 
@@ -247,7 +253,7 @@ fn random_checkpoint_recovery_equivalence() {
         });
         let steps = rng.gen_range(3..=6usize);
         for _ in 0..steps {
-            let delta = stream.next_delta(dur_writer.lake());
+            let delta = stream.next_delta(dur_writer.shard(0).lake());
             dur_writer.apply_and_publish(delta.clone()).unwrap();
             ref_writer.apply_and_publish(delta).unwrap();
             if rng.gen_bool(0.4) {
@@ -256,7 +262,7 @@ fn random_checkpoint_recovery_equivalence() {
         }
         drop(dur_writer); // kill
 
-        let (rec_service, mut rec_writer) = serve_from_dir(
+        let (rec_service, mut rec_writer) = serve_sharded_from_dir(
             &dir,
             config(measures.clone(), prune),
             CheckpointPolicy::manual(),
@@ -270,7 +276,7 @@ fn random_checkpoint_recovery_equivalence() {
         );
 
         // Keep going after recovery.
-        let delta = stream.next_delta(rec_writer.lake());
+        let delta = stream.next_delta(rec_writer.shard(0).lake());
         rec_writer.apply_and_publish(delta.clone()).unwrap();
         ref_writer.apply_and_publish(delta).unwrap();
         assert_engines_equal(
@@ -292,24 +298,24 @@ fn recovered_export_matches_golden_corpus_workflow() {
     let dir = test_dir("export");
     let measures = vec![Measure::lcc(), Measure::exact_bc()];
     let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
-    let (ref_service, _ref_writer) = serve(lake.clone(), config(measures.clone(), false));
-    let (_, mut dur_writer) = serve_durable(
+    let (ref_service, mut ref_writer) =
+        serve_sharded(lake.clone(), config(measures.clone(), false), 1);
+    let (_, mut dur_writer) = serve_sharded_durable(
         lake,
         config(measures.clone(), false),
         &dir,
         CheckpointPolicy::manual(),
+        1,
     )
     .unwrap();
-    dur_writer
-        .apply_and_publish(LakeDelta::new().remove_table("T3"))
-        .unwrap();
-    let (_ref_service2, mut ref_writer2) = (ref_service.clone(), _ref_writer);
-    ref_writer2
-        .apply_and_publish(LakeDelta::new().remove_table("T3"))
-        .unwrap();
+    for writer in [&mut ref_writer, &mut dur_writer] {
+        writer
+            .apply_and_publish(LakeDelta::new().remove_table("T3"))
+            .unwrap();
+    }
     drop(dur_writer);
 
-    let (rec_service, _rec_writer) = serve_from_dir(
+    let (rec_service, _rec_writer) = serve_sharded_from_dir(
         &dir,
         config(measures.clone(), false),
         CheckpointPolicy::manual(),
