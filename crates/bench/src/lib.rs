@@ -1,8 +1,11 @@
-//! # `bench` — experiment harness for the DomainNet reproduction
+//! # `bench` — paper-result harness for the DomainNet reproduction
 //!
-//! One binary per table/figure of the paper's evaluation (§5). Every binary
-//! prints a human-readable table to stdout and writes a JSON artifact under
-//! `target/experiments/` so results can be collected into `EXPERIMENTS.md`.
+//! One binary per table/figure of the paper's evaluation (§5), and nothing
+//! else: system performance (serving, durability, ingest, tracing) is
+//! measured by the standing benchmark under `benchmark/` (contract:
+//! `BENCHMARK.json`). Every binary prints a human-readable table to stdout
+//! and writes a JSON artifact under `target/experiments/` so results can be
+//! collected into `docs/EXPERIMENTS.md`.
 //!
 //! | Binary | Paper result |
 //! |---|---|
@@ -17,20 +20,10 @@
 //! | `exp_fig8_sampling` | Figure 8 — precision & runtime vs BC sample size |
 //! | `exp_fig9_scalability` | Figure 9 + §5.4 — approx-BC runtime vs graph size |
 //! | `exp_fig10_d4_impact` | Figure 10 — D4 domain count vs injected homographs |
-//! | `exp_incremental` | beyond the paper — incremental vs full-rebuild maintenance latency |
-//! | `exp_serving` | beyond the paper — concurrent snapshot-serving throughput (N readers vs 1 writer) |
-//! | `exp_cold_start` | beyond the paper — restart latency: CSV rebuild vs snapshot load vs snapshot + WAL replay |
-//! | `exp_http` | beyond the paper — HTTP serving throughput through `dn-server` (M closed-loop clients vs 1 HTTP writer) |
-//! | `exp_shard` | beyond the paper — shard sweep: coordinator throughput & equivalence at `--shards` 1/2/4 |
 //!
 //! All binaries accept `--scale <f64>` (default 1.0) to shrink or grow the
-//! generated workloads, and `--seed <u64>` to change the data seed; the
-//! serving experiments additionally accept `--shards <n>`. See
+//! generated workloads, and `--seed <u64>` to change the data seed. See
 //! `docs/EXPERIMENTS.md` for output shapes and expected runtimes.
-//!
-//! The serving-stack binaries (`exp_serving`, `exp_http`, `exp_shard`)
-//! additionally write committed `BENCH_*.json` baselines in the workspace
-//! root via [`write_bench_report`], so perf can be tracked across PRs.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -48,10 +41,6 @@ pub struct ExpArgs {
     pub scale: f64,
     /// Data-generation seed.
     pub seed: u64,
-    /// Shard count for the serving experiments (`--shards`, default 1).
-    ///
-    /// Experiments that predate the coordinator ignore it.
-    pub shards: usize,
 }
 
 impl Default for ExpArgs {
@@ -59,14 +48,12 @@ impl Default for ExpArgs {
         ExpArgs {
             scale: 1.0,
             seed: 2021,
-            shards: 1,
         }
     }
 }
 
 impl ExpArgs {
-    /// Parse `--scale <f>`, `--seed <n>`, and `--shards <n>` from
-    /// `std::env::args`.
+    /// Parse `--scale <f>` and `--seed <n>` from `std::env::args`.
     ///
     /// Unknown arguments are ignored so the binaries stay forgiving when run
     /// through wrappers.
@@ -85,12 +72,6 @@ impl ExpArgs {
                 "--seed" if i + 1 < args.len() => {
                     if let Ok(v) = args[i + 1].parse() {
                         out.seed = v;
-                    }
-                    i += 1;
-                }
-                "--shards" if i + 1 < args.len() => {
-                    if let Ok(v) = args[i + 1].parse::<usize>() {
-                        out.shards = v.max(1);
                     }
                     i += 1;
                 }
@@ -126,31 +107,6 @@ pub fn write_report<T: Serialize>(name: &str, report: &T) {
             }
         }
         Err(err) => eprintln!("warning: could not serialize report {name}: {err}"),
-    }
-}
-
-/// Serialize a *tracked* performance baseline as `BENCH_<name>.json` in the
-/// workspace root, in addition to the usual `target/experiments/` artifact.
-///
-/// The `BENCH_*` files are committed alongside the code so the performance
-/// trajectory of the serving stack is visible in history; the
-/// `target/experiments/` copy stays the machine-local scratch artifact.
-pub fn write_bench_report<T: Serialize>(name: &str, report: &T) {
-    write_report(name, report);
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join(format!("BENCH_{name}.json"));
-    match serde_json::to_string_pretty(report) {
-        Ok(mut json) => {
-            json.push('\n');
-            if let Err(err) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {err}", path.display());
-            } else {
-                println!("[baseline written to {}]", path.display());
-            }
-        }
-        Err(err) => eprintln!("warning: could not serialize baseline {name}: {err}"),
     }
 }
 
@@ -206,13 +162,11 @@ mod tests {
         let args = ExpArgs {
             scale: 0.01,
             seed: 1,
-            ..ExpArgs::default()
         };
         assert_eq!(args.scaled(100, 10), 10);
         let args = ExpArgs {
             scale: 2.0,
             seed: 1,
-            ..ExpArgs::default()
         };
         assert_eq!(args.scaled(100, 10), 200);
     }
@@ -228,12 +182,10 @@ mod tests {
         let small = tus_config(ExpArgs {
             scale: 0.1,
             seed: 3,
-            ..ExpArgs::default()
         });
         let default = tus_config(ExpArgs {
             scale: 1.0,
             seed: 3,
-            ..ExpArgs::default()
         });
         assert!(small.domain_count < default.domain_count);
         assert!(small.max_domain_vocab < default.max_domain_vocab);

@@ -1,11 +1,11 @@
 //! Request/response body types for the `/v1` JSON API.
 //!
 //! One struct per endpoint payload, shared by the server handlers, the
-//! blocking [`crate::client`], the wire tests, and the `exp_http` load
-//! generator — so both sides of the socket agree on the schema by
-//! construction. Every response carries the `epoch` it was answered at:
-//! each request pins one immutable snapshot, and the epoch is how a client
-//! reasons about cross-request consistency.
+//! blocking [`crate::client`], the wire tests, and the standing
+//! benchmark's load generator — so both sides of the socket agree on the
+//! schema by construction. Every response carries the `epoch` it was
+//! answered at: each request pins one immutable snapshot, and the epoch is
+//! how a client reasons about cross-request consistency.
 
 use domainnet::{DeltaStats, ScoredValue};
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,7 @@
 //! A minimal blocking HTTP/1.1 client over `std::net`, good enough for
-//! the wire tests, the `ci.sh` smoke gate, and the `exp_http` load
-//! generator — so driving the server needs no external tooling.
+//! the wire tests, the process probes (`tests/dn_serve_process.rs`), and
+//! the standing benchmark's load generator — so driving the server needs
+//! no external tooling.
 //!
 //! The client keeps one connection alive and reuses it across requests
 //! (matching the server's keep-alive path); when the server closed the

@@ -24,7 +24,8 @@
 //! * [`metrics`] — lock-free per-route counters + latency histograms,
 //!   rendered as a Prometheus-style text exposition at `GET /metrics`.
 //! * [`client`] — a minimal blocking keep-alive client used by the wire
-//!   tests, the `ci.sh` smoke gate, and the `exp_http` load generator.
+//!   tests, the process probes, and the standing benchmark's load
+//!   generator.
 //!
 //! See `docs/API.md` for the endpoint reference and `ARCHITECTURE.md` for
 //! the thread-pool diagram and request lifecycle.

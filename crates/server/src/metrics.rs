@@ -97,8 +97,10 @@ impl Route {
         }
     }
 
+    /// Position in [`ROUTES`], which lists the variants in declaration
+    /// order (pinned by `routes_are_listed_in_declaration_order`).
     fn index(self) -> usize {
-        ROUTES.iter().position(|&r| r == self).expect("known route")
+        self as usize
     }
 }
 
@@ -462,6 +464,14 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn routes_are_listed_in_declaration_order() {
+        for (i, route) in ROUTES.into_iter().enumerate() {
+            assert_eq!(route as usize, i, "{route:?}");
+            assert_eq!(ROUTES[route.index()], route);
+        }
+    }
 
     #[test]
     fn records_show_up_in_the_exposition() {

@@ -138,9 +138,12 @@ fn render_text(level: Level, name: &str, fields: &[(&str, EventValue<'_>)]) -> S
         out.push_str(key);
         out.push('=');
         match value {
-            EventValue::Str(s) if s.contains(' ') || s.is_empty() => {
+            // Anything that could end the value early, forge a second
+            // `key=value` or break the one-line contract is quoted and
+            // escaped; plain tokens stay bare.
+            EventValue::Str(s) if s.is_empty() || s.chars().any(needs_quoting) => {
                 out.push('"');
-                out.push_str(s);
+                push_json_escaped(&mut out, s);
                 out.push('"');
             }
             EventValue::Str(s) => out.push_str(s),
@@ -151,6 +154,10 @@ fn render_text(level: Level, name: &str, fields: &[(&str, EventValue<'_>)]) -> S
         }
     }
     out
+}
+
+fn needs_quoting(c: char) -> bool {
+    c.is_whitespace() || c.is_control() || c == '"' || c == '='
 }
 
 fn push_json_escaped(out: &mut String, raw: &str) {
@@ -256,11 +263,19 @@ mod tests {
                 ("addr", EventValue::Str("127.0.0.1:80")),
                 ("mode", EventValue::Str("two words")),
                 ("shards", EventValue::U64(2)),
+                ("error", EventValue::Str("a\nb \"c\" d=e")),
+                ("forged", EventValue::Str("x=y")),
+                ("empty", EventValue::Str("")),
             ],
         );
         assert!(line.contains("info server_started"));
         assert!(line.contains("addr=127.0.0.1:80"));
         assert!(line.contains("mode=\"two words\""));
         assert!(line.contains("shards=2"));
+        // A hostile value stays one quoted, escaped token on one line.
+        assert_eq!(line.lines().count(), 1, "{line:?}");
+        assert!(line.contains(r#"error="a\nb \"c\" d=e""#), "{line}");
+        assert!(line.contains(r#"forged="x=y""#), "{line}");
+        assert!(line.ends_with(r#"empty="""#), "{line}");
     }
 }

@@ -6,9 +6,6 @@
 //!          [--ingest-dir DIR [--ingest-poll-ms 500]]
 //!          [--trace-sample 16] [--slow-query-us US] [--log-format text|json]
 //! dn-serve --data-dir DIR --follow http://PRIMARY [--poll-ms 100] [...]
-//! dn-serve --smoke ADDR
-//! dn-serve --smoke-replica PRIMARY_ADDR FOLLOWER_ADDR
-//! dn-serve --smoke-ingest ADDR DROP_DIR
 //! ```
 //!
 //! Server mode: if `--data-dir` already holds a sharded store, the
@@ -38,25 +35,17 @@
 //! mutation handler uses. The resume journal lives at
 //! `<data-dir>/ingest.journal`; `dn_ingest_*` gauges appear in /metrics.
 //!
-//! Smoke mode (`--smoke ADDR`): a client-only self-check against a
-//! running server — healthz → mutation → top-k → checkpoint → shutdown —
-//! exiting non-zero on the first unexpected answer. This is the curl-free
-//! probe `ci.sh` drives. `--smoke-replica PRIMARY FOLLOWER` is the
-//! replication variant: mutate via the primary, wait for the follower to
-//! converge, assert the lag gauge returns to zero and writes are refused,
-//! then drain both. `--smoke-ingest ADDR DIR` is the drop-folder variant:
-//! write three drift generations into the watched `DIR`, wait until top-k
-//! reflects the last one, assert the `dn_ingest_*` gauges moved, then
-//! drain the server.
+//! This binary is arg parsing plus wiring. The process-level probes that
+//! drive it end to end (HTTP, replication, drop-folder ingest) live in
+//! `tests/dn_serve_process.rs`.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dn_server::{
-    serve_http, serve_http_follower, Client, HttpReplicaSource, Limits, ReplicaContext,
-    ServerConfig,
+    serve_http, serve_http_follower, HttpReplicaSource, Limits, ReplicaContext, ServerConfig,
 };
 use dn_service::{
     serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Follower, ReplicaError,
@@ -75,13 +64,10 @@ struct Args {
     checkpoint_every: u64,
     cache_capacity: usize,
     max_body_bytes: usize,
-    smoke: Option<String>,
     follow: Option<String>,
     poll_ms: u64,
-    smoke_replica: Option<(String, String)>,
     ingest_dir: Option<String>,
     ingest_poll_ms: u64,
-    smoke_ingest: Option<(String, String)>,
     trace_sample: u32,
     slow_query_us: Option<u64>,
     log_json: bool,
@@ -98,13 +84,10 @@ impl Default for Args {
             checkpoint_every: 8,
             cache_capacity: 64,
             max_body_bytes: 1 << 20,
-            smoke: None,
             follow: None,
             poll_ms: 100,
-            smoke_replica: None,
             ingest_dir: None,
             ingest_poll_ms: 500,
-            smoke_ingest: None,
             trace_sample: 16,
             slow_query_us: None,
             log_json: false,
@@ -116,10 +99,7 @@ const USAGE: &str = "usage: dn-serve --data-dir DIR [--shards N] [--addr HOST:PO
 [--threads N] [--checkpoint-every EPOCHS] [--cache-capacity N] [--max-body-bytes N] \
 [--ingest-dir DIR] [--ingest-poll-ms MS] [--trace-sample N] [--slow-query-us US] \
 [--log-format text|json]\n       \
-dn-serve --data-dir DIR --follow http://HOST:PORT [--poll-ms MS]\n       \
-dn-serve --smoke HOST:PORT\n       \
-dn-serve --smoke-replica PRIMARY_HOST:PORT FOLLOWER_HOST:PORT\n       \
-dn-serve --smoke-ingest HOST:PORT DROP_DIR";
+dn-serve --data-dir DIR --follow http://HOST:PORT [--poll-ms MS]";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = Args::default();
@@ -175,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--max-body-bytes must be an integer".to_owned())?;
             }
-            "--smoke" => out.smoke = Some(value("--smoke")?),
             "--follow" => out.follow = Some(value("--follow")?),
             "--poll-ms" => {
                 out.poll_ms = value("--poll-ms")?
@@ -185,11 +164,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--poll-ms must be at least 1".to_owned());
                 }
             }
-            "--smoke-replica" => {
-                let primary = value("--smoke-replica")?;
-                let follower = value("--smoke-replica")?;
-                out.smoke_replica = Some((primary, follower));
-            }
             "--ingest-dir" => out.ingest_dir = Some(value("--ingest-dir")?),
             "--ingest-poll-ms" => {
                 out.ingest_poll_ms = value("--ingest-poll-ms")?
@@ -198,11 +172,6 @@ fn parse_args() -> Result<Args, String> {
                 if out.ingest_poll_ms == 0 {
                     return Err("--ingest-poll-ms must be at least 1".to_owned());
                 }
-            }
-            "--smoke-ingest" => {
-                let addr = value("--smoke-ingest")?;
-                let dir = value("--smoke-ingest")?;
-                out.smoke_ingest = Some((addr, dir));
             }
             "--trace-sample" => {
                 // 0 disables tracing outright; N samples one request in N.
@@ -230,12 +199,8 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
-    if out.smoke.is_none()
-        && out.smoke_replica.is_none()
-        && out.smoke_ingest.is_none()
-        && out.data_dir.is_none()
-    {
-        return Err("--data-dir is required in server mode".to_owned());
+    if out.data_dir.is_none() {
+        return Err("--data-dir is required".to_owned());
     }
     if out.follow.is_some() && out.shards != 1 {
         return Err("--shards is meaningless with --follow (the primary's manifest rules)".into());
@@ -259,43 +224,11 @@ fn main() -> ExitCode {
     if let Some(us) = args.slow_query_us {
         dn_trace::set_slow_query_us(us);
     }
-    if let Some(addr) = &args.smoke {
-        return match run_smoke(addr) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("dn-serve --smoke FAILED: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some((primary, follower)) = &args.smoke_replica {
-        return match run_replica_smoke(primary, follower) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("dn-serve --smoke-replica FAILED: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some((addr, dir)) = &args.smoke_ingest {
-        return match run_ingest_smoke(addr, dir) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("dn-serve --smoke-ingest FAILED: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some(primary) = args.follow.clone() {
-        return match run_follower(&args, &primary) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("dn-serve: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match run_server(&args) {
+    let served = match &args.follow {
+        Some(primary) => run_follower(&args, primary),
+        None => run_server(&args),
+    };
+    match served {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("dn-serve: {message}");
@@ -304,10 +237,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// The startup line. `ci.sh` seds the bound address out of the text form
-/// (`dn-serve listening on http://ADDR ...`), so that exact shape is
-/// load-bearing; JSON mode renders the same facts as one `server_started`
-/// event on stdout instead.
+/// The startup line. `tests/dn_serve_process.rs` reads the bound address
+/// out of the text form (`dn-serve listening on http://ADDR ...`), so
+/// that exact shape is load-bearing; JSON mode renders the same facts as
+/// one `server_started` event on stdout instead.
 #[allow(clippy::too_many_arguments)]
 fn log_listening(
     addr: impl std::fmt::Display,
@@ -343,22 +276,47 @@ workers={workers} threads={threads} data_dir={data_dir} ({mode})"
     }
 }
 
+// The engine, checkpoint and listener settings are the same for a primary
+// and a follower (a follower's log grows only as fast as the primary's,
+// so the same policy keeps its disk bounded the same way).
+impl Args {
+    fn service_config(&self) -> ServiceConfig {
+        ServiceConfig {
+            measures: vec![Measure::lcc(), Measure::exact_bc()],
+            cache_capacity: self.cache_capacity,
+            prune_single_attribute_values: true,
+            threads: self.threads,
+        }
+    }
+
+    fn checkpoint_policy(&self) -> CheckpointPolicy {
+        if self.checkpoint_every == 0 {
+            CheckpointPolicy::manual()
+        } else {
+            CheckpointPolicy {
+                every_epochs: Some(self.checkpoint_every),
+                max_wal_bytes: Some(16 << 20),
+            }
+        }
+    }
+
+    fn server_config(&self) -> ServerConfig {
+        ServerConfig {
+            addr: self.addr.clone(),
+            workers: self.workers,
+            limits: Limits {
+                max_body_bytes: self.max_body_bytes,
+                ..Limits::default()
+            },
+            ..ServerConfig::default()
+        }
+    }
+}
+
 fn run_server(args: &Args) -> Result<(), String> {
     let data_dir = args.data_dir.as_deref().expect("checked in parse_args");
-    let service_config = ServiceConfig {
-        measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: args.cache_capacity,
-        prune_single_attribute_values: true,
-        threads: args.threads,
-    };
-    let policy = if args.checkpoint_every == 0 {
-        CheckpointPolicy::manual()
-    } else {
-        CheckpointPolicy {
-            every_epochs: Some(args.checkpoint_every),
-            max_wal_bytes: Some(16 << 20),
-        }
-    };
+    let service_config = args.service_config();
+    let policy = args.checkpoint_policy();
 
     let root = std::path::Path::new(data_dir);
     if dn_store::Store::exists(root) {
@@ -400,15 +358,7 @@ reshard it in place (not supported)",
     let shards = coordinator.shard_count();
     let epoch = service.epoch();
 
-    let server_config = ServerConfig {
-        addr: args.addr.clone(),
-        workers: args.workers,
-        limits: Limits {
-            max_body_bytes: args.max_body_bytes,
-            ..Limits::default()
-        },
-        ..ServerConfig::default()
-    };
+    let server_config = args.server_config();
 
     // With --ingest-dir the coordinator is shared between the HTTP write
     // handlers and a background drop-folder ingester; the ingest thread
@@ -505,36 +455,16 @@ reshard it in place (not supported)",
 // Follower mode
 // ---------------------------------------------------------------------
 
-fn parse_server_addr(raw: &str) -> Result<std::net::SocketAddr, String> {
-    raw.trim_start_matches("http://")
+fn run_follower(args: &Args, primary: &str) -> Result<(), String> {
+    let data_dir = args.data_dir.as_deref().expect("checked in parse_args");
+    let primary_addr: std::net::SocketAddr = primary
+        .trim_start_matches("http://")
         .trim_end_matches('/')
         .parse()
-        .map_err(|e| format!("bad server address {raw:?}: {e}"))
-}
-
-fn run_follower(args: &Args, primary: &str) -> Result<(), String> {
-    let data_dir = args
-        .data_dir
-        .as_deref()
-        .ok_or("--follow requires --data-dir for the replica's local store")?;
-    let primary_addr = parse_server_addr(primary)?;
+        .map_err(|e| format!("bad primary address {primary:?}: {e}"))?;
     let source = HttpReplicaSource::with_timeout(primary_addr, Duration::from_secs(10));
-    let service_config = ServiceConfig {
-        measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: args.cache_capacity,
-        prune_single_attribute_values: true,
-        threads: args.threads,
-    };
-    // A follower's log grows only as fast as the primary's, so the same
-    // policy keeps its disk bounded the same way.
-    let policy = if args.checkpoint_every == 0 {
-        CheckpointPolicy::manual()
-    } else {
-        CheckpointPolicy {
-            every_epochs: Some(args.checkpoint_every),
-            max_wal_bytes: Some(16 << 20),
-        }
-    };
+    let service_config = args.service_config();
+    let policy = args.checkpoint_policy();
 
     // Bootstrap with backoff: a follower routinely starts before (or
     // during a restart of) its primary.
@@ -580,15 +510,7 @@ fn run_follower(args: &Args, primary: &str) -> Result<(), String> {
     let server = serve_http_follower(
         handle,
         follower.coordinator(),
-        ServerConfig {
-            addr: args.addr.clone(),
-            workers: args.workers,
-            limits: Limits {
-                max_body_bytes: args.max_body_bytes,
-                ..Limits::default()
-            },
-            ..ServerConfig::default()
-        },
+        args.server_config(),
         ReplicaContext {
             primary_url: format!("http://{primary_addr}"),
             shared: Arc::clone(&shared),
@@ -651,378 +573,5 @@ fn run_follower(args: &Args, primary: &str) -> Result<(), String> {
     stop.store(true, Ordering::SeqCst);
     let _ = tail.join();
     dn_trace::event(dn_trace::Level::Info, "follower_drained", &[]);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Smoke mode
-// ---------------------------------------------------------------------
-
-fn check(condition: bool, message: &str) -> Result<(), String> {
-    if condition {
-        println!("smoke: {message}: ok");
-        Ok(())
-    } else {
-        Err(message.to_owned())
-    }
-}
-
-/// The `ci.sh` wire probe: drive one full ingest-query-persist-drain
-/// cycle through the client module against a freshly started server.
-fn run_smoke(addr: &str) -> Result<(), String> {
-    use dn_server::api::{
-        CheckpointResponse, HealthResponse, MutationRequest, MutationResponse, ShutdownResponse,
-        TopKResponse, TraceResponse,
-    };
-    use lake::table::TableBuilder;
-
-    let addr: std::net::SocketAddr = addr
-        .trim_start_matches("http://")
-        .trim_end_matches('/')
-        .parse()
-        .map_err(|e| format!("bad server address: {e}"))?;
-    let mut client = Client::new(addr).with_timeout(Duration::from_secs(10));
-
-    // 1. healthz
-    let health = client
-        .get("/healthz")
-        .map_err(|e| format!("healthz: {e}"))?;
-    check(health.status == 200, "healthz answers 200")?;
-    let health: HealthResponse = health.json().map_err(|e| format!("healthz body: {e}"))?;
-    check(health.status == "ok", "healthz body says ok")?;
-
-    // 2. mutation: two tables sharing JAGUAR across semantic domains —
-    // the paper's running homograph, ingested over the wire.
-    let request = MutationRequest {
-        deltas: vec![
-            lake::delta::LakeDelta::new().add_table(
-                TableBuilder::new("smoke_zoo")
-                    .column("animal", ["Jaguar", "Okapi", "Zebra"])
-                    .build()
-                    .map_err(|e| format!("build table: {e}"))?,
-            ),
-            lake::delta::LakeDelta::new().add_table(
-                TableBuilder::new("smoke_cars")
-                    .column("make", ["Jaguar", "Fiat", "Kia"])
-                    .build()
-                    .map_err(|e| format!("build table: {e}"))?,
-            ),
-        ],
-    };
-    let body = serde_json::to_string(&request).map_err(|e| format!("encode mutation: {e}"))?;
-    let response = client
-        .post_json("/v1/mutations", &body)
-        .map_err(|e| format!("mutations: {e}"))?;
-    check(response.status == 200, "mutation batch answers 200")?;
-    let trace_id = response.trace_id;
-    let mutation: MutationResponse = response.json().map_err(|e| format!("mutation body: {e}"))?;
-    check(
-        mutation.epoch > health.epoch,
-        "mutation published a new epoch",
-    )?;
-    check(mutation.stats.edges_added > 0, "mutation added graph edges")?;
-
-    // 2b. The debug trace ring serves the mutation's own span tree. The
-    // ID comes from the echoed X-Dn-Trace-Id; when the server samples at
-    // less than 1-in-1 the request may legitimately be untraced, so the
-    // per-ID assertions only run when the header was present (ci.sh runs
-    // this gate with --trace-sample 1, making them mandatory there).
-    let listing = client
-        .get("/v1/debug/traces")
-        .map_err(|e| format!("debug traces: {e}"))?;
-    check(listing.status == 200, "debug traces list answers 200")?;
-    match trace_id {
-        Some(id) => {
-            let hex = dn_trace::format_trace_id(id);
-            let fetched = client
-                .get(&format!("/v1/debug/traces/{hex}"))
-                .map_err(|e| format!("debug trace {hex}: {e}"))?;
-            check(
-                fetched.status == 200,
-                "mutation trace is retained in the ring",
-            )?;
-            let trace: TraceResponse = fetched
-                .json()
-                .map_err(|e| format!("debug trace body: {e}"))?;
-            check(trace.id == hex, "trace endpoint answers the requested ID")?;
-            check(!trace.spans.is_empty(), "mutation trace carries spans")?;
-            check(
-                listing.body.contains(&hex),
-                "trace list includes the mutation trace",
-            )?;
-        }
-        None => println!("smoke: mutation was not sampled, per-trace checks skipped"),
-    }
-
-    // 3. top-k reflects the ingested homograph
-    let top = client
-        .get("/v1/top-k?measure=bc&k=5")
-        .map_err(|e| format!("top-k: {e}"))?;
-    check(top.status == 200, "top-k answers 200")?;
-    let top: TopKResponse = top.json().map_err(|e| format!("top-k body: {e}"))?;
-    check(
-        top.epoch >= mutation.epoch,
-        "top-k sees the published epoch",
-    )?;
-    check(
-        top.results.iter().any(|s| s.value == "JAGUAR"),
-        "top-k surfaces the injected homograph JAGUAR",
-    )?;
-
-    // 4. metrics expose the per-shard gauges (the server always fronts
-    // the coordinator, so shard 0 exists even in single-shard mode)
-    let metrics = client
-        .get("/metrics")
-        .map_err(|e| format!("metrics: {e}"))?;
-    check(metrics.status == 200, "metrics answers 200")?;
-    check(
-        metrics.body.contains("dn_shard_epoch{shard=\"0\"}"),
-        "metrics expose per-shard epoch gauges",
-    )?;
-
-    // 5. checkpoint
-    let response = client
-        .post_json("/v1/admin/checkpoint", "")
-        .map_err(|e| format!("checkpoint: {e}"))?;
-    check(response.status == 200, "checkpoint answers 200")?;
-    let checkpoint: CheckpointResponse = response
-        .json()
-        .map_err(|e| format!("checkpoint body: {e}"))?;
-    check(checkpoint.checkpointed, "checkpoint was written")?;
-
-    // 6. graceful shutdown
-    let response = client
-        .post_json("/v1/admin/shutdown", "")
-        .map_err(|e| format!("shutdown: {e}"))?;
-    check(response.status == 200, "shutdown answers 200")?;
-    let shutdown: ShutdownResponse = response.json().map_err(|e| format!("shutdown body: {e}"))?;
-    check(shutdown.status == "shutting down", "shutdown acknowledged")?;
-
-    println!("smoke: all checks passed");
-    Ok(())
-}
-
-/// The `ci.sh` replication probe: a primary and a `--follow` follower are
-/// already running; mutate via the primary, wait for the follower to
-/// converge to the same epoch and ranking, assert the insurance gauges
-/// are clean and writes are refused, then drain both.
-fn run_replica_smoke(primary: &str, follower: &str) -> Result<(), String> {
-    use dn_server::api::{
-        ErrorBody, HealthResponse, MutationRequest, MutationResponse, ShutdownResponse,
-        TopKResponse,
-    };
-    use lake::table::TableBuilder;
-
-    let primary_addr = parse_server_addr(primary)?;
-    let follower_addr = parse_server_addr(follower)?;
-    let mut primary = Client::new(primary_addr).with_timeout(Duration::from_secs(10));
-    let mut follower = Client::new(follower_addr).with_timeout(Duration::from_secs(10));
-
-    // 1. Both ends are up.
-    let health = primary
-        .get("/healthz")
-        .map_err(|e| format!("primary healthz: {e}"))?;
-    check(health.status == 200, "primary healthz answers 200")?;
-    let health = follower
-        .get("/healthz")
-        .map_err(|e| format!("follower healthz: {e}"))?;
-    check(health.status == 200, "follower healthz answers 200")?;
-    let _: HealthResponse = health
-        .json()
-        .map_err(|e| format!("follower healthz: {e}"))?;
-
-    // 2. Mutate via the primary.
-    let request = MutationRequest {
-        deltas: vec![
-            lake::delta::LakeDelta::new().add_table(
-                TableBuilder::new("smoke_zoo")
-                    .column("animal", ["Jaguar", "Okapi", "Zebra"])
-                    .build()
-                    .map_err(|e| format!("build table: {e}"))?,
-            ),
-            lake::delta::LakeDelta::new().add_table(
-                TableBuilder::new("smoke_cars")
-                    .column("make", ["Jaguar", "Fiat", "Kia"])
-                    .build()
-                    .map_err(|e| format!("build table: {e}"))?,
-            ),
-        ],
-    };
-    let body = serde_json::to_string(&request).map_err(|e| format!("encode mutation: {e}"))?;
-    let response = primary
-        .post_json("/v1/mutations", &body)
-        .map_err(|e| format!("primary mutations: {e}"))?;
-    check(response.status == 200, "primary accepts the mutation")?;
-    let mutation: MutationResponse = response.json().map_err(|e| format!("mutation body: {e}"))?;
-
-    // 3. The follower converges: same epoch, homograph visible.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let top = follower
-            .get("/v1/top-k?measure=bc&k=5")
-            .map_err(|e| format!("follower top-k: {e}"))?;
-        check(top.status == 200, "follower top-k answers 200")?;
-        let top: TopKResponse = top
-            .json()
-            .map_err(|e| format!("follower top-k body: {e}"))?;
-        if top.epoch >= mutation.epoch && top.results.iter().any(|s| s.value == "JAGUAR") {
-            println!("smoke: follower converged at epoch {}: ok", top.epoch);
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "follower stuck at epoch {} (primary published {})",
-                top.epoch, mutation.epoch
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // 4. Insurance gauges: caught up, zero divergences.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let metrics = follower
-            .get("/metrics")
-            .map_err(|e| format!("follower metrics: {e}"))?;
-        check(metrics.status == 200, "follower metrics answers 200")?;
-        check(
-            metrics.body.contains("dn_replica_divergence_total 0"),
-            "follower reports zero divergences",
-        )?;
-        if metrics.body.contains("dn_replica_lag_epochs 0") {
-            println!("smoke: follower lag gauge returned to 0: ok");
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err("follower lag gauge never returned to 0".to_owned());
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // 5. The follower refuses writes, pointing at the primary.
-    let refused = follower
-        .post_json("/v1/mutations", &body)
-        .map_err(|e| format!("follower mutations: {e}"))?;
-    check(refused.status == 403, "follower refuses writes with 403")?;
-    let envelope: ErrorBody = refused.json().map_err(|e| format!("403 body: {e}"))?;
-    check(
-        envelope.error.kind == "read_only_follower",
-        "403 envelope carries the read_only_follower kind",
-    )?;
-    check(
-        envelope
-            .error
-            .message
-            .contains(&format!("http://{primary_addr}")),
-        "403 envelope points at the primary",
-    )?;
-
-    // 6. Drain follower first (its tail loop needs the primary gone last).
-    for (name, client) in [("follower", &mut follower), ("primary", &mut primary)] {
-        let response = client
-            .post_json("/v1/admin/shutdown", "")
-            .map_err(|e| format!("{name} shutdown: {e}"))?;
-        check(response.status == 200, "shutdown answers 200")?;
-        let shutdown: ShutdownResponse = response
-            .json()
-            .map_err(|e| format!("{name} shutdown body: {e}"))?;
-        check(shutdown.status == "shutting down", "shutdown acknowledged")?;
-    }
-
-    println!("smoke-replica: all checks passed");
-    Ok(())
-}
-
-/// The `ci.sh` drop-folder probe: a server with `--ingest-dir DIR` is
-/// already running; write three homograph-drift file generations into
-/// `DIR`, wait until the served top-k reflects the drifted token from the
-/// last generation, assert the `dn_ingest_*` gauges moved, then drain.
-fn run_ingest_smoke(addr: &str, dir: &str) -> Result<(), String> {
-    use dn_server::api::{ShutdownResponse, TopKResponse};
-
-    let addr = parse_server_addr(addr)?;
-    let mut client = Client::new(addr).with_timeout(Duration::from_secs(10));
-
-    let health = client
-        .get("/healthz")
-        .map_err(|e| format!("healthz: {e}"))?;
-    check(health.status == 200, "healthz answers 200")?;
-
-    // Three generations of the drift workload: generation 0 plants each
-    // Drifter token in one semantic home; later generations migrate it
-    // into foreign columns, making it a served homograph.
-    let mut stream = datagen::DriftStream::new(datagen::DriftConfig {
-        seed: 42,
-        tables: 4,
-        rows_per_table: 24,
-        drifters: 2,
-        churn_per_generation: 1,
-    });
-    for _ in 0..3 {
-        let generation = stream
-            .write_next_generation(dir)
-            .map_err(|e| format!("writing drift generation: {e}"))?;
-        println!(
-            "smoke-ingest: wrote generation {} ({} files, {} removed)",
-            generation.index,
-            generation.written.len(),
-            generation.removed.len()
-        );
-        // Give the watcher's two-poll stability guard distinct mtimes and
-        // room to pick each generation up before the next lands on top.
-        std::thread::sleep(Duration::from_millis(300));
-    }
-    let token = lake::normalize(&stream.drift_tokens()[0]);
-
-    // Converge: the drifted token from the final generation ranks.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let top = client
-            .get("/v1/top-k?measure=bc&k=10")
-            .map_err(|e| format!("top-k: {e}"))?;
-        check(top.status == 200, "top-k answers 200")?;
-        let top: TopKResponse = top.json().map_err(|e| format!("top-k body: {e}"))?;
-        if top.results.iter().any(|s| s.value == token) {
-            println!(
-                "smoke-ingest: drifted homograph {token} ranked at epoch {}: ok",
-                top.epoch
-            );
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "server never ranked the drifted homograph {token} (epoch {})",
-                top.epoch
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-
-    // The ingest gauges are live and moved.
-    let metrics = client
-        .get("/metrics")
-        .map_err(|e| format!("metrics: {e}"))?;
-    check(metrics.status == 200, "metrics answers 200")?;
-    check(
-        metrics.body.contains("dn_ingest_batches_applied_total"),
-        "metrics expose dn_ingest_batches_applied_total",
-    )?;
-    check(
-        !metrics.body.contains("dn_ingest_batches_applied_total 0\n"),
-        "at least one ingest batch was applied",
-    )?;
-    check(
-        metrics.body.contains("dn_ingest_files_seen_total"),
-        "metrics expose dn_ingest_files_seen_total",
-    )?;
-
-    let response = client
-        .post_json("/v1/admin/shutdown", "")
-        .map_err(|e| format!("shutdown: {e}"))?;
-    check(response.status == 200, "shutdown answers 200")?;
-    let shutdown: ShutdownResponse = response.json().map_err(|e| format!("shutdown body: {e}"))?;
-    check(shutdown.status == "shutting down", "shutdown acknowledged")?;
-
-    println!("smoke-ingest: all checks passed");
     Ok(())
 }

@@ -22,7 +22,7 @@
 //! Both suites use the in-process `LocalReplicaSource`: the faults under
 //! test are process deaths and stream cuts, which sockets would only make
 //! nondeterministic. The HTTP transport is covered by `http_serving.rs`
-//! and the `--smoke-replica` CI gate.
+//! and the replica probe of `dn_serve_process.rs`.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).

@@ -170,7 +170,7 @@ fn readers_always_observe_consistent_epochs() {
     // exact, so the incremental path has no estimation slack — but the two
     // graphs lay nodes out in different orders, so float summation order
     // (and therefore rank order among exact ties) can differ at the last
-    // ulp; scores are compared per value, like `exp_incremental` does.
+    // ulp; scores are compared per value, like `incremental_equivalence.rs`.
     let final_view = service.current();
     let final_snap = final_view.shard(0);
     final_snap.verify_consistency().unwrap();
