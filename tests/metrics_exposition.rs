@@ -1,0 +1,187 @@
+//! Exposition pin: the full `/metrics` text of one fixed scenario —
+//! recorded requests and connections, phase observations, a durable
+//! two-shard coordinator, follower gauges and ingest gauges — compared
+//! line-set-for-line-set against `tests/metrics_exposition.txt`
+//! (`dn_uptime_seconds` masked). Every family the server can expose is in
+//! the scenario, so a renderer change that moves, renames, re-types or
+//! drops a line fails here. Regenerate with
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test metrics_exposition
+//! ```
+//!
+//! The phase histograms are process-global, which is why this file holds
+//! exactly one test: nothing else in the binary may observe a phase.
+
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+
+use dn_server::metrics::{EngineGauges, IngestGauges, Metrics, ReplicaGauges, Route, ShardGauges};
+use dn_service::{serve_sharded_durable, CheckpointPolicy, ReplicaShared, ServiceConfig};
+use dn_trace::Phase;
+use domainnet::Measure;
+use lake::delta::{LakeDelta, MutableLake};
+use lake::table::TableBuilder;
+
+fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
+    TableBuilder::new(name)
+        .column(column, cells.iter().copied())
+        .build()
+        .expect("rectangular by construction")
+}
+
+/// The exposition as a set of lines, with the one wall-clock value masked.
+fn line_set(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .map(|line| match line.strip_prefix("dn_uptime_seconds ") {
+            Some(_) => "dn_uptime_seconds <masked>".to_owned(),
+            None => line.to_owned(),
+        })
+        .collect()
+}
+
+#[test]
+fn exposition_matches_the_committed_text() {
+    // Phases: one bucket-interior value, one on a bound, and three beyond
+    // 250 ms (the heavy-delta and WAL-replay tails).
+    for (phase, micros) in [
+        (Phase::Route, 40),
+        (Phase::Route, 700),
+        (Phase::CoordCommit, 30_000),
+        (Phase::CoordScatter, 120),
+        (Phase::ShardApply, 260_000),
+        (Phase::PoolWalReplay, 810_000),
+        (Phase::PoolWalReplay, 6_000_000),
+    ] {
+        dn_trace::observe(phase, micros);
+    }
+
+    let metrics = Metrics::new();
+    for (route, status, micros) in [
+        (Route::Healthz, 200, 10),
+        (Route::Metrics, 200, 300),
+        (Route::TopK, 200, 120),
+        (Route::TopK, 200, 3_000),
+        (Route::Score, 404, 40),
+        (Route::Mutations, 200, 38_000),
+        (Route::Mutations, 500, 900_000),
+        (Route::Other, 404, 75),
+    ] {
+        metrics.record(route, status, micros);
+    }
+    for _ in 0..3 {
+        metrics.record_connection();
+    }
+
+    // A durable two-shard primary: two components per shard, a commit, a
+    // manual checkpoint, one more commit per shard, and a cached read.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("dn_store_metrics_pin_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut lake = MutableLake::new();
+    lake.apply(
+        &LakeDelta::new()
+            .add_table(table("zoo", "animal", &["Jaguar", "Okapi", "Zebra"]))
+            .add_table(table("cars", "make", &["Jaguar", "Fiat", "Kia"]))
+            .add_table(table("fx", "code", &["USD", "EUR", "JPY"]))
+            .add_table(table("cities", "city", &["Memphis", "Sydney", "Austin"])),
+    )
+    .expect("base lake applies");
+    let config = ServiceConfig {
+        measures: vec![Measure::lcc(), Measure::exact_bc()],
+        cache_capacity: 16,
+        prune_single_attribute_values: true,
+        threads: 1,
+    };
+    let (handle, mut coordinator) =
+        serve_sharded_durable(lake, config, &dir, CheckpointPolicy::manual(), 2)
+            .expect("fresh sharded store");
+    coordinator
+        .apply_and_publish(LakeDelta::new().add_table(table("pets", "animal", &["Okapi", "Gecko"])))
+        .expect("first commit");
+    assert!(coordinator.checkpoint_now().expect("checkpoint"));
+    coordinator
+        .apply_and_publish(LakeDelta::new().add_table(table("money", "code", &["USD", "CHF"])))
+        .expect("second commit");
+    coordinator
+        .apply_and_publish(LakeDelta::new().add_table(table(
+            "birds",
+            "animal",
+            &["Zebra", "Heron"],
+        )))
+        .expect("third commit");
+    let reader = handle.reader();
+    for _ in 0..3 {
+        reader.top_k(Measure::exact_bc(), 5).expect("bc is served");
+    }
+
+    let replica = ReplicaShared::default();
+    replica.set_lag(2);
+    replica.record_divergence();
+
+    let ingest = dn_ingest::IngestStats::new();
+    ingest.add_files_seen(12);
+    ingest.add_batches_applied(4);
+    ingest.add_rows_diffed(320);
+    ingest.add_retries(1);
+    ingest.add_torn_files(2);
+    ingest.set_lag_millis(250);
+
+    let view = handle.current();
+    let cache = handle.cache_stats();
+    let shards: Vec<ShardGauges> = (0..view.shard_count())
+        .map(|i| {
+            let stats = coordinator
+                .shard(i)
+                .store_stats()
+                .expect("store lists")
+                .expect("durable shard");
+            ShardGauges {
+                epoch: view.shard(i).epoch(),
+                wal_record_bytes: Some(stats.wal_record_bytes),
+                store_snapshots: Some(stats.snapshot_count as u64),
+            }
+        })
+        .collect();
+    let snap = ingest.snapshot();
+    let text = metrics.render(&EngineGauges {
+        epoch: view.epoch(),
+        epochs_published: handle.epochs_published(),
+        cache_hits: cache.hits,
+        cache_misses: cache.misses,
+        cache_hit_rate: cache.hit_rate(),
+        wal_record_bytes: shards.iter().map(|s| s.wal_record_bytes).sum(),
+        store_snapshots: shards.iter().map(|s| s.store_snapshots).sum(),
+        shards,
+        replica: Some(ReplicaGauges {
+            lag_epochs: replica.lag_epochs(),
+            divergence_total: replica.divergence_total(),
+        }),
+        ingest: Some(IngestGauges {
+            files_seen: snap.files_seen,
+            batches_applied: snap.batches_applied,
+            rows_diffed: snap.rows_diffed,
+            retries: snap.retries,
+            torn_files: snap.torn_files,
+            lag_seconds: snap.lag_seconds,
+        }),
+    });
+    drop(coordinator);
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/metrics_exposition.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &text).expect("write expected exposition");
+        println!("regenerated {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("committed expected exposition");
+    let (expected, actual) = (line_set(&expected), line_set(&text));
+    let missing: Vec<&String> = expected.difference(&actual).collect();
+    let unexpected: Vec<&String> = actual.difference(&expected).collect();
+    assert!(
+        missing.is_empty() && unexpected.is_empty(),
+        "exposition drifted from tests/metrics_exposition.txt\n\
+         missing: {missing:#?}\nunexpected: {unexpected:#?}"
+    );
+}
