@@ -227,14 +227,14 @@ impl<S: DeltaSink> Ingester<S> {
         // active, the sink's HTTP deliveries forward the trace ID, so the
         // server's ring shows this cycle's mutations under the same ID.
         let _trace = dn_trace::start_trace("ingest_poll", None);
-        self.stats.add_polls(1);
+        self.stats.polls.inc();
         let mut report = PollReport::default();
         self.recover_pending(&mut report)?;
 
         let scan_span = dn_trace::span(dn_trace::Phase::IngestScan);
         let names = self.scan()?;
         report.files_scanned = names.len();
-        self.stats.add_files_seen(names.len() as u64);
+        self.stats.files_seen.add(names.len() as u64);
         let present: HashSet<&String> = names.iter().collect();
         self.observed.retain(|name, _| present.contains(name));
         self.torn_seen.retain(|name, _| present.contains(name));
@@ -316,7 +316,7 @@ impl<S: DeltaSink> Ingester<S> {
                         .map(|fp| *fp == obs.fp)
                         .unwrap_or(false);
                     if !counted {
-                        self.stats.add_torn_files(1);
+                        self.stats.torn_files.inc();
                         self.torn_seen.insert(name.clone(), obs.fp);
                     }
                     continue;
@@ -336,7 +336,7 @@ impl<S: DeltaSink> Ingester<S> {
                 let rows = table.row_count() as u64;
                 (rewrite_delta(&stem, &table), rows)
             };
-            self.stats.add_rows_diffed(rows);
+            self.stats.rows_diffed.add(rows);
             if delta.is_empty() {
                 // Value-identical content under a new fingerprint.
                 self.tables.insert(stem, table);
@@ -534,7 +534,7 @@ impl<S: DeltaSink> Ingester<S> {
                             message,
                         });
                     }
-                    self.stats.add_retries(1);
+                    self.stats.retries.inc();
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(self.config.max_backoff);
                 }
@@ -556,7 +556,7 @@ impl<S: DeltaSink> Ingester<S> {
         self.state.seq = pending.seq;
         self.state.apply_changes(&pending.files);
         self.journal.save(&self.state)?;
-        self.stats.add_batches_applied(1);
+        self.stats.batches_applied.inc();
         for change in &pending.files {
             let stem = table_stem(&change.name);
             match &change.after {
@@ -618,6 +618,6 @@ impl<S: DeltaSink> Ingester<S> {
             .map(|t| t.elapsed().as_millis() as u64)
             .max()
             .unwrap_or(0);
-        self.stats.set_lag_millis(lag_millis);
+        self.stats.lag_millis.set(lag_millis);
     }
 }

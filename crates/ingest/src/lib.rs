@@ -61,4 +61,4 @@ pub use fingerprint::{fingerprint_file, Fingerprint};
 pub use ingester::{IngestConfig, Ingester, PollReport};
 pub use journal::{FileChange, FileEntry, Journal, JournalState, PendingBatch};
 pub use sink::{CoordinatorSink, DeltaSink, SinkError};
-pub use stats::{IngestSnapshot, IngestStats};
+pub use stats::IngestStats;

@@ -1,43 +1,31 @@
 //! Shared ingest counters and gauges.
 //!
-//! An [`IngestStats`] lives behind an `Arc` so the ingest loop (which owns
-//! the increments) and the metrics endpoint (which samples) share it without
-//! locking. Everything is a relaxed atomic: these are observability numbers,
-//! not synchronization.
+//! An [`IngestStats`] lives behind an `Arc` so the ingest loop (which
+//! writes the instruments) and the metrics endpoint (which exports them)
+//! share it without locking. Everything is a relaxed atomic: these are
+//! observability numbers, not synchronization.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use dn_trace::metrics::{self, Counter, Exposition, Gauge};
 
-/// Live counters/gauges for one ingester, exported as `dn_ingest_*` through
-/// the server's /metrics endpoint.
+/// Live instruments of one ingester, exported as `dn_ingest_*` through the
+/// server's /metrics endpoint.
 #[derive(Debug, Default)]
 pub struct IngestStats {
-    files_seen: AtomicU64,
-    batches_applied: AtomicU64,
-    rows_diffed: AtomicU64,
-    retries: AtomicU64,
-    torn_files: AtomicU64,
-    polls: AtomicU64,
-    lag_millis: AtomicU64,
-}
-
-/// Point-in-time copy of [`IngestStats`], safe to hold across a render.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestSnapshot {
-    /// Cumulative count of drop-folder files scanned across all polls.
-    pub files_seen: u64,
+    /// Drop-folder files scanned, cumulative across polls.
+    pub files_seen: Counter,
     /// Batches durably applied (journal committed after delivery).
-    pub batches_applied: u64,
+    pub batches_applied: Counter,
     /// Rows compared or loaded while synthesizing deltas.
-    pub rows_diffed: u64,
+    pub rows_diffed: Counter,
     /// Transient delivery failures that were retried.
-    pub retries: u64,
+    pub retries: Counter,
     /// Files skipped because they failed to parse (retried next poll).
-    pub torn_files: u64,
+    pub torn_files: Counter,
     /// Completed poll cycles.
-    pub polls: u64,
-    /// Age in seconds of the oldest observed-but-unapplied change
-    /// (0.0 when fully caught up).
-    pub lag_seconds: f64,
+    pub polls: Counter,
+    /// Age in milliseconds of the oldest observed-but-unapplied change
+    /// (0 when fully caught up); exported in seconds.
+    pub lag_millis: Gauge,
 }
 
 impl IngestStats {
@@ -45,73 +33,22 @@ impl IngestStats {
         Self::default()
     }
 
-    pub fn add_files_seen(&self, n: u64) {
-        self.files_seen.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_batches_applied(&self, n: u64) {
-        self.batches_applied.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_rows_diffed(&self, n: u64) {
-        self.rows_diffed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_retries(&self, n: u64) {
-        self.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_torn_files(&self, n: u64) {
-        self.torn_files.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_polls(&self, n: u64) {
-        self.polls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn set_lag_millis(&self, millis: u64) {
-        self.lag_millis.store(millis, Ordering::Relaxed);
-    }
-
-    pub fn batches_applied(&self) -> u64 {
-        self.batches_applied.load(Ordering::Relaxed)
-    }
-
-    /// Sample every counter at once.
-    pub fn snapshot(&self) -> IngestSnapshot {
-        IngestSnapshot {
-            files_seen: self.files_seen.load(Ordering::Relaxed),
-            batches_applied: self.batches_applied.load(Ordering::Relaxed),
-            rows_diffed: self.rows_diffed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            torn_files: self.torn_files.load(Ordering::Relaxed),
-            polls: self.polls.load(Ordering::Relaxed),
-            lag_seconds: self.lag_millis.load(Ordering::Relaxed) as f64 / 1000.0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_increments() {
-        let stats = IngestStats::new();
-        stats.add_files_seen(3);
-        stats.add_batches_applied(2);
-        stats.add_rows_diffed(40);
-        stats.add_retries(1);
-        stats.add_torn_files(1);
-        stats.add_polls(5);
-        stats.set_lag_millis(1500);
-        let snap = stats.snapshot();
-        assert_eq!(snap.files_seen, 3);
-        assert_eq!(snap.batches_applied, 2);
-        assert_eq!(snap.rows_diffed, 40);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.torn_files, 1);
-        assert_eq!(snap.polls, 5);
-        assert!((snap.lag_seconds - 1.5).abs() < 1e-12);
+    /// Write the `dn_ingest_*` families.
+    pub fn export_metrics(&self, w: &mut Exposition) {
+        w.value(&metrics::INGEST_FILES_SEEN, &[], self.files_seen.get());
+        w.value(
+            &metrics::INGEST_BATCHES_APPLIED,
+            &[],
+            self.batches_applied.get(),
+        );
+        w.value(&metrics::INGEST_ROWS_DIFFED, &[], self.rows_diffed.get());
+        w.value(&metrics::INGEST_RETRIES, &[], self.retries.get());
+        w.value(&metrics::INGEST_TORN_FILES, &[], self.torn_files.get());
+        let lag_seconds = self.lag_millis.get() as f64 / 1000.0;
+        w.value(
+            &metrics::INGEST_LAG_SECONDS,
+            &[],
+            format_args!("{lag_seconds:.3}"),
+        );
     }
 }

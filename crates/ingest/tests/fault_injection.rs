@@ -316,7 +316,11 @@ fn redelivered_batch_is_a_noop() {
     };
     assert!(err.is_transient(), "{err}");
     assert!(ingester.has_pending());
-    assert_eq!(stats.batches_applied(), 0, "not yet journaled as applied");
+    assert_eq!(
+        stats.batches_applied.get(),
+        0,
+        "not yet journaled as applied"
+    );
 
     // Redelivery: the duplicate must change nothing and the journal must
     // count the batch exactly once.
@@ -325,7 +329,7 @@ fn redelivered_batch_is_a_noop() {
     assert!(!ingester.has_pending(), "redelivery resolved the intent");
     drain(&mut ingester);
     assert_eq!(
-        stats.batches_applied(),
+        stats.batches_applied.get(),
         1,
         "duplicate delivery must not double-count"
     );

@@ -20,7 +20,7 @@ use crate::api::{
 };
 use crate::error::ApiError;
 use crate::http::{percent_decode, Request, Response};
-use crate::metrics::{EngineGauges, IngestGauges, ReplicaGauges, Route, ShardGauges};
+use crate::metrics::Route;
 use crate::server::ServerState;
 
 /// Default `k` when the query string does not pass one.
@@ -194,61 +194,12 @@ fn healthz(state: &ServerState) -> Result<Response, ApiError> {
 }
 
 fn metrics(state: &ServerState) -> Result<Response, ApiError> {
-    let view = state.service.current();
-    let cache = state.service.cache_stats();
-    let mut gauges = EngineGauges {
-        epoch: view.epoch(),
-        epochs_published: state.service.epochs_published(),
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_hit_rate: cache.hit_rate(),
-        wal_record_bytes: None,
-        store_snapshots: None,
-        // Shard epochs come from the pinned view — always available.
-        shards: (0..view.shard_count())
-            .map(|i| ShardGauges {
-                epoch: view.shard(i).epoch(),
-                ..ShardGauges::default()
-            })
-            .collect(),
-        replica: state.replica.as_ref().map(|r| ReplicaGauges {
-            lag_epochs: r.shared.lag_epochs(),
-            divergence_total: r.shared.divergence_total(),
-        }),
-        ingest: state.ingest.as_ref().map(|c| {
-            let snap = c.shared.snapshot();
-            IngestGauges {
-                files_seen: snap.files_seen,
-                batches_applied: snap.batches_applied,
-                rows_diffed: snap.rows_diffed,
-                retries: snap.retries,
-                torn_files: snap.torn_files,
-                lag_seconds: snap.lag_seconds,
-            }
-        }),
-    };
-    // Sample store gauges opportunistically: /metrics must never queue
-    // behind a long commit, so a contended coordinator lock just omits
-    // them for this scrape.
-    if let Ok(coordinator) = state.coordinator.try_lock() {
-        let mut total_wal = 0u64;
-        let mut total_snapshots = 0u64;
-        let mut durable = false;
-        for (i, shard) in gauges.shards.iter_mut().enumerate() {
-            if let Ok(Some(stats)) = coordinator.shard(i).store_stats() {
-                durable = true;
-                shard.wal_record_bytes = Some(stats.wal_record_bytes);
-                shard.store_snapshots = Some(stats.snapshot_count as u64);
-                total_wal += stats.wal_record_bytes;
-                total_snapshots += stats.snapshot_count as u64;
-            }
-        }
-        if durable {
-            gauges.wal_record_bytes = Some(total_wal);
-            gauges.store_snapshots = Some(total_snapshots);
-        }
-    }
-    Ok(Response::text(200, state.metrics.render(&gauges)))
+    let text = state.metrics.render(
+        &state.service,
+        state.replica.as_ref().map(|r| &*r.shared),
+        state.ingest.as_ref().map(|c| &*c.shared),
+    );
+    Ok(Response::text(200, text))
 }
 
 fn top_k(state: &ServerState, req: &Request) -> Result<Response, ApiError> {

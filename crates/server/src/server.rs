@@ -581,7 +581,7 @@ fn serve_one(conn: &mut Conn, state: &Arc<ServerState>) -> bool {
                     ),
                 };
                 if let Some(response) = response {
-                    state.metrics.record(Route::Other, response.status, 0);
+                    state.metrics.count(Route::Other, response.status);
                     let _ = write_response(&mut conn.stream, &response, false);
                 }
                 return false;

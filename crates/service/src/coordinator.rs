@@ -66,10 +66,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use dn_store::{Store, StorePresence};
+use dn_trace::metrics::{self, Counter, Exposition};
 use domainnet::{DeltaStats, Measure, ScoredValue};
 use lake::delta::{LakeDelta, LakeOp, LakeView, MutableLake};
 use lake::table::Table;
@@ -77,7 +77,8 @@ use lake::value::normalize;
 
 use crate::cache::{CacheKey, CacheStats, TopKCache};
 use crate::engine::{
-    serve, serve_durable, serve_from_dir, CheckpointPolicy, ServiceConfig, ServiceError, Writer,
+    serve, serve_durable, serve_from_dir, CheckpointPolicy, ServiceConfig, ServiceError,
+    StoreGauges, Writer,
 };
 use crate::snapshot::{ScoreCard, Snapshot, SnapshotStats, TableSummary, ValueExplanation};
 
@@ -232,7 +233,7 @@ fn recover_shard_writer(
     policy: CheckpointPolicy,
 ) -> Result<Writer, ServiceError> {
     match Store::probe(&dir)? {
-        StorePresence::Recoverable => serve_from_dir(dir, config, policy),
+        StorePresence::Recoverable => serve_from_dir(dir, config, policy, Arc::default()),
         StorePresence::Fresh => serve_durable(MutableLake::new(), config, dir, policy),
         StorePresence::AbortedInit { wal_path } => {
             std::fs::remove_file(&wal_path).map_err(|e| {
@@ -255,6 +256,7 @@ fn build_coordinator(
         shards: Vec::new(),
         threads: 1,
     });
+    let store_gauges = shards.iter().filter_map(Writer::store_gauges).collect();
     let mut coordinator = Coordinator {
         shards,
         table_shard: HashMap::new(),
@@ -264,7 +266,8 @@ fn build_coordinator(
         shared: Arc::new(CoordShared {
             current: RwLock::new(placeholder),
             cache: Mutex::new(TopKCache::new(config.cache_capacity)),
-            epochs_published: AtomicU64::new(0),
+            epochs_published: Counter::default(),
+            store_gauges,
         }),
         root_dir,
         threads: config.threads.max(1),
@@ -676,7 +679,10 @@ impl MultiView {
 struct CoordShared {
     current: RwLock<Arc<MultiView>>,
     cache: Mutex<TopKCache>,
-    epochs_published: AtomicU64,
+    epochs_published: Counter,
+    /// One entry per shard of a durable coordinator (empty otherwise),
+    /// written by the shards.
+    store_gauges: Vec<Arc<StoreGauges>>,
 }
 
 impl CoordShared {
@@ -713,7 +719,7 @@ impl CoordinatorHandle {
 
     /// Number of views published so far (the initial one included).
     pub fn epochs_published(&self) -> u64 {
-        self.shared.epochs_published.load(Ordering::Relaxed)
+        self.shared.epochs_published.get()
     }
 
     /// Counters of the coordinator-level merged top-k cache.
@@ -724,6 +730,52 @@ impl CoordinatorHandle {
     /// Number of shards behind this handle.
     pub fn shard_count(&self) -> usize {
         self.shared.current().shard_count()
+    }
+
+    /// Write the engine families: epochs, the merged top-k cache, and —
+    /// for a durable coordinator — the store sizes its shards publish.
+    /// Reads the published view and atomics only, never the writer.
+    pub fn export_metrics(&self, w: &mut Exposition) {
+        let view = self.shared.current();
+        let cache = self.cache_stats();
+        let stores = &self.shared.store_gauges;
+        w.value(&metrics::SERVER_EPOCH, &[], view.epoch());
+        w.value(
+            &metrics::SERVER_EPOCHS_PUBLISHED,
+            &[],
+            self.epochs_published(),
+        );
+        w.value(&metrics::CACHE_HITS, &[], cache.hits);
+        w.value(&metrics::CACHE_MISSES, &[], cache.misses);
+        w.value(
+            &metrics::CACHE_HIT_RATE,
+            &[],
+            format_args!("{:.6}", cache.hit_rate()),
+        );
+        if !stores.is_empty() {
+            let wal_bytes: u64 = stores.iter().map(|s| s.wal_record_bytes.get()).sum();
+            let snapshots: u64 = stores.iter().map(|s| s.snapshots.get()).sum();
+            w.value(&metrics::WAL_RECORD_BYTES, &[], wal_bytes);
+            w.value(&metrics::STORE_SNAPSHOTS, &[], snapshots);
+        }
+        let shard_labels: Vec<String> = (0..view.shard_count()).map(|i| i.to_string()).collect();
+        for (i, shard) in shard_labels.iter().enumerate() {
+            w.value(&metrics::SHARD_EPOCH, &[shard], view.shard(i).epoch());
+        }
+        for (shard, store) in shard_labels.iter().zip(stores) {
+            w.value(
+                &metrics::SHARD_WAL_RECORD_BYTES,
+                &[shard],
+                store.wal_record_bytes.get(),
+            );
+        }
+        for (shard, store) in shard_labels.iter().zip(stores) {
+            w.value(
+                &metrics::SHARD_STORE_SNAPSHOTS,
+                &[shard],
+                store.snapshots.get(),
+            );
+        }
     }
 }
 
@@ -932,7 +984,7 @@ impl Coordinator {
         });
         *self.shared.current.write().expect("multiview pointer lock") = view;
         self.shared.cache.lock().expect("cache lock").invalidate();
-        self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
+        self.shared.epochs_published.inc();
         self.epoch
     }
 
@@ -1113,7 +1165,8 @@ impl Coordinator {
                 .map_err(|e| ServiceError::Store(dn_store::StoreError::io_with_path(e, &dir)))?;
         }
         dn_store::install_snapshot(&dir, snapshot_bytes)?;
-        self.shards[shard] = serve_from_dir(dir, config, policy)?;
+        let gauges = Arc::clone(&self.shared.store_gauges[shard]);
+        self.shards[shard] = serve_from_dir(dir, config, policy, gauges)?;
         self.reindex_tables();
         Ok(())
     }
@@ -1788,8 +1841,8 @@ mod tests {
             &[Measure::lcc(), Measure::exact_bc()]
         );
         assert!(
-            coordinator.shard(0).store_stats().unwrap().is_none(),
-            "non-durable shards report no store stats"
+            coordinator.shard(0).store_gauges().is_none(),
+            "non-durable shards publish no store gauges"
         );
     }
 
@@ -1901,12 +1954,10 @@ mod tests {
         coordinator.apply_and_publish(zebra_table()).unwrap();
         let shard = coordinator.shard(0);
         assert!(shard.wal_record_bytes() > 0, "batch logged");
-        let stats = shard.store_stats().unwrap().expect("durable shard");
-        assert_eq!(stats.wal_record_bytes, shard.wal_record_bytes());
-        assert!(stats.wal_file_bytes >= stats.wal_record_bytes);
-        assert_eq!(stats.snapshot_count, 1, "only the initial checkpoint");
-        assert_eq!(stats.newest_snapshot_seq, Some(0));
-        assert_eq!(stats.last_seq, 1);
+        let gauges = shard.store_gauges().expect("durable shard");
+        assert_eq!(gauges.wal_record_bytes.get(), shard.wal_record_bytes());
+        assert_eq!(gauges.snapshots.get(), 1, "only the initial checkpoint");
+        assert_eq!(shard.last_seq(), 1);
         // The next commit sees a non-empty WAL >= 1 byte and checkpoints
         // the pre-batch state before appending.
         coordinator

@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dn_store::{Store, StoreError};
+use dn_trace::metrics::Gauge;
 use domainnet::{DeltaStats, DomainNet, DomainNetBuilder, Measure};
 use lake::delta::{LakeDelta, MutableLake};
 use lake::LakeError;
@@ -147,13 +148,39 @@ impl CheckpointPolicy {
     }
 }
 
+/// One shard's store gauges, written by the shard after every WAL append
+/// and checkpoint and read by the coordinator handle's metrics export —
+/// a scrape never needs the writer.
+#[derive(Debug, Default)]
+pub(crate) struct StoreGauges {
+    /// `dn_shard_wal_record_bytes`: bytes of batch records in the WAL.
+    pub(crate) wal_record_bytes: Gauge,
+    /// `dn_shard_store_snapshots`: snapshot files in the store directory.
+    pub(crate) snapshots: Gauge,
+}
+
 /// The writer's attachment to a [`Store`]: the open store, the checkpoint
-/// policy, and the epoch the last checkpoint was taken at.
+/// policy, the epoch the last checkpoint was taken at, and the gauges the
+/// store's sizes are published through.
 #[derive(Debug)]
 struct Persistence {
     store: Store,
     policy: CheckpointPolicy,
     last_checkpoint_epoch: u64,
+    gauges: Arc<StoreGauges>,
+}
+
+impl Persistence {
+    /// Publish the store's current sizes; runs after every operation that
+    /// changes them.
+    fn sync_gauges(&self) {
+        self.gauges
+            .wal_record_bytes
+            .set(self.store.wal_record_bytes());
+        self.gauges
+            .snapshots
+            .set(self.store.snapshot_count() as u64);
+    }
 }
 
 /// Build the net over `lake` and warm the configured measures.
@@ -199,6 +226,7 @@ pub(crate) fn serve_durable(
         store,
         policy,
         last_checkpoint_epoch: 0,
+        gauges: Arc::default(),
     };
     Ok(Writer::new(lake, net, config, 0, Some(persistence)))
 }
@@ -216,6 +244,10 @@ pub(crate) fn serve_durable(
 /// any additional measures requested here are computed fresh on the
 /// recovered graph, which is deterministic for the exact measures.
 ///
+/// `gauges` is where the recovered store publishes its sizes: a fresh
+/// `Arc` at start-up, the replaced shard's when a follower reinstalls one
+/// (the coordinator handle keeps reading the same gauges).
+///
 /// # Errors
 /// [`ServiceError::Store`] when the directory holds no usable snapshot or
 /// its contents fail validation.
@@ -223,6 +255,7 @@ pub(crate) fn serve_from_dir(
     dir: PathBuf,
     config: &ServiceConfig,
     policy: CheckpointPolicy,
+    gauges: Arc<StoreGauges>,
 ) -> Result<Writer, ServiceError> {
     let (store, recovered) = Store::recover_threaded(dir, config.threads)?;
     let (lake, mut net) = (recovered.lake, recovered.net);
@@ -236,6 +269,7 @@ pub(crate) fn serve_from_dir(
         // keep counting toward the policy, or a service that crashes more
         // often than it checkpoints would replay an ever-growing log.
         last_checkpoint_epoch: recovered.snapshot_epoch,
+        gauges,
     };
     Ok(Writer::new(
         lake,
@@ -272,6 +306,9 @@ impl Writer {
         persistence: Option<Persistence>,
     ) -> Writer {
         let current = Arc::new(Snapshot::extract(&net, &lake, &config.measures, epoch));
+        if let Some(persistence) = &persistence {
+            persistence.sync_gauges();
+        }
         Writer {
             lake,
             net,
@@ -306,6 +343,7 @@ impl Writer {
         self.checkpoint_if_due()?;
         if let Some(persistence) = self.persistence.as_mut() {
             persistence.store.append_batch(self.epoch, batch)?;
+            persistence.sync_gauges();
         }
         let effects = match self.lake.apply_batch(batch.iter()) {
             Ok(effects) => effects,
@@ -357,6 +395,7 @@ impl Writer {
         };
         p.store
             .checkpoint(&self.lake, &self.net, self.epoch, &self.measures)?;
+        p.sync_gauges();
         p.last_checkpoint_epoch = self.epoch;
         Ok(true)
     }
@@ -379,14 +418,10 @@ impl Writer {
         &self.measures
     }
 
-    /// Size/progress counters of the backing store: `None` for a
-    /// non-durable shard, `Err` when the store directory cannot be
-    /// listed. Exposed for observability surfaces (`/metrics`).
-    pub fn store_stats(&self) -> Result<Option<dn_store::StoreStats>, ServiceError> {
-        match self.persistence.as_ref() {
-            None => Ok(None),
-            Some(p) => Ok(Some(p.store.stats()?)),
-        }
+    /// The gauges a durable shard publishes its store sizes through
+    /// (`None` for a non-durable shard).
+    pub(crate) fn store_gauges(&self) -> Option<Arc<StoreGauges>> {
+        self.persistence.as_ref().map(|p| Arc::clone(&p.gauges))
     }
 
     /// Bytes of batch records currently in the write-ahead log (0 for a
@@ -428,6 +463,7 @@ impl Writer {
             ServiceError::Maintenance("replication requires a durable writer".to_string())
         })?;
         persistence.store.append_replicated(seq, epoch, batch)?;
+        persistence.sync_gauges();
         match self.lake.apply_batch(batch.iter()) {
             Ok(effects) => {
                 if self.net.apply_delta(&self.lake, &effects).is_err() {

@@ -33,10 +33,10 @@
 //! (and inject faults) without sockets.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dn_store::Digest64;
+use dn_trace::metrics::{self, Counter, Exposition, Gauge};
 use lake::delta::LakeDelta;
 
 use crate::coordinator::{recover_shards_lenient, Coordinator, CoordinatorHandle};
@@ -178,39 +178,24 @@ pub trait ReplicaSource {
     fn fetch_wal(&self, shard: usize, from_seq: u64) -> Result<WalFetch, ReplicaError>;
 }
 
-/// Gauges shared between the follower sync loop and the serving layer:
-/// replication lag, the divergence counter, and the halt latch.
+/// Instruments shared between the follower sync loop (which writes them)
+/// and the serving layer: replication lag, the divergence counter, and
+/// the halt latch.
 #[derive(Debug, Default)]
 pub struct ReplicaShared {
-    lag_epochs: AtomicU64,
-    divergence_total: AtomicU64,
+    /// `dn_replica_lag_epochs`: epochs the follower's view trails the
+    /// primary's (0 when caught up).
+    pub lag_epochs: Gauge,
+    /// `dn_replica_divergence_total`: digest mismatches detected since
+    /// this follower started.
+    pub divergence_total: Counter,
     halted: Mutex<Option<String>>,
 }
 
 impl ReplicaShared {
-    /// Epochs the follower's view trails the primary's (0 when caught up).
-    pub fn lag_epochs(&self) -> u64 {
-        self.lag_epochs.load(Ordering::Relaxed)
-    }
-
-    /// Total digest mismatches detected since this follower started.
-    pub fn divergence_total(&self) -> u64 {
-        self.divergence_total.load(Ordering::Relaxed)
-    }
-
     /// The halt reason, when the follower has stopped serving.
     pub fn halted(&self) -> Option<String> {
         self.halted.lock().expect("halt latch").clone()
-    }
-
-    /// Record the current lag.
-    pub fn set_lag(&self, epochs: u64) {
-        self.lag_epochs.store(epochs, Ordering::Relaxed);
-    }
-
-    /// Count one detected divergence.
-    pub fn record_divergence(&self) {
-        self.divergence_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Latch the halt reason (the first reason wins).
@@ -219,6 +204,16 @@ impl ReplicaShared {
         if latch.is_none() {
             *latch = Some(reason.into());
         }
+    }
+
+    /// Write the follower families.
+    pub fn export_metrics(&self, w: &mut Exposition) {
+        w.value(&metrics::REPLICA_LAG_EPOCHS, &[], self.lag_epochs.get());
+        w.value(
+            &metrics::REPLICA_DIVERGENCE,
+            &[],
+            self.divergence_total.get(),
+        );
     }
 }
 
@@ -419,7 +414,7 @@ impl Follower {
             report.checked_shards += 1;
             let local_digest = snapshot_digest(snapshot);
             if local_digest != peer.digest {
-                self.shared.record_divergence();
+                self.shared.divergence_total.inc();
                 let reason = format!(
                     "shard {shard} digest mismatch at epoch {}: local {local_digest:016x} vs primary {:016x}",
                     peer.epoch, peer.digest
@@ -429,7 +424,7 @@ impl Follower {
             }
         }
         report.lag_epochs = status.epoch.saturating_sub(view.epoch());
-        self.shared.set_lag(report.lag_epochs);
+        self.shared.lag_epochs.set(report.lag_epochs);
         Ok(report)
     }
 
@@ -520,7 +515,7 @@ mod tests {
         let report = follower.sync_once(&source).unwrap();
         assert!(report.applied_batches >= 3);
         assert_eq!(report.lag_epochs, 0);
-        assert_eq!(follower.shared().divergence_total(), 0);
+        assert_eq!(follower.shared().divergence_total.get(), 0);
 
         // Bit-exact agreement on the merged ranking.
         let primary_top = handle.current().top_k(Measure::exact_bc(), 10).unwrap();

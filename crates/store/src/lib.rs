@@ -94,9 +94,7 @@ pub use snapshot::{
     read_snapshot, write_snapshot, Manifest, PersistedState, SectionInfo, FORMAT_VERSION,
     SNAPSHOT_MAGIC,
 };
-pub use store::{
-    install_snapshot, list_snapshots, Recovered, Store, StorePresence, StoreStats, WalTail,
-};
+pub use store::{install_snapshot, list_snapshots, Recovered, Store, StorePresence, WalTail};
 pub use wal::{scan_wal, Wal, WalRecord, WalScan};
 
 #[cfg(test)]

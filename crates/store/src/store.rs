@@ -46,28 +46,12 @@ pub struct Store {
     dir: PathBuf,
     wal: Wal,
     next_seq: u64,
+    /// Snapshot files in `dir`, kept in step by checkpoint and recovery so
+    /// an observer never has to list the directory.
+    snapshot_count: usize,
     /// Worker threads for snapshot section encode/decode (≥ 1). Runtime
     /// only — the file format is identical for every width.
     threads: usize,
-}
-
-/// Point-in-time size/progress counters of one store directory, exposed
-/// for observability surfaces (the HTTP server's `/metrics` endpoint and
-/// the `dn-serve` startup log).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct StoreStats {
-    /// Bytes of batch records in the WAL (what the size-based checkpoint
-    /// policy meters; excludes the file header).
-    pub wal_record_bytes: u64,
-    /// Total WAL file length in bytes, header included.
-    pub wal_file_bytes: u64,
-    /// Snapshot files currently on disk.
-    pub snapshot_count: usize,
-    /// Sequence number of the newest snapshot (`None` when the directory
-    /// holds no snapshot yet).
-    pub newest_snapshot_seq: Option<u64>,
-    /// The highest batch sequence number handed out so far.
-    pub last_seq: u64,
 }
 
 /// What [`Store::probe`] found in a directory.
@@ -203,6 +187,7 @@ impl Store {
             dir,
             wal,
             next_seq: 1,
+            snapshot_count: 0,
             threads: 1,
         })
     }
@@ -239,6 +224,11 @@ impl Store {
     /// checkpoint policy meters).
     pub fn wal_record_bytes(&self) -> u64 {
         self.wal.record_bytes()
+    }
+
+    /// Snapshot files currently in the store directory.
+    pub fn snapshot_count(&self) -> usize {
+        self.snapshot_count
     }
 
     /// Whether `dir` already holds store files (snapshots or a WAL) — the
@@ -281,22 +271,6 @@ impl Store {
         } else {
             Ok(StorePresence::Recoverable)
         }
-    }
-
-    /// Current size/progress counters of this store (one directory scan
-    /// for the snapshot census).
-    ///
-    /// # Errors
-    /// I/O errors from listing the directory.
-    pub fn stats(&self) -> Result<StoreStats> {
-        let snapshots = list_snapshots(&self.dir)?;
-        Ok(StoreStats {
-            wal_record_bytes: self.wal.record_bytes(),
-            wal_file_bytes: self.wal.len_bytes(),
-            snapshot_count: snapshots.len(),
-            newest_snapshot_seq: snapshots.first().map(|&(seq, _)| seq),
-            last_seq: self.last_seq(),
-        })
     }
 
     /// Durably append one committed batch, tagged with the writer's
@@ -414,8 +388,11 @@ impl Store {
         let path = snapshot_path(&self.dir, manifest.last_seq);
         let bytes = write_snapshot_threaded(&path, lake, net, &manifest, self.threads)?;
         self.wal.reset()?;
-        for (_, old) in list_snapshots(&self.dir)?.into_iter().skip(SNAPSHOTS_KEPT) {
+        let snapshots = list_snapshots(&self.dir)?;
+        self.snapshot_count = snapshots.len();
+        for (_, old) in snapshots.into_iter().skip(SNAPSHOTS_KEPT) {
             fs::remove_file(&old).map_err(|e| StoreError::io_with_path(e, &old))?;
+            self.snapshot_count -= 1;
         }
         Ok(bytes)
     }
@@ -548,6 +525,7 @@ impl Store {
             dir,
             wal,
             next_seq: last_seq + 1,
+            snapshot_count: snapshots.len(),
             threads,
         };
         let recovered = Recovered {

@@ -22,11 +22,15 @@
 //!   cursor claim plus an uncontended per-slot swap (a contended slot
 //!   drops the trace rather than blocking the request path). The server
 //!   exposes it as `GET /v1/debug/traces` and `/v1/debug/traces/{id}`.
-//! * **Phase histograms** ([`phase_snapshot`]) — every span observation
-//!   also lands in a per-[`Phase`] fixed-bucket histogram, rendered by
-//!   the server as `dn_phase_duration_us{phase=...}`. Request-path phases
-//!   fill at the sampling rate; background cycles (ingest, replica sync)
-//!   trace themselves with the same gate.
+//! * **Phase histograms** ([`observe`]) — every span observation also
+//!   lands in a per-[`Phase`] histogram, exposed as
+//!   `dn_phase_duration_us{phase=...}`. Request-path phases fill at the
+//!   sampling rate; background cycles (ingest, replica sync) trace
+//!   themselves with the same gate.
+//! * **The metrics registry** ([`metrics`]) — the family table, the
+//!   counter/gauge/histogram instruments every crate's numbers live in,
+//!   and the one Prometheus text writer; [`export_metrics`] writes this
+//!   crate's own families.
 //! * **Structured events** ([`event`], [`slow_query`]) — a single-line
 //!   logger shared by `dn-serve` and `dn-ingest`, text by default and
 //!   JSON under `--log-format json`; the slow-query log is always JSON
@@ -58,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod events;
+pub mod metrics;
 pub mod phase;
 pub mod ring;
 pub mod span;
@@ -66,7 +71,7 @@ pub use events::{
     event, format_unix_ms, json_event, log_format_json, render_json, set_log_format_json,
     slow_query, EventValue, Level,
 };
-pub use phase::{observe, phase_snapshot, Phase, PhaseSnapshot, PHASES, PHASE_BUCKET_BOUNDS_US};
+pub use phase::{observe, Phase, PHASES};
 pub use ring::{
     recent_traces, trace_by_id, traces_dropped, traces_published, FinishedTrace, SpanRecord,
     RING_CAPACITY,
@@ -96,6 +101,14 @@ pub fn set_sample_every(n: u32) {
 /// The current sampling rate (see [`set_sample_every`]).
 pub fn sample_every() -> u32 {
     SAMPLE_EVERY.load(Ordering::Relaxed)
+}
+
+/// Write this crate's process-global families: the sampling rate, the
+/// ring's counters, and every observed phase histogram.
+pub fn export_metrics(w: &mut metrics::Exposition) {
+    w.value(&metrics::TRACE_SAMPLE_EVERY, &[], sample_every());
+    ring::export_metrics(w);
+    phase::export_metrics(w);
 }
 
 /// Whether tracing is enabled at all — one relaxed load.

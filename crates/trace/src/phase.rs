@@ -1,22 +1,16 @@
-//! Per-phase duration histograms.
+//! The phase vocabulary and its duration histograms.
 //!
-//! Every closed span also lands one observation in a fixed-bucket
-//! histogram keyed by its [`Phase`], giving `/metrics` an aggregate
-//! per-phase latency view (`dn_phase_duration_us{phase=...}`) that stays
-//! useful even when individual traces have rotated out of the ring.
-//! Recording is a few relaxed atomic increments; the histograms fill at
-//! the sampling rate (a phase observed under 1-in-16 sampling represents
-//! roughly 16× its count of real occurrences).
+//! Every closed span also lands one observation in the histogram of its
+//! [`Phase`], giving `/metrics` an aggregate per-phase latency view
+//! (`dn_phase_duration_us{phase=...}`) that stays useful even when
+//! individual traces have rotated out of the ring. Recording is a few
+//! relaxed atomic increments; the histograms fill at the sampling rate (a
+//! phase observed under 1-in-16 sampling represents roughly 16× its count
+//! of real occurrences).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Histogram bucket upper bounds, in microseconds; the implicit last
-/// bucket is `+Inf`. Matches the server's HTTP latency buckets so the two
-/// families line up in dashboards.
-pub const PHASE_BUCKET_BOUNDS_US: [u64; 10] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
-];
+use crate::metrics::{Exposition, Histogram, PHASE_DURATION};
 
 /// The fixed vocabulary of instrumented phases across the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +52,9 @@ pub enum Phase {
     ReplicaSync,
 }
 
-/// All phases, in exposition order.
+/// All phases, in declaration order (pinned by
+/// `phases_are_listed_in_declaration_order`), so `phase as usize` indexes
+/// it and the histograms.
 pub const PHASES: [Phase; 17] = [
     Phase::Route,
     Phase::CoordCommit,
@@ -102,81 +98,37 @@ impl Phase {
             Phase::ReplicaSync => "replica_sync",
         }
     }
-
-    fn index(self) -> usize {
-        PHASES.iter().position(|&p| p == self).expect("known phase")
-    }
 }
 
-struct PhaseHist {
-    /// Per-bucket counts (stored per-bucket, accumulated at render time)
-    /// + the `+Inf` bucket.
-    buckets: [AtomicU64; PHASE_BUCKET_BOUNDS_US.len() + 1],
-    sum_us: AtomicU64,
-}
-
-impl PhaseHist {
-    fn new() -> PhaseHist {
-        PhaseHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-}
-
-fn hists() -> &'static [PhaseHist] {
-    static HISTS: OnceLock<Vec<PhaseHist>> = OnceLock::new();
-    HISTS.get_or_init(|| PHASES.iter().map(|_| PhaseHist::new()).collect())
+/// The process-wide phase histograms, indexed by `phase as usize`.
+fn histograms() -> &'static [Histogram; PHASES.len()] {
+    static HISTOGRAMS: OnceLock<[Histogram; PHASES.len()]> = OnceLock::new();
+    HISTOGRAMS.get_or_init(|| std::array::from_fn(|_| Histogram::default()))
 }
 
 /// Record one phase observation. Called by the span machinery on close;
 /// callable directly for timings measured without an active trace.
 pub fn observe(phase: Phase, duration_us: u64) {
-    let hist = &hists()[phase.index()];
-    let bucket = PHASE_BUCKET_BOUNDS_US
-        .iter()
-        .position(|&bound| duration_us <= bound)
-        .unwrap_or(PHASE_BUCKET_BOUNDS_US.len());
-    hist.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    hist.sum_us.fetch_add(duration_us, Ordering::Relaxed);
+    histograms()[phase as usize].observe(duration_us);
 }
 
-/// Point-in-time copy of one phase's histogram.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseSnapshot {
-    /// The phase label (`dn_phase_duration_us{phase="<this>"}`).
-    pub phase: &'static str,
-    /// Per-bucket (non-cumulative) counts; the last entry is `+Inf`.
-    pub buckets: [u64; PHASE_BUCKET_BOUNDS_US.len() + 1],
-    /// Sum of observed durations, microseconds.
-    pub sum_us: u64,
-    /// Total observations.
-    pub count: u64,
-}
-
-/// Sample every phase histogram at once, in [`PHASES`] order. Phases with
-/// zero observations are included (the renderer decides what to omit).
-pub fn phase_snapshot() -> Vec<PhaseSnapshot> {
-    let hists = hists();
-    PHASES
-        .iter()
-        .enumerate()
-        .map(|(i, phase)| {
-            let buckets: [u64; PHASE_BUCKET_BOUNDS_US.len() + 1] =
-                std::array::from_fn(|b| hists[i].buckets[b].load(Ordering::Relaxed));
-            PhaseSnapshot {
-                phase: phase.label(),
-                buckets,
-                sum_us: hists[i].sum_us.load(Ordering::Relaxed),
-                count: buckets.iter().sum(),
-            }
-        })
-        .collect()
+/// Write every observed phase's histogram.
+pub(crate) fn export_metrics(w: &mut Exposition) {
+    for (phase, histogram) in PHASES.iter().zip(histograms()) {
+        w.histogram(&PHASE_DURATION, &[phase.label()], histogram);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phases_are_listed_in_declaration_order() {
+        for (i, phase) in PHASES.into_iter().enumerate() {
+            assert_eq!(phase as usize, i, "{phase:?}");
+        }
+    }
 
     #[test]
     fn phase_labels_are_unique() {
@@ -185,17 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn observations_land_in_the_right_bucket() {
-        observe(Phase::PoolWalReplay, 40); // <= 50
+    fn observations_land_in_their_phase() {
+        // Other tests in this binary close spans; only lower bounds hold.
         observe(Phase::PoolWalReplay, 40);
-        observe(Phase::PoolWalReplay, 1_000_000); // +Inf
-        let snap = phase_snapshot()
-            .into_iter()
-            .find(|s| s.phase == "pool_wal_replay")
-            .expect("known phase");
-        assert!(snap.buckets[0] >= 2);
-        assert!(snap.buckets[PHASE_BUCKET_BOUNDS_US.len()] >= 1);
-        assert!(snap.count >= 3);
-        assert!(snap.sum_us >= 1_000_080);
+        observe(Phase::PoolWalReplay, 1_000_000);
+        assert!(histograms()[Phase::PoolWalReplay as usize].count() >= 2);
+        let mut w = Exposition::default();
+        export_metrics(&mut w);
+        let text = w.finish();
+        assert!(text.contains("dn_phase_duration_us_count{phase=\"pool_wal_replay\"} "));
+        assert!(!text.contains("phase=\"replica_sync\""), "unobserved phase");
     }
 }

@@ -12,6 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::metrics::{Counter, Exposition, TRACES_DROPPED, TRACES_PUBLISHED};
+
 /// How many completed traces the ring retains before overwriting.
 pub const RING_CAPACITY: usize = 256;
 
@@ -66,8 +68,8 @@ struct Ring {
     slots: Vec<Mutex<Option<Arc<FinishedTrace>>>>,
     /// Next slot to claim; total published = this counter (minus drops).
     cursor: AtomicU64,
-    published: AtomicU64,
-    dropped: AtomicU64,
+    published: Counter,
+    dropped: Counter,
 }
 
 fn ring() -> &'static Ring {
@@ -75,8 +77,8 @@ fn ring() -> &'static Ring {
     RING.get_or_init(|| Ring {
         slots: (0..RING_CAPACITY).map(|_| Mutex::new(None)).collect(),
         cursor: AtomicU64::new(0),
-        published: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
+        published: Counter::default(),
+        dropped: Counter::default(),
     })
 }
 
@@ -88,12 +90,12 @@ pub(crate) fn publish(trace: FinishedTrace) {
     match ring.slots[slot].try_lock() {
         Ok(mut held) => {
             *held = Some(Arc::new(trace));
-            ring.published.fetch_add(1, Ordering::Relaxed);
+            ring.published.inc();
         }
         Err(_) => {
             // A reader holds this slot right now; dropping the trace is
             // cheaper than making the request path wait.
-            ring.dropped.fetch_add(1, Ordering::Relaxed);
+            ring.dropped.inc();
         }
     }
 }
@@ -128,13 +130,19 @@ pub fn trace_by_id(id: u64) -> Option<Arc<FinishedTrace>> {
 
 /// Total traces successfully published into the ring since startup.
 pub fn traces_published() -> u64 {
-    ring().published.load(Ordering::Relaxed)
+    ring().published.get()
 }
 
 /// Total traces discarded because their slot was contended at publish
 /// time.
 pub fn traces_dropped() -> u64 {
-    ring().dropped.load(Ordering::Relaxed)
+    ring().dropped.get()
+}
+
+/// Write the ring's two counters.
+pub(crate) fn export_metrics(w: &mut Exposition) {
+    w.value(&TRACES_PUBLISHED, &[], traces_published());
+    w.value(&TRACES_DROPPED, &[], traces_dropped());
 }
 
 #[cfg(test)]

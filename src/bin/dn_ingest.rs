@@ -149,17 +149,19 @@ fn main() -> ExitCode {
 /// The periodic observability line for a remote ingester: always one JSON
 /// object per line, machine-parsed by whatever tails this process.
 fn emit_stats(stats: &IngestStats, journal_seq: u64, pending: bool, caught_up: bool) {
-    let snapshot = stats.snapshot();
     dn_trace::json_event(
         Level::Info,
         "ingest_stats",
         &[
-            ("files_seen", EventValue::U64(snapshot.files_seen)),
-            ("batches_applied", EventValue::U64(snapshot.batches_applied)),
-            ("rows_diffed", EventValue::U64(snapshot.rows_diffed)),
-            ("retries", EventValue::U64(snapshot.retries)),
-            ("torn_files", EventValue::U64(snapshot.torn_files)),
-            ("polls", EventValue::U64(snapshot.polls)),
+            ("files_seen", EventValue::U64(stats.files_seen.get())),
+            (
+                "batches_applied",
+                EventValue::U64(stats.batches_applied.get()),
+            ),
+            ("rows_diffed", EventValue::U64(stats.rows_diffed.get())),
+            ("retries", EventValue::U64(stats.retries.get())),
+            ("torn_files", EventValue::U64(stats.torn_files.get())),
+            ("polls", EventValue::U64(stats.polls.get())),
             ("journal_seq", EventValue::U64(journal_seq)),
             ("pending", EventValue::Bool(pending)),
             ("caught_up", EventValue::Bool(caught_up)),

@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use dn_server::metrics::{EngineGauges, IngestGauges, Metrics, ReplicaGauges, Route, ShardGauges};
+use dn_server::metrics::{Metrics, Route};
 use dn_service::{serve_sharded_durable, CheckpointPolicy, ReplicaShared, ServiceConfig};
 use dn_trace::Phase;
 use domainnet::Measure;
@@ -116,56 +116,18 @@ fn exposition_matches_the_committed_text() {
     }
 
     let replica = ReplicaShared::default();
-    replica.set_lag(2);
-    replica.record_divergence();
+    replica.lag_epochs.set(2);
+    replica.divergence_total.inc();
 
     let ingest = dn_ingest::IngestStats::new();
-    ingest.add_files_seen(12);
-    ingest.add_batches_applied(4);
-    ingest.add_rows_diffed(320);
-    ingest.add_retries(1);
-    ingest.add_torn_files(2);
-    ingest.set_lag_millis(250);
+    ingest.files_seen.add(12);
+    ingest.batches_applied.add(4);
+    ingest.rows_diffed.add(320);
+    ingest.retries.inc();
+    ingest.torn_files.add(2);
+    ingest.lag_millis.set(250);
 
-    let view = handle.current();
-    let cache = handle.cache_stats();
-    let shards: Vec<ShardGauges> = (0..view.shard_count())
-        .map(|i| {
-            let stats = coordinator
-                .shard(i)
-                .store_stats()
-                .expect("store lists")
-                .expect("durable shard");
-            ShardGauges {
-                epoch: view.shard(i).epoch(),
-                wal_record_bytes: Some(stats.wal_record_bytes),
-                store_snapshots: Some(stats.snapshot_count as u64),
-            }
-        })
-        .collect();
-    let snap = ingest.snapshot();
-    let text = metrics.render(&EngineGauges {
-        epoch: view.epoch(),
-        epochs_published: handle.epochs_published(),
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_hit_rate: cache.hit_rate(),
-        wal_record_bytes: shards.iter().map(|s| s.wal_record_bytes).sum(),
-        store_snapshots: shards.iter().map(|s| s.store_snapshots).sum(),
-        shards,
-        replica: Some(ReplicaGauges {
-            lag_epochs: replica.lag_epochs(),
-            divergence_total: replica.divergence_total(),
-        }),
-        ingest: Some(IngestGauges {
-            files_seen: snap.files_seen,
-            batches_applied: snap.batches_applied,
-            rows_diffed: snap.rows_diffed,
-            retries: snap.retries,
-            torn_files: snap.torn_files,
-            lag_seconds: snap.lag_seconds,
-        }),
-    });
+    let text = metrics.render(&handle, Some(&replica), Some(&ingest));
     drop(coordinator);
     std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 

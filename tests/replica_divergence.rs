@@ -180,7 +180,7 @@ fn in_flight_corruption_is_caught_within_one_exchange() {
         reason.contains("digest mismatch"),
         "the reason names the failed exchange: {reason}"
     );
-    assert_eq!(follower.shared().divergence_total(), 1);
+    assert_eq!(follower.shared().divergence_total.get(), 1);
     assert_eq!(
         follower.shared().halted().as_deref(),
         Some(reason.as_str()),
@@ -194,7 +194,7 @@ fn in_flight_corruption_is_caught_within_one_exchange() {
         .expect_err("a halted follower must not sync again");
     assert!(matches!(refused, ReplicaError::Diverged(_)));
     assert_eq!(
-        follower.shared().divergence_total(),
+        follower.shared().divergence_total.get(),
         1,
         "refusing to resume is not a second divergence"
     );
@@ -335,7 +335,7 @@ fn on_disk_corruption_is_caught_on_the_first_exchange_after_restart() {
     follower
         .sync_once(&source)
         .expect("follower replicates the record");
-    assert_eq!(follower.shared().divergence_total(), 0);
+    assert_eq!(follower.shared().divergence_total.get(), 0);
     let follower_dir = follower.root().to_path_buf();
     drop(follower);
 
@@ -361,7 +361,7 @@ fn on_disk_corruption_is_caught_on_the_first_exchange_after_restart() {
         matches!(&err, ReplicaError::Diverged(reason) if reason.contains("digest mismatch")),
         "expected a digest-mismatch divergence, got: {err}"
     );
-    assert_eq!(follower.shared().divergence_total(), 1);
+    assert_eq!(follower.shared().divergence_total.get(), 1);
     assert!(follower.shared().halted().is_some());
 
     std::fs::remove_dir_all(&root).expect("scratch cleanup");

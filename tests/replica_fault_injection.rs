@@ -245,7 +245,7 @@ fn primary_killed_at_ten_seeded_points_follower_reconverges() {
             "{context}: insurance digests verified on every shard"
         );
         assert_eq!(
-            follower.shared().divergence_total(),
+            follower.shared().divergence_total.get(),
             0,
             "{context}: a clean kill/restart is lag, never divergence"
         );
@@ -393,7 +393,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     );
     assert_eq!(report.lag_epochs, 0);
     assert_eq!(report.checked_shards, SHARDS);
-    assert_eq!(follower.shared().divergence_total(), 0);
+    assert_eq!(follower.shared().divergence_total.get(), 0);
 
     let follower_view = follower.handle().current();
     follower_view.verify_consistency().expect("follower view");

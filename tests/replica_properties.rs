@@ -201,7 +201,7 @@ fn thirty_seeded_runs_with_churning_followers_end_bit_identical() {
                 report.checked_shards, SHARDS,
                 "{label}: insurance verified every shard"
             );
-            assert_eq!(follower.shared().divergence_total(), 0, "{label}");
+            assert_eq!(follower.shared().divergence_total.get(), 0, "{label}");
             assert_eq!(follower.shared().halted(), None, "{label}");
 
             // ...and agrees with the primary bit for bit: identity counts
