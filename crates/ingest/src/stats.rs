@@ -5,7 +5,10 @@
 //! share it without locking. Everything is a relaxed atomic: these are
 //! observability numbers, not synchronization.
 
-use dn_trace::metrics::{self, Counter, Exposition, Gauge};
+use dn_trace::metrics::{
+    Counter, Exposition, Gauge, INGEST_BATCHES_APPLIED, INGEST_FILES_SEEN, INGEST_LAG_SECONDS,
+    INGEST_RETRIES, INGEST_ROWS_DIFFED, INGEST_TORN_FILES,
+};
 
 /// Live instruments of one ingester, exported as `dn_ingest_*` through the
 /// server's /metrics endpoint.
@@ -35,20 +38,12 @@ impl IngestStats {
 
     /// Write the `dn_ingest_*` families.
     pub fn export_metrics(&self, w: &mut Exposition) {
-        w.value(&metrics::INGEST_FILES_SEEN, &[], self.files_seen.get());
-        w.value(
-            &metrics::INGEST_BATCHES_APPLIED,
-            &[],
-            self.batches_applied.get(),
-        );
-        w.value(&metrics::INGEST_ROWS_DIFFED, &[], self.rows_diffed.get());
-        w.value(&metrics::INGEST_RETRIES, &[], self.retries.get());
-        w.value(&metrics::INGEST_TORN_FILES, &[], self.torn_files.get());
+        w.value(&INGEST_FILES_SEEN, &[], self.files_seen.get());
+        w.value(&INGEST_BATCHES_APPLIED, &[], self.batches_applied.get());
+        w.value(&INGEST_ROWS_DIFFED, &[], self.rows_diffed.get());
+        w.value(&INGEST_RETRIES, &[], self.retries.get());
+        w.value(&INGEST_TORN_FILES, &[], self.torn_files.get());
         let lag_seconds = self.lag_millis.get() as f64 / 1000.0;
-        w.value(
-            &metrics::INGEST_LAG_SECONDS,
-            &[],
-            format_args!("{lag_seconds:.3}"),
-        );
+        w.value(&INGEST_LAG_SECONDS, &[], format_args!("{lag_seconds:.3}"));
     }
 }

@@ -21,8 +21,9 @@
 //!   head/body reads, percent/query decoding, response framing.
 //! * [`api`] — the JSON request/response schema, shared by server and
 //!   client so both sides agree by construction.
-//! * [`metrics`] — lock-free per-route counters + latency histograms,
-//!   rendered as a Prometheus-style text exposition at `GET /metrics`.
+//! * [`metrics`] — lock-free per-route counters + latency histograms
+//!   (instruments of the [`dn_trace::metrics`] registry), and the
+//!   `GET /metrics` body: every owner's families through its one writer.
 //! * [`client`] — a minimal blocking keep-alive client used by the wire
 //!   tests, the process probes, and the standing benchmark's load
 //!   generator.

@@ -12,7 +12,10 @@ use std::time::Instant;
 
 use dn_ingest::IngestStats;
 use dn_service::{CoordinatorHandle, ReplicaShared};
-use dn_trace::metrics::{self, Counter, Exposition, Histogram};
+use dn_trace::metrics::{
+    Counter, Exposition, Histogram, BUILD_INFO, HTTP_CONNECTIONS_ACCEPTED, HTTP_REQUESTS,
+    HTTP_REQUEST_DURATION, UPTIME_SECONDS,
+};
 
 /// The fixed set of routes the server exposes (used as metric labels and
 /// for dispatch bookkeeping).
@@ -177,29 +180,25 @@ impl Metrics {
         for (route, classes) in ROUTES.iter().zip(&self.requests) {
             for (class, requests) in CLASSES.iter().zip(classes) {
                 if requests.get() > 0 {
-                    w.value(
-                        &metrics::HTTP_REQUESTS,
-                        &[route.label(), class],
-                        requests.get(),
-                    );
+                    w.value(&HTTP_REQUESTS, &[route.label(), class], requests.get());
                 }
             }
         }
         for (route, duration) in ROUTES.iter().zip(&self.duration) {
-            w.histogram(&metrics::HTTP_REQUEST_DURATION, &[route.label()], duration);
+            w.histogram(&HTTP_REQUEST_DURATION, &[route.label()], duration);
         }
         w.value(
-            &metrics::HTTP_CONNECTIONS_ACCEPTED,
+            &HTTP_CONNECTIONS_ACCEPTED,
             &[],
             self.connections_accepted.get(),
         );
         w.value(
-            &metrics::BUILD_INFO,
+            &BUILD_INFO,
             &[env!("CARGO_PKG_VERSION"), "dn-server", "2021"],
             1,
         );
         let uptime = self.started.elapsed().as_secs_f64();
-        w.value(&metrics::UPTIME_SECONDS, &[], format_args!("{uptime:.3}"));
+        w.value(&UPTIME_SECONDS, &[], format_args!("{uptime:.3}"));
         dn_trace::export_metrics(&mut w);
         service.export_metrics(&mut w);
         if let Some(replica) = replica {

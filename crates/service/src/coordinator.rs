@@ -69,7 +69,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use dn_store::{Store, StorePresence};
-use dn_trace::metrics::{self, Counter, Exposition};
+use dn_trace::metrics::{
+    Counter, Exposition, CACHE_HITS, CACHE_HIT_RATE, CACHE_MISSES, SERVER_EPOCH,
+    SERVER_EPOCHS_PUBLISHED, SHARD_EPOCH, SHARD_STORE_SNAPSHOTS, SHARD_WAL_RECORD_BYTES,
+    STORE_SNAPSHOTS, WAL_RECORD_BYTES,
+};
 use domainnet::{DeltaStats, Measure, ScoredValue};
 use lake::delta::{LakeDelta, LakeOp, LakeView, MutableLake};
 use lake::table::Table;
@@ -739,42 +743,34 @@ impl CoordinatorHandle {
         let view = self.shared.current();
         let cache = self.cache_stats();
         let stores = &self.shared.store_gauges;
-        w.value(&metrics::SERVER_EPOCH, &[], view.epoch());
+        w.value(&SERVER_EPOCH, &[], view.epoch());
+        w.value(&SERVER_EPOCHS_PUBLISHED, &[], self.epochs_published());
+        w.value(&CACHE_HITS, &[], cache.hits);
+        w.value(&CACHE_MISSES, &[], cache.misses);
         w.value(
-            &metrics::SERVER_EPOCHS_PUBLISHED,
-            &[],
-            self.epochs_published(),
-        );
-        w.value(&metrics::CACHE_HITS, &[], cache.hits);
-        w.value(&metrics::CACHE_MISSES, &[], cache.misses);
-        w.value(
-            &metrics::CACHE_HIT_RATE,
+            &CACHE_HIT_RATE,
             &[],
             format_args!("{:.6}", cache.hit_rate()),
         );
         if !stores.is_empty() {
             let wal_bytes: u64 = stores.iter().map(|s| s.wal_record_bytes.get()).sum();
             let snapshots: u64 = stores.iter().map(|s| s.snapshots.get()).sum();
-            w.value(&metrics::WAL_RECORD_BYTES, &[], wal_bytes);
-            w.value(&metrics::STORE_SNAPSHOTS, &[], snapshots);
+            w.value(&WAL_RECORD_BYTES, &[], wal_bytes);
+            w.value(&STORE_SNAPSHOTS, &[], snapshots);
         }
         let shard_labels: Vec<String> = (0..view.shard_count()).map(|i| i.to_string()).collect();
         for (i, shard) in shard_labels.iter().enumerate() {
-            w.value(&metrics::SHARD_EPOCH, &[shard], view.shard(i).epoch());
+            w.value(&SHARD_EPOCH, &[shard], view.shard(i).epoch());
         }
         for (shard, store) in shard_labels.iter().zip(stores) {
             w.value(
-                &metrics::SHARD_WAL_RECORD_BYTES,
+                &SHARD_WAL_RECORD_BYTES,
                 &[shard],
                 store.wal_record_bytes.get(),
             );
         }
         for (shard, store) in shard_labels.iter().zip(stores) {
-            w.value(
-                &metrics::SHARD_STORE_SNAPSHOTS,
-                &[shard],
-                store.snapshots.get(),
-            );
+            w.value(&SHARD_STORE_SNAPSHOTS, &[shard], store.snapshots.get());
         }
     }
 }

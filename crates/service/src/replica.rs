@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dn_store::Digest64;
-use dn_trace::metrics::{self, Counter, Exposition, Gauge};
+use dn_trace::metrics::{Counter, Exposition, Gauge, REPLICA_DIVERGENCE, REPLICA_LAG_EPOCHS};
 use lake::delta::LakeDelta;
 
 use crate::coordinator::{recover_shards_lenient, Coordinator, CoordinatorHandle};
@@ -208,12 +208,8 @@ impl ReplicaShared {
 
     /// Write the follower families.
     pub fn export_metrics(&self, w: &mut Exposition) {
-        w.value(&metrics::REPLICA_LAG_EPOCHS, &[], self.lag_epochs.get());
-        w.value(
-            &metrics::REPLICA_DIVERGENCE,
-            &[],
-            self.divergence_total.get(),
-        );
+        w.value(&REPLICA_LAG_EPOCHS, &[], self.lag_epochs.get());
+        w.value(&REPLICA_DIVERGENCE, &[], self.divergence_total.get());
     }
 }
 

@@ -428,6 +428,15 @@ fn status_of(raw: &str) -> Option<u16> {
     raw.split(' ').nth(1)?.parse().ok()
 }
 
+/// The value of one series (`name{labels}`) in a `/metrics` exposition;
+/// 0 when the series is absent.
+fn sample(exposition: &str, series: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
 #[test]
 fn malformed_requests_answer_their_documented_status() {
     let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
@@ -507,6 +516,17 @@ fn malformed_requests_answer_their_documented_status() {
     assert!(response.body.contains("conflict"));
     assert_workers_alive("non-durable checkpoint");
 
+    // From here on the requests are refused before they parse: nothing
+    // was dispatched and nothing was timed, so they may only move the
+    // status-class counters of route="other" — never its latency
+    // histogram (which so far holds the one timed 404 above).
+    let before = client.get("/metrics").unwrap().body;
+    let timed_other = sample(
+        &before,
+        "dn_http_request_duration_us_count{route=\"other\"}",
+    );
+    assert_eq!(timed_other, 1, "{before}");
+
     // Oversized body (Content-Length over the limit) → 413, without the
     // server reading the megabytes that were never sent.
     let raw = raw_roundtrip(
@@ -551,12 +571,114 @@ fn malformed_requests_answer_their_documented_status() {
     drop(TcpStream::connect(addr).expect("connect"));
     assert_workers_alive("connect-and-close");
 
-    // The malformed traffic landed in the 4xx counters.
-    let metrics = client.get("/metrics").unwrap();
-    assert!(metrics.body.contains("class=\"4xx\""), "{}", metrics.body);
+    // The refused traffic (413, 400, 400, 431 and the 501) landed in the
+    // status-class counters and left the latency histogram alone.
+    let after = client.get("/metrics").unwrap().body;
+    let moved = |series: &str| sample(&after, series) - sample(&before, series);
+    assert_eq!(
+        moved("dn_http_requests_total{route=\"other\",class=\"4xx\"}"),
+        4,
+        "{after}"
+    );
+    assert_eq!(
+        moved("dn_http_requests_total{route=\"other\",class=\"5xx\"}"),
+        1,
+        "{after}"
+    );
+    assert_eq!(
+        sample(&after, "dn_http_request_duration_us_count{route=\"other\"}"),
+        timed_other,
+        "an unparsed request is not a 0 us latency sample\n{after}"
+    );
+    assert_eq!(
+        sample(
+            &after,
+            "dn_http_request_duration_us_bucket{route=\"other\",le=\"50\"}"
+        ),
+        sample(
+            &before,
+            "dn_http_request_duration_us_bucket{route=\"other\",le=\"50\"}"
+        ),
+    );
 
     server.shutdown();
     server.join();
+}
+
+/// `/metrics` reads the store gauges the shards publish, never the
+/// writer: with the coordinator mutex held (as it is for the whole of
+/// every commit), a scrape still answers and still carries the WAL and
+/// snapshot families at their last committed values.
+#[test]
+fn a_scrape_never_waits_for_the_writer() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("dn_store_http_scrape_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
+    let (service, coordinator) = dn_service::serve_sharded_durable(
+        lake,
+        ServiceConfig {
+            measures: measures(),
+            ..ServiceConfig::default()
+        },
+        &dir,
+        dn_service::CheckpointPolicy::manual(),
+        2,
+    )
+    .expect("fresh sharded store");
+    let coordinator = Arc::new(std::sync::Mutex::new(coordinator));
+    let server = dn_server::serve_http_ingest(
+        service,
+        Arc::clone(&coordinator),
+        ServerConfig::default(),
+        dn_server::IngestContext {
+            shared: Arc::new(dn_ingest::IngestStats::new()),
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::new(server.local_addr()).with_timeout(Duration::from_secs(10));
+
+    let delta = lake::LakeDelta::new().add_table(
+        lake::table::TableBuilder::new("extra")
+            .column("animal", ["Jaguar", "Okapi"])
+            .build()
+            .unwrap(),
+    );
+    let body = serde_json::to_string(&MutationRequest {
+        deltas: vec![delta],
+    })
+    .unwrap();
+    let committed = client.post_json("/v1/mutations", &body).unwrap();
+    assert_eq!(committed.status, 200, "{}", committed.body);
+
+    let writer = coordinator.lock().expect("coordinator lock");
+    let (total, shard0) = (
+        writer.wal_record_bytes(),
+        writer.shard(0).wal_record_bytes(),
+    );
+    assert!(total > 0, "the commit was logged");
+    let scrape = client
+        .get("/metrics")
+        .expect("scrape while the writer is held");
+    assert_eq!(scrape.status, 200);
+    for (series, expected) in [
+        ("dn_wal_record_bytes", total),
+        ("dn_shard_wal_record_bytes{shard=\"0\"}", shard0),
+        ("dn_store_snapshots", 2),
+        ("dn_shard_store_snapshots{shard=\"1\"}", 1),
+    ] {
+        assert!(
+            scrape.body.contains(&format!("{series} {expected}\n")),
+            "{series} {expected} missing from a contended scrape\n{}",
+            scrape.body
+        );
+    }
+    drop(writer);
+
+    server.shutdown();
+    drop(coordinator);
+    server.join();
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 #[test]

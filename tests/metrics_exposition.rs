@@ -10,8 +10,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test metrics_exposition
 //! ```
 //!
-//! The phase histograms are process-global, which is why this file holds
-//! exactly one test: nothing else in the binary may observe a phase.
+//! The phase histograms are process-global: nothing else in this binary
+//! may observe a phase. The second test holds `docs/OBSERVABILITY.md`'s
+//! metric reference to the registry's family table.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -138,6 +139,10 @@ fn exposition_matches_the_committed_text() {
         return;
     }
     let expected = std::fs::read_to_string(&path).expect("committed expected exposition");
+    for family in dn_trace::metrics::FAMILIES {
+        let header = format!("# TYPE {} {}\n", family.name, family.kind.as_str());
+        assert!(expected.contains(&header), "the pin never exposes {header}");
+    }
     let (expected, actual) = (line_set(&expected), line_set(&text));
     let missing: Vec<&String> = expected.difference(&actual).collect();
     let unexpected: Vec<&String> = actual.difference(&expected).collect();
@@ -145,5 +150,49 @@ fn exposition_matches_the_committed_text() {
         missing.is_empty() && unexpected.is_empty(),
         "exposition drifted from tests/metrics_exposition.txt\n\
          missing: {missing:#?}\nunexpected: {unexpected:#?}"
+    );
+}
+
+/// Every family in the registry's table has a row in the metric reference
+/// of `docs/OBSERVABILITY.md` with the same kind and labels, and the
+/// reference names no family the registry lacks.
+#[test]
+fn the_metric_reference_matches_the_registry() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md");
+    let doc = std::fs::read_to_string(&path).expect("docs/OBSERVABILITY.md");
+    let reference = doc
+        .split("\n## ")
+        .find(|section| section.starts_with("Metric reference"))
+        .expect("a `## Metric reference` section");
+    // `| `family` | kind | `label`, `label` | owner | meaning |`
+    let documented: BTreeSet<String> = reference
+        .lines()
+        .filter(|line| line.starts_with("| `dn_"))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let labels: Vec<&str> = cells[3]
+                .split(',')
+                .map(|label| label.trim().trim_matches('`'))
+                .filter(|label| *label != "—")
+                .collect();
+            format!("{} {} {labels:?}", cells[1].trim_matches('`'), cells[2])
+        })
+        .collect();
+    let declared: BTreeSet<String> = dn_trace::metrics::FAMILIES
+        .iter()
+        .map(|f| format!("{} {} {:?}", f.name, f.kind.as_str(), f.labels))
+        .collect();
+    let undocumented: Vec<&String> = declared.difference(&documented).collect();
+    let unknown: Vec<&String> = documented.difference(&declared).collect();
+    assert!(
+        undocumented.is_empty() && unknown.is_empty(),
+        "docs/OBSERVABILITY.md's metric reference and dn_trace::metrics::FAMILIES disagree\n\
+         in the registry, not (or differently) in the doc: {undocumented:#?}\n\
+         in the doc, not (or differently) in the registry: {unknown:#?}"
+    );
+    assert_eq!(
+        declared.len(),
+        dn_trace::metrics::FAMILIES.len(),
+        "duplicate family"
     );
 }
