@@ -21,9 +21,11 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Histogram bucket upper bounds, in microseconds — the one layout every
-/// duration histogram shares. The last, implicit bucket is `+Inf`.
-pub const BUCKET_BOUNDS_US: [u64; 10] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
+/// duration histogram shares. The last, implicit bucket is `+Inf`; the 1 s
+/// and 5 s bounds keep the heavy-delta commits (~0.2 s and beyond) and
+/// the WAL-replay recoveries (~0.8 s) out of it.
+pub const BUCKET_BOUNDS_US: [u64; 12] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000, 1_000_000, 5_000_000,
 ];
 
 /// A count that only goes up.
