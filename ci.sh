@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the DomainNet reproduction workspace.
 #
-# Runs, in order: rustfmt check, clippy with warnings denied, rustdoc with
-# warnings denied (so documentation rot fails the gate), the doc-test suite,
+# Runs, in order: rustfmt check, the one-exposition-writer grep, clippy with
+# warnings denied, rustdoc with warnings denied (so documentation rot fails
+# the gate), the doc-test suite,
 # a release build (of the workspace, then of the frozen standing benchmark
 # under benchmark/ against it), the test suite, and then explicitly labeled
 # gates: the golden-ranking regression corpus, the concurrency stress test,
@@ -43,6 +44,24 @@ CORES=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# The registry (crates/trace/src/metrics.rs) holds the only code that
+# formats a /metrics line. A `# TYPE` or `_bucket{` anywhere else in
+# non-test Rust (each file up to its first #[cfg(test)]) is a metric
+# hand-formatted around it.
+echo "==> gate: one exposition writer (# TYPE and _bucket{ only in dn-trace's registry)"
+for needle in '# TYPE' '_bucket{'; do
+    HITS=$(find crates/*/src src -name '*.rs' | sort | while read -r file; do
+        if awk '/#\[cfg\(test\)\]/{exit} {print}' "$file" | grep -qF -- "$needle"; then
+            echo "$file"
+        fi
+    done)
+    if [[ "${HITS}" != "crates/trace/src/metrics.rs" ]]; then
+        echo "'${needle}' must occur in crates/trace/src/metrics.rs and nowhere else; found in:" >&2
+        echo "${HITS:-(no file)}" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
