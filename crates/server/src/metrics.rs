@@ -179,8 +179,9 @@ impl Metrics {
         let mut w = Exposition::default();
         for (route, classes) in ROUTES.iter().zip(&self.requests) {
             for (class, requests) in CLASSES.iter().zip(classes) {
-                if requests.get() > 0 {
-                    w.value(&HTTP_REQUESTS, &[route.label(), class], requests.get());
+                let requests = requests.get();
+                if requests > 0 {
+                    w.value(&HTTP_REQUESTS, &[route.label(), class], requests);
                 }
             }
         }

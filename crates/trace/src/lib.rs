@@ -107,7 +107,8 @@ pub fn sample_every() -> u32 {
 /// ring's counters, and every observed phase histogram.
 pub fn export_metrics(w: &mut metrics::Exposition) {
     w.value(&metrics::TRACE_SAMPLE_EVERY, &[], sample_every());
-    ring::export_metrics(w);
+    w.value(&metrics::TRACES_PUBLISHED, &[], traces_published());
+    w.value(&metrics::TRACES_DROPPED, &[], traces_dropped());
     phase::export_metrics(w);
 }
 

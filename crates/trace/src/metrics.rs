@@ -17,7 +17,7 @@
 //! and one line in its owner's export — `docs/OBSERVABILITY.md` is
 //! checked against the table by `tests/metrics_exposition.rs`.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Histogram bucket upper bounds, in microseconds — the one layout every
@@ -192,7 +192,7 @@ impl Exposition {
     /// One counter or gauge series; `labels` are the values for
     /// `family.labels`, in order. Fractional gauges pass
     /// `format_args!("{:.3}", seconds)`.
-    pub fn value(&mut self, family: &Family, labels: &[&str], value: impl std::fmt::Display) {
+    pub fn value(&mut self, family: &Family, labels: &[&str], value: impl Display) {
         self.series(family, "", labels, None);
         let _ = writeln!(self.out, " {value}");
     }
@@ -206,10 +206,8 @@ impl Exposition {
         let mut cumulative = 0u64;
         for (i, bucket) in histogram.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
-            let bound = BUCKET_BOUNDS_US
-                .get(i)
-                .map_or_else(|| "+Inf".to_owned(), u64::to_string);
-            self.series(family, "_bucket", labels, Some(&bound));
+            let bound: &dyn Display = BUCKET_BOUNDS_US.get(i).map_or(&"+Inf", |bound| bound);
+            self.series(family, "_bucket", labels, Some(bound));
             let _ = writeln!(self.out, " {cumulative}");
         }
         self.series(family, "_sum", labels, None);
@@ -225,7 +223,7 @@ impl Exposition {
 
     /// `name<suffix>{key="value",...}`, preceded by the family's `# TYPE`
     /// line when the family changes.
-    fn series(&mut self, family: &Family, suffix: &str, labels: &[&str], le: Option<&str>) {
+    fn series(&mut self, family: &Family, suffix: &str, labels: &[&str], le: Option<&dyn Display>) {
         debug_assert_eq!(labels.len(), family.labels.len(), "{}", family.name);
         if self.current != family.name {
             self.current = family.name;
@@ -233,7 +231,8 @@ impl Exposition {
         }
         self.out.push_str(family.name);
         self.out.push_str(suffix);
-        let pairs = family.labels.iter().copied().zip(labels.iter().copied());
+        let values = labels.iter().map(|value| value as &dyn Display);
+        let pairs = family.labels.iter().copied().zip(values);
         let mut open = '{';
         for (key, value) in pairs.chain(le.map(|bound| ("le", bound))) {
             let _ = write!(self.out, "{open}{key}=\"{value}\"");

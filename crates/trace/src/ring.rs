@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics::{Counter, Exposition, TRACES_DROPPED, TRACES_PUBLISHED};
+use crate::metrics::Counter;
 
 /// How many completed traces the ring retains before overwriting.
 pub const RING_CAPACITY: usize = 256;
@@ -137,12 +137,6 @@ pub fn traces_published() -> u64 {
 /// time.
 pub fn traces_dropped() -> u64 {
     ring().dropped.get()
-}
-
-/// Write the ring's two counters.
-pub(crate) fn export_metrics(w: &mut Exposition) {
-    w.value(&TRACES_PUBLISHED, &[], traces_published());
-    w.value(&TRACES_DROPPED, &[], traces_dropped());
 }
 
 #[cfg(test)]
