@@ -6,7 +6,9 @@
 # the gate), the doc-test suite,
 # a release build (of the workspace, then of the frozen standing benchmark
 # under benchmark/ against it), the test suite, and then explicitly labeled
-# gates: the golden-ranking regression corpus, the concurrency stress test,
+# gates: the golden-ranking regression corpus (which must also leave
+# tests/golden as committed), the Equation-1 join against its literal-sweep
+# oracle, the concurrency stress test,
 # the dn-store corruption-hardening suite, the crash-recovery suite, the
 # process probes of tests/dn_serve_process.rs (the real dn-serve and
 # dn-ingest binaries on loopback: HTTP at --shards 1 and 2, a 2-shard
@@ -95,6 +97,7 @@ echo "==> cargo test -q (golden + stress + store + process gates deferred)"
 cargo test -q -- \
     --skip golden_rankings_match_the_committed_corpus \
     --skip golden_corpus_files_are_well_formed \
+    --skip join_matches_literal_sweep_bit_for_bit \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
@@ -107,6 +110,14 @@ cargo test -q -- \
 
 echo "==> gate: golden-ranking regression corpus"
 cargo test -q --test golden_rankings
+# UPDATE_GOLDEN=1 rewrites the corpus and passes; a kernel change must not
+# get through that way.
+git diff --exit-code -- tests/golden
+
+# The filter is a prefix of both differential tests (random graphs + SB, and
+# TUS small on its own).
+echo "==> gate: Equation-1 join == literal sweep (to_bits)"
+cargo test -q -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
 
 echo "==> gate: serving concurrency stress (--test-threads ${CORES})"
 cargo test -q --test serving_stress -- --test-threads "${CORES}"

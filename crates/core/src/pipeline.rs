@@ -23,9 +23,7 @@ use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{connected_components, Components};
 use dn_graph::delta::GraphDelta;
-use dn_graph::lcc::{
-    lcc_for_values, lcc_with_cardinality_for_values, patch_lcc_value_neighbors, LccMethod,
-};
+use dn_graph::lcc::{lcc_with_cardinality_for_values, patch_lcc_value_neighbors, LccMethod};
 use lake::catalog::AttrId;
 use lake::delta::{diff_sorted, DeltaEffects, LakeView, MutableLake};
 use lake::value::ValueId;
@@ -324,7 +322,15 @@ impl DomainNet {
         match measure {
             Measure::Lcc(method) => {
                 let targets: Vec<u32> = self.graph.value_nodes().collect();
-                lcc_for_values(&self.graph, &targets, method)
+                let (scores, cardinalities) =
+                    lcc_with_cardinality_for_values(&self.graph, &targets, method);
+                // Both kernels return |N(v)| with the scores; keep it so
+                // `node_meta` has nothing left to walk.
+                let mut caches = self.caches.lock().expect("score cache mutex");
+                if caches.meta.is_none() {
+                    caches.meta = Some(self.meta_with(cardinalities));
+                }
+                scores
             }
             Measure::ExactBc => {
                 let all = betweenness_centrality_parallel(&self.graph, self.compute_threads);
@@ -402,18 +408,19 @@ impl DomainNet {
         if let Some(meta) = &self.caches.lock().expect("score cache mutex").meta {
             return meta.clone();
         }
-        let meta: Vec<(usize, usize)> = self
-            .graph
-            .value_nodes()
-            .map(|node| {
-                (
-                    self.graph.value_attribute_count(node),
-                    self.graph.value_neighbor_count(node),
-                )
-            })
-            .collect();
+        let meta = self.meta_with(self.graph.value_neighbor_counts());
         self.caches.lock().expect("score cache mutex").meta = Some(meta.clone());
         meta
+    }
+
+    /// `(attribute_count, cardinality)` per value node, given every node's
+    /// cardinality.
+    fn meta_with(&self, cardinalities: Vec<usize>) -> Vec<(usize, usize)> {
+        self.graph
+            .value_nodes()
+            .map(|node| self.graph.value_attribute_count(node))
+            .zip(cardinalities)
+            .collect()
     }
 
     /// Convenience: the top-`k` ranked values under a measure.

@@ -424,6 +424,29 @@ impl BipartiteGraph {
         self.value_neighbors(value).len()
     }
 
+    /// The cardinality |N(v)| of **every** value node, indexed by value node
+    /// id: one two-hop walk per value deduplicated through a single stamp
+    /// array, so nothing is allocated, sorted or deduplicated per value.
+    pub fn value_neighbor_counts(&self) -> Vec<usize> {
+        // `seen_by[w] == v` once w was counted for v (or is v itself).
+        let mut seen_by = vec![u32::MAX; self.n_values];
+        self.value_nodes()
+            .map(|v| {
+                seen_by[v as usize] = v;
+                let mut count = 0;
+                for &attr in self.neighbors(v) {
+                    for &w in self.neighbors(attr) {
+                        if seen_by[w as usize] != v {
+                            seen_by[w as usize] = v;
+                            count += 1;
+                        }
+                    }
+                }
+                count
+            })
+            .collect()
+    }
+
     /// The number of attributes a value node occurs in (its degree).
     pub fn value_attribute_count(&self, value: u32) -> usize {
         self.degree(value)

@@ -26,8 +26,9 @@ pub fn degree_centrality(graph: &BipartiteGraph) -> Vec<f64> {
 /// attribute sizes) but still purely local.
 pub fn cardinality_centrality(graph: &BipartiteGraph) -> Vec<f64> {
     graph
-        .value_nodes()
-        .map(|v| graph.value_neighbor_count(v) as f64)
+        .value_neighbor_counts()
+        .into_iter()
+        .map(|count| count as f64)
         .collect()
 }
 
