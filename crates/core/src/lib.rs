@@ -45,11 +45,9 @@
 #![deny(unsafe_code)]
 
 pub mod eval;
-pub mod meanings;
 pub mod measure;
 pub mod pipeline;
 
 pub use eval::{precision_recall_at_k, EvalPoint, TopKCurve};
-pub use meanings::{MeaningConfig, MeaningEstimator};
 pub use measure::{Measure, ScoredValue};
-pub use pipeline::{DeltaStats, DomainNet, DomainNetBuilder, NetCachesState, NetState};
+pub use pipeline::{DeltaStats, DomainNet, DomainNetBuilder, FoldError, NetCachesState, NetState};

@@ -23,10 +23,11 @@ use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{connected_components, Components};
 use dn_graph::delta::GraphDelta;
-use dn_graph::lcc::{lcc_with_cardinality_for_values, patch_lcc_value_neighbors, LccMethod};
+use dn_graph::lcc::lcc_with_cardinality_for_values;
 use lake::catalog::AttrId;
-use lake::delta::{diff_sorted, DeltaEffects, LakeView, MutableLake};
+use lake::delta::{diff_sorted, DeltaEffects, LakeDelta, LakeView, MutableLake};
 use lake::value::ValueId;
+use lake::LakeError;
 
 use crate::measure::{Measure, ScoredValue};
 
@@ -176,6 +177,15 @@ pub struct DeltaStats {
     pub touched_components: usize,
     /// Total nodes inside the touched components.
     pub touched_component_nodes: usize,
+}
+
+/// Why [`DomainNet::fold_batch`] rebuilt the net instead of patching it.
+#[derive(Debug)]
+pub enum FoldError {
+    /// The lake refused an op of the batch.
+    Lake(LakeError),
+    /// [`DomainNet::apply_delta`] refused the batch's effects.
+    Net(String),
 }
 
 /// The DomainNet model of a data lake: the bipartite graph plus scoring and
@@ -472,8 +482,11 @@ impl DomainNet {
     /// bipartite graph is patched in `O(n + m + |Δ|)`, connected components
     /// are updated incrementally, and every memoized measure is repaired:
     ///
-    /// * **LCC** — recomputed only for value nodes whose 2-hop neighborhood
-    ///   changed; the result is identical to a from-scratch computation.
+    /// * **LCC** — recomputed, by the kernel a build runs, only for value
+    ///   nodes whose 2-hop neighborhood changed. Every score, live or
+    ///   tombstoned, is `to_bits()`-equal to
+    ///   [`local_clustering_coefficients`](dn_graph::lcc::local_clustering_coefficients)
+    ///   over the maintained [`DomainNet::graph`], whatever deltas led there.
     /// * **Exact BC** — recomputed only over the touched connected
     ///   components (betweenness never crosses components, so this too is
     ///   exact).
@@ -597,25 +610,14 @@ impl DomainNet {
                 raw.resize(new_value_count, 0.0);
                 match measure {
                     Measure::Lcc(method) => {
-                        // Equation-1 scores support term-level patching: only
-                        // seed values are recomputed in full, every other
-                        // dirty value gets an O(|N(u)|·|S∩N(u)|) correction.
-                        // The attribute-Jaccard variant recomputes the dirty
-                        // region in one fused pass instead.
-                        let (fresh, cards) = match method {
-                            LccMethod::ValueNeighborJaccard => patch_lcc_value_neighbors(
-                                &self.graph,
-                                &applied.graph,
-                                &applied.seed_values,
-                                &applied.dirty_values,
-                                raw,
-                            ),
-                            _ => lcc_with_cardinality_for_values(
-                                &applied.graph,
-                                &applied.dirty_values,
-                                method,
-                            ),
-                        };
+                        // The fresh build's kernel over the invalidation set:
+                        // the scattered scores are to_bits()-equal to a full
+                        // pass over the patched graph.
+                        let (fresh, cards) = lcc_with_cardinality_for_values(
+                            &applied.graph,
+                            &applied.dirty_values,
+                            method,
+                        );
                         for (i, &node) in applied.dirty_values.iter().enumerate() {
                             raw[node as usize] = fresh[i];
                         }
@@ -689,9 +691,36 @@ impl DomainNet {
         Ok(stats)
     }
 
+    /// Fold one logged batch into `lake` and this net, then warm `measures`:
+    /// the one policy a live commit, a replicated record and a WAL replay
+    /// share, so all three land on the same state.
+    ///
+    /// # Errors
+    /// When the lake refuses an op the batch stops there with its earlier
+    /// ops applied ([`MutableLake::apply_batch`]); when the net refuses the
+    /// effects it is unchanged. Either way the net is rebuilt from the
+    /// lake's live state before the error is returned, so it is coherent
+    /// and warmed on every path.
+    pub fn fold_batch(
+        &mut self,
+        lake: &mut MutableLake,
+        batch: &[LakeDelta],
+        measures: &[Measure],
+    ) -> Result<DeltaStats, FoldError> {
+        let folded = match lake.apply_batch(batch) {
+            Ok(effects) => self.apply_delta(lake, &effects).map_err(FoldError::Net),
+            Err(e) => Err(FoldError::Lake(e)),
+        };
+        if folded.is_err() {
+            self.refresh(lake);
+        }
+        self.warm_rankings(measures);
+        folded
+    }
+
     /// Discard all incremental state and rebuild from scratch against the
-    /// lake's current live content. The escape hatch when drift is suspected
-    /// (and the baseline the incremental path is benchmarked against).
+    /// lake's current live content: the escape hatch after a batch that did
+    /// not fold (and the baseline the incremental path is measured against).
     pub fn refresh<L: LakeView + ?Sized>(&mut self, lake: &L) {
         let rebuilt = DomainNetBuilder {
             config: self.config,
@@ -1191,7 +1220,9 @@ mod tests {
     }
 
     /// Compare a maintained net against a fresh build of the same lake:
-    /// identical live node/edge label sets and identical scores.
+    /// identical live node/edge label sets and identical scores (to 1e-9:
+    /// the fresh build numbers nodes differently, so it sums in another
+    /// order; the slack covers that layout, not drift).
     fn assert_equivalent(incremental: &DomainNet, lake: &MutableLake, measure: Measure) {
         let fresh = DomainNetBuilder {
             config: incremental.config(),

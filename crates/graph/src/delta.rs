@@ -65,15 +65,15 @@ impl GraphDelta {
 pub struct AppliedDelta {
     /// The patched graph.
     pub graph: BipartiteGraph,
-    /// Value nodes (new id space) whose 2-hop neighborhood changed — the
-    /// exact invalidation set for local clustering coefficients. Sorted.
+    /// Value nodes (new id space) whose 2-hop neighborhood changed: the
+    /// values whose own neighbor set `N(u)` changed (occupants of touched
+    /// attributes plus changed-edge endpoints) and their old- and new-graph
+    /// value neighbors. The complete invalidation set for local clustering
+    /// coefficients: recomputing exactly these on [`AppliedDelta::graph`]
+    /// and keeping every other score leaves each value `to_bits()`-equal to
+    /// a full pass over that graph (see the "Deltas" section of
+    /// [`crate::lcc`]). Sorted.
     pub dirty_values: Vec<u32>,
-    /// The subset of [`AppliedDelta::dirty_values`] whose **own** value
-    /// neighbor set `N(u)` changed (occupants of touched attributes plus
-    /// changed-edge endpoints). The remaining dirty values only saw a
-    /// neighbor's neighborhood change, which admits much cheaper term-level
-    /// LCC patching ([`crate::lcc::patch_lcc_value_neighbors`]). Sorted.
-    pub seed_values: Vec<u32>,
     /// Nodes (new id space) incident to a changed edge, plus appended nodes.
     /// Sorted.
     pub touched_nodes: Vec<u32>,
@@ -314,7 +314,6 @@ impl BipartiteGraph {
             }
         }
         dirty.sort_unstable();
-        seeds.sort_unstable();
 
         // ---- touched nodes ------------------------------------------------
         let mut touched_nodes: Vec<u32> = Vec::new();
@@ -334,7 +333,6 @@ impl BipartiteGraph {
         Ok(AppliedDelta {
             graph,
             dirty_values: dirty,
-            seed_values: seeds,
             touched_nodes,
             components,
             touched_components,

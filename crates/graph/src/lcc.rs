@@ -66,6 +66,25 @@
 //! `Σ |e|` over `e ∈ cadj(c) ∩ cadj(d)`, found by stamping `cadj(c)` —
 //! `O(classes)` scratch plus one bitset row for the summation order, 0.24 s
 //! instead of 0.02 s on the exact lake, everything else shared.
+//!
+//! # Deltas
+//!
+//! One kernel serves builds and deltas. After
+//! [`BipartiteGraph::apply_delta`] the maintainer calls
+//! [`lcc_with_cardinality_for_values`] on the patched graph with
+//! [`AppliedDelta::dirty_values`](crate::delta::AppliedDelta::dirty_values)
+//! as the target list and scatters the result; no score is derived from its
+//! previous value. A target's score reads only the patched graph, and its
+//! terms are added in ascending neighbour id whatever the target list holds,
+//! so a dirty value gets the bits a full pass over that graph would give it.
+//! A value outside the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)`
+//! (value ids never change across a delta), so the bits it carries are
+//! already those. A maintained score is therefore a function of the
+//! maintained graph alone, `to_bits()`-equal to a pass over it, and not of
+//! the deltas that led there: `dirty_values_are_a_complete_invalidation_set`
+//! pins it. A fresh *build* of the same lake may number nodes differently and
+//! so sum in another order; that, not drift, is what the 1e-9 tolerances of
+//! the cross-layout suites cover.
 
 use std::collections::HashMap;
 
@@ -366,148 +385,6 @@ fn lcc_attribute_jaccard(graph: &BipartiteGraph, targets: &[u32]) -> (Vec<f64>, 
     (out, cardinalities)
 }
 
-/// Patch Equation-1 LCC scores across a graph delta instead of recomputing
-/// the whole dirty region.
-///
-/// Let `S` (`seeds`) be the values whose own neighbor set changed and
-/// `dirty = S ∪ N(S)` the full invalidation set. For `u ∈ dirty ∖ S` the
-/// neighbor set `N(u)` is unchanged, so only the Jaccard terms against seed
-/// neighbors moved:
-///
-/// ```text
-/// lcc_new(u) = ( lcc_old(u)·|N(u)| + Σ_{v ∈ S∩N(u)} (J_new(u,v) − J_old(u,v)) ) / |N(u)|
-/// ```
-///
-/// Seed neighborhoods are materialized once as bitsets over the old and new
-/// graphs, so each correction term costs `O(|N(u)|)` bit probes instead of a
-/// 2-hop sweep per neighbor; hub values adjacent to a mutation no longer pay
-/// a full recomputation. Values in `S` itself are recomputed exactly.
-///
-/// `old_lcc[u]` must hold the pre-delta score for every `u ∈ dirty ∖ S`
-/// (entries for other nodes are ignored); `|N(u)|` is re-derived from the
-/// unchanged neighborhood. Floating-point caveat: the patched scores equal a
-/// from-scratch recomputation up to summation-order error (≲1e-12 per
-/// applied delta), not bit-for-bit.
-///
-/// Returns `(lcc, cardinality)` parallel to `dirty`.
-pub fn patch_lcc_value_neighbors(
-    old_graph: &BipartiteGraph,
-    new_graph: &BipartiteGraph,
-    seeds: &[u32],
-    dirty: &[u32],
-    old_lcc: &[f64],
-) -> (Vec<f64>, Vec<usize>) {
-    let nv_new = new_graph.value_count();
-    let words = nv_new.div_ceil(64);
-    let mut seed_pos = vec![u32::MAX; nv_new];
-    for (i, &v) in seeds.iter().enumerate() {
-        seed_pos[v as usize] = i as u32;
-    }
-
-    // Materialize each seed's old/new neighbor set as bitsets (plus sizes).
-    let mut old_bits = vec![0u64; words * seeds.len()];
-    let mut new_bits = vec![0u64; words * seeds.len()];
-    let mut old_size = vec![0usize; seeds.len()];
-    let mut new_size = vec![0usize; seeds.len()];
-    for (i, &v) in seeds.iter().enumerate() {
-        if (v as usize) < old_graph.value_count() {
-            let bits = &mut old_bits[i * words..(i + 1) * words];
-            for &attr in old_graph.neighbors(v) {
-                for &w in old_graph.neighbors(attr) {
-                    if w != v {
-                        let (word, bit) = (w as usize / 64, w as usize % 64);
-                        if bits[word] & (1u64 << bit) == 0 {
-                            bits[word] |= 1u64 << bit;
-                            old_size[i] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let bits = &mut new_bits[i * words..(i + 1) * words];
-        for &attr in new_graph.neighbors(v) {
-            for &w in new_graph.neighbors(attr) {
-                if w != v {
-                    let (word, bit) = (w as usize / 64, w as usize % 64);
-                    if bits[word] & (1u64 << bit) == 0 {
-                        bits[word] |= 1u64 << bit;
-                        new_size[i] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Seeds are recomputed exactly; everything else is term-patched.
-    let (seed_lcc, seed_card) = lcc_value_neighbors(new_graph, seeds, JOIN_TABLE_BYTES);
-
-    let jaccard = |inter: usize, a: usize, b: usize| -> f64 {
-        let union = a + b - inter;
-        if union > 0 {
-            inter as f64 / union as f64
-        } else {
-            0.0
-        }
-    };
-
-    let mut out_lcc = Vec::with_capacity(dirty.len());
-    let mut out_card = Vec::with_capacity(dirty.len());
-    let mut stamp = vec![false; nv_new];
-    let mut neighborhood: Vec<u32> = Vec::new();
-    let mut seed_neighbors: Vec<u32> = Vec::new();
-    for &u in dirty {
-        let pos = seed_pos[u as usize];
-        if pos != u32::MAX {
-            out_lcc.push(seed_lcc[pos as usize]);
-            out_card.push(seed_card[pos as usize]);
-            continue;
-        }
-        // N(u) is unchanged; materialize it once on the new graph.
-        neighborhood.clear();
-        seed_neighbors.clear();
-        for &attr in new_graph.neighbors(u) {
-            for &w in new_graph.neighbors(attr) {
-                if w != u && !stamp[w as usize] {
-                    stamp[w as usize] = true;
-                    neighborhood.push(w);
-                    if seed_pos[w as usize] != u32::MAX {
-                        seed_neighbors.push(w);
-                    }
-                }
-            }
-        }
-        let card = neighborhood.len();
-        let mut delta = 0.0;
-        for &v in &seed_neighbors {
-            let i = seed_pos[v as usize] as usize;
-            let (ob, nb) = (
-                &old_bits[i * words..(i + 1) * words],
-                &new_bits[i * words..(i + 1) * words],
-            );
-            let mut inter_old = 0usize;
-            let mut inter_new = 0usize;
-            for &w in &neighborhood {
-                let (word, bit) = (w as usize / 64, w as usize % 64);
-                inter_old += ((ob[word] >> bit) & 1) as usize;
-                inter_new += ((nb[word] >> bit) & 1) as usize;
-            }
-            delta += jaccard(inter_new, card, new_size[i]) - jaccard(inter_old, card, old_size[i]);
-        }
-        for &w in &neighborhood {
-            stamp[w as usize] = false;
-        }
-        if card == 0 {
-            out_lcc.push(0.0);
-            out_card.push(0);
-        } else {
-            let old_sum = old_lcc[u as usize] * card as f64;
-            out_lcc.push((old_sum + delta) / card as f64);
-            out_card.push(card);
-        }
-    }
-    (out_lcc, out_card)
-}
-
 fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
     let mut i = 0;
     let mut j = 0;
@@ -709,8 +586,11 @@ mod tests {
         }
     }
 
+    /// The delta path: recompute `dirty_values` with the kernel, scatter over
+    /// the carried scores, and every node (dirty or not) must hold the bits of
+    /// a full pass over the patched graph.
     #[test]
-    fn patch_matches_full_recomputation_across_deltas() {
+    fn dirty_values_are_a_complete_invalidation_set() {
         use crate::delta::GraphDelta;
         // A lake-shaped graph: overlapping attributes over a shared pool.
         let mut b = BipartiteBuilder::new();
@@ -740,8 +620,7 @@ mod tests {
                 added_edges: vec![(20, 5), (0, 5), (7, 5)],
                 removed_edges: vec![(2, 2)],
             },
-            // The seed recompute groups values by attribute set. Merge two
-            // classes: value 3 now has exactly value 0's attributes ...
+            // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
             GraphDelta {
                 added_edges: vec![(3, 5)],
                 ..GraphDelta::default()
@@ -762,26 +641,25 @@ mod tests {
         };
         for (step, delta) in deltas.iter().enumerate() {
             let applied = graph.apply_delta(delta, None).unwrap();
-            let (patched, patched_cards) = patch_lcc_value_neighbors(
-                &graph,
+            let (fresh, fresh_cards) = lcc_with_cardinality_for_values(
                 &applied.graph,
-                &applied.seed_values,
                 &applied.dirty_values,
-                &lcc,
+                LccMethod::ValueNeighborJaccard,
             );
             let full =
                 local_clustering_coefficients(&applied.graph, LccMethod::ValueNeighborJaccard);
-            // Scatter the patch, then compare every node against a full pass.
+            // Scatter, then compare every node against a full pass.
             lcc.resize(applied.graph.value_count(), 0.0);
             cards.resize(applied.graph.value_count(), 0);
             for (i, &node) in applied.dirty_values.iter().enumerate() {
-                lcc[node as usize] = patched[i];
-                cards[node as usize] = patched_cards[i];
+                lcc[node as usize] = fresh[i];
+                cards[node as usize] = fresh_cards[i];
             }
             for node in 0..applied.graph.value_count() {
-                assert!(
-                    (lcc[node] - full[node]).abs() < 1e-12,
-                    "node {node}: patched {} vs full {}",
+                assert_eq!(
+                    lcc[node].to_bits(),
+                    full[node].to_bits(),
+                    "step {step}, node {node}: maintained {} vs full {}",
                     lcc[node],
                     full[node]
                 );

@@ -67,21 +67,16 @@
 pub mod approx_bc;
 pub mod bc;
 pub mod bipartite;
-pub mod centrality_extra;
-pub mod community;
 pub mod components;
 pub mod delta;
 pub mod lcc;
 pub mod projection;
 pub mod subgraph;
-pub mod view;
 
 pub use approx_bc::{
     approximate_betweenness, approximate_betweenness_within, ApproxBcConfig, SamplingStrategy,
 };
 pub use bc::{betweenness_centrality, betweenness_centrality_parallel, betweenness_from_sources};
 pub use bipartite::{BipartiteBuilder, BipartiteGraph, NodeKind};
-pub use community::{label_propagation, Communities, LabelPropagationConfig};
 pub use delta::{nodes_in_components, AppliedDelta, GraphDelta};
 pub use lcc::{lcc_with_cardinality_for_values, local_clustering_coefficients, LccMethod};
-pub use view::GraphView;

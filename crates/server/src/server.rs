@@ -58,9 +58,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Read-side limits (head/body size, read timeout).
     pub limits: Limits,
-    /// Requests served on one connection before it is closed (bounds the
-    /// damage of a counting bug and recycles sockets under load).
-    pub max_requests_per_connection: usize,
 }
 
 impl Default for ServerConfig {
@@ -69,7 +66,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             limits: Limits::default(),
-            max_requests_per_connection: 10_000,
         }
     }
 }
@@ -100,7 +96,6 @@ pub(crate) struct ServerState {
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
     pub(crate) limits: Limits,
-    pub(crate) max_requests_per_connection: usize,
     pub(crate) replica: Option<ReplicaContext>,
     pub(crate) ingest: Option<IngestContext>,
     local_addr: SocketAddr,
@@ -206,7 +201,6 @@ fn serve_http_inner(
         metrics: Metrics::new(),
         shutdown: AtomicBool::new(false),
         limits: config.limits,
-        max_requests_per_connection: config.max_requests_per_connection.max(1),
         replica,
         ingest,
         local_addr,
@@ -459,6 +453,10 @@ fn probe(stream: &TcpStream, block_for: Option<Duration>) -> Probe {
     }
 }
 
+/// Requests served on one connection before it is closed (bounds the damage
+/// of a counting bug and recycles sockets under load).
+const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+
 fn worker_loop(queue: &Arc<ConnQueue>, state: &Arc<ServerState>) {
     // Counts consecutive idle rotations; once a full cycle of the queue
     // found nothing ready, back off briefly so all-idle connection sets
@@ -472,7 +470,7 @@ fn worker_loop(queue: &Arc<ConnQueue>, state: &Arc<ServerState>) {
         // Serve this connection until it closes, goes idle while others
         // wait (rotate), expires, or the server drains.
         loop {
-            if state.shutting_down() || conn.served >= state.max_requests_per_connection {
+            if state.shutting_down() || conn.served >= MAX_REQUESTS_PER_CONNECTION {
                 break; // close
             }
             let others_waiting = queue.has_waiters();
@@ -612,7 +610,7 @@ fn serve_one(conn: &mut Conn, state: &Arc<ServerState>) -> bool {
         response.trace_id = trace_id;
 
         let keep_alive = request.keep_alive
-            && conn.served + 1 < state.max_requests_per_connection
+            && conn.served + 1 < MAX_REQUESTS_PER_CONNECTION
             && !state.shutting_down();
         write_response(&mut conn.stream, &response, keep_alive).is_ok() && keep_alive
     }

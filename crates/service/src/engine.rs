@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use dn_store::{Store, StoreError};
 use dn_trace::metrics::Gauge;
-use domainnet::{DeltaStats, DomainNet, DomainNetBuilder, Measure};
+use domainnet::{DeltaStats, DomainNet, DomainNetBuilder, FoldError, Measure};
 use lake::delta::{LakeDelta, MutableLake};
 use lake::LakeError;
 
@@ -81,12 +81,6 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<LakeError> for ServiceError {
-    fn from(e: LakeError) -> Self {
-        ServiceError::Lake(e)
-    }
-}
 
 impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> Self {
@@ -345,22 +339,12 @@ impl Writer {
             persistence.store.append_batch(self.epoch, batch)?;
             persistence.sync_gauges();
         }
-        let effects = match self.lake.apply_batch(batch.iter()) {
-            Ok(effects) => effects,
-            Err(e) => {
-                self.resync();
-                return Err(e.into());
-            }
-        };
-        let stats = match self.net.apply_delta(&self.lake, &effects) {
-            Ok(stats) => stats,
-            Err(msg) => {
-                self.resync();
-                return Err(ServiceError::Maintenance(msg));
-            }
-        };
-        self.net.warm_rankings(&self.measures);
-        Ok(stats)
+        self.net
+            .fold_batch(&mut self.lake, batch, &self.measures)
+            .map_err(|e| match e {
+                FoldError::Lake(e) => ServiceError::Lake(e),
+                FoldError::Net(msg) => ServiceError::Maintenance(msg),
+            })
     }
 
     /// Bump the epoch and publish the net's current state as its snapshot.
@@ -464,15 +448,9 @@ impl Writer {
         })?;
         persistence.store.append_replicated(seq, epoch, batch)?;
         persistence.sync_gauges();
-        match self.lake.apply_batch(batch.iter()) {
-            Ok(effects) => {
-                if self.net.apply_delta(&self.lake, &effects).is_err() {
-                    self.resync();
-                }
-            }
-            Err(_) => self.resync(),
-        }
-        self.net.warm_rankings(&self.measures);
+        // A batch that does not fold is not an error here (see above): the
+        // net was rebuilt from the lake's live state, as on the primary.
+        let _ = self.net.fold_batch(&mut self.lake, batch, &self.measures);
         // Adopt the primary's post-batch epoch. `publish()` would mint
         // `self.epoch + 1`, which drifts whenever the primary's history
         // contains epochs this follower never saw (pre-snapshot commits).
@@ -512,13 +490,6 @@ impl Writer {
     /// [`ServiceError::Store`] when no snapshot exists or it cannot be read.
     pub fn newest_snapshot_bytes(&self) -> Result<(u64, Vec<u8>), ServiceError> {
         Ok(self.store("snapshot shipping")?.newest_snapshot_bytes()?)
-    }
-
-    /// Rebuild the net from the lake's live state (the escape hatch after a
-    /// failed batch) and re-warm the served measures.
-    fn resync(&mut self) {
-        self.net.refresh(&self.lake);
-        self.net.warm_rankings(&self.measures);
     }
 
     /// The maintained lake (the shard's live state, possibly ahead of the

@@ -182,7 +182,6 @@ impl Snapshot {
 
         let mut attr_refs: HashMap<u32, (String, String)> = HashMap::new();
         let mut tables: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-        let view = graph.view();
         for attr_node in graph.attribute_nodes() {
             if graph.degree(attr_node) == 0 {
                 continue; // tombstoned attribute slot
@@ -196,9 +195,7 @@ impl Snapshot {
                     // The lake no longer knows this attribute (it should,
                     // for a live node, but stay servable): fall back to the
                     // display label, splitting at the first dot.
-                    let label = view
-                        .attribute_label_of_node(attr_node)
-                        .expect("attribute node has a label");
+                    let label = graph.node_label(attr_node);
                     match label.split_once('.') {
                         Some((t, c)) => (t.to_owned(), c.to_owned()),
                         None => (label.to_owned(), String::new()),
@@ -292,23 +289,18 @@ impl Snapshot {
     pub fn explain(&self, value: &str) -> Option<ValueExplanation> {
         let normalized = normalize(value);
         let &node = self.node_of_label.get(&normalized)?;
-        let view = self.graph.view();
-        let attributes = view
-            .attribute_nodes_of_value(node)
+        let attributes = self
+            .graph
+            .neighbors(node)
             .iter()
             .map(|&attr_node| {
-                let label = view
-                    .attribute_label_of_node(attr_node)
-                    .expect("neighbor of a value is an attribute")
-                    .to_owned();
+                let label = self.graph.node_label(attr_node).to_owned();
                 let (table, column) = self
                     .attr_refs
                     .get(&attr_node)
                     .cloned()
                     .expect("live attribute nodes are in the ref index");
-                let members = view
-                    .values_of_attribute_node(attr_node)
-                    .expect("attribute node");
+                let members = self.graph.neighbors(attr_node);
                 let sample_co_values = members
                     .iter()
                     .filter(|&&v| v != node)
@@ -343,11 +335,10 @@ impl Snapshot {
         let attr_nodes = self.tables.get(table)?;
         let ranks = self.rank_of_node.get(&measure)?;
         let ranking = &self.rankings[&measure];
-        let view = self.graph.view();
         let mut member_ranks: Vec<u32> = Vec::new();
         let mut incidence_count = 0usize;
         for &attr_node in attr_nodes {
-            let members = view.values_of_attribute_node(attr_node).expect("attribute");
+            let members = self.graph.neighbors(attr_node);
             incidence_count += members.len();
             member_ranks.extend(
                 members

@@ -402,12 +402,11 @@ impl Store {
     ///
     /// Loads the newest snapshot that validates (skipping corrupt ones),
     /// then replays every WAL batch with a sequence number beyond the
-    /// snapshot through `MutableLake::apply_batch` →
-    /// [`DomainNet::apply_delta`] — the exact code path the live writer
-    /// runs, including its failure semantics (a batch that fails mid-apply
-    /// leaves its earlier ops applied and triggers a rebuild from live
-    /// state) and its re-warming of the served measures after every batch,
-    /// so incremental approximate-BC estimates continue the same
+    /// snapshot through [`DomainNet::fold_batch`] — the exact code path the
+    /// live writer runs, including its failure semantics (a batch that
+    /// fails mid-apply leaves its earlier ops applied and triggers a rebuild
+    /// from live state) and its re-warming of the served measures after
+    /// every batch, so incremental approximate-BC estimates continue the same
     /// generation-salted sequence. Any torn WAL tail is truncated.
     ///
     /// When the newest snapshot is unreadable and recovery falls back to
@@ -496,22 +495,14 @@ impl Store {
                     .count();
                 break;
             }
-            match lake.apply_batch(record.batch.iter()) {
-                Ok(effects) => {
-                    if net.apply_delta(&lake, &effects).is_err() {
-                        net.refresh(&lake);
-                        resyncs += 1;
-                    }
-                }
-                Err(_) => {
-                    // Mirror `Writer::commit`: the failing op stopped the
-                    // batch with earlier ops applied; rebuild the net from
-                    // the lake's live state and carry on.
-                    net.refresh(&lake);
-                    resyncs += 1;
-                }
+            // The live writer's fold, failure semantics and re-warming
+            // included, so replay lands on the state it reached.
+            if net
+                .fold_batch(&mut lake, &record.batch, &manifest.measures)
+                .is_err()
+            {
+                resyncs += 1;
             }
-            net.warm_rankings(&manifest.measures);
             last_seq = record.seq;
             // The record was committed while `record.epoch` was published;
             // the live writer's next publish would have been epoch + 1, so

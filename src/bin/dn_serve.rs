@@ -308,7 +308,6 @@ impl Args {
                 max_body_bytes: self.max_body_bytes,
                 ..Limits::default()
             },
-            ..ServerConfig::default()
         }
     }
 }

@@ -6,7 +6,8 @@
 //! asserts that everything reachable from one pinned snapshot describes the
 //! *same* state — scores, ranks, counts, cache answers — i.e. that no read
 //! ever observes a mixture of epochs. After the writer finishes, the final
-//! epoch must match a from-scratch build of the final lake to 1e-9.
+//! epoch must match a from-scratch build of the final lake to 1e-9 (node
+//! layout, not drift).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -87,7 +87,10 @@ fn config(measures: Vec<Measure>, prune: bool) -> ServiceConfig {
 
 /// Assert two engines hold the same state: exact on ids and edges (CSR
 /// arrays and interner compared verbatim), 1e-9 on every score of every
-/// served measure, identical ranked orders.
+/// served measure, identical ranked orders. The score slack absorbs no
+/// drift: maintained LCC is a function of the maintained graph (`to_bits()`,
+/// see `incremental_equivalence.rs`), so equal CSR arrays carry equal LCC
+/// bits however many deltas each side applied.
 fn assert_engines_equal(
     label: &str,
     reference: (&CoordinatorHandle, &Coordinator),

@@ -71,7 +71,6 @@ fn start_server(shards: usize, threads: usize) -> Server {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
             limits: Limits::default(),
-            ..ServerConfig::default()
         },
     )
     .expect("bind ephemeral port")
@@ -287,7 +286,6 @@ fn follower_tail_fetches_forward_the_sync_trace_id() {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
             limits: Limits::default(),
-            ..ServerConfig::default()
         },
     )
     .expect("bind primary");
