@@ -6,9 +6,9 @@
 # the gate), the doc-test suite,
 # a release build (of the workspace, then of the frozen standing benchmark
 # under benchmark/ against it), the test suite, and then explicitly labeled
-# gates: the golden-ranking regression corpus (which must also leave
-# tests/golden as committed), the Equation-1 join against its literal-sweep
-# oracle, the concurrency stress test,
+# gates: the golden-ranking regression corpus and the paper-results ledger
+# (which must also leave tests/golden as committed), the Equation-1 join
+# against its literal-sweep oracle, the concurrency stress test,
 # the dn-store corruption-hardening suite, the crash-recovery suite, the
 # process probes of tests/dn_serve_process.rs (the real dn-serve and
 # dn-ingest binaries on loopback: HTTP at --shards 1 and 2, a 2-shard
@@ -29,8 +29,9 @@
 #
 # Usage: ./ci.sh [--quick]
 #   --quick   everything tier-1 (build, benchmark build, tests, golden,
-#             stress, recovery, process probes); the full run is --quick
-#             plus the standing benchmark's determinism run
+#             ledger, stress, recovery, process probes); the full run is
+#             --quick plus the standing benchmark's determinism run and
+#             `paper all --scale 0.2` from the release build
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,6 +66,9 @@ for needle in '# TYPE' '_bucket{'; do
     fi
 done
 
+echo "==> gate: one paper driver (exactly one fn main under crates/bench)"
+[[ $(grep -rho 'fn main' crates/bench | wc -l) -eq 1 ]] || { echo "crates/bench must hold one fn main, the paper binary's" >&2; exit 1; }
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -93,10 +97,15 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml \
 # Skip the suites that run next as labeled gates. (--skip is a substring
 # filter applied inside every test binary, so use the full test-function
 # names to keep the collision surface minimal.)
-echo "==> cargo test -q (golden + stress + store + process gates deferred)"
+echo "==> cargo test -q (golden + ledger + stress + store + process gates deferred)"
 cargo test -q -- \
     --skip golden_rankings_match_the_committed_corpus \
     --skip golden_corpus_files_are_well_formed \
+    --skip reproduces:: \
+    --skip the_ledger_holds_every_experiment \
+    --skip compute_width_does_not_move_the_ledger \
+    --skip the_papers_claims_hold_in_the_ledger \
+    --skip experiments_doc_quotes_the_ledger \
     --skip join_matches_literal_sweep_bit_for_bit \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
@@ -110,8 +119,13 @@ cargo test -q -- \
 
 echo "==> gate: golden-ranking regression corpus"
 cargo test -q --test golden_rankings
-# UPDATE_GOLDEN=1 rewrites the corpus and passes; a kernel change must not
-# get through that way.
+
+# Every table and figure of the paper's evaluation, recomputed at scale 0.1
+# and compared to tests/golden/paper.json; docs/EXPERIMENTS.md must quote it.
+echo "==> gate: paper ledger == committed results"
+cargo test -q --test paper_ledger
+# UPDATE_GOLDEN=1 rewrites the corpus and the ledger and passes; a kernel
+# change must not get through that way.
 git diff --exit-code -- tests/golden
 
 # The filter is a prefix of both differential tests (random graphs + SB, and
@@ -170,8 +184,11 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> gate: standing benchmark determinism (--check-determinism --seconds 2)"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir target/benchmark -- --check-determinism --seconds 2
+    # The printer, the argument parser and a lake four times the ledger's.
+    echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
+    ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the standing benchmark's determinism run"
+    echo "==> --quick: skipping the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

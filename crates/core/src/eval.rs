@@ -65,6 +65,13 @@ pub fn precision_recall_at_k(
     EvalPoint::new(k, hits, truth.len())
 }
 
+/// Precision/recall/F1 of an unranked set of detected values against the
+/// ground truth — how a detector that returns a set rather than a ranking
+/// (the D4 baseline of §5.1) is scored. `k` is the size of the set.
+pub fn precision_recall_of_set(found: &BTreeSet<String>, truth: &BTreeSet<String>) -> EvalPoint {
+    EvalPoint::new(found.len(), found.intersection(truth).count(), truth.len())
+}
+
 /// Fraction of the `expected` values that appear in the top-`k` of the
 /// ranking — the metric of Tables 2 and 3 ("% of injected homographs in the
 /// top 50").
@@ -213,6 +220,30 @@ mod tests {
         let p = precision_recall_at_k(&[], &truth(&["A"]), 5);
         assert_eq!(p.k, 0);
         assert_eq!(p.precision, 0.0);
+    }
+
+    #[test]
+    fn set_evaluation_counts_the_intersection_and_guards_empty_sets() {
+        let p = precision_recall_of_set(&truth(&["A", "B", "X"]), &truth(&["A", "B", "C", "D"]));
+        assert_eq!((p.k, p.hits), (3, 2));
+        assert!((p.precision - 2.0 / 3.0).abs() < 1e-12);
+        assert!((p.recall - 0.5).abs() < 1e-12);
+        assert!((p.f1 - 4.0 / 7.0).abs() < 1e-12);
+
+        let nothing_found = precision_recall_of_set(&BTreeSet::new(), &truth(&["A"]));
+        assert_eq!(
+            (
+                nothing_found.precision,
+                nothing_found.recall,
+                nothing_found.f1
+            ),
+            (0.0, 0.0, 0.0)
+        );
+        let no_truth = precision_recall_of_set(&truth(&["A"]), &BTreeSet::new());
+        assert_eq!(
+            (no_truth.precision, no_truth.recall, no_truth.f1),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

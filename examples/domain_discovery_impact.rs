@@ -1,16 +1,15 @@
-//! How homographs degrade a downstream data-integration task — domain
-//! discovery with D4 (§5.5 / Figure 10), and how DomainNet helps.
+//! Homograph detection as a cleaning step before domain discovery (§5.5).
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example domain_discovery_impact
 //! ```
 //!
-//! Runs the D4 baseline on a clean lake, then on the same lake with injected
-//! homographs, showing the growth in discovered domains and in domains
-//! assigned per column. Finally it shows the mitigation the paper proposes:
-//! detect homographs with DomainNet *first*, remove them, and run D4 on the
-//! cleaned lake.
+//! Injects homographs into a clean lake, runs the D4 baseline on it, then
+//! applies the mitigation the paper proposes: detect homographs with
+//! DomainNet *first*, remove them, and run D4 on what remains. (How D4's
+//! domain count moves with the number of injected homographs is Figure 10:
+//! `paper fig10`.)
 
 use std::collections::BTreeSet;
 
@@ -38,73 +37,49 @@ fn main() {
     })
     .generate();
     let clean = remove_homographs(&generated);
+    let config = InjectionConfig {
+        count: 200,
+        meanings: 6,
+        min_attr_cardinality: 0,
+        seed: 5,
+    };
+    let injected = inject_homographs(&clean, config).expect("the default lake holds 1200 values");
 
-    println!("D4 on the clean lake (no homographs):");
-    let baseline = d4::discover(&clean.catalog, D4Config::default());
-    report("clean", &baseline);
+    println!("D4 before and after injecting 200 homographs with 6 meanings:");
+    report("clean", &d4::discover(&clean.catalog, D4Config::default()));
+    let polluted = &injected.lake.catalog;
+    report("injected", &d4::discover(polluted, D4Config::default()));
 
-    println!("\nD4 after injecting homographs:");
-    let mut polluted = None;
-    for (count, meanings) in [(50usize, 2usize), (100, 4), (200, 6)] {
-        let Some(injected) = inject_homographs(
-            &clean,
-            InjectionConfig {
-                count,
-                meanings,
-                min_attr_cardinality: 0,
-                seed: 5,
-            },
-        ) else {
-            println!("  (could not inject {count} homographs with {meanings} meanings)");
-            continue;
-        };
-        let out = d4::discover(&injected.lake.catalog, D4Config::default());
-        report(&format!("{count} injected x {meanings} meanings"), &out);
-        if count == 200 {
-            polluted = Some(injected);
+    println!("\nMitigation: DomainNet detection -> remove detected values -> D4:");
+    let net = DomainNetBuilder::new().build(polluted);
+    let samples = (net.graph().node_count() / 50).max(200);
+    let ranked = net.rank(Measure::approx_bc(samples, 9));
+    let detected: BTreeSet<&str> = ranked
+        .iter()
+        .take(injected.injected.len())
+        .map(|s| s.value.as_str())
+        .collect();
+    let caught = injected
+        .injected
+        .iter()
+        .filter(|t| detected.contains(t.as_str()))
+        .count();
+    println!(
+        "  DomainNet flags {} values; {caught} of the {} injected homographs are among them",
+        detected.len(),
+        injected.injected.len()
+    );
+
+    // Build a copy of the lake without the detected values and re-run D4.
+    let mut tables = polluted.tables().to_vec();
+    for column in tables.iter_mut().flat_map(|t| t.columns_mut()) {
+        for value in &detected {
+            column.replace_value(value, "");
         }
     }
-
-    // Mitigation: run DomainNet first, drop the detected homographs from the
-    // lake, then run D4 on what remains.
-    if let Some(injected) = polluted {
-        println!("\nMitigation: DomainNet detection -> remove detected values -> D4:");
-        let net = DomainNetBuilder::new().build(&injected.lake.catalog);
-        let samples = (net.graph().node_count() / 50).max(200);
-        let ranked = net.rank(Measure::approx_bc(samples, 9));
-        let detected: BTreeSet<String> = ranked
-            .iter()
-            .take(injected.injected.len())
-            .map(|s| s.value.clone())
-            .collect();
-        let caught = injected
-            .injected
-            .iter()
-            .filter(|t| detected.contains(*t))
-            .count();
-        println!(
-            "  DomainNet flags {} values; {} of the {} injected homographs are among them",
-            detected.len(),
-            caught,
-            injected.injected.len()
-        );
-
-        // Build a copy of the lake without the detected values and re-run D4.
-        let mut tables = injected.lake.catalog.tables().to_vec();
-        for table in &mut tables {
-            for column in table.columns_mut() {
-                for value in detected.iter() {
-                    column.replace_value(value, "");
-                }
-            }
-        }
-        let cleaned = lake::catalog::LakeCatalog::from_tables(tables).expect("names unchanged");
-        let out = d4::discover(&cleaned, D4Config::default());
-        report("after removing detected", &out);
-        println!(
-            "\nExpected shape (paper): injected homographs inflate the number of discovered\n\
-             domains and the domains-per-column statistics; removing detected homographs\n\
-             brings D4 back toward its clean-lake behaviour."
-        );
-    }
+    let cleaned = lake::catalog::LakeCatalog::from_tables(tables).expect("names unchanged");
+    report(
+        "after removing detected",
+        &d4::discover(&cleaned, D4Config::default()),
+    );
 }

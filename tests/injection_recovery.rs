@@ -1,117 +1,16 @@
-//! Integration test of the TUS-I methodology: remove natural homographs,
-//! inject synthetic ones, and check that DomainNet recovers them (Tables 2
-//! and 3 in miniature).
-
-use std::collections::BTreeSet;
+//! The bookkeeping of the TUS-I methodology: remove natural homographs,
+//! inject synthetic ones, and check the ground truth labels exactly those.
+//! How well DomainNet recovers the injected homographs (Tables 2 and 3) is
+//! pinned number by number in `tests/paper_ledger.rs`.
 
 use datagen::inject::{inject_homographs, remove_homographs, InjectionConfig};
 use datagen::tus::{TusConfig, TusGenerator};
-use domainnet::eval::recall_of_expected_in_top_k;
-use domainnet::pipeline::DomainNetBuilder;
-use domainnet::Measure;
-
-fn clean_lake(seed: u64) -> datagen::GeneratedLake {
-    let generated = TusGenerator::new(TusConfig::small(seed)).generate();
-    remove_homographs(&generated)
-}
-
-fn recovery(clean: &datagen::GeneratedLake, config: InjectionConfig, top_k: usize) -> f64 {
-    let injected = inject_homographs(clean, config).expect("injection succeeds");
-    let net = DomainNetBuilder::new().build(&injected.lake.catalog);
-    // Exact BC: the small test lake makes it affordable and removes sampling
-    // noise from the assertion.
-    let ranked = net.rank(Measure::exact_bc());
-    let expected: BTreeSet<String> = injected.injected.iter().cloned().collect();
-    recall_of_expected_in_top_k(&ranked, &expected, top_k)
-}
-
-#[test]
-fn injected_homographs_are_recovered_in_the_top_of_the_ranking() {
-    let clean = clean_lake(100);
-    let config = InjectionConfig {
-        count: 15,
-        meanings: 2,
-        min_attr_cardinality: 40,
-        seed: 4,
-    };
-    let recall = recovery(&clean, config, 15);
-    assert!(
-        recall >= 0.6,
-        "expected most injected homographs in the top-15, got {recall:.2}"
-    );
-}
-
-#[test]
-fn more_meanings_do_not_hurt_recovery() {
-    // Table 3's trend: recovery stays high (and tends to improve) as the
-    // number of meanings grows.
-    let clean = clean_lake(101);
-    let base = InjectionConfig {
-        count: 12,
-        meanings: 2,
-        min_attr_cardinality: 40,
-        seed: 8,
-    };
-    let low = recovery(&clean, base, 12);
-    let high = recovery(
-        &clean,
-        InjectionConfig {
-            meanings: 5,
-            ..base
-        },
-        12,
-    );
-    assert!(
-        high + 0.15 >= low,
-        "recovery with 5 meanings ({high:.2}) should not collapse below 2 meanings ({low:.2})"
-    );
-    assert!(high >= 0.6, "recovery with 5 meanings too low: {high:.2}");
-}
-
-#[test]
-fn higher_cardinality_homographs_are_easier_to_find() {
-    // Table 2's trend, checked loosely: restricting injections to large
-    // attributes should not make recovery worse.
-    let clean = clean_lake(102);
-    let max_card = clean
-        .catalog
-        .attribute_ids()
-        .map(|a| clean.catalog.attribute_cardinality(a))
-        .max()
-        .unwrap();
-    let unconstrained = recovery(
-        &clean,
-        InjectionConfig {
-            count: 15,
-            meanings: 2,
-            min_attr_cardinality: 0,
-            seed: 17,
-        },
-        15,
-    );
-    let constrained = recovery(
-        &clean,
-        InjectionConfig {
-            count: 15,
-            meanings: 2,
-            min_attr_cardinality: max_card / 2,
-            seed: 17,
-        },
-        15,
-    );
-    assert!(
-        constrained + 0.2 >= unconstrained,
-        "large-attribute injections ({constrained:.2}) should not be much harder than \
-         unconstrained ones ({unconstrained:.2})"
-    );
-    assert!(constrained >= 0.5, "recovery too low: {constrained:.2}");
-}
 
 #[test]
 fn injection_bookkeeping_matches_ground_truth_rules() {
     // The injected lake's ground truth (derived from attribute classes) must
     // label exactly the injected tokens as homographs.
-    let clean = clean_lake(103);
+    let clean = remove_homographs(&TusGenerator::new(TusConfig::small(103)).generate());
     let config = InjectionConfig {
         count: 8,
         meanings: 3,

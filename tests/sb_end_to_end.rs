@@ -1,47 +1,19 @@
-//! End-to-end evaluation on the regenerated Synthetic Benchmark (SB),
-//! reproducing the qualitative findings of Figures 5 and 6 and the §5.1
-//! comparison.
+//! Which *named* values the BC ranking of the regenerated Synthetic
+//! Benchmark (SB) places where: the canonical homographs high, the
+//! small-table abbreviations low (Figure 6's discussion). The numbers of
+//! Figures 5 and 6 and of the §5.1 comparison are pinned in
+//! `tests/paper_ledger.rs`.
 
 use std::collections::BTreeSet;
 
 use datagen::sb::SbGenerator;
 use domainnet::pipeline::DomainNetBuilder;
-use domainnet::{precision_recall_at_k, Measure};
+use domainnet::Measure;
 
 fn setup() -> (datagen::GeneratedLake, BTreeSet<String>) {
     let generated = SbGenerator::new(2021).generate();
     let truth = generated.homograph_set();
     (generated, truth)
-}
-
-#[test]
-fn bc_beats_lcc_on_the_synthetic_benchmark() {
-    let (generated, truth) = setup();
-    let k = truth.len();
-    let net = DomainNetBuilder::new().build(&generated.catalog);
-
-    let bc_eval = precision_recall_at_k(&net.rank(Measure::exact_bc()), &truth, k);
-    let lcc_eval = precision_recall_at_k(&net.rank(Measure::lcc()), &truth, k);
-
-    // Figure 6 vs Figure 5: BC is the far better separator.
-    assert!(
-        bc_eval.precision > lcc_eval.precision,
-        "BC precision {:.3} should beat LCC precision {:.3}",
-        bc_eval.precision,
-        lcc_eval.precision
-    );
-    // The paper reports 69% for BC at k = 55 and < 25% for LCC; allow slack
-    // for the regenerated benchmark but require the same regime.
-    assert!(
-        bc_eval.precision >= 0.5,
-        "BC precision@{k} unexpectedly low: {:.3}",
-        bc_eval.precision
-    );
-    assert!(
-        lcc_eval.precision <= 0.6,
-        "LCC precision@{k} unexpectedly high: {:.3}",
-        lcc_eval.precision
-    );
 }
 
 #[test]
@@ -96,52 +68,4 @@ fn small_domain_homographs_are_the_hard_cases_for_bc() {
             "{abbrev} (small-domain homograph) should score below JAGUAR"
         );
     }
-}
-
-#[test]
-fn d4_baseline_trails_domainnet_on_sb() {
-    let (generated, truth) = setup();
-    let k = truth.len();
-    let net = DomainNetBuilder::new().build(&generated.catalog);
-    let dn = precision_recall_at_k(&net.rank(Measure::exact_bc()), &truth, k);
-
-    let d4_out = d4::discover(&generated.catalog, d4::D4Config::default());
-    let found = d4_out.homographs();
-    let hits = found.intersection(&truth).count();
-    let d4_recall = hits as f64 / truth.len() as f64;
-    let d4_precision = if found.is_empty() {
-        0.0
-    } else {
-        hits as f64 / found.len() as f64
-    };
-    let d4_f1 = if d4_precision + d4_recall == 0.0 {
-        0.0
-    } else {
-        2.0 * d4_precision * d4_recall / (d4_precision + d4_recall)
-    };
-
-    assert!(
-        dn.f1 > d4_f1,
-        "DomainNet F1 {:.3} should beat the D4 baseline F1 {:.3}",
-        dn.f1,
-        d4_f1
-    );
-}
-
-#[test]
-fn lcc_top_list_is_dominated_by_small_domain_unambiguous_values() {
-    // Figure 5's qualitative finding: the lowest-LCC values are mostly *not*
-    // homographs.
-    let (generated, truth) = setup();
-    let net = DomainNetBuilder::new().build(&generated.catalog);
-    let ranked = net.rank(Measure::lcc());
-    let k = truth.len();
-    let hits = ranked[..k]
-        .iter()
-        .filter(|s| truth.contains(&s.value))
-        .count();
-    assert!(
-        (hits as f64) < 0.6 * k as f64,
-        "LCC top-{k} contains {hits} homographs — too many for the Figure 5 regime"
-    );
 }
