@@ -8,7 +8,7 @@ use d4::D4Config;
 use datagen::inject::{inject_homographs, InjectionConfig};
 use datagen::scale::{ScaleConfig, ScaleGenerator};
 use datagen::truth::{GeneratedLake, LakeTruth};
-use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig};
 use dn_graph::bc::normalize_scores;
 use dn_graph::lcc::LccMethod;
 use dn_graph::subgraph::random_attribute_subgraph;
@@ -369,7 +369,6 @@ fn fig9(ctx: &Ctx) -> Vec<Table> {
         };
         let config = ApproxBcConfig {
             samples: ((sub.node_count() as f64 * 0.01).ceil() as usize).max(10),
-            strategy: SamplingStrategy::Uniform,
             seed: ctx.args.seed,
         };
         let (_, seconds) = timed(|| approximate_betweenness(&sub, config, ctx.threads));

@@ -146,12 +146,6 @@ impl TopKCurve {
             .rfind(|p| p.k <= k)
             .or_else(|| self.points.first().copied())
     }
-
-    /// Precision at the cut-off equal to the number of true homographs — the
-    /// paper's headline "precision@|H|" number.
-    pub fn precision_at_truth_size(&self) -> Option<f64> {
-        self.at_k(self.truth_size).map(|p| p.precision)
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +266,6 @@ mod tests {
         // Best F1 here is at k=5 (precision 3/5, recall 1.0, f1 = 0.75) vs
         // k=3 (precision 2/3, recall 2/3, f1 = 2/3).
         assert_eq!(best.k, 5);
-        assert!((curve.precision_at_truth_size().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -62,11 +62,7 @@ impl Measure {
 
     /// Approximate BC with the given sample count and seed.
     pub fn approx_bc(samples: usize, seed: u64) -> Self {
-        Measure::ApproxBc(ApproxBcConfig {
-            samples,
-            seed,
-            ..ApproxBcConfig::default()
-        })
+        Measure::ApproxBc(ApproxBcConfig { samples, seed })
     }
 
     /// Whether larger scores mean "more homograph-like" for this measure.

@@ -37,18 +37,15 @@ pub struct DomainNetConfig {
     /// Remove values that occur in only one attribute before building the
     /// graph. Such values cannot be homographs, and pruning them shrinks the
     /// graph (≈3 % fewer nodes on TUS, ≈30 % on SB per §5) without affecting
-    /// which values can be returned. Defaults to `true`.
+    /// which values can be returned. Attributes left with no candidate
+    /// value get no node. Defaults to `true`.
     pub prune_single_attribute_values: bool,
-    /// Skip attributes that end up with no candidate values (only meaningful
-    /// when pruning is enabled). Defaults to `true`.
-    pub drop_empty_attributes: bool,
 }
 
 impl Default for DomainNetConfig {
     fn default() -> Self {
         DomainNetConfig {
             prune_single_attribute_values: true,
-            drop_empty_attributes: true,
         }
     }
 }
@@ -74,12 +71,6 @@ impl DomainNetBuilder {
     /// Set whether single-attribute values are pruned from the graph.
     pub fn prune_single_attribute_values(mut self, prune: bool) -> Self {
         self.config.prune_single_attribute_values = prune;
-        self
-    }
-
-    /// Set whether attributes with no surviving values are dropped.
-    pub fn drop_empty_attributes(mut self, drop: bool) -> Self {
-        self.config.drop_empty_attributes = drop;
         self
     }
 
@@ -115,7 +106,7 @@ impl DomainNetBuilder {
                     (node != u32::MAX).then_some(node)
                 })
                 .collect();
-            if surviving.is_empty() && self.config.drop_empty_attributes {
+            if surviving.is_empty() {
                 continue;
             }
             let label = lake
@@ -153,10 +144,10 @@ impl DomainNetBuilder {
 struct ScoreCaches {
     raw: HashMap<Measure, Vec<f64>>,
     ranked: HashMap<Measure, Arc<Vec<ScoredValue>>>,
-    /// `(attribute_count, cardinality)` per value node. Computing `|N(v)|`
-    /// for every node costs as much as an LCC pass, so it is cached once and
-    /// then patched only for dirty nodes on each delta.
-    meta: Option<Vec<(usize, usize)>>,
+    /// `|N(v)|` per value node. Computing it for every node costs as much
+    /// as an LCC pass, so it is cached once and then patched only for dirty
+    /// nodes on each delta.
+    cardinalities: Option<Vec<usize>>,
 }
 
 /// Summary of one incremental maintenance step, returned by
@@ -230,7 +221,7 @@ impl Clone for DomainNet {
             caches: Mutex::new(ScoreCaches {
                 raw: caches.raw.clone(),
                 ranked: caches.ranked.clone(),
-                meta: caches.meta.clone(),
+                cardinalities: caches.cardinalities.clone(),
             }),
         }
     }
@@ -259,8 +250,7 @@ impl DomainNet {
         self.config
     }
 
-    /// Connected components of the current graph (maintained incrementally
-    /// across [`DomainNet::apply_delta`] calls).
+    /// Connected components of the current graph.
     pub fn components(&self) -> &Components {
         &self.components
     }
@@ -335,11 +325,12 @@ impl DomainNet {
                 let (scores, cardinalities) =
                     lcc_with_cardinality_for_values(&self.graph, &targets, method);
                 // Both kernels return |N(v)| with the scores; keep it so
-                // `node_meta` has nothing left to walk.
-                let mut caches = self.caches.lock().expect("score cache mutex");
-                if caches.meta.is_none() {
-                    caches.meta = Some(self.meta_with(cardinalities));
-                }
+                // `cardinalities` has nothing left to walk.
+                self.caches
+                    .lock()
+                    .expect("score cache mutex")
+                    .cardinalities
+                    .get_or_insert(cardinalities);
                 scores
             }
             Measure::ExactBc => {
@@ -379,19 +370,16 @@ impl DomainNet {
             return Arc::clone(cached);
         }
         let scores = self.raw_scores(measure);
-        let meta = self.node_meta();
+        let cardinalities = self.cardinalities();
         let mut ranked: Vec<ScoredValue> = self
             .graph
             .value_nodes()
             .filter(|&node| self.graph.degree(node) > 0)
-            .map(|node| {
-                let (attribute_count, cardinality) = meta[node as usize];
-                ScoredValue {
-                    value: self.graph.value_label(node).to_owned(),
-                    score: scores[node as usize],
-                    attribute_count,
-                    cardinality,
-                }
+            .map(|node| ScoredValue {
+                value: self.graph.value_label(node).to_owned(),
+                score: scores[node as usize],
+                attribute_count: self.graph.value_attribute_count(node),
+                cardinality: cardinalities[node as usize],
             })
             .collect();
         let higher_first = measure.higher_is_more_homograph_like();
@@ -412,25 +400,15 @@ impl DomainNet {
         ranked
     }
 
-    /// The cached `(attribute_count, cardinality)` table, computed on first
-    /// use and patched (not recomputed) across deltas.
-    fn node_meta(&self) -> Vec<(usize, usize)> {
-        if let Some(meta) = &self.caches.lock().expect("score cache mutex").meta {
-            return meta.clone();
+    /// The cached `|N(v)|` table, computed on first use and patched (not
+    /// recomputed) across deltas.
+    fn cardinalities(&self) -> Vec<usize> {
+        if let Some(cached) = &self.caches.lock().expect("score cache mutex").cardinalities {
+            return cached.clone();
         }
-        let meta = self.meta_with(self.graph.value_neighbor_counts());
-        self.caches.lock().expect("score cache mutex").meta = Some(meta.clone());
-        meta
-    }
-
-    /// `(attribute_count, cardinality)` per value node, given every node's
-    /// cardinality.
-    fn meta_with(&self, cardinalities: Vec<usize>) -> Vec<(usize, usize)> {
-        self.graph
-            .value_nodes()
-            .map(|node| self.graph.value_attribute_count(node))
-            .zip(cardinalities)
-            .collect()
+        let computed = self.graph.value_neighbor_counts();
+        self.caches.lock().expect("score cache mutex").cardinalities = Some(computed.clone());
+        computed
     }
 
     /// Convenience: the top-`k` ranked values under a measure.
@@ -480,7 +458,7 @@ impl DomainNet {
     /// last refreshed against), **after** the delta was applied to it, and
     /// `effects` must be the effects record that application returned. The
     /// bipartite graph is patched in `O(n + m + |Δ|)`, connected components
-    /// are updated incrementally, and every memoized measure is repaired:
+    /// are recomputed on it, and every memoized measure is repaired:
     ///
     /// * **LCC** — recomputed, by the kernel a build runs, only for value
     ///   nodes whose 2-hop neighborhood changed. Every score, live or
@@ -584,7 +562,7 @@ impl DomainNet {
         let stats_values_added = gd.new_values.len();
         let stats_attrs_added = gd.new_attributes.len();
 
-        let applied = self.graph.apply_delta(gd, Some(&self.components))?;
+        let applied = self.graph.apply_delta(gd)?;
         // The patch succeeded: commit the staged mappings.
         let old_attr_count = self.graph.attribute_count() as u32;
         for &(vid, node) in &pending.new_value_nodes {
@@ -600,12 +578,16 @@ impl DomainNet {
         // Patch every memoized measure against the new graph.
         {
             let mut caches = self.caches.lock().expect("score cache mutex");
-            let ScoreCaches { raw, ranked, meta } = &mut *caches;
+            let ScoreCaches {
+                raw,
+                ranked,
+                cardinalities,
+            } = &mut *caches;
             ranked.clear();
-            if let Some(meta) = meta {
-                meta.resize(new_value_count, (0, 0));
+            if let Some(cardinalities) = cardinalities {
+                cardinalities.resize(new_value_count, 0);
             }
-            let mut meta_patched = false;
+            let mut cardinalities_patched = false;
             for (&measure, raw) in raw.iter_mut() {
                 raw.resize(new_value_count, 0.0);
                 match measure {
@@ -621,13 +603,12 @@ impl DomainNet {
                         for (i, &node) in applied.dirty_values.iter().enumerate() {
                             raw[node as usize] = fresh[i];
                         }
-                        if let Some(meta) = meta {
-                            if !meta_patched {
+                        if let Some(cardinalities) = cardinalities {
+                            if !cardinalities_patched {
                                 for (i, &node) in applied.dirty_values.iter().enumerate() {
-                                    meta[node as usize] =
-                                        (applied.graph.value_attribute_count(node), cards[i]);
+                                    cardinalities[node as usize] = cards[i];
                                 }
-                                meta_patched = true;
+                                cardinalities_patched = true;
                             }
                         }
                     }
@@ -645,10 +626,10 @@ impl DomainNet {
                     }
                     Measure::ApproxBc(config) => {
                         let salted = dn_graph::approx_bc::ApproxBcConfig {
+                            samples: config.samples,
                             seed: config
                                 .seed
                                 .wrapping_add(self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                            ..config
                         };
                         let acc = approximate_betweenness_within(
                             &applied.graph,
@@ -664,13 +645,10 @@ impl DomainNet {
                     }
                 }
             }
-            if let Some(meta) = meta {
-                if !meta_patched {
+            if let Some(cardinalities) = cardinalities {
+                if !cardinalities_patched {
                     for &node in &applied.dirty_values {
-                        meta[node as usize] = (
-                            applied.graph.value_attribute_count(node),
-                            applied.graph.value_neighbor_count(node),
-                        );
+                        cardinalities[node as usize] = applied.graph.value_neighbor_count(node);
                     }
                 }
             }
@@ -792,26 +770,25 @@ impl DomainNet {
 
 /// The memoized score state of a [`DomainNet`], in a plain exportable form.
 ///
-/// `raw` and `ranked` are association lists (not maps) so the export order
-/// is explicit and deterministic; [`DomainNet::export_state`] sorts them by
-/// measure. See [`NetState`].
+/// `raw` is an association list (not a map) so the export order is explicit
+/// and deterministic; [`DomainNet::export_state`] sorts it by measure.
+/// Rankings are not exported: they are a sort of `raw` and `cardinalities`
+/// over the graph, which [`DomainNet::warm_rankings`] redoes faster than a
+/// decoder reads them back. See [`NetState`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetCachesState {
     /// Per measure: raw score per value node id.
     pub raw: Vec<(Measure, Vec<f64>)>,
-    /// Per measure: the memoized ranking (live candidates, best first).
-    pub ranked: Vec<(Measure, Vec<ScoredValue>)>,
-    /// `(attribute_count, cardinality)` per value node, if cached.
-    pub meta: Option<Vec<(usize, usize)>>,
+    /// `|N(v)|` per value node, if cached.
+    pub cardinalities: Option<Vec<usize>>,
 }
 
-/// Everything a [`DomainNet`] holds *besides* its graph and components, in
-/// a plain exportable form for the persistence layer (`dn-store`).
+/// Everything a [`DomainNet`] holds *besides* its graph, in a plain
+/// exportable form for the persistence layer (`dn-store`).
 ///
-/// The graph and the component labeling are exported separately (they have
-/// their own on-disk sections); [`DomainNet::from_parts`] reunites the
-/// three and validates every cross-reference between them before a net is
-/// handed back.
+/// The graph is exported separately (it has its own on-disk section);
+/// [`DomainNet::from_parts`] reunites the two and validates every
+/// cross-reference between them before a net is handed back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetState {
     /// The configuration the graph was built with.
@@ -824,15 +801,15 @@ pub struct NetState {
     pub attr_index_of: Vec<u32>,
     /// Attribute index -> AttrId.
     pub attr_id_of_index: Vec<AttrId>,
-    /// The memoized per-measure scores and rankings.
+    /// The memoized per-measure scores.
     pub caches: NetCachesState,
 }
 
 impl DomainNet {
     /// Export the net's non-graph state (id mappings, generation, memoized
-    /// scores and rankings) for persistence. Cache entries are sorted by
-    /// measure so the export — and therefore the on-disk encoding — is
-    /// deterministic across runs.
+    /// scores) for persistence. Cache entries are sorted by measure so the
+    /// export — and therefore the on-disk encoding — is deterministic
+    /// across runs.
     pub fn export_state(&self) -> NetState {
         let caches = self.caches.lock().expect("score cache mutex");
         let mut raw: Vec<(Measure, Vec<f64>)> = caches
@@ -841,12 +818,6 @@ impl DomainNet {
             .map(|(&m, scores)| (m, scores.clone()))
             .collect();
         raw.sort_by_key(|(m, _)| format!("{m:?}"));
-        let mut ranked: Vec<(Measure, Vec<ScoredValue>)> = caches
-            .ranked
-            .iter()
-            .map(|(&m, ranking)| (m, ranking.as_ref().clone()))
-            .collect();
-        ranked.sort_by_key(|(m, _)| format!("{m:?}"));
         NetState {
             config: self.config,
             generation: self.generation,
@@ -855,36 +826,29 @@ impl DomainNet {
             attr_id_of_index: self.attr_id_of_index.clone(),
             caches: NetCachesState {
                 raw,
-                ranked,
-                meta: caches.meta.clone(),
+                cardinalities: caches.cardinalities.clone(),
             },
         }
     }
 
-    /// Reassemble a net from a persisted graph, component labeling, and
-    /// [`NetState`], validating every cross-reference between the three:
+    /// Reassemble a net from a persisted graph and [`NetState`], validating
+    /// every cross-reference between the two:
     ///
-    /// * the components labeling must be consistent with the graph
-    ///   ([`Components::validate_against`]);
     /// * `node_of_value` must map lake value ids **bijectively** onto the
     ///   graph's value nodes, and the attribute index maps must be mutual
     ///   inverses covering every attribute node;
     /// * every cached raw-score vector must cover exactly the value nodes
     ///   with finite scores;
-    /// * every memoized ranking must have one entry per live candidate, in
-    ///   the measure's sort order, each resolving to a live value node whose
-    ///   raw score (and cached metadata, when present) agrees.
+    /// * the cardinality vector, when present, must cover exactly the value
+    ///   nodes and be 0 wherever the degree is.
+    ///
+    /// Components are computed from the graph and rankings are left to the
+    /// next [`DomainNet::rank`] / [`DomainNet::warm_rankings`].
     ///
     /// # Errors
     /// A description of the first violated invariant; nothing is partially
     /// constructed on failure.
-    pub fn from_parts(
-        graph: BipartiteGraph,
-        components: Components,
-        state: NetState,
-    ) -> Result<DomainNet, String> {
-        components.validate_against(&graph)?;
-
+    pub fn from_parts(graph: BipartiteGraph, state: NetState) -> Result<DomainNet, String> {
         let mut node_seen = vec![false; graph.value_count()];
         for (vid, &node) in state.node_of_value.iter().enumerate() {
             if node == u32::MAX {
@@ -932,19 +896,21 @@ impl DomainNet {
             ));
         }
 
-        let live_candidates = graph.value_nodes().filter(|&v| graph.degree(v) > 0).count();
-        let node_of_label: HashMap<&str, u32> = graph
-            .value_nodes()
-            .filter(|&v| graph.degree(v) > 0)
-            .map(|v| (graph.value_label(v), v))
-            .collect();
-
-        if let Some(meta) = &state.caches.meta {
-            if meta.len() != graph.value_count() {
+        if let Some(cardinalities) = &state.caches.cardinalities {
+            if cardinalities.len() != graph.value_count() {
                 return Err(format!(
-                    "metadata cache covers {} of {} value nodes",
-                    meta.len(),
+                    "cardinalities cover {} of {} value nodes",
+                    cardinalities.len(),
                     graph.value_count()
+                ));
+            }
+            if let Some(node) = graph
+                .value_nodes()
+                .find(|&v| graph.degree(v) == 0 && cardinalities[v as usize] != 0)
+            {
+                return Err(format!(
+                    "isolated value node {node} has cardinality {}",
+                    cardinalities[node as usize]
                 ));
             }
         }
@@ -960,72 +926,16 @@ impl DomainNet {
                 return Err(format!("{measure:?}: non-finite raw score {bad}"));
             }
         }
-        for (measure, ranking) in &state.caches.ranked {
-            let raw = state
-                .caches
-                .raw
-                .iter()
-                .find(|(m, _)| m == measure)
-                .map(|(_, scores)| scores)
-                .ok_or_else(|| format!("{measure:?}: ranking cached without raw scores"))?;
-            if ranking.len() != live_candidates {
-                return Err(format!(
-                    "{measure:?}: ranking has {} entries for {live_candidates} live candidates",
-                    ranking.len()
-                ));
-            }
-            let higher_first = measure.higher_is_more_homograph_like();
-            for (pos, scored) in ranking.iter().enumerate() {
-                let &node = node_of_label.get(scored.value.as_str()).ok_or_else(|| {
-                    format!(
-                        "{measure:?}: ranked value '{}' has no live node",
-                        scored.value
-                    )
-                })?;
-                if scored.score != raw[node as usize] {
-                    return Err(format!(
-                        "{measure:?}: '{}' ranked with score {} but raw score {}",
-                        scored.value, scored.score, raw[node as usize]
-                    ));
-                }
-                if let Some(meta) = &state.caches.meta {
-                    if meta[node as usize] != (scored.attribute_count, scored.cardinality) {
-                        return Err(format!(
-                            "{measure:?}: '{}' metadata disagrees with the cache",
-                            scored.value
-                        ));
-                    }
-                }
-                if pos > 0 {
-                    let prev = &ranking[pos - 1];
-                    let ordered = if higher_first {
-                        prev.score >= scored.score
-                    } else {
-                        prev.score <= scored.score
-                    };
-                    if !ordered {
-                        return Err(format!(
-                            "{measure:?}: ranking out of order at position {pos}"
-                        ));
-                    }
-                }
-            }
-        }
 
         let caches = ScoreCaches {
             raw: state.caches.raw.into_iter().collect(),
-            ranked: state
-                .caches
-                .ranked
-                .into_iter()
-                .map(|(m, ranking)| (m, Arc::new(ranking)))
-                .collect(),
-            meta: state.caches.meta,
+            ranked: HashMap::new(),
+            cardinalities: state.caches.cardinalities,
         };
         Ok(DomainNet {
             config: state.config,
+            components: connected_components(&graph),
             graph,
-            components,
             node_of_value: state.node_of_value,
             attr_index_of: state.attr_index_of,
             attr_id_of_index: state.attr_id_of_index,

@@ -9,39 +9,21 @@
 //! observes that sampling roughly 1 % of the nodes already reproduces the
 //! exact-BC ranking on the TUS benchmark (Figure 8).
 //!
-//! Two sampling strategies are provided:
-//!
-//! * [`SamplingStrategy::Uniform`] — sources drawn uniformly without
-//!   replacement; the estimate is unbiased with weight `n / s`.
-//! * [`SamplingStrategy::DegreeProportional`] — sources drawn with
-//!   probability proportional to their degree (with replacement), with
-//!   inverse-probability weights. High-degree nodes start more shortest
-//!   paths, so this reduces variance on skewed lakes.
+//! Sources are drawn uniformly without replacement; the estimate is
+//! unbiased with weight `n / s`.
 
-use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use crate::bc::{accumulate_source, canonical_chunks, BrandesWorkspace};
+use crate::bc::accumulate_sources_parallel;
 use crate::bipartite::BipartiteGraph;
-
-/// How sources are drawn for the sampled estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum SamplingStrategy {
-    /// Uniform sampling of sources without replacement.
-    Uniform,
-    /// Degree-proportional sampling with replacement (importance-weighted).
-    DegreeProportional,
-}
 
 /// Configuration for [`approximate_betweenness`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ApproxBcConfig {
     /// Number of source nodes to sample. Clamped to the node count.
     pub samples: usize,
-    /// Sampling strategy.
-    pub strategy: SamplingStrategy,
     /// RNG seed, so experiments are reproducible.
     pub seed: u64,
 }
@@ -50,7 +32,6 @@ impl Default for ApproxBcConfig {
     fn default() -> Self {
         ApproxBcConfig {
             samples: 1000,
-            strategy: SamplingStrategy::Uniform,
             seed: 0x_D0_5A_1A_7E,
         }
     }
@@ -75,78 +56,34 @@ impl ApproxBcConfig {
         } else {
             1
         };
-        ApproxBcConfig {
-            samples,
-            seed,
-            ..ApproxBcConfig::default()
-        }
+        ApproxBcConfig { samples, seed }
     }
 }
 
 /// Estimate betweenness centrality for every node from sampled sources.
 ///
 /// The returned scores approximate the *exact* (unordered-pair) BC returned
-/// by [`crate::bc::betweenness_centrality`]: with `samples == node_count` and
-/// uniform sampling the two agree exactly (up to floating-point error),
-/// because uniform sampling without replacement then enumerates every source
-/// once and the scale factor is 1.
+/// by [`crate::bc::betweenness_centrality`]: with `samples == node_count`
+/// the two agree exactly (up to floating-point error), because sampling
+/// without replacement then enumerates every source once and the scale
+/// factor is 1.
 ///
 /// `threads` is a **runtime execution parameter**, deliberately not part of
 /// [`ApproxBcConfig`]: the config is identity (it keys memo caches and is
 /// persisted in snapshot manifests), and the estimate is bit-identical for
-/// every thread count — the weighted sources are drawn from the seeded RNG
-/// before any parallelism starts, and the accumulation uses the canonical
-/// chunk layout of [`crate::bc`].
+/// every thread count — the sources are drawn from the seeded RNG before
+/// any parallelism starts, and the accumulation uses the canonical chunk
+/// layout of [`crate::bc`].
 pub fn approximate_betweenness(
     graph: &BipartiteGraph,
     config: ApproxBcConfig,
     threads: usize,
 ) -> Vec<f64> {
-    let n = graph.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let samples = config.samples.clamp(1, n);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // (source, weight) pairs; weight already includes the estimator scaling.
-    let weighted_sources: Vec<(u32, f64)> = match config.strategy {
-        SamplingStrategy::Uniform => {
-            let scale = n as f64 / samples as f64;
-            index_sample(&mut rng, n, samples)
-                .into_iter()
-                .map(|i| (i as u32, scale))
-                .collect()
-        }
-        SamplingStrategy::DegreeProportional => {
-            let degrees: Vec<f64> = graph.nodes().map(|v| graph.degree(v) as f64).collect();
-            let total: f64 = degrees.iter().sum();
-            if total == 0.0 {
-                // No edges: BC is zero everywhere.
-                return vec![0.0; n];
-            }
-            let dist = WeightedIndex::new(&degrees)
-                .expect("degree weights are non-negative with a positive sum");
-            (0..samples)
-                .map(|_| {
-                    let i = dist.sample(&mut rng);
-                    let p = degrees[i] / total;
-                    (i as u32, 1.0 / (samples as f64 * p))
-                })
-                .collect()
-        }
-    };
-
-    let mut bc = accumulate_weighted_sources(graph, &weighted_sources, threads);
-    // Each unordered endpoint pair is seen from each sampled endpoint, and the
-    // estimator already rescales to "all sources", so halve as in exact BC.
-    for value in &mut bc {
-        *value /= 2.0;
-    }
-    bc
+    let pool: Vec<u32> = graph.nodes().collect();
+    approximate_betweenness_within(graph, &pool, config, threads)
 }
 
-/// Sampled BC re-estimation with sources drawn from an explicit node `pool`.
+/// Sampled BC estimation with sources drawn from an explicit node `pool`.
 ///
 /// This is the approximate counterpart of
 /// [`crate::bc::betweenness_from_sources`], used by the incremental pipeline
@@ -163,76 +100,24 @@ pub fn approximate_betweenness_within(
     threads: usize,
 ) -> Vec<f64> {
     let n = graph.node_count();
-    if n == 0 || pool.is_empty() {
+    if pool.is_empty() {
         return vec![0.0; n];
     }
     let samples = config.samples.clamp(1, pool.len());
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let weighted_sources: Vec<(u32, f64)> = match config.strategy {
-        SamplingStrategy::Uniform => {
-            let scale = pool.len() as f64 / samples as f64;
-            index_sample(&mut rng, pool.len(), samples)
-                .into_iter()
-                .map(|i| (pool[i], scale))
-                .collect()
-        }
-        SamplingStrategy::DegreeProportional => {
-            let degrees: Vec<f64> = pool.iter().map(|&v| graph.degree(v) as f64).collect();
-            let total: f64 = degrees.iter().sum();
-            if total == 0.0 {
-                return vec![0.0; n];
-            }
-            let dist = WeightedIndex::new(&degrees)
-                .expect("degree weights are non-negative with a positive sum");
-            (0..samples)
-                .map(|_| {
-                    let i = dist.sample(&mut rng);
-                    let p = degrees[i] / total;
-                    (pool[i], 1.0 / (samples as f64 * p))
-                })
-                .collect()
-        }
-    };
-    let mut bc = accumulate_weighted_sources(graph, &weighted_sources, threads);
+    let sources: Vec<u32> = index_sample(&mut rng, pool.len(), samples)
+        .into_iter()
+        .map(|i| pool[i])
+        .collect();
+    // The estimator rescales to "all sources of the pool".
+    let scale = pool.len() as f64 / samples as f64;
+    let mut bc = accumulate_sources_parallel(graph, &sources, scale, threads);
+    // Each unordered endpoint pair is seen from each sampled endpoint, so
+    // halve as in exact BC.
     for value in &mut bc {
         *value /= 2.0;
     }
     bc
-}
-
-/// The weighted twin of `crate::bc::accumulate_sources_parallel`: canonical
-/// chunk layout (a pure function of the source count) scheduled onto a
-/// work-stealing pool, partials folded in chunk-index order — so the output
-/// is a pure function of `(graph, weighted_sources)`, independent of
-/// `threads` and of scheduling.
-fn accumulate_weighted_sources(
-    graph: &BipartiteGraph,
-    weighted_sources: &[(u32, f64)],
-    threads: usize,
-) -> Vec<f64> {
-    let n = graph.node_count();
-    let chunks = canonical_chunks(weighted_sources.len());
-    let ctx = dn_trace::current();
-    let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
-        let _chunk = if ctx.is_active() {
-            ctx.enter(dn_trace::Phase::PoolBcChunks, &format!("chunk{c}"))
-        } else {
-            dn_trace::SpanGuard::noop()
-        };
-        let mut acc = vec![0.0; n];
-        let mut workspace = BrandesWorkspace::new(n);
-        for &(s, w) in &weighted_sources[chunks[c].clone()] {
-            accumulate_source(graph, s, &mut workspace, &mut acc, w);
-        }
-        acc
-    });
-    let mut total = vec![0.0; n];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    total
 }
 
 /// Spearman-style rank agreement between two score vectors over the top-`k`
@@ -297,7 +182,6 @@ mod tests {
             &g,
             ApproxBcConfig {
                 samples: g.node_count(),
-                strategy: SamplingStrategy::Uniform,
                 seed: 7,
             },
             1,
@@ -315,7 +199,6 @@ mod tests {
             &g,
             ApproxBcConfig {
                 samples: g.node_count() / 3,
-                strategy: SamplingStrategy::Uniform,
                 seed: 3,
             },
             2,
@@ -325,28 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn degree_proportional_estimate_is_reasonable() {
-        let g = random_lake_graph(200, 20, 10, 4);
-        let exact = betweenness_centrality(&g);
-        let approx = approximate_betweenness(
-            &g,
-            ApproxBcConfig {
-                samples: g.node_count() / 2,
-                strategy: SamplingStrategy::DegreeProportional,
-                seed: 11,
-            },
-            1,
-        );
-        let overlap = top_k_overlap(&exact, &approx, 10);
-        assert!(overlap >= 0.5, "top-10 overlap too low: {overlap}");
-    }
-
-    #[test]
     fn deterministic_under_fixed_seed() {
         let g = random_lake_graph(100, 10, 8, 5);
         let cfg = ApproxBcConfig {
             samples: 20,
-            strategy: SamplingStrategy::Uniform,
             seed: 42,
         };
         let a = approximate_betweenness(&g, cfg, 1);
@@ -359,7 +224,6 @@ mod tests {
         let g = random_lake_graph(120, 12, 8, 6);
         let base = ApproxBcConfig {
             samples: 40,
-            strategy: SamplingStrategy::Uniform,
             seed: 9,
         };
         let reference: Vec<u64> = approximate_betweenness(&g, base, 1)
@@ -432,14 +296,7 @@ mod tests {
         b.add_value("v");
         b.add_attribute("a");
         let g = b.build();
-        let scores = approximate_betweenness(
-            &g,
-            ApproxBcConfig {
-                strategy: SamplingStrategy::DegreeProportional,
-                ..ApproxBcConfig::default()
-            },
-            1,
-        );
+        let scores = approximate_betweenness(&g, ApproxBcConfig::default(), 1);
         assert_eq!(scores, vec![0.0, 0.0]);
     }
 

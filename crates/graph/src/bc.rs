@@ -145,11 +145,11 @@ pub fn betweenness_centrality(graph: &BipartiteGraph) -> Vec<f64> {
 /// results `to_bits()`-identical across thread counts, which the golden
 /// gates and the replication digest exchange rely on. 32 chunks also bound
 /// the transient partial-accumulator memory at `32 · n` floats.
-pub(crate) const MAX_CHUNKS: usize = 32;
+const MAX_CHUNKS: usize = 32;
 
 /// Split `0..len` into the canonical chunk ranges (at most [`MAX_CHUNKS`],
 /// each contiguous, sized `ceil(len / MAX_CHUNKS)` except the tail).
-pub(crate) fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
+fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -172,21 +172,23 @@ pub fn betweenness_centrality_parallel(graph: &BipartiteGraph, threads: usize) -
         return betweenness_centrality(graph);
     }
     let sources: Vec<u32> = graph.nodes().collect();
-    let mut bc = accumulate_sources_parallel(graph, &sources, threads);
+    let mut bc = accumulate_sources_parallel(graph, &sources, 1.0, threads);
     for value in &mut bc {
         *value /= 2.0;
     }
     bc
 }
 
-/// Accumulate dependencies from an explicit list of sources across a
-/// work-stealing pool (no halving, no scaling — callers decide how to
-/// normalize). Deterministic: the canonical chunk layout and the
-/// chunk-index-ordered fold make the output a pure function of
-/// `(graph, sources)`, independent of `threads` and of scheduling.
+/// Accumulate `weight` times the dependencies from an explicit list of
+/// sources across a work-stealing pool (no halving — callers decide how to
+/// normalize; exact BC passes 1.0, which multiplies exactly, the sampled
+/// estimator its scale factor). Deterministic: the canonical chunk layout
+/// and the chunk-index-ordered fold make the output a pure function of
+/// `(graph, sources, weight)`, independent of `threads` and of scheduling.
 pub(crate) fn accumulate_sources_parallel(
     graph: &BipartiteGraph,
     sources: &[u32],
+    weight: f64,
     threads: usize,
 ) -> Vec<f64> {
     let n = graph.node_count();
@@ -201,7 +203,7 @@ pub(crate) fn accumulate_sources_parallel(
         let mut acc = vec![0.0; n];
         let mut workspace = BrandesWorkspace::new(n);
         for &s in &sources[chunks[c].clone()] {
-            accumulate_source(graph, s, &mut workspace, &mut acc, 1.0);
+            accumulate_source(graph, s, &mut workspace, &mut acc, weight);
         }
         acc
     });
@@ -229,7 +231,7 @@ pub fn betweenness_from_sources(
     sources: &[u32],
     threads: usize,
 ) -> Vec<f64> {
-    let mut acc = accumulate_sources_parallel(graph, sources, threads.max(1));
+    let mut acc = accumulate_sources_parallel(graph, sources, 1.0, threads.max(1));
     for value in &mut acc {
         *value /= 2.0;
     }

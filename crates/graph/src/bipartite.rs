@@ -8,15 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which side of the bipartition a node belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NodeKind {
-    /// A data-value node.
-    Value,
-    /// An attribute (table column) node.
-    Attribute,
-}
-
 /// Incrementally builds a [`BipartiteGraph`].
 ///
 /// The builder accepts edges in any order, tolerates duplicate edges (they
@@ -304,22 +295,6 @@ impl BipartiteGraph {
         self.adjacency.len() / 2
     }
 
-    /// The side of the bipartition a node id belongs to.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range.
-    pub fn node_kind(&self, node: u32) -> NodeKind {
-        assert!(
-            (node as usize) < self.node_count(),
-            "node {node} out of range"
-        );
-        if (node as usize) < self.n_values {
-            NodeKind::Value
-        } else {
-            NodeKind::Attribute
-        }
-    }
-
     /// Whether a node id denotes a value node.
     #[inline]
     pub fn is_value_node(&self, node: u32) -> bool {
@@ -537,9 +512,9 @@ pub(crate) mod tests {
     #[test]
     fn node_kinds_and_labels() {
         let (g, ids) = figure3b();
-        assert_eq!(g.node_kind(ids["JAGUAR"]), NodeKind::Value);
+        assert!(g.is_value_node(ids["JAGUAR"]));
         let attr_node = g.attribute_node(0);
-        assert_eq!(g.node_kind(attr_node), NodeKind::Attribute);
+        assert!(!g.is_value_node(attr_node));
         assert_eq!(g.node_label(ids["JAGUAR"]), "JAGUAR");
         assert_eq!(g.node_label(attr_node), "T2.name");
         assert_eq!(g.attribute_index(attr_node), Some(0));

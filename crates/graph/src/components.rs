@@ -38,53 +38,6 @@ impl Components {
     pub fn connected(&self, a: u32, b: u32) -> bool {
         self.labels[a as usize] == self.labels[b as usize]
     }
-
-    /// Check that this labeling is a valid connected-components result for
-    /// `graph`: one label per node, labels dense in `0..count()`, both ends
-    /// of every edge sharing a label, and `sizes` matching the label
-    /// histogram. Used by the persistence layer to validate labels loaded
-    /// from disk without re-running the BFS.
-    ///
-    /// Note this verifies *consistency*, not minimality — it accepts a
-    /// labeling that splits one true component in two only if no edge
-    /// crosses the split, which cannot happen for edge-respecting labels
-    /// produced by any components algorithm over the same graph.
-    ///
-    /// # Errors
-    /// A description of the first violated invariant.
-    pub fn validate_against(&self, graph: &BipartiteGraph) -> Result<(), String> {
-        if self.labels.len() != graph.node_count() {
-            return Err(format!(
-                "{} labels for {} nodes",
-                self.labels.len(),
-                graph.node_count()
-            ));
-        }
-        let mut histogram = vec![0usize; self.sizes.len()];
-        for (node, &label) in self.labels.iter().enumerate() {
-            let slot = histogram
-                .get_mut(label as usize)
-                .ok_or_else(|| format!("node {node} has label {label} >= {}", self.sizes.len()))?;
-            *slot += 1;
-        }
-        if histogram != self.sizes {
-            return Err("component sizes do not match the label histogram".to_owned());
-        }
-        if histogram.contains(&0) {
-            return Err("component ids are not dense".to_owned());
-        }
-        for node in graph.nodes() {
-            for &other in graph.neighbors(node) {
-                if self.labels[node as usize] != self.labels[other as usize] {
-                    return Err(format!(
-                        "edge {node}-{other} crosses components {} and {}",
-                        self.labels[node as usize], self.labels[other as usize]
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Compute connected components with BFS.

@@ -12,10 +12,10 @@
 //!   coefficient can have changed (Equation 1 depends on `N(u)` and `N(v)`
 //!   for `v ∈ N(u)` only).
 //! * [`AppliedDelta::components`] / [`AppliedDelta::touched_components`] —
-//!   connected components maintained incrementally (only components
-//!   containing an endpoint of a changed edge are re-explored), plus the set
-//!   of component ids whose structure changed. Betweenness centrality never
-//!   crosses components, so scores outside the touched set are still exact.
+//!   connected components of the patched graph, plus the ids of those
+//!   containing an endpoint of a changed edge or an appended node.
+//!   Betweenness centrality never crosses components, so scores outside the
+//!   touched set are still exact.
 //!
 //! Node-id stability: value node ids and attribute *indexes* never change
 //! across a delta — new nodes are appended. Attribute node *ids* shift by
@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use crate::bipartite::BipartiteGraph;
-use crate::components::Components;
+use crate::components::{connected_components, Components};
 
 /// The edge-level difference to apply to a [`BipartiteGraph`].
 ///
@@ -77,8 +77,7 @@ pub struct AppliedDelta {
     /// Nodes (new id space) incident to a changed edge, plus appended nodes.
     /// Sorted.
     pub touched_nodes: Vec<u32>,
-    /// Connected components of the patched graph (maintained incrementally
-    /// when the previous components were supplied).
+    /// Connected components of the patched graph.
     pub components: Components,
     /// Component ids (in `components`) whose structure changed. BC scores of
     /// nodes in other components are unaffected by the delta. Sorted.
@@ -115,20 +114,15 @@ impl BipartiteGraph {
     ///
     /// The CSR arrays are spliced per node — unchanged adjacency runs are
     /// copied, changed nodes get a sorted merge of (old ∖ removed) ∪ added —
-    /// so no global edge sort happens. When `old_components` is given, the
-    /// component structure is updated incrementally: only components
-    /// containing a changed-edge endpoint (plus appended nodes) are
-    /// re-explored by BFS; all other components keep their node sets.
+    /// so no global edge sort happens. Components are one
+    /// [`connected_components`] pass over the patched graph (cheaper than
+    /// the splice itself), and the touched set is read off its labels.
     ///
     /// # Errors
     /// Returns a description of the first inconsistency found: an edge
     /// endpoint out of range, an added edge that already exists, a removed
     /// edge that does not exist, or a duplicate entry inside the delta.
-    pub fn apply_delta(
-        &self,
-        delta: &GraphDelta,
-        old_components: Option<&Components>,
-    ) -> Result<AppliedDelta, String> {
+    pub fn apply_delta(&self, delta: &GraphDelta) -> Result<AppliedDelta, String> {
         let old_nv = self.value_count();
         let old_na = self.attribute_count();
         let new_nv = old_nv + delta.new_values.len();
@@ -327,8 +321,13 @@ impl BipartiteGraph {
         touched_nodes.dedup();
 
         // ---- components ----------------------------------------------------
-        let (components, touched_components) =
-            update_components(&graph, old_components, old_nv, shift, &touched_nodes);
+        let components = connected_components(&graph);
+        let mut touched_components: Vec<u32> = touched_nodes
+            .iter()
+            .map(|&t| components.labels[t as usize])
+            .collect();
+        touched_components.sort_unstable();
+        touched_components.dedup();
 
         Ok(AppliedDelta {
             graph,
@@ -340,91 +339,10 @@ impl BipartiteGraph {
     }
 }
 
-/// Incrementally update a component labeling after a delta.
-///
-/// `old` is the labeling of the pre-delta graph (`None` forces a fresh BFS),
-/// `old_nv` the pre-delta value count and `shift` the attribute-node id
-/// shift. Components containing no touched node keep their node sets; ids
-/// are re-compacted, so they are not comparable across calls.
-fn update_components(
-    graph: &BipartiteGraph,
-    old: Option<&Components>,
-    old_nv: usize,
-    shift: u32,
-    touched_nodes: &[u32],
-) -> (Components, Vec<u32>) {
-    let n = graph.node_count();
-    const UNLABELED: u32 = u32::MAX;
-    let mut labels = vec![UNLABELED; n];
-    let mut next_fresh = 0u32;
-    if let Some(old) = old {
-        // Remap old labels into the new id space.
-        labels[..old_nv].copy_from_slice(&old.labels[..old_nv]);
-        for old_node in old_nv..old.labels.len() {
-            labels[old_node + shift as usize] = old.labels[old_node];
-        }
-        next_fresh = old.sizes.len() as u32;
-        // Invalidate every component containing a touched node.
-        let mut invalid = vec![false; old.sizes.len()];
-        for &t in touched_nodes {
-            let l = labels[t as usize];
-            if l != UNLABELED {
-                invalid[l as usize] = true;
-            }
-        }
-        for label in labels.iter_mut() {
-            if *label != UNLABELED && invalid[*label as usize] {
-                *label = UNLABELED;
-            }
-        }
-    }
-    // BFS-relabel everything unlabeled. Untouched components never share an
-    // edge with an unlabeled node, so the sweep only explores dirty regions.
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n as u32 {
-        if labels[start as usize] != UNLABELED {
-            continue;
-        }
-        let fresh = next_fresh;
-        next_fresh += 1;
-        labels[start as usize] = fresh;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for &w in graph.neighbors(v) {
-                if labels[w as usize] == UNLABELED {
-                    labels[w as usize] = fresh;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    // Compact ids to dense 0..k and count sizes.
-    let mut dense: HashMap<u32, u32> = HashMap::new();
-    let mut sizes: Vec<usize> = Vec::new();
-    for label in labels.iter_mut() {
-        let next = sizes.len() as u32;
-        let id = *dense.entry(*label).or_insert_with(|| {
-            sizes.push(0);
-            next
-        });
-        sizes[id as usize] += 1;
-        *label = id;
-    }
-    let components = Components { labels, sizes };
-    let mut touched_components: Vec<u32> = touched_nodes
-        .iter()
-        .map(|&t| components.labels[t as usize])
-        .collect();
-    touched_components.sort_unstable();
-    touched_components.dedup();
-    (components, touched_components)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bipartite::BipartiteBuilder;
-    use crate::components::connected_components;
 
     /// Rebuild a reference graph from scratch out of explicit edges.
     fn build(value_labels: &[&str], attr_labels: &[&str], edges: &[(u32, u32)]) -> BipartiteGraph {
@@ -468,7 +386,7 @@ mod tests {
             removed_edges: vec![(1, 0)],
             ..GraphDelta::default()
         };
-        let applied = g.apply_delta(&delta, None).unwrap();
+        let applied = g.apply_delta(&delta).unwrap();
         let reference = build(
             &["v0", "v1", "v2"],
             &["a0", "a1"],
@@ -486,7 +404,7 @@ mod tests {
             added_edges: vec![(1, 0), (2, 1), (0, 1)],
             removed_edges: vec![],
         };
-        let applied = g.apply_delta(&delta, None).unwrap();
+        let applied = g.apply_delta(&delta).unwrap();
         let reference = build(
             &["v0", "v1", "v2"],
             &["a0", "a1"],
@@ -502,7 +420,7 @@ mod tests {
             removed_edges: vec![(0, 0)],
             ..GraphDelta::default()
         };
-        let applied = g.apply_delta(&delta, None).unwrap();
+        let applied = g.apply_delta(&delta).unwrap();
         assert_eq!(applied.graph.degree(0), 0);
         assert_eq!(applied.graph.degree(1), 1);
         applied.graph.validate().unwrap();
@@ -516,25 +434,25 @@ mod tests {
             added_edges: vec![(1, 0), (1, 0)],
             ..GraphDelta::default()
         };
-        assert!(g.apply_delta(&dup, None).is_err());
+        assert!(g.apply_delta(&dup).is_err());
         // Adding an existing edge.
         let existing = GraphDelta {
             added_edges: vec![(0, 0)],
             ..GraphDelta::default()
         };
-        assert!(g.apply_delta(&existing, None).is_err());
+        assert!(g.apply_delta(&existing).is_err());
         // Removing a missing edge.
         let missing = GraphDelta {
             removed_edges: vec![(1, 0)],
             ..GraphDelta::default()
         };
-        assert!(g.apply_delta(&missing, None).is_err());
+        assert!(g.apply_delta(&missing).is_err());
         // Out-of-range endpoints.
         let oob = GraphDelta {
             added_edges: vec![(9, 0)],
             ..GraphDelta::default()
         };
-        assert!(g.apply_delta(&oob, None).is_err());
+        assert!(g.apply_delta(&oob).is_err());
     }
 
     #[test]
@@ -549,7 +467,7 @@ mod tests {
             removed_edges: vec![(1, 0)],
             ..GraphDelta::default()
         };
-        let applied = g.apply_delta(&delta, None).unwrap();
+        let applied = g.apply_delta(&delta).unwrap();
         // v0 and v1 are dirty (v1 lost an edge, v0 lost a neighbor);
         // v2 and v3 are untouched.
         assert_eq!(applied.dirty_values, vec![0, 1]);
@@ -562,28 +480,15 @@ mod tests {
             &["a0", "a1"],
             &[(0, 0), (1, 0), (2, 1), (3, 1)],
         );
-        let old = connected_components(&g);
-        assert_eq!(old.count(), 2);
+        assert_eq!(connected_components(&g).count(), 2);
         // Bridge the two components with a new value node.
         let delta = GraphDelta {
             new_values: vec!["bridge".into()],
             added_edges: vec![(4, 0), (4, 1)],
             ..GraphDelta::default()
         };
-        let applied = g.apply_delta(&delta, Some(&old)).unwrap();
-        let fresh = connected_components(&applied.graph);
-        assert_eq!(applied.components.count(), fresh.count());
+        let applied = g.apply_delta(&delta).unwrap();
         assert_eq!(applied.components.count(), 1);
-        // Same partition (up to relabeling).
-        for a in applied.graph.nodes() {
-            for b in applied.graph.nodes() {
-                assert_eq!(
-                    applied.components.connected(a, b),
-                    fresh.connected(a, b),
-                    "partition diverged at ({a}, {b})"
-                );
-            }
-        }
         assert_eq!(
             applied.touched_components,
             vec![applied.components.component_of(4)]
@@ -597,12 +502,11 @@ mod tests {
             &["a0", "a1"],
             &[(0, 0), (1, 0), (2, 1), (3, 1)],
         );
-        let old = connected_components(&g);
         let delta = GraphDelta {
             removed_edges: vec![(1, 0)],
             ..GraphDelta::default()
         };
-        let applied = g.apply_delta(&delta, Some(&old)).unwrap();
+        let applied = g.apply_delta(&delta).unwrap();
         // Removing v1-a0 splits the first star; second star untouched.
         assert_eq!(applied.components.count(), 3);
         let second_star_comp = applied.components.component_of(2);
@@ -622,7 +526,6 @@ mod tests {
     #[test]
     fn chained_deltas_match_one_shot_rebuild() {
         let mut g = build(&["v0", "v1"], &["a0"], &[(0, 0), (1, 0)]);
-        let mut comps = connected_components(&g);
         let deltas = [
             GraphDelta {
                 new_values: vec!["v2".into()],
@@ -641,9 +544,7 @@ mod tests {
             },
         ];
         for delta in &deltas {
-            let applied = g.apply_delta(delta, Some(&comps)).unwrap();
-            g = applied.graph;
-            comps = applied.components;
+            g = g.apply_delta(delta).unwrap().graph;
         }
         let reference = build(
             &["v0", "v1", "v2"],
@@ -651,8 +552,6 @@ mod tests {
             &[(1, 0), (0, 1), (1, 1)],
         );
         assert_same_graph(&g, &reference);
-        let fresh = connected_components(&g);
-        assert_eq!(comps.count(), fresh.count());
     }
 
     #[test]
@@ -673,7 +572,7 @@ mod tests {
     #[test]
     fn empty_delta_is_identity() {
         let (g, _) = crate::bipartite::tests::figure3b();
-        let applied = g.apply_delta(&GraphDelta::new(), None).unwrap();
+        let applied = g.apply_delta(&GraphDelta::new()).unwrap();
         assert_same_graph(&applied.graph, &g);
         assert!(applied.dirty_values.is_empty());
         assert!(applied.touched_nodes.is_empty());

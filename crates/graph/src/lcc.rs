@@ -640,7 +640,7 @@ mod tests {
                 .eq(g.neighbors(w).iter().map(index))
         };
         for (step, delta) in deltas.iter().enumerate() {
-            let applied = graph.apply_delta(delta, None).unwrap();
+            let applied = graph.apply_delta(delta).unwrap();
             let (fresh, fresh_cards) = lcc_with_cardinality_for_values(
                 &applied.graph,
                 &applied.dirty_values,
@@ -806,7 +806,7 @@ mod tests {
                     .collect(),
                 ..GraphDelta::default()
             };
-            let tombstoned = graph.apply_delta(&delta, None).unwrap().graph;
+            let tombstoned = graph.apply_delta(&delta).unwrap().graph;
             assert_eq!(tombstoned.degree(victim), 0, "{what}");
             assert_join_matches_literal_on(&tombstoned, &mut rng, &format!("{what}, tombstoned"));
         }

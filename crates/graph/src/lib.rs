@@ -73,10 +73,8 @@ pub mod lcc;
 pub mod projection;
 pub mod subgraph;
 
-pub use approx_bc::{
-    approximate_betweenness, approximate_betweenness_within, ApproxBcConfig, SamplingStrategy,
-};
+pub use approx_bc::{approximate_betweenness, approximate_betweenness_within, ApproxBcConfig};
 pub use bc::{betweenness_centrality, betweenness_centrality_parallel, betweenness_from_sources};
-pub use bipartite::{BipartiteBuilder, BipartiteGraph, NodeKind};
+pub use bipartite::{BipartiteBuilder, BipartiteGraph};
 pub use delta::{nodes_in_components, AppliedDelta, GraphDelta};
 pub use lcc::{lcc_with_cardinality_for_values, local_clustering_coefficients, LccMethod};

@@ -59,23 +59,6 @@ pub fn random_attribute_subgraph(
     builder.build()
 }
 
-/// Produce a series of nested-size subgraphs for a scalability sweep.
-///
-/// `edge_targets` should be increasing; each subgraph is extracted
-/// independently (with a seed derived from the base seed and the index) so
-/// runtimes are comparable to the paper's independent measurements.
-pub fn subgraph_series(
-    graph: &BipartiteGraph,
-    edge_targets: &[usize],
-    seed: u64,
-) -> Vec<BipartiteGraph> {
-    edge_targets
-        .iter()
-        .enumerate()
-        .map(|(i, &target)| random_attribute_subgraph(graph, target, seed.wrapping_add(i as u64)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,18 +128,6 @@ mod tests {
         assert_eq!(sub.value_count(), 10);
         assert_eq!(sub.attribute_count(), 2);
         assert_eq!(sub.edge_count(), 20);
-    }
-
-    #[test]
-    fn series_produces_increasing_graphs() {
-        let g = random_graph(400, 60, 4);
-        let targets = vec![50, 150, 300];
-        let series = subgraph_series(&g, &targets, 9);
-        assert_eq!(series.len(), 3);
-        for (sub, &t) in series.iter().zip(&targets) {
-            assert!(sub.edge_count() >= t.min(g.edge_count()));
-            sub.validate().unwrap();
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! over a fixed number of seeded random graphs instead, so failures reproduce
 //! exactly (the failing seed is in the assertion message).
 
-use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig};
 use dn_graph::bc::{betweenness_centrality, betweenness_centrality_parallel, normalize_scores};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{components_without_value, connected_components};
@@ -108,7 +108,6 @@ fn full_sampling_equals_exact() {
             &g,
             ApproxBcConfig {
                 samples: g.node_count(),
-                strategy: SamplingStrategy::Uniform,
                 seed: 1,
             },
             2,

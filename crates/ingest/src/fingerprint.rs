@@ -30,12 +30,6 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Whether the cheap stat-level prefix matches `other` — used to decide
-    /// if the CRC must be recomputed.
-    pub fn same_stat(&self, other: &Fingerprint) -> bool {
-        self.len == other.len && self.mtime_s == other.mtime_s && self.mtime_ns == other.mtime_ns
-    }
-
     /// Whether the content (length + CRC) matches, ignoring mtime. A file
     /// rewritten byte-for-byte identically has the same content fingerprint
     /// and needs no re-parse.
@@ -123,6 +117,5 @@ mod tests {
             crc: 0xdead,
         };
         assert!(a.same_content(&b));
-        assert!(!a.same_stat(&b));
     }
 }

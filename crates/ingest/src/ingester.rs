@@ -215,12 +215,6 @@ impl<S: DeltaSink> Ingester<S> {
         self.state.pending.is_some()
     }
 
-    /// Mutable access to the delivery sink (fault-injection harnesses arm
-    /// their failure points through this).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Run one watch → diff → deliver → journal cycle.
     pub fn poll_once(&mut self) -> Result<PollReport, IngestError> {
         // One trace per poll cycle (subject to the sampling draw). While

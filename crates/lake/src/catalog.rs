@@ -307,40 +307,6 @@ impl LakeCatalog {
         self.attr_values.iter().map(Vec::len).sum()
     }
 
-    // ------------------------------------------------------------------
-    // Mutation
-    // ------------------------------------------------------------------
-
-    /// Replace a value inside one attribute and rebuild the indexes.
-    ///
-    /// `target_normalized` must be the normalized form. Returns the number of
-    /// cells rewritten. This supports the TUS-I injection procedure; since
-    /// injection is rare relative to the lake size the simple strategy of
-    /// rebuilding the catalog indexes afterwards (via [`LakeCatalog::rebuilt`])
-    /// keeps the bookkeeping straightforward.
-    pub fn replace_value_in_attribute(
-        &mut self,
-        attr: AttrId,
-        target_normalized: &str,
-        replacement: &str,
-    ) -> Result<usize> {
-        let &(t, c) = self
-            .attrs
-            .get(attr.index())
-            .ok_or_else(|| LakeError::NotFound(format!("attribute #{}", attr.0)))?;
-        let column = &mut self.tables[t].columns_mut()[c];
-        Ok(column.replace_value(target_normalized, replacement))
-    }
-
-    /// Rebuild the catalog from its (possibly mutated) tables.
-    ///
-    /// All [`AttrId`]s are preserved (tables and columns keep their order)
-    /// but [`ValueId`]s may change because the set of distinct values may
-    /// have changed.
-    pub fn rebuilt(self) -> Result<Self> {
-        LakeCatalog::from_tables(self.tables)
-    }
-
     /// Per-attribute cardinality histogram: map from cardinality to the
     /// number of attributes with that cardinality. Useful for diagnosing
     /// skew, which strongly affects LCC quality (§3.3).
@@ -437,20 +403,6 @@ mod tests {
             .map(|a| lake.attribute_cardinality(a))
             .sum();
         assert_eq!(lake.incidence_count(), total);
-    }
-
-    #[test]
-    fn replace_and_rebuild_updates_indexes() {
-        let mut lake = running_example();
-        let attr = lake.attribute_id("T4", "Name").unwrap();
-        let n = lake
-            .replace_value_in_attribute(attr, "JAGUAR", "InjectedHomograph1")
-            .unwrap();
-        assert_eq!(n, 1);
-        let lake = lake.rebuilt().unwrap();
-        let jaguar = lake.value_id("JAGUAR").unwrap();
-        assert_eq!(lake.value_attribute_count(jaguar), 3);
-        assert!(lake.contains_value("INJECTEDHOMOGRAPH1"));
     }
 
     #[test]

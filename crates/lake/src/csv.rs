@@ -22,7 +22,7 @@
 //! assert_eq!(round_tripped, records);
 //! ```
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 
 use crate::error::LakeError;
 use crate::Result;
@@ -232,11 +232,6 @@ fn parse_record(raw: &[u8], line: usize, options: CsvOptions) -> Result<Vec<Stri
 /// Parse an in-memory CSV string into records.
 pub fn parse_str(input: &str) -> Result<Vec<Vec<String>>> {
     CsvReader::new(input.as_bytes()).records()
-}
-
-/// Parse CSV from an arbitrary reader (buffered internally).
-pub fn parse_reader<R: Read>(reader: R) -> Result<Vec<Vec<String>>> {
-    CsvReader::new(io::BufReader::new(reader)).records()
 }
 
 /// Render one field, quoting only when necessary.

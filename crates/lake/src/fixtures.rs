@@ -52,51 +52,6 @@ pub fn running_example_homographs() -> Vec<&'static str> {
     vec!["JAGUAR", "PUMA"]
 }
 
-/// Repeated-but-unambiguous values of the running example (normalized form).
-pub fn running_example_unambiguous_repeats() -> Vec<&'static str> {
-    vec!["PANDA", "TOYOTA"]
-}
-
-/// A tiny two-community lake used by unit tests: two disjoint "animal" and
-/// "car" attribute groups bridged only by the value `BRIDGE`.
-///
-/// The bridging value is the archetypal homograph: removing its node
-/// disconnects the two communities of the co-occurrence graph.
-pub fn two_community_lake(values_per_side: usize) -> LakeCatalog {
-    let animals: Vec<String> = (0..values_per_side)
-        .map(|i| format!("animal_{i}"))
-        .collect();
-    let cars: Vec<String> = (0..values_per_side).map(|i| format!("car_{i}")).collect();
-
-    let mut zoo_a = animals.clone();
-    zoo_a.push("BRIDGE".to_owned());
-    let mut zoo_b = animals.clone();
-    zoo_b.push("animal_extra".to_owned());
-
-    let mut dealer_a = cars.clone();
-    dealer_a.push("BRIDGE".to_owned());
-    let mut dealer_b = cars.clone();
-    dealer_b.push("car_extra".to_owned());
-
-    let t1 = TableBuilder::new("zoo_a")
-        .column("animal", zoo_a)
-        .build()
-        .expect("single column");
-    let t2 = TableBuilder::new("zoo_b")
-        .column("animal", zoo_b)
-        .build()
-        .expect("single column");
-    let t3 = TableBuilder::new("dealer_a")
-        .column("car", dealer_a)
-        .build()
-        .expect("single column");
-    let t4 = TableBuilder::new("dealer_b")
-        .column("car", dealer_b)
-        .build()
-        .expect("single column");
-    LakeCatalog::from_tables([t1, t2, t3, t4]).expect("unique table names")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +65,5 @@ mod tests {
             let id = lake.value_id(h).expect("homograph present");
             assert!(lake.value_attribute_count(id) >= 2);
         }
-    }
-
-    #[test]
-    fn two_community_lake_bridges_via_single_value() {
-        let lake = two_community_lake(5);
-        let bridge = lake.value_id("BRIDGE").unwrap();
-        assert_eq!(lake.value_attribute_count(bridge), 2);
-        // every plain animal/car value appears in exactly two attributes of
-        // its own side
-        let a0 = lake.value_id("ANIMAL_0").unwrap();
-        assert_eq!(lake.value_attribute_count(a0), 2);
     }
 }

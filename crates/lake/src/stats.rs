@@ -54,21 +54,6 @@ impl LakeStats {
             },
         }
     }
-
-    /// Render the statistics as a single human-readable line.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "#Tables={} #Attr={} #Val={} #Candidates={} #Incidences={} Card(attr)=[{}, {}] mean={:.1}",
-            self.tables,
-            self.attributes,
-            self.values,
-            self.candidate_values,
-            self.incidences,
-            self.min_attr_cardinality,
-            self.max_attr_cardinality,
-            self.mean_attr_cardinality
-        )
-    }
 }
 
 /// Statistics about a set of labeled homographs in a lake, used to fill the
@@ -141,8 +126,6 @@ mod tests {
         assert!(stats.min_attr_cardinality >= 1);
         assert!(stats.max_attr_cardinality >= stats.min_attr_cardinality);
         assert!(stats.mean_attr_cardinality > 0.0);
-        let line = stats.summary_line();
-        assert!(line.contains("#Tables=4"));
     }
 
     #[test]

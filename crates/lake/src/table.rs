@@ -65,11 +65,6 @@ impl Table {
         self.columns.iter().find(|c| c.name() == name)
     }
 
-    /// Look up a column by name, mutably.
-    pub fn column_mut(&mut self, name: &str) -> Option<&mut Column> {
-        self.columns.iter_mut().find(|c| c.name() == name)
-    }
-
     /// Iterate over the rows as vectors of raw cells.
     ///
     /// Mostly useful for writing tables back out as CSV; DomainNet itself
@@ -158,12 +153,6 @@ impl TableBuilder {
     {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         self.columns.push(Column::new(name, cells));
-        self
-    }
-
-    /// Add a pre-built column.
-    pub fn push_column(mut self, column: Column) -> Self {
-        self.columns.push(column);
         self
     }
 

@@ -242,11 +242,6 @@ impl ValueInterner {
         self.index.get(normalized).copied()
     }
 
-    /// Look up the id of a raw (un-normalized) value without inserting it.
-    pub fn get_raw(&self, raw: &str) -> Option<ValueId> {
-        self.get(&normalize(raw))
-    }
-
     /// The normalized string behind an id.
     ///
     /// # Panics
@@ -401,7 +396,6 @@ mod tests {
         interner.intern("A");
         assert!(interner.get("B").is_none());
         assert_eq!(interner.len(), 1);
-        assert!(interner.get_raw(" a ").is_some());
     }
 
     #[test]

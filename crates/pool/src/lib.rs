@@ -51,9 +51,10 @@ use std::sync::{Mutex, MutexGuard};
 /// A fixed-width scheduler: `threads` workers per [`Pool::run`] call.
 ///
 /// The pool is a *configuration*, not a set of live threads: each `run`
-/// spawns scoped workers and joins them before returning, so a `Pool` is
-/// freely shareable (`Copy`) and holding one costs nothing. A width of 0 or
-/// 1 degrades to inline sequential execution — same task decomposition, same
+/// works as worker 0 on the calling thread, spawns `threads − 1` scoped
+/// workers beside it and joins them before returning, so a `Pool` is freely
+/// shareable (`Copy`) and holding one costs nothing. A width of 0 or 1
+/// degrades to inline sequential execution — same task decomposition, same
 /// results, no threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
@@ -120,7 +121,9 @@ impl Pool {
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
 
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            // The caller is worker 0: one spawn fewer per call, and what its
+            // tasks allocate and return stays in the caller's malloc arena.
+            let handles: Vec<_> = (1..workers)
                 .map(|me| {
                     let deques = &deques;
                     let injector = &injector;
@@ -134,6 +137,9 @@ impl Pool {
                     })
                 })
                 .collect();
+            while let Some(index) = next_index(0, &deques, &injector) {
+                slots[index] = Some(task(index));
+            }
             for handle in handles {
                 match handle.join() {
                     Ok(produced) => {
@@ -251,6 +257,15 @@ mod tests {
         for (i, counter) in counters.iter().enumerate() {
             assert_eq!(counter.load(Ordering::SeqCst), 1, "task {i}");
         }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let ids = Pool::new(2).run(64, |_| std::thread::current().id());
+        let spawned: std::collections::HashSet<_> =
+            ids.into_iter().filter(|&id| id != caller).collect();
+        assert!(spawned.len() <= 1, "width 2 spawns one thread, not two");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
     stream: Option<TcpStream>,
-    forward_trace: bool,
 }
 
 impl Client {
@@ -55,21 +54,12 @@ impl Client {
             addr,
             timeout: Duration::from_secs(10),
             stream: None,
-            forward_trace: true,
         }
     }
 
     /// Override the connect/read timeout (default 10s).
     pub fn with_timeout(mut self, timeout: Duration) -> Client {
         self.timeout = timeout;
-        self
-    }
-
-    /// Disable trace-ID forwarding: by default, when the calling thread
-    /// is inside an active trace, every request carries its ID as
-    /// `X-Dn-Trace-Id` so the far server's spans join this trace.
-    pub fn without_trace_forwarding(mut self) -> Client {
-        self.forward_trace = false;
         self
     }
 
@@ -138,11 +128,9 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
-        let trace_header = match self
-            .forward_trace
-            .then(dn_trace::current_trace_id)
-            .flatten()
-        {
+        // Inside an active trace every request carries its ID, so the far
+        // server's spans join this trace.
+        let trace_header = match dn_trace::current_trace_id() {
             Some(id) => format!("X-Dn-Trace-Id: {}\r\n", dn_trace::format_trace_id(id)),
             None => String::new(),
         };

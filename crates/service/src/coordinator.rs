@@ -179,9 +179,10 @@ pub fn serve_sharded_from_dir(
 /// in two different logs — so between applying them a follower
 /// legitimately holds the table on both shards (or neither). The primary
 /// already enforced the invariants when it committed; re-checking them
-/// mid-window would reject valid replica states. The table index resolves
-/// such a duplicate first-owner-wins (see `Coordinator::reindex_tables`)
-/// and converges once the second migration record is applied.
+/// mid-window would reject valid replica states.
+/// [`Coordinator::table_owner`] resolves such a duplicate to the
+/// lowest-index shard, as the read side does, and converges once the
+/// second migration record is applied.
 pub(crate) fn recover_shards_lenient(
     root: &Path,
     config: ServiceConfig,
@@ -248,8 +249,8 @@ fn recover_shard_writer(
     }
 }
 
-/// Shared tail of the entry points: wrap the shards in a coordinator,
-/// publish the initial [`MultiView`], and index table ownership.
+/// Shared tail of the entry points: wrap the shards in a coordinator and
+/// publish the initial [`MultiView`].
 fn build_coordinator(
     shards: Vec<Writer>,
     config: ServiceConfig,
@@ -263,7 +264,6 @@ fn build_coordinator(
     let store_gauges = shards.iter().filter_map(Writer::store_gauges).collect();
     let mut coordinator = Coordinator {
         shards,
-        table_shard: HashMap::new(),
         dirty: BTreeSet::new(),
         staged: Vec::new(),
         epoch: 0,
@@ -277,7 +277,6 @@ fn build_coordinator(
         threads: config.threads.max(1),
     };
     coordinator.install_view();
-    coordinator.reindex_tables();
     (coordinator.handle(), coordinator)
 }
 
@@ -616,9 +615,9 @@ impl MultiView {
     /// follower-side recovery, `recover_shards_lenient`). The ambiguity is resolved
     /// deterministically: **the lowest-index answering shard wins**, every
     /// probe is evaluated (no short-circuit racing the fan-out), and the
-    /// same rule governs [`MultiView::table_summary`] and the coordinator's
-    /// table index, so one request never mixes two shards' views of a
-    /// half-moved component.
+    /// same rule governs [`MultiView::table_summary`] and
+    /// [`Coordinator::table_owner`], so one request never mixes two shards'
+    /// views of a half-moved component.
     pub fn explain(&self, value: &str) -> Option<ValueExplanation> {
         self.scatter(|s| s.explain(value))
             .into_iter()
@@ -888,8 +887,6 @@ impl CoordinatorReader {
 /// one `Coordinator` per store and it is not `Clone`.
 pub struct Coordinator {
     shards: Vec<Writer>,
-    /// Live table name -> owning shard.
-    table_shard: HashMap<String, usize>,
     /// Shards with committed-but-unpublished state.
     dirty: BTreeSet<usize>,
     staged: Vec<LakeDelta>,
@@ -984,19 +981,6 @@ impl Coordinator {
         self.epoch
     }
 
-    /// Rebuild the table → shard index from the shard lakes. First owner
-    /// wins on a (transient, crash- or replay-mid-migration) duplicate;
-    /// [`serve_sharded_from_dir`] resolves those via the intent file
-    /// before traffic starts.
-    fn reindex_tables(&mut self) {
-        self.table_shard.clear();
-        for (i, writer) in self.shards.iter().enumerate() {
-            for name in writer.lake().live_table_names() {
-                self.table_shard.entry(name.to_owned()).or_insert(i);
-            }
-        }
-    }
-
     /// Convenience: stage one delta, commit, and publish.
     pub fn apply_and_publish(
         &mut self,
@@ -1063,9 +1047,14 @@ impl Coordinator {
         self.shards.iter().map(Writer::wal_record_bytes).sum()
     }
 
-    /// Which shard owns a live table.
+    /// Which shard owns a live table, read off the shard lakes. A table
+    /// live on two shards (a follower between the two records of a
+    /// migration) belongs to the lowest-index one, the shard
+    /// [`MultiView::table_summary`] answers from.
     pub fn table_owner(&self, table: &str) -> Option<usize> {
-        self.table_shard.get(table).copied()
+        self.shards
+            .iter()
+            .position(|w| w.lake().table(table).is_some())
     }
 
     /// A read handle onto this coordinator.
@@ -1079,10 +1068,9 @@ impl Coordinator {
 
     /// Apply one replicated batch to one shard — log it under the
     /// primary's `seq`/`epoch` tags, replay it through the incremental
-    /// path, adopt the primary's post-batch epoch — and keep the
-    /// table-ownership index in step with the shipped ops. Does **not** swap the merged view — a
-    /// sync pass applies every shard's tail first, then calls
-    /// [`Coordinator::refresh_view`] once.
+    /// path, adopt the primary's post-batch epoch. Does **not** swap the
+    /// merged view — a sync pass applies every shard's tail first, then
+    /// calls [`Coordinator::refresh_view`] once.
     ///
     /// # Errors
     /// [`ServiceError::Maintenance`] for an out-of-range shard index or a
@@ -1099,24 +1087,7 @@ impl Coordinator {
             .shards
             .get_mut(shard)
             .ok_or_else(|| ServiceError::Maintenance(format!("shard {shard} out of range")))?;
-        writer.apply_replicated(seq, epoch, batch)?;
-        for delta in batch {
-            for op in delta.ops() {
-                match op {
-                    LakeOp::AddTable(table) => {
-                        // Last write wins here (unlike reindex_tables'
-                        // first-wins tie-break): the stream is ordered, so
-                        // the newest add IS the current owner.
-                        self.table_shard.insert(table.name().to_owned(), shard);
-                    }
-                    LakeOp::RemoveTable(name) if self.table_shard.get(name) == Some(&shard) => {
-                        self.table_shard.remove(name);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(())
+        writer.apply_replicated(seq, epoch, batch)
     }
 
     /// Swap in a fresh [`MultiView`] over the shards' *current* snapshots
@@ -1134,7 +1105,7 @@ impl Coordinator {
     /// primary checkpointed past the follower's position, so the tail is
     /// gone and the shard must re-bootstrap). The shard's directory is
     /// removed, the snapshot installed, and a fresh [`Writer`] recovered
-    /// over it; the table index is rebuilt from all shards afterwards.
+    /// over it.
     ///
     /// # Errors
     /// [`ServiceError::Maintenance`] when the coordinator is non-durable
@@ -1163,7 +1134,6 @@ impl Coordinator {
         dn_store::install_snapshot(&dir, snapshot_bytes)?;
         let gauges = Arc::clone(&self.shared.store_gauges[shard]);
         self.shards[shard] = serve_from_dir(dir, config, policy, gauges)?;
-        self.reindex_tables();
         Ok(())
     }
 
@@ -1173,10 +1143,10 @@ impl Coordinator {
     /// merges components across shards) and commit it there.
     fn apply_op(&mut self, op: &LakeOp) -> Result<DeltaStats, ServiceError> {
         let target = match op {
-            LakeOp::AddTable(table) => match self.table_shard.get(table.name()) {
+            LakeOp::AddTable(table) => match self.table_owner(table.name()) {
                 // Duplicate name: route to the owner so the engine
                 // surfaces its own duplicate-table error.
-                Some(&owner) => owner,
+                Some(owner) => owner,
                 None => {
                     let values: Vec<String> = table
                         .columns()
@@ -1202,12 +1172,12 @@ impl Coordinator {
             LakeOp::RemoveTable(name) => {
                 // An unknown table routes to shard 0 so the engine
                 // produces its NotFound error deterministically.
-                self.table_shard.get(name.as_str()).copied().unwrap_or(0)
+                self.table_owner(name).unwrap_or(0)
             }
             LakeOp::ReplaceValue {
                 table, replacement, ..
             } => {
-                let home = self.table_shard.get(table.as_str()).copied().unwrap_or(0);
+                let home = self.table_owner(table).unwrap_or(0);
                 let norm = normalize(replacement);
                 if !lake::value::is_missing(&norm) {
                     let trigger = vec![norm];
@@ -1227,19 +1197,7 @@ impl Coordinator {
         };
         let mut delta = LakeDelta::new();
         delta.push(op.clone());
-        let result = self.commit_shard(target, delta);
-        if result.is_ok() {
-            match op {
-                LakeOp::AddTable(table) => {
-                    self.table_shard.insert(table.name().to_owned(), target);
-                }
-                LakeOp::RemoveTable(name) => {
-                    self.table_shard.remove(name.as_str());
-                }
-                LakeOp::ReplaceValue { .. } => {}
-            }
-        }
-        result
+        self.commit_shard(target, delta)
     }
 
     /// Commit one delta on one shard, marking it dirty.
@@ -1326,8 +1284,7 @@ impl Coordinator {
         for (from, table) in moves {
             let name = table.name().to_owned();
             self.commit_shard(target, LakeDelta::new().add_table(table))?;
-            self.commit_shard(from, LakeDelta::new().remove_table(name.clone()))?;
-            self.table_shard.insert(name, target);
+            self.commit_shard(from, LakeDelta::new().remove_table(name))?;
         }
         if let Some(root) = self.root_dir.clone() {
             dn_store::clear_rebalance_intent(&root)?;
@@ -1369,7 +1326,6 @@ impl Coordinator {
                 }
                 (false, _) => {} // move completed (or never started *and* the table is gone)
             }
-            self.table_shard.insert(mv.table.clone(), mv.to);
         }
         if !self.dirty.is_empty() {
             self.publish();
@@ -1377,21 +1333,19 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Re-derive table ownership from the shard lakes, failing on a
-    /// duplicate (a table live on two shards with no intent explaining
-    /// it — the invariant the rebalance machinery exists to protect).
-    fn verify_table_ownership(&mut self) -> Result<(), ServiceError> {
-        let mut owners: HashMap<String, usize> = HashMap::new();
+    /// Fail on a table live on two shards with no intent explaining it —
+    /// the invariant the rebalance machinery exists to protect.
+    fn verify_table_ownership(&self) -> Result<(), ServiceError> {
+        let mut owners: HashMap<&str, usize> = HashMap::new();
         for (i, writer) in self.shards.iter().enumerate() {
             for name in writer.lake().live_table_names() {
-                if let Some(previous) = owners.insert(name.to_owned(), i) {
+                if let Some(previous) = owners.insert(name, i) {
                     return Err(ServiceError::Maintenance(format!(
                         "table '{name}' is live on shards {previous} and {i} with no rebalance intent"
                     )));
                 }
             }
         }
-        self.table_shard = owners;
         Ok(())
     }
 }
@@ -1545,6 +1499,52 @@ mod tests {
             };
             assert_eq!(flipped.explain("Jaguar").unwrap(), cars_answer);
         }
+
+        // The write side answers by the same rule. Meet the window the way
+        // a follower does: the add half of a move lands on shard 1 while
+        // shard 0 still holds the table.
+        let dir = store_dir("double_ownership");
+        let policy = CheckpointPolicy::manual();
+        let (service, mut coordinator) =
+            serve_sharded_durable(two_component_lake(), config(), &dir, policy, 2).unwrap();
+        assert_eq!(coordinator.table_owner("zoo"), Some(0));
+        let zoo_table = coordinator.shard(0).lake().table("zoo").unwrap().clone();
+        let (seq, epoch) = (
+            coordinator.shard(1).last_seq() + 1,
+            coordinator.shard(1).epoch(),
+        );
+        let add_half = [LakeDelta::new().add_table(zoo_table)];
+        coordinator
+            .apply_replicated(1, seq, epoch, &add_half)
+            .unwrap();
+        coordinator.refresh_view();
+        assert!(coordinator.shard(1).lake().table("zoo").is_some());
+        assert_eq!(
+            coordinator.table_owner("zoo"),
+            Some(0),
+            "the shard table_summary answers from"
+        );
+        assert_eq!(
+            service.current().table_summary("zoo", Measure::lcc(), 8),
+            service
+                .current()
+                .shard(0)
+                .table_summary("zoo", Measure::lcc(), 8),
+        );
+        let (seq, epoch) = (
+            coordinator.shard(0).last_seq() + 1,
+            coordinator.shard(0).epoch(),
+        );
+        let remove_half = [LakeDelta::new().remove_table("zoo")];
+        coordinator
+            .apply_replicated(0, seq, epoch, &remove_half)
+            .unwrap();
+        assert_eq!(
+            coordinator.table_owner("zoo"),
+            Some(1),
+            "the move converged"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

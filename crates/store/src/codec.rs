@@ -9,7 +9,7 @@
 //! before any allocation, so a corrupted length cannot trigger an
 //! out-of-memory abort.
 
-use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::ApproxBcConfig;
 use dn_graph::lcc::LccMethod;
 use domainnet::Measure;
 
@@ -358,10 +358,6 @@ pub fn put_measure(w: &mut ByteWriter, measure: Measure) {
         Measure::ApproxBc(config) => {
             w.put_u8(TAG_APPROX_BC);
             w.put_u64(config.samples as u64);
-            w.put_u8(match config.strategy {
-                SamplingStrategy::Uniform => 0,
-                SamplingStrategy::DegreeProportional => 1,
-            });
             w.put_u64(config.seed);
         }
     }
@@ -382,17 +378,8 @@ pub fn get_measure(r: &mut ByteReader<'_>) -> Result<Measure> {
         TAG_EXACT_BC => Ok(Measure::ExactBc),
         TAG_APPROX_BC => {
             let samples = r.get_u64()? as usize;
-            let strategy = match r.get_u8()? {
-                0 => SamplingStrategy::Uniform,
-                1 => SamplingStrategy::DegreeProportional,
-                other => return Err(invalid(format!("unknown sampling strategy {other}"))),
-            };
             let seed = r.get_u64()?;
-            Ok(Measure::ApproxBc(ApproxBcConfig {
-                samples,
-                strategy,
-                seed,
-            }))
+            Ok(Measure::ApproxBc(ApproxBcConfig { samples, seed }))
         }
         other => Err(invalid(format!("unknown measure tag {other}"))),
     }
@@ -478,7 +465,6 @@ mod tests {
             Measure::exact_bc(),
             Measure::ApproxBc(ApproxBcConfig {
                 samples: 512,
-                strategy: SamplingStrategy::DegreeProportional,
                 seed: 0xFEED,
             }),
         ];

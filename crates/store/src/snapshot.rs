@@ -2,10 +2,17 @@
 //!
 //! A snapshot captures the complete durable state of a serving engine at
 //! one instant: the mutable lake (tables, tombstones, the append-only
-//! interner), the CSR bipartite graph with its component labeling, and the
-//! net's cached state (id mappings, generation, per-measure score vectors
-//! and memoized rankings). Scores are stored as raw IEEE-754 bit patterns,
-//! so a write → read → write cycle is **bit-identical**.
+//! interner), the CSR bipartite graph, and the net's cached state (id
+//! mappings, generation, per-measure score vectors, cardinalities). Scores
+//! are stored as raw IEEE-754 bit patterns, so a write → read → write cycle
+//! is **bit-identical**.
+//!
+//! What is a function of those and cheaper to recompute than to read back
+//! is not stored: component labels (one BFS over the decoded graph), the
+//! memoized rankings (a sort of scores and cardinalities the recovering
+//! engine's `warm_rankings` redoes) and a value's attribute count (its
+//! degree). Raw scores and cardinalities stay: recomputing either costs a
+//! kernel pass, far more than decoding it.
 //!
 //! ## File layout
 //!
@@ -20,8 +27,9 @@
 //! │   1 manifest   last_seq, epoch, served measures            │
 //! │   2 lake       tables (columnar), attr slots, value sets,  │
 //! │                interner                                    │
-//! │   3 graph      CSR offsets + adjacency, labels, components │
-//! │   4 net        config, generation, id maps, score caches   │
+//! │   3 graph      CSR offsets + adjacency, node labels        │
+//! │   4 net        pruning flag, generation, id maps, raw      │
+//! │                scores per measure, cardinalities           │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -29,9 +37,9 @@
 //! section carries its own CRC-32 so a flipped byte is attributed to the
 //! section it corrupted. Decoding validates every cross-reference — within
 //! the lake ([`MutableLake::from_raw_parts`]), within the graph
-//! ([`BipartiteGraph::try_from_parts`], [`Components::validate_against`]),
-//! within the net ([`DomainNet::from_parts`]), and **between** lake and
-//! graph (value/attribute labels must agree with the interner) — before any
+//! ([`BipartiteGraph::try_from_parts`]), within the net
+//! ([`DomainNet::from_parts`]), and **between** lake and graph
+//! (value/attribute labels must agree with the interner) — before any
 //! state is returned, so a torn or tampered file yields a typed
 //! [`StoreError`], never a half-loaded engine.
 
@@ -39,8 +47,7 @@ use std::fs;
 use std::path::Path;
 
 use dn_graph::bipartite::BipartiteGraph;
-use dn_graph::components::Components;
-use domainnet::{DomainNet, Measure, NetCachesState, NetState, ScoredValue};
+use domainnet::{DomainNet, Measure, NetCachesState, NetState};
 use lake::catalog::AttrId;
 use lake::delta::{LakeView, MutableLake};
 use lake::value::ValueId;
@@ -52,8 +59,9 @@ use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The newest snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The one snapshot format version this build reads and writes (format 1
+/// also carried component labels, rankings and attribute counts).
+pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
@@ -83,13 +91,14 @@ pub struct Manifest {
     pub measures: Vec<Measure>,
 }
 
-/// A fully validated snapshot: the lake, the net (graph + components +
-/// caches), and the manifest that situates it in the WAL.
+/// A fully validated snapshot: the lake, the net (graph + caches), and the
+/// manifest that situates it in the WAL.
 #[derive(Debug)]
 pub struct PersistedState {
     /// The restored mutable lake (stable ids intact).
     pub lake: MutableLake,
-    /// The restored net, caches warm exactly as persisted.
+    /// The restored net: raw scores and cardinalities as persisted,
+    /// rankings not yet derived.
     pub net: DomainNet,
     /// Snapshot metadata.
     pub manifest: Manifest,
@@ -175,7 +184,7 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
     w.into_inner()
 }
 
-fn encode_graph(graph: &BipartiteGraph, components: &Components) -> Vec<u8> {
+fn encode_graph(graph: &BipartiteGraph) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(graph.value_count() as u64);
     w.put_u64(graph.attribute_count() as u64);
@@ -187,18 +196,12 @@ fn encode_graph(graph: &BipartiteGraph, components: &Components) -> Vec<u8> {
     for label in graph.attribute_labels() {
         w.put_str(label);
     }
-    put_u32_vec(&mut w, &components.labels);
-    w.put_u64(components.sizes.len() as u64);
-    for &size in &components.sizes {
-        w.put_u64(size as u64);
-    }
     w.into_inner()
 }
 
 fn encode_net(state: &NetState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(state.config.prune_single_attribute_values);
-    w.put_bool(state.config.drop_empty_attributes);
     w.put_u64(state.generation);
     put_u32_vec(&mut w, &state.node_of_value);
     put_u32_vec(&mut w, &state.attr_index_of);
@@ -214,25 +217,13 @@ fn encode_net(state: &NetState) -> Vec<u8> {
             w.put_f64(score);
         }
     }
-    w.put_u64(state.caches.ranked.len() as u64);
-    for (measure, ranking) in &state.caches.ranked {
-        put_measure(&mut w, *measure);
-        w.put_u64(ranking.len() as u64);
-        for scored in ranking {
-            w.put_str(&scored.value);
-            w.put_f64(scored.score);
-            w.put_u64(scored.attribute_count as u64);
-            w.put_u64(scored.cardinality as u64);
-        }
-    }
-    match &state.caches.meta {
+    match &state.caches.cardinalities {
         None => w.put_bool(false),
-        Some(meta) => {
+        Some(cardinalities) => {
             w.put_bool(true);
-            w.put_u64(meta.len() as u64);
-            for &(attrs, card) in meta {
-                w.put_u64(attrs as u64);
-                w.put_u64(card as u64);
+            w.put_u64(cardinalities.len() as u64);
+            for &cardinality in cardinalities {
+                w.put_u64(cardinality as u64);
             }
         }
     }
@@ -272,7 +263,7 @@ pub fn encode_snapshot_threaded(
         let (id, payload) = match i {
             0 => (SECTION_MANIFEST, encode_manifest(manifest)),
             1 => (SECTION_LAKE, encode_lake(lake)),
-            2 => (SECTION_GRAPH, encode_graph(net.graph(), net.components())),
+            2 => (SECTION_GRAPH, encode_graph(net.graph())),
             _ => (SECTION_NET, encode_net(&net_state)),
         };
         let crc = crc32(&payload);
@@ -432,7 +423,7 @@ fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
         .map_err(|e| StoreError::corrupt(format!("lake: {e}")))
 }
 
-fn decode_graph(payload: &[u8]) -> Result<(BipartiteGraph, Components)> {
+fn decode_graph(payload: &[u8]) -> Result<BipartiteGraph> {
     let mut r = ByteReader::new(payload, "graph");
     let n_values = r.get_u64()? as usize;
     let n_attrs = r.get_u64()? as usize;
@@ -453,14 +444,9 @@ fn decode_graph(payload: &[u8]) -> Result<(BipartiteGraph, Components)> {
     let attr_labels = (0..n_attrs)
         .map(|_| r.get_str())
         .collect::<Result<Vec<String>>>()?;
-    let labels = r.get_u32_vec()?;
-    let size_count = r.get_count(8)?;
-    let sizes = (0..size_count)
-        .map(|_| r.get_u64().map(|s| s as usize))
-        .collect::<Result<Vec<usize>>>()?;
     r.expect_exhausted()?;
 
-    let graph = BipartiteGraph::try_from_parts(
+    BipartiteGraph::try_from_parts(
         n_values,
         n_attrs,
         offsets,
@@ -468,18 +454,12 @@ fn decode_graph(payload: &[u8]) -> Result<(BipartiteGraph, Components)> {
         value_labels,
         attr_labels,
     )
-    .map_err(|e| StoreError::corrupt(format!("graph: {e}")))?;
-    let components = Components { labels, sizes };
-    components
-        .validate_against(&graph)
-        .map_err(|e| StoreError::corrupt(format!("components: {e}")))?;
-    Ok((graph, components))
+    .map_err(|e| StoreError::corrupt(format!("graph: {e}")))
 }
 
 fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     let mut r = ByteReader::new(payload, "net");
     let prune_single_attribute_values = r.get_bool()?;
-    let drop_empty_attributes = r.get_bool()?;
     let generation = r.get_u64()?;
     let node_of_value = r.get_u32_vec()?;
     let attr_index_of = r.get_u32_vec()?;
@@ -494,36 +474,9 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
             .collect::<Result<Vec<f64>>>()?;
         raw.push((measure, scores));
     }
-    let ranked_count = r.get_count(1)?;
-    let mut ranked = Vec::with_capacity(ranked_count);
-    for _ in 0..ranked_count {
-        let measure = get_measure(&mut r)?;
-        let len = r.get_count(8 + 8 + 8 + 8)?;
-        let mut ranking = Vec::with_capacity(len);
-        for _ in 0..len {
-            let value = r.get_str()?;
-            let score = r.get_f64()?;
-            let attribute_count = r.get_u64()? as usize;
-            let cardinality = r.get_u64()? as usize;
-            ranking.push(ScoredValue {
-                value,
-                score,
-                attribute_count,
-                cardinality,
-            });
-        }
-        ranked.push((measure, ranking));
-    }
-    let meta = if r.get_bool()? {
-        let len = r.get_count(16)?;
-        let pairs = (0..len)
-            .map(|_| {
-                let attrs = r.get_u64()? as usize;
-                let card = r.get_u64()? as usize;
-                Ok((attrs, card))
-            })
-            .collect::<Result<Vec<(usize, usize)>>>()?;
-        Some(pairs)
+    let cardinalities = if r.get_bool()? {
+        let counts = r.get_u64_vec()?;
+        Some(counts.into_iter().map(|c| c as usize).collect())
     } else {
         None
     };
@@ -531,7 +484,6 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
 
     let config = domainnet::pipeline::DomainNetConfig {
         prune_single_attribute_values,
-        drop_empty_attributes,
     };
     Ok(NetState {
         config,
@@ -539,7 +491,7 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
         node_of_value,
         attr_index_of,
         attr_id_of_index,
-        caches: NetCachesState { raw, ranked, meta },
+        caches: NetCachesState { raw, cardinalities },
     })
 }
 
@@ -620,7 +572,7 @@ fn validate_lake_net_agreement(
 enum DecodedSection {
     Manifest(Manifest),
     Lake(Box<MutableLake>),
-    Graph(Box<(BipartiteGraph, Components)>),
+    Graph(Box<BipartiteGraph>),
     Net(Box<NetState>),
 }
 
@@ -669,21 +621,20 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
     });
     let mut manifest = None;
     let mut lake = None;
-    let mut graph_parts = None;
+    let mut graph = None;
     let mut state = None;
     for section in decoded {
         match section? {
             DecodedSection::Manifest(m) => manifest = Some(m),
             DecodedSection::Lake(l) => lake = Some(*l),
-            DecodedSection::Graph(g) => graph_parts = Some(*g),
+            DecodedSection::Graph(g) => graph = Some(*g),
             DecodedSection::Net(s) => state = Some(*s),
         }
     }
     let (manifest, lake) = (manifest.expect("task 0 ran"), lake.expect("task 1 ran"));
-    let (graph, components) = graph_parts.expect("task 2 ran");
-    let state = state.expect("task 3 ran");
+    let (graph, state) = (graph.expect("task 2 ran"), state.expect("task 3 ran"));
     validate_lake_net_agreement(&lake, &graph, &state)?;
-    let net = DomainNet::from_parts(graph, components, state)
+    let net = DomainNet::from_parts(graph, state)
         .map_err(|e| StoreError::corrupt(format!("net: {e}")))?;
     Ok(PersistedState {
         lake,

@@ -76,7 +76,9 @@ pub enum StorePresence {
 pub struct Recovered {
     /// The recovered lake, stable ids intact.
     pub lake: MutableLake,
-    /// The recovered net, caches warmed for [`Recovered::measures`].
+    /// The recovered net: raw scores for [`Recovered::measures`] as the
+    /// writer held them; rankings derive from them on the first
+    /// `rank` / `warm_rankings`.
     pub net: DomainNet,
     /// The serving epoch the engine resumes publishing from (the highest
     /// of the snapshot's epoch and the replayed records' epoch tags + 1).

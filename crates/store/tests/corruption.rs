@@ -78,15 +78,92 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    let mut bytes = sample_snapshot_bytes();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    match decode_snapshot(&bytes) {
-        Err(StoreError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, dn_store::FORMAT_VERSION);
+    // A later release's file, and format 1 (which also carried component
+    // labels and rankings): one reader, one typed refusal.
+    for version in [99u32, 1] {
+        let mut bytes = sample_snapshot_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        match decode_snapshot(&bytes) {
+            Err(StoreError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, 2);
+                assert_eq!(supported, dn_store::FORMAT_VERSION);
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+}
+
+/// `bytes` with the net section's payload (the file's last) replaced and
+/// its length and CRC in the section table re-derived, so only the
+/// structural validation can object.
+fn with_net_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+    let sections = section_table(bytes).unwrap();
+    let (index, net) = sections
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.name == "net")
+        .unwrap();
+    assert_eq!(net.offset + net.len, bytes.len(), "net is the last section");
+    let mut forged = bytes[..net.offset].to_vec();
+    forged.extend_from_slice(payload);
+    // magic, version, count, then { id u32, offset u64, len u64, crc u32 }.
+    let entry = 16 + index * 24;
+    forged[entry + 12..entry + 20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    forged[entry + 20..entry + 24].copy_from_slice(&dn_store::codec::crc32(payload).to_le_bytes());
+    forged
+}
+
+#[test]
+fn forged_cardinalities_are_corrupt_not_served() {
+    // The net section ends with the cardinality vector (count, then one
+    // u64 per value node). Rankings are derived from it on recovery, so a
+    // checksum-valid section that lies about it must not load.
+    let (lake, net, measures) = sample_engine();
+    let manifest = Manifest {
+        last_seq: 4,
+        epoch: 2,
+        measures,
+    };
+    let bytes = encode_snapshot(&lake, &net, &manifest);
+    let section = *section_table(&bytes)
+        .unwrap()
+        .iter()
+        .find(|s| s.name == "net")
+        .unwrap();
+    let payload = &bytes[section.offset..section.offset + section.len];
+    let values = net.graph().value_count();
+    let vector = payload.len() - 8 * values;
+    assert_eq!(
+        payload[vector - 8..vector],
+        (values as u64).to_le_bytes(),
+        "net section layout changed"
+    );
+    let expect_corrupt =
+        |payload: &[u8], what: &str| match decode_snapshot(&with_net_payload(&bytes, payload)) {
+            Err(StoreError::Corrupt { context }) => {
+                assert!(context.contains(what), "{context}")
+            }
+            other => panic!("expected Corrupt ({what}), got {other:?}"),
+        };
+
+    // One entry short of the value nodes.
+    let mut short = payload[..payload.len() - 8].to_vec();
+    short[vector - 8..vector].copy_from_slice(&(values as u64 - 1).to_le_bytes());
+    expect_corrupt(&short, "cardinalities cover");
+
+    // A tombstoned (degree-0) node that claims neighbours.
+    let graph = net.graph();
+    let isolated = graph
+        .value_nodes()
+        .find(|&v| graph.degree(v) == 0)
+        .expect("the sample mutation tombstones a value");
+    let mut haunted = payload.to_vec();
+    haunted[vector + 8 * isolated as usize] = 7;
+    expect_corrupt(&haunted, "isolated value node");
+
+    // The resealing itself is sound: the untouched payload still loads.
+    decode_snapshot(&with_net_payload(&bytes, payload)).unwrap();
 }
 
 #[test]

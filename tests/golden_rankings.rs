@@ -15,7 +15,7 @@
 //! then review the diff of `tests/golden/` like any other code change.
 
 use datagen::sb::{SbConfig, SbGenerator};
-use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::ApproxBcConfig;
 use dn_graph::lcc::LccMethod;
 use domainnet::{DomainNetBuilder, Measure, ScoredValue};
 use lake::delta::LakeView;
@@ -60,7 +60,6 @@ fn golden_dir() -> PathBuf {
 fn sb_approx_bc() -> Measure {
     Measure::ApproxBc(ApproxBcConfig {
         samples: 512,
-        strategy: SamplingStrategy::Uniform,
         seed: 2021,
     })
 }

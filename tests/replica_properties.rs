@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use datagen::mutate::{MutationConfig, MutationStream};
-use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::ApproxBcConfig;
 use dn_graph::lcc::LccMethod;
 use dn_service::{
     serve_sharded_durable, CheckpointPolicy, Coordinator, Follower, LocalReplicaSource,
@@ -53,7 +53,6 @@ fn golden_measures() -> Vec<Measure> {
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,
-            strategy: SamplingStrategy::Uniform,
             seed: 2021,
         }),
     ]

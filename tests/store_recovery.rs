@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 use datagen::mutate::{MutationConfig, MutationStream};
 use datagen::sb::{SbConfig, SbGenerator};
-use dn_graph::approx_bc::{ApproxBcConfig, SamplingStrategy};
+use dn_graph::approx_bc::ApproxBcConfig;
 use dn_graph::lcc::LccMethod;
 use dn_service::{
     serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator,
@@ -70,7 +70,6 @@ fn golden_measures() -> Vec<Measure> {
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,
-            strategy: SamplingStrategy::Uniform,
             seed: 2021,
         }),
     ]
