@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the DomainNet reproduction workspace.
 #
-# Runs, in order: rustfmt check, the one-exposition-writer grep, clippy with
-# warnings denied, rustdoc with warnings denied (so documentation rot fails
-# the gate), the doc-test suite,
+# Runs, in order: rustfmt check, the one-exposition-writer, one-paper-driver
+# and one-lake greps, clippy with warnings denied, rustdoc with warnings
+# denied (so documentation rot fails the gate), the doc-test suite,
 # a release build (of the workspace, then of the frozen standing benchmark
 # under benchmark/ against it), the test suite, and then explicitly labeled
 # gates: the golden-ranking regression corpus and the paper-results ledger
@@ -75,6 +75,15 @@ done
 
 echo "==> gate: one paper driver (exactly one fn main under crates/bench)"
 [[ $(grep -rho 'fn main' crates/bench | wc -l) -eq 1 ]] || { echo "crates/bench must hold one fn main, the paper binary's" >&2; exit 1; }
+
+# The lake is one struct with one LakeView impl (lake::delta::MutableLake);
+# LakeCatalog is a type alias the frozen benchmark names.
+echo "==> gate: one lake (no struct LakeCatalog, exactly one impl LakeView for)"
+LAKE_SRC=$(find crates/*/src -name '*.rs' | sort | while read -r file; do non_test "$file"; done)
+if grep -F 'struct LakeCatalog' <<<"${LAKE_SRC}" >/dev/null || [[ $(grep -cF 'impl LakeView for' <<<"${LAKE_SRC}") -ne 1 ]]; then
+    echo "crates/*/src must hold no 'struct LakeCatalog' and exactly one 'impl LakeView for'" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -70,6 +70,19 @@ impl Measure {
         !matches!(self, Measure::Lcc(_))
     }
 
+    /// The total order a ranking under this measure is sorted by: the most
+    /// homograph-like score first, ties broken by value string. Per-shard
+    /// rankings and the coordinator's cross-shard merge share it, which is
+    /// what makes that merge exact rather than approximate.
+    pub fn rank_order(&self, a: &ScoredValue, b: &ScoredValue) -> std::cmp::Ordering {
+        let by_score = if self.higher_is_more_homograph_like() {
+            b.score.total_cmp(&a.score)
+        } else {
+            a.score.total_cmp(&b.score)
+        };
+        by_score.then_with(|| a.value.cmp(&b.value))
+    }
+
     /// A short human-readable name used in experiment output.
     pub fn name(&self) -> &'static str {
         match self {

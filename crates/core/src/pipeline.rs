@@ -2,12 +2,11 @@
 //!
 //! Two usage modes share one type:
 //!
-//! * **Snapshot mode** — [`DomainNetBuilder::build`] over any
-//!   [`LakeView`] (an immutable [`lake::LakeCatalog`] or a
-//!   [`lake::MutableLake`]) produces a [`DomainNet`] whose rankings are
+//! * **Snapshot mode** — [`DomainNetBuilder::build`] over a [`LakeView`]
+//!   (a [`lake::MutableLake`]) produces a [`DomainNet`] whose rankings are
 //!   memoized per [`Measure`].
-//! * **Incremental mode** — for a [`lake::MutableLake`], applying a
-//!   [`lake::LakeDelta`] to the lake yields [`lake::DeltaEffects`], which
+//! * **Incremental mode** — applying a [`lake::LakeDelta`] to the lake
+//!   yields the values it touched ([`lake::DeltaEffects`]), which
 //!   [`DomainNet::apply_delta`] consumes to *patch* the graph and every
 //!   cached score vector instead of recomputing from scratch: local
 //!   clustering coefficients are recomputed only for the dirty 2-hop region,
@@ -74,8 +73,7 @@ impl DomainNetBuilder {
         self
     }
 
-    /// Build the DomainNet graph from any lake view (an immutable
-    /// [`lake::LakeCatalog`] or a [`lake::MutableLake`]).
+    /// Build the DomainNet graph from the live state of a lake.
     pub fn build<L: LakeView + ?Sized>(&self, lake: &L) -> DomainNet {
         let min_attrs = if self.config.prune_single_attribute_values {
             2
@@ -382,15 +380,7 @@ impl DomainNet {
                 cardinality: cardinalities[node as usize],
             })
             .collect();
-        let higher_first = measure.higher_is_more_homograph_like();
-        ranked.sort_by(|a, b| {
-            let primary = if higher_first {
-                b.score.total_cmp(&a.score)
-            } else {
-                a.score.total_cmp(&b.score)
-            };
-            primary.then_with(|| a.value.cmp(&b.value))
-        });
+        ranked.sort_by(|a, b| measure.rank_order(a, b));
         let ranked = Arc::new(ranked);
         self.caches
             .lock()
@@ -456,7 +446,9 @@ impl DomainNet {
     ///
     /// `lake` must be the same [`MutableLake`] this net was built from (or
     /// last refreshed against), **after** the delta was applied to it, and
-    /// `effects` must be the effects record that application returned. The
+    /// `effects` must be the effects record that application returned:
+    /// each touched value's edges are re-read from the lake and diffed
+    /// against the graph, so touches that cancelled patch nothing. The
     /// bipartite graph is patched in `O(n + m + |Δ|)`, connected components
     /// are recomputed on it, and every memoized measure is repaired:
     ///
@@ -502,22 +494,12 @@ impl DomainNet {
             self.attr_index_of.resize(lake.attribute_count(), u32::MAX);
         }
 
-        // Values whose live incidence set changed.
-        let mut affected: Vec<ValueId> = effects
-            .added_incidences
-            .iter()
-            .chain(effects.removed_incidences.iter())
-            .map(|&(_, v)| v)
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-
-        // Translate lake-level effects into a graph-level edge delta. All
+        // Translate the touched values into a graph-level edge delta. All
         // node/attribute allocations are staged in `pending` so a failed
         // translation (or graph patch) leaves `self` untouched.
         let mut pending = PendingDelta::default();
         let old_value_count = self.graph.value_count() as u32;
-        for &vid in &affected {
+        for &vid in &effects.touched_values {
             if vid.index() >= self.node_of_value.len() {
                 return Err(format!(
                     "effects reference value {} outside the lake's id space",
@@ -1337,6 +1319,35 @@ mod tests {
         net.graph().validate().unwrap();
         assert_equivalent(&net, &lake, Measure::lcc());
         assert_equivalent(&net, &lake, Measure::exact_bc());
+    }
+
+    #[test]
+    fn a_batch_that_undoes_itself_patches_nothing() {
+        // The lake reports every value the ops touched; that they cancelled
+        // is found here, where each value's lake edges are diffed against
+        // the graph's — the one place a cancellation is computed.
+        let mut lake = mutable_running_example();
+        let mut net = DomainNetBuilder::new().build(&lake);
+        let bits = |net: &DomainNet| {
+            [Measure::lcc(), Measure::exact_bc()].map(|m| {
+                let ranked = net.rank(m).into_iter();
+                ranked
+                    .map(|s| (s.value, s.score.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let before = bits(&net);
+
+        let effects = lake
+            .apply_batch(&[
+                LakeDelta::new().replace_value("T4", "Name", "Jaguar", "Okapi"),
+                LakeDelta::new().replace_value("T4", "Name", "Okapi", "Jaguar"),
+            ])
+            .unwrap();
+        assert_eq!(effects.touched_values.len(), 2, "JAGUAR and OKAPI");
+        let stats = net.apply_delta(&lake, &effects).unwrap();
+        assert_eq!(stats, DeltaStats::default());
+        assert_eq!(bits(&net), before);
     }
 
     #[test]

@@ -165,7 +165,9 @@ pub fn discover(lake: &LakeCatalog, config: D4Config) -> D4Output {
     let mut columns: Vec<AttrId> = Vec::new();
     let mut value_sets: Vec<HashSet<ValueId>> = Vec::new();
     for attr in lake.attribute_ids() {
-        let column = lake.attribute(attr).expect("attribute ids are dense");
+        let column = lake
+            .attribute(attr)
+            .expect("attribute_ids yields live slots");
         if column.distinct_count() == 0 {
             continue;
         }
@@ -478,6 +480,27 @@ mod tests {
             with >= base,
             "domain count should not shrink when homographs are injected: {base} -> {with}"
         );
+    }
+
+    #[test]
+    fn a_tombstoned_lake_reads_like_its_compaction() {
+        // A lake that has lost a table keeps the table's attribute slots and
+        // value ids as tombstones; `snapshot` re-derives dense ids. Discovery
+        // and the ground-truth labels must not see the difference.
+        let generated = datagen::sb::SbGenerator::new(7).generate();
+        let mut lake = generated.catalog;
+        let removed = lake.live_table_names()[0].to_owned();
+        lake.apply(&lake::LakeDelta::new().remove_table(&removed))
+            .unwrap();
+        let compact = lake.snapshot().unwrap();
+        assert!(lake.attribute_count() > compact.attribute_count());
+        assert!(lake.value_count() > compact.value_count());
+
+        let json = |l: &LakeCatalog| serde_json::to_string(&discover(l, D4Config::default()));
+        assert_eq!(json(&lake).unwrap(), json(&compact).unwrap());
+        let truth = generated.truth.homographs(&lake);
+        assert!(!truth.is_empty());
+        assert_eq!(truth, generated.truth.homographs(&compact));
     }
 
     #[test]

@@ -195,11 +195,7 @@ pub(crate) fn accumulate_sources_parallel(
     let chunks = canonical_chunks(sources.len());
     let ctx = dn_trace::current();
     let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
-        let _chunk = if ctx.is_active() {
-            ctx.enter(dn_trace::Phase::PoolBcChunks, &format!("chunk{c}"))
-        } else {
-            dn_trace::SpanGuard::noop()
-        };
+        let _chunk = ctx.enter(dn_trace::Phase::PoolBcChunks, format_args!("chunk{c}"));
         let mut acc = vec![0.0; n];
         let mut workspace = BrandesWorkspace::new(n);
         for &s in &sources[chunks[c].clone()] {

@@ -772,7 +772,7 @@ mod tests {
         for value in catalog.values_in_at_least(2) {
             node_of_value[value.index()] = b.add_value(catalog.value(value).unwrap());
         }
-        for (attr, values) in catalog.attribute_value_pairs() {
+        for (attr, values) in catalog.live_attribute_values() {
             let a = b.add_attribute(format!("attr_{}", attr.0));
             for value in values {
                 if node_of_value[value.index()] != u32::MAX {

@@ -58,6 +58,13 @@ use crate::journal::{FileChange, Journal, JournalState, PendingBatch};
 use crate::sink::{DeltaSink, SinkError};
 use crate::stats::IngestStats;
 
+/// Max total ops packed into one delivered batch (soft: a single oversized
+/// file delta still ships alone rather than splitting).
+const MAX_OPS_PER_BATCH: usize = 256;
+
+/// Ceiling of the doubling delivery backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
 /// Tunables for one ingester.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
@@ -71,15 +78,11 @@ pub struct IngestConfig {
     pub poll_interval: Duration,
     /// Max file-level deltas packed into one delivered batch.
     pub max_deltas_per_batch: usize,
-    /// Max total ops packed into one delivered batch (soft: a single
-    /// oversized file delta still ships alone rather than splitting).
-    pub max_ops_per_batch: usize,
     /// Delivery attempts per batch before giving up until the next poll.
     pub max_attempts: u32,
     /// Initial backoff after a transient delivery failure (doubles per
-    /// retry up to `max_backoff`).
+    /// retry up to two seconds).
     pub backoff: Duration,
-    pub max_backoff: Duration,
 }
 
 impl IngestConfig {
@@ -91,10 +94,8 @@ impl IngestConfig {
             journal_path,
             poll_interval: Duration::from_millis(500),
             max_deltas_per_batch: 8,
-            max_ops_per_batch: 256,
             max_attempts: 5,
             backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
         }
     }
 }
@@ -359,7 +360,7 @@ impl<S: DeltaSink> Ingester<S> {
             let ops = action.delta.len();
             let full = !batch.is_empty()
                 && (batch.len() >= self.config.max_deltas_per_batch
-                    || batch_ops + ops > self.config.max_ops_per_batch);
+                    || batch_ops + ops > MAX_OPS_PER_BATCH);
             if full {
                 self.deliver_fresh_batch(std::mem::take(&mut batch), &mut report)?;
                 batch_ops = 0;
@@ -530,7 +531,7 @@ impl<S: DeltaSink> Ingester<S> {
                     }
                     self.stats.retries.inc();
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.config.max_backoff);
+                    backoff = (backoff * 2).min(MAX_BACKOFF);
                 }
             }
         }

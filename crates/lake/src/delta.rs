@@ -1,24 +1,16 @@
-//! Incremental lake mutation: deltas, effects, and the mutable catalog.
+//! The lake: one value↔attribute incidence index, built once and mutated
+//! in place.
 //!
-//! [`crate::catalog::LakeCatalog`] treats the lake as a static snapshot —
-//! every change means rebuilding the catalog (and everything downstream) from
-//! scratch. Real lakes mutate continuously: tables arrive, get deprecated,
-//! and have cells rewritten. This module provides the mutation half of the
-//! substrate:
-//!
+//! * [`MutableLake`] — the lake (§3, Figure 2 of the paper) and the only
+//!   lake type: a freshly loaded lake and one that has taken a thousand
+//!   deltas are the same struct, with ids that never shift.
 //! * [`LakeOp`] / [`LakeDelta`] — a recorded batch of table-level mutations
 //!   (add table, remove table, replace a value inside one attribute).
-//! * [`MutableLake`] — a catalog that applies deltas **in place** while
-//!   keeping [`ValueId`]s and [`AttrId`]s stable across mutations. Removed
-//!   tables are tombstoned (their attribute slots stay allocated but empty)
-//!   and the value interner is append-only, so downstream consumers — most
-//!   importantly the incremental bipartite-graph maintenance in `dn-graph` —
-//!   can patch their state instead of rebuilding it.
-//! * [`DeltaEffects`] — the exact set of (attribute, value) incidences an
-//!   applied delta added and removed. This is the "change list" the
-//!   incremental graph maintenance consumes.
-//! * [`LakeView`] — the read-only interface shared by [`LakeCatalog`] and
-//!   [`MutableLake`], which is all the DomainNet graph builder needs.
+//! * [`DeltaEffects`] — what an applied batch reports: the values whose
+//!   attribute sets it touched. A consumer recomputes those values from the
+//!   lake; nothing else can have changed.
+//! * [`LakeView`] — the read-only interface the DomainNet graph builder
+//!   is written against.
 //!
 //! ## Example
 //!
@@ -37,7 +29,7 @@
 //!     .unwrap();
 //!
 //! let effects = lake.apply(&LakeDelta::new().add_table(zoo).add_table(cars)).unwrap();
-//! assert_eq!(effects.added_incidences.len(), 4);
+//! assert_eq!(effects.touched_values.len(), 3); // Jaguar, Panda, Fiat
 //! assert_eq!(lake.live_table_count(), 2);
 //!
 //! // Removing a table tombstones its attributes; value ids stay stable.
@@ -47,11 +39,11 @@
 //! assert_eq!(lake.value_attributes(jaguar).len(), 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::catalog::{AttrId, AttrRef, LakeCatalog};
+use crate::catalog::{AttrId, AttrRef};
 use crate::column::Column;
 use crate::error::LakeError;
 use crate::table::Table;
@@ -59,20 +51,17 @@ use crate::value::{normalize, ValueId, ValueInterner};
 use crate::Result;
 
 // ---------------------------------------------------------------------------
-// The read-only view shared by the static and the mutable catalog
+// The read-only view
 // ---------------------------------------------------------------------------
 
 /// The read-only lake interface consumed by the DomainNet graph builder.
 ///
-/// Both the immutable [`LakeCatalog`] and the incremental [`MutableLake`]
-/// implement this, so the pipeline can be built from either without caring
-/// whether the lake is a static snapshot or a mutating one. For a
-/// [`MutableLake`], all methods describe the **live** state only: tombstoned
-/// attributes contribute no incidences, and values that no longer occur
-/// anywhere are reported in zero attributes.
+/// [`MutableLake`] is its one implementation. All methods describe the
+/// **live** state only: tombstoned attributes contribute no incidences, and
+/// values that no longer occur anywhere are reported in zero attributes.
 pub trait LakeView {
-    /// Number of distinct normalized values ever interned (including, for a
-    /// mutable lake, values that no longer occur anywhere).
+    /// Number of distinct normalized values ever interned (including values
+    /// that no longer occur anywhere).
     fn value_count(&self) -> usize;
     /// Number of attribute slots ever allocated (including tombstones).
     fn attribute_count(&self) -> usize;
@@ -88,33 +77,6 @@ pub trait LakeView {
     fn values_in_at_least(&self, min_attrs: usize) -> Vec<ValueId>;
     /// `(AttrId, sorted distinct ValueIds)` for every live attribute.
     fn live_attribute_values(&self) -> Vec<(AttrId, &[ValueId])>;
-}
-
-impl LakeView for LakeCatalog {
-    fn value_count(&self) -> usize {
-        LakeCatalog::value_count(self)
-    }
-    fn attribute_count(&self) -> usize {
-        LakeCatalog::attribute_count(self)
-    }
-    fn incidence_count(&self) -> usize {
-        LakeCatalog::incidence_count(self)
-    }
-    fn value(&self, id: ValueId) -> Option<&str> {
-        LakeCatalog::value(self, id)
-    }
-    fn attribute_ref(&self, id: AttrId) -> Option<AttrRef> {
-        LakeCatalog::attribute_ref(self, id)
-    }
-    fn value_attributes(&self, id: ValueId) -> &[AttrId] {
-        LakeCatalog::value_attributes(self, id)
-    }
-    fn values_in_at_least(&self, min_attrs: usize) -> Vec<ValueId> {
-        LakeCatalog::values_in_at_least(self, min_attrs)
-    }
-    fn live_attribute_values(&self) -> Vec<(AttrId, &[ValueId])> {
-        self.attribute_value_pairs().collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -228,113 +190,76 @@ impl LakeDelta {
     }
 }
 
-/// The incidence-level outcome of applying a [`LakeDelta`].
+/// What applying a batch of [`LakeDelta`]s reports to incremental consumers.
 ///
-/// This is the precise "change list" that incremental consumers need: which
-/// values were interned for the first time, which attribute slots were
-/// allocated or tombstoned, and exactly which (attribute, value) incidences
-/// appeared and disappeared. Incidences are deduplicated: an incidence both
-/// removed and re-added inside one delta cancels out.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// `DomainNet::apply_delta` re-reads each touched value's attribute set from
+/// the lake and diffs it against the graph, so ops that cancel each other
+/// cost an empty diff there and the lake keeps no change list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaEffects {
-    /// Values interned for the first time by this delta.
-    pub added_values: Vec<ValueId>,
-    /// Attribute slots allocated by this delta.
-    pub added_attrs: Vec<AttrId>,
-    /// Attribute slots tombstoned by this delta.
-    pub removed_attrs: Vec<AttrId>,
-    /// Live incidences that appeared: `(attribute, value)`.
-    pub added_incidences: Vec<(AttrId, ValueId)>,
-    /// Live incidences that disappeared: `(attribute, value)`.
-    pub removed_incidences: Vec<(AttrId, ValueId)>,
-    /// Number of raw cells rewritten by replace ops.
-    pub cells_rewritten: usize,
-}
-
-impl DeltaEffects {
-    /// Whether the delta changed nothing observable.
-    pub fn is_empty(&self) -> bool {
-        self.added_values.is_empty()
-            && self.added_attrs.is_empty()
-            && self.removed_attrs.is_empty()
-            && self.added_incidences.is_empty()
-            && self.removed_incidences.is_empty()
-            && self.cells_rewritten == 0
-    }
-
-    /// Fold another effects record into this one (ops applied in sequence).
-    pub fn merge(&mut self, other: DeltaEffects) {
-        self.added_values.extend(other.added_values);
-        self.added_attrs.extend(other.added_attrs);
-        self.removed_attrs.extend(other.removed_attrs);
-        self.added_incidences.extend(other.added_incidences);
-        self.removed_incidences.extend(other.removed_incidences);
-        self.cells_rewritten += other.cells_rewritten;
-    }
-
-    /// Cancel incidences that were both removed and re-added (or vice versa)
-    /// within the merged record, and deduplicate everything else.
-    fn normalize(&mut self) {
-        self.added_values.sort_unstable();
-        self.added_values.dedup();
-        self.added_attrs.sort_unstable();
-        self.added_attrs.dedup();
-        self.removed_attrs.sort_unstable();
-        self.removed_attrs.dedup();
-        // An attribute both added and removed by the same delta stays listed
-        // in both: the slot was allocated *and* is now dead.
-        self.added_incidences.sort_unstable();
-        self.added_incidences.dedup();
-        self.removed_incidences.sort_unstable();
-        self.removed_incidences.dedup();
-        let (mut add, mut rem) = (Vec::new(), Vec::new());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.added_incidences.len() && j < self.removed_incidences.len() {
-            match self.added_incidences[i].cmp(&self.removed_incidences[j]) {
-                std::cmp::Ordering::Less => {
-                    add.push(self.added_incidences[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    rem.push(self.removed_incidences[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Net no-op: the incidence ends in the state it started.
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        add.extend_from_slice(&self.added_incidences[i..]);
-        rem.extend_from_slice(&self.removed_incidences[j..]);
-        self.added_incidences = add;
-        self.removed_incidences = rem;
-    }
+    /// Every value whose live attribute set an op of the batch changed,
+    /// sorted ascending and deduplicated. A superset of the values whose
+    /// set differs before and after the whole batch.
+    pub touched_values: Vec<ValueId>,
 }
 
 // ---------------------------------------------------------------------------
-// The mutable lake
+// The lake
 // ---------------------------------------------------------------------------
 
-/// A lake catalog that supports in-place mutation with **stable identifiers**.
+/// The data lake: an ordered collection of [`Table`]s with global indexes,
+/// mutable in place with **stable identifiers**.
 ///
-/// The key contract, and the reason this type exists next to
-/// [`LakeCatalog`], is identifier stability:
+/// The lake maintains:
+/// * a global [`ValueInterner`] over all distinct normalized values,
+/// * an [`AttrId`] per column,
+/// * for every attribute, the sorted set of distinct [`ValueId`]s it contains,
+/// * for every value, the set of attributes it appears in (the inverted
+///   index that makes "candidate homographs appear in ≥ 2 attributes"
+///   queries cheap).
+///
+/// Identifier stability is the contract mutation keeps:
 ///
 /// * [`ValueId`]s are append-only. A value that disappears from every live
 ///   attribute keeps its id (it simply occurs in zero attributes); if it
 ///   later reappears, the same id is reused.
-/// * [`AttrId`]s are append-only. Removing a table *tombstones* its
-///   attribute slots — they stay allocated but hold no incidences. Re-adding
-///   a table of the same name allocates fresh slots.
+/// * [`AttrId`]s are append-only, assigned in the order tables are added
+///   and, within a table, in column order. Removing a table *tombstones*
+///   its attribute slots — they stay allocated but hold no incidences.
+///   Re-adding a table of the same name allocates fresh slots.
 ///
 /// Stability is what lets the bipartite graph (and the centrality scores on
 /// top of it) be *patched* instead of rebuilt: node indices derived from
-/// these ids never shift underneath a consumer.
+/// these ids never shift underneath a consumer. Every read accessor
+/// describes the live state, so code written against a never-mutated lake
+/// is correct on a mutated one; [`MutableLake::snapshot`] compacts the live
+/// state into fresh, dense ids.
 ///
-/// Use [`MutableLake::snapshot`] to compact the live state back into an
-/// ordinary [`LakeCatalog`] (fresh, dense ids).
+/// ```
+/// use lake::delta::MutableLake;
+/// use lake::table::TableBuilder;
+///
+/// let mut lake = MutableLake::new();
+/// lake.add_table(
+///     TableBuilder::new("zoo")
+///         .column("animal", ["Jaguar", "Panda"])
+///         .build()
+///         .unwrap(),
+/// )
+/// .unwrap();
+/// lake.add_table(
+///     TableBuilder::new("cars")
+///         .column("brand", ["Jaguar", "Fiat"])
+///         .build()
+///         .unwrap(),
+/// )
+/// .unwrap();
+///
+/// // "Jaguar" occurs in two attributes — the homograph candidate set.
+/// let jaguar = lake.value_id("JAGUAR").unwrap();
+/// assert_eq!(lake.value_attribute_count(jaguar), 2);
+/// assert_eq!(lake.values_in_at_least(2), vec![jaguar]);
+/// ```
 #[derive(Debug, Default, Clone)]
 pub struct MutableLake {
     /// Table slots; `None` marks a tombstoned (removed) table.
@@ -354,23 +279,55 @@ pub struct MutableLake {
 }
 
 impl MutableLake {
-    /// Create an empty mutable lake.
+    /// Create an empty lake.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adopt an existing catalog. Value and attribute ids are preserved
-    /// exactly (the construction order matches [`LakeCatalog::add_table`]).
-    pub fn from_catalog(catalog: &LakeCatalog) -> Self {
+    /// Build a lake from an iterator of tables.
+    pub fn from_tables(tables: impl IntoIterator<Item = Table>) -> Result<Self> {
         let mut lake = MutableLake::new();
-        for table in catalog.tables() {
-            lake.apply_add_table(table.clone())
-                .expect("catalog table names are unique");
+        for t in tables {
+            lake.add_table(t)?;
         }
-        lake
+        Ok(lake)
     }
 
-    /// Apply a delta, returning the merged, normalized [`DeltaEffects`].
+    /// A copy of `catalog`, ids included (they are the same type).
+    pub fn from_catalog(catalog: &MutableLake) -> Self {
+        catalog.clone()
+    }
+
+    /// Add a table to the lake, indexing all of its columns and values.
+    ///
+    /// # Errors
+    /// [`LakeError::DuplicateTable`] if a live table has the same name.
+    pub fn add_table(&mut self, table: Table) -> Result<()> {
+        if self.table_index.contains_key(table.name()) {
+            return Err(LakeError::DuplicateTable(table.name().to_owned()));
+        }
+        let slot = self.tables.len();
+        self.table_index.insert(table.name().to_owned(), slot);
+        for (col_idx, column) in table.columns().iter().enumerate() {
+            let attr = AttrId(self.attrs.len() as u32);
+            self.attrs.push((slot, col_idx));
+            self.attr_live.push(true);
+            let mut values = Vec::with_capacity(column.distinct_count());
+            for v in column.distinct_values() {
+                let vid = self.intern(v);
+                // `attr` is the newest id, so pushing keeps the list sorted.
+                self.value_attrs[vid.index()].push(attr);
+                values.push(vid);
+            }
+            values.sort_unstable();
+            values.dedup();
+            self.attr_values.push(values);
+        }
+        self.tables.push(Some(table));
+        Ok(())
+    }
+
+    /// Apply a delta, returning the [`DeltaEffects`] of its ops.
     ///
     /// Ops are applied in order. If an op fails, the error is returned and
     /// **no further ops run**; ops before the failing one remain applied
@@ -388,83 +345,58 @@ impl MutableLake {
         self.apply_batch(std::iter::once(delta))
     }
 
-    /// Apply several deltas as one batch, returning a single merged,
-    /// normalized [`DeltaEffects`] record.
-    ///
-    /// This is the batching hook the serving layer's writer uses: effects
-    /// are merged *before* normalization, so an incidence removed by one
-    /// delta and re-added by a later one in the same batch cancels out and
-    /// the downstream graph patch never sees it. Failure semantics match
-    /// [`MutableLake::apply`]: the first failing op stops the batch, ops
-    /// before it remain applied, and their effects are discarded with the
-    /// error.
+    /// Apply several deltas as one batch, returning a single
+    /// [`DeltaEffects`] record: the batching hook the serving layer's
+    /// writer uses. Failure semantics match [`MutableLake::apply`]: the
+    /// first failing op stops the batch, ops before it remain applied, and
+    /// their effects are discarded with the error.
     pub fn apply_batch<'a, I>(&mut self, deltas: I) -> Result<DeltaEffects>
     where
         I: IntoIterator<Item = &'a LakeDelta>,
     {
-        let mut effects = DeltaEffects::default();
+        let mut touched_values = Vec::new();
         for delta in deltas {
             for op in delta.ops() {
-                effects.merge(self.apply_op(op)?);
+                self.apply_op(op, &mut touched_values)?;
             }
         }
-        effects.normalize();
-        Ok(effects)
+        touched_values.sort_unstable();
+        touched_values.dedup();
+        Ok(DeltaEffects { touched_values })
     }
 
-    fn apply_op(&mut self, op: &LakeOp) -> Result<DeltaEffects> {
+    /// Apply one op, appending the values whose attribute sets it changed.
+    fn apply_op(&mut self, op: &LakeOp, touched: &mut Vec<ValueId>) -> Result<()> {
         match op {
-            LakeOp::AddTable(table) => self.apply_add_table(table.clone()),
-            LakeOp::RemoveTable(name) => self.apply_remove_table(name),
+            LakeOp::AddTable(table) => {
+                let first_new = self.attrs.len();
+                self.add_table(table.clone())?;
+                touched.extend(self.attr_values[first_new..].iter().flatten());
+                Ok(())
+            }
+            LakeOp::RemoveTable(name) => self.remove_table(name, touched),
             LakeOp::ReplaceValue {
                 table,
                 column,
                 target,
                 replacement,
-            } => self.apply_replace_value(table, column, target, replacement),
+            } => self.replace_value(table, column, target, replacement, touched),
         }
     }
 
-    fn apply_add_table(&mut self, table: Table) -> Result<DeltaEffects> {
-        if self.table_index.contains_key(table.name()) {
-            return Err(LakeError::DuplicateTable(table.name().to_owned()));
+    fn intern(&mut self, normalized: &str) -> ValueId {
+        let vid = self.interner.intern(normalized);
+        if vid.index() >= self.value_attrs.len() {
+            self.value_attrs.resize(vid.index() + 1, Vec::new());
         }
-        let slot = self.tables.len();
-        self.table_index.insert(table.name().to_owned(), slot);
-        let mut effects = DeltaEffects::default();
-        for (col_idx, column) in table.columns().iter().enumerate() {
-            let attr = AttrId(self.attrs.len() as u32);
-            self.attrs.push((slot, col_idx));
-            self.attr_live.push(true);
-            effects.added_attrs.push(attr);
-            let mut values = Vec::with_capacity(column.distinct_count());
-            for v in column.distinct_values() {
-                let before = self.interner.len();
-                let vid = self.interner.intern(v);
-                if vid.index() >= self.value_attrs.len() {
-                    self.value_attrs.resize(vid.index() + 1, Vec::new());
-                }
-                if self.interner.len() > before {
-                    effects.added_values.push(vid);
-                }
-                insert_sorted(&mut self.value_attrs[vid.index()], attr);
-                effects.added_incidences.push((attr, vid));
-                values.push(vid);
-            }
-            values.sort_unstable();
-            values.dedup();
-            self.attr_values.push(values);
-        }
-        self.tables.push(Some(table));
-        Ok(effects)
+        vid
     }
 
-    fn apply_remove_table(&mut self, name: &str) -> Result<DeltaEffects> {
+    fn remove_table(&mut self, name: &str, touched: &mut Vec<ValueId>) -> Result<()> {
         let slot = self
             .table_index
             .remove(name)
             .ok_or_else(|| LakeError::NotFound(format!("table '{name}'")))?;
-        let mut effects = DeltaEffects::default();
         for (attr_idx, &(t, _)) in self.attrs.iter().enumerate() {
             if t != slot || !self.attr_live[attr_idx] {
                 continue;
@@ -472,91 +404,74 @@ impl MutableLake {
             let attr = AttrId(attr_idx as u32);
             for &vid in &self.attr_values[attr_idx] {
                 remove_sorted(&mut self.value_attrs[vid.index()], attr);
-                effects.removed_incidences.push((attr, vid));
             }
-            self.attr_values[attr_idx].clear();
+            touched.append(&mut self.attr_values[attr_idx]);
             self.attr_live[attr_idx] = false;
-            effects.removed_attrs.push(attr);
         }
         self.tables[slot] = None;
-        Ok(effects)
+        Ok(())
     }
 
-    fn apply_replace_value(
+    fn replace_value(
         &mut self,
         table: &str,
         column: &str,
         target: &str,
         replacement: &str,
-    ) -> Result<DeltaEffects> {
-        let &slot = self
-            .table_index
-            .get(table)
-            .ok_or_else(|| LakeError::NotFound(format!("table '{table}'")))?;
-        let tab = self.tables[slot].as_mut().expect("indexed table is live");
-        let col_idx = tab
-            .columns()
-            .iter()
-            .position(|c| c.name() == column)
+        touched: &mut Vec<ValueId>,
+    ) -> Result<()> {
+        if !self.table_index.contains_key(table) {
+            return Err(LakeError::NotFound(format!("table '{table}'")));
+        }
+        let attr = self
+            .attribute_id(table, column)
             .ok_or_else(|| LakeError::NotFound(format!("column '{table}.{column}'")))?;
-        let col: &mut Column = &mut tab.columns_mut()[col_idx];
-        let rewritten = col.replace_value(target, replacement);
-        let mut effects = DeltaEffects {
-            cells_rewritten: rewritten,
-            ..DeltaEffects::default()
-        };
-        if rewritten == 0 {
-            return Ok(effects);
+        let (slot, col_idx) = self.attrs[attr.index()];
+        let tab = self.tables[slot].as_mut().expect("live attribute");
+        let col = &mut tab.columns_mut()[col_idx];
+        if col.replace_value(target, replacement) == 0 {
+            return Ok(());
         }
-        let distinct: Vec<String> = col.distinct_values().map(str::to_owned).collect();
-        let attr_idx = self
-            .attrs
-            .iter()
-            .enumerate()
-            .position(|(i, &(t, c))| t == slot && c == col_idx && self.attr_live[i])
-            .expect("live table columns have live attribute slots");
         // Recompute the attribute's distinct set and diff it against the index.
-        let mut new_values: Vec<ValueId> = Vec::with_capacity(distinct.len());
-        for v in &distinct {
-            let before = self.interner.len();
-            let vid = self.interner.intern(v);
-            if vid.index() >= self.value_attrs.len() {
-                self.value_attrs.resize(vid.index() + 1, Vec::new());
-            }
-            if self.interner.len() > before {
-                effects.added_values.push(vid);
-            }
-            new_values.push(vid);
-        }
+        let distinct: Vec<String> = col.distinct_values().map(str::to_owned).collect();
+        let mut new_values: Vec<ValueId> = distinct.iter().map(|v| self.intern(v)).collect();
         new_values.sort_unstable();
         new_values.dedup();
-        let attr = AttrId(attr_idx as u32);
-        let old_values = std::mem::take(&mut self.attr_values[attr_idx]);
-        let (removed, added) = diff_sorted(&old_values, &new_values);
-        for o in removed {
+        let (removed, added) = diff_sorted(&self.attr_values[attr.index()], &new_values);
+        for &o in &removed {
             remove_sorted(&mut self.value_attrs[o.index()], attr);
-            effects.removed_incidences.push((attr, o));
         }
-        for n in added {
+        for &n in &added {
             insert_sorted(&mut self.value_attrs[n.index()], attr);
-            effects.added_incidences.push((attr, n));
         }
-        self.attr_values[attr_idx] = new_values;
-        Ok(effects)
+        touched.extend(removed);
+        touched.extend(added);
+        self.attr_values[attr.index()] = new_values;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Queries (live state)
+    // Tables (live state)
     // ------------------------------------------------------------------
 
     /// Number of live (non-tombstoned) tables.
-    pub fn live_table_count(&self) -> usize {
+    pub fn table_count(&self) -> usize {
         self.table_index.len()
+    }
+
+    /// [`MutableLake::table_count`], under the name the mutation path uses.
+    pub fn live_table_count(&self) -> usize {
+        self.table_count()
+    }
+
+    /// The live tables, in slot (insertion) order.
+    pub fn tables(&self) -> impl Iterator<Item = &Table> {
+        self.tables.iter().flatten()
     }
 
     /// Names of the live tables, in slot order.
     pub fn live_table_names(&self) -> Vec<&str> {
-        self.tables.iter().flatten().map(Table::name).collect()
+        self.tables().map(Table::name).collect()
     }
 
     /// Look up a live table by name.
@@ -566,9 +481,58 @@ impl MutableLake {
             .and_then(|&slot| self.tables[slot].as_ref())
     }
 
+    // ------------------------------------------------------------------
+    // Attributes (live state)
+    // ------------------------------------------------------------------
+
+    /// Number of attribute slots ever allocated (including tombstones).
+    pub fn attribute_count(&self) -> usize {
+        self.attrs.len()
+    }
+
     /// Whether an attribute slot is live.
     pub fn is_attr_live(&self, id: AttrId) -> bool {
         self.attr_live.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// Iterate over the ids of the live attributes.
+    pub fn attribute_ids(&self) -> impl Iterator<Item = AttrId> + '_ {
+        (0..self.attrs.len() as u32)
+            .map(AttrId)
+            .filter(|&id| self.is_attr_live(id))
+    }
+
+    /// The table and column behind a live attribute id.
+    fn locate(&self, id: AttrId) -> Option<(&Table, &Column)> {
+        if !self.is_attr_live(id) {
+            return None;
+        }
+        let (slot, col) = self.attrs[id.index()];
+        let table = self.tables[slot].as_ref()?;
+        Some((table, table.columns().get(col)?))
+    }
+
+    /// The column behind a live attribute id.
+    pub fn attribute(&self, id: AttrId) -> Option<&Column> {
+        self.locate(id).map(|(_, column)| column)
+    }
+
+    /// The fully-qualified `table.column` reference of a live attribute.
+    pub fn attribute_ref(&self, id: AttrId) -> Option<AttrRef> {
+        self.locate(id)
+            .map(|(table, column)| AttrRef::new(table.name(), column.name()))
+    }
+
+    /// Resolve a `table.column` pair of a live table to its attribute id.
+    pub fn attribute_id(&self, table: &str, column: &str) -> Option<AttrId> {
+        let &slot = self.table_index.get(table)?;
+        let col = self.tables[slot]
+            .as_ref()?
+            .columns()
+            .iter()
+            .position(|c| c.name() == column)?;
+        self.attribute_ids()
+            .find(|id| self.attrs[id.index()] == (slot, col))
     }
 
     /// Sorted distinct live values of an attribute (empty for tombstones).
@@ -579,14 +543,107 @@ impl MutableLake {
             .unwrap_or(&[])
     }
 
-    /// Look up the id of a normalized value.
-    pub fn value_id(&self, normalized: &str) -> Option<ValueId> {
-        self.interner.get(normalized)
+    /// The cardinality (number of distinct live values) of an attribute.
+    pub fn attribute_cardinality(&self, id: AttrId) -> usize {
+        self.attribute_values(id).len()
+    }
+
+    /// `(AttrId, sorted distinct ValueIds)` for every live attribute — the
+    /// exact input needed to build the bipartite DomainNet graph.
+    pub fn live_attribute_values(&self) -> Vec<(AttrId, &[ValueId])> {
+        self.attribute_ids()
+            .map(|id| (id, self.attribute_values(id)))
+            .collect()
+    }
+
+    /// Total number of live (attribute, distinct value) incidences, i.e. the
+    /// edge count of the bipartite graph before any pruning.
+    pub fn incidence_count(&self) -> usize {
+        self.attr_values.iter().map(Vec::len).sum()
+    }
+
+    /// Per-attribute cardinality histogram over the live attributes: map
+    /// from cardinality to the number of attributes with that cardinality.
+    /// Useful for diagnosing skew, which strongly affects LCC quality (§3.3).
+    pub fn cardinality_histogram(&self) -> BTreeMap<usize, usize> {
+        let mut hist = BTreeMap::new();
+        for id in self.attribute_ids() {
+            *hist.entry(self.attribute_cardinality(id)).or_insert(0) += 1;
+        }
+        hist
+    }
+
+    // ------------------------------------------------------------------
+    // Values (live state)
+    // ------------------------------------------------------------------
+
+    /// Number of distinct normalized values ever interned (including values
+    /// that no longer occur anywhere).
+    pub fn value_count(&self) -> usize {
+        self.interner.len()
     }
 
     /// The shared append-only interner.
     pub fn interner(&self) -> &ValueInterner {
         &self.interner
+    }
+
+    /// Look up the id of a normalized value.
+    pub fn value_id(&self, normalized: &str) -> Option<ValueId> {
+        self.interner.get(normalized)
+    }
+
+    /// Whether the given **normalized** value occurs in a live attribute.
+    pub fn contains_value(&self, normalized: &str) -> bool {
+        self.value_id(normalized)
+            .is_some_and(|id| self.value_attribute_count(id) > 0)
+    }
+
+    /// The normalized string behind a value id.
+    pub fn value(&self, id: ValueId) -> Option<&str> {
+        self.interner.try_resolve(id)
+    }
+
+    /// Live attributes in which a value occurs (sorted ascending by id).
+    pub fn value_attributes(&self, id: ValueId) -> &[AttrId] {
+        self.value_attrs
+            .get(id.index())
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    /// Number of live attributes in which a value occurs.
+    pub fn value_attribute_count(&self, id: ValueId) -> usize {
+        self.value_attributes(id).len()
+    }
+
+    /// Values that occur in at least `min_attrs` live attributes.
+    ///
+    /// With `min_attrs == 2` this is exactly the DomainNet candidate set:
+    /// a value appearing in a single attribute cannot be a homograph and is
+    /// pruned before graph analysis (§5, pre-processing).
+    pub fn values_in_at_least(&self, min_attrs: usize) -> Vec<ValueId> {
+        self.value_attrs
+            .iter()
+            .enumerate()
+            .filter(|(_, attrs)| attrs.len() >= min_attrs)
+            .map(|(i, _)| ValueId(i as u32))
+            .collect()
+    }
+
+    /// The *cardinality of a value node*: the number of unique other values
+    /// it co-occurs with across all attributes containing it (|N(v)| in the
+    /// paper).
+    pub fn value_cardinality(&self, id: ValueId) -> usize {
+        let mut neighbors: HashSet<ValueId> = HashSet::new();
+        for &attr in self.value_attributes(id) {
+            for &other in self.attribute_values(attr) {
+                if other != id {
+                    neighbors.insert(other);
+                }
+            }
+        }
+        neighbors.len()
     }
 
     // ------------------------------------------------------------------
@@ -768,65 +825,41 @@ impl MutableLake {
         })
     }
 
-    /// Compact the live state into a fresh [`LakeCatalog`].
+    /// Compact the live state into a fresh lake.
     ///
     /// The snapshot re-derives dense ids from scratch, so its [`ValueId`] /
     /// [`AttrId`] spaces generally differ from this lake's; it represents the
     /// same live content. This is the "full rebuild" path the incremental
     /// machinery is benchmarked against.
-    pub fn snapshot(&self) -> Result<LakeCatalog> {
-        LakeCatalog::from_tables(self.tables.iter().flatten().cloned())
+    pub fn snapshot(&self) -> Result<MutableLake> {
+        MutableLake::from_tables(self.tables().cloned())
     }
 }
 
 impl LakeView for MutableLake {
     fn value_count(&self) -> usize {
-        self.interner.len()
+        MutableLake::value_count(self)
     }
     fn attribute_count(&self) -> usize {
-        self.attrs.len()
+        MutableLake::attribute_count(self)
     }
     fn incidence_count(&self) -> usize {
-        self.attr_values.iter().map(Vec::len).sum()
+        MutableLake::incidence_count(self)
     }
     fn value(&self, id: ValueId) -> Option<&str> {
-        self.interner.try_resolve(id)
+        MutableLake::value(self, id)
     }
     fn attribute_ref(&self, id: AttrId) -> Option<AttrRef> {
-        if !self.is_attr_live(id) {
-            return None;
-        }
-        let (slot, col) = self.attrs[id.index()];
-        let table = self.tables[slot].as_ref()?;
-        Some(AttrRef::new(table.name(), table.columns()[col].name()))
+        MutableLake::attribute_ref(self, id)
     }
     fn value_attributes(&self, id: ValueId) -> &[AttrId] {
-        self.value_attrs
-            .get(id.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        MutableLake::value_attributes(self, id)
     }
     fn values_in_at_least(&self, min_attrs: usize) -> Vec<ValueId> {
-        self.value_attrs
-            .iter()
-            .enumerate()
-            .filter(|(_, attrs)| attrs.len() >= min_attrs)
-            .map(|(i, _)| ValueId(i as u32))
-            .collect()
+        MutableLake::values_in_at_least(self, min_attrs)
     }
     fn live_attribute_values(&self) -> Vec<(AttrId, &[ValueId])> {
-        self.attr_values
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.attr_live[i])
-            .map(|(i, vs)| (AttrId(i as u32), vs.as_slice()))
-            .collect()
-    }
-}
-
-impl From<&LakeCatalog> for MutableLake {
-    fn from(catalog: &LakeCatalog) -> Self {
-        MutableLake::from_catalog(catalog)
+        MutableLake::live_attribute_values(self)
     }
 }
 
@@ -898,18 +931,26 @@ mod tests {
             .unwrap()
     }
 
+    /// The ids of `names`, sorted the way `touched_values` and
+    /// `attribute_values` are.
+    fn ids(lake: &MutableLake, names: &[&str]) -> Vec<ValueId> {
+        let mut ids: Vec<ValueId> = names.iter().map(|n| lake.value_id(n).unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn add_tables_tracks_incidences_and_new_values() {
         let mut lake = MutableLake::new();
         let e1 = lake.apply(&LakeDelta::new().add_table(zoo())).unwrap();
-        assert_eq!(e1.added_values.len(), 3);
-        assert_eq!(e1.added_incidences.len(), 3);
-        assert_eq!(e1.added_attrs, vec![AttrId(0)]);
+        assert_eq!(e1.touched_values, ids(&lake, &["JAGUAR", "PANDA", "LEMUR"]));
+        assert_eq!(lake.attribute_values(AttrId(0)), e1.touched_values);
 
         let e2 = lake.apply(&LakeDelta::new().add_table(cars())).unwrap();
-        // Jaguar was already interned.
-        assert_eq!(e2.added_values.len(), 2);
-        assert_eq!(e2.added_incidences.len(), 3);
+        // Jaguar was already interned: it is touched again, under its old id.
+        assert_eq!(e2.touched_values, ids(&lake, &["JAGUAR", "FIAT", "TOYOTA"]));
+        assert_eq!(lake.attribute_values(AttrId(1)), e2.touched_values);
+        assert_eq!(lake.value_count(), 5);
         let jaguar = lake.value_id("JAGUAR").unwrap();
         assert_eq!(lake.value_attributes(jaguar), &[AttrId(0), AttrId(1)]);
     }
@@ -923,12 +964,12 @@ mod tests {
         let fiat = lake.value_id("FIAT").unwrap();
 
         let e = lake.apply(&LakeDelta::new().remove_table("cars")).unwrap();
-        assert_eq!(e.removed_attrs, vec![AttrId(1)]);
-        assert_eq!(e.removed_incidences.len(), 3);
-        assert!(e.added_incidences.is_empty());
+        assert_eq!(e.touched_values, ids(&lake, &["JAGUAR", "FIAT", "TOYOTA"]));
 
         assert_eq!(lake.live_table_count(), 1);
         assert!(!lake.is_attr_live(AttrId(1)));
+        assert!(lake.attribute_values(AttrId(1)).is_empty());
+        assert_eq!(lake.attribute_ids().collect::<Vec<_>>(), [AttrId(0)]);
         assert_eq!(lake.value_attributes(jaguar), &[AttrId(0)]);
         assert!(lake.value_attributes(fiat).is_empty());
         // Ids are stable: Fiat stays interned at the same id.
@@ -943,10 +984,13 @@ mod tests {
             .unwrap();
         let fiat = lake.value_id("FIAT").unwrap();
         lake.apply(&LakeDelta::new().remove_table("cars")).unwrap();
+        let values = lake.value_count();
         let e = lake.apply(&LakeDelta::new().add_table(cars())).unwrap();
-        assert_eq!(e.added_attrs, vec![AttrId(2)]);
-        assert!(
-            e.added_values.is_empty(),
+        assert_eq!(e.touched_values, ids(&lake, &["JAGUAR", "FIAT", "TOYOTA"]));
+        assert_eq!(lake.attribute_values(AttrId(2)), e.touched_values);
+        assert_eq!(
+            lake.value_count(),
+            values,
             "all values were already interned"
         );
         assert_eq!(lake.value_attributes(fiat), &[AttrId(2)]);
@@ -978,14 +1022,15 @@ mod tests {
         let e = lake
             .apply(&LakeDelta::new().replace_value("cars", "brand", "Jaguar", "Rover"))
             .unwrap();
-        assert_eq!(e.cells_rewritten, 1);
-        assert_eq!(e.added_values.len(), 1, "ROVER is new");
         let jaguar = lake.value_id("JAGUAR").unwrap();
-        let rover = lake.value_id("ROVER").unwrap();
-        assert_eq!(e.removed_incidences, vec![(AttrId(1), jaguar)]);
-        assert_eq!(e.added_incidences, vec![(AttrId(1), rover)]);
+        let rover = lake.value_id("ROVER").expect("ROVER is new");
+        assert_eq!(e.touched_values, vec![jaguar, rover]);
         assert_eq!(lake.value_attributes(jaguar), &[AttrId(0)]);
         assert_eq!(lake.value_attributes(rover), &[AttrId(1)]);
+        assert_eq!(
+            lake.attribute_values(AttrId(1)),
+            ids(&lake, &["FIAT", "TOYOTA", "ROVER"])
+        );
     }
 
     #[test]
@@ -995,7 +1040,8 @@ mod tests {
         let e = lake
             .apply(&LakeDelta::new().replace_value("zoo", "animal", "Dodo", "Raven"))
             .unwrap();
-        assert!(e.is_empty());
+        assert!(e.touched_values.is_empty());
+        assert_eq!(lake.attribute_values(AttrId(0)).len(), 3);
     }
 
     #[test]
@@ -1005,13 +1051,15 @@ mod tests {
         let e = lake
             .apply(&LakeDelta::new().remove_table("cars").add_table(cars()))
             .unwrap();
-        // The value set is back, but under a fresh attribute slot, so the
-        // old incidences are removed and new ones added — no cancellation
-        // across distinct attrs.
-        assert_eq!(e.removed_attrs, vec![AttrId(0)]);
-        assert_eq!(e.added_attrs, vec![AttrId(1)]);
-        assert_eq!(e.removed_incidences.len(), 3);
-        assert_eq!(e.added_incidences.len(), 3);
+        // The value set is back, but under a fresh attribute slot: every
+        // value is touched (once — the set is deduplicated) and now sits in
+        // the new attribute only.
+        assert_eq!(e.touched_values, ids(&lake, &["JAGUAR", "FIAT", "TOYOTA"]));
+        assert!(lake.attribute_values(AttrId(0)).is_empty());
+        assert_eq!(lake.attribute_values(AttrId(1)), e.touched_values);
+        for &v in &e.touched_values {
+            assert_eq!(lake.value_attributes(v), &[AttrId(1)]);
+        }
     }
 
     #[test]
@@ -1046,21 +1094,30 @@ mod tests {
             LakeView::incidence_count(&batched),
             LakeView::incidence_count(&sequential)
         );
-        // ...and the merged effects cover everything the batch did.
-        assert_eq!(effects.added_attrs.len(), 2);
-        assert_eq!(effects.cells_rewritten, 1);
-        assert!(effects
-            .added_values
-            .iter()
-            .any(|&v| { LakeView::value(&batched, v) == Some("ROVER") }));
+        // ...and the one record covers everything the batch touched.
+        assert_eq!(
+            effects.touched_values,
+            ids(
+                &batched,
+                &["JAGUAR", "PANDA", "LEMUR", "FIAT", "TOYOTA", "ROVER"]
+            )
+        );
+        for attr in [AttrId(0), AttrId(1)] {
+            assert_eq!(
+                batched.attribute_values(attr),
+                sequential.attribute_values(attr)
+            );
+        }
     }
 
     #[test]
     fn apply_batch_cancels_incidences_across_deltas() {
         let mut lake = MutableLake::new();
         lake.apply(&LakeDelta::new().add_table(zoo())).unwrap();
-        // One batch rewrites Jaguar away and back: the incidence-level
-        // effects must cancel so downstream consumers see a no-op.
+        // One batch rewrites Jaguar away and back: both values are reported
+        // touched and the lake ends where it started, so a consumer that
+        // diffs them against its own state finds nothing to do.
+        let before = lake.attribute_values(AttrId(0)).to_vec();
         let effects = lake
             .apply_batch(
                 [
@@ -1071,10 +1128,11 @@ mod tests {
             )
             .unwrap();
         let jaguar = lake.value_id("JAGUAR").unwrap();
-        assert!(effects.added_incidences.is_empty());
-        assert!(effects.removed_incidences.is_empty());
-        assert_eq!(effects.cells_rewritten, 2);
+        let okapi = lake.value_id("OKAPI").unwrap();
+        assert_eq!(effects.touched_values, vec![jaguar, okapi]);
+        assert_eq!(lake.attribute_values(AttrId(0)), before);
         assert_eq!(lake.value_attributes(jaguar), &[AttrId(0)]);
+        assert!(lake.value_attributes(okapi).is_empty());
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //!   mapping each distinct normalized value to a dense [`value::ValueId`].
 //! * [`mod@column`] / [`mod@table`] — column-oriented table storage with per-column
 //!   distinct-value sets and lightweight type sniffing.
-//! * [`catalog`] — the [`catalog::LakeCatalog`]: the whole lake, with a global
-//!   attribute index ([`catalog::AttrId`]) and iteration over
-//!   (attribute, distinct values) pairs, which is exactly the shape the
-//!   bipartite DomainNet graph is built from.
-//! * [`delta`] — the mutation layer: [`delta::LakeDelta`] records
-//!   table-level changes and [`delta::MutableLake`] applies them in place
-//!   with stable value/attribute ids, reporting exact incidence-level
-//!   [`delta::DeltaEffects`] for incremental downstream maintenance.
+//! * [`delta`] — [`delta::MutableLake`], the one lake type: tables, a global
+//!   value interner and both directions of the value↔attribute incidence
+//!   index, iterated as (attribute, distinct values) pairs — the shape the
+//!   bipartite DomainNet graph is built from. [`delta::LakeDelta`]s mutate
+//!   it in place under stable ids and report the values they touched
+//!   ([`delta::DeltaEffects`]) for incremental downstream maintenance.
+//! * [`catalog`] — [`catalog::AttrId`] / [`catalog::AttrRef`], and
+//!   [`catalog::LakeCatalog`], an alias of [`delta::MutableLake`].
 //! * [`csv`] — a from-scratch RFC-4180 CSV reader/writer (no external crate),
 //!   used by [`loader`] to ingest a directory of `.csv` files as a lake.
 //! * [`stats`] — per-lake statistics matching Table 1 of the paper.
@@ -32,10 +32,10 @@
 //! ## Quick example
 //!
 //! ```
-//! use lake::catalog::LakeCatalog;
+//! use lake::delta::MutableLake;
 //! use lake::table::TableBuilder;
 //!
-//! let mut catalog = LakeCatalog::new();
+//! let mut catalog = MutableLake::new();
 //! let table = TableBuilder::new("donations")
 //!     .column("donor", ["Google", "Volkswagen", "BMW"])
 //!     .column("at_risk", ["Panda", "Puma", "Jaguar"])

@@ -25,8 +25,6 @@ pub struct LoadOptions {
     /// When `true`, ragged rows are an error; when `false` (default) short
     /// rows are padded with empty cells and long rows are truncated.
     pub strict: bool,
-    /// Maximum number of rows to read per table (`None` = unlimited).
-    pub max_rows: Option<usize>,
 }
 
 /// Parse a single CSV file into a [`Table`] named after its file stem.
@@ -47,11 +45,6 @@ pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
     let mut row_idx = 0usize;
     while let Some(mut record) = reader.next_record()? {
         row_idx += 1;
-        if let Some(max) = options.max_rows {
-            if row_idx > max {
-                break;
-            }
-        }
         if record.len() != width {
             if options.strict {
                 return Err(LakeError::RaggedRow {
@@ -83,7 +76,7 @@ pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
     Ok(Table::from_columns(name, columns))
 }
 
-/// Load every `*.csv` file in a directory (non-recursive) into a catalog.
+/// Load every `*.csv` file in a directory (non-recursive) into a lake.
 ///
 /// Files are loaded in lexicographic order so the resulting [`AttrId`]s
 /// (and therefore downstream graph node ids) are deterministic.
@@ -110,7 +103,7 @@ pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatal
     Ok(catalog)
 }
 
-/// Write every table of a catalog as `<dir>/<table_name>.csv`.
+/// Write every live table of a lake as `<dir>/<table_name>.csv`.
 ///
 /// The directory is created if it does not exist. Existing files with the
 /// same names are overwritten.
@@ -203,25 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn max_rows_limits_ingestion() {
-        let dir = temp_dir("maxrows");
-        let path = dir.join("big.csv");
-        let mut f = File::create(&path).unwrap();
-        writeln!(f, "a").unwrap();
-        for i in 0..100 {
-            writeln!(f, "{i}").unwrap();
-        }
-        drop(f);
-        let opts = LoadOptions {
-            max_rows: Some(10),
-            ..LoadOptions::default()
-        };
-        let table = load_table(&path, opts).unwrap();
-        assert_eq!(table.row_count(), 10);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn empty_header_names_get_placeholders() {
         let dir = temp_dir("header");
         let path = dir.join("h.csv");
@@ -263,8 +237,7 @@ mod tests {
         fs::write(dir.join("b.csv"), "x\n1\n").unwrap();
         fs::write(dir.join("a.csv"), "y\n2\n").unwrap();
         let lake = load_dir(&dir, LoadOptions::default()).unwrap();
-        assert_eq!(lake.tables()[0].name(), "a");
-        assert_eq!(lake.tables()[1].name(), "b");
+        assert_eq!(lake.live_table_names(), ["a", "b"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,7 +27,7 @@ pub struct LakeStats {
 }
 
 impl LakeStats {
-    /// Compute statistics for a catalog.
+    /// Compute statistics for the live state of a lake.
     pub fn compute(lake: &LakeCatalog) -> Self {
         let cardinalities: Vec<usize> = lake
             .attribute_ids()
@@ -42,7 +42,7 @@ impl LakeStats {
         LakeStats {
             tables: lake.table_count(),
             attributes,
-            values: lake.value_count(),
+            values: lake.values_in_at_least(1).len(),
             candidate_values: lake.values_in_at_least(2).len(),
             incidences: lake.incidence_count(),
             min_attr_cardinality: if attributes == 0 { 0 } else { min },

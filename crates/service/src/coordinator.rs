@@ -75,7 +75,7 @@ use dn_trace::metrics::{
     STORE_SNAPSHOTS, WAL_RECORD_BYTES,
 };
 use domainnet::{DeltaStats, Measure, ScoredValue};
-use lake::delta::{LakeDelta, LakeOp, LakeView, MutableLake};
+use lake::delta::{LakeDelta, LakeOp, MutableLake};
 use lake::table::Table;
 use lake::value::normalize;
 
@@ -197,11 +197,7 @@ pub(crate) fn recover_shards_lenient(
     let ctx = dn_trace::current();
     let writers = dn_pool::Pool::new(config.threads.max(1))
         .run(manifest.shards, |i| {
-            let _replay = if ctx.is_active() {
-                ctx.enter(dn_trace::Phase::PoolWalReplay, &format!("shard{i}"))
-            } else {
-                dn_trace::SpanGuard::noop()
-            };
+            let _replay = ctx.enter(dn_trace::Phase::PoolWalReplay, format_args!("shard{i}"));
             recover_shard_writer(dn_store::shard_dir(root, i), &config, policy)
         })
         .into_iter()
@@ -443,19 +439,6 @@ pub struct MultiView {
     threads: usize,
 }
 
-/// `Ordering::Less` when `a` ranks strictly before `b` under `measure`'s
-/// total order — the exact comparator the per-shard rankings are sorted
-/// by (score direction per measure, ties broken by value string), which
-/// is what makes cross-shard merging exact rather than approximate.
-fn rank_cmp(higher_first: bool, a: &ScoredValue, b: &ScoredValue) -> std::cmp::Ordering {
-    let primary = if higher_first {
-        b.score.total_cmp(&a.score)
-    } else {
-        a.score.total_cmp(&b.score)
-    };
-    primary.then_with(|| a.value.cmp(&b.value))
-}
-
 impl MultiView {
     /// The coordinator epoch this view was published as.
     pub fn epoch(&self) -> u64 {
@@ -482,11 +465,7 @@ impl MultiView {
         // explicitly so the per-shard probe spans nest under the scatter.
         let ctx = dn_trace::current();
         dn_pool::Pool::new(self.threads).run(self.shards.len(), |i| {
-            let _probe = if ctx.is_active() {
-                ctx.enter(dn_trace::Phase::ShardQuery, &format!("shard{i}"))
-            } else {
-                dn_trace::SpanGuard::noop()
-            };
+            let _probe = ctx.enter(dn_trace::Phase::ShardQuery, format_args!("shard{i}"));
             probe(&self.shards[i])
         })
     }
@@ -535,24 +514,16 @@ impl MultiView {
             return Some(rankings[0].iter().take(k).cloned().collect());
         }
         let _merge = dn_trace::span(dn_trace::Phase::CoordMerge);
-        let higher_first = measure.higher_is_more_homograph_like();
         let mut heads = vec![0usize; rankings.len()];
         let mut out = Vec::with_capacity(k.min(rankings.iter().map(|r| r.len()).sum()));
         while out.len() < k {
-            let mut best: Option<usize> = None;
-            for (i, ranking) in rankings.iter().enumerate() {
-                let Some(candidate) = ranking.get(heads[i]) else {
-                    continue;
-                };
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        if rank_cmp(higher_first, candidate, &rankings[b][heads[b]]).is_lt() {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
+            // The shard whose next entry ranks first (the lowest shard on a
+            // tie, which `min_by` keeps).
+            let best = (0..rankings.len())
+                .filter(|&i| heads[i] < rankings[i].len())
+                .min_by(|&a, &b| {
+                    measure.rank_order(&rankings[a][heads[a]], &rankings[b][heads[b]])
+                });
             let Some(b) = best else { break };
             out.push(rankings[b][heads[b]].clone());
             heads[b] += 1;
@@ -580,7 +551,6 @@ impl MultiView {
         if self.shards.len() == 1 {
             return Some(card);
         }
-        let higher_first = measure.higher_is_more_homograph_like();
         let target = ScoredValue {
             value: card.value.clone(),
             score: card.score,
@@ -596,7 +566,7 @@ impl MultiView {
             if i == owner {
                 before += card.rank - 1;
             } else {
-                before += ranking.partition_point(|e| rank_cmp(higher_first, e, &target).is_lt());
+                before += ranking.partition_point(|e| measure.rank_order(e, &target).is_lt());
             }
         }
         card.rank = before + 1;

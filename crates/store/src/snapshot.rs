@@ -251,15 +251,11 @@ pub fn encode_snapshot_threaded(
     let net_state = net.export_state();
     let ctx = dn_trace::current();
     let encoded: Vec<(u32, Vec<u8>, u32)> = dn_pool::Pool::new(threads).run(4, |i| {
-        let _encode = if ctx.is_active() {
-            // The fan-out index maps onto section ids 1..=4.
-            ctx.enter(
-                dn_trace::Phase::PoolSnapshotEncode,
-                section_name(i as u32 + 1),
-            )
-        } else {
-            dn_trace::SpanGuard::noop()
-        };
+        // The fan-out index maps onto section ids 1..=4.
+        let _encode = ctx.enter(
+            dn_trace::Phase::PoolSnapshotEncode,
+            section_name(i as u32 + 1),
+        );
         let (id, payload) = match i {
             0 => (SECTION_MANIFEST, encode_manifest(manifest)),
             1 => (SECTION_LAKE, encode_lake(lake)),
@@ -593,15 +589,11 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
     let sections = section_table(bytes)?;
     let ctx = dn_trace::current();
     let decoded = dn_pool::Pool::new(threads).run(4, |i| -> Result<DecodedSection> {
-        let _decode = if ctx.is_active() {
-            // The fan-out index maps onto section ids 1..=4.
-            ctx.enter(
-                dn_trace::Phase::PoolSnapshotDecode,
-                section_name(i as u32 + 1),
-            )
-        } else {
-            dn_trace::SpanGuard::noop()
-        };
+        // The fan-out index maps onto section ids 1..=4.
+        let _decode = ctx.enter(
+            dn_trace::Phase::PoolSnapshotDecode,
+            section_name(i as u32 + 1),
+        );
         match i {
             0 => Ok(DecodedSection::Manifest(decode_manifest(section_payload(
                 bytes,

@@ -225,12 +225,6 @@ pub struct SpanGuard {
 impl SpanGuard {
     const NOOP: SpanGuard = SpanGuard { open: None };
 
-    /// An inert guard that records nothing — for call sites that check
-    /// [`TraceContext::is_active`] themselves to skip label formatting.
-    pub fn noop() -> SpanGuard {
-        SpanGuard::NOOP
-    }
-
     /// Whether this guard is actually recording.
     pub fn is_recording(&self) -> bool {
         self.open.is_some()
@@ -323,11 +317,6 @@ impl TraceContext {
         TraceContext { inner: None }
     }
 
-    /// Whether entering this context will record spans.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The trace ID this context belongs to, if active.
     pub fn id(&self) -> Option<u64> {
         self.inner.as_ref().map(|(trace, _)| trace.id)
@@ -337,7 +326,9 @@ impl TraceContext {
     /// captured parent. Dropping the guard closes the span and restores
     /// the thread's previous trace state — use one `enter` per unit of
     /// handed-off work, with further [`span`] calls nesting inside it.
-    pub fn enter(&self, phase: Phase, label: &str) -> SpanGuard {
+    /// `label` is rendered only when the context is active, so a call site
+    /// may pass `format_args!(..)` and pay nothing on the inactive path.
+    pub fn enter(&self, phase: Phase, label: impl std::fmt::Display) -> SpanGuard {
         let Some((trace, parent)) = &self.inner else {
             return SpanGuard::NOOP;
         };
@@ -355,7 +346,7 @@ impl TraceContext {
                 id,
                 parent: Some(*parent),
                 phase,
-                label: label.to_owned(),
+                label: label.to_string(),
                 start_us,
                 restore: Some(previous),
             }),
@@ -420,7 +411,7 @@ mod tests {
         crate::set_sample_every(0);
         assert!(start_trace("test", None).is_none());
         assert!(!span(Phase::Route).is_recording());
-        assert!(!current().is_active());
+        assert_eq!(current().id(), None);
         assert_eq!(current_trace_id(), None);
     }
 
@@ -505,7 +496,7 @@ mod tests {
             for shard in 0..2 {
                 let ctx = ctx.clone();
                 scope.spawn(move || {
-                    let _entered = ctx.enter(Phase::ShardQuery, &format!("shard{shard}"));
+                    let _entered = ctx.enter(Phase::ShardQuery, format_args!("shard{shard}"));
                     let _nested = span(Phase::MeasureCompute);
                     assert_eq!(current_trace_id(), Some(id), "installed on the worker");
                 });
