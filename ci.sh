@@ -10,11 +10,13 @@
 # (which must also leave tests/golden as committed), the Equation-1 join
 # against its literal-sweep oracle, the concurrency stress test,
 # the dn-store corruption-hardening suite, the crash-recovery suite, the
-# process probes of tests/dn_serve_process.rs (the real dn-serve and
-# dn-ingest binaries on loopback: HTTP at --shards 1 and 2, a 2-shard
-# primary plus a --follow follower with a sequential and a pooled primary,
-# drop-folder ingest in-process and via dn-ingest --once, and the argument
-# error path), and a tempdir-hygiene check. The main `cargo test -q` pass
+# sharded-batch placement property (a multi-shard commit grouped by shard
+# places every table where op-by-op commits would), the process probes
+# of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
+# on loopback: HTTP at --shards 1 and 2, a 2-shard primary plus a --follow
+# follower with a sequential and a pooled primary, drop-folder ingest
+# in-process and via dn-ingest --once, and the argument error path), and a
+# tempdir-hygiene check. The main `cargo test -q` pass
 # skips the gated suites (they run once, in their own labeled steps, so a
 # ranking drift, a consistency violation, a recovery regression or a broken
 # binary fails CI with an unambiguous gate name instead of being buried in
@@ -29,7 +31,8 @@
 #
 # Usage: ./ci.sh [--quick]
 #   --quick   everything tier-1 (build, benchmark build, tests, golden,
-#             ledger, stress, recovery, process probes); the full run is
+#             ledger, stress, recovery, sharded placement, process
+#             probes); the full run is
 #             --quick plus the standing benchmark's determinism run and
 #             `paper all --scale 0.2` from the release build
 set -euo pipefail
@@ -126,6 +129,7 @@ cargo test -q -- \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
+    --skip grouped_commits_place_tables_as_op_by_op_commits \
     --skip recovered_export_matches_golden_corpus_workflow \
     --skip http_probe_at_one_and_two_shards \
     --skip replica_probe_with_sequential_and_pooled_primary \
@@ -167,6 +171,9 @@ cargo test -q -p dn-store --test corruption
 
 echo "==> gate: store crash recovery (kill + recover == uninterrupted)"
 cargo test -q --test store_recovery
+
+echo "==> gate: sharded batch == op-by-op placement"
+cargo test -q --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
 
 # Process probes: the real binaries, spawned by the test's spawn_server
 # helper (which owns launch, address discovery, exit status and cleanup).

@@ -55,14 +55,31 @@
 //!
 //! With one shard, a staged batch is delegated wholesale to the single
 //! shard [`Writer`] — one WAL record and one incremental pass, cross-delta
-//! cancellation included. With several shards the batch
-//! is applied op by op (each op is routed, then committed on its shard):
-//! the first failing op stops the batch with earlier ops applied — the
-//! same first-failure contract — but cross-delta cancellation only
-//! happens within a shard, and there is no cross-shard rollback: a
-//! failed op leaves other shards' applied ops in place, the affected
-//! shard resyncs per the engine's own semantics, and nothing publishes
-//! until [`Coordinator::publish`].
+//! cancellation included. With several shards, ops are **routed one at a
+//! time** in stage order against the committed shard lakes and gathered
+//! into one [`LakeDelta`] per shard; each gathered batch is **committed
+//! once** — one WAL record, one fold, one BC pass per touched component.
+//! Routing must see the state op-by-op commits would, so the gathered
+//! batches are flushed (committed in ascending shard order) at four
+//! points:
+//!
+//! * before routing an op whose probes hit what a gathered op may change:
+//!   an `AddTable` whose name or any value is pending, a `RemoveTable`
+//!   whose name is, a `ReplaceValue` whose table or replacement is;
+//! * before placing a brand-new component (least-loaded placement reads
+//!   incidence counts), then the op is re-routed;
+//! * before a migration (it reads whole components and keeps its intent
+//!   protocol), then the op is re-routed;
+//! * at the end of the commit.
+//!
+//! Every table therefore lands where op-by-op commits would put it, and
+//! the per-shard WAL records are what recovery and replication replay.
+//! **Errors:** an op the lake refuses stops its shard's batch there, with
+//! that batch's earlier ops applied (as within one shard); batches already
+//! flushed stay applied; gathered batches of later shards are dropped.
+//! There is no cross-shard rollback, the refusing shard resyncs per the
+//! engine's own semantics, and nothing publishes until
+//! [`Coordinator::publish`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -410,6 +427,86 @@ fn connected_tables(lake: &MutableLake, trigger_values: &[String]) -> Vec<String
         .filter(|(i, _)| hit_roots.contains(&roots[*i]))
         .map(|(_, n)| n)
         .collect()
+}
+
+/// A table's distinct (normalized) values, column by column.
+fn distinct_values(table: &Table) -> impl Iterator<Item = &str> {
+    table.columns().iter().flat_map(|c| c.distinct_values())
+}
+
+/// Where [`Coordinator::route`] sends one op.
+enum Route {
+    /// Apply on this shard.
+    Shard(usize),
+    /// A table touching no live value: a new component, placed on the
+    /// least-loaded shard.
+    New,
+    /// The op merges components across shards: move the components of
+    /// `sources` connected to `values` into `target`, then apply there.
+    Migrate {
+        target: usize,
+        sources: Vec<usize>,
+        values: Vec<String>,
+    },
+}
+
+/// What the gathered, uncommitted ops of a multi-shard commit may change:
+/// routing reads only committed shard lakes, so an op whose probes touch
+/// any of this flushes the gathered batches first.
+#[derive(Default)]
+struct Pending {
+    /// Tables gathered `AddTable`/`RemoveTable` ops add or remove.
+    tables: HashSet<String>,
+    /// Normalized values whose liveness a gathered op may change.
+    values: HashSet<String>,
+}
+
+impl Pending {
+    fn is_empty(&self) -> bool {
+        self.tables.is_empty() && self.values.is_empty()
+    }
+
+    /// Whether routing `op` against committed state may disagree with
+    /// routing it after the gathered ops.
+    fn hit(&self, op: &LakeOp) -> bool {
+        match op {
+            LakeOp::AddTable(table) => {
+                self.tables.contains(table.name())
+                    || distinct_values(table).any(|v| self.values.contains(v))
+            }
+            LakeOp::RemoveTable(name) => self.tables.contains(name),
+            LakeOp::ReplaceValue {
+                table, replacement, ..
+            } => self.tables.contains(table) || self.values.contains(&normalize(replacement)),
+        }
+    }
+
+    /// Record what `op`, gathered for the shard whose committed lake is
+    /// `owner`, may change.
+    fn note(&mut self, op: &LakeOp, owner: &MutableLake) {
+        match op {
+            LakeOp::AddTable(table) => {
+                self.tables.insert(table.name().to_owned());
+                self.values
+                    .extend(distinct_values(table).map(str::to_owned));
+            }
+            LakeOp::RemoveTable(name) => {
+                self.tables.insert(name.clone());
+                if let Some(table) = owner.table(name) {
+                    self.values
+                        .extend(distinct_values(table).map(str::to_owned));
+                }
+            }
+            LakeOp::ReplaceValue {
+                target,
+                replacement,
+                ..
+            } => {
+                self.values.insert(target.clone());
+                self.values.insert(normalize(replacement));
+            }
+        }
+    }
 }
 
 fn add_stats(total: &mut DeltaStats, part: DeltaStats) {
@@ -882,17 +979,19 @@ impl Coordinator {
         self.staged.len()
     }
 
-    /// Route and apply every staged delta. Does **not** publish. See the
-    /// [module docs](self) for the single- vs multi-shard batch
-    /// semantics; the returned [`DeltaStats`] cover the client's ops
-    /// only (rebalance migrations are internal bookkeeping and excluded).
+    /// Route every staged op and commit it on its shard: one commit per
+    /// touched shard, split only at the flush points the [module
+    /// docs](self) list. Does **not** publish. The returned
+    /// [`DeltaStats`] cover the client's ops only (rebalance migrations
+    /// are internal bookkeeping and excluded).
     ///
     /// # Errors
-    /// The first failing op stops the batch (earlier ops stay applied, as
-    /// within one shard's batch); store failures during a
-    /// migration abort the rebalance with the intent file left in place,
-    /// so recovery (or the next commit touching the same values) finishes
-    /// the move.
+    /// A refused op stops its shard's batch (that batch's earlier ops stay
+    /// applied, as within one shard); batches flushed before it stay
+    /// applied and gathered batches of later shards are dropped. Store
+    /// failures during a migration abort the rebalance with the intent
+    /// file left in place, so recovery (or the next commit touching the
+    /// same values) finishes the move.
     pub fn commit(&mut self) -> Result<DeltaStats, ServiceError> {
         let _commit = dn_trace::span(dn_trace::Phase::CoordCommit);
         let staged = std::mem::take(&mut self.staged);
@@ -906,11 +1005,34 @@ impl Coordinator {
             return self.shards[0].commit(&staged);
         }
         let mut total = DeltaStats::default();
-        for delta in &staged {
-            for op in delta.ops() {
-                add_stats(&mut total, self.apply_op(op)?);
+        let mut batches = vec![LakeDelta::new(); self.shards.len()];
+        let mut pending = Pending::default();
+        for op in staged.iter().flat_map(LakeDelta::ops) {
+            if pending.hit(op) {
+                self.flush(&mut batches, &mut pending, &mut total)?;
             }
+            let mut route = self.route(op);
+            if !matches!(route, Route::Shard(_)) && !pending.is_empty() {
+                // Placement and migration read committed state as a whole.
+                self.flush(&mut batches, &mut pending, &mut total)?;
+                route = self.route(op);
+            }
+            let shard = match route {
+                Route::Shard(shard) => shard,
+                Route::New => self.least_loaded_shard(),
+                Route::Migrate {
+                    target,
+                    sources,
+                    values,
+                } => {
+                    self.migrate_into(target, &sources, &values)?;
+                    target
+                }
+            };
+            pending.note(op, self.shards[shard].lake());
+            batches[shard].push(op.clone());
         }
+        self.flush(&mut batches, &mut pending, &mut total)?;
         Ok(total)
     }
 
@@ -1109,65 +1231,83 @@ impl Coordinator {
 
     // -- routing ----------------------------------------------------------
 
-    /// Route one op to its shard (migrating components first when the op
-    /// merges components across shards) and commit it there.
-    fn apply_op(&mut self, op: &LakeOp) -> Result<DeltaStats, ServiceError> {
-        let target = match op {
-            LakeOp::AddTable(table) => match self.table_owner(table.name()) {
+    /// Where `op` goes, read off the committed shard lakes only.
+    fn route(&self, op: &LakeOp) -> Route {
+        match op {
+            LakeOp::AddTable(table) => {
                 // Duplicate name: route to the owner so the engine
                 // surfaces its own duplicate-table error.
-                Some(owner) => owner,
-                None => {
-                    let values: Vec<String> = table
-                        .columns()
-                        .iter()
-                        .flat_map(|c| c.distinct_values().map(str::to_owned))
-                        .collect::<BTreeSet<_>>()
-                        .into_iter()
-                        .collect();
-                    let touched = self.shards_holding(&values);
-                    match touched.as_slice() {
-                        [] => self.least_loaded_shard(),
-                        [only] => *only,
-                        _ => {
-                            let target = self.pick_merge_target(&touched);
-                            let sources: Vec<usize> =
-                                touched.into_iter().filter(|&s| s != target).collect();
-                            self.migrate_into(target, &sources, &values)?;
-                            target
+                if let Some(owner) = self.table_owner(table.name()) {
+                    return Route::Shard(owner);
+                }
+                let values: Vec<String> = distinct_values(table)
+                    .map(str::to_owned)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                let touched = self.shards_holding(&values);
+                match touched.as_slice() {
+                    [] => Route::New,
+                    [only] => Route::Shard(*only),
+                    _ => {
+                        let target = self.pick_merge_target(&touched);
+                        let sources = touched.into_iter().filter(|&s| s != target).collect();
+                        Route::Migrate {
+                            target,
+                            sources,
+                            values,
                         }
                     }
                 }
-            },
-            LakeOp::RemoveTable(name) => {
-                // An unknown table routes to shard 0 so the engine
-                // produces its NotFound error deterministically.
-                self.table_owner(name).unwrap_or(0)
             }
+            // An unknown table routes to shard 0 so the engine produces
+            // its NotFound error deterministically.
+            LakeOp::RemoveTable(name) => Route::Shard(self.table_owner(name).unwrap_or(0)),
             LakeOp::ReplaceValue {
                 table, replacement, ..
             } => {
                 let home = self.table_owner(table).unwrap_or(0);
                 let norm = normalize(replacement);
-                if !lake::value::is_missing(&norm) {
-                    let trigger = vec![norm];
-                    let sources: Vec<usize> = self
-                        .shards_holding(&trigger)
-                        .into_iter()
-                        .filter(|&s| s != home)
-                        .collect();
-                    if !sources.is_empty() {
-                        // The replacement value is live elsewhere: its
-                        // components must co-reside with the edited table.
-                        self.migrate_into(home, &sources, &trigger)?;
+                if lake::value::is_missing(&norm) {
+                    return Route::Shard(home);
+                }
+                let values = vec![norm];
+                let sources: Vec<usize> = self
+                    .shards_holding(&values)
+                    .into_iter()
+                    .filter(|&s| s != home)
+                    .collect();
+                if sources.is_empty() {
+                    Route::Shard(home)
+                } else {
+                    // The replacement value is live elsewhere: its
+                    // components must co-reside with the edited table.
+                    Route::Migrate {
+                        target: home,
+                        sources,
+                        values,
                     }
                 }
-                home
             }
-        };
-        let mut delta = LakeDelta::new();
-        delta.push(op.clone());
-        self.commit_shard(target, delta)
+        }
+    }
+
+    /// Commit every gathered batch in ascending shard order and clear
+    /// them. The first refused batch returns its error; later shards'
+    /// batches stay uncommitted, for the caller to drop.
+    fn flush(
+        &mut self,
+        batches: &mut [LakeDelta],
+        pending: &mut Pending,
+        total: &mut DeltaStats,
+    ) -> Result<(), ServiceError> {
+        *pending = Pending::default();
+        for (shard, batch) in batches.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                add_stats(total, self.commit_shard(shard, std::mem::take(batch))?);
+            }
+        }
+        Ok(())
     }
 
     /// Commit one delta on one shard, marking it dirty.
@@ -1643,6 +1783,158 @@ mod tests {
             .current()
             .top_k(Measure::lcc(), 5)
             .is_some_and(|t| !t.is_empty()));
+
+        // One batch: a flushed op, then applied ops ahead of the refused
+        // one on its shard, then a later shard's gathered op.
+        assert_eq!(coordinator.table_owner("cars"), Some(0));
+        assert_eq!(coordinator.table_owner("fx"), Some(1));
+        coordinator.stage(
+            LakeDelta::new()
+                .replace_value("fx", "code", "JPY", "CHF")
+                // A new component: the fx edit is flushed before placing it.
+                .add_table(
+                    TableBuilder::new("staff")
+                        .column("name", ["Ada", "Grace"])
+                        .build()
+                        .unwrap(),
+                )
+                .replace_value("cars", "make", "Kia", "Seat")
+                .remove_table("no-such-table")
+                .replace_value("prices", "currency", "GBP", "AUD"),
+        );
+        let err = coordinator.commit().unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::Lake(lake::LakeError::NotFound(_))
+        ));
+        assert_eq!(handle.epoch(), before, "nothing published");
+        let (zero, one) = (coordinator.shard(0).lake(), coordinator.shard(1).lake());
+        assert!(one.contains_value("CHF"), "the flushed batch stays applied");
+        assert_eq!(coordinator.table_owner("staff"), Some(0));
+        assert!(
+            zero.contains_value("SEAT") && !zero.contains_value("KIA"),
+            "the refusing shard keeps the ops ahead of the refused one"
+        );
+        assert!(
+            one.contains_value("GBP") && !one.contains_value("AUD"),
+            "a later shard's gathered batch is dropped"
+        );
+        coordinator.publish();
+        handle.current().verify_consistency().unwrap();
+    }
+
+    /// `view`'s merged rankings score every value like a fresh build of
+    /// `lake` (same candidates, scores to 1e-9).
+    fn assert_merged_matches_fresh_build(view: &MultiView, lake: &MutableLake) {
+        let fresh = domainnet::DomainNetBuilder::new()
+            .prune_single_attribute_values(false)
+            .build(lake);
+        for measure in [Measure::lcc(), Measure::exact_bc()] {
+            let merged = view.top_k(measure, usize::MAX).unwrap();
+            let rebuilt = fresh.rank_shared(measure);
+            assert_eq!(merged.len(), rebuilt.len(), "{measure:?}");
+            let by_value: HashMap<&str, f64> = rebuilt
+                .iter()
+                .map(|s| (s.value.as_str(), s.score))
+                .collect();
+            for s in merged.iter() {
+                let score = by_value[s.value.as_str()];
+                assert!((s.score - score).abs() < 1e-9, "{measure:?} {}", s.value);
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_shard_batch_is_one_wal_record_per_shard() {
+        let dir = store_dir("grouped");
+        let (handle, mut coordinator) = serve_sharded_durable(
+            two_component_lake(),
+            config(),
+            &dir,
+            CheckpointPolicy::manual(),
+            2,
+        )
+        .unwrap();
+        let batch = LakeDelta::new()
+            .replace_value("cars", "make", "Kia", "Seat")
+            .replace_value("fx", "code", "JPY", "CHF")
+            .replace_value("zoo", "animal", "Okapi", "Tapir")
+            .replace_value("prices", "currency", "GBP", "AUD");
+        let seqs: Vec<u64> = (0..2).map(|i| coordinator.shard(i).last_seq()).collect();
+        coordinator.stage(batch.clone());
+        coordinator.commit().unwrap();
+        coordinator.publish();
+        for (i, seq) in seqs.into_iter().enumerate() {
+            assert_eq!(
+                coordinator.shard(i).last_seq(),
+                seq + 1,
+                "shard {i}: one WAL record for its two ops"
+            );
+        }
+        let mut expected = two_component_lake();
+        expected.apply(&batch).unwrap();
+        let view = handle.current();
+        view.verify_consistency().unwrap();
+        assert_merged_matches_fresh_build(&view, &expected);
+        drop(coordinator);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_table_sharing_a_gathered_tables_value_lands_beside_it() {
+        let (handle, mut coordinator) = serve_sharded(two_component_lake(), config(), 2);
+        assert_eq!(coordinator.table_owner("fx"), Some(1));
+        // T1's values are unseen, so it starts a component on the
+        // least-loaded shard (0). T2 shares GRACE with it and USD with
+        // shard 1: routed against committed state alone, GRACE is dead
+        // and T2 would land on shard 1, splitting GRACE across shards.
+        coordinator.stage(
+            LakeDelta::new()
+                .add_table(
+                    TableBuilder::new("t1")
+                        .column("name", ["Ada", "Grace"])
+                        .build()
+                        .unwrap(),
+                )
+                .add_table(
+                    TableBuilder::new("t2")
+                        .column("word", ["Grace", "USD"])
+                        .build()
+                        .unwrap(),
+                ),
+        );
+        coordinator.commit().unwrap();
+        coordinator.publish();
+        let owner = coordinator.table_owner("t1");
+        assert_eq!(coordinator.table_owner("t2"), owner);
+        assert_eq!(coordinator.table_owner("fx"), owner);
+        handle.current().verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_replacement_made_live_by_a_gathered_op_pulls_its_component() {
+        let (handle, mut coordinator) = serve_sharded(two_component_lake(), config(), 2);
+        assert_eq!(coordinator.table_owner("zoo"), Some(0));
+        assert_eq!(coordinator.table_owner("fx"), Some(1));
+        // The add makes YAK live on shard 0; the replacement then links
+        // fx (shard 1) to that component, which must migrate.
+        coordinator.stage(
+            LakeDelta::new()
+                .add_table(
+                    TableBuilder::new("herd")
+                        .column("animal", ["Jaguar", "Yak"])
+                        .build()
+                        .unwrap(),
+                )
+                .replace_value("fx", "code", "JPY", "Yak"),
+        );
+        coordinator.commit().unwrap();
+        coordinator.publish();
+        let owner = coordinator.table_owner("fx");
+        for table in ["herd", "zoo", "cars"] {
+            assert_eq!(coordinator.table_owner(table), owner, "{table}");
+        }
+        handle.current().verify_consistency().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sharded-serving equivalence and crash recovery.
 //!
-//! Three suites for the component-sharded coordinator
+//! Four suites for the component-sharded coordinator
 //! (`dn_service::serve_sharded*`):
 //!
 //! * `fifty_seeded_sequences_agree_across_shard_counts` — the property:
@@ -11,6 +11,11 @@
 //!   covers node layout only: the fresh build, and a shard rebuilt by a
 //!   component migration, number nodes differently and so sum in a different
 //!   order. A maintained score does not drift with the deltas applied).
+//! * `grouped_commits_place_tables_as_op_by_op_commits` — a multi-shard
+//!   commit routes op by op but commits once per shard; 50 seeded 8-delta
+//!   sequences committed whole must leave every shard holding the tables
+//!   one-op-per-commit leaves it, match a fresh build, and recover from
+//!   their per-shard WAL records to the `to_bits()` live rankings.
 //! * `kill_between_shard_checkpoints_recovers_a_consistent_epoch` — the
 //!   crash scenario the sharded store layout exists for: shards checkpoint
 //!   on their *own* cadence, so a kill almost always catches them at
@@ -40,6 +45,8 @@ use lake::table::TableBuilder;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const SEQUENCES: usize = 50;
 const DELTAS_PER_SEQUENCE: usize = 4;
+/// Deltas of one grouped commit in the op-by-op placement property.
+const GROUPED_DELTAS: usize = 8;
 
 /// Both measures exact: equivalence can be asserted to 1e-9 with no
 /// estimation slack (the approx-BC sampler is salted by generation and
@@ -59,7 +66,7 @@ fn config() -> ServiceConfig {
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_shard_{name}_{}", std::process::id()));
+        .join(format!("dn_store_shard_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -86,6 +93,25 @@ fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
         .column(column, cells.iter().copied())
         .build()
         .expect("rectangular by construction")
+}
+
+/// `len` seeded two-op mutation deltas against `base`, and the lake they
+/// leave behind.
+fn seeded_sequence(base: &MutableLake, seed: u64, len: usize) -> (Vec<LakeDelta>, MutableLake) {
+    let mut stream = MutationStream::new(MutationConfig {
+        seed,
+        tables_per_delta: 2,
+        rows_per_table: 8,
+        ..MutationConfig::default()
+    });
+    let mut shadow = base.clone();
+    let mut deltas = Vec::with_capacity(len);
+    for _ in 0..len {
+        let delta = stream.next_delta(&shadow);
+        shadow.apply(&delta).expect("stream deltas apply");
+        deltas.push(delta);
+    }
+    (deltas, shadow)
 }
 
 /// Assert one coordinator's merged rankings equal a from-scratch
@@ -124,22 +150,9 @@ fn assert_matches_fresh_build(view: &dn_service::MultiView, expected: &MutableLa
 fn fifty_seeded_sequences_agree_across_shard_counts() {
     let base = multi_component_base();
     for sequence in 0..SEQUENCES {
-        let seed = 5_000 + sequence as u64;
         // Materialize the sequence once so every shard count replays the
         // byte-identical deltas.
-        let mut stream = MutationStream::new(MutationConfig {
-            seed,
-            tables_per_delta: 2,
-            rows_per_table: 8,
-            ..MutationConfig::default()
-        });
-        let mut shadow = base.clone();
-        let mut deltas = Vec::with_capacity(DELTAS_PER_SEQUENCE);
-        for _ in 0..DELTAS_PER_SEQUENCE {
-            let delta = stream.next_delta(&shadow);
-            shadow.apply(&delta).expect("stream deltas apply");
-            deltas.push(delta);
-        }
+        let (deltas, shadow) = seeded_sequence(&base, 5_000 + sequence as u64, DELTAS_PER_SEQUENCE);
 
         for shards in SHARD_COUNTS {
             let (handle, mut coordinator) = serve_sharded(base.clone(), config(), shards);
@@ -152,6 +165,80 @@ fn fifty_seeded_sequences_agree_across_shard_counts() {
             view.verify_consistency()
                 .unwrap_or_else(|e| panic!("seq {sequence} shards {shards}: {e}"));
             assert_matches_fresh_build(&view, &shadow, &format!("seq {sequence} shards {shards}"));
+        }
+    }
+}
+
+#[test]
+fn grouped_commits_place_tables_as_op_by_op_commits() {
+    let base = multi_component_base();
+    let policy = CheckpointPolicy::manual();
+    for sequence in 0..SEQUENCES {
+        let (deltas, shadow) = seeded_sequence(&base, 7_000 + sequence as u64, GROUPED_DELTAS);
+
+        for shards in [2usize, 4] {
+            let context = format!("seq {sequence} shards {shards}");
+            let grouped_dir = test_dir(&format!("grouped_{shards}"));
+            let op_by_op_dir = test_dir(&format!("op_by_op_{shards}"));
+            let (grouped_handle, mut grouped) =
+                serve_sharded_durable(base.clone(), config(), &grouped_dir, policy, shards)
+                    .expect("fresh sharded store");
+            for delta in &deltas {
+                grouped.stage(delta.clone());
+            }
+            grouped.commit().expect("grouped batch commits cleanly");
+            grouped.publish();
+            let (op_by_op_handle, mut op_by_op) =
+                serve_sharded_durable(base.clone(), config(), &op_by_op_dir, policy, shards)
+                    .expect("fresh sharded store");
+            for op in deltas.iter().flat_map(LakeDelta::ops) {
+                let mut single = LakeDelta::new();
+                single.push(op.clone());
+                op_by_op.stage(single);
+                op_by_op.commit().expect("single op commits cleanly");
+            }
+            op_by_op.publish();
+
+            for shard in 0..shards {
+                assert_eq!(
+                    grouped.shard(shard).lake().live_table_names(),
+                    op_by_op.shard(shard).lake().live_table_names(),
+                    "{context}: shard {shard} holds different tables"
+                );
+            }
+            for (name, handle) in [("grouped", &grouped_handle), ("op-by-op", &op_by_op_handle)] {
+                let view = handle.current();
+                view.verify_consistency()
+                    .unwrap_or_else(|e| panic!("{context} {name}: {e}"));
+                assert_matches_fresh_build(&view, &shadow, &format!("{context} {name}"));
+            }
+
+            // The grouped WAL records are what recovery replays.
+            let live = grouped_handle.current();
+            drop(grouped);
+            let (recovered_handle, recovered_coordinator) =
+                serve_sharded_from_dir(&grouped_dir, config(), policy).expect("sharded recovery");
+            let recovered = recovered_handle.current();
+            for measure in measures() {
+                let a = live.top_k(measure, usize::MAX).expect("served measure");
+                let b = recovered
+                    .top_k(measure, usize::MAX)
+                    .expect("served measure");
+                assert_eq!(a.len(), b.len(), "{context} {measure:?}");
+                for (x, y) in a.iter().zip(b.iter()) {
+                    assert_eq!(x.value, y.value, "{context} {measure:?}");
+                    assert_eq!(
+                        x.score.to_bits(),
+                        y.score.to_bits(),
+                        "{context} {measure:?} {}",
+                        x.value
+                    );
+                }
+            }
+            drop(recovered_coordinator);
+            drop(op_by_op);
+            std::fs::remove_dir_all(&grouped_dir).expect("cleanup");
+            std::fs::remove_dir_all(&op_by_op_dir).expect("cleanup");
         }
     }
 }
