@@ -203,10 +203,21 @@ fi
 
 if [[ "$QUICK" -eq 0 ]]; then
     # Every workload twice from one seed: same operation stream, request
-    # count, store bytes and ops delivered both times.
+    # count, store bytes and ops delivered both times. The digests must
+    # also be the committed ones: batch_detect's folds every ranked
+    # score's bits, so a kernel or graph change that moves a ranking fails
+    # here by workload name. (Byte counts are not pinned: formats change.)
     echo "==> gate: standing benchmark determinism (--check-determinism --seconds 2)"
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
-        --target-dir target/benchmark -- --check-determinism --seconds 2
+    DETERMINISM=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --target-dir target/benchmark -- --check-determinism --seconds 2)
+    echo "${DETERMINISM}"
+    for pinned in batch_detect:356bf735938c3c9f serve_read_heavy:1cd3f341b6a2ccc1 \
+        serve_write_heavy:89f7dcf647c4ddf7 ingest_restart:f129264fa90ba08b; do
+        if ! grep -F -- "${pinned%%:*}: digest ${pinned#*:}," <<<"${DETERMINISM}" >/dev/null; then
+            echo "${pinned%%:*}: digest is not the committed ${pinned#*:}" >&2
+            exit 1
+        fi
+    done
     # The printer, the argument parser and a lake four times the ledger's.
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md

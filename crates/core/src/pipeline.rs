@@ -49,6 +49,18 @@ impl Default for DomainNetConfig {
     }
 }
 
+impl DomainNetConfig {
+    /// The number of live attributes a value must occur in to be a
+    /// candidate (to have edges in the graph).
+    fn min_attrs(self) -> usize {
+        if self.prune_single_attribute_values {
+            2
+        } else {
+            1
+        }
+    }
+}
+
 /// Builder for [`DomainNet`].
 ///
 /// ```
@@ -75,51 +87,34 @@ impl DomainNetBuilder {
 
     /// Build the DomainNet graph from the live state of a lake.
     pub fn build<L: LakeView + ?Sized>(&self, lake: &L) -> DomainNet {
-        let min_attrs = if self.config.prune_single_attribute_values {
-            2
-        } else {
-            1
-        };
-
-        // Map surviving lake values to dense graph node ids, in ValueId order
-        // so the construction is deterministic.
-        let kept_values = lake.values_in_at_least(min_attrs);
+        // Candidates get dense value node ids in ValueId order, and the
+        // attributes holding one get indexes in AttrId order, so the
+        // construction is deterministic.
         let mut node_of_value = vec![u32::MAX; lake.value_count()];
-        let mut builder = BipartiteBuilder::with_capacity(
-            kept_values.len(),
-            lake.attribute_count(),
-            lake.incidence_count(),
-        );
-        for &vid in &kept_values {
-            let label = lake.value(vid).expect("value id from lake");
-            node_of_value[vid.index()] = builder.add_value(label);
+        for (node, vid) in lake
+            .values_in_at_least(self.config.min_attrs())
+            .into_iter()
+            .enumerate()
+        {
+            node_of_value[vid.index()] = node as u32;
         }
         let mut attr_index_of = vec![u32::MAX; lake.attribute_count()];
         let mut attr_id_of_index: Vec<AttrId> = Vec::new();
         for (attr, values) in lake.live_attribute_values() {
-            let surviving: Vec<u32> = values
-                .iter()
-                .filter_map(|v| {
-                    let node = node_of_value[v.index()];
-                    (node != u32::MAX).then_some(node)
-                })
-                .collect();
-            if surviving.is_empty() {
-                continue;
-            }
-            let label = lake
-                .attribute_ref(attr)
-                .map(|r| r.qualified())
-                .unwrap_or_else(|| format!("attr_{}", attr.0));
-            let attr_node = builder.add_attribute(label);
-            attr_index_of[attr.index()] = attr_node;
-            attr_id_of_index.push(attr);
-            for node in surviving {
-                builder.add_edge(node, attr_node);
+            if values.iter().any(|v| node_of_value[v.index()] != u32::MAX) {
+                attr_index_of[attr.index()] = attr_id_of_index.len() as u32;
+                attr_id_of_index.push(attr);
             }
         }
 
-        let graph = builder.build();
+        let graph = graph_of(
+            lake,
+            self.config,
+            &node_of_value,
+            &attr_index_of,
+            &attr_id_of_index,
+        )
+        .expect("a build allocates consistent id maps");
         let components = connected_components(&graph);
         DomainNet {
             config: self.config,
@@ -258,16 +253,6 @@ impl DomainNet {
     /// isolated node). Equals the candidate count for a freshly built net.
     pub fn candidate_count(&self) -> usize {
         self.graph.value_count()
-    }
-
-    /// Number of *live* candidate values: value nodes with at least one
-    /// incident edge. This is the number of entries [`DomainNet::rank`]
-    /// returns.
-    pub fn live_candidate_count(&self) -> usize {
-        self.graph
-            .value_nodes()
-            .filter(|&v| self.graph.degree(v) > 0)
-            .count()
     }
 
     /// Number of attribute nodes in the graph (including tombstones).
@@ -482,11 +467,7 @@ impl DomainNet {
         lake: &MutableLake,
         effects: &DeltaEffects,
     ) -> Result<DeltaStats, String> {
-        let min_attrs = if self.config.prune_single_attribute_values {
-            2
-        } else {
-            1
-        };
+        let min_attrs = self.config.min_attrs();
         if self.node_of_value.len() < lake.value_count() {
             self.node_of_value.resize(lake.value_count(), u32::MAX);
         }
@@ -731,13 +712,9 @@ impl DomainNet {
             u32::MAX => match pending.attr_index.get(&attr) {
                 Some(&staged) => staged,
                 None => {
-                    let label = lake
-                        .attribute_ref(attr)
-                        .map(|r| r.qualified())
-                        .unwrap_or_else(|| format!("attr_{}", attr.0));
                     let index = self.graph.attribute_count() as u32
                         + pending.gd.new_attributes.len() as u32;
-                    pending.gd.new_attributes.push(label);
+                    pending.gd.new_attributes.push(attr_label(lake, attr));
                     pending.attr_index.insert(attr, index);
                     pending.new_attr_ids.push(attr);
                     index
@@ -768,9 +745,9 @@ pub struct NetCachesState {
 /// Everything a [`DomainNet`] holds *besides* its graph, in a plain
 /// exportable form for the persistence layer (`dn-store`).
 ///
-/// The graph is exported separately (it has its own on-disk section);
-/// [`DomainNet::from_parts`] reunites the two and validates every
-/// cross-reference between them before a net is handed back.
+/// The graph is not exported: it is a function of the lake and the id maps
+/// below, which [`DomainNet::from_parts`] validates against the lake and
+/// derives it from before a net is handed back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetState {
     /// The configuration the graph was built with.
@@ -813,12 +790,17 @@ impl DomainNet {
         }
     }
 
-    /// Reassemble a net from a persisted graph and [`NetState`], validating
-    /// every cross-reference between the two:
+    /// Reassemble a net from the lake it was maintained against and its
+    /// persisted [`NetState`]. The graph is derived, by the function
+    /// [`DomainNetBuilder::build`] uses, from the lake and the state's id
+    /// maps, which are validated first:
     ///
-    /// * `node_of_value` must map lake value ids **bijectively** onto the
-    ///   graph's value nodes, and the attribute index maps must be mutual
-    ///   inverses covering every attribute node;
+    /// * `node_of_value` must span the lake's value ids and map them
+    ///   **bijectively** onto `0..n` value nodes, with every candidate
+    ///   value mapped;
+    /// * `attr_index_of` must span the lake's attribute ids, and it and
+    ///   `attr_id_of_index` must be mutual inverses, with every live
+    ///   attribute of a candidate value mapped;
     /// * every cached raw-score vector must cover exactly the value nodes
     ///   with finite scores;
     /// * the cardinality vector, when present, must cover exactly the value
@@ -830,53 +812,17 @@ impl DomainNet {
     /// # Errors
     /// A description of the first violated invariant; nothing is partially
     /// constructed on failure.
-    pub fn from_parts(graph: BipartiteGraph, state: NetState) -> Result<DomainNet, String> {
-        let mut node_seen = vec![false; graph.value_count()];
-        for (vid, &node) in state.node_of_value.iter().enumerate() {
-            if node == u32::MAX {
-                continue;
-            }
-            let slot = node_seen
-                .get_mut(node as usize)
-                .ok_or_else(|| format!("value {vid} maps to node {node} out of range"))?;
-            if *slot {
-                return Err(format!("two lake values map to value node {node}"));
-            }
-            *slot = true;
-        }
-        if node_seen.iter().any(|seen| !seen) {
-            return Err("some graph value nodes have no lake value mapped to them".to_owned());
-        }
-
-        if state.attr_id_of_index.len() != graph.attribute_count() {
-            return Err(format!(
-                "{} attribute ids for {} attribute nodes",
-                state.attr_id_of_index.len(),
-                graph.attribute_count()
-            ));
-        }
-        for (idx, attr) in state.attr_id_of_index.iter().enumerate() {
-            match state.attr_index_of.get(attr.index()) {
-                Some(&back) if back as usize == idx => {}
-                _ => {
-                    return Err(format!(
-                        "attribute index {idx} and attribute id {} are not mutual inverses",
-                        attr.0
-                    ))
-                }
-            }
-        }
-        let mapped = state
-            .attr_index_of
-            .iter()
-            .filter(|&&idx| idx != u32::MAX)
-            .count();
-        if mapped != graph.attribute_count() {
-            return Err(format!(
-                "{mapped} attribute ids map to nodes but the graph has {}",
-                graph.attribute_count()
-            ));
-        }
+    pub fn from_parts<L: LakeView + ?Sized>(
+        lake: &L,
+        state: NetState,
+    ) -> Result<DomainNet, String> {
+        let graph = graph_of(
+            lake,
+            state.config,
+            &state.node_of_value,
+            &state.attr_index_of,
+            &state.attr_id_of_index,
+        )?;
 
         if let Some(cardinalities) = &state.caches.cardinalities {
             if cardinalities.len() != graph.value_count() {
@@ -930,6 +876,137 @@ impl DomainNet {
     }
 }
 
+/// The graph a lake and a net's id maps determine: value node `n` is the
+/// value mapped to `n`, attribute index `i` is `attr_id_of_index[i]`, and
+/// every candidate value has an edge to each live attribute holding it. A
+/// value or attribute that stopped qualifying keeps its isolated node.
+/// [`DomainNetBuilder::build`] derives its graph here from freshly
+/// allocated maps and [`DomainNet::from_parts`] from persisted ones; from
+/// the maps [`DomainNet::apply_delta`] maintains it derives, CSR for CSR,
+/// the graph `apply_delta` maintained.
+///
+/// # Errors
+/// The first way the maps disagree with each other or with the lake.
+fn graph_of<L: LakeView + ?Sized>(
+    lake: &L,
+    config: DomainNetConfig,
+    node_of_value: &[u32],
+    attr_index_of: &[u32],
+    attr_id_of_index: &[AttrId],
+) -> Result<BipartiteGraph, String> {
+    if node_of_value.len() != lake.value_count() {
+        return Err(format!(
+            "value map covers {} ids but the lake has {}",
+            node_of_value.len(),
+            lake.value_count()
+        ));
+    }
+    if attr_index_of.len() != lake.attribute_count() {
+        return Err(format!(
+            "attribute map covers {} ids but the lake has {}",
+            attr_index_of.len(),
+            lake.attribute_count()
+        ));
+    }
+    // Every mapped attribute owns its index, and every index is owned:
+    // the two attribute maps are mutual inverses.
+    let mut mapped_attrs = 0;
+    for (attr, &index) in attr_index_of.iter().enumerate() {
+        if index == u32::MAX {
+            continue;
+        }
+        match attr_id_of_index.get(index as usize) {
+            None => {
+                return Err(format!(
+                    "attribute {attr} maps to index {index} past the {} allocated",
+                    attr_id_of_index.len()
+                ))
+            }
+            Some(owner) if owner.index() != attr => {
+                return Err(format!(
+                    "attribute {attr} maps to index {index}, which belongs to attribute {}",
+                    owner.0
+                ))
+            }
+            Some(_) => mapped_attrs += 1,
+        }
+    }
+    if mapped_attrs != attr_id_of_index.len() {
+        return Err(format!(
+            "{} attribute indexes are allocated but {mapped_attrs} attributes map to one",
+            attr_id_of_index.len()
+        ));
+    }
+    // The mapped values fill `0..n` one to one (n slots, n injective
+    // entries), and no candidate is left without a node.
+    let min_attrs = config.min_attrs();
+    let mapped_values = node_of_value.iter().filter(|&&n| n != u32::MAX).count();
+    let mut value_of_node: Vec<Option<ValueId>> = vec![None; mapped_values];
+    for (vid, &node) in node_of_value.iter().enumerate() {
+        let vid = ValueId(vid as u32);
+        if node == u32::MAX {
+            if lake.value_attributes(vid).len() >= min_attrs {
+                return Err(format!("candidate value {} has no value node", vid.0));
+            }
+            continue;
+        }
+        match value_of_node.get_mut(node as usize) {
+            None => {
+                return Err(format!(
+                    "value {} maps to node {node} past the {mapped_values} mapped",
+                    vid.0
+                ))
+            }
+            Some(Some(other)) => {
+                return Err(format!(
+                    "values {} and {} map to one value node {node}",
+                    other.0, vid.0
+                ))
+            }
+            Some(slot) => *slot = Some(vid),
+        }
+    }
+
+    let mut builder = BipartiteBuilder::with_capacity(
+        mapped_values,
+        attr_id_of_index.len(),
+        lake.incidence_count(),
+    );
+    for &vid in value_of_node.iter().flatten() {
+        builder.add_value(lake.value(vid).expect("the value map spans the lake"));
+    }
+    for &attr in attr_id_of_index {
+        builder.add_attribute(attr_label(lake, attr));
+    }
+    // Value-major: a build's edges arrive already sorted.
+    for (node, &vid) in value_of_node.iter().flatten().enumerate() {
+        let attrs = lake.value_attributes(vid);
+        if attrs.len() < min_attrs {
+            continue;
+        }
+        for &attr in attrs {
+            match attr_index_of[attr.index()] {
+                u32::MAX => {
+                    return Err(format!(
+                        "attribute {} of candidate value {} has no attribute node",
+                        attr.0, vid.0
+                    ))
+                }
+                index => builder.add_edge(node as u32, index),
+            }
+        }
+    }
+    Ok(builder.build())
+}
+
+/// The graph label of an attribute: `table.column` while it is live, and
+/// `attr_<id>` for a tombstone (no edge reaches it, so nothing reads it).
+fn attr_label<L: LakeView + ?Sized>(lake: &L, attr: AttrId) -> String {
+    lake.attribute_ref(attr)
+        .map(|r| r.qualified())
+        .unwrap_or_else(|| format!("attr_{}", attr.0))
+}
+
 /// Staging area for one [`DomainNet::apply_delta`] translation: the graph
 /// delta plus every mapping update it implies. Nothing here touches the net
 /// until the graph patch has succeeded, so a failed delta leaves the net
@@ -965,7 +1042,7 @@ mod tests {
         let net = running_example_net(true);
         // Only Jaguar, Puma, Panda, Toyota repeat across attributes.
         assert_eq!(net.candidate_count(), 4);
-        assert_eq!(net.live_candidate_count(), 4);
+        assert_eq!(net.rank(Measure::lcc()).len(), 4);
         // Attributes that lose all their values are dropped (e.g. numeric
         // columns whose values are unique).
         assert!(net.attribute_count() <= 12);
@@ -1277,7 +1354,7 @@ mod tests {
         lake.apply(&base).unwrap();
         let mut net = DomainNetBuilder::new().build(&lake);
         let _ = net.rank(Measure::lcc());
-        assert_eq!(net.live_candidate_count(), 2); // Panda, Lemur
+        assert_eq!(net.rank(Measure::lcc()).len(), 2); // Panda, Lemur
 
         let effects = lake
             .apply(
@@ -1290,13 +1367,17 @@ mod tests {
             )
             .unwrap();
         net.apply_delta(&lake, &effects).unwrap();
-        assert_eq!(net.live_candidate_count(), 3);
+        assert_eq!(net.rank(Measure::lcc()).len(), 3);
         assert_equivalent(&net, &lake, Measure::lcc());
         assert_equivalent(&net, &lake, Measure::exact_bc());
 
         let effects = lake.apply(&LakeDelta::new().remove_table("C")).unwrap();
         net.apply_delta(&lake, &effects).unwrap();
-        assert_eq!(net.live_candidate_count(), 2, "Okapi is tombstoned again");
+        assert_eq!(
+            net.rank(Measure::lcc()).len(),
+            2,
+            "Okapi is tombstoned again"
+        );
         assert_equivalent(&net, &lake, Measure::lcc());
         assert_equivalent(&net, &lake, Measure::exact_bc());
     }

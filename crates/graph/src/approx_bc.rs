@@ -37,29 +37,6 @@ impl Default for ApproxBcConfig {
     }
 }
 
-impl ApproxBcConfig {
-    /// Convenience constructor: sample a fraction of the nodes (e.g. `0.01`
-    /// for the paper's 1 % heuristic).
-    ///
-    /// `fraction` is clamped to `(0, 1]`: non-positive or non-finite inputs
-    /// (which would previously yield a silently empty sample and an all-zero
-    /// estimate) are treated as "the smallest useful sample", i.e. a single
-    /// source, and fractions above `1.0` behave like `1.0` (every node is a
-    /// source, making the estimate exact). On degenerate graphs the result
-    /// stays safe: `samples` is at least 1, and for an empty graph
-    /// [`approximate_betweenness`] returns an empty score vector regardless
-    /// of the configured sample count.
-    pub fn with_fraction(graph: &BipartiteGraph, fraction: f64, seed: u64) -> Self {
-        let n = graph.node_count();
-        let samples = if fraction.is_finite() && fraction > 0.0 {
-            ((n as f64 * fraction.min(1.0)).ceil() as usize).clamp(1, n.max(1))
-        } else {
-            1
-        };
-        ApproxBcConfig { samples, seed }
-    }
-}
-
 /// Estimate betweenness centrality for every node from sampled sources.
 ///
 /// The returned scores approximate the *exact* (unordered-pair) BC returned
@@ -252,39 +229,6 @@ mod tests {
                 .collect();
             assert_eq!(bits, within_ref, "within threads={threads}");
         }
-    }
-
-    #[test]
-    fn with_fraction_clamps_to_at_least_one() {
-        let g = random_lake_graph(50, 5, 5, 8);
-        let cfg = ApproxBcConfig::with_fraction(&g, 0.000001, 1);
-        assert_eq!(cfg.samples, 1);
-        let cfg = ApproxBcConfig::with_fraction(&g, 0.01, 1);
-        assert!(cfg.samples >= 1);
-    }
-
-    #[test]
-    fn with_fraction_clamps_to_unit_interval() {
-        let g = random_lake_graph(50, 5, 5, 8);
-        let n = g.node_count();
-        // Degenerate fractions pin to the smallest useful sample, not zero.
-        assert_eq!(ApproxBcConfig::with_fraction(&g, 0.0, 1).samples, 1);
-        assert_eq!(ApproxBcConfig::with_fraction(&g, -3.5, 1).samples, 1);
-        assert_eq!(ApproxBcConfig::with_fraction(&g, f64::NAN, 1).samples, 1);
-        assert_eq!(
-            ApproxBcConfig::with_fraction(&g, f64::INFINITY, 1).samples,
-            1,
-            "non-finite fractions are degenerate, not 'sample everything'"
-        );
-        // Fractions above 1 behave like 1: every node is a source.
-        assert_eq!(ApproxBcConfig::with_fraction(&g, 1.0, 1).samples, n);
-        assert_eq!(ApproxBcConfig::with_fraction(&g, 7.0, 1).samples, n);
-
-        // And on an empty graph nothing panics, the estimate is just empty.
-        let empty = BipartiteBuilder::new().build();
-        let cfg = ApproxBcConfig::with_fraction(&empty, 0.0, 1);
-        assert_eq!(cfg.samples, 1);
-        assert!(approximate_betweenness(&empty, cfg, 1).is_empty());
     }
 
     #[test]

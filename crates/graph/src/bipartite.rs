@@ -200,67 +200,14 @@ impl BipartiteGraph {
         (self.value_labels.clone(), self.attr_labels.clone())
     }
 
-    /// Reassemble a graph from persisted CSR parts, running the full
-    /// [`BipartiteGraph::validate`] check (offset monotonicity, sorted and
-    /// deduplicated adjacency, bipartite-ness, edge symmetry) before the
-    /// graph becomes observable. This is the loading counterpart of
-    /// [`BipartiteGraph::csr_offsets`] / [`BipartiteGraph::csr_adjacency`]:
-    /// the persistence layer must never hand out a graph whose invariants
-    /// the centrality kernels would trip over.
-    ///
-    /// # Errors
-    /// A description of the first violated invariant.
-    pub fn try_from_parts(
-        n_values: usize,
-        n_attrs: usize,
-        offsets: Vec<u64>,
-        adjacency: Vec<u32>,
-        value_labels: Vec<String>,
-        attr_labels: Vec<String>,
-    ) -> Result<Self, String> {
-        if value_labels.len() != n_values {
-            return Err(format!(
-                "{} value labels for {n_values} value nodes",
-                value_labels.len()
-            ));
-        }
-        if attr_labels.len() != n_attrs {
-            return Err(format!(
-                "{} attribute labels for {n_attrs} attribute nodes",
-                attr_labels.len()
-            ));
-        }
-        let graph = BipartiteGraph {
-            n_values,
-            n_attrs,
-            offsets,
-            adjacency,
-            value_labels,
-            attr_labels,
-        };
-        if graph.offsets.len() != graph.node_count() + 1 {
-            return Err(format!(
-                "offset array has {} entries for {} nodes",
-                graph.offsets.len(),
-                graph.node_count()
-            ));
-        }
-        for &n in &graph.adjacency {
-            if (n as usize) >= graph.node_count() {
-                return Err(format!("adjacency references node {n} out of range"));
-            }
-        }
-        graph.validate()?;
-        Ok(graph)
-    }
-
-    /// The CSR offset array (length `node_count() + 1`), for persistence.
+    /// The CSR offset array (length `node_count() + 1`), for comparing two
+    /// graphs node for node.
     pub fn csr_offsets(&self) -> &[u64] {
         &self.offsets
     }
 
     /// The concatenated CSR adjacency lists (length `2 * edge_count()`),
-    /// for persistence.
+    /// for comparing two graphs node for node.
     pub fn csr_adjacency(&self) -> &[u32] {
         &self.adjacency
     }
@@ -268,11 +215,6 @@ impl BipartiteGraph {
     /// The value-node label table, indexed by value node id.
     pub fn value_labels(&self) -> &[String] {
         &self.value_labels
-    }
-
-    /// The attribute-node label table, indexed by attribute index.
-    pub fn attribute_labels(&self) -> &[String] {
-        &self.attr_labels
     }
 
     /// Number of value nodes.

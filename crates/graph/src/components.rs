@@ -24,11 +24,6 @@ impl Components {
         self.sizes.len()
     }
 
-    /// Size of the largest component (0 for an empty graph).
-    pub fn largest(&self) -> usize {
-        self.sizes.iter().copied().max().unwrap_or(0)
-    }
-
     /// Component id of a node.
     pub fn component_of(&self, node: u32) -> u32 {
         self.labels[node as usize]
@@ -106,7 +101,7 @@ mod tests {
         let (g, _) = crate::bipartite::tests::figure3b();
         let comps = connected_components(&g);
         assert_eq!(comps.count(), 1);
-        assert_eq!(comps.largest(), g.node_count());
+        assert_eq!(comps.sizes, [g.node_count()]);
         assert!(comps.connected(0, g.attribute_node(0)));
     }
 
@@ -126,7 +121,7 @@ mod tests {
         let g = b.build();
         let comps = connected_components(&g);
         assert_eq!(comps.count(), 2);
-        assert_eq!(comps.largest(), 4);
+        assert_eq!(comps.sizes, [4, 3]);
         assert!(!comps.connected(0, 3));
     }
 
@@ -139,7 +134,7 @@ mod tests {
         let g = b.build();
         let comps = connected_components(&g);
         assert_eq!(comps.count(), 3);
-        assert_eq!(comps.largest(), 1);
+        assert_eq!(comps.sizes, [1, 1, 1]);
     }
 
     #[test]
@@ -169,6 +164,6 @@ mod tests {
         let g = BipartiteBuilder::new().build();
         let comps = connected_components(&g);
         assert_eq!(comps.count(), 0);
-        assert_eq!(comps.largest(), 0);
+        assert!(comps.sizes.is_empty());
     }
 }

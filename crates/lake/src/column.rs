@@ -276,11 +276,6 @@ impl Column {
         numeric as f64 / self.distinct.len() as f64
     }
 
-    /// Whether the column is predominantly textual (less than half numeric).
-    pub fn is_textual(&self) -> bool {
-        self.numeric_fraction() < 0.5
-    }
-
     /// Replace every cell whose normalized form equals `target` with
     /// `replacement`, returning the number of cells rewritten.
     ///
@@ -384,14 +379,12 @@ mod tests {
     fn numeric_fraction_and_textual_flag() {
         let numeric = col(&["1", "2", "3.5"]);
         assert!((numeric.numeric_fraction() - 1.0).abs() < 1e-12);
-        assert!(!numeric.is_textual());
 
         let mixed = col(&["1", "Jaguar", "Puma", "Lemur"]);
-        assert!(mixed.is_textual());
+        assert!((mixed.numeric_fraction() - 0.25).abs() < 1e-12);
 
         let empty = Column::empty("e");
         assert_eq!(empty.numeric_fraction(), 0.0);
-        assert!(empty.is_textual());
     }
 
     #[test]

@@ -127,26 +127,6 @@ impl LakeError {
             source,
         }
     }
-
-    /// Whether this error is consistent with *torn input*: a file caught
-    /// mid-write or truncated, rather than structurally invalid data. Torn
-    /// input is transient by nature — the writer finishing (or rewriting)
-    /// the file clears it — so streaming consumers like dn-ingest skip the
-    /// file and retry on a later poll instead of failing the pipeline.
-    ///
-    /// Classified as torn: CSV syntax damage (`Csv`, e.g. a quote left
-    /// unterminated by truncation), a row cut short (`RaggedRow`), a file
-    /// truncated before any header (`EmptyTable`), and I/O errors that
-    /// report an unexpected EOF. Catalog-level validity errors
-    /// (`DuplicateTable`, `NotFound`, …) are not torn — retrying cannot fix
-    /// them.
-    pub fn is_torn_input(&self) -> bool {
-        match self {
-            LakeError::Csv { .. } | LakeError::RaggedRow { .. } | LakeError::EmptyTable(_) => true,
-            LakeError::Io { source, .. } => source.kind() == io::ErrorKind::UnexpectedEof,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,34 +162,6 @@ mod tests {
             "/tmp/lake/table.csv",
         );
         assert!(err.to_string().contains("table.csv"));
-    }
-
-    #[test]
-    fn torn_input_classification() {
-        assert!(LakeError::Csv {
-            line: 3,
-            message: "unterminated quoted field".into(),
-        }
-        .is_torn_input());
-        assert!(LakeError::RaggedRow {
-            table: "zoo".into(),
-            row: 9,
-            expected: 3,
-            found: 1,
-        }
-        .is_torn_input());
-        assert!(LakeError::EmptyTable("zoo".into()).is_torn_input());
-        assert!(LakeError::io_with_path(
-            io::Error::new(io::ErrorKind::UnexpectedEof, "cut short"),
-            "/drop/zoo.csv",
-        )
-        .is_torn_input());
-        assert!(!LakeError::DuplicateTable("zoo".into()).is_torn_input());
-        assert!(!LakeError::NotFound("zoo".into()).is_torn_input());
-        assert!(
-            !LakeError::from(io::Error::new(io::ErrorKind::PermissionDenied, "denied"))
-                .is_torn_input()
-        );
     }
 
     #[test]

@@ -171,10 +171,9 @@ pub fn is_missing(normalized: &str) -> bool {
 ///
 /// The interner owns one copy of every distinct normalized string in the lake
 /// and hands out stable ids. Lookups by string and by id are both O(1).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ValueInterner {
     values: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<String, ValueId>,
 }
 
@@ -211,10 +210,9 @@ impl ValueInterner {
         Ok(ValueInterner { values, index })
     }
 
-    /// Intern an **already normalized** value, returning its id.
-    ///
-    /// Calling this with a non-normalized string would create a distinct
-    /// entry; use [`ValueInterner::intern_raw`] when starting from raw cells.
+    /// Intern an **already normalized** value ([`normalize`]), returning its
+    /// id. Calling this with a non-normalized string would create a distinct
+    /// entry.
     pub fn intern(&mut self, normalized: &str) -> ValueId {
         if let Some(&id) = self.index.get(normalized) {
             return id;
@@ -225,29 +223,9 @@ impl ValueInterner {
         id
     }
 
-    /// Normalize a raw cell and intern the result.
-    ///
-    /// Returns `None` when the cell is missing (empty after normalization).
-    pub fn intern_raw(&mut self, raw: &str) -> Option<ValueId> {
-        let normalized = normalize(raw);
-        if is_missing(&normalized) {
-            None
-        } else {
-            Some(self.intern(&normalized))
-        }
-    }
-
     /// Look up the id of a normalized value without inserting it.
     pub fn get(&self, normalized: &str) -> Option<ValueId> {
         self.index.get(normalized).copied()
-    }
-
-    /// The normalized string behind an id.
-    ///
-    /// # Panics
-    /// Panics if the id was not produced by this interner.
-    pub fn resolve(&self, id: ValueId) -> &str {
-        &self.values[id.index()]
     }
 
     /// The normalized string behind an id, if it exists.
@@ -271,19 +249,6 @@ impl ValueInterner {
             .iter()
             .enumerate()
             .map(|(i, v)| (ValueId(i as u32), v.as_str()))
-    }
-
-    /// Rebuild the string→id index, e.g. after deserializing.
-    ///
-    /// The index is skipped during serialization to keep artifacts small; a
-    /// deserialized interner must be re-indexed before lookups by string.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), ValueId(i as u32)))
-            .collect();
     }
 }
 
@@ -366,28 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn intern_raw_normalizes_before_interning() {
-        let mut interner = ValueInterner::new();
-        let a = interner.intern_raw(" jaguar ").unwrap();
-        let b = interner.intern_raw("JAGUAR").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(interner.resolve(a), "JAGUAR");
-    }
-
-    #[test]
-    fn intern_raw_skips_missing() {
-        let mut interner = ValueInterner::new();
-        assert!(interner.intern_raw("   ").is_none());
-        assert!(interner.intern_raw("").is_none());
-        assert_eq!(interner.len(), 0);
-    }
-
-    #[test]
     fn ids_are_dense_and_ordered() {
         let mut interner = ValueInterner::new();
         let ids: Vec<ValueId> = ["A", "B", "C"].iter().map(|v| interner.intern(v)).collect();
         assert_eq!(ids, vec![ValueId(0), ValueId(1), ValueId(2)]);
-        assert_eq!(interner.resolve(ValueId(1)), "B");
+        assert_eq!(interner.try_resolve(ValueId(1)), Some("B"));
     }
 
     #[test]
@@ -405,19 +353,6 @@ mod tests {
         interner.intern("Y");
         let collected: Vec<(ValueId, &str)> = interner.iter().collect();
         assert_eq!(collected, vec![(ValueId(0), "X"), (ValueId(1), "Y")]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut interner = ValueInterner::new();
-        interner.intern("A");
-        interner.intern("B");
-        let json = serde_json::to_string(&interner).unwrap();
-        let mut restored: ValueInterner = serde_json::from_str(&json).unwrap();
-        assert!(restored.get("A").is_none(), "index is skipped in serde");
-        restored.rebuild_index();
-        assert_eq!(restored.get("A"), Some(ValueId(0)));
-        assert_eq!(restored.get("B"), Some(ValueId(1)));
     }
 
     #[test]

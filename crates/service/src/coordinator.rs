@@ -974,11 +974,6 @@ impl Coordinator {
         self.staged.push(delta);
     }
 
-    /// Number of staged, uncommitted deltas.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Route every staged op and commit it on its shard: one commit per
     /// touched shard, split only at the flush points the [module
     /// docs](self) list. Does **not** publish. The returned
@@ -2065,7 +2060,7 @@ mod tests {
             err,
             ServiceError::Lake(lake::LakeError::NotFound(_))
         ));
-        assert_eq!(coordinator.staged_len(), 0, "failed batch is dropped");
+        assert!(coordinator.staged.is_empty(), "failed batch is dropped");
 
         // The first op stuck (documented batch semantics); the shard
         // resynced its net, so continuing to mutate and publish works and

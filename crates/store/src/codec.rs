@@ -279,14 +279,6 @@ pub fn put_u32_vec(w: &mut ByteWriter, items: &[u32]) {
     }
 }
 
-/// Write a counted vector of `u64`s.
-pub fn put_u64_vec(w: &mut ByteWriter, items: &[u64]) {
-    w.put_u64(items.len() as u64);
-    for &v in items {
-        w.put_u64(v);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hex (binary payloads inside JSON envelopes)
 // ---------------------------------------------------------------------------
@@ -408,7 +400,8 @@ mod tests {
         w.put_f64(1.0 / 3.0);
         w.put_str("héllo, wörld");
         put_u32_vec(&mut w, &[1, 2, 3]);
-        put_u64_vec(&mut w, &[u64::MAX]);
+        w.put_u64(1); // a counted u64 vector, as the cardinalities are written
+        w.put_u64(u64::MAX);
         let bytes = w.into_inner();
 
         let mut r = ByteReader::new(&bytes, "test");

@@ -8,12 +8,12 @@
 //!
 //! * **[`snapshot`]** — a versioned, checksummed, length-prefixed binary
 //!   columnar format for the complete engine state: the
-//!   [`lake::MutableLake`] (tables, tombstones, the append-only interner),
-//!   the CSR [`dn_graph::bipartite::BipartiteGraph`], and the
-//!   [`domainnet::DomainNet`] caches (id maps, generation, per-measure
-//!   score vectors stored as raw IEEE-754 bits so they round-trip
-//!   exactly, cardinalities). Component labels and rankings are derived
-//!   from those on load, not stored. Every section
+//!   [`lake::MutableLake`] (tables, tombstones, the append-only interner)
+//!   and the [`domainnet::DomainNet`] state (id maps, generation,
+//!   per-measure score vectors stored as raw IEEE-754 bits so they
+//!   round-trip exactly, cardinalities). The CSR
+//!   [`dn_graph::bipartite::BipartiteGraph`], component labels and
+//!   rankings are derived from those on load, not stored. Every section
 //!   carries a CRC-32 and every cross-reference is validated on load.
 //! * **[`wal`]** — an append-only write-ahead log of committed
 //!   [`lake::LakeDelta`] batches with per-record CRCs and torn-tail

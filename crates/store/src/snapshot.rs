@@ -2,17 +2,17 @@
 //!
 //! A snapshot captures the complete durable state of a serving engine at
 //! one instant: the mutable lake (tables, tombstones, the append-only
-//! interner), the CSR bipartite graph, and the net's cached state (id
-//! mappings, generation, per-measure score vectors, cardinalities). Scores
-//! are stored as raw IEEE-754 bit patterns, so a write → read → write cycle
-//! is **bit-identical**.
+//! interner) and the net's state (id mappings, generation, per-measure
+//! score vectors, cardinalities). Scores are stored as raw IEEE-754 bit
+//! patterns, so a write → read → write cycle is **bit-identical**.
 //!
 //! What is a function of those and cheaper to recompute than to read back
-//! is not stored: component labels (one BFS over the decoded graph), the
-//! memoized rankings (a sort of scores and cardinalities the recovering
-//! engine's `warm_rankings` redoes) and a value's attribute count (its
-//! degree). Raw scores and cardinalities stay: recomputing either costs a
-//! kernel pass, far more than decoding it.
+//! is not stored: the bipartite graph (one value-major pass over the lake
+//! through the net's id maps, [`DomainNet::from_parts`]), component labels
+//! (one BFS over that graph), the memoized rankings (a sort of scores and
+//! cardinalities the recovering engine's `warm_rankings` redoes) and a
+//! value's attribute count (its degree). Raw scores and cardinalities
+//! stay: recomputing either costs a kernel pass, far more than decoding it.
 //!
 //! ## File layout
 //!
@@ -27,8 +27,7 @@
 //! │   1 manifest   last_seq, epoch, served measures            │
 //! │   2 lake       tables (columnar), attr slots, value sets,  │
 //! │                interner                                    │
-//! │   3 graph      CSR offsets + adjacency, node labels        │
-//! │   4 net        pruning flag, generation, id maps, raw      │
+//! │   3 net        pruning flag, generation, id maps, raw      │
 //! │                scores per measure, cardinalities           │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
@@ -36,43 +35,42 @@
 //! All integers are little-endian; strings are length-prefixed UTF-8. Each
 //! section carries its own CRC-32 so a flipped byte is attributed to the
 //! section it corrupted. Decoding validates every cross-reference — within
-//! the lake ([`MutableLake::from_raw_parts`]), within the graph
-//! ([`BipartiteGraph::try_from_parts`]), within the net
-//! ([`DomainNet::from_parts`]), and **between** lake and graph
-//! (value/attribute labels must agree with the interner) — before any
-//! state is returned, so a torn or tampered file yields a typed
-//! [`StoreError`], never a half-loaded engine.
+//! the lake ([`MutableLake::from_raw_parts`]), and between the net's id
+//! maps and the lake they index, then the score vectors against the
+//! derived graph ([`DomainNet::from_parts`]) — before any state is
+//! returned, so a torn or tampered file yields a typed [`StoreError`],
+//! never a half-loaded engine.
 
 use std::fs;
 use std::path::Path;
 
-use dn_graph::bipartite::BipartiteGraph;
 use domainnet::{DomainNet, Measure, NetCachesState, NetState};
 use lake::catalog::AttrId;
-use lake::delta::{LakeView, MutableLake};
+use lake::delta::MutableLake;
 use lake::value::ValueId;
 
-use crate::codec::{
-    crc32, get_measure, put_measure, put_u32_vec, put_u64_vec, ByteReader, ByteWriter,
-};
+use crate::codec::{crc32, get_measure, put_measure, put_u32_vec, ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The one snapshot format version this build reads and writes (format 1
-/// also carried component labels, rankings and attribute counts).
-pub const FORMAT_VERSION: u32 = 2;
+/// The one snapshot format version this build reads and writes. Format 2
+/// also stored the graph, and format 1 component labels, rankings and
+/// attribute counts besides; both are refused.
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
-const SECTION_GRAPH: u32 = 3;
-const SECTION_NET: u32 = 4;
+const SECTION_NET: u32 = 3;
+
+/// The codec's fan-out: task `i` encodes or decodes section `FAN_OUT[i]`.
+/// The lake, the largest section, is task 0, which the calling thread runs.
+const FAN_OUT: [u32; 3] = [SECTION_LAKE, SECTION_MANIFEST, SECTION_NET];
 
 fn section_name(id: u32) -> &'static str {
     match id {
         SECTION_MANIFEST => "manifest",
         SECTION_LAKE => "lake",
-        SECTION_GRAPH => "graph",
         SECTION_NET => "net",
         _ => "unknown",
     }
@@ -97,8 +95,8 @@ pub struct Manifest {
 pub struct PersistedState {
     /// The restored mutable lake (stable ids intact).
     pub lake: MutableLake,
-    /// The restored net: raw scores and cardinalities as persisted,
-    /// rankings not yet derived.
+    /// The restored net: graph derived from the lake, raw scores and
+    /// cardinalities as persisted, rankings not yet derived.
     pub net: DomainNet,
     /// Snapshot metadata.
     pub manifest: Manifest,
@@ -184,21 +182,6 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
     w.into_inner()
 }
 
-fn encode_graph(graph: &BipartiteGraph) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(graph.value_count() as u64);
-    w.put_u64(graph.attribute_count() as u64);
-    put_u64_vec(&mut w, graph.csr_offsets());
-    put_u32_vec(&mut w, graph.csr_adjacency());
-    for label in graph.value_labels() {
-        w.put_str(label);
-    }
-    for label in graph.attribute_labels() {
-        w.put_str(label);
-    }
-    w.into_inner()
-}
-
 fn encode_net(state: &NetState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(state.config.prune_single_attribute_values);
@@ -237,7 +220,7 @@ pub fn encode_snapshot(lake: &MutableLake, net: &DomainNet, manifest: &Manifest)
     encode_snapshot_threaded(lake, net, manifest, 1)
 }
 
-/// [`encode_snapshot`] with the four section encodes (and their CRCs)
+/// [`encode_snapshot`] with the three section encodes (and their CRCs)
 /// spread over up to `threads` workers. The section table and payload
 /// assembly stay in fixed section order, so the output bytes are identical
 /// for every thread count — the `snapshot_round_trips_bit_exactly` test
@@ -250,21 +233,19 @@ pub fn encode_snapshot_threaded(
 ) -> Vec<u8> {
     let net_state = net.export_state();
     let ctx = dn_trace::current();
-    let encoded: Vec<(u32, Vec<u8>, u32)> = dn_pool::Pool::new(threads).run(4, |i| {
-        // The fan-out index maps onto section ids 1..=4.
-        let _encode = ctx.enter(
-            dn_trace::Phase::PoolSnapshotEncode,
-            section_name(i as u32 + 1),
-        );
-        let (id, payload) = match i {
-            0 => (SECTION_MANIFEST, encode_manifest(manifest)),
-            1 => (SECTION_LAKE, encode_lake(lake)),
-            2 => (SECTION_GRAPH, encode_graph(net.graph())),
-            _ => (SECTION_NET, encode_net(&net_state)),
-        };
-        let crc = crc32(&payload);
-        (id, payload, crc)
-    });
+    let mut encoded: Vec<(u32, Vec<u8>, u32)> =
+        dn_pool::Pool::new(threads).run(FAN_OUT.len(), |i| {
+            let id = FAN_OUT[i];
+            let _encode = ctx.enter(dn_trace::Phase::PoolSnapshotEncode, section_name(id));
+            let payload = match id {
+                SECTION_MANIFEST => encode_manifest(manifest),
+                SECTION_LAKE => encode_lake(lake),
+                _ => encode_net(&net_state),
+            };
+            let crc = crc32(&payload);
+            (id, payload, crc)
+        });
+    encoded.sort_unstable_by_key(|&(id, ..)| id);
 
     let header_len = SNAPSHOT_MAGIC.len() + 4 + 4 + encoded.len() * (4 + 8 + 8 + 4);
     let mut w = ByteWriter::new();
@@ -419,40 +400,6 @@ fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
         .map_err(|e| StoreError::corrupt(format!("lake: {e}")))
 }
 
-fn decode_graph(payload: &[u8]) -> Result<BipartiteGraph> {
-    let mut r = ByteReader::new(payload, "graph");
-    let n_values = r.get_u64()? as usize;
-    let n_attrs = r.get_u64()? as usize;
-    let offsets = r.get_u64_vec()?;
-    let adjacency = r.get_u32_vec()?;
-    if n_values
-        .checked_add(n_attrs)
-        .filter(|&n| n <= r.remaining())
-        .is_none()
-    {
-        return Err(StoreError::Truncated {
-            context: "graph: label tables".into(),
-        });
-    }
-    let value_labels = (0..n_values)
-        .map(|_| r.get_str())
-        .collect::<Result<Vec<String>>>()?;
-    let attr_labels = (0..n_attrs)
-        .map(|_| r.get_str())
-        .collect::<Result<Vec<String>>>()?;
-    r.expect_exhausted()?;
-
-    BipartiteGraph::try_from_parts(
-        n_values,
-        n_attrs,
-        offsets,
-        adjacency,
-        value_labels,
-        attr_labels,
-    )
-    .map_err(|e| StoreError::corrupt(format!("graph: {e}")))
-}
-
 fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     let mut r = ByteReader::new(payload, "net");
     let prune_single_attribute_values = r.get_bool()?;
@@ -491,84 +438,11 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     })
 }
 
-/// Cross-check the restored lake against the restored graph + net state:
-/// every mapped value id must carry the same label on both sides, ditto
-/// for live attributes, and the id spaces must line up. Runs against the
-/// decoded [`NetState`] *before* it is consumed by
-/// [`DomainNet::from_parts`], so the check reads the id maps in place
-/// instead of cloning the score caches back out.
-fn validate_lake_net_agreement(
-    lake: &MutableLake,
-    graph: &BipartiteGraph,
-    state: &NetState,
-) -> Result<()> {
-    let state_len = |what: &str, got: usize, want: usize| -> Result<()> {
-        if got != want {
-            return Err(StoreError::corrupt(format!(
-                "net {what} covers {got} ids but the lake has {want}"
-            )));
-        }
-        Ok(())
-    };
-    // The net's id maps must span exactly the lake's id spaces.
-    state_len("value map", state.node_of_value.len(), lake.value_count())?;
-    state_len(
-        "attribute map",
-        state.attr_index_of.len(),
-        LakeView::attribute_count(lake),
-    )?;
-    for (vid, &node) in state.node_of_value.iter().enumerate() {
-        if node == u32::MAX {
-            continue;
-        }
-        let lake_label = LakeView::value(lake, ValueId(vid as u32));
-        let graph_label = graph
-            .value_labels()
-            .get(node as usize)
-            .map(String::as_str)
-            .ok_or_else(|| {
-                StoreError::corrupt(format!("value {vid} maps to node {node} out of range"))
-            })?;
-        if lake_label != Some(graph_label) {
-            return Err(StoreError::corrupt(format!(
-                "value {vid}: lake says {lake_label:?}, graph node {node} says {graph_label:?}"
-            )));
-        }
-    }
-    for (attr_idx, &index) in state.attr_index_of.iter().enumerate() {
-        if index == u32::MAX {
-            continue;
-        }
-        let attr = AttrId(attr_idx as u32);
-        // Tombstoned lake attributes legitimately keep a (stale-labeled)
-        // graph node; only live ones must agree on the label.
-        if let Some(aref) = lake.attribute_ref(attr) {
-            let graph_label = graph
-                .attribute_labels()
-                .get(index as usize)
-                .map(String::as_str)
-                .ok_or_else(|| {
-                    StoreError::corrupt(format!(
-                        "attribute {attr_idx} maps to index {index} out of range"
-                    ))
-                })?;
-            if aref.qualified() != graph_label {
-                return Err(StoreError::corrupt(format!(
-                    "attribute {attr_idx}: lake says '{}', graph says '{graph_label}'",
-                    aref.qualified()
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// One snapshot section, CRC-verified and decoded — the unit of work
 /// [`decode_snapshot_threaded`] fans out.
 enum DecodedSection {
     Manifest(Manifest),
     Lake(Box<MutableLake>),
-    Graph(Box<BipartiteGraph>),
     Net(Box<NetState>),
 }
 
@@ -580,53 +454,35 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PersistedState> {
 
 /// [`decode_snapshot`] with the per-section CRC checks and decodes spread
 /// over up to `threads` workers. Validation coverage is identical to the
-/// sequential path — every section is checked, and the cross-section
-/// validations run after the fan-in. Only the error *choice* can differ
-/// when several sections are corrupt at once (the sequential path reports
-/// the first in section order; this reports the first in fan-in order,
-/// which is the same order).
+/// sequential path — every section is checked, and the net is validated
+/// against the lake (and its graph derived) after the fan-in. When several
+/// sections are corrupt at once, every width reports the first in fan-out
+/// order (lake, manifest, net).
 pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<PersistedState> {
     let sections = section_table(bytes)?;
     let ctx = dn_trace::current();
-    let decoded = dn_pool::Pool::new(threads).run(4, |i| -> Result<DecodedSection> {
-        // The fan-out index maps onto section ids 1..=4.
-        let _decode = ctx.enter(
-            dn_trace::Phase::PoolSnapshotDecode,
-            section_name(i as u32 + 1),
-        );
-        match i {
-            0 => Ok(DecodedSection::Manifest(decode_manifest(section_payload(
-                bytes,
-                &sections,
-                SECTION_MANIFEST,
-            )?)?)),
-            1 => Ok(DecodedSection::Lake(Box::new(decode_lake(
-                section_payload(bytes, &sections, SECTION_LAKE)?,
-            )?))),
-            2 => Ok(DecodedSection::Graph(Box::new(decode_graph(
-                section_payload(bytes, &sections, SECTION_GRAPH)?,
-            )?))),
-            _ => Ok(DecodedSection::Net(Box::new(decode_net_state(
-                section_payload(bytes, &sections, SECTION_NET)?,
-            )?))),
-        }
+    let decoded = dn_pool::Pool::new(threads).run(FAN_OUT.len(), |i| -> Result<DecodedSection> {
+        let id = FAN_OUT[i];
+        let _decode = ctx.enter(dn_trace::Phase::PoolSnapshotDecode, section_name(id));
+        let payload = section_payload(bytes, &sections, id)?;
+        Ok(match id {
+            SECTION_MANIFEST => DecodedSection::Manifest(decode_manifest(payload)?),
+            SECTION_LAKE => DecodedSection::Lake(Box::new(decode_lake(payload)?)),
+            _ => DecodedSection::Net(Box::new(decode_net_state(payload)?)),
+        })
     });
     let mut manifest = None;
     let mut lake = None;
-    let mut graph = None;
     let mut state = None;
     for section in decoded {
         match section? {
             DecodedSection::Manifest(m) => manifest = Some(m),
             DecodedSection::Lake(l) => lake = Some(*l),
-            DecodedSection::Graph(g) => graph = Some(*g),
             DecodedSection::Net(s) => state = Some(*s),
         }
     }
-    let (manifest, lake) = (manifest.expect("task 0 ran"), lake.expect("task 1 ran"));
-    let (graph, state) = (graph.expect("task 2 ran"), state.expect("task 3 ran"));
-    validate_lake_net_agreement(&lake, &graph, &state)?;
-    let net = DomainNet::from_parts(graph, state)
+    let (manifest, lake) = (manifest.expect("decoded"), lake.expect("decoded"));
+    let net = DomainNet::from_parts(&lake, state.expect("decoded"))
         .map_err(|e| StoreError::corrupt(format!("net: {e}")))?;
     Ok(PersistedState {
         lake,
@@ -676,7 +532,7 @@ pub fn read_snapshot_threaded(path: &Path, threads: usize) -> Result<PersistedSt
 mod tests {
     use super::*;
     use domainnet::DomainNetBuilder;
-    use lake::delta::LakeDelta;
+    use lake::delta::{LakeDelta, LakeView};
     use lake::table::TableBuilder;
 
     fn sample_state() -> (MutableLake, DomainNet, Manifest) {
@@ -726,15 +582,11 @@ mod tests {
                 LakeView::value(&lake, vid)
             );
         }
-        // Graph: identical CSR arrays.
-        assert_eq!(
-            restored.net.graph().csr_offsets(),
-            net.graph().csr_offsets()
-        );
-        assert_eq!(
-            restored.net.graph().csr_adjacency(),
-            net.graph().csr_adjacency()
-        );
+        // Graph: derived from the lake, identical CSR arrays and values.
+        let (a, b) = (restored.net.graph(), net.graph());
+        assert_eq!(a.csr_offsets(), b.csr_offsets());
+        assert_eq!(a.csr_adjacency(), b.csr_adjacency());
+        assert_eq!(a.value_labels(), b.value_labels());
         // Net state (scores compared via PartialEq on the export).
         assert_eq!(restored.net.export_state(), net.export_state());
         // Re-encoding the restored state is byte-identical: the format is
@@ -767,11 +619,11 @@ mod tests {
         let (lake, net, manifest) = sample_state();
         let bytes = encode_snapshot(&lake, &net, &manifest);
         let sections = section_table(&bytes).unwrap();
-        let graph = sections.iter().find(|s| s.id == SECTION_GRAPH).unwrap();
+        let lake = sections.iter().find(|s| s.id == SECTION_LAKE).unwrap();
         let mut bad = bytes.clone();
-        bad[graph.offset + graph.len / 2] ^= 0xFF;
+        bad[lake.offset + lake.len / 2] ^= 0xFF;
         match decode_snapshot_threaded(&bad, 4).unwrap_err() {
-            StoreError::SectionCrc { section } => assert_eq!(section, "graph"),
+            StoreError::SectionCrc { section } => assert_eq!(section, "lake"),
             other => panic!("expected a section CRC error, got {other:?}"),
         }
     }
@@ -793,15 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn section_table_locates_all_four_sections() {
+    fn section_table_locates_all_three_sections() {
         let (lake, net, manifest) = sample_state();
         let bytes = encode_snapshot(&lake, &net, &manifest);
         let sections = section_table(&bytes).unwrap();
-        let ids: Vec<u32> = sections.iter().map(|s| s.id).collect();
-        assert_eq!(
-            ids,
-            vec![SECTION_MANIFEST, SECTION_LAKE, SECTION_GRAPH, SECTION_NET]
-        );
+        let names: Vec<&str> = sections.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["manifest", "lake", "net"]);
         let total: usize = sections.iter().map(|s| s.len).sum();
         let last = sections.last().unwrap();
         assert_eq!(last.offset + last.len, bytes.len());

@@ -10,6 +10,7 @@
 //! the end of each test; CI's tempdir-hygiene gate fails if anything is
 //! left behind.
 
+use dn_store::codec::{put_u32_vec, ByteReader, ByteWriter};
 use dn_store::snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, section_table, Manifest,
 };
@@ -17,6 +18,7 @@ use dn_store::{scan_wal, Store, StoreError, Wal};
 use domainnet::{DomainNet, DomainNetBuilder, Measure};
 use lake::delta::{LakeDelta, MutableLake};
 use lake::table::TableBuilder;
+use lake::value::ValueId;
 use std::fs;
 use std::path::PathBuf;
 
@@ -78,15 +80,16 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    // A later release's file, and format 1 (which also carried component
-    // labels and rankings): one reader, one typed refusal.
-    for version in [99u32, 1] {
+    // A later release's file, format 2 (which also stored the graph) and
+    // format 1 (which also carried component labels and rankings): one
+    // reader, one typed refusal.
+    for version in [99u32, 2, 1] {
         let mut bytes = sample_snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match decode_snapshot(&bytes) {
             Err(StoreError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
-                assert_eq!(supported, 2);
+                assert_eq!(supported, 3);
                 assert_eq!(supported, dn_store::FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -166,6 +169,91 @@ fn forged_cardinalities_are_corrupt_not_served() {
     decode_snapshot(&with_net_payload(&bytes, payload)).unwrap();
 }
 
+/// `bytes` with the net section's id maps rewritten by `forge` (given
+/// `node_of_value` and `attr_index_of`), resealed by [`with_net_payload`].
+fn with_forged_id_maps(bytes: &[u8], forge: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>)) -> Vec<u8> {
+    let net = *section_table(bytes)
+        .unwrap()
+        .iter()
+        .find(|s| s.name == "net")
+        .unwrap();
+    let mut r = ByteReader::new(&bytes[net.offset..net.offset + net.len], "net");
+    let head = r.take(1 + 8).unwrap(); // pruning flag, generation
+    let mut node_of_value = r.get_u32_vec().unwrap();
+    let mut attr_index_of = r.get_u32_vec().unwrap();
+    let tail = r.take(r.remaining()).unwrap();
+    forge(&mut node_of_value, &mut attr_index_of);
+    let mut w = ByteWriter::new();
+    w.put_bytes(head);
+    put_u32_vec(&mut w, &node_of_value);
+    put_u32_vec(&mut w, &attr_index_of);
+    w.put_bytes(tail);
+    with_net_payload(bytes, &w.into_inner())
+}
+
+#[test]
+fn forged_id_maps_are_corrupt_not_served() {
+    // The graph is derived from the lake through the net's id maps, so a
+    // checksum-valid net section whose maps lie about the lake must be
+    // refused, naming the invariant, before anything indexes through them.
+    let (lake, net, measures) = sample_engine();
+    let manifest = Manifest {
+        last_seq: 4,
+        epoch: 2,
+        measures,
+    };
+    let bytes = encode_snapshot(&lake, &net, &manifest);
+    let expect_corrupt = |forged: Vec<u8>, what: &str| match decode_snapshot(&forged) {
+        Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
+        other => panic!("expected Corrupt ({what}), got {other:?}"),
+    };
+    let graph = net.graph();
+    let node = |vid: usize| net.node_of_value(ValueId(vid as u32));
+    let mapped: Vec<usize> = (0..lake.value_count())
+        .filter(|&v| node(v).is_some())
+        .collect();
+    let candidate = *mapped
+        .iter()
+        .find(|&&v| graph.degree(node(v).unwrap()) > 0)
+        .expect("the sample has candidates");
+
+    // (a) A candidate value with no node. The value on the last node takes
+    // the candidate's, so the remaining nodes still fill 0..n.
+    let last = graph.value_count() as u32 - 1;
+    expect_corrupt(
+        with_forged_id_maps(&bytes, |values, _| {
+            let top = values.iter().position(|&n| n == last).unwrap();
+            values[top] = values[candidate];
+            values[candidate] = u32::MAX;
+        }),
+        &format!("candidate value {candidate} has no value node"),
+    );
+    // (b) Two values on one node.
+    expect_corrupt(
+        with_forged_id_maps(&bytes, |values, _| values[mapped[1]] = values[mapped[0]]),
+        "map to one value node",
+    );
+    // (c) An attribute index past the allocated ones.
+    let allocated = graph.attribute_count();
+    expect_corrupt(
+        with_forged_id_maps(&bytes, |_, attrs| {
+            let attr = attrs.iter().position(|&i| i != u32::MAX).unwrap();
+            attrs[attr] = allocated as u32 + 3;
+        }),
+        &format!("past the {allocated} allocated"),
+    );
+    // (d) A value map shorter than the lake.
+    expect_corrupt(
+        with_forged_id_maps(&bytes, |values, _| {
+            values.pop();
+        }),
+        "value map covers",
+    );
+
+    // The forging itself is sound: unchanged maps still load.
+    decode_snapshot(&with_forged_id_maps(&bytes, |_, _| {})).unwrap();
+}
+
 #[test]
 fn truncation_at_every_region_is_typed_and_panic_free() {
     let bytes = sample_snapshot_bytes();
@@ -198,7 +286,7 @@ fn truncation_at_every_region_is_typed_and_panic_free() {
 fn flipped_byte_in_each_section_fails_that_sections_crc() {
     let bytes = sample_snapshot_bytes();
     let sections = section_table(&bytes).unwrap();
-    assert_eq!(sections.len(), 4);
+    assert_eq!(sections.len(), 3);
     for section in &sections {
         for probe in [0, section.len / 2, section.len - 1] {
             let mut corrupted = bytes.clone();

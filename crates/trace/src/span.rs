@@ -224,11 +224,6 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     const NOOP: SpanGuard = SpanGuard { open: None };
-
-    /// Whether this guard is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.open.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -410,7 +405,7 @@ mod tests {
         let _lock = global_state_lock();
         crate::set_sample_every(0);
         assert!(start_trace("test", None).is_none());
-        assert!(!span(Phase::Route).is_recording());
+        assert!(span(Phase::Route).open.is_none());
         assert_eq!(current().id(), None);
         assert_eq!(current_trace_id(), None);
     }
@@ -425,7 +420,7 @@ mod tests {
         assert_eq!(current_trace_id(), Some(id));
         {
             let outer = span_labeled(Phase::CoordScatter, "outer");
-            assert!(outer.is_recording());
+            assert!(outer.open.is_some());
             let _inner = span(Phase::ShardQuery);
         }
         drop(trace);

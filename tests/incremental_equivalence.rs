@@ -15,6 +15,12 @@
 //! The from-scratch reference is built from `MutableLake::snapshot()`, which
 //! re-derives a dense `LakeCatalog` with a completely independent id space,
 //! so the comparison exercises the full stable-id machinery.
+//!
+//! After every step the maintained graph must also equal, CSR for CSR, the
+//! graph `DomainNet::from_parts` derives from the lake and the net's own id
+//! maps: the equality snapshot format 3 rests on (it stores no graph).
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -209,6 +215,7 @@ fn random_mutation_sequences_match_from_scratch_builds() {
             net.apply_delta(&lake, &effects)
                 .expect("effects match the maintained net");
             net.graph().validate().expect("patched CSR is consistent");
+            common::assert_graph_is_derived(&lake, &net, &format!("seq {seq} step {step}"));
 
             // History freedom: a maintained LCC score is a function of the
             // maintained graph alone, bit for bit, tombstones included (at 0).

@@ -11,6 +11,8 @@
 //!   covers node layout only: the fresh build, and a shard rebuilt by a
 //!   component migration, number nodes differently and so sum in a different
 //!   order. A maintained score does not drift with the deltas applied).
+//!   Sequence 0 at 2 shards also checks, after every commit, that each
+//!   shard's maintained graph is the one its lake and id maps derive.
 //! * `grouped_commits_place_tables_as_op_by_op_commits` — a multi-shard
 //!   commit routes op by op but commits once per shard; 50 seeded 8-delta
 //!   sequences committed whole must leave every shard holding the tables
@@ -30,6 +32,8 @@
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).
+
+mod common;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -156,10 +160,20 @@ fn fifty_seeded_sequences_agree_across_shard_counts() {
 
         for shards in SHARD_COUNTS {
             let (handle, mut coordinator) = serve_sharded(base.clone(), config(), shards);
-            for delta in &deltas {
+            for (step, delta) in deltas.iter().enumerate() {
                 coordinator.stage(delta.clone());
                 coordinator.commit().expect("batch commits cleanly");
                 coordinator.publish();
+                if sequence == 0 && shards == 2 {
+                    for shard in 0..shards {
+                        let engine = coordinator.shard(shard);
+                        common::assert_graph_is_derived(
+                            engine.lake(),
+                            engine.net(),
+                            &format!("seq 0 step {step} shard {shard}"),
+                        );
+                    }
+                }
             }
             let view = handle.current();
             view.verify_consistency()
