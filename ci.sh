@@ -150,8 +150,8 @@ git diff --exit-code -- tests/golden
 
 # The filter is a prefix of both differential tests (random graphs + SB, and
 # TUS small on its own). The second line is the delta side of the same
-# kernel: recomputing dirty_values leaves every node to_bits()-equal to a
-# full pass.
+# kernel: recomputing the dirty_values dn_graph::delta::dirty_region reports
+# for a changed graph leaves every node to_bits()-equal to a full pass.
 echo "==> gate: Equation-1 join == literal sweep (to_bits)"
 cargo test -q -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
 cargo test -q -p dn-graph --lib dirty_values_are_a_complete_invalidation_set

@@ -7,12 +7,13 @@
 //!   memoized per [`Measure`].
 //! * **Incremental mode** — applying a [`lake::LakeDelta`] to the lake
 //!   yields the values it touched ([`lake::DeltaEffects`]), which
-//!   [`DomainNet::apply_delta`] consumes to *patch* the graph and every
-//!   cached score vector instead of recomputing from scratch: local
-//!   clustering coefficients are recomputed only for the dirty 2-hop region,
-//!   and betweenness centrality only for the connected components the
-//!   mutation touched (exactly for [`Measure::ExactBc`]; by sampled
-//!   re-estimation for [`Measure::ApproxBc`]).
+//!   [`DomainNet::apply_delta`] consumes to re-derive the graph (by the
+//!   function a build uses) and *patch* every cached score vector instead
+//!   of recomputing from scratch: local clustering coefficients are
+//!   recomputed only for the dirty 2-hop region, and betweenness centrality
+//!   only for the connected components the mutation touched (exactly for
+//!   [`Measure::ExactBc`]; by sampled re-estimation for
+//!   [`Measure::ApproxBc`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -21,7 +22,7 @@ use dn_graph::approx_bc::{approximate_betweenness, approximate_betweenness_withi
 use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{connected_components, Components};
-use dn_graph::delta::GraphDelta;
+use dn_graph::delta::{dirty_region, nodes_in_components};
 use dn_graph::lcc::lcc_with_cardinality_for_values;
 use lake::catalog::AttrId;
 use lake::delta::{diff_sorted, DeltaEffects, LakeDelta, LakeView, MutableLake};
@@ -433,9 +434,11 @@ impl DomainNet {
     /// last refreshed against), **after** the delta was applied to it, and
     /// `effects` must be the effects record that application returned:
     /// each touched value's edges are re-read from the lake and diffed
-    /// against the graph, so touches that cancelled patch nothing. The
-    /// bipartite graph is patched in `O(n + m + |Δ|)`, connected components
-    /// are recomputed on it, and every memoized measure is repaired:
+    /// against the graph, so touches that cancelled patch nothing. A value
+    /// that gains edges gets the next value node and a new attribute the
+    /// next index; then the graph is derived from the lake by the function
+    /// a build uses, [`dirty_region`] compares it with the old one, and
+    /// every memoized measure is repaired:
     ///
     /// * **LCC** — recomputed, by the kernel a build runs, only for value
     ///   nodes whose 2-hop neighborhood changed. Every score, live or
@@ -460,46 +463,49 @@ impl DomainNet {
     /// Returns a description of the inconsistency if `effects` does not
     /// match this net's view of the lake (e.g. it was already applied, or
     /// came from a different lake). On error the net is left **unchanged**:
-    /// all mapping updates are staged locally and committed only after the
-    /// graph patch succeeds.
+    /// nodes and indexes are allocated on copies of the id maps, which
+    /// replace the net's only once the graph is derived.
     pub fn apply_delta(
         &mut self,
         lake: &MutableLake,
         effects: &DeltaEffects,
     ) -> Result<DeltaStats, String> {
         let min_attrs = self.config.min_attrs();
-        if self.node_of_value.len() < lake.value_count() {
-            self.node_of_value.resize(lake.value_count(), u32::MAX);
-        }
-        if self.attr_index_of.len() < lake.attribute_count() {
-            self.attr_index_of.resize(lake.attribute_count(), u32::MAX);
-        }
+        let mut node_of_value = self.node_of_value.clone();
+        node_of_value.resize(node_of_value.len().max(lake.value_count()), u32::MAX);
+        let mut attr_index_of = self.attr_index_of.clone();
+        attr_index_of.resize(attr_index_of.len().max(lake.attribute_count()), u32::MAX);
+        let mut attr_id_of_index = self.attr_id_of_index.clone();
 
-        // Translate the touched values into a graph-level edge delta. All
-        // node/attribute allocations are staged in `pending` so a failed
-        // translation (or graph patch) leaves `self` untouched.
-        let mut pending = PendingDelta::default();
+        // Diff each touched value's lake attributes against its graph edges
+        // and allocate what the additions need.
         let old_value_count = self.graph.value_count() as u32;
+        let mut next_node = old_value_count;
+        let mut changed: Vec<u32> = Vec::new();
+        let (mut edges_added, mut edges_removed) = (0, 0);
         for &vid in &effects.touched_values {
-            if vid.index() >= self.node_of_value.len() {
+            if vid.index() >= lake.value_count() {
                 return Err(format!(
                     "effects reference value {} outside the lake's id space",
                     vid.0
                 ));
             }
             let live_attrs = lake.value_attributes(vid);
-            let candidate = live_attrs.len() >= min_attrs;
-            let desired: &[AttrId] = if candidate { live_attrs } else { &[] };
-            let original_node = self.node_of_value[vid.index()];
+            let desired: &[AttrId] = if live_attrs.len() >= min_attrs {
+                live_attrs
+            } else {
+                &[]
+            };
+            let node = node_of_value[vid.index()];
             // Current edges of the node as sorted AttrIds. The index->id
             // mapping is not monotone (attrs appended by earlier deltas are
             // allocated in encounter order), so sort after translating.
-            let current: Vec<AttrId> = if original_node == u32::MAX {
+            let current: Vec<AttrId> = if node == u32::MAX {
                 Vec::new()
             } else {
                 let mut attrs: Vec<AttrId> = self
                     .graph
-                    .neighbors(original_node)
+                    .neighbors(node)
                     .iter()
                     .map(|&a| self.attr_id_of_index[(a - old_value_count) as usize])
                     .collect();
@@ -507,36 +513,34 @@ impl DomainNet {
                 attrs
             };
             let (removed, added) = diff_sorted(&current, desired);
-            for attr in removed {
-                self.push_edge_removal(&mut pending, original_node, attr)?;
+            if removed.is_empty() && added.is_empty() {
+                continue;
             }
-            let mut node = original_node;
+            edges_removed += removed.len();
+            edges_added += added.len();
             for attr in added {
-                node = self.push_edge_addition(&mut pending, lake, node, vid, attr)?;
+                if attr_index_of[attr.index()] == u32::MAX {
+                    attr_index_of[attr.index()] = attr_id_of_index.len() as u32;
+                    attr_id_of_index.push(attr);
+                }
             }
-            if node != original_node {
-                pending.new_value_nodes.push((vid, node));
+            if node == u32::MAX {
+                node_of_value[vid.index()] = next_node;
+                next_node += 1;
             }
+            changed.push(node_of_value[vid.index()]);
         }
 
-        let gd = &pending.gd;
-        let stats_edges_added = gd.added_edges.len();
-        let stats_edges_removed = gd.removed_edges.len();
-        let stats_values_added = gd.new_values.len();
-        let stats_attrs_added = gd.new_attributes.len();
-
-        let applied = self.graph.apply_delta(gd)?;
-        // The patch succeeded: commit the staged mappings.
-        let old_attr_count = self.graph.attribute_count() as u32;
-        for &(vid, node) in &pending.new_value_nodes {
-            self.node_of_value[vid.index()] = node;
-        }
-        for (offset, &attr) in pending.new_attr_ids.iter().enumerate() {
-            self.attr_index_of[attr.index()] = old_attr_count + offset as u32;
-            self.attr_id_of_index.push(attr);
-        }
-        let new_value_count = applied.graph.value_count();
-        let touched_pool = applied.touched_component_nodes();
+        let graph = graph_of(
+            lake,
+            self.config,
+            &node_of_value,
+            &attr_index_of,
+            &attr_id_of_index,
+        )?;
+        let region = dirty_region(&self.graph, &graph, &changed);
+        let new_value_count = graph.value_count();
+        let touched_pool = nodes_in_components(&region.components, &region.touched_components);
 
         // Patch every memoized measure against the new graph.
         {
@@ -557,18 +561,15 @@ impl DomainNet {
                     Measure::Lcc(method) => {
                         // The fresh build's kernel over the invalidation set:
                         // the scattered scores are to_bits()-equal to a full
-                        // pass over the patched graph.
-                        let (fresh, cards) = lcc_with_cardinality_for_values(
-                            &applied.graph,
-                            &applied.dirty_values,
-                            method,
-                        );
-                        for (i, &node) in applied.dirty_values.iter().enumerate() {
+                        // pass over the new graph.
+                        let (fresh, cards) =
+                            lcc_with_cardinality_for_values(&graph, &region.dirty_values, method);
+                        for (i, &node) in region.dirty_values.iter().enumerate() {
                             raw[node as usize] = fresh[i];
                         }
                         if let Some(cardinalities) = cardinalities {
                             if !cardinalities_patched {
-                                for (i, &node) in applied.dirty_values.iter().enumerate() {
+                                for (i, &node) in region.dirty_values.iter().enumerate() {
                                     cardinalities[node as usize] = cards[i];
                                 }
                                 cardinalities_patched = true;
@@ -576,11 +577,8 @@ impl DomainNet {
                         }
                     }
                     Measure::ExactBc => {
-                        let acc = betweenness_from_sources(
-                            &applied.graph,
-                            &touched_pool,
-                            self.compute_threads,
-                        );
+                        let acc =
+                            betweenness_from_sources(&graph, &touched_pool, self.compute_threads);
                         for &node in &touched_pool {
                             if (node as usize) < new_value_count {
                                 raw[node as usize] = acc[node as usize];
@@ -595,7 +593,7 @@ impl DomainNet {
                                 .wrapping_add(self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                         };
                         let acc = approximate_betweenness_within(
-                            &applied.graph,
+                            &graph,
                             &touched_pool,
                             salted,
                             self.compute_threads,
@@ -610,24 +608,27 @@ impl DomainNet {
             }
             if let Some(cardinalities) = cardinalities {
                 if !cardinalities_patched {
-                    for &node in &applied.dirty_values {
-                        cardinalities[node as usize] = applied.graph.value_neighbor_count(node);
+                    for &node in &region.dirty_values {
+                        cardinalities[node as usize] = graph.value_neighbor_count(node);
                     }
                 }
             }
         }
 
         let stats = DeltaStats {
-            value_nodes_added: stats_values_added,
-            attr_nodes_added: stats_attrs_added,
-            edges_added: stats_edges_added,
-            edges_removed: stats_edges_removed,
-            dirty_values: applied.dirty_values.len(),
-            touched_components: applied.touched_components.len(),
+            value_nodes_added: new_value_count - self.graph.value_count(),
+            attr_nodes_added: graph.attribute_count() - self.graph.attribute_count(),
+            edges_added,
+            edges_removed,
+            dirty_values: region.dirty_values.len(),
+            touched_components: region.touched_components.len(),
             touched_component_nodes: touched_pool.len(),
         };
-        self.graph = applied.graph;
-        self.components = applied.components;
+        self.graph = graph;
+        self.components = region.components;
+        self.node_of_value = node_of_value;
+        self.attr_index_of = attr_index_of;
+        self.attr_id_of_index = attr_id_of_index;
         self.generation += 1;
         Ok(stats)
     }
@@ -668,62 +669,6 @@ impl DomainNet {
         }
         .build(lake);
         *self = rebuilt;
-    }
-
-    fn push_edge_removal(
-        &self,
-        pending: &mut PendingDelta,
-        node: u32,
-        attr: AttrId,
-    ) -> Result<(), String> {
-        debug_assert_ne!(node, u32::MAX, "removal from a value without a node");
-        let index = self.attr_index_of[attr.index()];
-        if index == u32::MAX {
-            return Err(format!(
-                "removed incidence references attribute {} with no graph node",
-                attr.0
-            ));
-        }
-        pending.gd.removed_edges.push((node, index));
-        Ok(())
-    }
-
-    /// Ensure `vid` has a (possibly staged) value node and `attr` an
-    /// attribute node, then record the edge insertion. Returns the value
-    /// node id. Only `pending` is mutated; `self` is committed later.
-    fn push_edge_addition(
-        &self,
-        pending: &mut PendingDelta,
-        lake: &MutableLake,
-        node: u32,
-        vid: ValueId,
-        attr: AttrId,
-    ) -> Result<u32, String> {
-        let node = if node == u32::MAX {
-            let label = LakeView::value(lake, vid)
-                .ok_or_else(|| format!("value {} unknown to the lake", vid.0))?;
-            let new_node = self.graph.value_count() as u32 + pending.gd.new_values.len() as u32;
-            pending.gd.new_values.push(label.to_owned());
-            new_node
-        } else {
-            node
-        };
-        let index = match self.attr_index_of[attr.index()] {
-            u32::MAX => match pending.attr_index.get(&attr) {
-                Some(&staged) => staged,
-                None => {
-                    let index = self.graph.attribute_count() as u32
-                        + pending.gd.new_attributes.len() as u32;
-                    pending.gd.new_attributes.push(attr_label(lake, attr));
-                    pending.attr_index.insert(attr, index);
-                    pending.new_attr_ids.push(attr);
-                    index
-                }
-            },
-            index => index,
-        };
-        pending.gd.added_edges.push((node, index));
-        Ok(node)
     }
 }
 
@@ -880,10 +825,10 @@ impl DomainNet {
 /// value mapped to `n`, attribute index `i` is `attr_id_of_index[i]`, and
 /// every candidate value has an edge to each live attribute holding it. A
 /// value or attribute that stopped qualifying keeps its isolated node.
-/// [`DomainNetBuilder::build`] derives its graph here from freshly
-/// allocated maps and [`DomainNet::from_parts`] from persisted ones; from
-/// the maps [`DomainNet::apply_delta`] maintains it derives, CSR for CSR,
-/// the graph `apply_delta` maintained.
+/// This is the one constructor of a net's graph:
+/// [`DomainNetBuilder::build`] derives it here from freshly allocated maps,
+/// [`DomainNet::from_parts`] from persisted ones, and
+/// [`DomainNet::apply_delta`] from the maps it extended for a delta.
 ///
 /// # Errors
 /// The first way the maps disagree with each other or with the lake.
@@ -978,12 +923,16 @@ fn graph_of<L: LakeView + ?Sized>(
     for &attr in attr_id_of_index {
         builder.add_attribute(attr_label(lake, attr));
     }
-    // Value-major: a build's edges arrive already sorted.
+    // Value-major with each value's indexes ascending, so the builder's edge
+    // sort finds its input in order (deltas append indexes out of AttrId
+    // order).
+    let mut indexes: Vec<u32> = Vec::new();
     for (node, &vid) in value_of_node.iter().flatten().enumerate() {
         let attrs = lake.value_attributes(vid);
         if attrs.len() < min_attrs {
             continue;
         }
+        indexes.clear();
         for &attr in attrs {
             match attr_index_of[attr.index()] {
                 u32::MAX => {
@@ -992,8 +941,12 @@ fn graph_of<L: LakeView + ?Sized>(
                         attr.0, vid.0
                     ))
                 }
-                index => builder.add_edge(node as u32, index),
+                index => indexes.push(index),
             }
+        }
+        indexes.sort_unstable();
+        for &index in &indexes {
+            builder.add_edge(node as u32, index);
         }
     }
     Ok(builder.build())
@@ -1005,21 +958,6 @@ fn attr_label<L: LakeView + ?Sized>(lake: &L, attr: AttrId) -> String {
     lake.attribute_ref(attr)
         .map(|r| r.qualified())
         .unwrap_or_else(|| format!("attr_{}", attr.0))
-}
-
-/// Staging area for one [`DomainNet::apply_delta`] translation: the graph
-/// delta plus every mapping update it implies. Nothing here touches the net
-/// until the graph patch has succeeded, so a failed delta leaves the net
-/// exactly as it was.
-#[derive(Debug, Default)]
-struct PendingDelta {
-    gd: GraphDelta,
-    /// Value-node allocations to commit: `(lake value, new node id)`.
-    new_value_nodes: Vec<(ValueId, u32)>,
-    /// AttrIds behind the appended attribute indexes, in append order.
-    new_attr_ids: Vec<AttrId>,
-    /// Staged AttrId -> attribute index lookups for this delta.
-    attr_index: HashMap<AttrId, u32>,
 }
 
 #[cfg(test)]
@@ -1429,6 +1367,44 @@ mod tests {
         let stats = net.apply_delta(&lake, &effects).unwrap();
         assert_eq!(stats, DeltaStats::default());
         assert_eq!(bits(&net), before);
+    }
+
+    #[test]
+    fn a_refused_delta_leaves_the_net_unchanged() {
+        let mut lake = mutable_running_example();
+        let mut net = DomainNetBuilder::new().build(&lake);
+        net.warm_rankings(&[Measure::lcc(), Measure::exact_bc()]);
+        // T5 makes PELICAN and OKAPI candidates that need new value nodes.
+        let applied = lake
+            .apply(
+                &LakeDelta::new().add_table(
+                    TableBuilder::new("T5")
+                        .column("animal", ["Jaguar", "Pelican", "Okapi"])
+                        .column("zoo", ["Pelican", "Okapi", "Lemur"])
+                        .build()
+                        .unwrap(),
+                ),
+            )
+            .unwrap();
+        assert!(!applied.touched_values.is_empty());
+        let outside = DeltaEffects {
+            touched_values: vec![ValueId(lake.value_count() as u32)],
+        };
+        // Naming none of them leaves candidates without a node, which the
+        // graph derivation refuses.
+        let incomplete = DeltaEffects::default();
+        for (what, effects) in [("outside the lake", outside), ("incomplete", incomplete)] {
+            let state = net.export_state();
+            let offsets = net.graph().csr_offsets().to_vec();
+            let adjacency = net.graph().csr_adjacency().to_vec();
+            assert!(net.apply_delta(&lake, &effects).is_err(), "{what}");
+            assert_eq!(net.export_state(), state, "{what}");
+            assert_eq!(net.graph().csr_offsets(), offsets, "{what}");
+            assert_eq!(net.graph().csr_adjacency(), adjacency, "{what}");
+        }
+        // The complete record still folds.
+        net.apply_delta(&lake, &applied).unwrap();
+        assert_equivalent(&net, &lake, Measure::lcc());
     }
 
     #[test]

@@ -135,9 +135,10 @@ impl BipartiteBuilder {
 ///
 /// All adjacency queries are O(1) + O(degree) slices into a single shared
 /// buffer, and the whole structure is `Send + Sync` so centrality kernels can
-/// share it across threads without cloning. Lake mutations are folded in by
-/// [`BipartiteGraph::apply_delta`](crate::delta), which splices the CSR
-/// arrays instead of rebuilding them.
+/// share it across threads without cloning. It is immutable: a lake mutation
+/// yields a new graph from [`BipartiteBuilder`], and
+/// [`dirty_region`](crate::delta::dirty_region) tells what the change
+/// dirtied.
 ///
 /// ```
 /// use dn_graph::bipartite::BipartiteBuilder;
@@ -171,35 +172,6 @@ pub struct BipartiteGraph {
 }
 
 impl BipartiteGraph {
-    /// Construct a graph directly from CSR parts. Used by the incremental
-    /// delta machinery, which patches the arrays instead of re-sorting the
-    /// whole edge list; callers must uphold the CSR invariants checked by
-    /// [`BipartiteGraph::validate`].
-    pub(crate) fn from_csr_parts(
-        n_values: usize,
-        n_attrs: usize,
-        offsets: Vec<u64>,
-        adjacency: Vec<u32>,
-        value_labels: Vec<String>,
-        attr_labels: Vec<String>,
-    ) -> Self {
-        let graph = BipartiteGraph {
-            n_values,
-            n_attrs,
-            offsets,
-            adjacency,
-            value_labels,
-            attr_labels,
-        };
-        debug_assert_eq!(graph.validate(), Ok(()));
-        graph
-    }
-
-    /// Owned copies of the value and attribute label tables.
-    pub(crate) fn clone_labels(&self) -> (Vec<String>, Vec<String>) {
-        (self.value_labels.clone(), self.attr_labels.clone())
-    }
-
     /// The CSR offset array (length `node_count() + 1`), for comparing two
     /// graphs node for node.
     pub fn csr_offsets(&self) -> &[u64] {

@@ -24,11 +24,6 @@ impl Components {
         self.sizes.len()
     }
 
-    /// Component id of a node.
-    pub fn component_of(&self, node: u32) -> u32 {
-        self.labels[node as usize]
-    }
-
     /// Whether two nodes are in the same component.
     pub fn connected(&self, a: u32, b: u32) -> bool {
         self.labels[a as usize] == self.labels[b as usize]
@@ -61,34 +56,6 @@ pub fn connected_components(graph: &BipartiteGraph) -> Components {
         sizes.push(size);
     }
     Components { labels, sizes }
-}
-
-/// Number of connected components after removing one value node.
-///
-/// Used in tests and diagnostics to verify the "pivotal node" intuition: for
-/// a true bridge value, removing it increases the component count.
-pub fn components_without_value(graph: &BipartiteGraph, removed: u32) -> usize {
-    let n = graph.node_count();
-    let mut labels = vec![u32::MAX; n];
-    let mut count = 0usize;
-    let mut queue = VecDeque::new();
-    for start in graph.nodes() {
-        if start == removed || labels[start as usize] != u32::MAX {
-            continue;
-        }
-        count += 1;
-        labels[start as usize] = count as u32;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for &w in graph.neighbors(v) {
-                if w != removed && labels[w as usize] == u32::MAX {
-                    labels[w as usize] = count as u32;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    count
 }
 
 #[cfg(test)]
@@ -140,23 +107,26 @@ mod tests {
     #[test]
     fn removing_bridge_value_splits_graph() {
         // Two attributes sharing only the value "bridge".
-        let mut b = BipartiteBuilder::new();
-        let bridge = b.add_value("bridge");
-        let a0 = b.add_attribute("a0");
-        let a1 = b.add_attribute("a1");
-        for i in 0..3 {
-            let v = b.add_value(format!("l{i}"));
-            b.add_edge(v, a0);
-            let w = b.add_value(format!("r{i}"));
-            b.add_edge(w, a1);
-        }
-        b.add_edge(bridge, a0);
-        b.add_edge(bridge, a1);
-        let g = b.build();
-        assert_eq!(connected_components(&g).count(), 1);
-        assert_eq!(components_without_value(&g, bridge), 2);
-        // Removing a non-bridge value does not split anything.
-        assert_eq!(components_without_value(&g, 1), 1);
+        let graph = |with_bridge: bool| {
+            let mut b = BipartiteBuilder::new();
+            let bridge = b.add_value("bridge");
+            let a0 = b.add_attribute("a0");
+            let a1 = b.add_attribute("a1");
+            for i in 0..3 {
+                let v = b.add_value(format!("l{i}"));
+                b.add_edge(v, a0);
+                let w = b.add_value(format!("r{i}"));
+                b.add_edge(w, a1);
+            }
+            if with_bridge {
+                b.add_edge(bridge, a0);
+                b.add_edge(bridge, a1);
+            }
+            b.build()
+        };
+        assert_eq!(connected_components(&graph(true)).count(), 1);
+        // The two sides, and the bridge alone.
+        assert_eq!(connected_components(&graph(false)).count(), 3);
     }
 
     #[test]

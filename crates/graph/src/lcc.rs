@@ -69,17 +69,16 @@
 //!
 //! # Deltas
 //!
-//! One kernel serves builds and deltas. After
-//! [`BipartiteGraph::apply_delta`] the maintainer calls
-//! [`lcc_with_cardinality_for_values`] on the patched graph with
-//! [`AppliedDelta::dirty_values`](crate::delta::AppliedDelta::dirty_values)
-//! as the target list and scatters the result; no score is derived from its
-//! previous value. A target's score reads only the patched graph, and its
-//! terms are added in ascending neighbour id whatever the target list holds,
-//! so a dirty value gets the bits a full pass over that graph would give it.
-//! A value outside the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)`
-//! (value ids never change across a delta), so the bits it carries are
-//! already those. A maintained score is therefore a function of the
+//! One kernel serves builds and deltas. After a lake mutation the maintainer
+//! derives the new graph, calls [`lcc_with_cardinality_for_values`] on it
+//! with [`DirtyRegion::dirty_values`](crate::delta::DirtyRegion::dirty_values)
+//! (from [`dirty_region`](crate::delta::dirty_region)) as the target list and
+//! scatters the result; no score is derived from its previous value. A
+//! target's score reads only the new graph, and its terms are added in
+//! ascending neighbour id whatever the target list holds, so a dirty value
+//! gets the bits a full pass over that graph would give it. A value outside
+//! the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)` (value ids
+//! never change across a delta), so the bits it carries are already those. A maintained score is therefore a function of the
 //! maintained graph alone, `to_bits()`-equal to a pass over it, and not of
 //! the deltas that led there: `dirty_values_are_a_complete_invalidation_set`
 //! pins it. A fresh *build* of the same lake may number nodes differently and
@@ -588,49 +587,46 @@ mod tests {
 
     /// The delta path: recompute `dirty_values` with the kernel, scatter over
     /// the carried scores, and every node (dirty or not) must hold the bits of
-    /// a full pass over the patched graph.
+    /// a full pass over the new graph.
     #[test]
     fn dirty_values_are_a_complete_invalidation_set() {
-        use crate::delta::GraphDelta;
-        // A lake-shaped graph: overlapping attributes over a shared pool.
-        let mut b = BipartiteBuilder::new();
-        let values: Vec<u32> = (0..20).map(|i| b.add_value(format!("v{i}"))).collect();
-        let attrs: Vec<u32> = (0..5).map(|a| b.add_attribute(format!("a{a}"))).collect();
-        for (ai, &a) in attrs.iter().enumerate() {
-            for (vi, &v) in values.iter().enumerate() {
-                if (vi + ai) % 3 != 0 {
-                    b.add_edge(v, a);
-                }
+        use crate::delta::dirty_region;
+        use std::collections::BTreeSet;
+        // Each step's graph is built from scratch out of its edge set.
+        let build = |values: u32, attrs: u32, edges: &BTreeSet<(u32, u32)>| {
+            let mut b = BipartiteBuilder::new();
+            for v in 0..values {
+                b.add_value(format!("v{v}"));
             }
-        }
-        let mut graph = b.build();
+            for a in 0..attrs {
+                b.add_attribute(format!("a{a}"));
+            }
+            for &(v, a) in edges {
+                b.add_edge(v, a);
+            }
+            b.build()
+        };
+        // A lake-shaped graph: overlapping attributes over a shared pool.
+        let (mut values, mut attrs) = (20, 5);
+        let mut edges: BTreeSet<(u32, u32)> = (0..attrs)
+            .flat_map(|a| (0..values).map(move |v| (v, a)))
+            .filter(|&(v, a)| (v + a) % 3 != 0)
+            .collect();
+        let mut graph = build(values, attrs, &edges);
         let mut lcc = local_clustering_coefficients(&graph, LccMethod::ValueNeighborJaccard);
         let mut cards: Vec<usize> = (0..graph.value_count() as u32)
             .map(|v| graph.value_neighbor_count(v))
             .collect();
-        let deltas = [
-            GraphDelta {
-                added_edges: vec![(0, 0), (3, 0)],
-                removed_edges: vec![(1, 0)],
-                ..GraphDelta::default()
-            },
-            GraphDelta {
-                new_values: vec!["fresh".into()],
-                new_attributes: vec!["a5".into()],
-                added_edges: vec![(20, 5), (0, 5), (7, 5)],
-                removed_edges: vec![(2, 2)],
-            },
+        // (values appended, attributes appended, edges added, edges removed)
+        type Step = (u32, u32, &'static [(u32, u32)], &'static [(u32, u32)]);
+        let steps: [Step; 4] = [
+            (0, 0, &[(0, 0), (3, 0)], &[(1, 0)]),
+            (1, 1, &[(20, 5), (0, 5), (7, 5)], &[(2, 2)]),
             // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
-            GraphDelta {
-                added_edges: vec![(3, 5)],
-                ..GraphDelta::default()
-            },
+            (0, 0, &[(3, 5)], &[]),
             // ... and split two: 0 leaves the class it just formed with 3,
             // 5 leaves the one it shared with 8, 11, 14 and 17.
-            GraphDelta {
-                removed_edges: vec![(0, 1), (5, 3)],
-                ..GraphDelta::default()
-            },
+            (0, 0, &[], &[(0, 1), (5, 3)]),
         ];
         let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
             let index = |n: &u32| g.attribute_index(*n);
@@ -639,23 +635,34 @@ mod tests {
                 .map(index)
                 .eq(g.neighbors(w).iter().map(index))
         };
-        for (step, delta) in deltas.iter().enumerate() {
-            let applied = graph.apply_delta(delta).unwrap();
+        for (step, &(new_values, new_attrs, added, removed)) in steps.iter().enumerate() {
+            values += new_values;
+            attrs += new_attrs;
+            for edge in added {
+                assert!(edges.insert(*edge), "step {step}: {edge:?} exists");
+            }
+            for edge in removed {
+                assert!(edges.remove(edge), "step {step}: {edge:?} is missing");
+            }
+            let new = build(values, attrs, &edges);
+            let mut changed: Vec<u32> = added.iter().chain(removed).map(|&(v, _)| v).collect();
+            changed.sort_unstable();
+            changed.dedup();
+            let region = dirty_region(&graph, &new, &changed);
             let (fresh, fresh_cards) = lcc_with_cardinality_for_values(
-                &applied.graph,
-                &applied.dirty_values,
+                &new,
+                &region.dirty_values,
                 LccMethod::ValueNeighborJaccard,
             );
-            let full =
-                local_clustering_coefficients(&applied.graph, LccMethod::ValueNeighborJaccard);
+            let full = local_clustering_coefficients(&new, LccMethod::ValueNeighborJaccard);
             // Scatter, then compare every node against a full pass.
-            lcc.resize(applied.graph.value_count(), 0.0);
-            cards.resize(applied.graph.value_count(), 0);
-            for (i, &node) in applied.dirty_values.iter().enumerate() {
+            lcc.resize(new.value_count(), 0.0);
+            cards.resize(new.value_count(), 0);
+            for (i, &node) in region.dirty_values.iter().enumerate() {
                 lcc[node as usize] = fresh[i];
                 cards[node as usize] = fresh_cards[i];
             }
-            for node in 0..applied.graph.value_count() {
+            for node in 0..new.value_count() {
                 assert_eq!(
                     lcc[node].to_bits(),
                     full[node].to_bits(),
@@ -665,11 +672,11 @@ mod tests {
                 );
                 assert_eq!(
                     cards[node],
-                    applied.graph.value_neighbor_count(node as u32),
+                    new.value_neighbor_count(node as u32),
                     "cardinality of node {node}"
                 );
             }
-            graph = applied.graph;
+            graph = new;
             match step {
                 1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
                 2 => assert!(same_attributes(&graph, 0, 3)),
@@ -785,28 +792,31 @@ mod tests {
 
     #[test]
     fn join_matches_literal_sweep_bit_for_bit() {
-        use crate::delta::GraphDelta;
         for seed in 0..1000u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let what = format!("random graph {seed}");
             let graph = random_graph_with_corner_cases(&mut rng, &what);
             assert_join_matches_literal_on(&graph, &mut rng, &what);
 
-            // Tombstone a live value through the delta machinery.
+            // Tombstone a live value: the same graph without its edges.
             let live: Vec<u32> = graph
                 .value_nodes()
                 .filter(|&v| graph.degree(v) > 0)
                 .collect();
             let victim = live[rng.gen_range(0..live.len())];
-            let delta = GraphDelta {
-                removed_edges: graph
-                    .neighbors(victim)
-                    .iter()
-                    .map(|&a| (victim, graph.attribute_index(a).unwrap()))
-                    .collect(),
-                ..GraphDelta::default()
-            };
-            let tombstoned = graph.apply_delta(&delta).unwrap().graph;
+            let mut b = BipartiteBuilder::new();
+            for a in 0..graph.attribute_count() as u32 {
+                b.add_attribute(graph.attribute_label(a));
+            }
+            for v in graph.value_nodes() {
+                b.add_value(graph.value_label(v));
+                if v != victim {
+                    for &a in graph.neighbors(v) {
+                        b.add_edge(v, graph.attribute_index(a).unwrap());
+                    }
+                }
+            }
+            let tombstoned = b.build();
             assert_eq!(tombstoned.degree(victim), 0, "{what}");
             assert_join_matches_literal_on(&tombstoned, &mut rng, &format!("{what}, tombstoned"));
         }

@@ -19,9 +19,10 @@
 //!   (Equation 1): the mean Jaccard similarity between a value's
 //!   value-neighbor set and those of its value neighbors.
 //! * [`components`] — connected components.
-//! * [`delta`] — incremental CSR maintenance: [`delta::GraphDelta`] patches
-//!   the graph in `O(n + m + |Δ|)` and reports the dirty regions (2-hop LCC
-//!   invalidation set, touched components) downstream measures need.
+//! * [`delta`] — what a change dirtied: [`delta::dirty_region`] compares
+//!   the graph before and after a lake mutation and reports the regions
+//!   (2-hop LCC invalidation set, touched components) downstream measures
+//!   must recompute.
 //! * [`projection`] — the unipartite value co-occurrence projection
 //!   (Figure 3a of the paper), useful for analysis and testing.
 //! * [`subgraph`] — attribute-anchored random subgraph extraction, used by
@@ -76,5 +77,5 @@ pub mod subgraph;
 pub use approx_bc::{approximate_betweenness, approximate_betweenness_within, ApproxBcConfig};
 pub use bc::{betweenness_centrality, betweenness_centrality_parallel, betweenness_from_sources};
 pub use bipartite::{BipartiteBuilder, BipartiteGraph};
-pub use delta::{nodes_in_components, AppliedDelta, GraphDelta};
+pub use delta::{dirty_region, nodes_in_components, DirtyRegion};
 pub use lcc::{lcc_with_cardinality_for_values, local_clustering_coefficients, LccMethod};

@@ -11,7 +11,7 @@
 use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig};
 use dn_graph::bc::{betweenness_centrality, betweenness_centrality_parallel, normalize_scores};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
-use dn_graph::components::{components_without_value, connected_components};
+use dn_graph::components::connected_components;
 use dn_graph::lcc::{local_clustering_coefficients, LccMethod};
 use dn_graph::projection::project_values;
 use rand::rngs::StdRng;
@@ -151,12 +151,6 @@ fn components_partition_the_nodes() {
             for &w in g.neighbors(v) {
                 assert!(comps.connected(v, w), "seed {seed}");
             }
-        }
-        // Removing a value never *decreases* the number of components by more
-        // than one (the removed node's own singleton possibility).
-        if g.value_count() > 0 {
-            let without = components_without_value(&g, 0);
-            assert!(without + 1 >= comps.count(), "seed {seed}");
         }
     }
 }

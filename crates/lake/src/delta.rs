@@ -228,9 +228,9 @@ pub struct DeltaEffects {
 ///   its attribute slots — they stay allocated but hold no incidences.
 ///   Re-adding a table of the same name allocates fresh slots.
 ///
-/// Stability is what lets the bipartite graph (and the centrality scores on
-/// top of it) be *patched* instead of rebuilt: node indices derived from
-/// these ids never shift underneath a consumer. Every read accessor
+/// Stability is what lets the centrality scores on top of the bipartite
+/// graph be *patched* instead of rebuilt: node indices derived from these
+/// ids never shift underneath a consumer. Every read accessor
 /// describes the live state, so code written against a never-mutated lake
 /// is correct on a mutated one; [`MutableLake::snapshot`] compacts the live
 /// state into fresh, dense ids.

@@ -214,7 +214,7 @@ fn random_mutation_sequences_match_from_scratch_builds() {
             let effects = lake.apply(&delta).expect("generated ops apply");
             net.apply_delta(&lake, &effects)
                 .expect("effects match the maintained net");
-            net.graph().validate().expect("patched CSR is consistent");
+            net.graph().validate().expect("derived CSR is consistent");
             common::assert_graph_is_derived(&lake, &net, &format!("seq {seq} step {step}"));
 
             // History freedom: a maintained LCC score is a function of the
