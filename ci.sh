@@ -8,7 +8,8 @@
 # under benchmark/ against it), the test suite, and then explicitly labeled
 # gates: the golden-ranking regression corpus and the paper-results ledger
 # (which must also leave tests/golden as committed), the Equation-1 join
-# against its literal-sweep oracle, the concurrency stress test,
+# against its literal-sweep oracle, the twin-quotient Brandes kernel
+# against its per-node oracle, the concurrency stress test,
 # the dn-store corruption-hardening suite, the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
 # places every table where op-by-op commits would), the process probes
@@ -126,6 +127,7 @@ cargo test -q -- \
     --skip the_papers_claims_hold_in_the_ledger \
     --skip experiments_doc_quotes_the_ledger \
     --skip join_matches_literal_sweep_bit_for_bit \
+    --skip quotient_matches_per_node_brandes \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
@@ -155,6 +157,11 @@ git diff --exit-code -- tests/golden
 echo "==> gate: Equation-1 join == literal sweep (to_bits)"
 cargo test -q -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
 cargo test -q -p dn-graph --lib dirty_values_are_a_complete_invalidation_set
+
+# Brandes on the twin quotient against the retained per-node kernel: whole
+# graphs, component pools and sampled sources, at 1, 2 and 4 threads.
+echo "==> gate: twin-quotient Brandes == per-node Brandes (1e-12 relative)"
+cargo test -q -p dn-graph --lib quotient_matches_per_node_brandes
 
 echo "==> gate: serving concurrency stress (--test-threads ${CORES})"
 cargo test -q --test serving_stress -- --test-threads "${CORES}"
@@ -211,7 +218,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     DETERMINISM=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir target/benchmark -- --check-determinism --seconds 2)
     echo "${DETERMINISM}"
-    for pinned in batch_detect:356bf735938c3c9f serve_read_heavy:1cd3f341b6a2ccc1 \
+    for pinned in batch_detect:4c2c4963aeefb31a serve_read_heavy:1cd3f341b6a2ccc1 \
         serve_write_heavy:89f7dcf647c4ddf7 ingest_restart:f129264fa90ba08b; do
         if ! grep -F -- "${pinned%%:*}: digest ${pinned#*:}," <<<"${DETERMINISM}" >/dev/null; then
             echo "${pinned%%:*}: digest is not the committed ${pinned#*:}" >&2

@@ -10,14 +10,18 @@
 //! exact-BC ranking on the TUS benchmark (Figure 8).
 //!
 //! Sources are drawn uniformly without replacement; the estimate is
-//! unbiased with weight `n / s`.
+//! unbiased with weight `n / s`. The draws are then grouped per twin class
+//! (see [`crate::bc`]): twins give every other node the same dependency, so
+//! a class drawn `k` times is run once with weight `k·n / s`. That is the
+//! same estimator over the same draws, with the duplicate BFS runs removed.
 
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use crate::bc::accumulate_sources_parallel;
+use crate::bc::{pool_twins, quotient_brandes};
 use crate::bipartite::BipartiteGraph;
+use crate::twins::NONE;
 
 /// Configuration for [`approximate_betweenness`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -41,9 +45,9 @@ impl Default for ApproxBcConfig {
 ///
 /// The returned scores approximate the *exact* (unordered-pair) BC returned
 /// by [`crate::bc::betweenness_centrality`]: with `samples == node_count`
-/// the two agree exactly (up to floating-point error), because sampling
-/// without replacement then enumerates every source once and the scale
-/// factor is 1.
+/// the two are `to_bits()`-equal, because sampling without replacement then
+/// draws every member of every class, the scale factor is 1, and the
+/// weighted class list is the exact kernel's.
 ///
 /// `threads` is a **runtime execution parameter**, deliberately not part of
 /// [`ApproxBcConfig`]: the config is identity (it keys memo caches and is
@@ -67,9 +71,20 @@ pub fn approximate_betweenness(
 /// to re-estimate BC only for the components touched by a lake mutation: the
 /// pool is the node set of the touched components, so the estimate for nodes
 /// *inside* the pool approximates their global BC (sources outside their
-/// component would have contributed nothing). `config.samples` is clamped to
-/// the pool size; with `samples == pool.len()` the result is exact on the
-/// pool, matching [`crate::bc::betweenness_centrality`] there.
+/// component would have contributed nothing). `pool` must be a union of
+/// connected components (a set, in any order), as for
+/// [`crate::bc::betweenness_from_sources`]; nodes outside it score 0.
+/// `config.samples` is clamped to the pool size; with
+/// `samples == pool.len()` the result is exact on the pool, `to_bits()`-equal
+/// to [`crate::bc::betweenness_from_sources`].
+///
+/// The draws are the same as a per-node estimator's — the same seeded RNG
+/// picks the same pool indexes — and are then grouped per twin class of the
+/// pool: each drawn class runs the quotient kernel of [`crate::bc`] once,
+/// with weight `draws · pool.len() / samples`.
+///
+/// # Panics
+/// Panics if a node of `pool` has a neighbour outside it.
 pub fn approximate_betweenness_within(
     graph: &BipartiteGraph,
     pool: &[u32],
@@ -82,19 +97,22 @@ pub fn approximate_betweenness_within(
     }
     let samples = config.samples.clamp(1, pool.len());
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let sources: Vec<u32> = index_sample(&mut rng, pool.len(), samples)
-        .into_iter()
-        .map(|i| pool[i])
-        .collect();
+    let twins = pool_twins(graph, pool);
+    let mut draws = vec![0u32; twins.count()];
+    for i in index_sample(&mut rng, pool.len(), samples) {
+        // A degree-0 draw is in no class and reaches nothing.
+        let class = twins.class_of[pool[i] as usize];
+        if class != NONE {
+            draws[class as usize] += 1;
+        }
+    }
     // The estimator rescales to "all sources of the pool".
     let scale = pool.len() as f64 / samples as f64;
-    let mut bc = accumulate_sources_parallel(graph, &sources, scale, threads);
-    // Each unordered endpoint pair is seen from each sampled endpoint, so
-    // halve as in exact BC.
-    for value in &mut bc {
-        *value /= 2.0;
-    }
-    bc
+    let sources: Vec<(u32, f64)> = (0..twins.count() as u32)
+        .filter(|&c| draws[c as usize] > 0)
+        .map(|c| (c, draws[c as usize] as f64 * scale))
+        .collect();
+    quotient_brandes(graph, &twins, &sources, threads)
 }
 
 /// Spearman-style rank agreement between two score vectors over the top-`k`
@@ -164,7 +182,11 @@ mod tests {
             1,
         );
         for (e, a) in exact.iter().zip(&approx) {
-            assert!((e - a).abs() < 1e-6, "exact {e} vs full-sample approx {a}");
+            assert_eq!(
+                e.to_bits(),
+                a.to_bits(),
+                "exact {e} vs full-sample approx {a}"
+            );
         }
     }
 

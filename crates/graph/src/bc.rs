@@ -1,4 +1,4 @@
-//! Exact betweenness centrality (Brandes' algorithm).
+//! Exact betweenness centrality: Brandes' algorithm on the twin quotient.
 //!
 //! The betweenness centrality of a node `u` is
 //!
@@ -19,122 +19,56 @@
 //! a neighbor `p` of `w` is a predecessor exactly when `dist[p] + 1 ==
 //! dist[w]`.
 //!
+//! # Twins
+//!
+//! Nodes with one neighbour list are *twins*, and a value/attribute graph
+//! has many: on the standing benchmark's exact lake 3 685 values fall into
+//! 1 518 classes and 336 attributes into 200. Twins have the same distance,
+//! the same σ and the same dependency from every source, and as sources they
+//! give every other node the same dependency. So this module groups the
+//! source set, values and attributes, into twin classes and runs Brandes on
+//! the *quotient*: one node per class `c`, of multiplicity `m(c)`, adjacent
+//! to the classes its members neighbour — identical-vertex compression
+//! (Sarıyüce, Saule, Kaya and Çatalyürek, "Shattering and Compressing
+//! Networks for Betweenness Centrality", SDM 2013). One BFS per source class
+//! `S`, from a representative `s`:
+//!
+//! * σ flows forward as `σ[w] += σ[v]·m(v)`, since every node of `v` precedes
+//!   every node of `w`; `m(S)` counts as 1, as only `s` is at distance 0.
+//! * δ flows back as `δ[p] += σ[p]·m(w)·(1 + δ[w]) / σ[w]`, since a node of
+//!   `p` has `m(w)` successors in `w`.
+//! * The source-twin term: the `m(S) − 1` twins of `s` are not on the
+//!   quotient BFS. They are leaves at distance 2, reached once through each
+//!   of the `deg(s)` neighbours of `s`, so every such neighbour owes them
+//!   `(m(S) − 1) / deg(s)`. That seeds δ on each neighbour class of `S`
+//!   before the backward sweep.
+//! * Every class `c ≠ S` collects `weight·δ[c]`; the members of `S` collect
+//!   nothing (the source, and leaves).
+//!
+//! Exact BC runs every class once with `weight = m(S)`; the sampled
+//! estimator of [`crate::approx_bc`] runs each drawn class once with `weight
+//! = draws·scale`. Class totals are scattered to the members and halved, so
+//! twins carry identical bits; degree-0 nodes are in no class and score 0.
+//! The per-node kernel survives as the test oracle
+//! (`quotient_matches_per_node_brandes`).
+//!
+//! A source set must be a union of connected components — the whole graph,
+//! or the components a delta touched — so that every node a BFS reaches is
+//! grouped.
+//!
 //! Every function in this module counts each unordered pair `{v, w}` once,
 //! which is the standard convention for undirected graphs. Use
 //! [`normalize_scores`] to rescale into `[0, 1]`.
 
-use std::collections::VecDeque;
-
 use crate::bipartite::BipartiteGraph;
-
-/// Reusable per-source scratch space for Brandes' algorithm.
-///
-/// Allocation of the four arrays dominates the cost of short BFS runs, so the
-/// workspace is created once and reset lazily between sources (only the
-/// entries touched by the previous source are cleared).
-#[derive(Debug)]
-pub struct BrandesWorkspace {
-    dist: Vec<i64>,
-    sigma: Vec<f64>,
-    delta: Vec<f64>,
-    /// Nodes in the order they were popped from the BFS queue.
-    order: Vec<u32>,
-    queue: VecDeque<u32>,
-}
-
-impl BrandesWorkspace {
-    /// Create scratch space for a graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        BrandesWorkspace {
-            dist: vec![-1; n],
-            sigma: vec![0.0; n],
-            delta: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            queue: VecDeque::with_capacity(n),
-        }
-    }
-
-    fn reset(&mut self) {
-        for &node in &self.order {
-            self.dist[node as usize] = -1;
-            self.sigma[node as usize] = 0.0;
-            self.delta[node as usize] = 0.0;
-        }
-        self.order.clear();
-        self.queue.clear();
-    }
-}
-
-/// Run a single-source shortest-path dependency accumulation from `source`,
-/// adding each node's dependency `δ_source(v)` into `accumulator[v]`.
-///
-/// This is the building block shared by exact BC (all sources) and
-/// approximate BC (sampled sources). `weight` scales the contribution, which
-/// the sampled estimator uses for inverse-probability weighting.
-pub fn accumulate_source(
-    graph: &BipartiteGraph,
-    source: u32,
-    workspace: &mut BrandesWorkspace,
-    accumulator: &mut [f64],
-    weight: f64,
-) {
-    workspace.reset();
-    let dist = &mut workspace.dist;
-    let sigma = &mut workspace.sigma;
-    let delta = &mut workspace.delta;
-    let order = &mut workspace.order;
-    let queue = &mut workspace.queue;
-
-    dist[source as usize] = 0;
-    sigma[source as usize] = 1.0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        let dv = dist[v as usize];
-        for &w in graph.neighbors(v) {
-            let wi = w as usize;
-            if dist[wi] < 0 {
-                dist[wi] = dv + 1;
-                queue.push_back(w);
-            }
-            if dist[wi] == dv + 1 {
-                sigma[wi] += sigma[v as usize];
-            }
-        }
-    }
-
-    // Backward sweep in reverse BFS order.
-    for &w in order.iter().rev() {
-        let wi = w as usize;
-        let dw = dist[wi];
-        let coeff = (1.0 + delta[wi]) / sigma[wi];
-        for &p in graph.neighbors(w) {
-            let pi = p as usize;
-            if dist[pi] + 1 == dw {
-                delta[pi] += sigma[pi] * coeff;
-            }
-        }
-        if w != source {
-            accumulator[wi] += weight * delta[wi];
-        }
-    }
-}
+use crate::twins::{Twins, NONE};
 
 /// Exact betweenness centrality of every node (single-threaded).
 ///
 /// Each unordered pair of endpoints contributes once. Runtime is `O(n·m)`.
+/// Bit-identical to [`betweenness_centrality_parallel`] at any width.
 pub fn betweenness_centrality(graph: &BipartiteGraph) -> Vec<f64> {
-    let n = graph.node_count();
-    let mut bc = vec![0.0; n];
-    let mut workspace = BrandesWorkspace::new(n);
-    for s in graph.nodes() {
-        accumulate_source(graph, s, &mut workspace, &mut bc, 1.0);
-    }
-    // Each unordered pair was counted twice (once from each endpoint).
-    for value in &mut bc {
-        *value /= 2.0;
-    }
-    bc
+    betweenness_centrality_parallel(graph, 1)
 }
 
 /// The canonical task-decomposition width: source lists are split into at
@@ -144,7 +78,7 @@ pub fn betweenness_centrality(graph: &BipartiteGraph) -> Vec<f64> {
 /// pool width (1 included) and every run. That is what makes exact-BC
 /// results `to_bits()`-identical across thread counts, which the golden
 /// gates and the replication digest exchange rely on. 32 chunks also bound
-/// the transient partial-accumulator memory at `32 · n` floats.
+/// the transient partial-accumulator memory at `32 · classes` floats.
 const MAX_CHUNKS: usize = 32;
 
 /// Split `0..len` into the canonical chunk ranges (at most [`MAX_CHUNKS`],
@@ -161,57 +95,15 @@ fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Exact betweenness centrality using a pool `threads` wide.
 ///
-/// Sources are split into the canonical chunks (at most `MAX_CHUNKS`) and
-/// scheduled onto a work-stealing [`dn_pool::Pool`]; each chunk owns a
-/// private accumulator, and the per-chunk partials are folded **in chunk
-/// order**, so the result is bit-identical for every `threads` value —
-/// `betweenness_centrality_parallel(g, 1)` and `(g, 8)` agree on every bit.
+/// The source classes are split into the canonical chunks (at most
+/// `MAX_CHUNKS`) and scheduled onto a work-stealing [`dn_pool::Pool`]; each
+/// chunk owns a private per-class accumulator, and the per-chunk partials
+/// are folded **in chunk order**, so the result is bit-identical for every
+/// `threads` value — `betweenness_centrality_parallel(g, 1)` and `(g, 8)`
+/// agree on every bit.
 pub fn betweenness_centrality_parallel(graph: &BipartiteGraph, threads: usize) -> Vec<f64> {
-    let n = graph.node_count();
-    if n < 2 {
-        return betweenness_centrality(graph);
-    }
-    let sources: Vec<u32> = graph.nodes().collect();
-    let mut bc = accumulate_sources_parallel(graph, &sources, 1.0, threads);
-    for value in &mut bc {
-        *value /= 2.0;
-    }
-    bc
-}
-
-/// Accumulate `weight` times the dependencies from an explicit list of
-/// sources across a work-stealing pool (no halving — callers decide how to
-/// normalize; exact BC passes 1.0, which multiplies exactly, the sampled
-/// estimator its scale factor). Deterministic: the canonical chunk layout
-/// and the chunk-index-ordered fold make the output a pure function of
-/// `(graph, sources, weight)`, independent of `threads` and of scheduling.
-pub(crate) fn accumulate_sources_parallel(
-    graph: &BipartiteGraph,
-    sources: &[u32],
-    weight: f64,
-    threads: usize,
-) -> Vec<f64> {
-    let n = graph.node_count();
-    let chunks = canonical_chunks(sources.len());
-    let ctx = dn_trace::current();
-    let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
-        let _chunk = ctx.enter(dn_trace::Phase::PoolBcChunks, format_args!("chunk{c}"));
-        let mut acc = vec![0.0; n];
-        let mut workspace = BrandesWorkspace::new(n);
-        for &s in &sources[chunks[c].clone()] {
-            accumulate_source(graph, s, &mut workspace, &mut acc, weight);
-        }
-        acc
-    });
-    // Fold in chunk-index order — float addition is not associative, so this
-    // order IS the determinism guarantee.
-    let mut total = vec![0.0; n];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    total
+    let twins = Twins::of(graph, graph.nodes());
+    quotient_brandes(graph, &twins, &every_class(&twins), threads)
 }
 
 /// Exact betweenness restricted to shortest paths **starting at `sources`**,
@@ -221,17 +113,224 @@ pub(crate) fn accumulate_sources_parallel(
 /// because a dependency accumulation from source `s` never leaves `s`'s
 /// connected component, passing *every* node of a union of components as
 /// `sources` yields, for the nodes **inside** those components, exactly their
-/// global exact BC — without touching the rest of the graph.
+/// global exact BC — without touching the rest of the graph. `sources` must
+/// be such a union (a set, in any order); nodes outside it score 0.
+///
+/// # Panics
+/// Panics if a node of `sources` has a neighbour outside it.
 pub fn betweenness_from_sources(
     graph: &BipartiteGraph,
     sources: &[u32],
     threads: usize,
 ) -> Vec<f64> {
-    let mut acc = accumulate_sources_parallel(graph, sources, 1.0, threads.max(1));
-    for value in &mut acc {
-        *value /= 2.0;
+    let twins = pool_twins(graph, sources);
+    quotient_brandes(graph, &twins, &every_class(&twins), threads.max(1))
+}
+
+/// The twin classes of a union of components given as a node list in any
+/// order.
+pub(crate) fn pool_twins(graph: &BipartiteGraph, pool: &[u32]) -> Twins {
+    let mut nodes = pool.to_vec();
+    nodes.sort_unstable();
+    nodes.dedup();
+    Twins::of(graph, nodes)
+}
+
+/// Every class as a source, weighted by its size: exact BC.
+fn every_class(twins: &Twins) -> Vec<(u32, f64)> {
+    (0..twins.count() as u32)
+        .map(|c| (c, twins.members(c).len() as f64))
+        .collect()
+}
+
+/// Run the quotient kernel from each `(class, weight)` of `sources` across a
+/// work-stealing pool, scatter the class totals to the members and halve.
+/// Deterministic: the canonical chunk layout over `sources` and the
+/// chunk-index-ordered fold make the output a pure function of `(graph,
+/// twins, sources)`, independent of `threads` and of scheduling.
+pub(crate) fn quotient_brandes(
+    graph: &BipartiteGraph,
+    twins: &Twins,
+    sources: &[(u32, f64)],
+    threads: usize,
+) -> Vec<f64> {
+    let quotient = Quotient::of(graph, twins);
+    let classes = twins.count();
+    let chunks = canonical_chunks(sources.len());
+    let ctx = dn_trace::current();
+    let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
+        let _chunk = ctx.enter(dn_trace::Phase::PoolBcChunks, format_args!("chunk{c}"));
+        let mut acc = vec![0.0; classes];
+        let mut workspace = Workspace::new(classes);
+        for &(class, weight) in &sources[chunks[c].clone()] {
+            quotient.accumulate(class, &mut workspace, &mut acc, weight);
+        }
+        acc
+    });
+    // Fold in chunk-index order — float addition is not associative, so this
+    // order IS the determinism guarantee.
+    let mut total = vec![0.0; classes];
+    for partial in partials {
+        for (t, p) in total.iter_mut().zip(partial) {
+            *t += p;
+        }
     }
-    acc
+    twins
+        .class_of
+        .iter()
+        .map(|&c| {
+            if c == NONE {
+                0.0
+            } else {
+                total[c as usize] / 2.0
+            }
+        })
+        .collect()
+}
+
+/// The twin quotient: one node per class, adjacent where the members are.
+struct Quotient {
+    /// CSR over classes: `adjacency[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
+    adjacency: Vec<u32>,
+    /// `m(c)`, the class size.
+    size: Vec<f64>,
+    /// `(m(c) − 1) / deg(c)`: what each neighbour of a source in `c` owes
+    /// the source's twins.
+    twin_seed: Vec<f64>,
+}
+
+impl Quotient {
+    fn of(graph: &BipartiteGraph, twins: &Twins) -> Self {
+        let classes = twins.count();
+        let mut offsets = Vec::with_capacity(classes + 1);
+        offsets.push(0);
+        let mut adjacency = Vec::new();
+        let mut size = Vec::with_capacity(classes);
+        let mut twin_seed = Vec::with_capacity(classes);
+        for c in 0..classes as u32 {
+            let members = twins.members(c);
+            let neighbours = graph.neighbors(members[0]);
+            for &w in neighbours {
+                let d = twins.class_of[w as usize];
+                assert!(
+                    d != NONE,
+                    "node {w} neighbours the source set but is outside it"
+                );
+                // Every member of d neighbours members[0]: enter d once.
+                if twins.members(d)[0] == w {
+                    adjacency.push(d);
+                }
+            }
+            offsets.push(adjacency.len());
+            size.push(members.len() as f64);
+            twin_seed.push((members.len() - 1) as f64 / neighbours.len() as f64);
+        }
+        Quotient {
+            offsets,
+            adjacency,
+            size,
+            twin_seed,
+        }
+    }
+
+    fn neighbours(&self, class: u32) -> &[u32] {
+        &self.adjacency[self.offsets[class as usize]..self.offsets[class as usize + 1]]
+    }
+
+    /// One BFS from a representative of `source` and its dependency sweep,
+    /// adding `weight·δ[c]` into `accumulator[c]` for every class `c ≠
+    /// source` (see the module doc).
+    fn accumulate(
+        &self,
+        source: u32,
+        workspace: &mut Workspace,
+        accumulator: &mut [f64],
+        weight: f64,
+    ) {
+        workspace.reset();
+        let Workspace {
+            dist,
+            sigma,
+            delta,
+            order,
+        } = workspace;
+
+        dist[source as usize] = 0;
+        sigma[source as usize] = 1.0;
+        order.push(source);
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            let vi = v as usize;
+            // Only the representative of the source class is at distance 0.
+            let flow = if head == 0 {
+                sigma[vi]
+            } else {
+                sigma[vi] * self.size[vi]
+            };
+            head += 1;
+            let dv = dist[vi];
+            for &w in self.neighbours(v) {
+                let wi = w as usize;
+                if dist[wi] < 0 {
+                    dist[wi] = dv + 1;
+                    order.push(w);
+                }
+                if dist[wi] == dv + 1 {
+                    sigma[wi] += flow;
+                }
+            }
+        }
+
+        // The source's twins: a leaf at distance 2 behind every neighbour.
+        for &n in self.neighbours(source) {
+            delta[n as usize] = self.twin_seed[source as usize];
+        }
+        // Backward sweep in reverse BFS order, the source excluded.
+        for &w in order[1..].iter().rev() {
+            let wi = w as usize;
+            let dw = dist[wi];
+            let coeff = self.size[wi] * (1.0 + delta[wi]) / sigma[wi];
+            for &p in self.neighbours(w) {
+                let pi = p as usize;
+                if dist[pi] + 1 == dw {
+                    delta[pi] += sigma[pi] * coeff;
+                }
+            }
+            accumulator[wi] += weight * delta[wi];
+        }
+    }
+}
+
+/// Per-chunk scratch space for [`Quotient::accumulate`], reset lazily
+/// between sources (only the classes the previous BFS reached are cleared).
+struct Workspace {
+    dist: Vec<i32>,
+    sigma: Vec<f64>,
+    delta: Vec<f64>,
+    /// Classes in BFS order; doubles as the queue.
+    order: Vec<u32>,
+}
+
+impl Workspace {
+    fn new(classes: usize) -> Self {
+        Workspace {
+            dist: vec![-1; classes],
+            sigma: vec![0.0; classes],
+            delta: vec![0.0; classes],
+            order: Vec::with_capacity(classes),
+        }
+    }
+
+    fn reset(&mut self) {
+        for &c in &self.order {
+            self.dist[c as usize] = -1;
+            self.sigma[c as usize] = 0.0;
+            self.delta[c as usize] = 0.0;
+        }
+        self.order.clear();
+    }
 }
 
 /// Normalize raw betweenness scores into `[0, 1]` by dividing by the number
@@ -253,7 +352,113 @@ pub fn normalize_scores(scores: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx_bc::{approximate_betweenness_within, ApproxBcConfig};
     use crate::bipartite::BipartiteBuilder;
+    use crate::components::connected_components;
+    use crate::delta::nodes_in_components;
+    use rand::rngs::StdRng;
+    use rand::seq::index::sample as index_sample;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// Scratch space of the per-node kernel.
+    struct BrandesWorkspace {
+        dist: Vec<i64>,
+        sigma: Vec<f64>,
+        delta: Vec<f64>,
+        /// Nodes in the order they were popped from the BFS queue.
+        order: Vec<u32>,
+        queue: VecDeque<u32>,
+    }
+
+    impl BrandesWorkspace {
+        fn new(n: usize) -> Self {
+            BrandesWorkspace {
+                dist: vec![-1; n],
+                sigma: vec![0.0; n],
+                delta: vec![0.0; n],
+                order: Vec::with_capacity(n),
+                queue: VecDeque::with_capacity(n),
+            }
+        }
+
+        fn reset(&mut self) {
+            for &node in &self.order {
+                self.dist[node as usize] = -1;
+                self.sigma[node as usize] = 0.0;
+                self.delta[node as usize] = 0.0;
+            }
+            self.order.clear();
+            self.queue.clear();
+        }
+    }
+
+    /// The per-node Brandes kernel the quotient replaced, kept as its
+    /// oracle: one BFS from `source`, adding `weight·δ_source(v)` into
+    /// `accumulator[v]`.
+    fn accumulate_source(
+        graph: &BipartiteGraph,
+        source: u32,
+        workspace: &mut BrandesWorkspace,
+        accumulator: &mut [f64],
+        weight: f64,
+    ) {
+        workspace.reset();
+        let dist = &mut workspace.dist;
+        let sigma = &mut workspace.sigma;
+        let delta = &mut workspace.delta;
+        let order = &mut workspace.order;
+        let queue = &mut workspace.queue;
+
+        dist[source as usize] = 0;
+        sigma[source as usize] = 1.0;
+        queue.push_back(source);
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            let dv = dist[v as usize];
+            for &w in graph.neighbors(v) {
+                let wi = w as usize;
+                if dist[wi] < 0 {
+                    dist[wi] = dv + 1;
+                    queue.push_back(w);
+                }
+                if dist[wi] == dv + 1 {
+                    sigma[wi] += sigma[v as usize];
+                }
+            }
+        }
+
+        // Backward sweep in reverse BFS order.
+        for &w in order.iter().rev() {
+            let wi = w as usize;
+            let dw = dist[wi];
+            let coeff = (1.0 + delta[wi]) / sigma[wi];
+            for &p in graph.neighbors(w) {
+                let pi = p as usize;
+                if dist[pi] + 1 == dw {
+                    delta[pi] += sigma[pi] * coeff;
+                }
+            }
+            if w != source {
+                accumulator[wi] += weight * delta[wi];
+            }
+        }
+    }
+
+    /// `Σ weight·δ_s` over the `(s, weight)` sources, halved: BC by the
+    /// per-node kernel.
+    fn per_node_brandes(
+        graph: &BipartiteGraph,
+        sources: impl IntoIterator<Item = (u32, f64)>,
+    ) -> Vec<f64> {
+        let n = graph.node_count();
+        let mut bc = vec![0.0; n];
+        let mut workspace = BrandesWorkspace::new(n);
+        for (s, weight) in sources {
+            accumulate_source(graph, s, &mut workspace, &mut bc, weight);
+        }
+        bc.iter().map(|b| b / 2.0).collect()
+    }
 
     /// Path graph v0 - a0 - v1 - a1 - v2 as a bipartite graph.
     fn path5() -> BipartiteGraph {
@@ -272,11 +477,7 @@ mod tests {
 
     #[test]
     fn path_graph_matches_closed_form() {
-        // Path of 5 nodes p0-p1-p2-p3-p4: BC (unordered pairs) of the middle
-        // node is 4 (pairs {p0,p3},{p0,p4},{p1,p3},{p1,p4} ... wait: pairs
-        // separated by it): for node at position i (0-based) in a path of n
-        // nodes, BC = i * (n - 1 - i). Middle (i=2, n=5): 2*2=4... but count
-        // pairs strictly on opposite sides: {p0,p1} x {p3,p4} = 4 plus none.
+        // On a path of n nodes, the node at position i has BC i·(n − 1 − i).
         let g = path5();
         let bc = betweenness_centrality(&g);
         // Node order: v0=0, v1=1, v2=2, a0=3, a1=4.
@@ -434,6 +635,142 @@ mod tests {
                 covered = chunk.end;
             }
             assert_eq!(covered, len, "len={len}");
+        }
+    }
+
+    /// A random graph of up to 23 values × 7 attributes that holds, by
+    /// construction, a value class of at least three (`original` and two
+    /// copies of its attribute set), an attribute class of at least two, an
+    /// isolated value and an isolated attribute. Returns it with `original`.
+    fn random_graph_with_twins(rng: &mut StdRng) -> (BipartiteGraph, u32) {
+        let (nv, na) = (rng.gen_range(1..=20u32), rng.gen_range(1..=5u32));
+        let mut b = BipartiteBuilder::new();
+        for v in 0..nv {
+            b.add_value(format!("v{v}"));
+        }
+        for a in 0..na {
+            b.add_attribute(format!("a{a}"));
+        }
+        let (original, original_attr) = (rng.gen_range(0..nv), rng.gen_range(0..na));
+        let mut edges = vec![
+            (original, rng.gen_range(0..na)),
+            (rng.gen_range(0..nv), original_attr),
+        ];
+        for _ in 0..rng.gen_range(0..=(nv * na).min(40)) {
+            edges.push((rng.gen_range(0..nv), rng.gen_range(0..na)));
+        }
+        let copies: Vec<u32> = (0..2).map(|i| b.add_value(format!("twin{i}"))).collect();
+        let twin_attr = b.add_attribute("twin attribute");
+        b.add_value("isolated");
+        b.add_attribute("isolated attribute");
+        let value_twins: Vec<(u32, u32)> = edges
+            .iter()
+            .filter(|&&(v, _)| v == original)
+            .flat_map(|&(_, a)| copies.iter().map(move |&t| (t, a)))
+            .collect();
+        edges.extend(value_twins);
+        let attribute_twins: Vec<(u32, u32)> = edges
+            .iter()
+            .filter(|&&(_, a)| a == original_attr)
+            .map(|&(v, _)| (v, twin_attr))
+            .collect();
+        edges.extend(attribute_twins);
+        for (v, a) in edges {
+            b.add_edge(v, a);
+        }
+        let graph = b.build();
+        for twin in copies {
+            assert_eq!(graph.neighbors(twin), graph.neighbors(original));
+        }
+        let (a, t) = (
+            graph.attribute_node(original_attr),
+            graph.attribute_node(twin_attr),
+        );
+        assert!(!graph.neighbors(a).is_empty());
+        assert_eq!(graph.neighbors(a), graph.neighbors(t));
+        (graph, original)
+    }
+
+    /// `got` within 1e-12 relative of `want` everywhere, and twins of
+    /// `pool` bit-identical in `got`.
+    fn assert_matches(graph: &BipartiteGraph, pool: &[u32], got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (v, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-12 * w.abs(),
+                "{what}, node {v}: quotient {g} vs per-node {w}"
+            );
+        }
+        for &u in pool {
+            for &w in pool {
+                if graph.degree(u) > 0 && graph.neighbors(u) == graph.neighbors(w) {
+                    assert_eq!(
+                        got[u as usize].to_bits(),
+                        got[w as usize].to_bits(),
+                        "{what}: twins {u} and {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The quotient kernel against the per-node oracle on every entry point:
+    /// the whole graph, component sub-pools, and sampled sources.
+    #[test]
+    fn quotient_matches_per_node_brandes() {
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (graph, original) = random_graph_with_twins(&mut rng);
+            let all: Vec<u32> = graph.nodes().collect();
+            let components = connected_components(&graph);
+            let labels = &components.labels;
+            let some: Vec<u32> = (0..components.count() as u32)
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            let pools = [
+                all.clone(),
+                nodes_in_components(&components, &[labels[original as usize]]),
+                nodes_in_components(&components, &some),
+            ];
+            let triple = pools[1].clone();
+            let config = ApproxBcConfig {
+                samples: rng.gen_range(1..=triple.len()),
+                seed,
+            };
+            let scale = triple.len() as f64 / config.samples as f64;
+            let drawn = index_sample(
+                &mut StdRng::seed_from_u64(config.seed),
+                triple.len(),
+                config.samples,
+            );
+            let sampled = per_node_brandes(&graph, drawn.into_iter().map(|i| (triple[i], scale)));
+            let exact = per_node_brandes(&graph, all.iter().map(|&s| (s, 1.0)));
+            for threads in [1, 2, 4] {
+                let what = format!("seed {seed}, {threads} threads");
+                assert_matches(
+                    &graph,
+                    &all,
+                    &betweenness_centrality_parallel(&graph, threads),
+                    &exact,
+                    &format!("{what}, whole graph"),
+                );
+                for (p, pool) in pools.iter().enumerate() {
+                    assert_matches(
+                        &graph,
+                        pool,
+                        &betweenness_from_sources(&graph, pool, threads),
+                        &per_node_brandes(&graph, pool.iter().map(|&s| (s, 1.0))),
+                        &format!("{what}, pool {p}"),
+                    );
+                }
+                assert_matches(
+                    &graph,
+                    &triple,
+                    &approximate_betweenness_within(&graph, &triple, config, threads),
+                    &sampled,
+                    &format!("{what}, {} of {} sampled", config.samples, triple.len()),
+                );
+            }
         }
     }
 

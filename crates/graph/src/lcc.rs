@@ -31,9 +31,10 @@
 //! `N(v)` and `|N(u) ∩ N(v)|` depend only on the *attribute sets* of `u` and
 //! `v`, and a lake has far fewer distinct attribute sets than values (1 518
 //! for 3 685 values on the standing benchmark's exact lake). So values are
-//! grouped into **classes** of equal adjacency slice (ids in first-occurrence
+//! grouped into **classes** of equal adjacency slice — the twin grouping
+//! [`crate::bc`] also runs on, fed the value nodes (ids in first-occurrence
 //! order, nothing depends on hash order; degree-0 values have no class and
-//! score 0) and the join runs between classes:
+//! score 0) — and the join runs between classes:
 //!
 //! * `cadj(c)` is the set of classes that share an attribute with `c`, `c`
 //!   included, and `S(c) = Σ_{d ∈ cadj(c)} |d|` the size of the *closed*
@@ -85,9 +86,8 @@
 //! so sum in another order; that, not drift, is what the 1e-9 tolerances of
 //! the cross-layout suites cover.
 
-use std::collections::HashMap;
-
 use crate::bipartite::BipartiteGraph;
+use crate::twins::{Twins, NONE};
 
 /// Which formulation of the local clustering coefficient to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -135,65 +135,6 @@ pub fn lcc_with_cardinality_for_values(
 /// same intersection sizes from the class lists instead (see the module doc).
 const JOIN_TABLE_BYTES: usize = 64 << 20;
 
-/// "No class" (a degree-0 value) and "no row" in the join's id maps.
-const NONE: u32 = u32::MAX;
-
-/// Value nodes grouped by attribute set.
-struct Classes {
-    /// Class of each value node, `NONE` for a degree-0 node. Ids are
-    /// assigned in order of first occurrence, so they do not depend on the
-    /// hash map that finds them.
-    class_of: Vec<u32>,
-    /// CSR over classes: `members[offsets[c]..offsets[c + 1]]`, ascending.
-    offsets: Vec<usize>,
-    members: Vec<u32>,
-}
-
-impl Classes {
-    fn of(graph: &BipartiteGraph) -> Self {
-        let mut class_of = vec![NONE; graph.value_count()];
-        let mut by_attributes: HashMap<&[u32], u32> = HashMap::new();
-        let mut offsets = vec![0usize];
-        for v in graph.value_nodes() {
-            let attributes = graph.neighbors(v);
-            if attributes.is_empty() {
-                continue;
-            }
-            let next = offsets.len() as u32 - 1;
-            let class = *by_attributes.entry(attributes).or_insert(next);
-            if class == next {
-                offsets.push(0);
-            }
-            offsets[class as usize + 1] += 1;
-            class_of[v as usize] = class;
-        }
-        for c in 1..offsets.len() {
-            offsets[c] += offsets[c - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut members = vec![0u32; *offsets.last().expect("offsets never empty")];
-        for (v, &class) in class_of.iter().enumerate() {
-            if class != NONE {
-                members[cursor[class as usize]] = v as u32;
-                cursor[class as usize] += 1;
-            }
-        }
-        Classes {
-            class_of,
-            offsets,
-            members,
-        }
-    }
-
-    fn count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn members(&self, class: u32) -> &[u32] {
-        &self.members[self.offsets[class as usize]..self.offsets[class as usize + 1]]
-    }
-}
-
 /// Equation 1 for `targets` as one class-level join (see the module doc).
 /// `table_bytes` is the bitset-table budget; production passes
 /// `JOIN_TABLE_BYTES`.
@@ -208,7 +149,7 @@ fn lcc_value_neighbors(
     if targets.is_empty() {
         return (scores, cardinalities);
     }
-    let classes = Classes::of(graph);
+    let classes = Twins::of(graph, graph.value_nodes());
     let class_of = |v: u32| classes.class_of[v as usize];
 
     // A row per class whose closed neighbourhood is needed: the classes of

@@ -10,10 +10,12 @@
 //!   representation with `u32` node ids, built via
 //!   [`bipartite::BipartiteBuilder`].
 //! * [`bc`] — **exact betweenness centrality** (Brandes' algorithm, 2001) for
-//!   unweighted graphs, with optional multi-threading over source nodes.
+//!   unweighted graphs, run once per class of *twins* (nodes with one
+//!   neighbour list) on the quotient graph, with optional multi-threading
+//!   over source classes.
 //! * [`approx_bc`] — **approximate betweenness centrality** by sampling
-//!   source nodes (Geisberger–Sanders–Schultes style), with uniform or
-//!   degree-proportional sampling; this is what makes DomainNet scale to
+//!   source nodes uniformly (Geisberger–Sanders–Schultes style) and running
+//!   each drawn twin class once; this is what makes DomainNet scale to
 //!   million-node lakes (§5.4).
 //! * [`lcc`] — the paper's **bipartite local clustering coefficient**
 //!   (Equation 1): the mean Jaccard similarity between a value's
@@ -73,6 +75,7 @@ pub mod delta;
 pub mod lcc;
 pub mod projection;
 pub mod subgraph;
+mod twins;
 
 pub use approx_bc::{approximate_betweenness, approximate_betweenness_within, ApproxBcConfig};
 pub use bc::{betweenness_centrality, betweenness_centrality_parallel, betweenness_from_sources};

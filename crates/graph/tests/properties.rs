@@ -113,8 +113,9 @@ fn full_sampling_equals_exact() {
             2,
         );
         for (e, a) in exact.iter().zip(&approx) {
-            assert!(
-                (e - a).abs() < 1e-6,
+            assert_eq!(
+                e.to_bits(),
+                a.to_bits(),
                 "exact {e} vs approx {a} (seed {seed})"
             );
         }

@@ -1,6 +1,7 @@
 //! Fault injection for the exactly-once pipeline: a killed-and-restarted
-//! ingester must resume from its journal to a final state bit-identical to
-//! an uninterrupted run, and a redelivered batch must be a no-op.
+//! ingester must resume from its journal to the lake of an uninterrupted
+//! run (bit-identical scores once both are rebuilt on one node layout),
+//! and a redelivered batch must be a no-op.
 //!
 //! The kill is simulated at the worst seeded point — *mid-delivery*, after
 //! the sink applied a batch but before the ingester could commit it (the
@@ -20,7 +21,7 @@ use dn_ingest::{CoordinatorSink, DeltaSink, IngestConfig, IngestStats, Ingester,
 use dn_service::{serve_sharded, Coordinator, CoordinatorHandle, ServiceConfig};
 use domainnet::Measure;
 use lake::delta::MutableLake;
-use lake::LakeDelta;
+use lake::{LakeDelta, Table};
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {
@@ -101,9 +102,12 @@ impl<S: DeltaSink> DeltaSink for CrashAfterApply<S> {
     }
 }
 
-fn drift_stream() -> datagen::DriftStream {
+/// The drift seed of the backlog and redelivery tests.
+const DRIFT_SEED: u64 = 7;
+
+fn drift_stream(seed: u64) -> datagen::DriftStream {
     datagen::DriftStream::new(datagen::DriftConfig {
-        seed: 7,
+        seed,
         tables: 4,
         rows_per_table: 20,
         drifters: 2,
@@ -111,14 +115,29 @@ fn drift_stream() -> datagen::DriftStream {
     })
 }
 
+/// The engine's live tables, in name order, built into a fresh engine.
+/// Engines holding the same lake get one node layout this way, whatever
+/// delta history laid out their own graphs, so their rankings agree bit
+/// for bit.
+fn rebuilt_ranking(coordinator: &Arc<Mutex<Coordinator>>) -> BTreeMap<String, u64> {
+    let mut tables: Vec<Table> = {
+        let guard = coordinator.lock().expect("coordinator lock");
+        guard.shard(0).lake().tables().cloned().collect()
+    };
+    tables.sort_by(|a, b| a.name().cmp(b.name()));
+    let lake = MutableLake::from_tables(tables).expect("rebuild the live tables");
+    let (handle, _coordinator) = serve_sharded(lake, service_config(), 1);
+    ranking(&handle)
+}
+
 /// Run the full six-generation drift sequence uninterrupted and return the
-/// final ranking.
-fn uninterrupted_run(dir: &Path) -> BTreeMap<String, u64> {
+/// final ranking and the engine.
+fn uninterrupted_run(dir: &Path, seed: u64) -> (BTreeMap<String, u64>, Arc<Mutex<Coordinator>>) {
     let (handle, coordinator) = fresh_engine();
-    let mut stream = drift_stream();
+    let mut stream = drift_stream(seed);
     let mut ingester = Ingester::new(
         ingest_config(dir),
-        CoordinatorSink::new(coordinator),
+        CoordinatorSink::new(Arc::clone(&coordinator)),
         Arc::new(IngestStats::default()),
     )
     .expect("uninterrupted ingester");
@@ -126,7 +145,7 @@ fn uninterrupted_run(dir: &Path) -> BTreeMap<String, u64> {
         stream.write_next_generation(dir).expect("write generation");
         drain(&mut ingester);
     }
-    ranking(&handle)
+    (ranking(&handle), coordinator)
 }
 
 /// Assert every value matches within `1e-9` and the value sets are equal.
@@ -186,22 +205,31 @@ fn kill_mid_delivery(dir: &Path, coordinator: &Arc<Mutex<Coordinator>>, seq: u64
     // Dropping with a journaled pending batch == kill -9 mid-delivery.
 }
 
+/// Runs drift seeds 1, 4 and 5, where the two live engines' scores differ
+/// in their last bits under per-node Brandes, and 7, where they differ
+/// under the twin quotient: the bit-for-bit check holds on one layout on
+/// every seed, not by luck on one.
 #[test]
 fn killed_and_restarted_ingester_matches_uninterrupted_run() {
-    let dir_a = scratch("uninterrupted");
-    let dir_b = scratch("killed");
-    let ranking_a = uninterrupted_run(&dir_a);
-    assert!(!ranking_a.is_empty(), "run A ranked something");
+    for seed in [1, 4, 5, 7] {
+        killed_and_restarted_run_matches(seed);
+    }
+}
+
+fn killed_and_restarted_run_matches(seed: u64) {
+    let dir_a = scratch(&format!("uninterrupted_{seed}"));
+    let dir_b = scratch(&format!("killed_{seed}"));
+    let (ranking_a, coordinator_a) = uninterrupted_run(&dir_a, seed);
+    assert!(!ranking_a.is_empty(), "seed {seed}: run A ranked something");
 
     // Run B: the identical generation sequence, but the ingester is killed
     // mid-delivery at generations 2 and 4 — after the sink applied the
     // batch, before the commit reached the journal — and restarted from
-    // the journal each time. Because the journal-driven resume redelivers
-    // the same pending batch (a no-op against the already-applied state)
-    // and then diffs from the same re-parsed base, the delta sequence is
-    // identical and the final state must match run A bit for bit.
+    // the journal each time. The journal-driven resume redelivers the same
+    // pending batch (a no-op against the already-applied state), so B ends
+    // in A's lake.
     let (handle_b, coordinator_b) = fresh_engine();
-    let mut stream_b = drift_stream();
+    let mut stream_b = drift_stream(seed);
     let mut seq = 0;
     for generation in 0..6 {
         stream_b.write_next_generation(&dir_b).expect("write gen B");
@@ -218,14 +246,29 @@ fn killed_and_restarted_ingester_matches_uninterrupted_run() {
         seq = ingester.last_seq();
     }
 
-    let ranking_b = ranking(&handle_b);
+    // Same lake, bit for bit: rebuilt on one node layout, the two runs
+    // must rank every value with identical score bits.
     assert_eq!(
-        ranking_a, ranking_b,
-        "killed-and-restarted run diverged from the uninterrupted run"
+        rebuilt_ranking(&coordinator_a),
+        rebuilt_ranking(&coordinator_b),
+        "seed {seed}: killed-and-restarted run diverged from the uninterrupted run"
     );
 
+    // The live engines do not share a layout. Each of B's ingesters starts
+    // after its generation is written, when the files no longer match the
+    // journal, so it has no parsed base and ships every changed file as a
+    // rewrite (remove + add) where A ships value replacements; a
+    // redelivered rewrite commits again. Re-added tables take new attribute slots, so
+    // B's graph ends with more (isolated) nodes than A's and Brandes sums
+    // in another order. The served scores agree to 1e-9, as in the backlog
+    // test below; the slack covers that layout, not drift.
+    let ranking_b = ranking(&handle_b);
+    let what = format!("seed {seed}: uninterrupted vs killed-and-restarted");
+    assert_rankings_close(&ranking_a, &ranking_b, &what);
+
     // And the end state matches a cold build of the final folder to 1e-9.
-    assert_rankings_close(&cold_ranking(&dir_b), &ranking_b, "cold vs incremental");
+    let what = format!("seed {seed}: cold vs incremental");
+    assert_rankings_close(&cold_ranking(&dir_b), &ranking_b, &what);
 
     cleanup(&dir_a);
     cleanup(&dir_b);
@@ -235,7 +278,7 @@ fn killed_and_restarted_ingester_matches_uninterrupted_run() {
 fn backlog_written_during_downtime_converges() {
     let dir_a = scratch("backlog_reference");
     let dir_b = scratch("backlog");
-    let ranking_a = uninterrupted_run(&dir_a);
+    let (ranking_a, _) = uninterrupted_run(&dir_a, DRIFT_SEED);
 
     // Run B: killed mid-delivery of generation 2, and generation 3 lands
     // while the ingester is down. On restart the journal resolves the
@@ -246,7 +289,7 @@ fn backlog_written_during_downtime_converges() {
     // order — the states agree to 1e-9 (the golden-measure gate), not
     // necessarily bit for bit. The slack covers that layout, not drift.
     let (handle_b, coordinator_b) = fresh_engine();
-    let mut stream_b = drift_stream();
+    let mut stream_b = drift_stream(DRIFT_SEED);
     let mut seq = 0;
     let mut written = 0;
     while written < 6 {
@@ -283,7 +326,7 @@ fn redelivered_batch_is_a_noop() {
 
     // Reference: one clean application of generation 0.
     let (ref_handle, ref_coordinator) = fresh_engine();
-    let mut ref_stream = drift_stream();
+    let mut ref_stream = drift_stream(DRIFT_SEED);
     ref_stream.write_next_generation(&dir).expect("write gen 0");
     let mut reference = Ingester::new(
         ingest_config(&dir),

@@ -1,7 +1,7 @@
 //! # `dn-pool` — a hand-rolled work-stealing scheduler
 //!
 //! The DomainNet compute core is dominated by embarrassingly parallel loops:
-//! one Brandes accumulation per source node, one CRC + decode per snapshot
+//! one Brandes accumulation per source class, one CRC + decode per snapshot
 //! section, one recovery per shard. This crate schedules those loops across
 //! threads with two properties the rest of the workspace depends on:
 //!
