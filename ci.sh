@@ -114,6 +114,22 @@ echo "==> gate: standing benchmark builds against the working tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir target/benchmark
 
+# A labeled gate: `cargo test -q <args>`, failing with the gate's name when
+# the tests fail or when none passed. A filter that matches nothing exits
+# 0, so without the count a renamed test would empty its gate silently.
+gate() {
+    local label=$1 out passed
+    shift
+    echo "==> gate: ${label}"
+    out=$(cargo test -q "$@" 2>&1) || { echo "${out}"; echo "gate failed: ${label}" >&2; exit 1; }
+    echo "${out}"
+    passed=$(awk '{ for (i = 2; i <= NF; i++) if ($i ~ /^passed;?$/) s += $(i - 1) } END { print s + 0 }' <<<"${out}")
+    if [[ "${passed}" -lt 1 ]]; then
+        echo "gate ran no test: ${label}" >&2
+        exit 1
+    fi
+}
+
 # Skip the suites that run next as labeled gates. (--skip is a substring
 # filter applied inside every test binary, so use the full test-function
 # names to keep the collision surface minimal.)
@@ -139,32 +155,31 @@ cargo test -q -- \
     --skip dn_ingest_once_ships_a_drop_folder_over_http \
     --skip retired_smoke_flags_are_rejected_with_usage
 
-echo "==> gate: golden-ranking regression corpus"
-cargo test -q --test golden_rankings
+gate "golden-ranking regression corpus" --test golden_rankings
 
 # Every table and figure of the paper's evaluation, recomputed at scale 0.1
 # and compared to tests/golden/paper.json; docs/EXPERIMENTS.md must quote it.
-echo "==> gate: paper ledger == committed results"
-cargo test -q --test paper_ledger
+gate "paper ledger == committed results" --test paper_ledger
 # UPDATE_GOLDEN=1 rewrites the corpus and the ledger and passes; a kernel
 # change must not get through that way.
 git diff --exit-code -- tests/golden
 
 # The filter is a prefix of both differential tests (random graphs + SB, and
-# TUS small on its own). The second line is the delta side of the same
+# TUS small on its own). The second gate is the delta side of the same
 # kernel: recomputing the dirty_values dn_graph::delta::dirty_region reports
 # for a changed graph leaves every node to_bits()-equal to a full pass.
-echo "==> gate: Equation-1 join == literal sweep (to_bits)"
-cargo test -q -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
-cargo test -q -p dn-graph --lib dirty_values_are_a_complete_invalidation_set
+gate "Equation-1 join == literal sweep (to_bits)" \
+    -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
+gate "dirty values are a complete invalidation set (to_bits)" \
+    -p dn-graph --lib dirty_values_are_a_complete_invalidation_set
 
 # Brandes on the twin quotient against the retained per-node kernel: whole
 # graphs, component pools and sampled sources, at 1, 2 and 4 threads.
-echo "==> gate: twin-quotient Brandes == per-node Brandes (1e-12 relative)"
-cargo test -q -p dn-graph --lib quotient_matches_per_node_brandes
+gate "twin-quotient Brandes == per-node Brandes (1e-12 relative)" \
+    -p dn-graph --lib quotient_matches_per_node_brandes
 
-echo "==> gate: serving concurrency stress (--test-threads ${CORES})"
-cargo test -q --test serving_stress -- --test-threads "${CORES}"
+gate "serving concurrency stress (--test-threads ${CORES})" \
+    --test serving_stress -- --test-threads "${CORES}"
 
 # Durability gates (fast; kept inside --quick). The store's snapshot
 # round-trip + WAL unit tests run in the main pass above; these two suites
@@ -173,29 +188,23 @@ cargo test -q --test serving_stress -- --test-threads "${CORES}"
 # hygiene gate below judges only this run.
 rm -rf target/tmp/dn_store_* target/tmp/dn_replica_* target/tmp/dn_process_* 2>/dev/null || true
 
-echo "==> gate: store corruption hardening (typed errors, no panics)"
-cargo test -q -p dn-store --test corruption
-
-echo "==> gate: store crash recovery (kill + recover == uninterrupted)"
-cargo test -q --test store_recovery
-
-echo "==> gate: sharded batch == op-by-op placement"
-cargo test -q --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
+gate "store corruption hardening (typed errors, no panics)" -p dn-store --test corruption
+gate "store crash recovery (kill + recover == uninterrupted)" --test store_recovery
+gate "sharded batch == op-by-op placement" \
+    --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
 
 # Process probes: the real binaries, spawned by the test's spawn_server
 # helper (which owns launch, address discovery, exit status and cleanup).
-echo "==> gate: HTTP serving probe (dn-serve --shards 1 and --shards 2)"
-cargo test -q --test dn_serve_process http_probe_at_one_and_two_shards
-
-echo "==> gate: replication probe (primary --threads 1 and 4 + --follow follower)"
-cargo test -q --test dn_serve_process replica_probe_with_sequential_and_pooled_primary
-
-echo "==> gate: drop-folder ingest probes (dn-serve --ingest-dir, dn-ingest --once)"
-cargo test -q --test dn_serve_process drop_folder_ingest_probe
-cargo test -q --test dn_serve_process dn_ingest_once_ships_a_drop_folder_over_http
-
-echo "==> gate: dn-serve argument errors (retired --smoke* flags exit 2 with usage)"
-cargo test -q --test dn_serve_process retired_smoke_flags_are_rejected_with_usage
+gate "HTTP serving probe (dn-serve --shards 1 and --shards 2)" \
+    --test dn_serve_process http_probe_at_one_and_two_shards
+gate "replication probe (primary --threads 1 and 4 + --follow follower)" \
+    --test dn_serve_process replica_probe_with_sequential_and_pooled_primary
+gate "drop-folder ingest probe (dn-serve --ingest-dir)" \
+    --test dn_serve_process drop_folder_ingest_probe
+gate "drop-folder ingest probe (dn-ingest --once)" \
+    --test dn_serve_process dn_ingest_once_ships_a_drop_folder_over_http
+gate "dn-serve argument errors (retired --smoke* flags exit 2 with usage)" \
+    --test dn_serve_process retired_smoke_flags_are_rejected_with_usage
 
 # Store, replica and process tests create their scratch dirs under
 # target/tmp (CARGO_TARGET_TMPDIR) and must remove them; leftovers mean a

@@ -79,10 +79,10 @@
 //! ascending neighbour id whatever the target list holds, so a dirty value
 //! gets the bits a full pass over that graph would give it. A value outside
 //! the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)` (value ids
-//! never change across a delta), so the bits it carries are already those. A maintained score is therefore a function of the
-//! maintained graph alone, `to_bits()`-equal to a pass over it, and not of
-//! the deltas that led there: `dirty_values_are_a_complete_invalidation_set`
-//! pins it. A fresh *build* of the same lake may number nodes differently and
+//! never change across a delta), so the bits it carries are already those.
+//! A maintained score is therefore a function of the maintained graph
+//! alone, `to_bits()`-equal to a pass over it, and not of the deltas that
+//! led there: `dirty_values_are_a_complete_invalidation_set` pins it. A fresh *build* of the same lake may number nodes differently and
 //! so sum in another order; that, not drift, is what the 1e-9 tolerances of
 //! the cross-layout suites cover.
 

@@ -385,18 +385,20 @@ impl<S: DeltaSink> Ingester<S> {
 
     /// Poll until `stop` is set, sleeping `poll_interval` between cycles.
     ///
-    /// Transient errors and fresh-batch rejections are reported through
-    /// `on_error` and retried on later polls; journal corruption aborts.
-    pub fn run<F: FnMut(&IngestError)>(
+    /// After each cycle `on_cycle` receives the ingester and the poll's
+    /// outcome: its report, or a transient error or fresh-batch rejection
+    /// that later polls retry. Journal corruption aborts before the hook
+    /// runs: resuming past it could double-apply a batch.
+    pub fn run<F: FnMut(&Self, Result<&PollReport, &IngestError>)>(
         &mut self,
         stop: &AtomicBool,
-        mut on_error: F,
+        mut on_cycle: F,
     ) -> Result<(), IngestError> {
         while !stop.load(Ordering::Relaxed) {
             match self.poll_once() {
-                Ok(_) => {}
+                Ok(report) => on_cycle(self, Ok(&report)),
                 Err(e @ IngestError::Journal { .. }) => return Err(e),
-                Err(e) => on_error(&e),
+                Err(e) => on_cycle(self, Err(&e)),
             }
             let mut remaining = self.config.poll_interval;
             while !stop.load(Ordering::Relaxed) && !remaining.is_zero() {

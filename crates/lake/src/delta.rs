@@ -166,9 +166,7 @@ impl LakeDelta {
 
     /// Concatenate another delta's ops onto this one — a convenience for
     /// callers composing one delta from several recorded pieces before
-    /// applying it. (The serving layer's writer batches differently: it
-    /// keeps staged deltas separate and hands them to
-    /// [`MutableLake::apply_batch`] in one call.)
+    /// applying it.
     pub fn merge(mut self, other: LakeDelta) -> Self {
         self.ops.extend(other.ops);
         self

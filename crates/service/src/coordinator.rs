@@ -38,8 +38,9 @@
 //!
 //! Migrations re-home tables with ordinary deltas (add to target, then
 //! remove from source) logged in each shard's own WAL, guarded by a
-//! durable rebalance-intent file so a crash mid-move is finished on
-//! recovery instead of leaving one component split across two shards.
+//! durable rebalance-intent file. A live move and a move a crash left
+//! half done run one executor over that intent, so recovery finishes the
+//! move instead of leaving one component split across two shards.
 //!
 //! ## Epochs
 //!
@@ -53,15 +54,12 @@
 //!
 //! ## Batch semantics
 //!
-//! With one shard, a staged batch is delegated wholesale to the single
-//! shard [`Writer`] — one WAL record and one incremental pass, cross-delta
-//! cancellation included. With several shards, ops are **routed one at a
-//! time** in stage order against the committed shard lakes and gathered
-//! into one [`LakeDelta`] per shard; each gathered batch is **committed
-//! once** — one WAL record, one fold, one BC pass per touched component.
-//! Routing must see the state op-by-op commits would, so the gathered
-//! batches are flushed (committed in ascending shard order) at four
-//! points:
+//! One path at every shard count: ops are **routed one at a time** in
+//! stage order against the committed shard lakes and gathered into one
+//! [`LakeDelta`] per shard; each gathered batch is **committed once** —
+//! one WAL record, one fold, one BC pass per touched component. Routing
+//! must see the state op-by-op commits would, so the gathered batches are
+//! flushed (committed in ascending shard order) at four points:
 //!
 //! * before routing an op whose probes hit what a gathered op may change:
 //!   an `AddTable` whose name or any value is pending, a `RemoveTable`
@@ -71,6 +69,12 @@
 //! * before a migration (it reads whole components and keeps its intent
 //!   protocol), then the op is re-routed;
 //! * at the end of the commit.
+//!
+//! With one shard every op routes to shard 0 whatever is pending, so only
+//! the last flush runs: the staged batch becomes one WAL record holding
+//! one concatenated delta and one fold. Cross-delta cancellation holds,
+//! since applying N deltas in one batch equals applying their
+//! concatenation. A staged batch without ops commits nothing.
 //!
 //! Every table therefore lands where op-by-op commits would put it, and
 //! the per-shard WAL records are what recovery and replication replay.
@@ -182,7 +186,10 @@ pub fn serve_sharded_from_dir(
     let root = root.into();
     let (handle, mut coordinator) = recover_shards_lenient(&root, config, policy)?;
     if let Some(intent) = dn_store::read_rebalance_intent(&root)? {
-        coordinator.complete_rebalance(&intent)?;
+        coordinator.run_rebalance(&intent)?;
+        if !coordinator.dirty.is_empty() {
+            coordinator.publish();
+        }
         dn_store::clear_rebalance_intent(&root)?;
     }
     coordinator.verify_table_ownership()?;
@@ -450,11 +457,16 @@ enum Route {
     },
 }
 
-/// What the gathered, uncommitted ops of a multi-shard commit may change:
-/// routing reads only committed shard lakes, so an op whose probes touch
-/// any of this flushes the gathered batches first.
-#[derive(Default)]
+/// What the gathered, uncommitted ops of a commit may change: routing
+/// reads only committed shard lakes, so an op whose probes touch any of
+/// this flushes the gathered batches first.
+///
+/// Flushes exist only so that routing reads op-by-op state. With one
+/// shard every op routes to shard 0 whatever is pending, so a one-shard
+/// `Pending` records nothing and never asks for an early flush.
 struct Pending {
+    /// Whether routing can read gathered state: more than one shard.
+    routing_reads_it: bool,
     /// Tables gathered `AddTable`/`RemoveTable` ops add or remove.
     tables: HashSet<String>,
     /// Normalized values whose liveness a gathered op may change.
@@ -462,6 +474,19 @@ struct Pending {
 }
 
 impl Pending {
+    fn new(shards: usize) -> Pending {
+        Pending {
+            routing_reads_it: shards > 1,
+            tables: HashSet::new(),
+            values: HashSet::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.tables.clear();
+        self.values.clear();
+    }
+
     fn is_empty(&self) -> bool {
         self.tables.is_empty() && self.values.is_empty()
     }
@@ -484,6 +509,9 @@ impl Pending {
     /// Record what `op`, gathered for the shard whose committed lake is
     /// `owner`, may change.
     fn note(&mut self, op: &LakeOp, owner: &MutableLake) {
+        if !self.routing_reads_it {
+            return;
+        }
         match op {
             LakeOp::AddTable(table) => {
                 self.tables.insert(table.name().to_owned());
@@ -607,9 +635,6 @@ impl MultiView {
             .scatter(|s| s.ranking(measure))
             .into_iter()
             .collect::<Option<_>>()?;
-        if rankings.len() == 1 {
-            return Some(rankings[0].iter().take(k).cloned().collect());
-        }
         let _merge = dn_trace::span(dn_trace::Phase::CoordMerge);
         let mut heads = vec![0usize; rankings.len()];
         let mut out = Vec::with_capacity(k.min(rankings.iter().map(|r| r.len()).sum()));
@@ -645,9 +670,6 @@ impl MultiView {
             .into_iter()
             .enumerate()
             .find_map(|(i, c)| c.map(|c| (i, c)))?;
-        if self.shards.len() == 1 {
-            return Some(card);
-        }
         let target = ScoredValue {
             value: card.value.clone(),
             score: card.score,
@@ -990,18 +1012,9 @@ impl Coordinator {
     pub fn commit(&mut self) -> Result<DeltaStats, ServiceError> {
         let _commit = dn_trace::span(dn_trace::Phase::CoordCommit);
         let staged = std::mem::take(&mut self.staged);
-        if staged.is_empty() {
-            return Ok(DeltaStats::default());
-        }
-        if self.shards.len() == 1 {
-            // Single shard: delegate the whole batch for bit-identical
-            // engine semantics (cross-delta cancellation included).
-            self.dirty.insert(0);
-            return self.shards[0].commit(&staged);
-        }
         let mut total = DeltaStats::default();
         let mut batches = vec![LakeDelta::new(); self.shards.len()];
-        let mut pending = Pending::default();
+        let mut pending = Pending::new(self.shards.len());
         for op in staged.iter().flat_map(LakeDelta::ops) {
             if pending.hit(op) {
                 self.flush(&mut batches, &mut pending, &mut total)?;
@@ -1296,7 +1309,7 @@ impl Coordinator {
         pending: &mut Pending,
         total: &mut DeltaStats,
     ) -> Result<(), ServiceError> {
-        *pending = Pending::default();
+        pending.clear();
         for (shard, batch) in batches.iter_mut().enumerate() {
             if !batch.is_empty() {
                 add_stats(total, self.commit_shard(shard, std::mem::take(batch))?);
@@ -1350,62 +1363,46 @@ impl Coordinator {
     }
 
     /// Move every component of `sources` connected to `trigger_values`
-    /// into `target`: durable intent first, then per table add-to-target
-    /// followed by remove-from-source (each an ordinary WAL-logged
-    /// commit), then the intent is cleared.
+    /// into `target`: the intent is written first (durable coordinators
+    /// only), run by the executor recovery runs, then cleared.
     fn migrate_into(
         &mut self,
         target: usize,
         sources: &[usize],
         trigger_values: &[String],
     ) -> Result<(), ServiceError> {
-        let mut moves: Vec<(usize, Table)> = Vec::new();
-        for &source in sources {
-            for name in connected_tables(self.shards[source].lake(), trigger_values) {
-                let table = self.shards[source]
-                    .lake()
-                    .table(&name)
-                    .expect("connected table is live")
-                    .clone();
-                moves.push((source, table));
-            }
-        }
+        let moves: Vec<dn_store::TableMove> = sources
+            .iter()
+            .flat_map(|&from| {
+                connected_tables(self.shards[from].lake(), trigger_values)
+                    .into_iter()
+                    .map(move |table| dn_store::TableMove {
+                        table,
+                        from,
+                        to: target,
+                    })
+            })
+            .collect();
         if moves.is_empty() {
             return Ok(());
         }
-        if let Some(root) = self.root_dir.clone() {
-            let intent = dn_store::RebalanceIntent {
-                moves: moves
-                    .iter()
-                    .map(|(from, table)| dn_store::TableMove {
-                        table: table.name().to_owned(),
-                        from: *from,
-                        to: target,
-                    })
-                    .collect(),
-            };
-            dn_store::write_rebalance_intent(&root, &intent)?;
+        let intent = dn_store::RebalanceIntent { moves };
+        if let Some(root) = &self.root_dir {
+            dn_store::write_rebalance_intent(root, &intent)?;
         }
-        for (from, table) in moves {
-            let name = table.name().to_owned();
-            self.commit_shard(target, LakeDelta::new().add_table(table))?;
-            self.commit_shard(from, LakeDelta::new().remove_table(name))?;
-        }
-        if let Some(root) = self.root_dir.clone() {
-            dn_store::clear_rebalance_intent(&root)?;
+        self.run_rebalance(&intent)?;
+        if let Some(root) = &self.root_dir {
+            dn_store::clear_rebalance_intent(root)?;
         }
         Ok(())
     }
 
-    // -- recovery helpers --------------------------------------------------
-
-    /// Finish a rebalance interrupted by a crash (see
-    /// [`dn_store::RebalanceIntent`] for the per-entry cases), then
-    /// publish the repaired shards.
-    fn complete_rebalance(
-        &mut self,
-        intent: &dn_store::RebalanceIntent,
-    ) -> Result<(), ServiceError> {
+    /// The one move executor, for a live migration and for an intent a
+    /// crash left behind (see [`dn_store::RebalanceIntent`] for the
+    /// per-entry cases): per table, in intent order, add to `to` then
+    /// remove from `from`, each an ordinary WAL-logged commit. Does
+    /// **not** publish.
+    fn run_rebalance(&mut self, intent: &dn_store::RebalanceIntent) -> Result<(), ServiceError> {
         for mv in &intent.moves {
             if mv.from >= self.shards.len() || mv.to >= self.shards.len() {
                 return Err(ServiceError::Maintenance(format!(
@@ -1414,26 +1411,15 @@ impl Coordinator {
                     self.shards.len()
                 )));
             }
-            let on_from = self.shards[mv.from].lake().table(&mv.table).is_some();
             let on_to = self.shards[mv.to].lake().table(&mv.table).is_some();
-            match (on_from, on_to) {
-                (true, false) => {
-                    let table = self.shards[mv.from]
-                        .lake()
-                        .table(&mv.table)
-                        .expect("probed live")
-                        .clone();
-                    self.commit_shard(mv.to, LakeDelta::new().add_table(table))?;
-                    self.commit_shard(mv.from, LakeDelta::new().remove_table(mv.table.clone()))?;
-                }
-                (true, true) => {
-                    self.commit_shard(mv.from, LakeDelta::new().remove_table(mv.table.clone()))?;
-                }
-                (false, _) => {} // move completed (or never started *and* the table is gone)
+            let Some(table) = self.shards[mv.from].lake().table(&mv.table) else {
+                continue; // move completed (or never started *and* the table is gone)
+            };
+            if !on_to {
+                let add = LakeDelta::new().add_table(table.clone());
+                self.commit_shard(mv.to, add)?;
             }
-        }
-        if !self.dirty.is_empty() {
-            self.publish();
+            self.commit_shard(mv.from, LakeDelta::new().remove_table(mv.table.clone()))?;
         }
         Ok(())
     }
@@ -1670,6 +1656,17 @@ mod tests {
         }
         assert_eq!(view.stats(), plain.stats());
         view.verify_consistency().unwrap();
+        // Score cards take the cross-shard rank correction at one shard
+        // too, and must still be the shard's own cards to the bit.
+        for measure in [Measure::lcc(), Measure::exact_bc()] {
+            for scored in plain.top_k(measure, usize::MAX).unwrap() {
+                let card = view.score_card(measure, &scored.value).unwrap();
+                let local = plain.score_card(measure, &scored.value).unwrap();
+                assert_eq!(card, local, "{measure:?} {}", scored.value);
+                assert_eq!(card.percentile.to_bits(), local.percentile.to_bits());
+                assert_eq!(card.score.to_bits(), local.score.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -2048,6 +2045,55 @@ mod tests {
         coordinator.commit().unwrap();
         coordinator.publish();
         assert_matches_fresh_build(&service.current(), coordinator.shard(0).lake());
+
+        // A dependent chain at one durable shard: a flush before the edit
+        // of the pending T9 would split it, but every op routes to shard
+        // 0 whatever is pending, so it is one WAL record and one fold.
+        let chain = [
+            zebra_table(),
+            LakeDelta::new().replace_value("T9", "animal", "Okapi", "Tapir"),
+            LakeDelta::new().add_table(
+                TableBuilder::new("T10")
+                    .column("animal", ["Zebra", "Gnu"])
+                    .build()
+                    .unwrap(),
+            ),
+        ];
+        let measures = config().measures;
+        let mut twin_lake = running_lake();
+        let mut twin = domainnet::DomainNetBuilder::new()
+            .prune_single_attribute_values(false)
+            .build(&twin_lake);
+        twin.fold_batch(&mut twin_lake, &chain, &measures).unwrap();
+        let dir = store_dir("chain");
+        let (_, mut coordinator) = serve_sharded_durable(
+            running_lake(),
+            config(),
+            &dir,
+            CheckpointPolicy::manual(),
+            1,
+        )
+        .unwrap();
+        let (seq, generation) = (
+            coordinator.shard(0).last_seq(),
+            coordinator.shard(0).net().generation(),
+        );
+        for delta in chain {
+            coordinator.stage(delta);
+        }
+        coordinator.commit().unwrap();
+        let shard = coordinator.shard(0);
+        assert_eq!(shard.last_seq(), seq + 1, "one WAL record");
+        assert_eq!(shard.net().generation(), generation + 1, "one fold");
+        for measure in measures {
+            let (served, folded) = (shard.net().raw_scores(measure), twin.raw_scores(measure));
+            assert_eq!(served.len(), folded.len(), "{measure:?}");
+            for (a, b) in served.iter().zip(&folded) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{measure:?}");
+            }
+        }
+        drop(coordinator);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //! is a polling loop every `--poll-ms` until SIGINT/kill.
 
 use std::process::ExitCode;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dn_ingest::{IngestConfig, IngestError, IngestStats, Ingester};
+use dn_ingest::{IngestConfig, IngestStats, Ingester};
 use dn_server::HttpSink;
 use dn_trace::{EventValue, Level};
 
@@ -238,33 +239,32 @@ fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // Poll until killed. Transient errors (primary unreachable, torn
-    // folder I/O) are logged and retried next cycle; only a corrupt
-    // journal is fatal — resuming past it could double-apply a batch.
-    // The loop is hand-rolled (rather than `Ingester::run`) so the stats
-    // cadence can interleave with the poll cadence.
+    // Poll until killed: nothing sets `never`. Transient errors (primary
+    // unreachable, torn folder I/O) are logged and retried next cycle; a
+    // corrupt journal halts.
+    let never = AtomicBool::new(false);
     let stats_every = Duration::from_secs(args.stats_every_s);
     let mut last_stats = Instant::now();
     let mut caught_up = false;
-    loop {
-        match ingester.poll_once() {
-            Ok(report) => caught_up = report.caught_up,
-            Err(e @ IngestError::Journal { .. }) => return Err(format!("halted: {e}")),
-            Err(e) => dn_trace::event(
-                Level::Warn,
-                "ingest_retry",
-                &[("error", EventValue::Str(&e.to_string()))],
-            ),
-        }
-        if args.stats_every_s > 0 && last_stats.elapsed() >= stats_every {
-            emit_stats(
-                &stats,
-                ingester.last_seq(),
-                ingester.has_pending(),
-                caught_up,
-            );
-            last_stats = Instant::now();
-        }
-        std::thread::sleep(Duration::from_millis(args.poll_ms));
-    }
+    ingester
+        .run(&never, |ingester, outcome| {
+            match outcome {
+                Ok(report) => caught_up = report.caught_up,
+                Err(e) => dn_trace::event(
+                    Level::Warn,
+                    "ingest_retry",
+                    &[("error", EventValue::Str(&e.to_string()))],
+                ),
+            }
+            if args.stats_every_s > 0 && last_stats.elapsed() >= stats_every {
+                emit_stats(
+                    &stats,
+                    ingester.last_seq(),
+                    ingester.has_pending(),
+                    caught_up,
+                );
+                last_stats = Instant::now();
+            }
+        })
+        .map_err(|e| format!("halted: {e}"))
 }

@@ -57,7 +57,8 @@ use lake::delta::MutableLake;
 #[derive(Debug)]
 struct Args {
     data_dir: Option<String>,
-    shards: usize,
+    /// `None`: the manifest rules, and a fresh store gets one shard.
+    shards: Option<usize>,
     addr: String,
     workers: usize,
     threads: usize,
@@ -77,7 +78,7 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             data_dir: None,
-            shards: 1,
+            shards: None,
             addr: "127.0.0.1:8080".to_owned(),
             workers: 4,
             threads: dn_pool::Pool::machine_wide().threads(),
@@ -116,12 +117,13 @@ fn parse_args() -> Result<Args, String> {
         match flag {
             "--data-dir" => out.data_dir = Some(value("--data-dir")?),
             "--shards" => {
-                out.shards = value("--shards")?
+                let shards = value("--shards")?
                     .parse()
                     .map_err(|_| "--shards must be a positive integer".to_owned())?;
-                if out.shards == 0 {
+                if shards == 0 {
                     return Err("--shards must be at least 1".to_owned());
                 }
+                out.shards = Some(shards);
             }
             "--addr" => out.addr = value("--addr")?,
             "--workers" => {
@@ -202,7 +204,7 @@ fn parse_args() -> Result<Args, String> {
     if out.data_dir.is_none() {
         return Err("--data-dir is required".to_owned());
     }
-    if out.follow.is_some() && out.shards != 1 {
+    if out.follow.is_some() && out.shards.is_some() {
         return Err("--shards is meaningless with --follow (the primary's manifest rules)".into());
     }
     if out.follow.is_some() && out.ingest_dir.is_some() {
@@ -330,11 +332,11 @@ shard-0/ subdirectory with a shards.json manifest to serve it"
         .map_err(|e| format!("probing {data_dir}: {e}"))?
     {
         Some(manifest) => {
-            if args.shards != 1 && args.shards != manifest.shards {
+            if let Some(shards) = args.shards.filter(|&s| s != manifest.shards) {
                 return Err(format!(
-                    "{data_dir} was initialized with {} shard(s); --shards {} would \
+                    "{data_dir} was initialized with {} shard(s); --shards {shards} would \
 reshard it in place (not supported)",
-                    manifest.shards, args.shards
+                    manifest.shards
                 ));
             }
             true
@@ -350,7 +352,7 @@ reshard it in place (not supported)",
             service_config,
             data_dir,
             policy,
-            args.shards,
+            args.shards.unwrap_or(1),
         )
         .map_err(|e| format!("initializing {data_dir}: {e}"))?
     };
@@ -383,12 +385,14 @@ reshard it in place (not supported)",
         let thread = std::thread::Builder::new()
             .name("dn-ingest".to_owned())
             .spawn(move || {
-                if let Err(e) = ingester.run(&thread_stop, |e| {
-                    dn_trace::event(
-                        dn_trace::Level::Warn,
-                        "ingest_retry",
-                        &[("error", dn_trace::EventValue::Str(&e.to_string()))],
-                    );
+                if let Err(e) = ingester.run(&thread_stop, |_, outcome| {
+                    if let Err(e) = outcome {
+                        dn_trace::event(
+                            dn_trace::Level::Warn,
+                            "ingest_retry",
+                            &[("error", dn_trace::EventValue::Str(&e.to_string()))],
+                        );
+                    }
                 }) {
                     dn_trace::event(
                         dn_trace::Level::Error,

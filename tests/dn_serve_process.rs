@@ -4,7 +4,8 @@
 //!
 //! * `http_probe_at_one_and_two_shards` — healthz → mutation → trace ring
 //!   → top-k → metrics → checkpoint → shutdown, single-shard and through
-//!   the 2-shard coordinator, on the pooled compute core.
+//!   the 2-shard coordinator, on the pooled compute core; then a
+//!   `--shards 1` restart of the 2-shard store is refused.
 //! * `replica_probe_with_sequential_and_pooled_primary` — a 2-shard
 //!   primary plus a `--follow` follower: convergence, lag gauge back to 0
 //!   with zero divergences (the follower replays sequentially, so the
@@ -308,6 +309,29 @@ fn http_probe_at_one_and_two_shards() {
             let store = &server.data_dir;
             assert!(store.join("shards.json").is_file(), "no shard manifest");
             assert!(store.join("shard-1").is_dir(), "no shard-1 directory");
+            // The manifest rules an existing store: an explicit
+            // `--shards 1` conflicts with it like any other count.
+            let mut child = Command::new(env!("CARGO_BIN_EXE_dn-serve"))
+                .arg("--data-dir")
+                .arg(store)
+                .args(["--addr", "127.0.0.1:0", "--shards", "1"])
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn dn-serve");
+            let mut startup = String::new();
+            let stdout = child.stdout.take().expect("piped stdout");
+            let _ = BufReader::new(stdout).read_line(&mut startup);
+            let _ = child.kill();
+            let output = child.wait_with_output().expect("wait for dn-serve");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(startup.is_empty(), "served a 2-shard store: {startup}");
+            assert_eq!(output.status.code(), Some(1), "{stderr}");
+            assert!(
+                stderr.contains("initialized with 2 shard(s); --shards 1 would"),
+                "{stderr}"
+            );
         }
         drop(server);
         std::fs::remove_dir_all(&dir).expect("remove scratch dir");
