@@ -9,7 +9,8 @@
 # gates: the golden-ranking regression corpus and the paper-results ledger
 # (which must also leave tests/golden as committed), the Equation-1 join
 # against its literal-sweep oracle, the twin-quotient Brandes kernel
-# against its per-node oracle, the concurrency stress test,
+# against its per-node oracle, the CSV parser against its reference
+# reader and load_dir across pool widths, the concurrency stress test,
 # the dn-store corruption-hardening suite, the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
 # places every table where op-by-op commits would), the process probes
@@ -144,6 +145,8 @@ cargo test -q -- \
     --skip experiments_doc_quotes_the_ledger \
     --skip join_matches_literal_sweep_bit_for_bit \
     --skip quotient_matches_per_node_brandes \
+    --skip hostile_bytes_match_the_reference_reader \
+    --skip load_dir_is_width_invariant_and_matches_the_reference_reader \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
@@ -177,6 +180,13 @@ gate "dirty values are a complete invalidation set (to_bits)" \
 # graphs, component pools and sampled sources, at 1, 2 and 4 threads.
 gate "twin-quotient Brandes == per-node Brandes (1e-12 relative)" \
     -p dn-graph --lib quotient_matches_per_node_brandes
+
+# The one-pass CSV parser against the line-joining reader it replaced
+# (seeded hostile bytes), and load_dir's lake or first error at pool
+# widths 1, 2 and 4 against that reader's sequential fold.
+gate "CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant" \
+    -p lake --lib -- hostile_bytes_match_the_reference_reader \
+    load_dir_is_width_invariant_and_matches_the_reference_reader
 
 gate "serving concurrency stress (--test-threads ${CORES})" \
     --test serving_stress -- --test-threads "${CORES}"

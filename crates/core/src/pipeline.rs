@@ -382,7 +382,7 @@ impl DomainNet {
         if let Some(cached) = &self.caches.lock().expect("score cache mutex").cardinalities {
             return cached.clone();
         }
-        let computed = self.graph.value_neighbor_counts();
+        let computed = self.graph.value_neighbor_counts(self.compute_threads);
         self.caches.lock().expect("score cache mutex").cardinalities = Some(computed.clone());
         computed
     }

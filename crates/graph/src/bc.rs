@@ -83,7 +83,7 @@ const MAX_CHUNKS: usize = 32;
 
 /// Split `0..len` into the canonical chunk ranges (at most [`MAX_CHUNKS`],
 /// each contiguous, sized `ceil(len / MAX_CHUNKS)` except the tail).
-fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
     }

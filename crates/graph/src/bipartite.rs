@@ -314,26 +314,34 @@ impl BipartiteGraph {
     }
 
     /// The cardinality |N(v)| of **every** value node, indexed by value node
-    /// id: one two-hop walk per value deduplicated through a single stamp
-    /// array, so nothing is allocated, sorted or deduplicated per value.
-    pub fn value_neighbor_counts(&self) -> Vec<usize> {
-        // `seen_by[w] == v` once w was counted for v (or is v itself).
-        let mut seen_by = vec![u32::MAX; self.n_values];
-        self.value_nodes()
-            .map(|v| {
-                seen_by[v as usize] = v;
-                let mut count = 0;
-                for &attr in self.neighbors(v) {
-                    for &w in self.neighbors(attr) {
-                        if seen_by[w as usize] != v {
-                            seen_by[w as usize] = v;
-                            count += 1;
+    /// id, on a pool `threads` wide: one two-hop walk per value deduplicated
+    /// through a stamp array per canonical chunk of value nodes, so nothing
+    /// is allocated, sorted or deduplicated per value. The counts are
+    /// integers, hence the same at every width.
+    pub fn value_neighbor_counts(&self, threads: usize) -> Vec<usize> {
+        let chunks = crate::bc::canonical_chunks(self.n_values);
+        let counts = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
+            // `seen_by[w] == v` once w was counted for v (or is v itself).
+            let mut seen_by = vec![u32::MAX; self.n_values];
+            chunks[c]
+                .clone()
+                .map(|v| {
+                    let v = v as u32;
+                    seen_by[v as usize] = v;
+                    let mut count = 0;
+                    for &attr in self.neighbors(v) {
+                        for &w in self.neighbors(attr) {
+                            if seen_by[w as usize] != v {
+                                seen_by[w as usize] = v;
+                                count += 1;
+                            }
                         }
                     }
-                }
-                count
-            })
-            .collect()
+                    count
+                })
+                .collect::<Vec<usize>>()
+        });
+        counts.concat()
     }
 
     /// The number of attributes a value node occurs in (its degree).

@@ -162,11 +162,17 @@ fn projection_degree_matches_value_neighbor_count() {
         let g = random_graph(20, 5, seed);
         let proj = project_values(&g);
         assert_eq!(proj.node_count(), g.value_count(), "seed {seed}");
-        let bulk = g.value_neighbor_counts();
-        assert_eq!(bulk.len(), g.value_count(), "seed {seed}");
-        for v in g.value_nodes() {
-            assert_eq!(proj.degree(v), g.value_neighbor_count(v), "seed {seed}");
-            assert_eq!(bulk[v as usize], g.value_neighbor_count(v), "seed {seed}");
+        for threads in [1, 2, 4] {
+            let bulk = g.value_neighbor_counts(threads);
+            assert_eq!(bulk.len(), g.value_count(), "seed {seed}");
+            for v in g.value_nodes() {
+                assert_eq!(proj.degree(v), g.value_neighbor_count(v), "seed {seed}");
+                assert_eq!(
+                    bulk[v as usize],
+                    g.value_neighbor_count(v),
+                    "seed {seed}, {threads} threads"
+                );
+            }
         }
     }
 }

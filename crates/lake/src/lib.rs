@@ -24,8 +24,11 @@
 //!   ([`delta::DeltaEffects`]) for incremental downstream maintenance.
 //! * [`catalog`] — [`catalog::AttrId`] / [`catalog::AttrRef`], and
 //!   [`catalog::LakeCatalog`], an alias of [`delta::MutableLake`].
-//! * [`csv`] — a from-scratch RFC-4180 CSV reader/writer (no external crate),
-//!   used by [`loader`] to ingest a directory of `.csv` files as a lake.
+//! * [`csv`] — a from-scratch RFC-4180 CSV parser/writer (no external crate)
+//!   that makes one pass over a file's bytes and lends out its fields.
+//!   [`loader`] feeds those straight into per-column dictionaries to ingest
+//!   a directory of `.csv` files as a lake, parsing the files on a
+//!   [`dn_pool::Pool`].
 //! * [`stats`] — per-lake statistics matching Table 1 of the paper.
 //! * [`error`] — the crate error type.
 //!

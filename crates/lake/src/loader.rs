@@ -5,16 +5,29 @@
 //! rows — rows with fewer or more cells than the header — are either padded /
 //! truncated or rejected depending on [`LoadOptions::strict`]; open-data CSV
 //! exports are frequently ragged, so lenient loading is the default.
+//!
+//! A file is read whole and parsed in one pass ([`crate::csv`]); every cell
+//! goes straight into its column's dictionary, so only distinct cells are
+//! ever copied. [`load_dir`] parses its files on a machine-wide
+//! [`dn_pool::Pool`] into transient buffers, and the calling thread alone
+//! turns those into tables and adds them in path order, so the lake is the
+//! same at every width and every allocation it keeps is the caller's. glibc
+//! gives each spawned thread a malloc arena of its own, and columns built
+//! on the workers would keep those arenas resident after the lake is gone.
 
+use std::borrow::Cow;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+use dn_pool::Pool;
 
 use crate::catalog::LakeCatalog;
 use crate::column::Column;
-use crate::csv::{CsvOptions, CsvReader};
+use crate::csv::{CsvOptions, Records};
 use crate::error::LakeError;
 use crate::table::Table;
+use crate::value::FxHashMap;
 use crate::Result;
 
 /// Options controlling how CSV files are turned into tables.
@@ -27,59 +40,122 @@ pub struct LoadOptions {
     pub strict: bool,
 }
 
-/// Parse a single CSV file into a [`Table`] named after its file stem.
-pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
-    let file = File::open(path).map_err(|e| LakeError::io_with_path(e, path))?;
-    let mut reader = CsvReader::with_options(BufReader::new(file), options.csv);
+/// One column of a parsed file: its distinct raw cells in first-occurrence
+/// order, concatenated, and the dictionary index of every row.
+struct ParsedColumn {
+    name: String,
+    cells: String,
+    /// Where each distinct cell ends in `cells`.
+    ends: Vec<usize>,
+    indices: Vec<u32>,
+}
+
+/// A parsed file, in buffers that live only until it becomes a [`Table`].
+struct ParsedTable {
+    name: String,
+    columns: Vec<ParsedColumn>,
+}
+
+impl ParsedTable {
+    /// The table, every part of it allocated by the calling thread.
+    fn to_table(&self) -> Result<Table> {
+        let columns = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, column)| {
+                let name = if column.name.trim().is_empty() {
+                    format!("column_{i}")
+                } else {
+                    column.name.clone()
+                };
+                let mut start = 0;
+                let dictionary = column
+                    .ends
+                    .iter()
+                    .map(|&end| {
+                        let cell = column.cells[start..end].to_owned();
+                        start = end;
+                        cell
+                    })
+                    .collect();
+                Column::from_dictionary(name, dictionary, column.indices.clone())
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Table::from_columns(self.name.clone(), columns))
+    }
+}
+
+/// Parse a CSV document into per-column dictionaries. A record is checked
+/// in full (structure, then UTF-8) before its width is.
+fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<ParsedTable> {
+    let mut records = Records::new(bytes, options.csv);
+    let mut fields = Vec::new();
+    if !records.next_into(&mut fields)? {
+        return Err(LakeError::EmptyTable(name));
+    }
+    let mut columns: Vec<ParsedColumn> = fields
+        .drain(..)
+        .map(|header| ParsedColumn {
+            name: header.into_owned(),
+            cells: String::new(),
+            ends: Vec::new(),
+            indices: Vec::new(),
+        })
+        .collect();
+    let width = columns.len();
+    let mut index_of: Vec<FxHashMap<Cow<str>, u32>> =
+        (0..width).map(|_| FxHashMap::default()).collect();
+    let mut row = 0;
+    while records.next_into(&mut fields)? {
+        row += 1;
+        if fields.len() != width && options.strict {
+            return Err(LakeError::RaggedRow {
+                table: name,
+                row,
+                expected: width,
+                found: fields.len(),
+            });
+        }
+        // Short rows are padded with empty cells, long ones truncated.
+        let mut cells = fields.drain(..);
+        for (column, index_of) in columns.iter_mut().zip(&mut index_of) {
+            let cell = cells.next().unwrap_or(Cow::Borrowed(""));
+            let ix = match index_of.get(cell.as_ref()) {
+                Some(&ix) => ix,
+                None => {
+                    let ix = column.ends.len() as u32;
+                    column.cells.push_str(&cell);
+                    column.ends.push(column.cells.len());
+                    index_of.insert(cell, ix);
+                    ix
+                }
+            };
+            column.indices.push(ix);
+        }
+    }
+    Ok(ParsedTable { name, columns })
+}
+
+fn parse_file(path: &Path, options: LoadOptions) -> Result<ParsedTable> {
+    let bytes = fs::read(path).map_err(|e| LakeError::io_with_path(e, path))?;
     let name = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "unnamed".to_owned());
+    parse_table(name, &bytes, options)
+}
 
-    let header = match reader.next_record()? {
-        Some(h) => h,
-        None => return Err(LakeError::EmptyTable(name)),
-    };
-    let width = header.len();
-    let mut columns: Vec<Vec<String>> = vec![Vec::new(); width];
-    let mut row_idx = 0usize;
-    while let Some(mut record) = reader.next_record()? {
-        row_idx += 1;
-        if record.len() != width {
-            if options.strict {
-                return Err(LakeError::RaggedRow {
-                    table: name,
-                    row: row_idx,
-                    expected: width,
-                    found: record.len(),
-                });
-            }
-            record.resize(width, String::new());
-        }
-        for (i, cell) in record.into_iter().enumerate().take(width) {
-            columns[i].push(cell);
-        }
-    }
-
-    let columns: Vec<Column> = header
-        .into_iter()
-        .enumerate()
-        .map(|(i, col_name)| {
-            let col_name = if col_name.trim().is_empty() {
-                format!("column_{i}")
-            } else {
-                col_name
-            };
-            Column::new(col_name, std::mem::take(&mut columns[i]))
-        })
-        .collect();
-    Ok(Table::from_columns(name, columns))
+/// Parse a single CSV file into a [`Table`] named after its file stem.
+pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
+    parse_file(path, options)?.to_table()
 }
 
 /// Load every `*.csv` file in a directory (non-recursive) into a lake.
 ///
 /// Files are loaded in lexicographic order so the resulting [`AttrId`]s
-/// (and therefore downstream graph node ids) are deterministic.
+/// (and therefore downstream graph node ids) are deterministic. They are
+/// parsed in parallel; the first error in that order is returned.
 ///
 /// [`AttrId`]: crate::catalog::AttrId
 pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatalog> {
@@ -94,11 +170,17 @@ pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatal
         })
         .collect();
     paths.sort();
+    load_paths(&paths, options, Pool::machine_wide())
+}
 
+/// Parse `paths` on `pool` and add their tables in path order on the
+/// calling thread: the lake, or the first error in path order, is the one
+/// a sequential fold of [`load_table`] gives, whatever the pool's width.
+fn load_paths(paths: &[PathBuf], options: LoadOptions, pool: Pool) -> Result<LakeCatalog> {
+    let parsed = pool.run(paths.len(), |i| parse_file(&paths[i], options));
     let mut catalog = LakeCatalog::new();
-    for path in paths {
-        let table = load_table(&path, options)?;
-        catalog.add_table(table)?;
+    for table in parsed {
+        catalog.add_table(table?.to_table()?)?;
     }
     Ok(catalog)
 }
@@ -140,6 +222,7 @@ pub fn write_table<W: Write>(out: &mut W, table: &Table) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::oracle::CsvReader;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
@@ -239,5 +322,154 @@ mod tests {
         let lake = load_dir(&dir, LoadOptions::default()).unwrap();
         assert_eq!(lake.live_table_names(), ["a", "b"]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `load_table` as it was before the one-pass parser: the reference
+    /// reader's records, padded or truncated, through `Column::new`.
+    fn oracle_table(path: &Path, options: LoadOptions) -> Result<Table> {
+        let bytes = fs::read(path).unwrap();
+        let mut reader = CsvReader::with_options(&bytes[..], options.csv);
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let Some(header) = reader.next_record()? else {
+            return Err(LakeError::EmptyTable(name));
+        };
+        let width = header.len();
+        let mut columns: Vec<Vec<String>> = vec![Vec::new(); width];
+        let mut row = 0;
+        while let Some(mut record) = reader.next_record()? {
+            row += 1;
+            if record.len() != width && options.strict {
+                return Err(LakeError::RaggedRow {
+                    table: name,
+                    row,
+                    expected: width,
+                    found: record.len(),
+                });
+            }
+            record.resize(width, String::new());
+            for (column, cell) in columns.iter_mut().zip(record) {
+                column.push(cell);
+            }
+        }
+        let columns = header
+            .into_iter()
+            .zip(columns)
+            .enumerate()
+            .map(|(i, (name, cells))| {
+                let name = if name.trim().is_empty() {
+                    format!("column_{i}")
+                } else {
+                    name
+                };
+                Column::new(name, cells)
+            })
+            .collect();
+        Ok(Table::from_columns(name, columns))
+    }
+
+    /// Everything a loaded lake holds, in order, or the error's every field.
+    fn contents(lake: &Result<LakeCatalog>) -> String {
+        let lake = match lake {
+            Ok(lake) => lake,
+            Err(err) => return format!("{err:?}"),
+        };
+        let tables: Vec<_> = lake
+            .tables()
+            .map(|table| {
+                let columns: Vec<_> = table
+                    .columns()
+                    .iter()
+                    .map(|c| {
+                        let distinct: Vec<&str> = c.distinct_values().collect();
+                        (c.name(), c.dictionary(), c.cell_indices(), distinct)
+                    })
+                    .collect();
+                (table.name(), columns)
+            })
+            .collect();
+        let values: Vec<_> = lake.interner().iter().collect();
+        format!("{tables:?} {values:?}")
+    }
+
+    /// Seeded directories of files the writer produced (some ragged),
+    /// half of them with bad files mixed in — an unterminated quote, a
+    /// byte that is not UTF-8, junk after a closing quote, an empty file.
+    /// Strict and lenient, at pool widths 1, 2 and 4, the lake or the
+    /// first error equals the reference reader's sequential fold.
+    #[test]
+    fn load_dir_is_width_invariant_and_matches_the_reference_reader() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const CELLS: [&str; 8] = [
+            "Jaguar",
+            "jaguar ",
+            "é",
+            "a,b",
+            "say \"hi\"",
+            "",
+            "two\nlines",
+            "x\r",
+        ];
+        const BAD: [&[u8]; 4] = [b"\"unterminated\n", b"ok,\xFF\n", b"\"x\"y,1\n", b""];
+        let mut rng = StdRng::seed_from_u64(0x10AD);
+        let (mut lakes, mut errors) = (0, 0);
+        for seed in 0..12 {
+            let dir = temp_dir(&format!("widths_{seed}"));
+            for file in 0..6 {
+                let width = rng.gen_range(1..4);
+                let records: Vec<Vec<String>> = (0..rng.gen_range(1..30))
+                    .map(|_| {
+                        let len = if rng.gen_bool(0.1) {
+                            rng.gen_range(1..6)
+                        } else {
+                            width
+                        };
+                        (0..len)
+                            .map(|_| CELLS[rng.gen_range(0..CELLS.len())].to_owned())
+                            .collect()
+                    })
+                    .collect();
+                let mut bytes = Vec::new();
+                crate::csv::write_records(&mut bytes, &records).unwrap();
+                if seed % 2 == 1 && rng.gen_bool(0.5) {
+                    let bad = BAD[rng.gen_range(0..BAD.len())];
+                    if bad.is_empty() {
+                        bytes.clear();
+                    } else {
+                        bytes.extend_from_slice(bad);
+                    }
+                }
+                fs::write(dir.join(format!("t{file}.csv")), bytes).unwrap();
+            }
+            let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            paths.sort();
+            for strict in [false, true] {
+                let options = LoadOptions {
+                    strict,
+                    ..LoadOptions::default()
+                };
+                let oracle = paths.iter().try_fold(LakeCatalog::new(), |mut lake, path| {
+                    lake.add_table(oracle_table(path, options)?)?;
+                    Ok(lake)
+                });
+                match &oracle {
+                    Ok(_) => lakes += 1,
+                    Err(_) => errors += 1,
+                }
+                let expected = contents(&oracle);
+                for threads in [1, 2, 4] {
+                    let loaded = load_paths(&paths, options, Pool::new(threads));
+                    assert_eq!(
+                        contents(&loaded),
+                        expected,
+                        "seed {seed}, strict {strict}, {threads} threads"
+                    );
+                }
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(lakes >= 4 && errors >= 4, "{lakes} lakes, {errors} errors");
     }
 }
