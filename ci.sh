@@ -35,7 +35,8 @@
 #   --quick   everything tier-1 (build, benchmark build, tests, golden,
 #             ledger, stress, recovery, sharded placement, process
 #             probes); the full run is
-#             --quick plus the standing benchmark's determinism run and
+#             --quick plus the CSV differential loop's long mode, the
+#             standing benchmark's determinism run and
 #             `paper all --scale 0.2` from the release build
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -228,6 +229,12 @@ if [[ -n "${STRAY}" ]]; then
 fi
 
 if [[ "$QUICK" -eq 0 ]]; then
+    # The CSV differential loop's long mode: the same property as the
+    # quick gate above over 60 000 documents from another seed (#[ignore]d
+    # in the plain test run).
+    gate "CSV parser == reference reader, long mode (60 000 seeded documents)" \
+        -p lake --lib -- --ignored hostile_bytes_match_the_reference_reader_long
+
     # Every workload twice from one seed: same operation stream, request
     # count, store bytes and ops delivered both times. The digests must
     # also be the committed ones: batch_detect's folds every ranked
@@ -248,7 +255,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the benchmark's determinism run and paper all --scale 0.2"
+    echo "==> --quick: skipping the CSV long mode, the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

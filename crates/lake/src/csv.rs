@@ -665,13 +665,12 @@ mod tests {
         false
     }
 
-    /// Seeded random documents over the bytes a parser must get right —
-    /// a two-byte character, a byte that is never UTF-8, the delimiter,
-    /// the quote and both halves of a line break — parsed by the parser
-    /// and the oracle: nothing panics, and without a stray quote both give
-    /// the same records or the same error (variant and line).
-    #[test]
-    fn hostile_bytes_match_the_reference_reader() {
+    /// `cases` seeded random documents over the bytes a parser must get
+    /// right — a two-byte character, a byte that is never UTF-8, the
+    /// delimiter, the quote and both halves of a line break — parsed by the
+    /// parser and the oracle: nothing panics, and without a stray quote
+    /// both give the same records or the same error (variant and line).
+    fn hostile_bytes_against_the_oracle(seed: u64, cases: usize) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         const PIECES: [&[u8]; 8] = [
             b"a",
@@ -683,9 +682,9 @@ mod tests {
             b"\r",
             b" ",
         ];
-        let mut rng = StdRng::seed_from_u64(0xC5F);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut compared = 0;
-        for case in 0..4000 {
+        for case in 0..cases {
             let len = rng.gen_range(0..24);
             let doc: Vec<u8> = (0..len)
                 .flat_map(|_| PIECES[rng.gen_range(0..PIECES.len())].iter().copied())
@@ -706,6 +705,20 @@ mod tests {
                 assert_eq!(debug(ours), debug(theirs), "case {case}: {doc:?}");
             }
         }
-        assert!(compared > 2000, "only {compared} documents compared");
+        assert!(compared > cases / 2, "only {compared} documents compared");
+    }
+
+    #[test]
+    fn hostile_bytes_match_the_reference_reader() {
+        hostile_bytes_against_the_oracle(0xC5F, 4_000);
+    }
+
+    /// The long mode: `cargo test -p lake --lib -- --ignored
+    /// hostile_bytes_match_the_reference_reader_long` (`./ci.sh` runs it in
+    /// its full run).
+    #[test]
+    #[ignore = "long mode, run by ./ci.sh without --quick"]
+    fn hostile_bytes_match_the_reference_reader_long() {
+        hostile_bytes_against_the_oracle(0x10_C5F, 60_000);
     }
 }

@@ -299,8 +299,11 @@ impl MutableLake {
     /// Add a table to the lake, indexing all of its columns and values.
     ///
     /// # Errors
-    /// [`LakeError::DuplicateTable`] if a live table has the same name.
+    /// [`LakeError::DuplicateTable`] if a live table has the same name, or
+    /// the shape error [`Table::validate_shape`] reports: a lake holds only
+    /// tables its snapshot can decode.
     pub fn add_table(&mut self, table: Table) -> Result<()> {
+        table.validate_shape()?;
         if self.table_index.contains_key(table.name()) {
             return Err(LakeError::DuplicateTable(table.name().to_owned()));
         }
@@ -337,6 +340,8 @@ impl MutableLake {
     ///
     /// # Errors
     /// * [`LakeError::DuplicateTable`] when adding a name that is live.
+    /// * [`LakeError::ColumnLengthMismatch`] or
+    ///   [`LakeError::DuplicateColumn`] when adding an ill-shaped table.
     /// * [`LakeError::NotFound`] when removing or mutating a missing table
     ///   or column.
     pub fn apply(&mut self, delta: &LakeDelta) -> Result<DeltaEffects> {
@@ -674,6 +679,8 @@ impl MutableLake {
     /// the inputs come from disk, and a half-loaded lake must never escape:
     ///
     /// * the interner values must be distinct (ids are their positions);
+    /// * every live table must be well-shaped ([`Table::validate_shape`]:
+    ///   equally long, uniquely named columns);
     /// * live table names must be unique; the three attribute-slot arrays
     ///   must agree in length;
     /// * every live attribute must point at a live table and a valid column,
@@ -688,7 +695,8 @@ impl MutableLake {
     /// the validated parts rather than trusted from disk.
     ///
     /// # Errors
-    /// [`LakeError::Serde`] describing the first violated invariant.
+    /// [`LakeError::Serde`] describing the first violated invariant, or the
+    /// shape error [`Table::validate_shape`] reports.
     pub fn from_raw_parts(
         tables: Vec<Option<Table>>,
         attr_locations: Vec<(usize, usize)>,
@@ -705,6 +713,7 @@ impl MutableLake {
         let mut table_index = HashMap::new();
         for (slot, table) in tables.iter().enumerate() {
             if let Some(table) = table {
+                table.validate_shape()?;
                 if table_index.insert(table.name().to_owned(), slot).is_some() {
                     return Err(corrupt(format!(
                         "live table name '{}' appears in two slots",
@@ -951,6 +960,40 @@ mod tests {
         assert_eq!(lake.value_count(), 5);
         let jaguar = lake.value_id("JAGUAR").unwrap();
         assert_eq!(lake.value_attributes(jaguar), &[AttrId(0), AttrId(1)]);
+    }
+
+    #[test]
+    fn ill_shaped_tables_never_enter_the_lake() {
+        // Snapshot decode refuses these, so a lake that held one could not
+        // be recovered from its own checkpoint.
+        let column = |name: &str, cells: &[&str]| {
+            Column::new(name, cells.iter().map(|c| c.to_string()).collect())
+        };
+        let ragged = Table::from_columns(
+            "ragged",
+            vec![column("a", &["Jaguar", "Puma"]), column("b", &["Okapi"])],
+        );
+        let twice = Table::from_columns(
+            "twice",
+            vec![column("a", &["Jaguar"]), column("a", &["Okapi"])],
+        );
+        let mut lake = MutableLake::new();
+        lake.add_table(zoo()).unwrap();
+        assert!(matches!(
+            lake.add_table(ragged.clone()),
+            Err(LakeError::ColumnLengthMismatch { .. })
+        ));
+        assert!(matches!(
+            lake.apply(&LakeDelta::new().add_table(ragged)),
+            Err(LakeError::ColumnLengthMismatch { .. })
+        ));
+        assert!(matches!(
+            lake.apply(&LakeDelta::new().add_table(twice)),
+            Err(LakeError::DuplicateColumn { .. })
+        ));
+        assert_eq!(lake.live_table_names(), ["zoo"]);
+        assert_eq!(lake.attribute_count(), 1);
+        assert_eq!(lake.value_count(), 3);
     }
 
     #[test]

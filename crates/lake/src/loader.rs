@@ -7,13 +7,13 @@
 //! exports are frequently ragged, so lenient loading is the default.
 //!
 //! A file is read whole and parsed in one pass ([`crate::csv`]); every cell
-//! goes straight into its column's dictionary, so only distinct cells are
-//! ever copied. [`load_dir`] parses its files on a machine-wide
-//! [`dn_pool::Pool`] into transient buffers, and the calling thread alone
-//! turns those into tables and adds them in path order, so the lake is the
-//! same at every width and every allocation it keeps is the caller's. glibc
-//! gives each spawned thread a malloc arena of its own, and columns built
-//! on the workers would keep those arenas resident after the lake is gone.
+//! goes straight into its column's dictionary, one buffer per column, so
+//! only distinct cells are ever copied. [`load_dir`] parses its files and
+//! builds their tables on a machine-wide [`dn_pool::Pool`], and the calling
+//! thread adds them in path order, so the lake is the same at every width.
+//! A column is a handful of buffers, so the tables a worker built pin no
+//! measurable share of its malloc arena (ARCHITECTURE.md, "Who allocates
+//! what outlives the call").
 
 use std::borrow::Cow;
 use std::fs::{self, File};
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use dn_pool::Pool;
 
 use crate::catalog::LakeCatalog;
-use crate::column::Column;
+use crate::column::{Column, StringList};
 use crate::csv::{CsvOptions, Records};
 use crate::error::LakeError;
 use crate::table::Table;
@@ -40,55 +40,20 @@ pub struct LoadOptions {
     pub strict: bool,
 }
 
-/// One column of a parsed file: its distinct raw cells in first-occurrence
-/// order, concatenated, and the dictionary index of every row.
+/// One column of a file being parsed: its distinct raw cells in
+/// first-occurrence order and the dictionary index of every row.
 struct ParsedColumn {
     name: String,
-    cells: String,
-    /// Where each distinct cell ends in `cells`.
-    ends: Vec<usize>,
+    dictionary: StringList,
     indices: Vec<u32>,
 }
 
-/// A parsed file, in buffers that live only until it becomes a [`Table`].
-struct ParsedTable {
-    name: String,
-    columns: Vec<ParsedColumn>,
-}
-
-impl ParsedTable {
-    /// The table, every part of it allocated by the calling thread.
-    fn to_table(&self) -> Result<Table> {
-        let columns = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, column)| {
-                let name = if column.name.trim().is_empty() {
-                    format!("column_{i}")
-                } else {
-                    column.name.clone()
-                };
-                let mut start = 0;
-                let dictionary = column
-                    .ends
-                    .iter()
-                    .map(|&end| {
-                        let cell = column.cells[start..end].to_owned();
-                        start = end;
-                        cell
-                    })
-                    .collect();
-                Column::from_dictionary(name, dictionary, column.indices.clone())
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Table::from_columns(self.name.clone(), columns))
-    }
-}
-
-/// Parse a CSV document into per-column dictionaries. A record is checked
-/// in full (structure, then UTF-8) before its width is.
-fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<ParsedTable> {
+/// Parse a CSV document into per-column dictionaries, then build its
+/// columns (validated, normalized and sorted by [`Column::from_dictionary`]).
+/// A record is checked in full (structure, then UTF-8) before its width is,
+/// and every record before the header names are: a header that names a
+/// column twice is [`LakeError::DuplicateColumn`].
+fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Table> {
     let mut records = Records::new(bytes, options.csv);
     let mut fields = Vec::new();
     if !records.next_into(&mut fields)? {
@@ -98,8 +63,7 @@ fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Parse
         .drain(..)
         .map(|header| ParsedColumn {
             name: header.into_owned(),
-            cells: String::new(),
-            ends: Vec::new(),
+            dictionary: StringList::new(),
             indices: Vec::new(),
         })
         .collect();
@@ -124,9 +88,8 @@ fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Parse
             let ix = match index_of.get(cell.as_ref()) {
                 Some(&ix) => ix,
                 None => {
-                    let ix = column.ends.len() as u32;
-                    column.cells.push_str(&cell);
-                    column.ends.push(column.cells.len());
+                    let ix = column.dictionary.len() as u32;
+                    column.dictionary.push(&cell);
                     index_of.insert(cell, ix);
                     ix
                 }
@@ -134,21 +97,31 @@ fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Parse
             column.indices.push(ix);
         }
     }
-    Ok(ParsedTable { name, columns })
+    let columns = columns
+        .into_iter()
+        .enumerate()
+        .map(|(i, column)| {
+            let name = if column.name.trim().is_empty() {
+                format!("column_{i}")
+            } else {
+                column.name
+            };
+            Column::from_dictionary(name, column.dictionary, column.indices)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let table = Table::from_columns(name, columns);
+    table.validate_shape()?;
+    Ok(table)
 }
 
-fn parse_file(path: &Path, options: LoadOptions) -> Result<ParsedTable> {
+/// Parse a single CSV file into a [`Table`] named after its file stem.
+pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
     let bytes = fs::read(path).map_err(|e| LakeError::io_with_path(e, path))?;
     let name = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "unnamed".to_owned());
     parse_table(name, &bytes, options)
-}
-
-/// Parse a single CSV file into a [`Table`] named after its file stem.
-pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
-    parse_file(path, options)?.to_table()
 }
 
 /// Load every `*.csv` file in a directory (non-recursive) into a lake.
@@ -173,14 +146,14 @@ pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatal
     load_paths(&paths, options, Pool::machine_wide())
 }
 
-/// Parse `paths` on `pool` and add their tables in path order on the
-/// calling thread: the lake, or the first error in path order, is the one
-/// a sequential fold of [`load_table`] gives, whatever the pool's width.
+/// Load `paths` on `pool` and add their tables in path order: the lake, or
+/// the first error in path order, is the one a sequential fold of
+/// [`load_table`] gives, whatever the pool's width.
 fn load_paths(paths: &[PathBuf], options: LoadOptions, pool: Pool) -> Result<LakeCatalog> {
-    let parsed = pool.run(paths.len(), |i| parse_file(&paths[i], options));
+    let loaded = pool.run(paths.len(), |i| load_table(&paths[i], options));
     let mut catalog = LakeCatalog::new();
-    for table in parsed {
-        catalog.add_table(table?.to_table()?)?;
+    for table in loaded {
+        catalog.add_table(table?)?;
     }
     Ok(catalog)
 }
@@ -292,6 +265,21 @@ mod tests {
     }
 
     #[test]
+    fn a_header_that_names_a_column_twice_is_a_typed_error() {
+        // A placeholder that collides with a real name counts too.
+        let dir = temp_dir("twice");
+        for header in ["id,name,id", "column_1,"] {
+            fs::write(dir.join("t.csv"), format!("{header}\n1,2,3\n")).unwrap();
+            let twice = |err: &LakeError| matches!(err, LakeError::DuplicateColumn { table, .. } if table == "t");
+            let err = load_table(&dir.join("t.csv"), LoadOptions::default()).unwrap_err();
+            assert!(twice(&err), "{header}: {err:?}");
+            let err = load_dir(&dir, LoadOptions::default()).unwrap_err();
+            assert!(twice(&err), "{header}: {err:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn save_and_reload_round_trips_lake() {
         let dir = temp_dir("roundtrip");
         let lake = crate::fixtures::running_example();
@@ -393,7 +381,8 @@ mod tests {
 
     /// Seeded directories of files the writer produced (some ragged),
     /// half of them with bad files mixed in — an unterminated quote, a
-    /// byte that is not UTF-8, junk after a closing quote, an empty file.
+    /// byte that is not UTF-8, junk after a closing quote, an empty file,
+    /// a header that names a column twice.
     /// Strict and lenient, at pool widths 1, 2 and 4, the lake or the
     /// first error equals the reference reader's sequential fold.
     #[test]
@@ -416,7 +405,7 @@ mod tests {
             let dir = temp_dir(&format!("widths_{seed}"));
             for file in 0..6 {
                 let width = rng.gen_range(1..4);
-                let records: Vec<Vec<String>> = (0..rng.gen_range(1..30))
+                let mut records: Vec<Vec<String>> = (0..rng.gen_range(1..30))
                     .map(|_| {
                         let len = if rng.gen_bool(0.1) {
                             rng.gen_range(1..6)
@@ -428,15 +417,24 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                // The header names a run of distinct cells, except in the
+                // bad file that names its first column twice.
+                let start = rng.gen_range(0..CELLS.len());
+                for (c, name) in records[0].iter_mut().enumerate() {
+                    *name = CELLS[(start + c) % CELLS.len()].to_owned();
+                }
+                let bad =
+                    (seed % 2 == 1 && rng.gen_bool(0.5)).then(|| rng.gen_range(0..BAD.len() + 1));
+                if bad == Some(BAD.len()) {
+                    let first = records[0][0].clone();
+                    records[0].push(first);
+                }
                 let mut bytes = Vec::new();
                 crate::csv::write_records(&mut bytes, &records).unwrap();
-                if seed % 2 == 1 && rng.gen_bool(0.5) {
-                    let bad = BAD[rng.gen_range(0..BAD.len())];
-                    if bad.is_empty() {
-                        bytes.clear();
-                    } else {
-                        bytes.extend_from_slice(bad);
-                    }
+                match bad.and_then(|i| BAD.get(i)) {
+                    Some([]) => bytes.clear(),
+                    Some(bad) => bytes.extend_from_slice(bad),
+                    None => {}
                 }
                 fs::write(dir.join(format!("t{file}.csv")), bytes).unwrap();
             }

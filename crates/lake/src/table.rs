@@ -23,6 +23,7 @@ impl Table {
     ///
     /// Prefer [`TableBuilder`]; this constructor is for internal use by the
     /// loader and generators that guarantee rectangular data by construction.
+    /// A lake refuses an ill-shaped table ([`Table::validate_shape`]).
     pub fn from_columns(name: impl Into<String>, columns: Vec<Column>) -> Self {
         Table {
             name: name.into(),
@@ -84,8 +85,8 @@ impl Table {
     }
 
     /// Check the invariants a well-formed table upholds by construction —
-    /// rectangular columns, unique column names, and every column's
-    /// dictionary encoding ([`Column::validate_encoding`]).
+    /// every column's dictionary encoding ([`Column::validate_encoding`])
+    /// and the table's shape ([`Table::validate_shape`]).
     ///
     /// Tables normally enter the process through [`TableBuilder`] or the
     /// loader, which enforce all of this; a table deserialized from an
@@ -95,9 +96,24 @@ impl Table {
     /// # Errors
     /// The corresponding [`LakeError`] for the violated invariant.
     pub fn validate_encoding(&self) -> Result<()> {
-        let expected = self.row_count();
-        for (i, col) in self.columns.iter().enumerate() {
+        for col in &self.columns {
             col.validate_encoding()?;
+        }
+        self.validate_shape()
+    }
+
+    /// Check that the columns are equally long and uniquely named. Every
+    /// door into a lake runs it: [`TableBuilder::build`], the CSV loader,
+    /// [`MutableLake::add_table`](crate::delta::MutableLake::add_table)
+    /// and snapshot decode. `rows()` and CSV write-back would pad or
+    /// truncate a ragged table, and a lake holding an ill-shaped table
+    /// would write a snapshot that decode refuses.
+    ///
+    /// # Errors
+    /// [`LakeError::ColumnLengthMismatch`] or [`LakeError::DuplicateColumn`].
+    pub fn validate_shape(&self) -> Result<()> {
+        let expected = self.row_count();
+        for col in &self.columns {
             if col.len() != expected {
                 return Err(LakeError::ColumnLengthMismatch {
                     table: self.name.clone(),
@@ -106,6 +122,8 @@ impl Table {
                     found: col.len(),
                 });
             }
+        }
+        for (i, col) in self.columns.iter().enumerate() {
             if self.columns[..i].iter().any(|c| c.name() == col.name()) {
                 return Err(LakeError::DuplicateColumn {
                     table: self.name.clone(),
@@ -166,29 +184,9 @@ impl TableBuilder {
         if self.columns.is_empty() {
             return Err(LakeError::EmptyTable(self.name));
         }
-        let expected = self.columns[0].len();
-        for col in &self.columns {
-            if col.len() != expected {
-                return Err(LakeError::ColumnLengthMismatch {
-                    table: self.name,
-                    column: col.name().to_owned(),
-                    expected,
-                    found: col.len(),
-                });
-            }
-        }
-        for (i, col) in self.columns.iter().enumerate() {
-            if self.columns[..i].iter().any(|c| c.name() == col.name()) {
-                return Err(LakeError::DuplicateColumn {
-                    table: self.name,
-                    column: col.name().to_owned(),
-                });
-            }
-        }
-        Ok(Table {
-            name: self.name,
-            columns: self.columns,
-        })
+        let table = Table::from_columns(self.name, self.columns);
+        table.validate_shape()?;
+        Ok(table)
     }
 }
 

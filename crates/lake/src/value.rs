@@ -109,10 +109,22 @@ impl From<u32> for ValueId {
 /// assert_eq!(lake::normalize(""), "");
 /// ```
 pub fn normalize(raw: &str) -> String {
+    let mut out = String::new();
+    normalize_into(raw, &mut out);
+    out
+}
+
+/// Append the [`normalize`]d form of `raw` to `out`, so many values can be
+/// normalized into one buffer without an allocation each.
+///
+/// ```
+/// let mut out = String::from("A|");
+/// lake::value::normalize_into(" b  c ", &mut out);
+/// assert_eq!(out, "A|B C");
+/// ```
+pub fn normalize_into(raw: &str, out: &mut String) {
     let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return String::new();
-    }
+    out.reserve(trimmed.len());
     if trimmed.is_ascii() {
         // Bytewise fast path for the overwhelmingly common case: skips the
         // per-char decode and the `char::to_uppercase` iterator machinery.
@@ -121,22 +133,20 @@ pub fn normalize(raw: &str) -> String {
         // uppercasing is the ASCII table. Normalization is on the critical
         // path of both CSV ingestion and snapshot recovery, so this is a
         // measured cold-start win, not speculation.
-        let mut out = Vec::with_capacity(trimmed.len());
         let mut last_was_space = false;
         for &b in trimmed.as_bytes() {
             if b.is_ascii_whitespace() || b == 0x0B {
                 if !last_was_space {
-                    out.push(b' ');
+                    out.push(' ');
                     last_was_space = true;
                 }
             } else {
-                out.push(b.to_ascii_uppercase());
+                out.push(char::from(b.to_ascii_uppercase()));
                 last_was_space = false;
             }
         }
-        return String::from_utf8(out).expect("ASCII in, ASCII out");
+        return;
     }
-    let mut out = String::with_capacity(trimmed.len());
     let mut last_was_space = false;
     for ch in trimmed.chars() {
         if ch.is_whitespace() {
@@ -145,13 +155,10 @@ pub fn normalize(raw: &str) -> String {
                 last_was_space = true;
             }
         } else {
-            for up in ch.to_uppercase() {
-                out.push(up);
-            }
+            out.extend(ch.to_uppercase());
             last_was_space = false;
         }
     }
-    out
 }
 
 /// Returns `true` when a normalized value should be treated as missing.

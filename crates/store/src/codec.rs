@@ -252,9 +252,14 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn get_str_ref(&mut self) -> Result<&'a str> {
         let len = self.get_count(1)?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| StoreError::corrupt(format!("{}: string is not UTF-8", self.context)))
     }
 

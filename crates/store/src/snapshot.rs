@@ -367,8 +367,8 @@ fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
             let col_name = r.get_str()?;
             let dict_count = r.get_count(8)?;
             let dictionary = (0..dict_count)
-                .map(|_| r.get_str())
-                .collect::<Result<Vec<String>>>()?;
+                .map(|_| r.get_str_ref())
+                .collect::<Result<lake::column::StringList>>()?;
             let indices = r.get_u32_vec()?;
             let column = lake::Column::from_dictionary(col_name, dictionary, indices)
                 .map_err(|e| StoreError::corrupt(format!("lake: {e}")))?;

@@ -97,21 +97,22 @@ fn future_format_version_is_typed() {
     }
 }
 
-/// `bytes` with the net section's payload (the file's last) replaced and
-/// its length and CRC in the section table re-derived, so only the
-/// structural validation can object.
-fn with_net_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
-    let sections = section_table(bytes).unwrap();
-    let (index, net) = sections
+/// `bytes` with section `name`'s payload replaced: the new payload is
+/// appended and the section's offset, length and CRC in the section table
+/// re-derived, so only the structural validation can object. The old
+/// payload stays behind, unreferenced.
+fn with_payload(bytes: &[u8], name: &str, payload: &[u8]) -> Vec<u8> {
+    let index = section_table(bytes)
+        .unwrap()
         .iter()
-        .enumerate()
-        .find(|(_, s)| s.name == "net")
+        .position(|s| s.name == name)
         .unwrap();
-    assert_eq!(net.offset + net.len, bytes.len(), "net is the last section");
-    let mut forged = bytes[..net.offset].to_vec();
+    let mut forged = bytes.to_vec();
+    let offset = forged.len() as u64;
     forged.extend_from_slice(payload);
     // magic, version, count, then { id u32, offset u64, len u64, crc u32 }.
     let entry = 16 + index * 24;
+    forged[entry + 4..entry + 12].copy_from_slice(&offset.to_le_bytes());
     forged[entry + 12..entry + 20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     forged[entry + 20..entry + 24].copy_from_slice(&dn_store::codec::crc32(payload).to_le_bytes());
     forged
@@ -143,7 +144,7 @@ fn forged_cardinalities_are_corrupt_not_served() {
         "net section layout changed"
     );
     let expect_corrupt =
-        |payload: &[u8], what: &str| match decode_snapshot(&with_net_payload(&bytes, payload)) {
+        |payload: &[u8], what: &str| match decode_snapshot(&with_payload(&bytes, "net", payload)) {
             Err(StoreError::Corrupt { context }) => {
                 assert!(context.contains(what), "{context}")
             }
@@ -166,11 +167,11 @@ fn forged_cardinalities_are_corrupt_not_served() {
     expect_corrupt(&haunted, "isolated value node");
 
     // The resealing itself is sound: the untouched payload still loads.
-    decode_snapshot(&with_net_payload(&bytes, payload)).unwrap();
+    decode_snapshot(&with_payload(&bytes, "net", payload)).unwrap();
 }
 
 /// `bytes` with the net section's id maps rewritten by `forge` (given
-/// `node_of_value` and `attr_index_of`), resealed by [`with_net_payload`].
+/// `node_of_value` and `attr_index_of`), resealed by [`with_payload`].
 fn with_forged_id_maps(bytes: &[u8], forge: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>)) -> Vec<u8> {
     let net = *section_table(bytes)
         .unwrap()
@@ -188,7 +189,7 @@ fn with_forged_id_maps(bytes: &[u8], forge: impl FnOnce(&mut Vec<u32>, &mut Vec<
     put_u32_vec(&mut w, &node_of_value);
     put_u32_vec(&mut w, &attr_index_of);
     w.put_bytes(tail);
-    with_net_payload(bytes, &w.into_inner())
+    with_payload(bytes, "net", &w.into_inner())
 }
 
 #[test]
@@ -252,6 +253,68 @@ fn forged_id_maps_are_corrupt_not_served() {
 
     // The forging itself is sound: unchanged maps still load.
     decode_snapshot(&with_forged_id_maps(&bytes, |_, _| {})).unwrap();
+}
+
+#[test]
+fn ill_shaped_tables_are_corrupt_not_served() {
+    // Each column of the lake section is validated on its own, so a
+    // checksum-valid snapshot can still hold a ragged table or name a
+    // column twice; rows() and save_dir would then pad or truncate it. A
+    // lake refuses such a table, so the lake section is forged.
+    let table = TableBuilder::new("forged")
+        .column("col_one", ["Jaguar", "Puma"])
+        .column("col_two", ["Okapi", "Okapi"])
+        .build()
+        .unwrap();
+    let lake = MutableLake::from_tables([table]).unwrap();
+    let net = DomainNetBuilder::new().build(&lake);
+    let manifest = Manifest {
+        last_seq: 1,
+        epoch: 1,
+        measures: Vec::new(),
+    };
+    let bytes = encode_snapshot(&lake, &net, &manifest);
+    let section = *section_table(&bytes)
+        .unwrap()
+        .iter()
+        .find(|s| s.name == "lake")
+        .unwrap();
+    let payload = &bytes[section.offset..section.offset + section.len];
+    // A dictionary entry and the row indices after it, or a bare name.
+    let encoded = |text: &str, indices: Option<&[u32]>| {
+        let mut w = ByteWriter::new();
+        w.put_str(text);
+        if let Some(indices) = indices {
+            put_u32_vec(&mut w, indices);
+        }
+        w.into_inner()
+    };
+    let replaced = |from: &[u8], to: &[u8]| {
+        let at = payload
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("lake section layout changed");
+        [&payload[..at], to, &payload[at + from.len()..]].concat()
+    };
+    // `col_two` keeps its one-entry dictionary but loses a row; or it is
+    // renamed `col_one`.
+    let ragged = replaced(
+        &encoded("Okapi", Some(&[0, 0])),
+        &encoded("Okapi", Some(&[0])),
+    );
+    let twice = replaced(&encoded("col_two", None), &encoded("col_one", None));
+    for (forged, what) in [
+        (ragged, "column 'col_two' has 1 rows but the table has 2"),
+        (twice, "declares column 'col_one' more than once"),
+    ] {
+        match decode_snapshot(&with_payload(&bytes, "lake", &forged)) {
+            Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
+            other => panic!("expected Corrupt ({what}), got {other:?}"),
+        }
+    }
+
+    // The forging itself is sound: the unchanged section still loads.
+    decode_snapshot(&with_payload(&bytes, "lake", payload)).unwrap();
 }
 
 #[test]
