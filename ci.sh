@@ -11,7 +11,8 @@
 # against its literal-sweep oracle, the twin-quotient Brandes kernel
 # against its per-node oracle, the CSV parser against its reference
 # reader and load_dir across pool widths, the concurrency stress test,
-# the dn-store corruption-hardening suite, the crash-recovery suite, the
+# the dn-store corruption-hardening suite (with its seeded hostile-bytes
+# loop over the snapshot sections), the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
 # places every table where op-by-op commits would), the process probes
 # of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
@@ -35,8 +36,9 @@
 #   --quick   everything tier-1 (build, benchmark build, tests, golden,
 #             ledger, stress, recovery, sharded placement, process
 #             probes); the full run is
-#             --quick plus the CSV differential loop's long mode, the
-#             standing benchmark's determinism run and
+#             --quick plus the long modes of the CSV differential loop
+#             and the snapshot hostile-bytes loop, the standing
+#             benchmark's determinism run and
 #             `paper all --scale 0.2` from the release build
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -235,6 +237,12 @@ if [[ "$QUICK" -eq 0 ]]; then
     gate "CSV parser == reference reader, long mode (60 000 seeded documents)" \
         -p lake --lib -- --ignored hostile_bytes_match_the_reference_reader_long
 
+    # The snapshot hostile-bytes loop's long mode: seeded edits of the lake
+    # and net payloads, resealed so the CRC passes, over 50 000 cases from
+    # another seed than the quick run's (#[ignore]d in the plain test run).
+    gate "snapshot sections under hostile bytes, long mode (50 000 seeded cases)" \
+        -p dn-store --test corruption -- --ignored hostile_snapshot_sections_decode_or_refuse_long
+
     # Every workload twice from one seed: same operation stream, request
     # count, store bytes and ops delivered both times. The digests must
     # also be the committed ones: batch_detect's folds every ranked
@@ -255,7 +263,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the CSV long mode, the benchmark's determinism run and paper all --scale 0.2"
+    echo "==> --quick: skipping the CSV and snapshot long modes, the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

@@ -8,12 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::measure::ScoredValue;
 
 /// Precision/recall/F1 at a specific cut-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalPoint {
     /// The cut-off (number of top-ranked values considered retrieved).
     pub k: usize,
@@ -93,7 +91,7 @@ pub fn recall_of_expected_in_top_k(
 
 /// A full precision/recall/F1 curve over every prefix of the ranking
 /// (Figure 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopKCurve {
     /// Evaluation points, one per sampled cut-off, in increasing `k`.
     pub points: Vec<EvalPoint>,

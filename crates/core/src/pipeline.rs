@@ -32,7 +32,7 @@ use lake::LakeError;
 use crate::measure::{Measure, ScoredValue};
 
 /// Options controlling how the DomainNet graph is built from a lake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainNetConfig {
     /// Remove values that occur in only one attribute before building the
     /// graph. Such values cannot be homographs, and pruning them shrinks the

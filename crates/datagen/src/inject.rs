@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use crate::truth::GeneratedLake;
 
 /// Configuration for homograph injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionConfig {
     /// Number of homographs to inject.
     pub count: usize,

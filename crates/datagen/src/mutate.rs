@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use crate::vocab;
 
 /// Configuration for [`MutationStream`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationConfig {
     /// RNG seed; the stream is fully deterministic given the seed and the
     /// sequence of lake states it is asked to mutate.
@@ -260,7 +260,7 @@ impl MutationStream {
 }
 
 /// Configuration for [`DriftStream`], the homograph-drift scenario.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// RNG seed; generations are fully deterministic given the seed.
     pub seed: u64,
@@ -621,7 +621,7 @@ mod tests {
         });
         let delta = stream.next_delta(&lake);
         lake.apply(&delta).unwrap();
-        assert_eq!(lake.live_table_count(), 1);
+        assert_eq!(lake.table_count(), 1);
     }
 
     #[test]
@@ -639,7 +639,7 @@ mod tests {
             let delta = stream.next_delta(&lake);
             lake.apply(&delta).unwrap();
         }
-        assert_eq!(lake.live_table_count(), 7);
+        assert_eq!(lake.table_count(), 7);
     }
 
     #[test]

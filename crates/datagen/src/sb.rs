@@ -23,7 +23,7 @@ use crate::truth::{GeneratedLake, LakeTruth};
 use crate::vocab;
 
 /// Configuration for the SB generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SbConfig {
     /// RNG seed.
     pub seed: u64,

@@ -6,8 +6,6 @@
 //! with no hashing on the hot path, which matters for Brandes' algorithm
 //! whose inner loop touches every edge once per source.
 
-use serde::{Deserialize, Serialize};
-
 /// Incrementally builds a [`BipartiteGraph`].
 ///
 /// The builder accepts edges in any order, tolerates duplicate edges (they
@@ -159,7 +157,7 @@ impl BipartiteBuilder {
 /// assert!(graph.has_edge(jaguar, graph.attribute_node(cars)));
 /// assert_eq!(graph.value_neighbors(jaguar), vec![panda]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BipartiteGraph {
     n_values: usize,
     n_attrs: usize,
@@ -505,15 +503,5 @@ pub(crate) mod tests {
         let mut b = BipartiteBuilder::new();
         let v = b.add_value("v");
         b.add_edge(v, 3);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (g, _) = figure3b();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: BipartiteGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        back.validate().unwrap();
     }
 }

@@ -137,14 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_histogram_sums_to_attribute_count() {
-        let lake = running_example();
-        let hist = lake.cardinality_histogram();
-        let total: usize = hist.values().sum();
-        assert_eq!(total, lake.attribute_count());
-    }
-
-    #[test]
     fn attribute_values_are_sorted_and_deduped() {
         let lake = running_example();
         for (_, values) in lake.live_attribute_values() {

@@ -30,7 +30,7 @@
 //!
 //! let effects = lake.apply(&LakeDelta::new().add_table(zoo).add_table(cars)).unwrap();
 //! assert_eq!(effects.touched_values.len(), 3); // Jaguar, Panda, Fiat
-//! assert_eq!(lake.live_table_count(), 2);
+//! assert_eq!(lake.table_count(), 2);
 //!
 //! // Removing a table tombstones its attributes; value ids stay stable.
 //! let jaguar = lake.value_id("JAGUAR").unwrap();
@@ -39,7 +39,7 @@
 //! assert_eq!(lake.value_attributes(jaguar).len(), 1);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -205,6 +205,38 @@ pub struct DeltaEffects {
 // The lake
 // ---------------------------------------------------------------------------
 
+/// One table slot of a [`MutableLake`], in allocation order. Slots are
+/// never reused: removing a table leaves its slot `Removed`, and its
+/// columns' attribute ids stay allocated, dead.
+#[derive(Debug, Clone)]
+pub enum TableSlot {
+    /// A live table.
+    Live(Table),
+    /// A removed table.
+    Removed {
+        /// The removed table's column count: the attribute ids it keeps.
+        columns: usize,
+    },
+}
+
+impl TableSlot {
+    /// The table, if the slot is live.
+    pub fn live(&self) -> Option<&Table> {
+        match self {
+            TableSlot::Live(table) => Some(table),
+            TableSlot::Removed { .. } => None,
+        }
+    }
+
+    /// The slot's column count: the attribute ids it holds, live or dead.
+    pub fn column_count(&self) -> usize {
+        match self {
+            TableSlot::Live(table) => table.column_count(),
+            TableSlot::Removed { columns } => *columns,
+        }
+    }
+}
+
 /// The data lake: an ordered collection of [`Table`]s with global indexes,
 /// mutable in place with **stable identifiers**.
 ///
@@ -230,8 +262,8 @@ pub struct DeltaEffects {
 /// graph be *patched* instead of rebuilt: node indices derived from these
 /// ids never shift underneath a consumer. Every read accessor
 /// describes the live state, so code written against a never-mutated lake
-/// is correct on a mutated one; [`MutableLake::snapshot`] compacts the live
-/// state into fresh, dense ids.
+/// is correct on a mutated one; `MutableLake::from_tables(lake.tables().cloned())`
+/// compacts the live state into fresh, dense ids.
 ///
 /// ```
 /// use lake::delta::MutableLake;
@@ -260,14 +292,13 @@ pub struct DeltaEffects {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct MutableLake {
-    /// Table slots; `None` marks a tombstoned (removed) table.
-    tables: Vec<Option<Table>>,
+    /// Table slots in allocation order; an attribute is live exactly when
+    /// its slot is.
+    tables: Vec<TableSlot>,
     /// Live table name -> slot.
     table_index: HashMap<String, usize>,
     /// AttrId -> (table slot, column index). Never shrinks.
     attrs: Vec<(usize, usize)>,
-    /// AttrId -> live flag.
-    attr_live: Vec<bool>,
     /// AttrId -> sorted distinct live ValueIds (empty for tombstones).
     attr_values: Vec<Vec<ValueId>>,
     /// ValueId -> sorted live AttrIds containing it.
@@ -312,7 +343,6 @@ impl MutableLake {
         for (col_idx, column) in table.columns().iter().enumerate() {
             let attr = AttrId(self.attrs.len() as u32);
             self.attrs.push((slot, col_idx));
-            self.attr_live.push(true);
             let mut values = Vec::with_capacity(column.distinct_count());
             for v in column.distinct_values() {
                 let vid = self.intern(v);
@@ -324,7 +354,7 @@ impl MutableLake {
             values.dedup();
             self.attr_values.push(values);
         }
-        self.tables.push(Some(table));
+        self.tables.push(TableSlot::Live(table));
         Ok(())
     }
 
@@ -401,7 +431,7 @@ impl MutableLake {
             .remove(name)
             .ok_or_else(|| LakeError::NotFound(format!("table '{name}'")))?;
         for (attr_idx, &(t, _)) in self.attrs.iter().enumerate() {
-            if t != slot || !self.attr_live[attr_idx] {
+            if t != slot {
                 continue;
             }
             let attr = AttrId(attr_idx as u32);
@@ -409,9 +439,9 @@ impl MutableLake {
                 remove_sorted(&mut self.value_attrs[vid.index()], attr);
             }
             touched.append(&mut self.attr_values[attr_idx]);
-            self.attr_live[attr_idx] = false;
         }
-        self.tables[slot] = None;
+        let columns = self.tables[slot].column_count();
+        self.tables[slot] = TableSlot::Removed { columns };
         Ok(())
     }
 
@@ -430,7 +460,9 @@ impl MutableLake {
             .attribute_id(table, column)
             .ok_or_else(|| LakeError::NotFound(format!("column '{table}.{column}'")))?;
         let (slot, col_idx) = self.attrs[attr.index()];
-        let tab = self.tables[slot].as_mut().expect("live attribute");
+        let TableSlot::Live(tab) = &mut self.tables[slot] else {
+            unreachable!("a live attribute's slot is live")
+        };
         let col = &mut tab.columns_mut()[col_idx];
         if col.replace_value(target, replacement) == 0 {
             return Ok(());
@@ -462,14 +494,9 @@ impl MutableLake {
         self.table_index.len()
     }
 
-    /// [`MutableLake::table_count`], under the name the mutation path uses.
-    pub fn live_table_count(&self) -> usize {
-        self.table_count()
-    }
-
     /// The live tables, in slot (insertion) order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.iter().flatten()
+        self.tables.iter().filter_map(TableSlot::live)
     }
 
     /// Names of the live tables, in slot order.
@@ -481,7 +508,7 @@ impl MutableLake {
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.table_index
             .get(name)
-            .and_then(|&slot| self.tables[slot].as_ref())
+            .and_then(|&slot| self.tables[slot].live())
     }
 
     // ------------------------------------------------------------------
@@ -493,9 +520,11 @@ impl MutableLake {
         self.attrs.len()
     }
 
-    /// Whether an attribute slot is live.
+    /// Whether an attribute slot is live: whether its table slot is.
     pub fn is_attr_live(&self, id: AttrId) -> bool {
-        self.attr_live.get(id.index()).copied().unwrap_or(false)
+        self.attrs
+            .get(id.index())
+            .is_some_and(|&(slot, _)| self.tables[slot].live().is_some())
     }
 
     /// Iterate over the ids of the live attributes.
@@ -507,11 +536,8 @@ impl MutableLake {
 
     /// The table and column behind a live attribute id.
     fn locate(&self, id: AttrId) -> Option<(&Table, &Column)> {
-        if !self.is_attr_live(id) {
-            return None;
-        }
-        let (slot, col) = self.attrs[id.index()];
-        let table = self.tables[slot].as_ref()?;
+        let &(slot, col) = self.attrs.get(id.index())?;
+        let table = self.tables[slot].live()?;
         Some((table, table.columns().get(col)?))
     }
 
@@ -530,7 +556,7 @@ impl MutableLake {
     pub fn attribute_id(&self, table: &str, column: &str) -> Option<AttrId> {
         let &slot = self.table_index.get(table)?;
         let col = self.tables[slot]
-            .as_ref()?
+            .live()?
             .columns()
             .iter()
             .position(|c| c.name() == column)?;
@@ -563,17 +589,6 @@ impl MutableLake {
     /// edge count of the bipartite graph before any pruning.
     pub fn incidence_count(&self) -> usize {
         self.attr_values.iter().map(Vec::len).sum()
-    }
-
-    /// Per-attribute cardinality histogram over the live attributes: map
-    /// from cardinality to the number of attributes with that cardinality.
-    /// Useful for diagnosing skew, which strongly affects LCC quality (§3.3).
-    pub fn cardinality_histogram(&self) -> BTreeMap<usize, usize> {
-        let mut hist = BTreeMap::new();
-        for id in self.attribute_ids() {
-            *hist.entry(self.attribute_cardinality(id)).or_insert(0) += 1;
-        }
-        hist
     }
 
     // ------------------------------------------------------------------
@@ -653,193 +668,59 @@ impl MutableLake {
     // Persistence (consumed by the `dn-store` crate)
     // ------------------------------------------------------------------
 
-    /// All table slots in allocation order, tombstones included (`None`).
-    pub fn table_slots(&self) -> &[Option<Table>] {
+    /// All table slots in allocation order, removed ones included: with
+    /// [`MutableLake::interner`], everything [`MutableLake::from_slots`]
+    /// needs to rebuild this lake, ids included.
+    pub fn table_slots(&self) -> &[TableSlot] {
         &self.tables
     }
 
-    /// `(table slot, column index)` per attribute slot, in [`AttrId`] order.
-    /// Tombstoned attributes keep their location for id stability.
-    pub fn attr_locations(&self) -> &[(usize, usize)] {
-        &self.attrs
-    }
-
-    /// Liveness flag per attribute slot, in [`AttrId`] order.
-    pub fn attr_live_flags(&self) -> &[bool] {
-        &self.attr_live
-    }
-
-    /// Reassemble a lake from persisted parts, validating every
-    /// cross-reference before any state becomes observable.
-    ///
-    /// This is the inverse of reading the lake back field-by-field via
-    /// [`MutableLake::table_slots`], [`MutableLake::attr_locations`],
-    /// [`MutableLake::attr_live_flags`], [`MutableLake::attribute_values`],
-    /// and [`MutableLake::interner`]. The checks are deliberately paranoid —
-    /// the inputs come from disk, and a half-loaded lake must never escape:
-    ///
-    /// * the interner values must be distinct (ids are their positions);
-    /// * every live table must be well-shaped ([`Table::validate_shape`]:
-    ///   equally long, uniquely named columns);
-    /// * live table names must be unique; the three attribute-slot arrays
-    ///   must agree in length;
-    /// * every live attribute must point at a live table and a valid column,
-    ///   every live `(table, column)` pair must have exactly one live slot,
-    ///   and tombstoned attributes must hold no values;
-    /// * `attr_values` must be sorted, deduplicated, in interner range, and
-    ///   **equal to the re-derived distinct value set of its column** — the
-    ///   redundancy is what turns a subtly corrupted index into a load
-    ///   error instead of wrong scores.
-    ///
-    /// The `value_attrs` inverted index and the name index are rebuilt from
-    /// the validated parts rather than trusted from disk.
+    /// Rebuild a lake from its interner's values (ids are their positions)
+    /// and its table slots, in allocation order. Live slots are indexed by
+    /// [`MutableLake::add_table`], the function a load and a delta use; a
+    /// removed slot allocates its attribute ids, dead. Every index is
+    /// derived here, so the result has the ids of the lake that wrote the
+    /// parts.
     ///
     /// # Errors
-    /// [`LakeError::Serde`] describing the first violated invariant, or the
-    /// shape error [`Table::validate_shape`] reports.
-    pub fn from_raw_parts(
-        tables: Vec<Option<Table>>,
-        attr_locations: Vec<(usize, usize)>,
-        attr_live: Vec<bool>,
-        attr_values: Vec<Vec<ValueId>>,
-        interner_values: Vec<String>,
+    /// [`LakeError::Serde`] when the values hold a duplicate or a live
+    /// table holds a value they lack (the ids would no longer be the
+    /// writer's); [`MutableLake::add_table`]'s error for an ill-shaped
+    /// table or a second live table of one name.
+    pub fn from_slots(
+        values: Vec<String>,
+        slots: impl IntoIterator<Item = TableSlot>,
     ) -> Result<Self> {
-        let corrupt = |msg: String| LakeError::Serde(msg);
-
-        let interner = ValueInterner::from_values(interner_values).map_err(|(kept, dup)| {
-            corrupt(format!("interner value {dup} duplicates value {}", kept.0))
+        let interner = ValueInterner::from_values(values).map_err(|(kept, dup)| {
+            LakeError::Serde(format!("interner value {dup} duplicates value {}", kept.0))
         })?;
-
-        let mut table_index = HashMap::new();
-        for (slot, table) in tables.iter().enumerate() {
-            if let Some(table) = table {
-                table.validate_shape()?;
-                if table_index.insert(table.name().to_owned(), slot).is_some() {
-                    return Err(corrupt(format!(
-                        "live table name '{}' appears in two slots",
-                        table.name()
-                    )));
-                }
-            }
-        }
-
-        if attr_locations.len() != attr_live.len() || attr_locations.len() != attr_values.len() {
-            return Err(corrupt(format!(
-                "attribute arrays disagree: {} locations, {} live flags, {} value sets",
-                attr_locations.len(),
-                attr_live.len(),
-                attr_values.len()
-            )));
-        }
-
-        // Every live (table slot, column) must be claimed by exactly one
-        // live attribute slot, and vice versa.
-        let mut claimed: HashMap<(usize, usize), usize> = HashMap::new();
-        for (idx, &(slot, col)) in attr_locations.iter().enumerate() {
-            if !attr_live[idx] {
-                if !attr_values[idx].is_empty() {
-                    return Err(corrupt(format!(
-                        "tombstoned attribute {idx} still holds {} values",
-                        attr_values[idx].len()
-                    )));
-                }
-                continue;
-            }
-            let table = tables.get(slot).and_then(Option::as_ref).ok_or_else(|| {
-                corrupt(format!("live attribute {idx} points at dead slot {slot}"))
-            })?;
-            let column = table.columns().get(col).ok_or_else(|| {
-                corrupt(format!(
-                    "live attribute {idx} points at missing column {col} of '{}'",
-                    table.name()
-                ))
-            })?;
-            if let Some(prev) = claimed.insert((slot, col), idx) {
-                return Err(corrupt(format!(
-                    "column {col} of slot {slot} is claimed by attributes {prev} and {idx}"
-                )));
-            }
-            // Cross-check the persisted value set against a re-derivation
-            // from the column's cells.
-            let derived: Vec<ValueId> = column
-                .distinct_values()
-                .map(|v| {
-                    interner.get(v).ok_or_else(|| {
-                        corrupt(format!(
-                            "column '{}.{}' holds value {v:?} missing from the interner",
-                            table.name(),
-                            column.name()
-                        ))
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut derived = derived;
-            derived.sort_unstable();
-            derived.dedup();
-            if derived != attr_values[idx] {
-                return Err(corrupt(format!(
-                    "attribute {idx} ('{}.{}') value set does not match its column",
-                    table.name(),
-                    column.name()
-                )));
-            }
-        }
-        let live_columns: usize = tables.iter().flatten().map(|t| t.column_count()).sum();
-        if claimed.len() != live_columns {
-            return Err(corrupt(format!(
-                "{} live attribute slots cover {live_columns} live columns",
-                claimed.len()
-            )));
-        }
-
-        // Rebuild the inverted index from the validated forward index,
-        // sizing each per-value list exactly (one counting pass) so the
-        // rebuild does one allocation per value instead of amortized
-        // regrowth.
-        let mut counts = vec![0u32; interner.len()];
-        for (idx, values) in attr_values.iter().enumerate() {
-            for &vid in values {
-                match counts.get_mut(vid.index()) {
-                    Some(count) => *count += 1,
-                    None => {
-                        return Err(corrupt(format!(
-                            "attribute {idx} references value {} outside the interner",
-                            vid.0
-                        )))
+        let mut lake = MutableLake {
+            value_attrs: vec![Vec::new(); interner.len()],
+            interner,
+            ..MutableLake::default()
+        };
+        for slot in slots {
+            match slot {
+                TableSlot::Live(table) => {
+                    let interned = lake.value_count();
+                    lake.add_table(table)?;
+                    if lake.value_count() > interned {
+                        let table = lake.tables().last().expect("just added").name();
+                        let value = lake.value(ValueId(interned as u32)).unwrap_or_default();
+                        return Err(LakeError::Serde(format!(
+                            "table '{table}' holds value {value:?} missing from the interner"
+                        )));
                     }
                 }
+                TableSlot::Removed { columns } => {
+                    let slot = lake.tables.len();
+                    lake.attrs.extend((0..columns).map(|col| (slot, col)));
+                    lake.attr_values.resize(lake.attrs.len(), Vec::new());
+                    lake.tables.push(TableSlot::Removed { columns });
+                }
             }
         }
-        let mut value_attrs: Vec<Vec<AttrId>> = counts
-            .into_iter()
-            .map(|count| Vec::with_capacity(count as usize))
-            .collect();
-        for (idx, values) in attr_values.iter().enumerate() {
-            for &vid in values {
-                value_attrs[vid.index()].push(AttrId(idx as u32));
-            }
-        }
-        // AttrIds were pushed in ascending idx order, so each list is sorted.
-
-        Ok(MutableLake {
-            tables,
-            table_index,
-            attrs: attr_locations,
-            attr_live,
-            attr_values,
-            value_attrs,
-            interner,
-        })
-    }
-
-    /// Compact the live state into a fresh lake.
-    ///
-    /// The snapshot re-derives dense ids from scratch, so its [`ValueId`] /
-    /// [`AttrId`] spaces generally differ from this lake's; it represents the
-    /// same live content. This is the "full rebuild" path the incremental
-    /// machinery is benchmarked against.
-    pub fn snapshot(&self) -> Result<MutableLake> {
-        MutableLake::from_tables(self.tables().cloned())
+        Ok(lake)
     }
 }
 
@@ -1007,7 +888,7 @@ mod tests {
         let e = lake.apply(&LakeDelta::new().remove_table("cars")).unwrap();
         assert_eq!(e.touched_values, ids(&lake, &["JAGUAR", "FIAT", "TOYOTA"]));
 
-        assert_eq!(lake.live_table_count(), 1);
+        assert_eq!(lake.table_count(), 1);
         assert!(!lake.is_attr_live(AttrId(1)));
         assert!(lake.attribute_values(AttrId(1)).is_empty());
         assert_eq!(lake.attribute_ids().collect::<Vec<_>>(), [AttrId(0)]);
@@ -1035,7 +916,7 @@ mod tests {
             "all values were already interned"
         );
         assert_eq!(lake.value_attributes(fiat), &[AttrId(2)]);
-        assert_eq!(lake.live_table_count(), 2);
+        assert_eq!(lake.table_count(), 2);
     }
 
     #[test]
@@ -1113,7 +994,7 @@ mod tests {
         assert!(matches!(merged.ops()[2], LakeOp::RemoveTable(_)));
         let mut lake = MutableLake::new();
         lake.apply(&merged).unwrap();
-        assert_eq!(lake.live_table_count(), 1);
+        assert_eq!(lake.table_count(), 1);
     }
 
     #[test]
@@ -1196,72 +1077,12 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_round_trips_a_mutated_lake() {
-        let mut lake = MutableLake::new();
-        lake.apply(&LakeDelta::new().add_table(zoo()).add_table(cars()))
-            .unwrap();
-        lake.apply(
-            &LakeDelta::new()
-                .remove_table("zoo")
-                .replace_value("cars", "brand", "Fiat", "Rover"),
-        )
-        .unwrap();
-
-        let rebuilt = MutableLake::from_raw_parts(
-            lake.table_slots().to_vec(),
-            lake.attr_locations().to_vec(),
-            lake.attr_live_flags().to_vec(),
-            (0..lake.attr_locations().len())
-                .map(|i| lake.attribute_values(AttrId(i as u32)).to_vec())
-                .collect(),
-            lake.interner().iter().map(|(_, v)| v.to_owned()).collect(),
-        )
-        .unwrap();
-
-        assert_eq!(rebuilt.live_table_names(), lake.live_table_names());
-        assert_eq!(
-            LakeView::incidence_count(&rebuilt),
-            LakeView::incidence_count(&lake)
-        );
-        for vid in (0..lake.interner().len() as u32).map(ValueId) {
-            assert_eq!(
-                LakeView::value(&rebuilt, vid),
-                LakeView::value(&lake, vid),
-                "value ids must survive the round trip"
-            );
-            assert_eq!(
-                LakeView::value_attributes(&rebuilt, vid),
-                LakeView::value_attributes(&lake, vid)
-            );
-        }
-    }
-
-    #[test]
-    fn from_raw_parts_rejects_mismatched_value_sets() {
-        let mut lake = MutableLake::new();
-        lake.apply(&LakeDelta::new().add_table(zoo())).unwrap();
-        let mut attr_values: Vec<Vec<ValueId>> = (0..lake.attr_locations().len())
-            .map(|i| lake.attribute_values(AttrId(i as u32)).to_vec())
-            .collect();
-        attr_values[0].pop(); // drop one incidence: no longer matches the column
-        let err = MutableLake::from_raw_parts(
-            lake.table_slots().to_vec(),
-            lake.attr_locations().to_vec(),
-            lake.attr_live_flags().to_vec(),
-            attr_values,
-            lake.interner().iter().map(|(_, v)| v.to_owned()).collect(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, LakeError::Serde(_)), "{err}");
-    }
-
-    #[test]
     fn snapshot_compacts_live_state() {
         let mut lake = MutableLake::new();
         lake.apply(&LakeDelta::new().add_table(zoo()).add_table(cars()))
             .unwrap();
         lake.apply(&LakeDelta::new().remove_table("zoo")).unwrap();
-        let snap = lake.snapshot().unwrap();
+        let snap = MutableLake::from_tables(lake.tables().cloned()).unwrap();
         assert_eq!(snap.table_count(), 1);
         assert_eq!(snap.value_count(), 3, "only the live values remain");
         assert!(snap.contains_value("FIAT"));
@@ -1298,7 +1119,7 @@ mod tests {
                 .remove_table("zoo"),
         )
         .unwrap();
-        let snap = lake.snapshot().unwrap();
+        let snap = MutableLake::from_tables(lake.tables().cloned()).unwrap();
         // Same live incidence structure, possibly different id spaces:
         // compare as (attr label, value string) pairs.
         let live_pairs = |view: &dyn LakeView| -> Vec<(String, String)> {

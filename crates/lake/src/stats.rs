@@ -1,11 +1,9 @@
 //! Lake-level statistics, mirroring Table 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::LakeCatalog;
 
 /// Summary statistics for a data lake (one row of the paper's Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LakeStats {
     /// Number of tables in the lake.
     pub tables: usize,
@@ -58,7 +56,7 @@ impl LakeStats {
 
 /// Statistics about a set of labeled homographs in a lake, used to fill the
 /// `Card(H)` and `#M` columns of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomographStats {
     /// Number of labeled homographs.
     pub count: usize,
@@ -157,14 +155,5 @@ mod tests {
         let hs = HomographStats::compute(&lake, &homographs);
         assert_eq!(hs.count, 0);
         assert_eq!(hs.max_cardinality, 0);
-    }
-
-    #[test]
-    fn stats_serialize_round_trip() {
-        let lake = running_example();
-        let stats = LakeStats::compute(&lake);
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: LakeStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
     }
 }

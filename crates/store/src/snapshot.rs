@@ -7,12 +7,16 @@
 //! patterns, so a write → read → write cycle is **bit-identical**.
 //!
 //! What is a function of those and cheaper to recompute than to read back
-//! is not stored: the bipartite graph (one value-major pass over the lake
-//! through the net's id maps, [`DomainNet::from_parts`]), component labels
-//! (one BFS over that graph), the memoized rankings (a sort of scores and
-//! cardinalities the recovering engine's `warm_rankings` redoes) and a
-//! value's attribute count (its degree). Raw scores and cardinalities
-//! stay: recomputing either costs a kernel pass, far more than decoding it.
+//! is not stored: the lake's indexes (each attribute's table slot,
+//! liveness and value set, each value's attributes, the name index — a
+//! replay of the table slots through `MutableLake::add_table` over the
+//! preloaded interner, [`MutableLake::from_slots`]), the bipartite graph
+//! (one value-major pass over the lake through the net's id maps,
+//! [`DomainNet::from_parts`]), component labels (one BFS over that graph),
+//! the memoized rankings (a sort of scores and cardinalities the
+//! recovering engine's `warm_rankings` redoes) and a value's attribute
+//! count (its degree). Raw scores and cardinalities stay: recomputing
+//! either costs a kernel pass, far more than decoding it.
 //!
 //! ## File layout
 //!
@@ -25,8 +29,8 @@
 //! ├────────────────────────────────────────────────────────────┤
 //! │ payloads, in section-table order:                          │
 //! │   1 manifest   last_seq, epoch, served measures            │
-//! │   2 lake       tables (columnar), attr slots, value sets,  │
-//! │                interner                                    │
+//! │   2 lake       table slots (a live table columnar, a       │
+//! │                removed one as its column count), interner  │
 //! │   3 net        pruning flag, generation, id maps, raw      │
 //! │                scores per measure, cardinalities           │
 //! └────────────────────────────────────────────────────────────┘
@@ -35,29 +39,33 @@
 //! All integers are little-endian; strings are length-prefixed UTF-8. Each
 //! section carries its own CRC-32 so a flipped byte is attributed to the
 //! section it corrupted. Decoding validates every cross-reference — within
-//! the lake ([`MutableLake::from_raw_parts`]), and between the net's id
-//! maps and the lake they index, then the score vectors against the
-//! derived graph ([`DomainNet::from_parts`]) — before any state is
-//! returned, so a torn or tampered file yields a typed [`StoreError`],
-//! never a half-loaded engine.
+//! the lake (a duplicate interner value, an ill-shaped table, two live
+//! tables of one name, a cell value the interner lacks:
+//! [`MutableLake::from_slots`]), and between the net's id maps and the lake
+//! they index, then the score vectors against the derived graph
+//! ([`DomainNet::from_parts`]) — before any state is returned, so a torn or
+//! tampered file yields a typed [`StoreError`], never a half-loaded engine.
+//! A removed slot's column count has no bytes behind it; the net section's
+//! attribute map (4 bytes per attribute slot, covering all of them) bounds
+//! it before anything is allocated.
 
 use std::fs;
 use std::path::Path;
 
 use domainnet::{DomainNet, Measure, NetCachesState, NetState};
 use lake::catalog::AttrId;
-use lake::delta::MutableLake;
-use lake::value::ValueId;
+use lake::delta::{MutableLake, TableSlot};
 
 use crate::codec::{crc32, get_measure, put_measure, put_u32_vec, ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The one snapshot format version this build reads and writes. Format 2
-/// also stored the graph, and format 1 component labels, rankings and
-/// attribute counts besides; both are refused.
-pub const FORMAT_VERSION: u32 = 3;
+/// The one snapshot format version this build reads and writes. Format 3
+/// also stored each attribute's table slot, liveness and value set; format
+/// 2 the graph besides, and format 1 component labels, rankings and
+/// attribute counts too. All three are refused.
+pub const FORMAT_VERSION: u32 = 4;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
@@ -139,8 +147,11 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
     w.put_u64(slots.len() as u64);
     for slot in slots {
         match slot {
-            None => w.put_bool(false),
-            Some(table) => {
+            TableSlot::Removed { columns } => {
+                w.put_bool(false);
+                w.put_u32(*columns as u32);
+            }
+            TableSlot::Live(table) => {
                 w.put_bool(true);
                 w.put_str(table.name());
                 w.put_u32(table.column_count() as u32);
@@ -158,21 +169,6 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
                     put_u32_vec(&mut w, column.cell_indices());
                 }
             }
-        }
-    }
-    let locations = lake.attr_locations();
-    let live = lake.attr_live_flags();
-    w.put_u64(locations.len() as u64);
-    for (i, &(slot, col)) in locations.iter().enumerate() {
-        w.put_u64(slot as u64);
-        w.put_u32(col as u32);
-        w.put_bool(live[i]);
-    }
-    for i in 0..locations.len() {
-        let values = lake.attribute_values(AttrId(i as u32));
-        w.put_u64(values.len() as u64);
-        for v in values {
-            w.put_u32(v.0);
         }
     }
     w.put_u64(lake.interner().len() as u64);
@@ -351,53 +347,57 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
     })
 }
 
-fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
+/// Decode the lake section, refusing slots that claim more than
+/// `max_attributes` attributes: a removed slot's column count has no bytes
+/// behind it, so the net section's attribute map (4 bytes per attribute,
+/// and it must cover every one) is what bounds it.
+fn decode_lake(payload: &[u8], max_attributes: usize) -> Result<MutableLake> {
     let mut r = ByteReader::new(payload, "lake");
     let slot_count = r.get_count(1)?;
-    let mut tables = Vec::with_capacity(slot_count);
+    let mut slots = Vec::with_capacity(slot_count);
+    let mut attributes = 0usize;
     for _ in 0..slot_count {
-        if !r.get_bool()? {
-            tables.push(None);
-            continue;
+        let slot = if r.get_bool()? {
+            TableSlot::Live(decode_table(&mut r)?)
+        } else {
+            TableSlot::Removed {
+                columns: r.get_u32()? as usize,
+            }
+        };
+        attributes = attributes.saturating_add(slot.column_count());
+        if attributes > max_attributes {
+            return Err(StoreError::corrupt(format!(
+                "lake: slots claim {attributes} attributes, past the {max_attributes} \
+                 the net section can map"
+            )));
         }
-        let name = r.get_str()?;
-        let col_count = r.get_u32()? as usize;
-        let mut columns = Vec::with_capacity(col_count.min(r.remaining()));
-        for _ in 0..col_count {
-            let col_name = r.get_str()?;
-            let dict_count = r.get_count(8)?;
-            let dictionary = (0..dict_count)
-                .map(|_| r.get_str_ref())
-                .collect::<Result<lake::column::StringList>>()?;
-            let indices = r.get_u32_vec()?;
-            let column = lake::Column::from_dictionary(col_name, dictionary, indices)
-                .map_err(|e| StoreError::corrupt(format!("lake: {e}")))?;
-            columns.push(column);
-        }
-        tables.push(Some(lake::Table::from_columns(name, columns)));
-    }
-    let attr_count = r.get_count(8 + 4 + 1)?;
-    let mut locations = Vec::with_capacity(attr_count);
-    let mut live = Vec::with_capacity(attr_count);
-    for _ in 0..attr_count {
-        let slot = r.get_u64()? as usize;
-        let col = r.get_u32()? as usize;
-        locations.push((slot, col));
-        live.push(r.get_bool()?);
-    }
-    let mut attr_values = Vec::with_capacity(attr_count);
-    for _ in 0..attr_count {
-        let values = r.get_u32_vec()?.into_iter().map(ValueId).collect();
-        attr_values.push(values);
+        slots.push(slot);
     }
     let value_count = r.get_count(8)?;
-    let interner_values = (0..value_count)
+    let values = (0..value_count)
         .map(|_| r.get_str())
         .collect::<Result<Vec<String>>>()?;
     r.expect_exhausted()?;
 
-    MutableLake::from_raw_parts(tables, locations, live, attr_values, interner_values)
-        .map_err(|e| StoreError::corrupt(format!("lake: {e}")))
+    MutableLake::from_slots(values, slots).map_err(|e| StoreError::corrupt(format!("lake: {e}")))
+}
+
+fn decode_table(r: &mut ByteReader<'_>) -> Result<lake::Table> {
+    let name = r.get_str()?;
+    let col_count = r.get_u32()? as usize;
+    let mut columns = Vec::with_capacity(col_count.min(r.remaining()));
+    for _ in 0..col_count {
+        let col_name = r.get_str()?;
+        let dict_count = r.get_count(8)?;
+        let dictionary = (0..dict_count)
+            .map(|_| r.get_str_ref())
+            .collect::<Result<lake::column::StringList>>()?;
+        let indices = r.get_u32_vec()?;
+        let column = lake::Column::from_dictionary(col_name, dictionary, indices)
+            .map_err(|e| StoreError::corrupt(format!("lake: {e}")))?;
+        columns.push(column);
+    }
+    Ok(lake::Table::from_columns(name, columns))
 }
 
 fn decode_net_state(payload: &[u8]) -> Result<NetState> {
@@ -460,6 +460,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PersistedState> {
 /// order (lake, manifest, net).
 pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<PersistedState> {
     let sections = section_table(bytes)?;
+    let max_attributes = sections
+        .iter()
+        .find(|s| s.id == SECTION_NET)
+        .map_or(0, |s| s.len / 4);
     let ctx = dn_trace::current();
     let decoded = dn_pool::Pool::new(threads).run(FAN_OUT.len(), |i| -> Result<DecodedSection> {
         let id = FAN_OUT[i];
@@ -467,7 +471,7 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
         let payload = section_payload(bytes, &sections, id)?;
         Ok(match id {
             SECTION_MANIFEST => DecodedSection::Manifest(decode_manifest(payload)?),
-            SECTION_LAKE => DecodedSection::Lake(Box::new(decode_lake(payload)?)),
+            SECTION_LAKE => DecodedSection::Lake(Box::new(decode_lake(payload, max_attributes)?)),
             _ => DecodedSection::Net(Box::new(decode_net_state(payload)?)),
         })
     });
@@ -534,6 +538,7 @@ mod tests {
     use domainnet::DomainNetBuilder;
     use lake::delta::{LakeDelta, LakeView};
     use lake::table::TableBuilder;
+    use lake::value::ValueId;
 
     fn sample_state() -> (MutableLake, DomainNet, Manifest) {
         let mut lake = MutableLake::from_catalog(&lake::fixtures::running_example());

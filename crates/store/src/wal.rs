@@ -315,11 +315,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Current file length in bytes (header included).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
     /// Bytes of record data (header excluded) — the quantity checkpoint
     /// policies meter.
     pub fn record_bytes(&self) -> u64 {
@@ -378,7 +373,7 @@ mod tests {
         let path = tmp("torn.wal");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(1, 0, &batch(1)).unwrap();
-        let good_len = wal.len_bytes();
+        let good_len = HEADER_LEN + wal.record_bytes();
         wal.append(2, 0, &batch(2)).unwrap();
         drop(wal);
         // Tear the second record in half.
@@ -404,7 +399,7 @@ mod tests {
         let path = tmp("flip.wal");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(1, 0, &batch(1)).unwrap();
-        let good_len = wal.len_bytes() as usize;
+        let good_len = (HEADER_LEN + wal.record_bytes()) as usize;
         wal.append(2, 0, &batch(2)).unwrap();
         drop(wal);
         let mut bytes = fs::read(&path).unwrap();
@@ -477,7 +472,11 @@ mod tests {
         // record the moment `append` returned Ok.
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 1, "Ok append is externally visible");
-        assert_eq!(scan.file_len, wal.len_bytes(), "no buffered suffix");
+        assert_eq!(
+            scan.file_len,
+            HEADER_LEN + wal.record_bytes(),
+            "no buffered suffix"
+        );
         wal.append(2, 0, &batch(2)).unwrap();
         drop(wal);
 
@@ -486,7 +485,7 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert!(scan.torn.is_none());
         let wal = Wal::open_truncated(&path, scan.valid_len).unwrap();
-        assert_eq!(wal.len_bytes(), scan.valid_len);
+        assert_eq!(HEADER_LEN + wal.record_bytes(), scan.valid_len);
         drop(wal);
         assert_eq!(
             fs::read(&path).unwrap(),

@@ -3,8 +3,10 @@
 //!
 //! The cases mirror the ways files actually rot: truncation at arbitrary
 //! points (torn writes, full disks), single flipped bytes in every section
-//! (bit rot, bad sectors), foreign files (bad magic), and files written by
-//! a future release (unsupported version).
+//! (bit rot, bad sectors), foreign files (bad magic), files written by
+//! another release (unsupported version), and checksum-valid sections
+//! that lie: forged slots and id maps, and seeded edits resealed past the
+//! CRC.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` and are removed at
 //! the end of each test; CI's tempdir-hygiene gate fails if anything is
@@ -16,9 +18,11 @@ use dn_store::snapshot::{
 };
 use dn_store::{scan_wal, Store, StoreError, Wal};
 use domainnet::{DomainNet, DomainNetBuilder, Measure};
-use lake::delta::{LakeDelta, MutableLake};
+use lake::delta::{LakeDelta, LakeView, MutableLake};
 use lake::table::TableBuilder;
 use lake::value::ValueId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::PathBuf;
 
@@ -80,16 +84,17 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    // A later release's file, format 2 (which also stored the graph) and
-    // format 1 (which also carried component labels and rankings): one
-    // reader, one typed refusal.
-    for version in [99u32, 2, 1] {
+    // A later release's file, format 3 (which also stored each attribute's
+    // slot, liveness and value set), format 2 (the graph besides) and
+    // format 1 (component labels and rankings too): one reader, one typed
+    // refusal.
+    for version in [99u32, 3, 2, 1] {
         let mut bytes = sample_snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match decode_snapshot(&bytes) {
             Err(StoreError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
-                assert_eq!(supported, 3);
+                assert_eq!(supported, 4);
                 assert_eq!(supported, dn_store::FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -315,6 +320,214 @@ fn ill_shaped_tables_are_corrupt_not_served() {
 
     // The forging itself is sound: the unchanged section still loads.
     decode_snapshot(&with_payload(&bytes, "lake", payload)).unwrap();
+}
+
+/// The snapshot of a lake whose first slot is a removed table, then the
+/// live tables `kept` and `also`.
+fn removed_slot_snapshot() -> Vec<u8> {
+    let table = |name: &str, column: &str, cells: [&str; 2]| {
+        TableBuilder::new(name)
+            .column(column, cells)
+            .build()
+            .unwrap()
+    };
+    let mut lake = MutableLake::from_tables([
+        table("gone", "c_gone", ["Jaguar", "Lynx"]),
+        table("kept", "c_kept", ["Jaguar", "Okapi"]),
+        table("also", "c_also", ["Okapi", "Puma"]),
+    ])
+    .unwrap();
+    lake.apply(&LakeDelta::new().remove_table("gone")).unwrap();
+    let net = DomainNetBuilder::new().build(&lake);
+    let manifest = Manifest {
+        last_seq: 1,
+        epoch: 1,
+        measures: Vec::new(),
+    };
+    encode_snapshot(&lake, &net, &manifest)
+}
+
+fn section_bytes<'a>(bytes: &'a [u8], name: &str) -> &'a [u8] {
+    let section = *section_table(bytes)
+        .unwrap()
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap();
+    &bytes[section.offset..section.offset + section.len]
+}
+
+#[test]
+fn forged_lake_slots_are_corrupt_not_served() {
+    // The lake section is the table slots plus the interner; every index
+    // is rebuilt by replaying the slots through add_table, so what a
+    // checksum-valid section can still lie about must be refused there.
+    let bytes = removed_slot_snapshot();
+    let payload = section_bytes(&bytes, "lake");
+    let encoded = |text: &str| {
+        let mut w = ByteWriter::new();
+        w.put_str(text);
+        w.into_inner()
+    };
+    let replaced = |from: &[u8], to: &[u8]| {
+        let at = payload
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("lake section layout changed");
+        [&payload[..at], to, &payload[at + from.len()..]].concat()
+    };
+    // Slot count, then slot 0: removed, with its column count.
+    assert_eq!(
+        payload[8..13],
+        [0, 1, 0, 0, 0],
+        "lake section layout changed"
+    );
+    let mut huge = payload.to_vec();
+    huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+
+    for (forged, what) in [
+        // A removed slot's column count has no bytes behind it: the net
+        // section's attribute map bounds it before anything is allocated.
+        (huge, "slots claim 4294967295 attributes"),
+        // The interner's OKAPI renamed: two columns hold a value it lacks.
+        (
+            replaced(&encoded("OKAPI"), &encoded("OKAPO")),
+            "table 'kept' holds value \"OKAPI\" missing from the interner",
+        ),
+        // The interner's PUMA renamed LYNX, which it holds already: the
+        // removed table's values keep their ids.
+        (
+            replaced(&encoded("PUMA"), &encoded("LYNX")),
+            "interner value",
+        ),
+        // Two live slots under one name.
+        (
+            replaced(&encoded("also"), &encoded("kept")),
+            "a table named 'kept' already exists",
+        ),
+    ] {
+        match decode_snapshot(&with_payload(&bytes, "lake", &forged)) {
+            Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
+            other => panic!("expected Corrupt ({what}), got {other:?}"),
+        }
+    }
+
+    // The forging itself is sound: the unchanged section still loads.
+    decode_snapshot(&with_payload(&bytes, "lake", payload)).unwrap();
+}
+
+#[test]
+fn a_lake_with_removed_and_readded_tables_round_trips_byte_identically() {
+    // Every index of the decoded lake is derived by the replay, so the ids
+    // (values, attributes, tombstones) must come out as the writer had them.
+    let (mut lake, mut net, measures) = sample_engine();
+    for delta in [
+        LakeDelta::new().remove_table("T9").remove_table("T1"),
+        LakeDelta::new().add_table(
+            TableBuilder::new("T2")
+                .column("name", ["Lemur", "Okapi"])
+                .column("zone", ["North", "Jaguar"])
+                .build()
+                .unwrap(),
+        ),
+        LakeDelta::new().replace_value("T3", "C2", "Jaguar", "Ocelot"),
+    ] {
+        let effects = lake.apply(&delta).unwrap();
+        net.apply_delta(&lake, &effects).unwrap();
+    }
+    net.warm_rankings(&measures);
+    let manifest = Manifest {
+        last_seq: 9,
+        epoch: 5,
+        measures,
+    };
+    let bytes = encode_snapshot(&lake, &net, &manifest);
+    let restored = decode_snapshot(&bytes).unwrap();
+    assert_eq!(
+        encode_snapshot(&restored.lake, &restored.net, &restored.manifest),
+        bytes
+    );
+    assert_eq!(restored.lake.attribute_count(), lake.attribute_count());
+    assert_eq!(restored.lake.value_count(), lake.value_count());
+    for attr in (0..lake.attribute_count() as u32).map(lake::AttrId) {
+        assert_eq!(restored.lake.is_attr_live(attr), lake.is_attr_live(attr));
+        assert_eq!(
+            restored.lake.attribute_values(attr),
+            lake.attribute_values(attr)
+        );
+    }
+    for vid in (0..lake.value_count() as u32).map(ValueId) {
+        assert_eq!(
+            LakeView::value_attributes(&restored.lake, vid),
+            LakeView::value_attributes(&lake, vid),
+            "value {vid:?}"
+        );
+    }
+}
+
+/// `payload` after one to four seeded edits: a flipped bit, an inserted or
+/// a deleted run of bytes, a word overwritten with a length-shaped value,
+/// or a truncation.
+fn mutate(rng: &mut StdRng, payload: &[u8]) -> Vec<u8> {
+    let mut out = payload.to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let at = rng.gen_range(0..=out.len());
+        let width = if rng.gen_bool(0.5) { 4 } else { 8 };
+        match rng.gen_range(0..8) {
+            0..=2 if at < out.len() => out[at] ^= 1 << rng.gen_range(0..8),
+            3 => {
+                let run: Vec<u8> = (0..rng.gen_range(1..=8))
+                    .map(|_| rng.gen::<u32>() as u8)
+                    .collect();
+                out.splice(at..at, run);
+            }
+            4 => {
+                let end = (at + rng.gen_range(1..=8)).min(out.len());
+                out.drain(at..end);
+            }
+            5 | 6 if at + width <= out.len() => {
+                let words = [0, 1, 2, u64::from(u32::MAX), u64::MAX, out.len() as u64];
+                let word = words[rng.gen_range(0..words.len())].to_le_bytes();
+                out[at..at + width].copy_from_slice(&word[..width]);
+            }
+            7 => out.truncate(at),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// `cases` seeded mutations of the lake or the net payload of the sample
+/// snapshot, each resealed by [`with_payload`] so the CRC passes: decode
+/// must load or refuse with a typed structural error, and never panic.
+fn hostile_sections_decode_or_refuse(seed: u64, cases: usize) {
+    let bytes = sample_snapshot_bytes();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut refused = 0;
+    for case in 0..cases {
+        let name = if rng.gen_bool(0.5) { "lake" } else { "net" };
+        let forged = with_payload(&bytes, name, &mutate(&mut rng, section_bytes(&bytes, name)));
+        match std::panic::catch_unwind(|| decode_snapshot(&forged)) {
+            Ok(Ok(_)) => {}
+            Ok(Err(StoreError::Corrupt { .. } | StoreError::Truncated { .. })) => refused += 1,
+            Ok(Err(other)) => panic!("case {case} ({name}, seed {seed}): unexpected {other:?}"),
+            Err(_) => panic!("case {case} ({name}, seed {seed}): decode panicked"),
+        }
+    }
+    assert!(refused > cases / 2, "only {refused} of {cases} refused");
+}
+
+#[test]
+fn hostile_snapshot_sections_decode_or_refuse() {
+    hostile_sections_decode_or_refuse(0x5A4, 2_000);
+}
+
+/// The long mode: `cargo test -p dn-store --test corruption -- --ignored
+/// hostile_snapshot_sections_decode_or_refuse_long` (`./ci.sh` runs it in
+/// its full run).
+#[test]
+#[ignore = "long mode, run by ./ci.sh without --quick"]
+fn hostile_snapshot_sections_decode_or_refuse_long() {
+    hostile_sections_decode_or_refuse(0x10_5A4, 50_000);
 }
 
 #[test]
@@ -546,8 +759,8 @@ fn wal_scan_reports_valid_prefix_lengths() {
         LakeDelta::new().add_table(TableBuilder::new("t").column("c", ["x"]).build().unwrap())
     ];
     wal.append(1, 0, &batch).unwrap();
-    let full = wal.len_bytes();
     drop(wal);
+    let full = fs::metadata(&path).unwrap().len();
     // Every possible truncation of the file scans without panicking, and
     // the valid prefix never exceeds what is actually on disk.
     let bytes = fs::read(&path).unwrap();

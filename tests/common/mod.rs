@@ -1,4 +1,4 @@
-//! The equality snapshot format 3 rests on, shared by the suites that pin
+//! The equality the snapshot format rests on, shared by the suites that pin
 //! it after every step: the graph a net maintains is the graph
 //! `DomainNet::from_parts` derives from the lake and the net's id maps.
 

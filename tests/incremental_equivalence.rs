@@ -12,13 +12,14 @@
 //!   in a different neighbour order. On the maintained graph itself LCC is
 //!   `to_bits()`-equal to a kernel pass after every step (no drift).
 //!
-//! The from-scratch reference is built from `MutableLake::snapshot()`, which
-//! re-derives a dense `LakeCatalog` with a completely independent id space,
-//! so the comparison exercises the full stable-id machinery.
+//! The from-scratch reference is built by `MutableLake::from_tables` over
+//! the live tables, which re-derives a dense lake with a completely
+//! independent id space, so the comparison exercises the full stable-id
+//! machinery.
 //!
 //! After every step the maintained graph must also equal, CSR for CSR, the
 //! graph `DomainNet::from_parts` derives from the lake and the net's own id
-//! maps: the equality snapshot format 3 rests on (it stores no graph).
+//! maps: the equality the snapshot format rests on (it stores no graph).
 
 mod common;
 
@@ -190,7 +191,7 @@ fn random_mutation_sequences_match_from_scratch_builds() {
                 }
                 2 => {
                     // Keep at least one live table so the lake never empties.
-                    if lake.live_table_count() == 1 {
+                    if lake.table_count() == 1 {
                         continue;
                     }
                     let name = live[rng.gen_range(0..live.len())].clone();
@@ -242,8 +243,9 @@ fn random_mutation_sequences_match_from_scratch_builds() {
         }
 
         // From-scratch reference over a fully independent id space.
-        let snapshot = lake.snapshot().expect("live tables are well-formed");
-        let fresh = builder.build(&snapshot);
+        let compact =
+            MutableLake::from_tables(lake.tables().cloned()).expect("live tables are well-formed");
+        let fresh = builder.build(&compact);
         assert_equivalent(seq, steps, &net, &fresh);
 
         // The incremental component structure matches a fresh computation.
