@@ -12,7 +12,8 @@
 # against its per-node oracle, the CSV parser against its reference
 # reader and load_dir across pool widths, the concurrency stress test,
 # the dn-store corruption-hardening suite (with its seeded hostile-bytes
-# loop over the snapshot sections), the crash-recovery suite, the
+# loop over the snapshot sections), the seeded hostile-bytes loop over WAL
+# records and mutation bodies, the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
 # places every table where op-by-op commits would), the process probes
 # of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
@@ -37,7 +38,8 @@
 #             ledger, stress, recovery, sharded placement, process
 #             probes); the full run is
 #             --quick plus the long modes of the CSV differential loop
-#             and the snapshot hostile-bytes loop, the standing
+#             and the snapshot and WAL/mutation-body hostile-bytes loops,
+#             the standing
 #             benchmark's determinism run and
 #             `paper all --scale 0.2` from the release build
 set -euo pipefail
@@ -148,6 +150,8 @@ cargo test -q -- \
     --skip experiments_doc_quotes_the_ledger \
     --skip join_matches_literal_sweep_bit_for_bit \
     --skip quotient_matches_per_node_brandes \
+    --skip hostile_wal_records_and_mutation_bodies_decode_or_refuse \
+    --skip nested_brackets_in_a_checksum_valid_wal_record_are_corrupt \
     --skip hostile_bytes_match_the_reference_reader \
     --skip load_dir_is_width_invariant_and_matches_the_reference_reader \
     --skip readers_always_observe_consistent_epochs \
@@ -180,7 +184,9 @@ gate "dirty values are a complete invalidation set (to_bits)" \
     -p dn-graph --lib dirty_values_are_a_complete_invalidation_set
 
 # Brandes on the twin quotient against the retained per-node kernel: whole
-# graphs, component pools and sampled sources, at 1, 2 and 4 threads.
+# graphs, component pools and sampled sources, at 1, 2 and 4 threads, on
+# random graphs, deep caterpillars and ladders, and a layered chain whose
+# path counts pass 2^32.
 gate "twin-quotient Brandes == per-node Brandes (1e-12 relative)" \
     -p dn-graph --lib quotient_matches_per_node_brandes
 
@@ -202,6 +208,10 @@ gate "serving concurrency stress (--test-threads ${CORES})" \
 rm -rf target/tmp/dn_store_* target/tmp/dn_replica_* target/tmp/dn_process_* 2>/dev/null || true
 
 gate "store corruption hardening (typed errors, no panics)" -p dn-store --test corruption
+# Seeded edits of WAL records (resealed past the CRC) and of mutation
+# bodies: deltas or a typed error, replayed as Ok or a typed LakeError.
+gate "WAL records and mutation bodies under hostile bytes (typed errors, no panics)" \
+    --test hostile_inputs
 gate "store crash recovery (kill + recover == uninterrupted)" --test store_recovery
 gate "sharded batch == op-by-op placement" \
     --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
@@ -243,6 +253,10 @@ if [[ "$QUICK" -eq 0 ]]; then
     gate "snapshot sections under hostile bytes, long mode (50 000 seeded cases)" \
         -p dn-store --test corruption -- --ignored hostile_snapshot_sections_decode_or_refuse_long
 
+    # The WAL/mutation-body loop's long mode: 50 000 cases from another seed.
+    gate "WAL records and mutation bodies under hostile bytes, long mode (50 000 seeded cases)" \
+        --test hostile_inputs -- --ignored hostile_wal_records_and_mutation_bodies_decode_or_refuse_long
+
     # Every workload twice from one seed: same operation stream, request
     # count, store bytes and ops delivered both times. The digests must
     # also be the committed ones: batch_detect's folds every ranked
@@ -252,7 +266,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     DETERMINISM=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir target/benchmark -- --check-determinism --seconds 2)
     echo "${DETERMINISM}"
-    for pinned in batch_detect:4c2c4963aeefb31a serve_read_heavy:1cd3f341b6a2ccc1 \
+    for pinned in batch_detect:a10aec5541db939f serve_read_heavy:1cd3f341b6a2ccc1 \
         serve_write_heavy:89f7dcf647c4ddf7 ingest_restart:f129264fa90ba08b; do
         if ! grep -F -- "${pinned%%:*}: digest ${pinned#*:}," <<<"${DETERMINISM}" >/dev/null; then
             echo "${pinned%%:*}: digest is not the committed ${pinned#*:}" >&2
@@ -263,7 +277,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the CSV and snapshot long modes, the benchmark's determinism run and paper all --scale 0.2"
+    echo "==> --quick: skipping the CSV, snapshot and WAL/mutation-body long modes, the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

@@ -14,10 +14,14 @@
 //!
 //! Brandes' algorithm (2001) computes all BC values in `O(n·m)` time for an
 //! unweighted graph by running one BFS per source node and accumulating
-//! *dependencies* backwards along the BFS DAG. For the unweighted case the
-//! predecessor sets never need to be materialized: during the backward sweep
-//! a neighbor `p` of `w` is a predecessor exactly when `dist[p] + 1 ==
-//! dist[w]`.
+//! *dependencies* backwards along the BFS DAG. In a bipartite graph every
+//! edge joins two consecutive BFS levels, so a node's neighbours popped
+//! before it are exactly its predecessors, and those finished before it in
+//! the reverse sweep are exactly its successors. Both sweeps therefore
+//! *gather* (successor-based Brandes, Madduri et al., IPDPS 2009, in the pull
+//! direction of Beamer et al., SC 2012): a node sums one value over all its
+//! neighbours, a value that is 0 until the neighbour is popped (finished).
+//! An adjacency entry costs one read: no distance test, no scattered write.
 //!
 //! # Twins
 //!
@@ -33,15 +37,17 @@
 //! Networks for Betweenness Centrality", SDM 2013). One BFS per source class
 //! `S`, from a representative `s`:
 //!
-//! * σ flows forward as `σ[w] += σ[v]·m(v)`, since every node of `v` precedes
-//!   every node of `w`; `m(S)` counts as 1, as only `s` is at distance 0.
-//! * δ flows back as `δ[p] += σ[p]·m(w)·(1 + δ[w]) / σ[w]`, since a node of
-//!   `p` has `m(w)` successors in `w`.
-//! * The source-twin term: the `m(S) − 1` twins of `s` are not on the
-//!   quotient BFS. They are leaves at distance 2, reached once through each
-//!   of the `deg(s)` neighbours of `s`, so every such neighbour owes them
-//!   `(m(S) − 1) / deg(s)`. That seeds δ on each neighbour class of `S`
-//!   before the backward sweep.
+//! * `v` gathers `σ[v] = Σ_{w∈N(v)} t[w]` as it is popped, where `t[w] =
+//!   σ[w]·m(w)` is written when `w` is popped, since every node of `w`
+//!   precedes every node of `v`. `t[S] = 1`, as only `s` is at distance 0.
+//! * `v` gathers `δ[v] = seed(v) + σ[v]·Σ_{w∈N(v)} c[w]` as it finishes,
+//!   where `c[w] = m(w)·(1 + δ[w]) / σ[w]` is written when `w` finishes,
+//!   since a node of `v` has `m(w)` successors in `w`. `t` and `c` share one
+//!   array, zeroed between the sweeps; `S` never finishes, so `c[S]` stays 0.
+//! * The source-twin term `seed(v)`: the `m(S) − 1` twins of `s` are not on
+//!   the quotient BFS. They are leaves at distance 2, reached once through
+//!   each of the `deg(s)` neighbours of `s`, so every such neighbour owes
+//!   them `(m(S) − 1) / deg(s)`; those are the first BFS level, 0 elsewhere.
 //! * Every class `c ≠ S` collects `weight·δ[c]`; the members of `S` collect
 //!   nothing (the source, and leaves).
 //!
@@ -249,56 +255,51 @@ impl Quotient {
         weight: f64,
     ) {
         workspace.reset();
-        let Workspace {
-            dist,
-            sigma,
-            delta,
-            order,
-        } = workspace;
+        let Workspace { sigma, flow, order } = workspace;
 
-        dist[source as usize] = 0;
-        sigma[source as usize] = 1.0;
+        // Forward: a class gathers σ from its popped neighbours, its
+        // predecessors, as it is popped. σ is non-zero from discovery on,
+        // which marks a class seen. Only the representative of the source
+        // class is at distance 0, so `σ[source] = t[source] = 1`.
         order.push(source);
+        (sigma[source as usize], flow[source as usize]) = (1.0, 1.0);
         let mut head = 0;
         while head < order.len() {
             let v = order[head];
-            let vi = v as usize;
-            // Only the representative of the source class is at distance 0.
-            let flow = if head == 0 {
-                sigma[vi]
-            } else {
-                sigma[vi] * self.size[vi]
-            };
-            head += 1;
-            let dv = dist[vi];
+            let mut paths = 0.0;
             for &w in self.neighbours(v) {
                 let wi = w as usize;
-                if dist[wi] < 0 {
-                    dist[wi] = dv + 1;
+                paths += flow[wi];
+                if sigma[wi] == 0.0 {
+                    sigma[wi] = 1.0;
                     order.push(w);
                 }
-                if dist[wi] == dv + 1 {
-                    sigma[wi] += flow;
-                }
             }
+            if head > 0 {
+                let vi = v as usize;
+                (sigma[vi], flow[vi]) = (paths, paths * self.size[vi]);
+            }
+            head += 1;
         }
 
-        // The source's twins: a leaf at distance 2 behind every neighbour.
-        for &n in self.neighbours(source) {
-            delta[n as usize] = self.twin_seed[source as usize];
+        // Backward, the source excluded: a class gathers δ from its finished
+        // neighbours, its successors, as it finishes. `c` reuses `flow`, so
+        // it must start at 0 everywhere, the never-finished source included.
+        for &class in order.iter() {
+            flow[class as usize] = 0.0;
         }
-        // Backward sweep in reverse BFS order, the source excluded.
-        for &w in order[1..].iter().rev() {
+        // The source's neighbours, which owe its twins, are the first level.
+        let (first_level, twin_seed) = (
+            1 + self.neighbours(source).len(),
+            self.twin_seed[source as usize],
+        );
+        for (i, &w) in order.iter().enumerate().skip(1).rev() {
             let wi = w as usize;
-            let dw = dist[wi];
-            let coeff = self.size[wi] * (1.0 + delta[wi]) / sigma[wi];
-            for &p in self.neighbours(w) {
-                let pi = p as usize;
-                if dist[pi] + 1 == dw {
-                    delta[pi] += sigma[pi] * coeff;
-                }
-            }
-            accumulator[wi] += weight * delta[wi];
+            let dependency: f64 = self.neighbours(w).iter().map(|&u| flow[u as usize]).sum();
+            let seed = if i < first_level { twin_seed } else { 0.0 };
+            let delta = seed + sigma[wi] * dependency;
+            flow[wi] = self.size[wi] * (1.0 + delta) / sigma[wi];
+            accumulator[wi] += weight * delta;
         }
     }
 }
@@ -306,9 +307,11 @@ impl Quotient {
 /// Per-chunk scratch space for [`Quotient::accumulate`], reset lazily
 /// between sources (only the classes the previous BFS reached are cleared).
 struct Workspace {
-    dist: Vec<i32>,
+    /// 0 until the class is discovered, then σ once it is popped.
     sigma: Vec<f64>,
-    delta: Vec<f64>,
+    /// `t` in the forward sweep and `c` in the backward one (module doc): 0
+    /// for a class until it is popped (finished).
+    flow: Vec<f64>,
     /// Classes in BFS order; doubles as the queue.
     order: Vec<u32>,
 }
@@ -316,18 +319,16 @@ struct Workspace {
 impl Workspace {
     fn new(classes: usize) -> Self {
         Workspace {
-            dist: vec![-1; classes],
             sigma: vec![0.0; classes],
-            delta: vec![0.0; classes],
+            flow: vec![0.0; classes],
             order: Vec::with_capacity(classes),
         }
     }
 
     fn reset(&mut self) {
         for &c in &self.order {
-            self.dist[c as usize] = -1;
             self.sigma[c as usize] = 0.0;
-            self.delta[c as usize] = 0.0;
+            self.flow[c as usize] = 0.0;
         }
         self.order.clear();
     }
@@ -714,6 +715,55 @@ mod tests {
         }
     }
 
+    /// Every entry point against the per-node oracle at 1, 2 and 4 threads:
+    /// the whole graph, each pool of `pools` (unions of components), and
+    /// `samples` draws from `pools[0]`.
+    fn assert_every_entry_point_matches(
+        graph: &BipartiteGraph,
+        pools: &[Vec<u32>],
+        samples: usize,
+        seed: u64,
+        what: &str,
+    ) {
+        let all: Vec<u32> = graph.nodes().collect();
+        let sampled_pool = &pools[0];
+        let config = ApproxBcConfig { samples, seed };
+        let scale = sampled_pool.len() as f64 / samples as f64;
+        let drawn = index_sample(
+            &mut StdRng::seed_from_u64(seed),
+            sampled_pool.len(),
+            samples,
+        );
+        let sampled = per_node_brandes(graph, drawn.into_iter().map(|i| (sampled_pool[i], scale)));
+        let exact = per_node_brandes(graph, all.iter().map(|&s| (s, 1.0)));
+        for threads in [1, 2, 4] {
+            let what = format!("{what}, {threads} threads");
+            assert_matches(
+                graph,
+                &all,
+                &betweenness_centrality_parallel(graph, threads),
+                &exact,
+                &format!("{what}, whole graph"),
+            );
+            for (p, pool) in pools.iter().enumerate() {
+                assert_matches(
+                    graph,
+                    pool,
+                    &betweenness_from_sources(graph, pool, threads),
+                    &per_node_brandes(graph, pool.iter().map(|&s| (s, 1.0))),
+                    &format!("{what}, pool {p}"),
+                );
+            }
+            assert_matches(
+                graph,
+                sampled_pool,
+                &approximate_betweenness_within(graph, sampled_pool, config, threads),
+                &sampled,
+                &format!("{what}, {samples} of {} sampled", sampled_pool.len()),
+            );
+        }
+    }
+
     /// The quotient kernel against the per-node oracle on every entry point:
     /// the whole graph, component sub-pools, and sampled sources.
     #[test]
@@ -721,56 +771,154 @@ mod tests {
         for seed in 0..300u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (graph, original) = random_graph_with_twins(&mut rng);
-            let all: Vec<u32> = graph.nodes().collect();
             let components = connected_components(&graph);
             let labels = &components.labels;
             let some: Vec<u32> = (0..components.count() as u32)
                 .filter(|_| rng.gen_bool(0.5))
                 .collect();
             let pools = [
-                all.clone(),
                 nodes_in_components(&components, &[labels[original as usize]]),
+                graph.nodes().collect(),
                 nodes_in_components(&components, &some),
             ];
-            let triple = pools[1].clone();
-            let config = ApproxBcConfig {
-                samples: rng.gen_range(1..=triple.len()),
+            let samples = rng.gen_range(1..=pools[0].len());
+            assert_every_entry_point_matches(
+                &graph,
+                &pools,
+                samples,
                 seed,
-            };
-            let scale = triple.len() as f64 / config.samples as f64;
-            let drawn = index_sample(
-                &mut StdRng::seed_from_u64(config.seed),
-                triple.len(),
-                config.samples,
+                &format!("seed {seed}"),
             );
-            let sampled = per_node_brandes(&graph, drawn.into_iter().map(|i| (triple[i], scale)));
-            let exact = per_node_brandes(&graph, all.iter().map(|&s| (s, 1.0)));
-            for threads in [1, 2, 4] {
-                let what = format!("seed {seed}, {threads} threads");
-                assert_matches(
-                    &graph,
-                    &all,
-                    &betweenness_centrality_parallel(&graph, threads),
-                    &exact,
-                    &format!("{what}, whole graph"),
-                );
-                for (p, pool) in pools.iter().enumerate() {
-                    assert_matches(
-                        &graph,
-                        pool,
-                        &betweenness_from_sources(&graph, pool, threads),
-                        &per_node_brandes(&graph, pool.iter().map(|&s| (s, 1.0))),
-                        &format!("{what}, pool {p}"),
-                    );
+        }
+    }
+
+    /// A graph over `sides.len()` nodes (`true` for an attribute) and edges
+    /// between them.
+    fn graph_of(sides: &[bool], edges: &[(usize, usize)]) -> BipartiteGraph {
+        let mut b = BipartiteBuilder::new();
+        let ids: Vec<u32> = sides
+            .iter()
+            .enumerate()
+            .map(|(i, &attribute)| {
+                if attribute {
+                    b.add_attribute(format!("a{i}"))
+                } else {
+                    b.add_value(format!("v{i}"))
                 }
-                assert_matches(
-                    &graph,
-                    &triple,
-                    &approximate_betweenness_within(&graph, &triple, config, threads),
-                    &sampled,
-                    &format!("{what}, {} of {} sampled", config.samples, triple.len()),
-                );
+            })
+            .collect();
+        for &(x, y) in edges {
+            let (v, a) = if sides[x] { (y, x) } else { (x, y) };
+            assert!(sides[a] && !sides[v], "edge {x}-{y} joins one side");
+            b.add_edge(ids[v], ids[a]);
+        }
+        b.build()
+    }
+
+    /// The largest BFS distance from `source`.
+    fn depth_from(graph: &BipartiteGraph, source: u32) -> usize {
+        let mut dist = vec![usize::MAX; graph.node_count()];
+        dist[source as usize] = 0;
+        let mut queue = VecDeque::from([source]);
+        let mut deepest = 0;
+        while let Some(v) = queue.pop_front() {
+            deepest = dist[v as usize];
+            for &w in graph.neighbors(v) {
+                if dist[w as usize] == usize::MAX {
+                    dist[w as usize] = deepest + 1;
+                    queue.push_back(w);
+                }
             }
+        }
+        deepest
+    }
+
+    /// A seeded caterpillar (a path with leaves) or ladder (two paths
+    /// joined by rungs) of 13 to 20 positions, so the BFS from the first
+    /// node is at least 12 deep, with twin copies of nodes on both sides:
+    /// leaves on one spine node, and copies of random nodes' neighbour lists.
+    fn deep_graph(rng: &mut StdRng, ladder: bool) -> BipartiteGraph {
+        let length = rng.gen_range(13..=20);
+        let rails = if ladder { 2 } else { 1 };
+        // Spine node (i, r) is node r·length + i, on side (i + r) mod 2.
+        let mut sides: Vec<bool> = (0..rails * length)
+            .map(|n| (n % length + n / length) % 2 == 1)
+            .collect();
+        let mut edges = Vec::new();
+        for r in 0..rails {
+            for i in 1..length {
+                edges.push((r * length + i - 1, r * length + i));
+            }
+        }
+        if ladder {
+            for i in 0..length {
+                edges.push((i, length + i));
+            }
+        } else {
+            for i in 0..length {
+                for _ in 0..rng.gen_range(0..=3) {
+                    sides.push(!sides[i]);
+                    edges.push((i, sides.len() - 1));
+                }
+            }
+        }
+        // Copies: a value and an attribute (two neighbours on the first
+        // rail), then a few more of any node.
+        let first = rng.gen_range(0..length - 1);
+        let mut picks = vec![first, first + 1];
+        picks.extend((0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..sides.len())));
+        for original in picks {
+            let copy = sides.len();
+            sides.push(sides[original]);
+            let copied: Vec<(usize, usize)> = edges
+                .iter()
+                .filter_map(|&(x, y)| match (x == original, y == original) {
+                    (true, _) => Some((copy, y)),
+                    (_, true) => Some((x, copy)),
+                    _ => None,
+                })
+                .collect();
+            edges.extend(copied);
+        }
+        let graph = graph_of(&sides, &edges);
+        assert!(depth_from(&graph, 0) >= 12);
+        graph
+    }
+
+    #[test]
+    fn quotient_matches_per_node_brandes_on_deep_graphs() {
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ladder = seed % 2 == 1;
+            let graph = deep_graph(&mut rng, ladder);
+            let all: Vec<u32> = graph.nodes().collect();
+            let samples = rng.gen_range(1..=all.len());
+            let what = format!(
+                "seed {seed}, {}",
+                if ladder { "ladder" } else { "caterpillar" }
+            );
+            assert_every_entry_point_matches(&graph, &[all], samples, seed, &what);
+        }
+    }
+
+    /// 14 layers of 8, each joined completely to the next: every layer is
+    /// one twin class, and an end-to-end pair has 8^12 = 2^36 shortest paths.
+    #[test]
+    fn quotient_matches_per_node_brandes_past_2_32_paths() {
+        let (layers, width) = (14, 8);
+        let sides: Vec<bool> = (0..layers * width).map(|n| (n / width) % 2 == 1).collect();
+        let edges: Vec<(usize, usize)> = (1..layers)
+            .flat_map(|l| {
+                (0..width).flat_map(move |x| {
+                    (0..width).map(move |y| ((l - 1) * width + x, l * width + y))
+                })
+            })
+            .collect();
+        let graph = graph_of(&sides, &edges);
+        assert_eq!(depth_from(&graph, 0), layers - 1);
+        let pools = [graph.nodes().collect::<Vec<u32>>()];
+        for (samples, seed) in [(1, 0), (5, 1), (pools[0].len(), 2)] {
+            assert_every_entry_point_matches(&graph, &pools, samples, seed, "layered chain");
         }
     }
 

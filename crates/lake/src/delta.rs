@@ -186,6 +186,19 @@ impl LakeDelta {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// [`Table::validate_encoding`] on every added table: a decoded delta
+    /// holds whatever its JSON said, and an impossible table must be a typed
+    /// error, never a panic inside the engine.
+    ///
+    /// # Errors
+    /// The first failing table's [`LakeError`].
+    pub fn validate_encoding(&self) -> Result<()> {
+        self.ops.iter().try_for_each(|op| match op {
+            LakeOp::AddTable(table) => table.validate_encoding(),
+            _ => Ok(()),
+        })
+    }
 }
 
 /// What applying a batch of [`LakeDelta`]s reports to incremental consumers.

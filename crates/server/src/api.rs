@@ -10,6 +10,8 @@
 use domainnet::{DeltaStats, ScoredValue};
 use serde::{Deserialize, Serialize};
 
+use crate::error::ApiError;
+
 pub use dn_service::{AttributeNeighborhood, ScoreCard, TableSummary, ValueExplanation};
 
 /// `GET /healthz` response.
@@ -80,6 +82,28 @@ pub struct TableSummaryResponse {
 pub struct MutationRequest {
     /// The deltas, applied in order within one batch.
     pub deltas: Vec<lake::delta::LakeDelta>,
+}
+
+impl MutationRequest {
+    /// Decode a request body: UTF-8 JSON of at least one delta.
+    ///
+    /// # Errors
+    /// A 400 naming what is wrong with the body.
+    pub fn decode(body: &[u8]) -> Result<Self, ApiError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
+        let parsed: MutationRequest = serde_json::from_str(text)
+            .map_err(|e| ApiError::bad_request(format!("invalid mutation JSON: {e}")))?;
+        if parsed.deltas.is_empty() {
+            return Err(ApiError::bad_request("empty mutation batch"));
+        }
+        for delta in &parsed.deltas {
+            delta
+                .validate_encoding()
+                .map_err(|e| ApiError::bad_request(format!("invalid table payload: {e}")))?;
+        }
+        Ok(parsed)
+    }
 }
 
 /// `POST /v1/mutations` response.

@@ -290,27 +290,7 @@ fn table_summary(state: &ServerState, req: &Request, raw_name: &str) -> Result<R
 }
 
 fn mutations(state: &ServerState, req: &Request) -> Result<Response, ApiError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    let parsed: MutationRequest = serde_json::from_str(text)
-        .map_err(|e| ApiError::bad_request(format!("invalid mutation JSON: {e}")))?;
-    if parsed.deltas.is_empty() {
-        return Err(ApiError::bad_request("empty mutation batch"));
-    }
-    // Serde's derived decode trusts whatever the JSON said; tables ride
-    // inside AddTable ops, so re-check their construction invariants
-    // (dictionary encoding, rectangularity, unique column names) exactly
-    // like WAL replay does — a structurally impossible table must be a
-    // 400, never a panic inside the engine.
-    for delta in &parsed.deltas {
-        for op in delta.ops() {
-            if let lake::delta::LakeOp::AddTable(table) = op {
-                table
-                    .validate_encoding()
-                    .map_err(|e| ApiError::bad_request(format!("invalid table payload: {e}")))?;
-            }
-        }
-    }
+    let parsed = MutationRequest::decode(&req.body)?;
     let batches = parsed.deltas.len();
     let mut coordinator = state
         .coordinator

@@ -49,7 +49,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use lake::delta::{LakeDelta, LakeOp};
+use lake::delta::LakeDelta;
 
 use crate::codec::crc32;
 use crate::error::{Result, StoreError};
@@ -167,19 +167,10 @@ pub fn scan_wal(path: &Path) -> Result<WalScan> {
             .map_err(|_| StoreError::corrupt(format!("WAL record {seq} is not UTF-8")))?;
         let batch: Vec<LakeDelta> = serde_json::from_str(text)
             .map_err(|e| StoreError::corrupt(format!("WAL record {seq} does not decode: {e}")))?;
-        // Serde's derived decode trusts whatever the JSON said; tables ride
-        // inside AddTable ops, so re-check their construction invariants
-        // (dictionary encoding, rectangularity, unique column names) here
-        // — a checksum-valid but structurally impossible record must be a
-        // typed error, never a panic during replay.
         for delta in &batch {
-            for op in delta.ops() {
-                if let LakeOp::AddTable(table) = op {
-                    table
-                        .validate_encoding()
-                        .map_err(|e| StoreError::corrupt(format!("WAL record {seq}: {e}")))?;
-                }
-            }
+            delta
+                .validate_encoding()
+                .map_err(|e| StoreError::corrupt(format!("WAL record {seq}: {e}")))?;
         }
         records.push(WalRecord {
             seq,

@@ -11,7 +11,7 @@
 //!   must agree with a from-scratch build of the final lake to 1e-9 (the
 //!   slack covers the fresh build's different node layout, not drift).
 //! * `malformed_requests_answer_their_documented_status` — each abuse case
-//!   (bad JSON, unknown route, wrong method, oversized body, truncated
+//!   (bad JSON, 10 000 nested arrays, unknown route, wrong method, oversized body, truncated
 //!   request, bad request line, chunked encoding, bad parameters) must
 //!   yield exactly its documented status code *and leave the worker
 //!   alive*, proven by a successful `/healthz` after every case.
@@ -465,6 +465,19 @@ fn malformed_requests_answer_their_documented_status() {
     assert_eq!(response.status, 400, "{}", response.body);
     assert!(response.body.contains("bad_request"));
     assert_workers_alive("bad JSON");
+
+    // 10 000 nested arrays → 400, not a worker's stack overflowing (which
+    // aborts the whole process).
+    let response = client
+        .post_json("/v1/mutations", &"[".repeat(10_000))
+        .unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("nesting deeper than"),
+        "{}",
+        response.body
+    );
+    assert_workers_alive("deep nesting");
 
     // Structurally valid JSON, wrong schema → 400.
     let response = client.post_json("/v1/mutations", "{\"nope\": 1}").unwrap();
