@@ -13,7 +13,8 @@
 # reader and load_dir across pool widths, the concurrency stress test,
 # the dn-store corruption-hardening suite (with its seeded hostile-bytes
 # loop over the snapshot sections), the seeded hostile-bytes loop over WAL
-# records and mutation bodies, the crash-recovery suite, the
+# records and mutation bodies, the seeded hostile-bytes loop over HTTP
+# request heads, the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
 # places every table where op-by-op commits would), the process probes
 # of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
@@ -38,7 +39,8 @@
 #             ledger, stress, recovery, sharded placement, process
 #             probes); the full run is
 #             --quick plus the long modes of the CSV differential loop
-#             and the snapshot and WAL/mutation-body hostile-bytes loops,
+#             and the snapshot, WAL/mutation-body and HTTP-head
+#             hostile-bytes loops,
 #             the standing
 #             benchmark's determinism run and
 #             `paper all --scale 0.2` from the release build
@@ -152,6 +154,7 @@ cargo test -q -- \
     --skip quotient_matches_per_node_brandes \
     --skip hostile_wal_records_and_mutation_bodies_decode_or_refuse \
     --skip nested_brackets_in_a_checksum_valid_wal_record_are_corrupt \
+    --skip hostile_http_heads_parse_or_refuse \
     --skip hostile_bytes_match_the_reference_reader \
     --skip load_dir_is_width_invariant_and_matches_the_reference_reader \
     --skip readers_always_observe_consistent_epochs \
@@ -211,7 +214,12 @@ gate "store corruption hardening (typed errors, no panics)" -p dn-store --test c
 # Seeded edits of WAL records (resealed past the CRC) and of mutation
 # bodies: deltas or a typed error, replayed as Ok or a typed LakeError.
 gate "WAL records and mutation bodies under hostile bytes (typed errors, no panics)" \
-    --test hostile_inputs
+    --test hostile_inputs -- hostile_wal_records_and_mutation_bodies_decode_or_refuse \
+    nested_brackets_in_a_checksum_valid_wal_record_are_corrupt
+# Seeded edits of real request heads read off a loopback socket: a request
+# whose body is its declared length, or a typed ReadError.
+gate "HTTP request heads under hostile bytes (typed errors, no panics)" \
+    --test hostile_inputs hostile_http_heads_parse_or_refuse
 gate "store crash recovery (kill + recover == uninterrupted)" --test store_recovery
 gate "sharded batch == op-by-op placement" \
     --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
@@ -226,7 +234,7 @@ gate "drop-folder ingest probe (dn-serve --ingest-dir)" \
     --test dn_serve_process drop_folder_ingest_probe
 gate "drop-folder ingest probe (dn-ingest --once)" \
     --test dn_serve_process dn_ingest_once_ships_a_drop_folder_over_http
-gate "dn-serve argument errors (retired --smoke* flags exit 2 with usage)" \
+gate "dn-serve argument errors (retired --smoke* and --cache-capacity flags exit 2 with usage)" \
     --test dn_serve_process retired_smoke_flags_are_rejected_with_usage
 
 # Store, replica and process tests create their scratch dirs under
@@ -257,6 +265,10 @@ if [[ "$QUICK" -eq 0 ]]; then
     gate "WAL records and mutation bodies under hostile bytes, long mode (50 000 seeded cases)" \
         --test hostile_inputs -- --ignored hostile_wal_records_and_mutation_bodies_decode_or_refuse_long
 
+    # The HTTP head loop's long mode: 50 000 cases from another seed.
+    gate "HTTP request heads under hostile bytes, long mode (50 000 seeded cases)" \
+        --test hostile_inputs -- --ignored hostile_http_heads_parse_or_refuse_long
+
     # Every workload twice from one seed: same operation stream, request
     # count, store bytes and ops delivered both times. The digests must
     # also be the committed ones: batch_detect's folds every ranked
@@ -277,7 +289,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the CSV, snapshot and WAL/mutation-body long modes, the benchmark's determinism run and paper all --scale 0.2"
+    echo "==> --quick: skipping the CSV, snapshot, WAL/mutation-body and HTTP-head long modes, the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

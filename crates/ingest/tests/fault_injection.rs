@@ -26,7 +26,6 @@ use lake::{LakeDelta, Table};
 fn service_config() -> ServiceConfig {
     ServiceConfig {
         measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: 8,
         prune_single_attribute_values: true,
         threads: 1,
     }

@@ -155,7 +155,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
         )));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
     let mut trace_id = None;
@@ -167,9 +167,15 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value
-                    .parse::<usize>()
-                    .map_err(|_| ReadError::Malformed(format!("bad Content-Length: {value:?}")))?;
+                // 1*DIGIT, one value however often it is sent (RFC 9112
+                // §6.3); a number past usize is too large, not malformed.
+                let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+                let declared = value.parse().unwrap_or(usize::MAX);
+                if !digits || content_length.is_some_and(|n| n != declared) {
+                    let why = format!("bad or conflicting Content-Length: {value:?}");
+                    return Err(ReadError::Malformed(why));
+                }
+                content_length = Some(declared);
             }
             "transfer-encoding" if value.to_ascii_lowercase().contains("chunked") => {
                 return Err(ReadError::ChunkedUnsupported);
@@ -187,6 +193,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Err(ReadError::BodyTooLarge);
     }

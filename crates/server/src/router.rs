@@ -208,12 +208,9 @@ fn top_k(state: &ServerState, req: &Request) -> Result<Response, ApiError> {
     let measure = resolve_measure(view.measures(), req.query_value("measure"))?;
     let k = parse_k(req)?;
     let results: Vec<domainnet::ScoredValue> = match req.query_value("table") {
-        None => {
-            let ranking = reader
-                .top_k(measure, k)
-                .ok_or_else(|| ApiError::not_found("measure not served"))?;
-            ranking.as_ref().clone()
-        }
+        None => view
+            .top_k(measure, k)
+            .ok_or_else(|| ApiError::not_found("measure not served"))?,
         Some(table) => {
             let summary = view.table_summary(table, measure, k).ok_or_else(|| {
                 ApiError::not_found(format!("no table named {table:?} in this epoch"))

@@ -87,7 +87,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use dn_store::{Store, StorePresence};
 use dn_trace::metrics::{
@@ -100,7 +100,7 @@ use lake::delta::{LakeDelta, LakeOp, MutableLake};
 use lake::table::Table;
 use lake::value::normalize;
 
-use crate::cache::{CacheKey, CacheStats, TopKCache};
+use crate::cache::{CacheStats, TopKReads};
 use crate::engine::{
     serve, serve_durable, serve_from_dir, CheckpointPolicy, ServiceConfig, ServiceError,
     StoreGauges, Writer,
@@ -276,11 +276,8 @@ fn build_coordinator(
     config: ServiceConfig,
     root_dir: Option<PathBuf>,
 ) -> (CoordinatorHandle, Coordinator) {
-    let placeholder = Arc::new(MultiView {
-        epoch: 0,
-        shards: Vec::new(),
-        threads: 1,
-    });
+    let reads = Arc::new(TopKReads::default());
+    let placeholder = Arc::new(MultiView::new(0, Vec::new(), 1, Arc::clone(&reads)));
     let store_gauges = shards.iter().filter_map(Writer::store_gauges).collect();
     let mut coordinator = Coordinator {
         shards,
@@ -289,7 +286,7 @@ fn build_coordinator(
         epoch: 0,
         shared: Arc::new(CoordShared {
             current: RwLock::new(placeholder),
-            cache: Mutex::new(TopKCache::new(config.cache_capacity)),
+            reads,
             epochs_published: Counter::default(),
             store_gauges,
         }),
@@ -553,7 +550,7 @@ fn add_stats(total: &mut DeltaStats, part: DeltaStats) {
 
 /// One coordinator epoch's worth of shard snapshots, published and pinned
 /// as a unit so readers never observe a mixture of shard epochs. All
-/// scatter-gather query merging lives here.
+/// scatter-gather query merging lives here, the global ranking included.
 #[derive(Debug)]
 pub struct MultiView {
     epoch: u64,
@@ -562,9 +559,25 @@ pub struct MultiView {
     /// [`ServiceConfig::threads`]). Fan-out only engages with more than one
     /// shard *and* more than one thread; answers are identical either way.
     threads: usize,
+    /// The global order under each served measure (indexed like
+    /// [`MultiView::measures`]) as `(shard, position in its ranking)`.
+    orders: Vec<OnceLock<Vec<(u32, u32)>>>,
+    /// The coordinator's top-k read counters, shared by all its views.
+    reads: Arc<TopKReads>,
 }
 
 impl MultiView {
+    fn new(epoch: u64, shards: Vec<Arc<Snapshot>>, threads: usize, reads: Arc<TopKReads>) -> Self {
+        let measures = shards.first().map_or(0, |s| s.measures().len());
+        MultiView {
+            epoch,
+            shards,
+            threads,
+            orders: (0..measures).map(|_| OnceLock::new()).collect(),
+            reads,
+        }
+    }
+
     /// The coordinator epoch this view was published as.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -627,30 +640,49 @@ impl MultiView {
         total
     }
 
-    /// Globally merged top-`k` under a measure: an exact k-way merge of
-    /// the per-shard rankings under the shared total order. `None` when
-    /// the measure is not served.
+    /// Globally merged top-`k` under a measure: the first `k` entries of
+    /// the view's global order, which the view's first top-k read of the
+    /// measure merges (a miss; every other read is a hit, and concurrent
+    /// first readers wait for the one merge). `None` when the measure is
+    /// not served.
     pub fn top_k(&self, measure: Measure, k: usize) -> Option<Vec<ScoredValue>> {
         let rankings: Vec<&Arc<Vec<ScoredValue>>> = self
-            .scatter(|s| s.ranking(measure))
-            .into_iter()
+            .shards
+            .iter()
+            .map(|s| s.ranking(measure))
             .collect::<Option<_>>()?;
+        let slot = &self.orders[self.measures().iter().position(|&m| m == measure)?];
+        let mut merged = false;
+        let order = slot.get_or_init(|| {
+            merged = true;
+            self.merge(measure)
+        });
+        let read = if merged {
+            &self.reads.misses
+        } else {
+            &self.reads.hits
+        };
+        read.inc();
+        let entry = |&(shard, pos): &(u32, u32)| rankings[shard as usize][pos as usize].clone();
+        Some(order.iter().take(k).map(entry).collect())
+    }
+
+    /// The exact k-way merge of the shard rankings under the measure's
+    /// total order, run to the end: a stable sort of the rankings laid end
+    /// to end in shard order. Each is sorted already, so the sort merges
+    /// them, and a tie goes to the lower shard.
+    fn merge(&self, measure: Measure) -> Vec<(u32, u32)> {
+        let rankings = self.scatter(|s| s.ranking(measure).map_or(&[][..], |r| r.as_slice()));
         let _merge = dn_trace::span(dn_trace::Phase::CoordMerge);
-        let mut heads = vec![0usize; rankings.len()];
-        let mut out = Vec::with_capacity(k.min(rankings.iter().map(|r| r.len()).sum()));
-        while out.len() < k {
-            // The shard whose next entry ranks first (the lowest shard on a
-            // tie, which `min_by` keeps).
-            let best = (0..rankings.len())
-                .filter(|&i| heads[i] < rankings[i].len())
-                .min_by(|&a, &b| {
-                    measure.rank_order(&rankings[a][heads[a]], &rankings[b][heads[b]])
-                });
-            let Some(b) = best else { break };
-            out.push(rankings[b][heads[b]].clone());
-            heads[b] += 1;
-        }
-        Some(out)
+        // Ranks are u32 throughout a snapshot (`rank_of_node`).
+        let mut order: Vec<(u32, u32)> = (0..rankings.len() as u32)
+            .flat_map(|shard| {
+                (0..rankings[shard as usize].len() as u32).map(move |pos| (shard, pos))
+            })
+            .collect();
+        let entry = |&(shard, pos): &(u32, u32)| &rankings[shard as usize][pos as usize];
+        order.sort_by(|a, b| measure.rank_order(entry(a), entry(b)));
+        order
     }
 
     /// Score, **global** rank, and **global** percentile of one value.
@@ -770,7 +802,7 @@ impl MultiView {
 
 struct CoordShared {
     current: RwLock<Arc<MultiView>>,
-    cache: Mutex<TopKCache>,
+    reads: Arc<TopKReads>,
     epochs_published: Counter,
     /// One entry per shard of a durable coordinator (empty otherwise),
     /// written by the shards.
@@ -814,9 +846,16 @@ impl CoordinatorHandle {
         self.shared.epochs_published.get()
     }
 
-    /// Counters of the coordinator-level merged top-k cache.
+    /// Counters of the merged top-k reads, with the current view's merged
+    /// orders as `entries` and its served measures as `capacity`.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.lock().expect("cache lock").stats()
+        let view = self.shared.current();
+        CacheStats {
+            hits: self.shared.reads.hits.get(),
+            misses: self.shared.reads.misses.get(),
+            entries: view.orders.iter().filter(|o| o.get().is_some()).count(),
+            capacity: view.orders.len(),
+        }
     }
 
     /// Number of shards behind this handle.
@@ -824,7 +863,7 @@ impl CoordinatorHandle {
         self.shared.current().shard_count()
     }
 
-    /// Write the engine families: epochs, the merged top-k cache, and —
+    /// Write the engine families: epochs, the merged top-k reads, and —
     /// for a durable coordinator — the store sizes its shards publish.
     /// Reads the published view and atomics only, never the writer.
     pub fn export_metrics(&self, w: &mut Exposition) {
@@ -887,24 +926,10 @@ impl CoordinatorReader {
         self.pinned.epoch()
     }
 
-    /// Globally merged top-`k`, served from the coordinator's shared LRU
-    /// cache when a reader of the same epoch asked before.
+    /// Globally merged top-`k`, sliced from the pinned view's global
+    /// order. See [`MultiView::top_k`].
     pub fn top_k(&self, measure: Measure, k: usize) -> Option<Arc<Vec<ScoredValue>>> {
-        let key = CacheKey {
-            epoch: self.pinned.epoch(),
-            measure,
-            k,
-        };
-        if let Some(hit) = self.shared.cache.lock().expect("cache lock").get(&key) {
-            return Some(hit);
-        }
-        let fresh = Arc::new(self.pinned.top_k(measure, k)?);
-        self.shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&fresh));
-        Some(fresh)
+        self.pinned.top_k(measure, k).map(Arc::new)
     }
 
     /// Global score/rank/percentile card. See [`MultiView::score_card`].
@@ -1046,9 +1071,8 @@ impl Coordinator {
 
     /// Publish the committed state: every dirty shard publishes its own
     /// epoch, and one new [`MultiView`] (coordinator epoch = sum of
-    /// shard epochs) is swapped in atomically, invalidating the merged
-    /// top-k cache. With nothing dirty, every shard republishes — a
-    /// publish always bumps the epoch.
+    /// shard epochs) is swapped in atomically. With nothing dirty, every
+    /// shard republishes — a publish always bumps the epoch.
     pub fn publish(&mut self) -> u64 {
         let to_publish: Vec<usize> = if self.dirty.is_empty() {
             (0..self.shards.len()).collect()
@@ -1062,21 +1086,20 @@ impl Coordinator {
     }
 
     /// Swap in a [`MultiView`] over the shards' current snapshots (epoch =
-    /// sum of shard epochs), invalidate the merged top-k cache, and count
-    /// the publication. The one place a view becomes visible to readers.
+    /// sum of shard epochs) and count the publication. The one place a
+    /// view becomes visible to readers.
     fn install_view(&mut self) -> u64 {
         self.epoch = self.shards.iter().map(Writer::epoch).sum();
-        let view = Arc::new(MultiView {
-            epoch: self.epoch,
-            shards: self
-                .shards
+        let view = Arc::new(MultiView::new(
+            self.epoch,
+            self.shards
                 .iter()
                 .map(|w| Arc::clone(w.current()))
                 .collect(),
-            threads: self.threads,
-        });
+            self.threads,
+            Arc::clone(&self.shared.reads),
+        ));
         *self.shared.current.write().expect("multiview pointer lock") = view;
-        self.shared.cache.lock().expect("cache lock").invalidate();
         self.shared.epochs_published.inc();
         self.epoch
     }
@@ -1449,7 +1472,6 @@ mod tests {
     fn config() -> ServiceConfig {
         ServiceConfig {
             measures: vec![Measure::lcc(), Measure::exact_bc()],
-            cache_capacity: 8,
             prune_single_attribute_values: false,
             threads: 1,
         }
@@ -1572,22 +1594,16 @@ mod tests {
             "the shards must genuinely disagree"
         );
         for threads in [1usize, 4] {
-            let view = MultiView {
-                epoch: 0,
-                shards: vec![Arc::clone(&zoo), Arc::clone(&cars)],
-                threads,
-            };
+            let shards = vec![Arc::clone(&zoo), Arc::clone(&cars)];
+            let view = MultiView::new(0, shards, threads, Arc::default());
             assert_eq!(view.explain("Jaguar").unwrap(), zoo_answer);
             assert_eq!(
                 view.table_summary("cars", Measure::lcc(), 8),
                 cars.table_summary("cars", Measure::lcc(), 8),
                 "single-owner tables still answer from their owner"
             );
-            let flipped = MultiView {
-                epoch: 0,
-                shards: vec![Arc::clone(&cars), Arc::clone(&zoo)],
-                threads,
-            };
+            let shards = vec![Arc::clone(&cars), Arc::clone(&zoo)];
+            let flipped = MultiView::new(0, shards, threads, Arc::default());
             assert_eq!(flipped.explain("Jaguar").unwrap(), cars_answer);
         }
 
@@ -1647,7 +1663,7 @@ mod tests {
         let view = handle.current();
         for measure in [Measure::lcc(), Measure::exact_bc()] {
             let a = view.top_k(measure, usize::MAX).unwrap();
-            let b = plain.top_k(measure, usize::MAX).unwrap();
+            let b = plain.ranking(measure).unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.value, y.value);
@@ -1659,7 +1675,7 @@ mod tests {
         // Score cards take the cross-shard rank correction at one shard
         // too, and must still be the shard's own cards to the bit.
         for measure in [Measure::lcc(), Measure::exact_bc()] {
-            for scored in plain.top_k(measure, usize::MAX).unwrap() {
+            for scored in plain.ranking(measure).unwrap().iter() {
                 let card = view.score_card(measure, &scored.value).unwrap();
                 let local = plain.score_card(measure, &scored.value).unwrap();
                 assert_eq!(card, local, "{measure:?} {}", scored.value);
@@ -1718,7 +1734,7 @@ mod tests {
         let reference_view = unsharded(reference_lake);
         for measure in [Measure::lcc(), Measure::exact_bc()] {
             let merged = view.top_k(measure, usize::MAX).unwrap();
-            let plain = reference_view.top_k(measure, usize::MAX).unwrap();
+            let plain = reference_view.ranking(measure).unwrap();
             assert_eq!(merged.len(), plain.len());
             for (x, y) in merged.iter().zip(plain.iter()) {
                 assert_eq!(x.value, y.value, "{measure:?}");
@@ -1932,22 +1948,33 @@ mod tests {
     #[test]
     fn merged_top_k_is_cached_per_epoch() {
         let (handle, mut coordinator) = serve_sharded(two_component_lake(), config(), 2);
-        let (reader_a, reader_b) = (handle.reader(), handle.reader());
-        let first = reader_a.top_k(Measure::lcc(), 4).unwrap();
-        let second = reader_b.top_k(Measure::lcc(), 4).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "same epoch + same k share one cached prefix across readers"
-        );
         let stats = handle.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(stats.capacity, 2, "one order per served measure");
+        let (reader_a, reader_b) = (handle.reader(), handle.reader());
+        let long = reader_a.top_k(Measure::lcc(), 6).unwrap();
+        let short = reader_b.top_k(Measure::lcc(), 3).unwrap();
+        assert_eq!((long.len(), short.len()), (6, 3));
+        assert_eq!(short[..], long[..3], "one view, one order: k only cuts it");
+        let stats = handle.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+
+        let old = reader_a.view().top_k(Measure::lcc(), usize::MAX).unwrap();
         coordinator
             .apply_and_publish(LakeDelta::new().remove_table("prices"))
             .unwrap();
-        assert_eq!(handle.cache_stats().entries, 0, "publish invalidates");
-        // A still-pinned reader recomputes under its old epoch key.
-        let again = reader_a.top_k(Measure::lcc(), 4).unwrap();
-        assert_eq!(*again, *first);
+        let stats = handle.cache_stats();
+        assert_eq!(stats.entries, 0, "a new view starts with no order merged");
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        // A reader still pinned to the old view answers from that view's
+        // order: a hit, not a second merge.
+        let again = reader_a.top_k(Measure::lcc(), usize::MAX).unwrap();
+        assert_eq!(*again, old);
+        let stats = handle.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (3, 1));
+        let fresh = handle.reader().top_k(Measure::lcc(), usize::MAX).unwrap();
+        assert_ne!(*fresh, old, "the new view ranks without the removed table");
+        assert_eq!(handle.cache_stats().misses, 2);
     }
 
     #[test]
@@ -1960,10 +1987,7 @@ mod tests {
         assert_eq!(view.table_names().len(), 4);
         let all = view.top_k(Measure::lcc(), usize::MAX).unwrap();
         let plain = unsharded(two_component_lake());
-        assert_eq!(
-            all.len(),
-            plain.top_k(Measure::lcc(), usize::MAX).unwrap().len()
-        );
+        assert_eq!(all.len(), plain.ranking(Measure::lcc()).unwrap().len());
     }
 
     #[test]

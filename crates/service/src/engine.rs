@@ -36,8 +36,6 @@ pub struct ServiceConfig {
     /// The measures the service answers queries for. Every publish warms
     /// and snapshots each of them.
     pub measures: Vec<Measure>,
-    /// Top-k cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
     /// Whether single-attribute values are pruned from the graph (the
     /// paper's default; see `DomainNetConfig`).
     pub prune_single_attribute_values: bool,
@@ -52,7 +50,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             measures: vec![Measure::lcc(), Measure::exact_bc()],
-            cache_capacity: 64,
             prune_single_attribute_values: true,
             threads: 1,
         }

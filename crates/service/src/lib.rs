@@ -24,8 +24,8 @@
 //!   per-value score/rank/percentile cards, attribute-neighborhood
 //!   explanations, and per-table summaries, all with exact global
 //!   rank/percentile semantics across shards;
-//! * one shared LRU cache ([`cache::CacheStats`]) short-circuits repeated
-//!   merged top-k queries within an epoch and is invalidated on publish;
+//! * each view merges a measure's shard rankings into one global order
+//!   on its first top-k read of it, and later reads slice that order;
 //! * a durable coordinator write-ahead logs every commit before it
 //!   applies, a [`CheckpointPolicy`] periodically snapshots each shard and
 //!   trims its log, and recovery restores an equal coordinator from disk

@@ -40,7 +40,7 @@ use dn_trace::metrics::{Counter, Exposition, Gauge, REPLICA_DIVERGENCE, REPLICA_
 use lake::delta::LakeDelta;
 
 use crate::coordinator::{recover_shards_lenient, Coordinator, CoordinatorHandle};
-use crate::engine::{CheckpointPolicy, ServiceConfig, ServiceError};
+use crate::engine::{CheckpointPolicy, ServiceConfig, ServiceError, Writer};
 use crate::snapshot::Snapshot;
 
 /// Fold one published shard snapshot into a 64-bit state digest.
@@ -253,15 +253,14 @@ impl ReplicaSource for LocalReplicaSource {
 
     fn fetch_snapshot(&self, shard: usize) -> Result<(u64, Vec<u8>), ReplicaError> {
         let primary = self.coordinator.lock().expect("primary lock");
-        primary
-            .shard(shard)
+        primary_shard(&primary, shard)?
             .newest_snapshot_bytes()
             .map_err(|e| ReplicaError::Source(e.to_string()))
     }
 
     fn fetch_wal(&self, shard: usize, from_seq: u64) -> Result<WalFetch, ReplicaError> {
         let primary = self.coordinator.lock().expect("primary lock");
-        match primary.shard(shard).wal_after(from_seq) {
+        match primary_shard(&primary, shard)?.wal_after(from_seq) {
             Ok(dn_store::WalTail::Records(records)) => Ok(WalFetch::Records(
                 records
                     .into_iter()
@@ -278,6 +277,19 @@ impl ReplicaSource for LocalReplicaSource {
             Err(e) => Err(ReplicaError::Source(e.to_string())),
         }
     }
+}
+
+/// One shard of the primary. [`Coordinator::shard`] would panic past the
+/// shard count and poison the lock the primary's own writes take.
+fn primary_shard(primary: &Coordinator, shard: usize) -> Result<&Writer, ReplicaError> {
+    let count = primary.shard_count();
+    (shard < count)
+        .then(|| primary.shard(shard))
+        .ok_or_else(|| {
+            ReplicaError::Source(format!(
+                "shard {shard} out of range (the primary has {count})"
+            ))
+        })
 }
 
 /// Summary of one [`Follower::sync_once`] pass.
@@ -479,6 +491,42 @@ mod tests {
             .column("animal", ["Jaguar", "Puma", &format!("Extra{i}")])
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn out_of_range_shard_is_an_error_and_the_primary_keeps_writing() {
+        let root = scratch("out_of_range");
+        let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
+        let (handle, coordinator) =
+            serve_sharded_durable(lake, config(), &root, CheckpointPolicy::manual(), 1).unwrap();
+        let primary = Arc::new(Mutex::new(coordinator));
+        let source = LocalReplicaSource::new(handle.clone(), Arc::clone(&primary));
+        for result in [
+            source.fetch_wal(1, 0).map(|_| ()),
+            source.fetch_snapshot(1).map(|_| ()),
+        ] {
+            match result {
+                Err(ReplicaError::Source(msg)) => {
+                    assert!(
+                        msg.contains("shard 1 out of range (the primary has 1)"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("expected a source error, got {other:?}"),
+            }
+        }
+        let epoch = primary
+            .lock()
+            .expect("the primary's lock is not poisoned")
+            .apply_and_publish(LakeDelta::new().add_table(table(0)))
+            .unwrap()
+            .1;
+        assert_eq!(handle.epoch(), epoch);
+        assert!(matches!(
+            source.fetch_wal(0, 0),
+            Ok(WalFetch::Records(records)) if records.len() == 1
+        ));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -250,14 +250,6 @@ impl Snapshot {
         self.rankings.get(&measure)
     }
 
-    /// Materialize the top-`k` prefix of a ranking. Readers should prefer
-    /// [`crate::CoordinatorReader::top_k`], which caches the result.
-    pub fn top_k(&self, measure: Measure, k: usize) -> Option<Vec<ScoredValue>> {
-        self.rankings
-            .get(&measure)
-            .map(|r| r.iter().take(k).cloned().collect())
-    }
-
     /// Score, rank, and percentile of a value under a measure. The value is
     /// normalized here, so callers may pass the raw form. `None` when the
     /// measure is not served or the value is not a live candidate.
@@ -563,9 +555,9 @@ mod tests {
         let stats = snap.stats();
         assert_eq!(stats.live_candidates, stats.value_nodes);
         assert_eq!(
-            snap.top_k(Measure::lcc(), 2).unwrap().len(),
-            2,
-            "top_k truncates"
+            snap.ranking(Measure::lcc()).unwrap().len(),
+            stats.live_candidates,
+            "one ranked entry per live candidate"
         );
     }
 }

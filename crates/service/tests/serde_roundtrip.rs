@@ -20,7 +20,6 @@ fn service() -> dn_service::CoordinatorHandle {
         lake,
         ServiceConfig {
             measures: vec![Measure::lcc(), Measure::exact_bc()],
-            cache_capacity: 8,
             prune_single_attribute_values: false,
             threads: 1,
         },

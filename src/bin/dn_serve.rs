@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dn-serve --data-dir DIR [--shards N] [--addr 127.0.0.1:8080] [--workers 4]
-//!          [--checkpoint-every 8] [--cache-capacity 64] [--max-body-bytes N]
+//!          [--checkpoint-every 8] [--max-body-bytes N]
 //!          [--ingest-dir DIR [--ingest-poll-ms 500]]
 //!          [--trace-sample 16] [--slow-query-us US] [--log-format text|json]
 //! dn-serve --data-dir DIR --follow http://PRIMARY [--poll-ms 100] [...]
@@ -63,7 +63,6 @@ struct Args {
     workers: usize,
     threads: usize,
     checkpoint_every: u64,
-    cache_capacity: usize,
     max_body_bytes: usize,
     follow: Option<String>,
     poll_ms: u64,
@@ -83,7 +82,6 @@ impl Default for Args {
             workers: 4,
             threads: dn_pool::Pool::machine_wide().threads(),
             checkpoint_every: 8,
-            cache_capacity: 64,
             max_body_bytes: 1 << 20,
             follow: None,
             poll_ms: 100,
@@ -97,7 +95,7 @@ impl Default for Args {
 }
 
 const USAGE: &str = "usage: dn-serve --data-dir DIR [--shards N] [--addr HOST:PORT] [--workers N] \
-[--threads N] [--checkpoint-every EPOCHS] [--cache-capacity N] [--max-body-bytes N] \
+[--threads N] [--checkpoint-every EPOCHS] [--max-body-bytes N] \
 [--ingest-dir DIR] [--ingest-poll-ms MS] [--trace-sample N] [--slow-query-us US] \
 [--log-format text|json]\n       \
 dn-serve --data-dir DIR --follow http://HOST:PORT [--poll-ms MS]";
@@ -146,11 +144,6 @@ fn parse_args() -> Result<Args, String> {
                 out.checkpoint_every = value("--checkpoint-every")?
                     .parse()
                     .map_err(|_| "--checkpoint-every must be an integer".to_owned())?;
-            }
-            "--cache-capacity" => {
-                out.cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity must be an integer".to_owned())?;
             }
             "--max-body-bytes" => {
                 out.max_body_bytes = value("--max-body-bytes")?
@@ -285,7 +278,6 @@ impl Args {
     fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
             measures: vec![Measure::lcc(), Measure::exact_bc()],
-            cache_capacity: self.cache_capacity,
             prune_single_attribute_values: true,
             threads: self.threads,
         }

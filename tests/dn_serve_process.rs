@@ -17,7 +17,7 @@
 //!   `dn-ingest --once` against a plain `dn-serve`, twice (redelivery is a
 //!   no-op).
 //! * `retired_smoke_flags_are_rejected_with_usage` — `parse_args`' error
-//!   path.
+//!   path, for the retired `--smoke*` flags and `--cache-capacity`.
 //!
 //! Every server is a [`ServerProc`] from the one [`spawn_server`] helper;
 //! its `Drop` kills the child, so a failed assertion leaks no process.
@@ -536,9 +536,14 @@ fn dn_ingest_once_ships_a_drop_folder_over_http() {
 
 #[test]
 fn retired_smoke_flags_are_rejected_with_usage() {
-    for flag in ["--smoke", "--smoke-replica", "--smoke-ingest"] {
+    for (flag, value) in [
+        ("--smoke", "127.0.0.1:1"),
+        ("--smoke-replica", "127.0.0.1:1"),
+        ("--smoke-ingest", "127.0.0.1:1"),
+        ("--cache-capacity", "64"),
+    ] {
         let output = Command::new(env!("CARGO_BIN_EXE_dn-serve"))
-            .args([flag, "127.0.0.1:1"])
+            .args([flag, value])
             .stdin(Stdio::null())
             .output()
             .expect("run dn-serve");

@@ -269,7 +269,6 @@ fn single_shard_coordinator_serves_the_corpus_bit_identically() {
             lake,
             ServiceConfig {
                 measures: measures.clone(),
-                cache_capacity: 8,
                 prune_single_attribute_values: prune,
                 threads: 1,
             },

@@ -50,7 +50,6 @@ fn start_sharded_server(lake: MutableLake, shards: usize) -> Server {
         lake,
         ServiceConfig {
             measures: measures(),
-            cache_capacity: 32,
             prune_single_attribute_values: true,
             threads: 1,
         },

@@ -90,7 +90,6 @@ fn exposition_matches_the_committed_text() {
     .expect("base lake applies");
     let config = ServiceConfig {
         measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: 16,
         prune_single_attribute_values: true,
         threads: 1,
     };

@@ -38,7 +38,6 @@ const SHARDS: usize = 2;
 fn config() -> ServiceConfig {
     ServiceConfig {
         measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: 16,
         prune_single_attribute_values: true,
         threads: 1,
     }

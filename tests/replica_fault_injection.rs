@@ -52,7 +52,6 @@ fn measures() -> Vec<Measure> {
 fn config() -> ServiceConfig {
     ServiceConfig {
         measures: measures(),
-        cache_capacity: 16,
         prune_single_attribute_values: true,
         threads: 1,
     }

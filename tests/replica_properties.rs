@@ -61,7 +61,6 @@ fn golden_measures() -> Vec<Measure> {
 fn config() -> ServiceConfig {
     ServiceConfig {
         measures: golden_measures(),
-        cache_capacity: 8,
         prune_single_attribute_values: true,
         threads: 1,
     }

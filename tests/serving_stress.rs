@@ -39,7 +39,6 @@ fn readers_always_observe_consistent_epochs() {
         lake,
         ServiceConfig {
             measures: measures(),
-            cache_capacity: 32,
             prune_single_attribute_values: true,
             threads: 1,
         },

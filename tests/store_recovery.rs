@@ -78,7 +78,6 @@ fn golden_measures() -> Vec<Measure> {
 fn config(measures: Vec<Measure>, prune: bool) -> ServiceConfig {
     ServiceConfig {
         measures,
-        cache_capacity: 8,
         prune_single_attribute_values: prune,
         threads: 1,
     }

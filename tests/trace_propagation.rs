@@ -56,7 +56,6 @@ impl Drop for TraceStateGuard {
 fn config(threads: usize) -> ServiceConfig {
     ServiceConfig {
         measures: vec![Measure::lcc(), Measure::exact_bc()],
-        cache_capacity: 32,
         prune_single_attribute_values: true,
         threads,
     }
