@@ -152,6 +152,7 @@ cargo test -q -- \
     --skip experiments_doc_quotes_the_ledger \
     --skip join_matches_literal_sweep_bit_for_bit \
     --skip quotient_matches_per_node_brandes \
+    --skip lanes_are_bit_identical_to_one_source_at_a_time \
     --skip hostile_wal_records_and_mutation_bodies_decode_or_refuse \
     --skip nested_brackets_in_a_checksum_valid_wal_record_are_corrupt \
     --skip hostile_http_heads_parse_or_refuse \
@@ -188,10 +189,13 @@ gate "dirty values are a complete invalidation set (to_bits)" \
 
 # Brandes on the twin quotient against the retained per-node kernel: whole
 # graphs, component pools and sampled sources, at 1, 2 and 4 threads, on
-# random graphs, deep caterpillars and ladders, and a layered chain whose
-# path counts pass 2^32.
-gate "twin-quotient Brandes == per-node Brandes (1e-12 relative)" \
-    -p dn-graph --lib quotient_matches_per_node_brandes
+# random graphs, deep caterpillars and ladders, a layered chain whose path
+# counts pass 2^32, and multi-component graphs whose chunks run full lane
+# batches. Then the lane-batched kernel against itself one source at a
+# time, bit for bit, on those graphs and a TUS lake.
+gate "twin-quotient Brandes == per-node Brandes (1e-12 relative); lane batches == one source at a time (to_bits)" \
+    -p dn-graph --lib -- quotient_matches_per_node_brandes \
+    lanes_are_bit_identical_to_one_source_at_a_time
 
 # The one-pass CSV parser against the line-joining reader it replaced
 # (seeded hostile bytes), and load_dir's lake or first error at pool

@@ -58,6 +58,17 @@
 //! The per-node kernel survives as the test oracle
 //! (`quotient_matches_per_node_brandes`).
 //!
+//! # Lanes
+//!
+//! A sweep runs up to `LANES` = 8 sources in lockstep, one per lane, level by
+//! level (multi-source BFS; Then et al., PVLDB 2014). The argument above holds
+//! lane by lane: a class at lane `l`'s level `d` neighbours only its levels
+//! `d ± 1`, and reads 0 in a lane that has not popped (finished) a neighbour,
+//! other components and exhausted lanes included. So an entry gathers eight
+//! lanes per adjacency entry, eight independent adds, and keeps its own. A
+//! class adds its `weight·δ` in lane (= source) order after the sweep, so a
+//! batch is bit-identical to its sources one at a time.
+//!
 //! A source set must be a union of connected components — the whole graph,
 //! or the components a delta touched — so that every node a BFS reaches is
 //! grouped.
@@ -68,6 +79,7 @@
 
 use crate::bipartite::BipartiteGraph;
 use crate::twins::{Twins, NONE};
+use std::sync::Mutex;
 
 /// Exact betweenness centrality of every node (single-threaded).
 ///
@@ -83,8 +95,8 @@ pub fn betweenness_centrality(graph: &BipartiteGraph) -> Vec<f64> {
 /// so the floating-point reduction is parenthesized identically for every
 /// pool width (1 included) and every run. That is what makes exact-BC
 /// results `to_bits()`-identical across thread counts, which the golden
-/// gates and the replication digest exchange rely on. 32 chunks also bound
-/// the transient partial-accumulator memory at `32 · classes` floats.
+/// gates and the replication digest exchange rely on. A call holds 32
+/// accumulators of `classes` floats and one lane workspace per worker.
 const MAX_CHUNKS: usize = 32;
 
 /// Split `0..len` into the canonical chunk ranges (at most [`MAX_CHUNKS`],
@@ -151,9 +163,9 @@ fn every_class(twins: &Twins) -> Vec<(u32, f64)> {
 
 /// Run the quotient kernel from each `(class, weight)` of `sources` across a
 /// work-stealing pool, scatter the class totals to the members and halve.
-/// Deterministic: the canonical chunk layout over `sources` and the
-/// chunk-index-ordered fold make the output a pure function of `(graph,
-/// twins, sources)`, independent of `threads` and of scheduling.
+/// Deterministic: the canonical chunk layout over `sources`, its batches of
+/// [`LANES`] and the chunk-index-ordered fold make the output a pure function
+/// of `(graph, twins, sources)`, independent of `threads` and of scheduling.
 pub(crate) fn quotient_brandes(
     graph: &BipartiteGraph,
     twins: &Twins,
@@ -164,13 +176,17 @@ pub(crate) fn quotient_brandes(
     let classes = twins.count();
     let chunks = canonical_chunks(sources.len());
     let ctx = dn_trace::current();
+    // Chunks hand their workspace on, so a worker allocates one.
+    let workspaces = Mutex::new(Vec::new());
     let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
         let _chunk = ctx.enter(dn_trace::Phase::PoolBcChunks, format_args!("chunk{c}"));
         let mut acc = vec![0.0; classes];
-        let mut workspace = Workspace::new(classes);
-        for &(class, weight) in &sources[chunks[c].clone()] {
-            quotient.accumulate(class, &mut workspace, &mut acc, weight);
+        let spare = workspaces.lock().expect("workspace list").pop();
+        let mut workspace = spare.unwrap_or_else(|| Workspace::new(classes));
+        for batch in sources[chunks[c].clone()].chunks(LANES) {
+            quotient.accumulate(batch, &mut workspace, &mut acc);
         }
+        workspaces.lock().expect("workspace list").push(workspace);
         acc
     });
     // Fold in chunk-index order — float addition is not associative, so this
@@ -192,6 +208,34 @@ pub(crate) fn quotient_brandes(
             }
         })
         .collect()
+}
+
+/// How many sources one sweep of [`Quotient::accumulate`] carries.
+const LANES: usize = 8;
+
+/// One bit per lane.
+type Mask = u8;
+const _: () = assert!(LANES <= Mask::BITS as usize, "a Mask holds a bit per lane");
+
+/// One value per lane.
+type Row = [f64; LANES];
+
+/// `sum[l] += row[l]` in every lane.
+fn add(sum: &mut Row, row: &Row) {
+    for (s, r) in sum.iter_mut().zip(row) {
+        *s += r;
+    }
+}
+
+/// The lanes of `mask`, ascending.
+fn lanes(mut mask: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// The twin quotient: one node per class, adjacent where the members are.
@@ -244,93 +288,147 @@ impl Quotient {
         &self.adjacency[self.offsets[class as usize]..self.offsets[class as usize + 1]]
     }
 
-    /// One BFS from a representative of `source` and its dependency sweep,
-    /// adding `weight·δ[c]` into `accumulator[c]` for every class `c ≠
-    /// source` (see the module doc).
-    fn accumulate(
-        &self,
-        source: u32,
-        workspace: &mut Workspace,
-        accumulator: &mut [f64],
-        weight: f64,
-    ) {
+    /// One BFS from a representative of each source class of `batch` (at
+    /// most [`LANES`], lane `l` for `batch[l]`) and their dependency sweeps,
+    /// in lockstep; then, in lane order, `weight·δ[c]` into `accumulator[c]`
+    /// for every class `c` a lane reached other than its source (module doc).
+    fn accumulate(&self, batch: &[(u32, f64)], workspace: &mut Workspace, accumulator: &mut [f64]) {
         workspace.reset();
-        let Workspace { sigma, flow, order } = workspace;
+        let Workspace {
+            sigma,
+            flow,
+            reached,
+            next,
+            order,
+            levels,
+        } = workspace;
 
-        // Forward: a class gathers σ from its popped neighbours, its
-        // predecessors, as it is popped. σ is non-zero from discovery on,
-        // which marks a class seen. Only the representative of the source
-        // class is at distance 0, so `σ[source] = t[source] = 1`.
-        order.push(source);
-        (sigma[source as usize], flow[source as usize]) = (1.0, 1.0);
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            let mut paths = 0.0;
-            for &w in self.neighbours(v) {
-                let wi = w as usize;
-                paths += flow[wi];
-                if sigma[wi] == 0.0 {
-                    sigma[wi] = 1.0;
-                    order.push(w);
+        // Level 0: only a source's representative, so `σ = t = 1` in its lane.
+        for (lane, &(source, _)) in batch.iter().enumerate() {
+            let s = source as usize;
+            if next[s] == 0 {
+                order.push((source, 0));
+            }
+            reached[s] |= 1 << lane;
+            next[s] |= 1 << lane;
+            (sigma[s][lane], flow[s][lane]) = (1.0, 1.0);
+        }
+
+        // Forward, one level of every lane at a time. An entry of the level
+        // discovers the next one (`next` holds its masks until it becomes the
+        // current level) and gathers σ from its popped neighbours, its
+        // predecessors in the lanes of its mask.
+        let mut start = 0;
+        while start < order.len() {
+            let end = order.len();
+            for entry in &mut order[start..end] {
+                entry.1 = std::mem::take(&mut next[entry.0 as usize]);
+            }
+            levels.push(start);
+            for i in start..end {
+                let (v, mask) = order[i];
+                let mut paths = [0.0; LANES];
+                for &w in self.neighbours(v) {
+                    let wi = w as usize;
+                    add(&mut paths, &flow[wi]);
+                    let new = mask & !reached[wi];
+                    if new != 0 {
+                        if next[wi] == 0 {
+                            order.push((w, 0));
+                        }
+                        reached[wi] |= new;
+                        next[wi] |= new;
+                    }
+                }
+                if start > 0 {
+                    let vi = v as usize;
+                    for lane in lanes(mask) {
+                        let p = paths[lane];
+                        (sigma[vi][lane], flow[vi][lane]) = (p, p * self.size[vi]);
+                    }
                 }
             }
-            if head > 0 {
-                let vi = v as usize;
-                (sigma[vi], flow[vi]) = (paths, paths * self.size[vi]);
+            start = end;
+        }
+        levels.push(order.len());
+
+        // Backward, level 0 (the sources) excluded: an entry gathers δ from
+        // its finished neighbours, its successors in the lanes of its mask.
+        // `c` reuses `flow`, so it must start at 0 everywhere, the
+        // never-finished sources included. δ overwrites σ.
+        for &(class, _) in order.iter() {
+            flow[class as usize] = [0.0; LANES];
+        }
+        // A source's neighbours, which owe its twins, are its lane's level 1.
+        let mut twin_seed = [0.0; LANES];
+        for (lane, &(source, _)) in batch.iter().enumerate() {
+            twin_seed[lane] = self.twin_seed[source as usize];
+        }
+        for level in (1..levels.len() - 1).rev() {
+            let seed = twin_seed.map(|seed| if level == 1 { seed } else { 0.0 });
+            for &(w, mask) in &order[levels[level]..levels[level + 1]] {
+                let mut dependency = [0.0; LANES];
+                for &u in self.neighbours(w) {
+                    add(&mut dependency, &flow[u as usize]);
+                }
+                let wi = w as usize;
+                for lane in lanes(mask) {
+                    let s = sigma[wi][lane];
+                    let delta = seed[lane] + s * dependency[lane];
+                    flow[wi][lane] = self.size[wi] * (1.0 + delta) / s;
+                    sigma[wi][lane] = delta;
+                }
             }
-            head += 1;
         }
 
-        // Backward, the source excluded: a class gathers δ from its finished
-        // neighbours, its successors, as it finishes. `c` reuses `flow`, so
-        // it must start at 0 everywhere, the never-finished source included.
-        for &class in order.iter() {
-            flow[class as usize] = 0.0;
-        }
-        // The source's neighbours, which owe its twins, are the first level.
-        let (first_level, twin_seed) = (
-            1 + self.neighbours(source).len(),
-            self.twin_seed[source as usize],
-        );
-        for (i, &w) in order.iter().enumerate().skip(1).rev() {
-            let wi = w as usize;
-            let dependency: f64 = self.neighbours(w).iter().map(|&u| flow[u as usize]).sum();
-            let seed = if i < first_level { twin_seed } else { 0.0 };
-            let delta = seed + sigma[wi] * dependency;
-            flow[wi] = self.size[wi] * (1.0 + delta) / sigma[wi];
-            accumulator[wi] += weight * delta;
+        // Lane (= source) order, so every class sees its additions in the
+        // order one source at a time would make them; at its first entry,
+        // which takes its `reached` back to 0.
+        for &(class, _) in order.iter() {
+            let ci = class as usize;
+            for lane in lanes(std::mem::take(&mut reached[ci])).filter(|&l| batch[l].0 != class) {
+                accumulator[ci] += batch[lane].1 * sigma[ci][lane];
+            }
         }
     }
 }
 
-/// Per-chunk scratch space for [`Quotient::accumulate`], reset lazily
-/// between sources (only the classes the previous BFS reached are cleared).
+/// Per-worker scratch space for [`Quotient::accumulate`], reset lazily
+/// between batches (only the classes the previous batch reached are cleared;
+/// `accumulate` leaves `reached` and `next` at 0).
 struct Workspace {
-    /// 0 until the class is discovered, then σ once it is popped.
-    sigma: Vec<f64>,
-    /// `t` in the forward sweep and `c` in the backward one (module doc): 0
-    /// for a class until it is popped (finished).
-    flow: Vec<f64>,
-    /// Classes in BFS order; doubles as the queue.
-    order: Vec<u32>,
+    /// σ in a lane once the class is popped there, δ once it finishes.
+    sigma: Vec<Row>,
+    /// `t`, then `c` (module doc): 0 in a lane until popped (finished) there.
+    flow: Vec<Row>,
+    /// The lanes that discovered the class.
+    reached: Vec<Mask>,
+    /// The lanes that discovered the class for the next level (0 between).
+    next: Vec<Mask>,
+    /// `(class, the lanes whose level it is)` entries, level by level.
+    order: Vec<(u32, Mask)>,
+    /// Level `d` is `order[levels[d]..levels[d + 1]]`.
+    levels: Vec<usize>,
 }
 
 impl Workspace {
     fn new(classes: usize) -> Self {
         Workspace {
-            sigma: vec![0.0; classes],
-            flow: vec![0.0; classes],
+            sigma: vec![[0.0; LANES]; classes],
+            flow: vec![[0.0; LANES]; classes],
+            reached: vec![0; classes],
+            next: vec![0; classes],
             order: Vec::with_capacity(classes),
+            levels: Vec::new(),
         }
     }
 
     fn reset(&mut self) {
-        for &c in &self.order {
-            self.sigma[c as usize] = 0.0;
-            self.flow[c as usize] = 0.0;
+        for &(c, _) in &self.order {
+            (self.sigma[c as usize], self.flow[c as usize]) = ([0.0; LANES], [0.0; LANES]);
         }
         self.order.clear();
+        self.levels.clear();
     }
 }
 
@@ -359,6 +457,7 @@ mod tests {
     use crate::delta::nodes_in_components;
     use rand::rngs::StdRng;
     use rand::seq::index::sample as index_sample;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
 
@@ -833,6 +932,21 @@ mod tests {
         deepest
     }
 
+    /// Add a node on `original`'s side with `original`'s neighbours.
+    fn add_twin(sides: &mut Vec<bool>, edges: &mut Vec<(usize, usize)>, original: usize) {
+        let copy = sides.len();
+        sides.push(sides[original]);
+        let copied: Vec<(usize, usize)> = edges
+            .iter()
+            .filter_map(|&(x, y)| match (x == original, y == original) {
+                (true, _) => Some((copy, y)),
+                (_, true) => Some((x, copy)),
+                _ => None,
+            })
+            .collect();
+        edges.extend(copied);
+    }
+
     /// A seeded caterpillar (a path with leaves) or ladder (two paths
     /// joined by rungs) of 13 to 20 positions, so the BFS from the first
     /// node is at least 12 deep, with twin copies of nodes on both sides:
@@ -868,17 +982,7 @@ mod tests {
         let mut picks = vec![first, first + 1];
         picks.extend((0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..sides.len())));
         for original in picks {
-            let copy = sides.len();
-            sides.push(sides[original]);
-            let copied: Vec<(usize, usize)> = edges
-                .iter()
-                .filter_map(|&(x, y)| match (x == original, y == original) {
-                    (true, _) => Some((copy, y)),
-                    (_, true) => Some((x, copy)),
-                    _ => None,
-                })
-                .collect();
-            edges.extend(copied);
+            add_twin(&mut sides, &mut edges, original);
         }
         let graph = graph_of(&sides, &edges);
         assert!(depth_from(&graph, 0) >= 12);
@@ -920,6 +1024,152 @@ mod tests {
         for (samples, seed) in [(1, 0), (5, 1), (pools[0].len(), 2)] {
             assert_every_entry_point_matches(&graph, &pools, samples, seed, "layered chain");
         }
+    }
+
+    /// A seeded graph of at least five components and 300 classes, its
+    /// node ids shuffled so that consecutive classes, and so the lanes of a
+    /// batch, lie in different components and on both sides. A component
+    /// is a random tree whose node `n` hangs off one of the `reach` nodes
+    /// before it (`reach` 1 is a path, a large one a bushy tree), plus a
+    /// few edges that close cycles, plus twin copies of a value and an
+    /// attribute.
+    fn multi_component_graph(rng: &mut StdRng) -> BipartiteGraph {
+        let (mut sides, mut edges) = (vec![false], Vec::new()); // an isolated value
+        let mut components = 0;
+        loop {
+            let (first, size) = (sides.len(), rng.gen_range(2..=120));
+            let reach = rng.gen_range(1..size);
+            sides.push(rng.gen_bool(0.5));
+            for n in first + 1..first + size {
+                let parent = rng.gen_range(n.saturating_sub(reach).max(first)..n);
+                sides.push(!sides[parent]);
+                edges.push((parent, n));
+            }
+            for _ in 0..rng.gen_range(0..=size / 4) {
+                let (x, y) = (
+                    rng.gen_range(first..first + size),
+                    rng.gen_range(first..first + size),
+                );
+                if sides[x] != sides[y] && !edges.contains(&(x, y)) && !edges.contains(&(y, x)) {
+                    edges.push((x, y));
+                }
+            }
+            for side in [false, true] {
+                if let Some(original) = (first..first + size).find(|&n| sides[n] == side) {
+                    add_twin(&mut sides, &mut edges, original);
+                }
+            }
+            components += 1;
+            let graph = graph_of(&sides, &edges);
+            if components >= 5 && Twins::of(&graph, graph.nodes()).count() >= 300 {
+                break;
+            }
+        }
+        let mut position: Vec<usize> = (0..sides.len()).collect();
+        position.shuffle(rng);
+        let mut shuffled = vec![false; sides.len()];
+        for (n, &p) in position.iter().enumerate() {
+            shuffled[p] = sides[n];
+        }
+        let edges: Vec<(usize, usize)> = edges
+            .iter()
+            .map(|&(x, y)| (position[x], position[y]))
+            .collect();
+        graph_of(&shuffled, &edges)
+    }
+
+    /// Graphs of 300 classes or more, so every canonical chunk of the whole
+    /// graph carries a full batch of [`LANES`] sources and a partial one;
+    /// lanes in components of different sizes and depths, which finish at
+    /// different levels or never meet, and value and attribute sources in
+    /// one batch.
+    #[test]
+    fn quotient_matches_per_node_brandes_in_full_lane_batches() {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = multi_component_graph(&mut rng);
+            let components = connected_components(&graph);
+            let some: Vec<u32> = (0..components.count() as u32)
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            let pools = [
+                graph.nodes().collect::<Vec<u32>>(),
+                nodes_in_components(&components, &some),
+            ];
+            let samples = rng.gen_range(pools[0].len() / 2..=pools[0].len());
+            assert_every_entry_point_matches(
+                &graph,
+                &pools,
+                samples,
+                seed,
+                &format!("seed {seed}"),
+            );
+        }
+    }
+
+    /// `Quotient::accumulate` over the canonical chunks of three source
+    /// lists of `graph` — every class in class order, every class shuffled,
+    /// a weighted draw — once a source at a time and once in batches of
+    /// [`LANES`]: the accumulators agree on every bit.
+    fn assert_lanes_match_one_source_at_a_time(graph: &BipartiteGraph, rng: &mut StdRng) {
+        let twins = Twins::of(graph, graph.nodes());
+        let quotient = Quotient::of(graph, &twins);
+        let in_order = every_class(&twins);
+        let mut shuffled = in_order.clone();
+        shuffled.shuffle(rng);
+        let drawn: Vec<(u32, f64)> = shuffled
+            .iter()
+            .filter_map(|&(c, _)| {
+                let draws = rng.gen_range(0..10);
+                (draws > 6).then(|| (c, (draws - 6) as f64 * 1.7))
+            })
+            .collect();
+        let mut workspace = Workspace::new(twins.count());
+        for (what, sources) in [
+            ("in class order", in_order),
+            ("shuffled", shuffled),
+            ("drawn", drawn),
+        ] {
+            for chunk in canonical_chunks(sources.len()) {
+                let chunk = &sources[chunk];
+                let mut one_at_a_time = vec![0.0; twins.count()];
+                for source in chunk.chunks(1) {
+                    quotient.accumulate(source, &mut workspace, &mut one_at_a_time);
+                }
+                let mut batched = vec![0.0; twins.count()];
+                for batch in chunk.chunks(LANES) {
+                    quotient.accumulate(batch, &mut workspace, &mut batched);
+                }
+                for (c, (one, lanes)) in one_at_a_time.iter().zip(&batched).enumerate() {
+                    assert_eq!(
+                        one.to_bits(),
+                        lanes.to_bits(),
+                        "{what}, class {c}: one at a time {one} vs lanes {lanes}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_are_bit_identical_to_one_source_at_a_time() {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = multi_component_graph(&mut rng);
+            assert_lanes_match_one_source_at_a_time(&graph, &mut rng);
+        }
+    }
+
+    #[test]
+    fn lanes_are_bit_identical_to_one_source_at_a_time_on_a_tus_lake() {
+        let config = datagen::tus::TusConfig {
+            domain_count: 6,
+            ..datagen::tus::TusConfig::small(2021)
+        };
+        let tus = datagen::tus::TusGenerator::new(config).generate();
+        let graph = crate::lcc::tests::lake_graph(&tus.catalog);
+        assert!(Twins::of(&graph, graph.nodes()).count() >= LANES * MAX_CHUNKS);
+        assert_lanes_match_one_source_at_a_time(&graph, &mut StdRng::seed_from_u64(2021));
     }
 
     #[test]

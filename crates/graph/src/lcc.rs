@@ -344,7 +344,7 @@ fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bipartite::BipartiteBuilder;
     use rand::rngs::StdRng;
@@ -714,7 +714,7 @@ mod tests {
     }
 
     /// The DomainNet graph of a lake: values in at least two attributes.
-    fn lake_graph(catalog: &lake::LakeCatalog) -> BipartiteGraph {
+    pub(crate) fn lake_graph(catalog: &lake::LakeCatalog) -> BipartiteGraph {
         let mut b = BipartiteBuilder::new();
         let mut node_of_value = vec![u32::MAX; catalog.value_count()];
         for value in catalog.values_in_at_least(2) {
