@@ -16,7 +16,8 @@
 # records and mutation bodies, the seeded hostile-bytes loop over HTTP
 # request heads, the crash-recovery suite, the
 # sharded-batch placement property (a multi-shard commit grouped by shard
-# places every table where op-by-op commits would), the process probes
+# places every table where op-by-op commits would, and an `AddTable` chain
+# is one WAL record per touched shard), the process probes
 # of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
 # on loopback: HTTP at --shards 1 and 2, a 2-shard primary plus a --follow
 # follower with a sequential and a pooled primary, drop-folder ingest
@@ -162,6 +163,7 @@ cargo test -q -- \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
     --skip grouped_commits_place_tables_as_op_by_op_commits \
+    --skip an_add_table_chain_is_one_wal_record_per_touched_shard \
     --skip recovered_export_matches_golden_corpus_workflow \
     --skip http_probe_at_one_and_two_shards \
     --skip replica_probe_with_sequential_and_pooled_primary \
@@ -225,8 +227,9 @@ gate "WAL records and mutation bodies under hostile bytes (typed errors, no pani
 gate "HTTP request heads under hostile bytes (typed errors, no panics)" \
     --test hostile_inputs hostile_http_heads_parse_or_refuse
 gate "store crash recovery (kill + recover == uninterrupted)" --test store_recovery
-gate "sharded batch == op-by-op placement" \
-    --test shard_equivalence grouped_commits_place_tables_as_op_by_op_commits
+gate "sharded batch == op-by-op placement; one WAL record per touched shard for an AddTable chain" \
+    --test shard_equivalence -- grouped_commits_place_tables_as_op_by_op_commits \
+    an_add_table_chain_is_one_wal_record_per_touched_shard
 
 # Process probes: the real binaries, spawned by the test's spawn_server
 # helper (which owns launch, address discovery, exit status and cleanup).

@@ -113,7 +113,9 @@ pub struct MutationResponse {
     pub epoch: u64,
     /// Number of deltas in the applied batch.
     pub batches: usize,
-    /// Incremental-maintenance effect counters for the batch.
+    /// Incremental-maintenance effect counters for the batch, summed over
+    /// the shard commits it took: a chain of tables gathered into one
+    /// commit reports one recompute.
     pub stats: DeltaStats,
 }
 

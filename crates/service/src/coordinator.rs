@@ -58,14 +58,21 @@
 //! stage order against the committed shard lakes and gathered into one
 //! [`LakeDelta`] per shard; each gathered batch is **committed once** —
 //! one WAL record, one fold, one BC pass per touched component. Routing
-//! must see the state op-by-op commits would, so the gathered batches are
-//! flushed (committed in ascending shard order) at four points:
+//! must see the state op-by-op commits would. A value a gathered
+//! `AddTable` made live is routing state (*placed* on that table's
+//! shard): a table or replacement meeting placed values on one shard p
+//! only, and committed state on no other shard, goes to p with no flush,
+//! so a chain of tables sharing new values is one commit per shard.
+//! Otherwise the gathered batches are flushed (committed in ascending
+//! shard order) at four points:
 //!
-//! * before routing an op whose probes hit what a gathered op may change:
-//!   an `AddTable` whose name or any value is pending, a `RemoveTable`
-//!   whose name is, a `ReplaceValue` whose table or replacement is;
+//! * before routing an op whose probes hit what a gathered op changed:
+//!   an `AddTable` whose name is pending or any of whose values a gathered
+//!   `RemoveTable` or `ReplaceValue` touched, a `RemoveTable` whose name
+//!   is pending, a `ReplaceValue` whose table or replacement is;
 //! * before placing a brand-new component (least-loaded placement reads
-//!   incidence counts), then the op is re-routed;
+//!   incidence counts), or an op whose placed values span shards or meet
+//!   committed state elsewhere, then the op is re-routed;
 //! * before a migration (it reads whole components and keeps its intent
 //!   protocol), then the op is re-routed;
 //! * at the end of the commit.
@@ -454,9 +461,9 @@ enum Route {
     },
 }
 
-/// What the gathered, uncommitted ops of a commit may change: routing
-/// reads only committed shard lakes, so an op whose probes touch any of
-/// this flushes the gathered batches first.
+/// What the gathered, uncommitted ops of a commit change. Routing reads
+/// the committed shard lakes plus `placed`, so an op whose probes touch
+/// `tables` or `values` flushes the gathered batches first.
 ///
 /// Flushes exist only so that routing reads op-by-op state. With one
 /// shard every op routes to shard 0 whatever is pending, so a one-shard
@@ -466,8 +473,12 @@ struct Pending {
     routing_reads_it: bool,
     /// Tables gathered `AddTable`/`RemoveTable` ops add or remove.
     tables: HashSet<String>,
-    /// Normalized values whose liveness a gathered op may change.
+    /// Normalized values whose liveness a gathered `RemoveTable` or
+    /// `ReplaceValue` may change.
     values: HashSet<String>,
+    /// Normalized values of gathered `AddTable`s and the shard each table
+    /// went to: op-by-op state holds them live there, and nowhere else.
+    placed: HashMap<String, usize>,
 }
 
 impl Pending {
@@ -476,20 +487,23 @@ impl Pending {
             routing_reads_it: shards > 1,
             tables: HashSet::new(),
             values: HashSet::new(),
+            placed: HashMap::new(),
         }
     }
 
     fn clear(&mut self) {
         self.tables.clear();
         self.values.clear();
+        self.placed.clear();
     }
 
     fn is_empty(&self) -> bool {
         self.tables.is_empty() && self.values.is_empty()
     }
 
-    /// Whether routing `op` against committed state may disagree with
-    /// routing it after the gathered ops.
+    /// Whether a gathered op changed what routing `op` probes in a way
+    /// `placed` does not record: a table it names, or a value whose
+    /// liveness a gathered `RemoveTable` or `ReplaceValue` changed.
     fn hit(&self, op: &LakeOp) -> bool {
         match op {
             LakeOp::AddTable(table) => {
@@ -503,17 +517,37 @@ impl Pending {
         }
     }
 
-    /// Record what `op`, gathered for the shard whose committed lake is
-    /// `owner`, may change.
-    fn note(&mut self, op: &LakeOp, owner: &MutableLake) {
+    /// The shards gathered `AddTable`s placed the values `op` probes on,
+    /// ascending.
+    fn placed_on(&self, op: &LakeOp) -> Vec<usize> {
+        let mut shards: Vec<usize> = match op {
+            LakeOp::AddTable(table) => distinct_values(table)
+                .filter_map(|v| self.placed.get(v).copied())
+                .collect(),
+            LakeOp::RemoveTable(_) => Vec::new(),
+            LakeOp::ReplaceValue { replacement, .. } => self
+                .placed
+                .get(&normalize(replacement))
+                .copied()
+                .into_iter()
+                .collect(),
+        };
+        shards.sort_unstable();
+        shards.dedup();
+        shards
+    }
+
+    /// Record what `op`, gathered for `shard`, whose committed lake is
+    /// `owner`, changes.
+    fn note(&mut self, op: &LakeOp, shard: usize, owner: &MutableLake) {
         if !self.routing_reads_it {
             return;
         }
         match op {
             LakeOp::AddTable(table) => {
                 self.tables.insert(table.name().to_owned());
-                self.values
-                    .extend(distinct_values(table).map(str::to_owned));
+                self.placed
+                    .extend(distinct_values(table).map(|v| (v.to_owned(), shard)));
             }
             LakeOp::RemoveTable(name) => {
                 self.tables.insert(name.clone());
@@ -1024,8 +1058,10 @@ impl Coordinator {
     /// Route every staged op and commit it on its shard: one commit per
     /// touched shard, split only at the flush points the [module
     /// docs](self) list. Does **not** publish. The returned
-    /// [`DeltaStats`] cover the client's ops only (rebalance migrations
-    /// are internal bookkeeping and excluded).
+    /// [`DeltaStats`] are summed over the shard commits the batch took,
+    /// so a chain gathered into one commit reports one recompute; they
+    /// cover the client's ops only (rebalance migrations are internal
+    /// bookkeeping and excluded).
     ///
     /// # Errors
     /// A refused op stops its shard's batch (that batch's earlier ops stay
@@ -1041,15 +1077,13 @@ impl Coordinator {
         let mut batches = vec![LakeDelta::new(); self.shards.len()];
         let mut pending = Pending::new(self.shards.len());
         for op in staged.iter().flat_map(LakeDelta::ops) {
-            if pending.hit(op) {
-                self.flush(&mut batches, &mut pending, &mut total)?;
-            }
-            let mut route = self.route(op);
-            if !matches!(route, Route::Shard(_)) && !pending.is_empty() {
-                // Placement and migration read committed state as a whole.
-                self.flush(&mut batches, &mut pending, &mut total)?;
-                route = self.route(op);
-            }
+            let route = match self.route_gathered(op, &pending) {
+                Some(route) => route,
+                None => {
+                    self.flush(&mut batches, &mut pending, &mut total)?;
+                    self.route(op)
+                }
+            };
             let shard = match route {
                 Route::Shard(shard) => shard,
                 Route::New => self.least_loaded_shard(),
@@ -1062,7 +1096,7 @@ impl Coordinator {
                     target
                 }
             };
-            pending.note(op, self.shards[shard].lake());
+            pending.note(op, shard, self.shards[shard].lake());
             batches[shard].push(op.clone());
         }
         self.flush(&mut batches, &mut pending, &mut total)?;
@@ -1320,6 +1354,25 @@ impl Coordinator {
                     }
                 }
             }
+        }
+    }
+
+    /// Where `op` goes in op-by-op state, read off the committed shard
+    /// lakes and the values gathered `AddTable`s placed. `None` when only
+    /// a flush can tell: a gathered op changed what `op` probes beyond the
+    /// placed values, the placed values span shards or meet committed
+    /// state elsewhere, or the op needs placement or a migration, which
+    /// read committed state as a whole.
+    fn route_gathered(&self, op: &LakeOp, pending: &Pending) -> Option<Route> {
+        if pending.hit(op) {
+            return None;
+        }
+        match (pending.placed_on(op).as_slice(), self.route(op)) {
+            ([], Route::Shard(shard)) => Some(Route::Shard(shard)),
+            ([], route) if pending.is_empty() => Some(route),
+            (&[placed], Route::New) => Some(Route::Shard(placed)),
+            (&[placed], Route::Shard(shard)) if shard == placed => Some(Route::Shard(shard)),
+            _ => None,
         }
     }
 
