@@ -19,10 +19,15 @@
 //! - targets and replacements are disjoint sets (no chains or swaps, whose
 //!   sequential application would cascade);
 //! - no change involves a missing (empty-normalized) cell on either side.
+//!
+//! The check reads the dictionaries, never a row: each distinct raw cell
+//! of a column pair is normalized once into a class, and rows compare by
+//! the classes of their dictionary indices. The per-cell differ it
+//! replaced is the test oracle (same ops, same order).
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
-use lake::{normalize, LakeDelta, Table};
+use lake::{normalize, Column, LakeDelta, Table};
 
 /// Outcome of diffing one table across two generations.
 #[derive(Debug)]
@@ -65,60 +70,53 @@ pub fn rewrite_delta(old_name: &str, new: &Table) -> LakeDelta {
 }
 
 fn try_replace_diff(old: &Table, new: &Table) -> Option<LakeDelta> {
-    if old.row_count() != new.row_count() || old.column_count() != new.column_count() {
+    let names = |t| Table::columns(t).iter().map(Column::name);
+    if old.row_count() != new.row_count() || !names(old).eq(names(new)) {
         return None;
-    }
-    for (oc, nc) in old.columns().iter().zip(new.columns()) {
-        if oc.name() != nc.name() {
-            return None;
-        }
     }
     let mut delta = LakeDelta::new();
     for (oc, nc) in old.columns().iter().zip(new.columns()) {
-        let old_cells = oc.cells();
-        let new_cells = nc.cells();
-        // First-seen-order mapping of normalized target → raw replacement.
-        let mut mapping: Vec<(String, String)> = Vec::new();
-        for (old_raw, new_raw) in old_cells.iter().zip(new_cells) {
-            let old_norm = normalize(old_raw);
-            let new_norm = normalize(new_raw);
-            if old_norm == new_norm {
-                continue;
+        // Each distinct raw cell of either column is normalized once into a
+        // class: two cells are equal exactly when their classes are.
+        let mut class_of: HashMap<String, u32> = HashMap::new();
+        let mut class = |raw: &str| {
+            let next = class_of.len() as u32;
+            *class_of.entry(normalize(raw)).or_insert(next)
+        };
+        let old_class: Vec<u32> = oc.dictionary().iter().map(&mut class).collect();
+        let new_class: Vec<u32> = nc.dictionary().iter().map(&mut class).collect();
+        let missing = class_of.get("").copied();
+        // Per class: the new dictionary entry its first changed row holds,
+        // and whether a row keeps it. Targets in first-seen order, with
+        // their old and new dictionary entries.
+        let mut replacement: Vec<Option<u32>> = vec![None; class_of.len()];
+        let mut kept = vec![false; class_of.len()];
+        let mut targets: Vec<(u32, u32, u32)> = Vec::new();
+        for (&oi, &ni) in oc.cell_indices().iter().zip(nc.cell_indices()) {
+            let (from, to) = (old_class[oi as usize], new_class[ni as usize]);
+            if from == to {
+                kept[from as usize] = true;
+            } else if Some(from) == missing || Some(to) == missing {
+                return None; // a missing cell has no value-level op
+            } else if let Some(r) = replacement[from as usize] {
+                if new_class[r as usize] != to {
+                    return None; // one old value, two new ones
+                }
+            } else {
+                replacement[from as usize] = Some(ni);
+                targets.push((from, oi, ni));
             }
-            if old_norm.is_empty() || new_norm.is_empty() {
-                // Transitions to/from missing cells have no value-level op.
+        }
+        for (target, oi, ni) in targets {
+            // ReplaceValue rewrites every occurrence, so no row may keep a
+            // target, and a replacement that is itself a target would
+            // cascade through both rewrites (chains, swaps).
+            if kept[target as usize] || replacement[new_class[ni as usize] as usize].is_some() {
                 return None;
             }
-            match mapping.iter().find(|(t, _)| *t == old_norm) {
-                Some((_, repl)) if normalize(repl) == new_norm => {}
-                Some(_) => return None, // inconsistent: one old value, two new ones
-                None => mapping.push((old_norm, new_raw.clone())),
-            }
-        }
-        if mapping.is_empty() {
-            continue;
-        }
-        let targets: BTreeSet<&str> = mapping.iter().map(|(t, _)| t.as_str()).collect();
-        // No chains/swaps: a replacement that is itself a target would make
-        // sequential application cascade through both rewrites.
-        if mapping
-            .iter()
-            .any(|(_, r)| targets.contains(normalize(r).as_str()))
-        {
-            return None;
-        }
-        // Completeness: every surviving occurrence of a target must have
-        // changed, because ReplaceValue rewrites all of them.
-        for (old_raw, new_raw) in old_cells.iter().zip(new_cells) {
-            let old_norm = normalize(old_raw);
-            if let Some((_, repl)) = mapping.iter().find(|(t, _)| *t == old_norm) {
-                if normalize(new_raw) != normalize(repl) {
-                    return None;
-                }
-            }
-        }
-        for (target, replacement) in mapping {
-            delta = delta.replace_value(old.name(), oc.name(), &target, replacement);
+            // `replace_value` normalizes the target's raw spelling.
+            let (target, repl) = (&oc.dictionary()[oi as usize], &nc.dictionary()[ni as usize]);
+            delta = delta.replace_value(old.name(), oc.name(), target, repl);
         }
     }
     Some(delta)
@@ -128,6 +126,239 @@ fn try_replace_diff(old: &Table, new: &Table) -> Option<LakeDelta> {
 mod tests {
     use super::*;
     use lake::{LakeOp, TableBuilder};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// The differ before it read the dictionary: both cells of every row
+    /// normalized, the mapping searched per changed cell.
+    fn per_cell_replace_diff(old: &Table, new: &Table) -> Option<LakeDelta> {
+        if old.row_count() != new.row_count() || old.column_count() != new.column_count() {
+            return None;
+        }
+        for (oc, nc) in old.columns().iter().zip(new.columns()) {
+            if oc.name() != nc.name() {
+                return None;
+            }
+        }
+        let mut delta = LakeDelta::new();
+        for (oc, nc) in old.columns().iter().zip(new.columns()) {
+            let old_cells = oc.cells();
+            let new_cells = nc.cells();
+            // First-seen-order mapping of normalized target → raw replacement.
+            let mut mapping: Vec<(String, String)> = Vec::new();
+            for (old_raw, new_raw) in old_cells.iter().zip(&new_cells) {
+                let old_norm = normalize(old_raw);
+                let new_norm = normalize(new_raw);
+                if old_norm == new_norm {
+                    continue;
+                }
+                if old_norm.is_empty() || new_norm.is_empty() {
+                    // Transitions to/from missing cells have no value-level op.
+                    return None;
+                }
+                match mapping.iter().find(|(t, _)| *t == old_norm) {
+                    Some((_, repl)) if normalize(repl) == new_norm => {}
+                    Some(_) => return None, // inconsistent: one old value, two new ones
+                    None => mapping.push((old_norm, new_raw.to_string())),
+                }
+            }
+            if mapping.is_empty() {
+                continue;
+            }
+            let targets: BTreeSet<&str> = mapping.iter().map(|(t, _)| t.as_str()).collect();
+            // No chains/swaps: a replacement that is itself a target would make
+            // sequential application cascade through both rewrites.
+            if mapping
+                .iter()
+                .any(|(_, r)| targets.contains(normalize(r).as_str()))
+            {
+                return None;
+            }
+            // Completeness: every surviving occurrence of a target must have
+            // changed, because ReplaceValue rewrites all of them.
+            for (old_raw, new_raw) in old_cells.iter().zip(&new_cells) {
+                let old_norm = normalize(old_raw);
+                if let Some((_, repl)) = mapping.iter().find(|(t, _)| *t == old_norm) {
+                    if normalize(new_raw) != normalize(repl) {
+                        return None;
+                    }
+                }
+            }
+            for (target, replacement) in mapping {
+                delta = delta.replace_value(old.name(), oc.name(), &target, replacement);
+            }
+        }
+        Some(delta)
+    }
+
+    /// `diff_tables` through the per-cell oracle.
+    fn oracle_diff(old: &Table, new: &Table) -> (String, bool) {
+        match per_cell_replace_diff(old, new) {
+            Some(delta) => (serde_json::to_string(&delta).unwrap(), false),
+            None => (
+                serde_json::to_string(&rewrite_delta(old.name(), new)).unwrap(),
+                true,
+            ),
+        }
+    }
+
+    /// Assert the dictionary differ and the oracle agree on `old → new`;
+    /// returns whether the diff fell back to a rewrite.
+    fn assert_matches_oracle(old: &Table, new: &Table, case: &str) -> bool {
+        let diff = diff_tables(old, new);
+        let got = (
+            serde_json::to_string(&diff.delta).unwrap(),
+            diff.full_rewrite,
+        );
+        assert_eq!(got, oracle_diff(old, new), "{case}");
+        diff.full_rewrite
+    }
+
+    /// Spellings that normalize alike, a missing cell in two spellings, and
+    /// distinct values: enough collisions for chains, swaps and partial
+    /// rewrites to arise by chance.
+    const CELLS: [&str; 10] = [
+        "Jaguar", "jaguar ", "Puma", "PUMA", "Okapi", "", "  ", "Kudu", "Zebu", "é",
+    ];
+
+    fn random_table(rng: &mut StdRng) -> Table {
+        let rows = rng.gen_range(0..25);
+        let mut builder = TableBuilder::new("t");
+        for c in 0..rng.gen_range(1..4) {
+            let cells: Vec<String> = (0..rows)
+                .map(|_| CELLS[rng.gen_range(0..CELLS.len())].to_owned())
+                .collect();
+            builder = builder.column(format!("c{c}"), cells);
+        }
+        builder.build().unwrap()
+    }
+
+    /// `old` with one seeded edit per column: a consistent substitution (onto
+    /// a fresh or an existing value), a partial rewrite, a transition to or
+    /// from a missing cell, a swap, a chain, or nothing; sometimes a row
+    /// more or a renamed column.
+    fn edited(old: &Table, rng: &mut StdRng) -> Table {
+        let mut builder = TableBuilder::new("t");
+        let shape = rng.gen_range(0..10);
+        for (c, column) in old.columns().iter().enumerate() {
+            let mut cells: Vec<String> = column.cells().iter().map(|s| s.to_string()).collect();
+            let pick = |rng: &mut StdRng| CELLS[rng.gen_range(0..CELLS.len())];
+            let a = normalize(pick(rng));
+            let b = pick(rng);
+            match rng.gen_range(0..7) {
+                0 => {
+                    let fresh = format!("New{}", rng.gen_range(0..3));
+                    for cell in cells.iter_mut().filter(|cell| normalize(cell) == a) {
+                        *cell = fresh.clone();
+                    }
+                }
+                1 => {
+                    for cell in cells.iter_mut().filter(|cell| normalize(cell) == a) {
+                        *cell = b.to_owned();
+                    }
+                }
+                2 => {
+                    for cell in cells.iter_mut() {
+                        if rng.gen_bool(0.3) {
+                            *cell = pick(rng).to_owned();
+                        }
+                    }
+                }
+                3 => {
+                    if let Some(cell) = cells.first_mut() {
+                        *cell = if normalize(cell).is_empty() {
+                            "Okapi"
+                        } else {
+                            ""
+                        }
+                        .to_owned();
+                    }
+                }
+                4 => {
+                    let b = normalize(b);
+                    for cell in cells.iter_mut() {
+                        let norm = normalize(cell);
+                        if norm == a {
+                            *cell = b.clone();
+                        } else if norm == b {
+                            *cell = a.clone();
+                        }
+                    }
+                }
+                5 => {
+                    // a → b while b → a fresh value.
+                    let b = normalize(b);
+                    for cell in cells.iter_mut() {
+                        let norm = normalize(cell);
+                        if norm == a {
+                            *cell = b.clone();
+                        } else if norm == b {
+                            *cell = "Chained".to_owned();
+                        }
+                    }
+                }
+                _ => {}
+            }
+            if shape == 0 {
+                cells.push(pick(rng).to_owned());
+            }
+            let name = if shape == 1 && c == 0 {
+                "renamed".to_owned()
+            } else {
+                column.name().to_owned()
+            };
+            builder = builder.column(name, cells);
+        }
+        builder.build().unwrap()
+    }
+
+    /// The dictionary differ gives the oracle's ops, in its order, and its
+    /// rewrite verdict: on seeded edits of random tables and on consecutive
+    /// generations of a drifting drop-folder.
+    #[test]
+    fn dictionary_diff_matches_the_per_cell_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        let (mut replaced, mut rewritten) = (0, 0);
+        for case in 0..2_000 {
+            let old = random_table(&mut rng);
+            let new = edited(&old, &mut rng);
+            if assert_matches_oracle(&old, &new, &format!("case {case}")) {
+                rewritten += 1;
+            } else if !diff_tables(&old, &new).delta.is_empty() {
+                replaced += 1;
+            }
+        }
+        assert!(
+            replaced >= 200 && rewritten >= 200,
+            "{replaced} replace diffs, {rewritten} rewrites"
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("dn_ingest_diff_oracle_{}", std::process::id()));
+        let mut stream = datagen::DriftStream::new(datagen::DriftConfig::default());
+        stream.write_next_generation(&dir).unwrap();
+        let (mut drift_replaced, mut drift_rewritten) = (0, 0);
+        for generation in 1..16 {
+            let before = stream.live_tables().to_vec();
+            stream.write_next_generation(&dir).unwrap();
+            for old in &before {
+                let Some(new) = stream.live_tables().iter().find(|t| t.name() == old.name()) else {
+                    continue;
+                };
+                let case = format!("generation {generation}, table {}", old.name());
+                if assert_matches_oracle(old, new, &case) {
+                    drift_rewritten += 1;
+                } else if !diff_tables(old, new).delta.is_empty() {
+                    drift_replaced += 1;
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            drift_replaced >= 10,
+            "{drift_replaced} drift replace diffs, {drift_rewritten} rewrites"
+        );
+    }
 
     fn table(name: &str, col: &str, cells: &[&str]) -> Table {
         TableBuilder::new(name)

@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Index;
-use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -178,9 +177,9 @@ impl Deserialize for StringList {
 /// *normalized* values, which is all DomainNet itself consumes. Both are a
 /// [`StringList`], so a column holds no string per entry.
 ///
-/// Dense row access ([`Column::cells`]) is still available: the rows are
-/// materialized lazily on first use and cached (row-oriented consumers —
-/// CSV write-back, baselines — keep working unchanged).
+/// Row order is derived on every read and never cached: [`Column::cells`]
+/// builds a list per call; [`crate::table::Table::rows`] and CSV
+/// write-back read the dictionary at each row's index.
 ///
 /// Invariant: every dictionary entry is referenced by at least one row and
 /// entries are pairwise distinct; all constructors and mutators uphold
@@ -194,9 +193,6 @@ pub struct Column {
     indices: Vec<u32>,
     /// The distinct normalized non-missing values of `dictionary`, sorted.
     distinct: StringList,
-    /// Lazily materialized dense rows for [`Column::cells`].
-    #[serde(skip)]
-    dense: OnceLock<Vec<String>>,
 }
 
 /// The structural dictionary-encoding invariants shared by
@@ -271,13 +267,6 @@ impl Column {
             });
             indices.push(ix);
         }
-        drop(index_of);
-        // The input rows are deliberately dropped: the dictionary + index
-        // encoding reproduces them exactly, and only row-oriented
-        // consumers (CSV write-back, baselines) ever materialize the dense
-        // form again via `cells()`. Keeping both would double resident
-        // memory for every ingested column.
-        drop(cells);
         Column::encoded(name.into(), dictionary, indices)
     }
 
@@ -289,7 +278,6 @@ impl Column {
             dictionary,
             indices,
             distinct,
-            dense: OnceLock::new(),
         }
     }
 
@@ -367,14 +355,16 @@ impl Column {
         self.indices.is_empty()
     }
 
-    /// The raw cells in row order (materialized lazily and cached).
-    pub fn cells(&self) -> &[String] {
-        self.dense.get_or_init(|| {
-            self.indices
-                .iter()
-                .map(|&ix| self.dictionary[ix as usize].to_owned())
-                .collect()
-        })
+    /// The raw cells in row order, borrowed from the dictionary.
+    ///
+    /// The list is built on every call (one `&str` per row) and nothing is
+    /// kept: a loop over rows should read [`Column::dictionary`] at each of
+    /// [`Column::cell_indices`] instead.
+    pub fn cells(&self) -> Vec<&str> {
+        self.indices
+            .iter()
+            .map(|&ix| &self.dictionary[ix as usize])
+            .collect()
     }
 
     /// The distinct raw cells, in first-occurrence order.
@@ -478,7 +468,6 @@ impl Column {
             *ix = new_of_old[*ix as usize];
         }
         self.distinct = distinct_of(&self.dictionary);
-        self.dense = OnceLock::new();
         replaced
     }
 }
@@ -568,7 +557,6 @@ mod tests {
         assert!(c.contains_normalized("INJECTEDHOMOGRAPH1"));
         assert!(!c.contains_normalized("JAGUAR"));
         assert_eq!(c.distinct_count(), 2);
-        // Dense rows rematerialize with the rewrite applied.
         assert_eq!(
             c.cells(),
             &["InjectedHomograph1", "InjectedHomograph1", "Puma"]
@@ -750,7 +738,7 @@ mod tests {
                     if crate::value::normalize(raw) == target {
                         replacement.clone()
                     } else {
-                        raw.clone()
+                        raw.to_string()
                     }
                 })
                 .collect();

@@ -304,17 +304,30 @@ pub fn write_records_with<W: Write>(
     records: &[Vec<String>],
     options: CsvOptions,
 ) -> Result<()> {
-    for record in records {
-        for (i, field) in record.iter().enumerate() {
-            if i > 0 {
-                out.write_all(&[options.delimiter])
-                    .map_err(LakeError::from)?;
-            }
-            write_field(out, field, options).map_err(LakeError::from)?;
+    records
+        .iter()
+        .try_for_each(|record| write_record(out, record.iter().map(String::as_str), options))
+}
+
+/// Write one record and its line break. A lone empty field is written as
+/// `""`: an empty line is no record to the parser.
+pub(crate) fn write_record<'f, W: Write>(
+    out: &mut W,
+    fields: impl IntoIterator<Item = &'f str>,
+    options: CsvOptions,
+) -> Result<()> {
+    let mut lone_empty = false;
+    for (i, field) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.write_all(&[options.delimiter])?;
         }
-        out.write_all(b"\n").map_err(LakeError::from)?;
+        write_field(out, field, options)?;
+        lone_empty = i == 0 && field.is_empty();
     }
-    Ok(())
+    if lone_empty {
+        out.write_all(&[options.quote, options.quote])?;
+    }
+    Ok(out.write_all(b"\n")?)
 }
 
 /// The reader this module's parser replaced: it joins `BufRead` lines until

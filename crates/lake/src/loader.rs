@@ -24,7 +24,7 @@ use dn_pool::Pool;
 
 use crate::catalog::LakeCatalog;
 use crate::column::{Column, StringList};
-use crate::csv::{CsvOptions, Records};
+use crate::csv::{write_record, CsvOptions, Records};
 use crate::error::LakeError;
 use crate::table::Table;
 use crate::value::FxHashMap;
@@ -177,19 +177,14 @@ pub fn save_dir(catalog: &LakeCatalog, dir: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Serialize a single table as CSV (header + rows) to any writer.
+/// Serialize a single table as CSV (header + rows) to any writer, one
+/// record at a time.
 pub fn write_table<W: Write>(out: &mut W, table: &Table) -> Result<()> {
-    let header: Vec<String> = table
-        .columns()
-        .iter()
-        .map(|c| c.name().to_owned())
-        .collect();
-    let mut records = Vec::with_capacity(table.row_count() + 1);
-    records.push(header);
-    for row in table.rows() {
-        records.push(row.into_iter().map(str::to_owned).collect());
-    }
-    crate::csv::write_records(out, &records)
+    let options = CsvOptions::default();
+    write_record(out, table.columns().iter().map(Column::name), options)?;
+    table
+        .rows()
+        .try_for_each(|row| write_record(out, row, options))
 }
 
 #[cfg(test)]
@@ -289,6 +284,30 @@ mod tests {
         assert_eq!(reloaded.attribute_count(), lake.attribute_count());
         assert_eq!(reloaded.value_count(), lake.value_count());
         assert!(reloaded.contains_value("JAGUAR"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An empty line is no record to the parser, so a one-column row of
+    /// one empty cell must be written as `""` to come back.
+    #[test]
+    fn a_one_column_table_with_empty_cells_round_trips() {
+        let dir = temp_dir("one_column");
+        let mut lake = LakeCatalog::new();
+        let table = crate::TableBuilder::new("t")
+            .column("c", ["a", "", "b", ""])
+            .build()
+            .unwrap();
+        lake.add_table(table.clone()).unwrap();
+        save_dir(&lake, &dir).unwrap();
+        for strict in [false, true] {
+            let options = LoadOptions {
+                strict,
+                ..LoadOptions::default()
+            };
+            let back = load_table(&dir.join("t.csv"), options).unwrap();
+            assert_eq!(back.row_count(), table.row_count(), "strict {strict}");
+            assert!(back.rows().eq(table.rows()), "strict {strict}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -66,7 +66,8 @@ impl Table {
         self.columns.iter().find(|c| c.name() == name)
     }
 
-    /// Iterate over the rows as vectors of raw cells.
+    /// Iterate over the rows as vectors of raw cells, each read from its
+    /// column's dictionary (a column shorter than the first reads `""`).
     ///
     /// Mostly useful for writing tables back out as CSV; DomainNet itself
     /// never looks at rows.
@@ -74,7 +75,11 @@ impl Table {
         (0..self.row_count()).map(move |r| {
             self.columns
                 .iter()
-                .map(|c| c.cells().get(r).map(String::as_str).unwrap_or(""))
+                .map(|c| {
+                    c.cell_indices()
+                        .get(r)
+                        .map_or("", |&ix| &c.dictionary()[ix as usize])
+                })
                 .collect()
         })
     }
