@@ -13,7 +13,10 @@
 # reader and load_dir across pool widths, a column holding its cells once
 # (row reads leave no live heap behind, the dictionary table differ
 # against its per-cell oracle, a one-column CSV round trip with empty
-# cells), the concurrency stress test,
+# cells), a column keeping only its dictionary (the lake's dictionary
+# interning against its sorted-list oracle, a counting allocator over the
+# column constructors, a forged distinct list refused at decode), the
+# concurrency stress test,
 # the dn-store corruption-hardening suite (with its seeded hostile-bytes
 # loop over the snapshot sections), the seeded hostile-bytes loop over WAL
 # records and mutation bodies, the seeded hostile-bytes loop over HTTP
@@ -165,6 +168,9 @@ cargo test -q -- \
     --skip row_reads_retain_nothing \
     --skip dictionary_diff_matches_the_per_cell_oracle \
     --skip a_one_column_table_with_empty_cells_round_trips \
+    --skip dictionary_interning_matches_the_sorted_list_oracle \
+    --skip a_column_keeps_only_its_dictionary_and_indices \
+    --skip a_forged_distinct_array \
     --skip readers_always_observe_consistent_epochs \
     --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
     --skip random_checkpoint_recovery_equivalence \
@@ -221,6 +227,21 @@ gate "a column holds its cells once: row reads retain nothing; dictionary diff =
     -p lake -p dn-ingest -p domainnet_suite --lib --test row_reads_retain_nothing -- \
     row_reads_retain_nothing dictionary_diff_matches_the_per_cell_oracle \
     a_one_column_table_with_empty_cells_round_trips
+
+# A column holds its name, dictionary and row indices only. The lake
+# interns straight from the dictionary and gives the ids of interning each
+# column's sorted distinct list in order (2 000 seeded columns; TUS small
+# and SB with removals, re-adds and replacements); a counting allocator
+# sees new, from_dictionary and JSON decode keep four heap blocks and a
+# derived list leave nothing; a forged `distinct` array fails at decode:
+# the column's JSON, a POST body (400) and a WAL record (Corrupt on
+# recovery).
+gate "a column keeps only its dictionary: interning oracle, retention, forged list rejected at decode" \
+    -p lake -p dn-server -p dn-store -p domainnet_suite --lib \
+    --test column_keeps_only_its_dictionary --test corruption \
+    --test incremental_equivalence -- \
+    dictionary_interning_matches_the_sorted_list_oracle \
+    a_column_keeps_only_its_dictionary_and_indices a_forged_distinct_array
 
 gate "serving concurrency stress (--test-threads ${CORES})" \
     --test serving_stress -- --test-threads "${CORES}"

@@ -164,17 +164,17 @@ pub fn discover(lake: &LakeCatalog, config: D4Config) -> D4Output {
     let mut columns: Vec<AttrId> = Vec::new();
     let mut value_sets: Vec<HashSet<ValueId>> = Vec::new();
     for attr in lake.attribute_ids() {
-        let column = lake
-            .attribute(attr)
-            .expect("attribute_ids yields live slots");
-        if column.distinct_count() == 0 {
+        let values = lake.attribute_values(attr);
+        if values.is_empty() {
             continue;
         }
+        // Emptiness off the index: `numeric_fraction` derives the list once.
+        let column = lake.attribute(attr).expect("live attribute");
         if 1.0 - column.numeric_fraction() < config.string_column_min_fraction {
             continue;
         }
         columns.push(attr);
-        value_sets.push(lake.attribute_values(attr).iter().copied().collect());
+        value_sets.push(values.iter().copied().collect());
     }
     let string_columns = columns.len();
     let column_index: HashMap<AttrId, usize> =

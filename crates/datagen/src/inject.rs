@@ -83,6 +83,7 @@ pub fn remove_homographs(lake: &GeneratedLake) -> GeneratedLake {
             };
             let present: Vec<String> = column
                 .distinct_values()
+                .iter()
                 .filter(|v| homographs.contains(*v))
                 .map(str::to_owned)
                 .collect();
@@ -178,6 +179,7 @@ pub fn inject_homographs(lake: &GeneratedLake, config: InjectionConfig) -> Optio
         for column in table.columns_mut() {
             let present: Vec<(String, String)> = column
                 .distinct_values()
+                .iter()
                 .filter_map(|v| {
                     replacement_of
                         .get(v)

@@ -242,7 +242,7 @@ impl MutationStream {
             };
             let col_idx = self.rng.gen_range(0..table.column_count());
             let column = &table.columns()[col_idx];
-            let distinct: Vec<&str> = column.distinct_values().collect();
+            let distinct = column.distinct_values();
             if distinct.is_empty() {
                 continue;
             }
@@ -513,6 +513,7 @@ impl DriftStream {
         let column = &mut table.columns_mut()[1];
         let victim = column
             .distinct_values()
+            .iter()
             .find(|v| !v.starts_with("DRIFTER") && !v.starts_with("CHURN"))
             .map(str::to_owned);
         if let Some(victim) = victim {
@@ -532,6 +533,7 @@ impl DriftStream {
             let column = &mut table.columns_mut()[c];
             let distinct: Vec<String> = column
                 .distinct_values()
+                .iter()
                 .filter(|v| !v.starts_with("DRIFTER") && !v.starts_with("CHURN"))
                 .map(str::to_owned)
                 .collect();
@@ -709,21 +711,30 @@ mod tests {
 
     #[test]
     fn drifters_become_homographs_across_generations() {
+        // Each live column's name and distinct values, derived once, and
+        // the columns among them that hold `token`.
+        let columns = |stream: &DriftStream| -> Vec<(String, lake::column::StringList)> {
+            let columns = stream.live_tables().iter().flat_map(|t| t.columns());
+            columns
+                .map(|c| (c.name().to_owned(), c.distinct_values()))
+                .collect()
+        };
+        let hosts = |columns: &[(String, lake::column::StringList)], token: &str| {
+            let normalized = lake::normalize(token);
+            columns
+                .iter()
+                .filter(|(_, distinct)| distinct.iter().any(|v| v == normalized))
+                .map(|(name, _)| name.clone())
+                .collect::<Vec<_>>()
+        };
         let mut stream = DriftStream::new(drift_config());
         stream.advance();
         // Generation 0: each drifter lives in exactly one column semantic.
+        let live = columns(&stream);
         let homes: Vec<usize> = stream
             .drift_tokens()
             .iter()
-            .map(|token| {
-                let normalized = lake::normalize(token);
-                stream
-                    .live_tables()
-                    .iter()
-                    .flat_map(|t| t.columns())
-                    .filter(|c| c.contains_normalized(&normalized))
-                    .count()
-            })
+            .map(|token| hosts(&live, token).len())
             .collect();
         assert!(homes.iter().all(|&n| n == 1), "homes: {homes:?}");
         // After enough generations every drifter occupies >= 2 columns of
@@ -731,15 +742,10 @@ mod tests {
         for _ in 0..6 {
             stream.advance();
         }
+        let live = columns(&stream);
         for token in stream.drift_tokens() {
-            let normalized = lake::normalize(&token);
-            let hosts: std::collections::HashSet<&str> = stream
-                .live_tables()
-                .iter()
-                .flat_map(|t| t.columns())
-                .filter(|c| c.contains_normalized(&normalized))
-                .map(|c| c.name())
-                .collect();
+            let hosts: std::collections::HashSet<String> =
+                hosts(&live, &token).into_iter().collect();
             assert!(
                 hosts.len() >= 2,
                 "{token} should span >=2 column semantics, got {hosts:?}"
@@ -801,8 +807,9 @@ mod tests {
                 continue;
             };
             for (oc, nc) in old.columns().iter().zip(new.columns()) {
-                for value in oc.distinct_values() {
-                    let survives = nc.contains_normalized(value);
+                let kept = nc.distinct_values();
+                for value in &oc.distinct_values() {
+                    let survives = kept.iter().any(|v| v == value);
                     if !survives {
                         // Vanished entirely: no cell may still hold it.
                         assert!(nc.dictionary().iter().all(|c| lake::normalize(c) != value));

@@ -477,14 +477,7 @@ mod tests {
         let mut lake = lake::MutableLake::new();
         lake.apply(&LakeDelta::new().add_table(a)).unwrap();
         lake.apply(&diff.delta).unwrap();
-        let got: Vec<String> = lake.table("t").unwrap().columns()[0]
-            .distinct_values()
-            .map(str::to_string)
-            .collect();
-        let want: Vec<String> = b.columns()[0]
-            .distinct_values()
-            .map(str::to_string)
-            .collect();
-        assert_eq!(got, want);
+        let got = lake.table("t").unwrap().columns()[0].distinct_values();
+        assert_eq!(got, b.columns()[0].distinct_values());
     }
 }

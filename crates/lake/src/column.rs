@@ -1,6 +1,5 @@
 //! Column-oriented storage for a single attribute of a table.
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Index;
 
@@ -36,7 +35,7 @@ impl StringList {
     }
 
     /// An empty list with room for `entries` entries of `bytes` bytes in all.
-    pub(crate) fn with_capacity(entries: usize, bytes: usize) -> Self {
+    fn with_capacity(entries: usize, bytes: usize) -> Self {
         StringList {
             buf: String::with_capacity(bytes),
             ends: Vec::with_capacity(entries),
@@ -173,85 +172,25 @@ impl Deserialize for StringList {
 /// O(dictionary) operation instead of an O(rows) one, and it is the shape
 /// the persistence layer (`dn-store`) writes to and restores from disk —
 /// normalization on load runs once per distinct raw cell, not once per
-/// row. Alongside the dictionary the column caches the sorted distinct
-/// *normalized* values, which is all DomainNet itself consumes. Both are a
-/// [`StringList`], so a column holds no string per entry.
+/// row. The dictionary is a [`StringList`], so a column holds no string
+/// per entry, and it and the indices are all a column holds.
 ///
-/// Row order is derived on every read and never cached: [`Column::cells`]
-/// builds a list per call; [`crate::table::Table::rows`] and CSV
-/// write-back read the dictionary at each row's index.
+/// Everything else is derived on every read and never cached: row order
+/// ([`Column::cells`]; [`crate::table::Table::rows`] and CSV write-back
+/// read the dictionary at each row's index) and the sorted distinct
+/// *normalized* values DomainNet consumes ([`Column::distinct_values`];
+/// the lake interns straight from the dictionary and keeps ids).
 ///
 /// Invariant: every dictionary entry is referenced by at least one row and
 /// entries are pairwise distinct; all constructors and mutators uphold
 /// this, and [`Column::from_dictionary`] validates it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Column {
     name: String,
     /// Distinct raw cells, in first-occurrence order.
     dictionary: StringList,
     /// Per-row index into `dictionary`.
     indices: Vec<u32>,
-    /// The distinct normalized non-missing values of `dictionary`, sorted.
-    distinct: StringList,
-}
-
-/// The structural dictionary-encoding invariants shared by
-/// [`Column::from_dictionary`] and [`Column::validate_encoding`]: every
-/// index in range, every entry referenced by some row, entries pairwise
-/// distinct.
-fn check_encoding(name: &str, dictionary: &StringList, indices: &[u32]) -> crate::Result<()> {
-    let corrupt = |msg: String| crate::error::LakeError::Serde(msg);
-    let mut used = vec![false; dictionary.len()];
-    for &ix in indices {
-        match used.get_mut(ix as usize) {
-            Some(slot) => *slot = true,
-            None => {
-                return Err(corrupt(format!(
-                    "column '{name}': cell index {ix} outside its {}-entry dictionary",
-                    dictionary.len()
-                )))
-            }
-        }
-    }
-    if let Some(unused) = used.iter().position(|&u| !u) {
-        return Err(corrupt(format!(
-            "column '{name}': dictionary entry {unused} is referenced by no row"
-        )));
-    }
-    let mut seen: FxHashMap<&str, usize> =
-        FxHashMap::with_capacity_and_hasher(dictionary.len(), FxBuildHasher::default());
-    for (i, entry) in dictionary.iter().enumerate() {
-        if let Some(prev) = seen.insert(entry, i) {
-            return Err(corrupt(format!(
-                "column '{name}': dictionary entries {prev} and {i} are identical"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The sorted, deduplicated, non-empty normalized values of `dictionary`:
-/// normalized into one scratch buffer, sorted and deduplicated as spans of
-/// it, then copied once.
-fn distinct_of(dictionary: &StringList) -> StringList {
-    let mut scratch = String::with_capacity(dictionary.buf.len());
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(dictionary.len());
-    for raw in dictionary {
-        let start = scratch.len();
-        normalize_into(raw, &mut scratch);
-        if scratch.len() > start {
-            spans.push((start, scratch.len()));
-        }
-    }
-    let bytes = scratch.as_bytes();
-    spans.sort_unstable_by(|&(a, b), &(c, d)| bytes[a..b].cmp(&bytes[c..d]));
-    spans.dedup_by(|&mut (a, b), &mut (c, d)| bytes[a..b] == bytes[c..d]);
-    let mut distinct =
-        StringList::with_capacity(spans.len(), spans.iter().map(|&(a, b)| b - a).sum());
-    for (start, end) in spans {
-        distinct.push(&scratch[start..end]);
-    }
-    distinct
 }
 
 impl Column {
@@ -267,17 +206,10 @@ impl Column {
             });
             indices.push(ix);
         }
-        Column::encoded(name.into(), dictionary, indices)
-    }
-
-    /// The column of a checked encoding, its distinct values derived.
-    fn encoded(name: String, dictionary: StringList, indices: Vec<u32>) -> Self {
-        let distinct = distinct_of(&dictionary);
         Column {
-            name,
+            name: name.into(),
             dictionary,
             indices,
-            distinct,
         }
     }
 
@@ -289,11 +221,10 @@ impl Column {
     /// Reassemble a column from its dictionary-encoded parts — the shape
     /// the persistence layer stores and the CSV loader parses into. The
     /// column's invariants are validated (every index in range, every
-    /// entry referenced, no duplicate entries) and the distinct-value
-    /// cache is re-derived by normalizing the dictionary, so the result is
-    /// semantically identical to [`Column::new`] over the materialized rows
-    /// at a fraction of the cost (no per-row allocation, no per-row
-    /// normalization).
+    /// entry referenced, no duplicate entries) and the parts are adopted
+    /// as they are, so the result is identical to [`Column::new`] over the
+    /// materialized rows at a fraction of the cost (no per-row allocation,
+    /// no normalization).
     ///
     /// # Errors
     /// [`crate::error::LakeError::Serde`] describing the violated
@@ -303,34 +234,58 @@ impl Column {
         dictionary: StringList,
         indices: Vec<u32>,
     ) -> crate::Result<Self> {
-        let name = name.into();
-        check_encoding(&name, &dictionary, &indices)?;
-        Ok(Column::encoded(name, dictionary, indices))
+        let column = Column {
+            name: name.into(),
+            dictionary,
+            indices,
+        };
+        column.validate_encoding()?;
+        Ok(column)
     }
 
-    /// Check this column's dictionary-encoding invariants and its cached
-    /// distinct values — present, sorted, deduplicated and nothing else —
-    /// as if it had gone through [`Column::from_dictionary`].
+    /// Check this column's dictionary-encoding invariants: every index in
+    /// range, every entry referenced by some row, entries pairwise
+    /// distinct.
     ///
     /// Constructors and mutators uphold the invariants, but a `Column`
     /// can also enter the process through serde (write-ahead-log records
-    /// carry whole tables), where a derived `Deserialize` trusts the
-    /// fields as written. The WAL replay path calls this on every decoded
-    /// table so a checksum-valid but structurally impossible record
-    /// surfaces as a typed error instead of an out-of-bounds panic (or a
-    /// silently wrong distinct set, which the binary search of
-    /// [`Column::contains_normalized`] would misread) later.
+    /// carry whole tables), where decoding checks only that the `distinct`
+    /// array is the one the dictionary derives. The WAL replay path calls
+    /// this on every decoded table so a checksum-valid but structurally
+    /// impossible record surfaces as a typed error instead of an
+    /// out-of-bounds panic later.
     ///
     /// # Errors
     /// [`crate::error::LakeError::Serde`] describing the violated
     /// invariant.
     pub fn validate_encoding(&self) -> crate::Result<()> {
-        check_encoding(&self.name, &self.dictionary, &self.indices)?;
-        if self.distinct != distinct_of(&self.dictionary) {
-            return Err(crate::error::LakeError::Serde(format!(
-                "column '{}': cached distinct set does not match its dictionary",
-                self.name
+        let (name, dictionary) = (&self.name, &self.dictionary);
+        let corrupt = |msg: String| crate::error::LakeError::Serde(msg);
+        let mut used = vec![false; dictionary.len()];
+        for &ix in &self.indices {
+            match used.get_mut(ix as usize) {
+                Some(slot) => *slot = true,
+                None => {
+                    return Err(corrupt(format!(
+                        "column '{name}': cell index {ix} outside its {}-entry dictionary",
+                        dictionary.len()
+                    )))
+                }
+            }
+        }
+        if let Some(unused) = used.iter().position(|&u| !u) {
+            return Err(corrupt(format!(
+                "column '{name}': dictionary entry {unused} is referenced by no row"
             )));
+        }
+        let mut seen: FxHashMap<&str, usize> =
+            FxHashMap::with_capacity_and_hasher(dictionary.len(), FxBuildHasher::default());
+        for (i, entry) in dictionary.iter().enumerate() {
+            if let Some(prev) = seen.insert(entry, i) {
+                return Err(corrupt(format!(
+                    "column '{name}': dictionary entries {prev} and {i} are identical"
+                )));
+            }
         }
         Ok(())
     }
@@ -378,46 +333,54 @@ impl Column {
     }
 
     /// The distinct normalized (non-missing) values, in lexicographic order.
-    pub fn distinct_values(&self) -> impl Iterator<Item = &str> {
-        self.distinct.iter()
-    }
-
-    /// Number of distinct normalized non-missing values.
     ///
-    /// This is the *cardinality* of the attribute in the paper's terminology.
-    pub fn distinct_count(&self) -> usize {
-        self.distinct.len()
+    /// The list is derived from the dictionary on every call and nothing
+    /// is kept: a caller reading it twice should hold the result, and one
+    /// holding the lake should read its interned ids instead.
+    pub fn distinct_values(&self) -> StringList {
+        let (buf, spans) = self.normalized_spans(|_| true);
+        let mut distinct =
+            StringList::with_capacity(spans.len(), spans.iter().map(|&(a, b)| b - a).sum());
+        for (start, end) in spans {
+            distinct.push(&buf[start..end]);
+        }
+        distinct
     }
 
-    /// Whether the normalized form of `value` occurs in this column (a
-    /// binary search of the sorted distinct values).
-    pub fn contains_normalized(&self, normalized: &str) -> bool {
-        let (mut lo, mut hi) = (0, self.distinct.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.distinct[mid].cmp(normalized) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return true,
+    /// The distinct non-missing normalized values that `keep` (called once
+    /// per entry) accepts, as sorted, deduplicated spans of one buffer.
+    pub(crate) fn normalized_spans(
+        &self,
+        mut keep: impl FnMut(&str) -> bool,
+    ) -> (String, Vec<(usize, usize)>) {
+        let mut buf = String::with_capacity(self.dictionary.buf.len());
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for raw in &self.dictionary {
+            let start = buf.len();
+            normalize_into(raw, &mut buf);
+            if buf.len() > start && keep(&buf[start..]) {
+                spans.push((start, buf.len()));
+            } else {
+                buf.truncate(start);
             }
         }
-        false
+        let bytes = buf.as_bytes();
+        spans.sort_unstable_by(|&(a, b), &(c, d)| bytes[a..b].cmp(&bytes[c..d]));
+        spans.dedup_by(|&mut (a, b), &mut (c, d)| bytes[a..b] == bytes[c..d]);
+        (buf, spans)
     }
 
     /// Fraction of distinct values that look numeric (integer or float).
-    ///
-    /// Used by the D4 baseline, which only discovers domains over
-    /// string-dominated attributes, and by the statistics module.
     pub fn numeric_fraction(&self) -> f64 {
-        if self.distinct.is_empty() {
+        let distinct = self.distinct_values();
+        if distinct.is_empty() {
             return 0.0;
         }
-        let numeric = self
-            .distinct
+        let numeric = distinct
             .iter()
             .filter(|v| value_kind(v) != ValueKind::Text)
             .count();
-        numeric as f64 / self.distinct.len() as f64
+        numeric as f64 / distinct.len() as f64
     }
 
     /// Replace every cell whose normalized form equals `target` with
@@ -467,8 +430,40 @@ impl Column {
         for ix in &mut self.indices {
             *ix = new_of_old[*ix as usize];
         }
-        self.distinct = distinct_of(&self.dictionary);
         replaced
+    }
+}
+
+/// A column's JSON is a wire format (WAL records and POST bodies carry
+/// whole tables): name, dictionary, indices, then the derived `distinct`.
+impl Serialize for Column {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("dictionary".to_owned(), self.dictionary.to_value()),
+            ("indices".to_owned(), self.indices.to_value()),
+            ("distinct".to_owned(), self.distinct_values().to_value()),
+        ])
+    }
+}
+
+/// Refuses a `distinct` array other than the derived one; the encoding is
+/// left to [`Column::validate_encoding`].
+impl Deserialize for Column {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |key| value.get(key).unwrap_or(&serde::Value::Null);
+        let column = Column {
+            name: Deserialize::from_value(field("name"))?,
+            dictionary: Deserialize::from_value(field("dictionary"))?,
+            indices: Deserialize::from_value(field("indices"))?,
+        };
+        if StringList::from_value(field("distinct"))? != column.distinct_values() {
+            return Err(serde::Error::custom(format!(
+                "column '{}': distinct array does not match its dictionary",
+                column.name
+            )));
+        }
+        Ok(column)
     }
 }
 
@@ -510,30 +505,26 @@ mod tests {
     #[test]
     fn distinct_values_are_normalized_and_deduped() {
         let c = col(&["jaguar", " Jaguar ", "PUMA", "puma", ""]);
-        let distinct: Vec<&str> = c.distinct_values().collect();
-        assert_eq!(distinct, vec!["JAGUAR", "PUMA"]);
-        assert_eq!(c.distinct_count(), 2);
+        assert_eq!(c.distinct_values(), list(&["JAGUAR", "PUMA"]));
         assert_eq!(c.len(), 5);
     }
 
     #[test]
     fn new_encodes_cells_and_distinct() {
         let c = col(&["Panda", "panda", "Lemur", "Panda"]);
-        assert_eq!(c.distinct_count(), 2);
-        assert!(c.contains_normalized("LEMUR"));
-        assert!(!c.contains_normalized("Lemur"));
+        assert_eq!(c.distinct_values(), list(&["LEMUR", "PANDA"]));
         assert_eq!(c.dictionary(), &list(&["Panda", "panda", "Lemur"]));
         assert_eq!(c.cell_indices(), [0, 1, 2, 0]);
         assert_eq!(c.cells(), &["Panda", "panda", "Lemur", "Panda"]);
         let empty = Column::empty("animals");
         assert!(empty.is_empty() && empty.dictionary().is_empty());
-        assert!(!empty.contains_normalized("LEMUR"));
+        assert!(empty.distinct_values().is_empty());
     }
 
     #[test]
     fn missing_cells_do_not_count_as_distinct() {
         let c = col(&["", "  ", "x"]);
-        assert_eq!(c.distinct_count(), 1);
+        assert_eq!(c.distinct_values(), list(&["X"]));
         assert_eq!(c.len(), 3);
     }
 
@@ -554,9 +545,7 @@ mod tests {
         let mut c = col(&["Jaguar", "jaguar ", "Puma"]);
         let n = c.replace_value("JAGUAR", "InjectedHomograph1");
         assert_eq!(n, 2);
-        assert!(c.contains_normalized("INJECTEDHOMOGRAPH1"));
-        assert!(!c.contains_normalized("JAGUAR"));
-        assert_eq!(c.distinct_count(), 2);
+        assert_eq!(c.distinct_values(), list(&["INJECTEDHOMOGRAPH1", "PUMA"]));
         assert_eq!(
             c.cells(),
             &["InjectedHomograph1", "InjectedHomograph1", "Puma"]
@@ -570,7 +559,7 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(c.cells(), &["Rover", "Rover", "Rover", "Rover"]);
         assert_eq!(c.dictionary().len(), 1, "collided entries merged");
-        assert_eq!(c.distinct_count(), 1);
+        assert_eq!(c.distinct_values(), list(&["ROVER"]));
         // The merged encoding round-trips through from_dictionary.
         let rebuilt = Column::from_dictionary(
             c.name().to_owned(),
@@ -585,7 +574,7 @@ mod tests {
     fn replace_value_missing_target_is_noop() {
         let mut c = col(&["Puma"]);
         assert_eq!(c.replace_value("JAGUAR", "X"), 0);
-        assert_eq!(c.distinct_count(), 1);
+        assert_eq!(c.distinct_values(), list(&["PUMA"]));
     }
 
     #[test]
@@ -606,10 +595,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt.cells(), reference.cells());
-        assert_eq!(
-            rebuilt.distinct_values().collect::<Vec<_>>(),
-            reference.distinct_values().collect::<Vec<_>>()
-        );
+        assert_eq!(rebuilt.distinct_values(), reference.distinct_values());
     }
 
     #[test]
@@ -631,7 +617,7 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: Column = serde_json::from_str(&json).unwrap();
         assert_eq!(back.cells(), c.cells());
-        assert_eq!(back.distinct_count(), c.distinct_count());
+        assert_eq!(back.distinct_values(), c.distinct_values());
     }
 
     /// WAL records and POST bodies carry whole tables, so a column's JSON
@@ -651,7 +637,8 @@ mod tests {
     }
 
     /// A decoded `distinct` array must be exactly the sorted, deduplicated
-    /// normalized dictionary: the binary search relies on it.
+    /// normalized dictionary. A column holds no such list, so a forged one
+    /// is refused by the decoder itself: no column with it can exist.
     #[test]
     fn validate_encoding_rejects_a_forged_distinct_array() {
         let json = serde_json::to_string(&col(&["b", "a", "c"])).unwrap();
@@ -663,12 +650,8 @@ mod tests {
             r#""distinct":["A","B","C","D"]"#,
             r#""distinct":["A","B"]"#,
         ] {
-            let back: Column = serde_json::from_str(&json.replace(pinned, forged)).unwrap();
-            let err = back.validate_encoding().unwrap_err();
-            assert!(
-                matches!(&err, crate::error::LakeError::Serde(m) if m.contains("distinct")),
-                "{forged}: {err:?}"
-            );
+            let err = serde_json::from_str::<Column>(&json.replace(pinned, forged)).unwrap_err();
+            assert!(err.to_string().contains("distinct"), "{forged}: {err:?}");
         }
     }
 
@@ -685,17 +668,12 @@ mod tests {
                 .filter(|v| !v.is_empty())
                 .collect()
         };
-        let check = |c: &Column, probes: &[String]| {
+        let check = |c: &Column| {
             let set = reference(c);
-            assert!(c.distinct_values().eq(set.iter().map(String::as_str)));
-            assert_eq!(c.distinct_count(), set.len());
-            for probe in probes.iter().chain(&set) {
-                assert_eq!(
-                    c.contains_normalized(probe),
-                    set.contains(probe),
-                    "{probe:?}"
-                );
-            }
+            assert!(c
+                .distinct_values()
+                .iter()
+                .eq(set.iter().map(String::as_str)));
             let numeric = set
                 .iter()
                 .filter(|v| value_kind(v) != ValueKind::Text)
@@ -715,11 +693,8 @@ mod tests {
         };
         for _ in 0..300 {
             let cells: Vec<String> = (0..rng.gen_range(0..40)).map(|_| cell(&mut rng)).collect();
-            let probes: Vec<String> = (0..8)
-                .map(|_| crate::value::normalize(&cell(&mut rng)))
-                .collect();
             let mut c = Column::new("c", cells.clone());
-            check(&c, &probes);
+            check(&c);
             if cells.is_empty() {
                 continue;
             }
@@ -744,7 +719,7 @@ mod tests {
                 .collect();
             c.replace_value(&target, &replacement);
             assert_eq!(c.cells(), expected);
-            check(&c, &probes);
+            check(&c);
         }
     }
 }

@@ -84,11 +84,6 @@ impl Table {
         })
     }
 
-    /// Total number of non-missing distinct values summed over columns.
-    pub fn total_distinct(&self) -> usize {
-        self.columns.iter().map(Column::distinct_count).sum()
-    }
-
     /// Check the invariants a well-formed table upholds by construction —
     /// every column's dictionary encoding ([`Column::validate_encoding`])
     /// and the table's shape ([`Table::validate_shape`]).
@@ -257,15 +252,5 @@ mod tests {
             .unwrap();
         let rows: Vec<Vec<&str>> = t.rows().collect();
         assert_eq!(rows, vec![vec!["1", "x"], vec!["2", "y"]]);
-    }
-
-    #[test]
-    fn total_distinct_sums_columns() {
-        let t = TableBuilder::new("t")
-            .column("a", ["1", "1", "2"])
-            .column("b", ["x", "y", "y"])
-            .build()
-            .unwrap();
-        assert_eq!(t.total_distinct(), 4);
     }
 }

@@ -329,4 +329,30 @@ mod tests {
         assert_eq!(back.deltas.len(), 2);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
+
+    /// A `POST /v1/mutations` body whose column carries a `distinct` array
+    /// other than the one its dictionary derives is a 400, not a table.
+    #[test]
+    fn a_forged_distinct_array_is_a_400() {
+        let body = concat!(
+            "{\"deltas\":[{\"ops\":[{\"AddTable\":{\"name\":\"T9\",\"columns\":",
+            "[{\"name\":\"animal\",\"dictionary\":[\"okapi\",\"Jaguar\"],",
+            "\"indices\":[0,1,0],\"distinct\":[\"JAGUAR\",\"OKAPI\"]}]}}]}]}"
+        );
+        MutationRequest::decode(body.as_bytes()).unwrap();
+        for forged in [
+            r#"["OKAPI","JAGUAR"]"#,
+            r#"["JAGUAR"]"#,
+            r#"["JAGUAR","OKAPI","ZEBU"]"#,
+        ] {
+            let body = body.replace(r#"["JAGUAR","OKAPI"]"#, forged);
+            let err = MutationRequest::decode(body.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{forged}");
+            assert!(
+                err.message.contains("distinct"),
+                "{forged}: {}",
+                err.message
+            );
+        }
+    }
 }

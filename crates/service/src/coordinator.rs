@@ -341,9 +341,10 @@ impl UnionFind {
 }
 
 /// Group a lake's live tables into connected components via shared
-/// values. Returns the live table names (original order) and each name's
-/// component root index.
-fn table_components(lake: &MutableLake) -> (Vec<String>, Vec<usize>) {
+/// values. Returns the live table names (original order), each name's
+/// component root index and its distinct-value count (summed over its
+/// columns, off the lake's index).
+fn table_components(lake: &MutableLake) -> (Vec<String>, Vec<usize>, Vec<usize>) {
     let names: Vec<String> = lake
         .live_table_names()
         .into_iter()
@@ -355,6 +356,7 @@ fn table_components(lake: &MutableLake) -> (Vec<String>, Vec<usize>) {
         .map(|(i, n)| (n.as_str(), i))
         .collect();
     let mut uf = UnionFind::new(names.len());
+    let mut weights = vec![0; names.len()];
     let mut first_table_of_value: HashMap<usize, usize> = HashMap::new();
     for (attr, values) in lake.live_attribute_values() {
         let table = lake
@@ -362,6 +364,7 @@ fn table_components(lake: &MutableLake) -> (Vec<String>, Vec<usize>) {
             .expect("live attribute has a table reference")
             .table;
         let t = index[table.as_str()];
+        weights[t] += values.len();
         for &v in values {
             match first_table_of_value.entry(v.index()) {
                 std::collections::hash_map::Entry::Occupied(e) => uf.union(*e.get(), t),
@@ -372,7 +375,7 @@ fn table_components(lake: &MutableLake) -> (Vec<String>, Vec<usize>) {
         }
     }
     let roots: Vec<usize> = (0..names.len()).map(|i| uf.find(i)).collect();
-    (names, roots)
+    (names, roots, weights)
 }
 
 /// Split a lake into `shards` sub-lakes along component boundaries.
@@ -385,12 +388,11 @@ fn partition_lake(lake: MutableLake, shards: usize) -> Vec<MutableLake> {
     if shards <= 1 {
         return vec![lake];
     }
-    let (names, roots) = table_components(&lake);
+    let (names, roots, weights) = table_components(&lake);
     // Component weight = sum of its tables' distinct-value counts.
     let mut weight_of_root: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, name) in names.iter().enumerate() {
-        let w = lake.table(name).map_or(0, Table::total_distinct);
-        *weight_of_root.entry(roots[i]).or_insert(0) += w;
+    for (&root, &weight) in roots.iter().zip(&weights) {
+        *weight_of_root.entry(root).or_insert(0) += weight;
     }
     // Greedy assignment in root order (= first-appearance order).
     let mut load = vec![0usize; shards];
@@ -416,7 +418,7 @@ fn partition_lake(lake: MutableLake, shards: usize) -> Vec<MutableLake> {
 /// The live tables of `lake` transitively connected to any of
 /// `trigger_values` (normalized) — the move-set of a cross-shard merge.
 fn connected_tables(lake: &MutableLake, trigger_values: &[String]) -> Vec<String> {
-    let (names, roots) = table_components(lake);
+    let (names, roots, _) = table_components(lake);
     let index: HashMap<&str, usize> = names
         .iter()
         .enumerate()
@@ -440,9 +442,14 @@ fn connected_tables(lake: &MutableLake, trigger_values: &[String]) -> Vec<String
         .collect()
 }
 
-/// A table's distinct (normalized) values, column by column.
-fn distinct_values(table: &Table) -> impl Iterator<Item = &str> {
-    table.columns().iter().flat_map(|c| c.distinct_values())
+/// The distinct (normalized) values of `table`'s columns, sorted and
+/// deduplicated: `commit` derives an `AddTable`'s once, for every probe.
+fn distinct_values(table: &Table) -> Vec<String> {
+    let columns = table.columns().iter().map(|c| c.distinct_values());
+    let values: BTreeSet<String> = columns
+        .flat_map(|d| d.iter().map(str::to_owned).collect::<Vec<_>>())
+        .collect();
+    values.into_iter().collect()
 }
 
 /// Where [`Coordinator::route`] sends one op.
@@ -504,11 +511,10 @@ impl Pending {
     /// Whether a gathered op changed what routing `op` probes in a way
     /// `placed` does not record: a table it names, or a value whose
     /// liveness a gathered `RemoveTable` or `ReplaceValue` changed.
-    fn hit(&self, op: &LakeOp) -> bool {
+    fn hit(&self, op: &LakeOp, values: &[String]) -> bool {
         match op {
             LakeOp::AddTable(table) => {
-                self.tables.contains(table.name())
-                    || distinct_values(table).any(|v| self.values.contains(v))
+                self.tables.contains(table.name()) || values.iter().any(|v| self.values.contains(v))
             }
             LakeOp::RemoveTable(name) => self.tables.contains(name),
             LakeOp::ReplaceValue {
@@ -519,9 +525,10 @@ impl Pending {
 
     /// The shards gathered `AddTable`s placed the values `op` probes on,
     /// ascending.
-    fn placed_on(&self, op: &LakeOp) -> Vec<usize> {
+    fn placed_on(&self, op: &LakeOp, values: &[String]) -> Vec<usize> {
         let mut shards: Vec<usize> = match op {
-            LakeOp::AddTable(table) => distinct_values(table)
+            LakeOp::AddTable(_) => values
+                .iter()
                 .filter_map(|v| self.placed.get(v).copied())
                 .collect(),
             LakeOp::RemoveTable(_) => Vec::new(),
@@ -537,23 +544,21 @@ impl Pending {
         shards
     }
 
-    /// Record what `op`, gathered for `shard`, whose committed lake is
-    /// `owner`, changes.
-    fn note(&mut self, op: &LakeOp, shard: usize, owner: &MutableLake) {
+    /// Record what `op` (probing `values`), gathered for `shard`, whose
+    /// committed lake is `owner`, changes.
+    fn note(&mut self, op: &LakeOp, values: Vec<String>, shard: usize, owner: &MutableLake) {
         if !self.routing_reads_it {
             return;
         }
         match op {
             LakeOp::AddTable(table) => {
                 self.tables.insert(table.name().to_owned());
-                self.placed
-                    .extend(distinct_values(table).map(|v| (v.to_owned(), shard)));
+                self.placed.extend(values.into_iter().map(|v| (v, shard)));
             }
             LakeOp::RemoveTable(name) => {
                 self.tables.insert(name.clone());
                 if let Some(table) = owner.table(name) {
-                    self.values
-                        .extend(distinct_values(table).map(str::to_owned));
+                    self.values.extend(distinct_values(table));
                 }
             }
             LakeOp::ReplaceValue {
@@ -1077,11 +1082,15 @@ impl Coordinator {
         let mut batches = vec![LakeDelta::new(); self.shards.len()];
         let mut pending = Pending::new(self.shards.len());
         for op in staged.iter().flat_map(LakeDelta::ops) {
-            let route = match self.route_gathered(op, &pending) {
+            let values = match op {
+                LakeOp::AddTable(table) => distinct_values(table),
+                _ => Vec::new(),
+            };
+            let route = match self.route_gathered(op, &values, &pending) {
                 Some(route) => route,
                 None => {
                     self.flush(&mut batches, &mut pending, &mut total)?;
-                    self.route(op)
+                    self.route(op, &values)
                 }
             };
             let shard = match route {
@@ -1096,7 +1105,7 @@ impl Coordinator {
                     target
                 }
             };
-            pending.note(op, shard, self.shards[shard].lake());
+            pending.note(op, values, shard, self.shards[shard].lake());
             batches[shard].push(op.clone());
         }
         self.flush(&mut batches, &mut pending, &mut total)?;
@@ -1297,7 +1306,7 @@ impl Coordinator {
     // -- routing ----------------------------------------------------------
 
     /// Where `op` goes, read off the committed shard lakes only.
-    fn route(&self, op: &LakeOp) -> Route {
+    fn route(&self, op: &LakeOp, values: &[String]) -> Route {
         match op {
             LakeOp::AddTable(table) => {
                 // Duplicate name: route to the owner so the engine
@@ -1305,12 +1314,7 @@ impl Coordinator {
                 if let Some(owner) = self.table_owner(table.name()) {
                     return Route::Shard(owner);
                 }
-                let values: Vec<String> = distinct_values(table)
-                    .map(str::to_owned)
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                let touched = self.shards_holding(&values);
+                let touched = self.shards_holding(values);
                 match touched.as_slice() {
                     [] => Route::New,
                     [only] => Route::Shard(*only),
@@ -1320,7 +1324,7 @@ impl Coordinator {
                         Route::Migrate {
                             target,
                             sources,
-                            values,
+                            values: values.to_vec(),
                         }
                     }
                 }
@@ -1363,11 +1367,12 @@ impl Coordinator {
     /// placed values, the placed values span shards or meet committed
     /// state elsewhere, or the op needs placement or a migration, which
     /// read committed state as a whole.
-    fn route_gathered(&self, op: &LakeOp, pending: &Pending) -> Option<Route> {
-        if pending.hit(op) {
+    fn route_gathered(&self, op: &LakeOp, values: &[String], pending: &Pending) -> Option<Route> {
+        if pending.hit(op, values) {
             return None;
         }
-        match (pending.placed_on(op).as_slice(), self.route(op)) {
+        let placed = pending.placed_on(op, values);
+        match (placed.as_slice(), self.route(op, values)) {
             ([], Route::Shard(shard)) => Some(Route::Shard(shard)),
             ([], route) if pending.is_empty() => Some(route),
             (&[placed], Route::New) => Some(Route::Shard(placed)),

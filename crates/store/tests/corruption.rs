@@ -24,7 +24,7 @@ use lake::value::ValueId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -701,6 +701,33 @@ fn foreign_wal_is_a_typed_error() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Replace `from` with `to` in the payload of the first record of the WAL
+/// at `path` (the only one), re-deriving a *valid* CRC for the result.
+fn reseal_first_wal_record(path: &Path, from: &str, to: &str) {
+    let bytes = fs::read(path).unwrap();
+    let header = 12usize; // magic + version
+    let rec = &bytes[header..];
+    let seq = u64::from_le_bytes(rec[..8].try_into().unwrap());
+    let epoch = u64::from_le_bytes(rec[8..16].try_into().unwrap());
+    let len = u32::from_le_bytes(rec[16..20].try_into().unwrap()) as usize;
+    assert_eq!(rec.len(), 24 + len, "one record");
+    let payload = std::str::from_utf8(&rec[24..24 + len]).unwrap();
+    assert!(payload.contains(from), "payload shape changed: {payload}");
+    let tampered = payload.replace(from, to);
+    let mut checked = Vec::new();
+    checked.extend_from_slice(&seq.to_le_bytes());
+    checked.extend_from_slice(&epoch.to_le_bytes());
+    checked.extend_from_slice(tampered.as_bytes());
+    let crc = dn_store::codec::crc32(&checked);
+    let mut rewritten = bytes[..header].to_vec();
+    rewritten.extend_from_slice(&seq.to_le_bytes());
+    rewritten.extend_from_slice(&epoch.to_le_bytes());
+    rewritten.extend_from_slice(&(tampered.len() as u32).to_le_bytes());
+    rewritten.extend_from_slice(&crc.to_le_bytes());
+    rewritten.extend_from_slice(tampered.as_bytes());
+    fs::write(path, &rewritten).unwrap();
+}
+
 #[test]
 fn checksum_valid_but_structurally_impossible_wal_record_is_typed_not_panic() {
     // A record can be bit-intact (CRC passes) yet describe an impossible
@@ -717,35 +744,47 @@ fn checksum_valid_but_structurally_impossible_wal_record_is_typed_not_panic() {
     wal.append(1, 0, &batch).unwrap();
     drop(wal);
 
-    // Rewrite the record with indices pointing outside the dictionary,
-    // re-deriving a *valid* CRC for the tampered payload.
-    let bytes = fs::read(&path).unwrap();
-    let header = 12usize; // magic + version
-    let rec = &bytes[header..];
-    let seq = u64::from_le_bytes(rec[..8].try_into().unwrap());
-    let epoch = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-    let len = u32::from_le_bytes(rec[16..20].try_into().unwrap()) as usize;
-    let payload = std::str::from_utf8(&rec[24..24 + len]).unwrap();
-    assert!(payload.contains("\"indices\":[0]"), "payload shape changed");
-    let tampered = payload.replace("\"indices\":[0]", "\"indices\":[9]");
-    let mut checked = Vec::new();
-    checked.extend_from_slice(&seq.to_le_bytes());
-    checked.extend_from_slice(&epoch.to_le_bytes());
-    checked.extend_from_slice(tampered.as_bytes());
-    let crc = dn_store::codec::crc32(&checked);
-    let mut rewritten = bytes[..header].to_vec();
-    rewritten.extend_from_slice(&seq.to_le_bytes());
-    rewritten.extend_from_slice(&epoch.to_le_bytes());
-    rewritten.extend_from_slice(&(tampered.len() as u32).to_le_bytes());
-    rewritten.extend_from_slice(&crc.to_le_bytes());
-    rewritten.extend_from_slice(tampered.as_bytes());
-    fs::write(&path, &rewritten).unwrap();
+    // Rewrite the record with indices pointing outside the dictionary.
+    reseal_first_wal_record(&path, "\"indices\":[0]", "\"indices\":[9]");
 
     match scan_wal(&path) {
         Err(StoreError::Corrupt { context }) => {
             assert!(context.contains("record 1"), "{context}")
         }
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_forged_distinct_array_in_a_wal_record_is_corrupt_on_recovery() {
+    // A column's JSON carries its derived distinct values. A bit-intact
+    // record whose array is not the one the dictionary derives is refused
+    // at decode, so recovery is a typed error, never a replayed table.
+    let dir = test_dir("forged_distinct");
+    let (lake, net, measures) = sample_engine();
+    let mut store = Store::create(&dir).unwrap();
+    store.checkpoint(&lake, &net, 0, &measures).unwrap();
+    let table = TableBuilder::new("T10")
+        .column("animal", ["okapi", "Jaguar", "okapi"])
+        .build()
+        .unwrap();
+    store
+        .append_batch(1, &[LakeDelta::new().add_table(table)])
+        .unwrap();
+    drop(store);
+    reseal_first_wal_record(
+        &dir.join("wal.dnlog"),
+        r#""distinct":["JAGUAR","OKAPI"]"#,
+        r#""distinct":["OKAPI","JAGUAR"]"#,
+    );
+    match Store::recover(&dir) {
+        Err(StoreError::Corrupt { context }) => assert!(
+            context.contains("does not decode") && context.contains("distinct"),
+            "{context}"
+        ),
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("a forged distinct array recovered"),
     }
     fs::remove_dir_all(&dir).unwrap();
 }

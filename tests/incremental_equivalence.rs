@@ -203,11 +203,11 @@ fn random_mutation_sequences_match_from_scratch_builds() {
                     let table = lake.table(&name).expect("live table");
                     let col = &table.columns()[rng.gen_range(0..table.column_count())];
                     let col_name = col.name().to_owned();
-                    let distinct: Vec<String> = col.distinct_values().map(str::to_owned).collect();
+                    let distinct = col.distinct_values();
                     if distinct.is_empty() {
                         continue;
                     }
-                    let target = distinct[rng.gen_range(0..distinct.len())].clone();
+                    let target = distinct[rng.gen_range(0..distinct.len())].to_owned();
                     let replacement = format!("Swap{}", rng.gen_range(0..30u32));
                     LakeDelta::new().replace_value(name, col_name, &target, replacement)
                 }
@@ -277,4 +277,97 @@ fn incremental_maintenance_is_deterministic() {
         net.rank(Measure::lcc())
     };
     assert_eq!(run(), run());
+}
+
+/// The lake interns each column straight from its dictionary, sorting only
+/// the values its interner lacks. Its interner order and every live
+/// attribute's ids must be those of interning each column's sorted
+/// distinct list in order, on the generated lakes of the paper's
+/// evaluation: TUS small and SB added whole, a third of their tables
+/// removed and re-added, then a replacement in every seventh column, onto
+/// a value the lake knows or onto a new one.
+#[test]
+fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
+    use lake::catalog::AttrId;
+    use lake::column::Column;
+    use lake::delta::LakeOp;
+    use lake::value::{ValueId, ValueInterner};
+
+    fn sorted_list_ids(oracle: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+        let mut ids: Vec<ValueId> = column
+            .distinct_values()
+            .iter()
+            .map(|v| oracle.intern(v))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    for generated in [
+        TusGenerator::new(TusConfig::small(7)).generate(),
+        SbGenerator::new(2021).generate(),
+    ] {
+        let tables: Vec<lake::Table> = generated.catalog.tables().cloned().collect();
+        let thirds: Vec<&lake::Table> = tables.iter().step_by(3).collect();
+        let mut deltas: Vec<LakeDelta> = tables
+            .iter()
+            .map(|t| LakeDelta::new().add_table(t.clone()))
+            .collect();
+        deltas.extend(
+            thirds
+                .iter()
+                .map(|t| LakeDelta::new().remove_table(t.name())),
+        );
+        deltas.extend(
+            thirds
+                .iter()
+                .map(|&t| LakeDelta::new().add_table(t.clone())),
+        );
+        let columns = tables
+            .iter()
+            .flat_map(|t| t.columns().iter().map(move |c| (t.name(), c)));
+        for (i, (table, column)) in columns.enumerate().step_by(7) {
+            let distinct = column.distinct_values();
+            if distinct.is_empty() {
+                continue;
+            }
+            let replacement = match i % 2 {
+                0 => tables[i % tables.len()].columns()[0].cells()[0].to_owned(),
+                _ => format!("Injected{i}"),
+            };
+            deltas.push(LakeDelta::new().replace_value(
+                table,
+                column.name(),
+                &distinct[0],
+                replacement,
+            ));
+        }
+
+        let mut lake = MutableLake::new();
+        let mut oracle = ValueInterner::new();
+        let mut want: Vec<Vec<ValueId>> = Vec::new();
+        for (step, delta) in deltas.iter().enumerate() {
+            lake.apply(delta)
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            match &delta.ops()[0] {
+                LakeOp::AddTable(t) => {
+                    want.extend(t.columns().iter().map(|c| sorted_list_ids(&mut oracle, c)));
+                }
+                LakeOp::RemoveTable(_) => {}
+                LakeOp::ReplaceValue { table, column, .. } => {
+                    let attr = lake.attribute_id(table, column).expect("live column");
+                    let column = lake.table(table).unwrap().column(column).unwrap();
+                    want[attr.index()] = sorted_list_ids(&mut oracle, column);
+                }
+            }
+        }
+        assert!(lake.interner().iter().eq(oracle.iter()), "interner order");
+        for (a, want) in want.iter().enumerate() {
+            let attr = AttrId(a as u32);
+            if lake.is_attr_live(attr) {
+                assert_eq!(lake.attribute_values(attr), &want[..], "attribute {a}");
+            }
+        }
+    }
 }
