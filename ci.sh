@@ -3,54 +3,23 @@
 #
 # Runs, in order: rustfmt check, the one-exposition-writer, one-paper-driver
 # and one-lake greps, clippy with warnings denied, rustdoc with warnings
-# denied (so documentation rot fails the gate), the doc-test suite,
-# a release build (of the workspace, then of the frozen standing benchmark
-# under benchmark/ against it), the test suite, and then explicitly labeled
-# gates: the golden-ranking regression corpus and the paper-results ledger
-# (which must also leave tests/golden as committed), the Equation-1 join
-# against its literal-sweep oracle, the twin-quotient Brandes kernel
-# against its per-node oracle, the CSV parser against its reference
-# reader and load_dir across pool widths, a column holding its cells once
-# (row reads leave no live heap behind, the dictionary table differ
-# against its per-cell oracle, a one-column CSV round trip with empty
-# cells), a column keeping only its dictionary (the lake's dictionary
-# interning against its sorted-list oracle, a counting allocator over the
-# column constructors, a forged distinct list refused at decode), the
-# concurrency stress test,
-# the dn-store corruption-hardening suite (with its seeded hostile-bytes
-# loop over the snapshot sections), the seeded hostile-bytes loop over WAL
-# records and mutation bodies, the seeded hostile-bytes loop over HTTP
-# request heads, the crash-recovery suite, the
-# sharded-batch placement property (a multi-shard commit grouped by shard
-# places every table where op-by-op commits would, and an `AddTable` chain
-# is one WAL record per touched shard), the process probes
-# of tests/dn_serve_process.rs (the real dn-serve and dn-ingest binaries
-# on loopback: HTTP at --shards 1 and 2, a 2-shard primary plus a --follow
-# follower with a sequential and a pooled primary, drop-folder ingest
-# in-process and via dn-ingest --once, and the argument error path), and a
-# tempdir-hygiene check. The main `cargo test -q` pass
-# skips the gated suites (they run once, in their own labeled steps, so a
-# ranking drift, a consistency violation, a recovery regression or a broken
-# binary fails CI with an unambiguous gate name instead of being buried in
-# the full run); the union of the test steps is at least the coverage of
-# the repo's tier-1 command (`cargo build --release && cargo test -q`).
-#
-# The stress gate passes `--test-threads` matched to the machine's cores.
-# Note libtest's --test-threads bounds *concurrently running test
-# functions*, not the threads a test spawns — today serving_stress has one
-# test (which spawns its own 8 readers + writer regardless), so the flag
-# only starts mattering as more stress tests are added to that binary.
+# denied, a release build (of the workspace, then of the frozen standing
+# benchmark under benchmark/ against it), the test suite, and then the
+# labeled gates of the GATES table below, each failing CI under its own
+# name; then the check that tests/golden is as committed and a tempdir-
+# hygiene check. The main `cargo test -q` pass skips every test a gate
+# names, so each test runs exactly once, and a check first requires that
+# every test the main pass skips is one some gate runs. The union of the
+# test steps is the coverage of the repo's tier-1 command (`cargo build
+# --release && cargo test -q`).
 #
 # Usage: ./ci.sh [--quick]
-#   --quick   everything tier-1 (build, benchmark build, tests, golden,
-#             ledger, stress, recovery, sharded placement, process
-#             probes); the full run is
-#             --quick plus the long modes of the CSV differential loop
-#             and the snapshot, WAL/mutation-body and HTTP-head
-#             hostile-bytes loops,
-#             the standing
-#             benchmark's determinism run and
-#             `paper all --scale 0.2` from the release build
+#   --quick   everything tier-1 (build, benchmark build, tests and every
+#             quick gate); the full run adds the gates marked `full` (the
+#             long modes of the CSV differential loop and of the snapshot,
+#             WAL/mutation-body and HTTP-head hostile-bytes loops), the
+#             standing benchmark's determinism run and `paper all --scale
+#             0.2` from the release build
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -110,12 +79,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# The tier-1 `cargo test -q` also runs doctests; this explicit step is
-# kept deliberately so documentation rot fails fast with a clearly labeled
-# gate step (the overlap costs a few seconds, attribution is worth it).
-echo "==> cargo test --doc -q"
-cargo test --doc -q
-
 echo "==> cargo build --release"
 cargo build --release
 
@@ -145,145 +108,106 @@ gate() {
     fi
 }
 
-# Skip the suites that run next as labeled gates. (--skip is a substring
-# filter applied inside every test binary, so use the full test-function
-# names to keep the collision surface minimal.)
-echo "==> cargo test -q (golden + ledger + stress + store + process gates deferred)"
-cargo test -q -- \
-    --skip golden_rankings_match_the_committed_corpus \
-    --skip golden_corpus_files_are_well_formed \
-    --skip reproduces:: \
-    --skip the_ledger_holds_every_experiment \
-    --skip compute_width_does_not_move_the_ledger \
-    --skip the_papers_claims_hold_in_the_ledger \
-    --skip experiments_doc_quotes_the_ledger \
-    --skip join_matches_literal_sweep_bit_for_bit \
-    --skip quotient_matches_per_node_brandes \
-    --skip lanes_are_bit_identical_to_one_source_at_a_time \
-    --skip hostile_wal_records_and_mutation_bodies_decode_or_refuse \
-    --skip nested_brackets_in_a_checksum_valid_wal_record_are_corrupt \
-    --skip hostile_http_heads_parse_or_refuse \
-    --skip hostile_bytes_match_the_reference_reader \
-    --skip load_dir_is_width_invariant_and_matches_the_reference_reader \
-    --skip row_reads_retain_nothing \
-    --skip dictionary_diff_matches_the_per_cell_oracle \
-    --skip a_one_column_table_with_empty_cells_round_trips \
-    --skip dictionary_interning_matches_the_sorted_list_oracle \
-    --skip a_column_keeps_only_its_dictionary_and_indices \
-    --skip a_forged_distinct_array \
-    --skip readers_always_observe_consistent_epochs \
-    --skip kill_and_recover_matches_uninterrupted_run_on_golden_measures \
-    --skip random_checkpoint_recovery_equivalence \
-    --skip grouped_commits_place_tables_as_op_by_op_commits \
-    --skip an_add_table_chain_is_one_wal_record_per_touched_shard \
-    --skip recovered_export_matches_golden_corpus_workflow \
-    --skip http_probe_at_one_and_two_shards \
-    --skip replica_probe_with_sequential_and_pooled_primary \
-    --skip drop_folder_ingest_probe \
-    --skip dn_ingest_once_ships_a_drop_folder_over_http \
-    --skip retired_smoke_flags_are_rejected_with_usage
+# The labeled gates, one per line: mode (quick, or full: skipped by
+# --quick) | label | `cargo test` arguments | the test names it runs (the
+# libtest filters; each is also a --skip of the main pass, a substring
+# applied inside every test binary, so keep them full test-function
+# names) | extra libtest flags.
+GATES=(
+    "quick|doc tests (rustdoc examples compile and pass)|--doc|(line"
+    "quick|golden-ranking regression corpus|--test golden_rankings|golden_rankings_match_the_committed_corpus golden_corpus_files_are_well_formed single_shard_coordinator_serves_the_corpus_bit_identically"
+    # Every table and figure of the paper's evaluation, recomputed at scale
+    # 0.1 and compared to tests/golden/paper.json; docs/EXPERIMENTS.md must
+    # quote it.
+    "quick|paper ledger == committed results|--test paper_ledger|reproduces:: the_ledger_holds_every_experiment compute_width_does_not_move_the_ledger the_papers_claims_hold_in_the_ledger experiments_doc_quotes_the_ledger"
+    # A prefix of both differential tests (random graphs + SB, and TUS
+    # small). The next gate is the delta side of the same kernel:
+    # recomputing the dirty_values dirty_region reports for a changed and
+    # renumbered graph leaves every node to_bits()-equal to a full pass.
+    "quick|Equation-1 join == literal sweep (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
+    "quick|dirty values are a complete invalidation set (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
+    # Brandes on the twin quotient against the per-node kernel (whole
+    # graphs, component pools, sampled sources; 1, 2 and 4 threads; deep,
+    # 2^32-path and full-lane-batch graphs), then lane batches against one
+    # source at a time, bit for bit.
+    "quick|twin-quotient Brandes == per-node Brandes (1e-12 relative); lane batches == one source at a time (to_bits)|-p dn-graph --lib|quotient_matches_per_node_brandes lanes_are_bit_identical_to_one_source_at_a_time"
+    # The one-pass CSV parser against the line-joining reader it replaced
+    # (seeded hostile bytes), and load_dir at pool widths 1, 2 and 4.
+    "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader"
+    # Row reads leave no live heap behind (a counting allocator), the
+    # dictionary differ gives its per-cell oracle's ops, and a one-column
+    # table with empty cells survives a CSV round trip.
+    "quick|a column holds its cells once: row reads retain nothing; dictionary diff == per-cell diff; one-column CSV round trip|-p lake -p dn-ingest -p domainnet_suite --lib --test row_reads_retain_nothing|row_reads_retain_nothing dictionary_diff_matches_the_per_cell_oracle a_one_column_table_with_empty_cells_round_trips"
+    # Dictionary interning against the sorted-list oracle; new,
+    # from_dictionary and JSON decode keep four heap blocks; a forged
+    # `distinct` array fails at decode (column JSON, POST body, WAL record).
+    "quick|a column keeps only its dictionary: interning oracle, retention, forged list rejected at decode|-p lake -p dn-server -p dn-store -p domainnet_suite --lib --test column_keeps_only_its_dictionary --test corruption --test incremental_equivalence|dictionary_interning_matches_the_sorted_list_oracle a_column_keeps_only_its_dictionary_and_indices a_forged_distinct_array"
+    # --test-threads bounds concurrently running test functions, not the
+    # threads a test spawns (this one spawns 8 readers and a writer).
+    "quick|serving concurrency stress (--test-threads ${CORES})|--test serving_stress|readers_always_observe_consistent_epochs|--test-threads ${CORES}"
+    "quick|store corruption hardening (typed errors, no panics)|-p dn-store --test corruption|pristine_snapshot_decodes bad_magic_is_typed future_format_version_is_typed forged_cardinalities_are_corrupt_not_served ill_shaped_tables_are_corrupt_not_served forged_lake_slots_are_corrupt_not_served a_lake_with_removed_and_readded_tables_round_trips_byte_identically hostile_snapshot_sections_decode_or_refuse truncation_at_every_region_is_typed_and_panic_free flipped_byte_in_each_section_fails_that_sections_crc flipped_bytes_in_the_header_never_panic read_snapshot_propagates_io_and_corruption_errors recovery_never_yields_a_half_loaded_engine wal_flip_truncates_replay_at_the_flip foreign_wal_is_a_typed_error checksum_valid_but_structurally_impossible_wal_record_is_typed_not_panic wal_scan_reports_valid_prefix_lengths"
+    # Seeded edits of WAL records (resealed past the CRC) and mutation
+    # bodies, and of real request heads read off a loopback socket.
+    "quick|WAL records and mutation bodies under hostile bytes (typed errors, no panics)|--test hostile_inputs|hostile_wal_records_and_mutation_bodies_decode_or_refuse nested_brackets_in_a_checksum_valid_wal_record_are_corrupt"
+    "quick|HTTP request heads under hostile bytes (typed errors, no panics)|--test hostile_inputs|hostile_http_heads_parse_or_refuse"
+    "quick|store crash recovery (kill + recover == uninterrupted)|--test store_recovery|kill_and_recover_matches_uninterrupted_run_on_golden_measures random_checkpoint_recovery_equivalence recovered_export_matches_golden_corpus_workflow"
+    "quick|sharded batch == op-by-op placement; one WAL record per touched shard for an AddTable chain|--test shard_equivalence|grouped_commits_place_tables_as_op_by_op_commits an_add_table_chain_is_one_wal_record_per_touched_shard"
+    # The real binaries, spawned by the test's spawn_server helper.
+    "quick|HTTP serving probe (dn-serve --shards 1 and --shards 2)|--test dn_serve_process|http_probe_at_one_and_two_shards"
+    "quick|replication probe (primary --threads 1 and 4 + --follow follower)|--test dn_serve_process|replica_probe_with_sequential_and_pooled_primary"
+    "quick|drop-folder ingest probe (dn-serve --ingest-dir)|--test dn_serve_process|drop_folder_ingest_probe"
+    "quick|drop-folder ingest probe (dn-ingest --once)|--test dn_serve_process|dn_ingest_once_ships_a_drop_folder_over_http"
+    "quick|dn-serve argument errors (retired --smoke* and --cache-capacity flags exit 2 with usage)|--test dn_serve_process|retired_smoke_flags_are_rejected_with_usage"
+    # The #[ignore]d long modes: the same properties from other seeds.
+    "full|CSV parser == reference reader, long mode (60 000 seeded documents)|-p lake --lib|hostile_bytes_match_the_reference_reader_long|--ignored"
+    "full|snapshot sections under hostile bytes, long mode (50 000 seeded cases)|-p dn-store --test corruption|hostile_snapshot_sections_decode_or_refuse_long|--ignored"
+    "full|WAL records and mutation bodies under hostile bytes, long mode (50 000 seeded cases)|--test hostile_inputs|hostile_wal_records_and_mutation_bodies_decode_or_refuse_long|--ignored"
+    "full|HTTP request heads under hostile bytes, long mode (50 000 seeded cases)|--test hostile_inputs|hostile_http_heads_parse_or_refuse_long|--ignored"
+)
 
-gate "golden-ranking regression corpus" --test golden_rankings
+# The tests `cargo test ARGS` selects, one name a line.
+listed() { cargo test -q "$@" --list 2>/dev/null | sed -n 's/: test$//p' | sort; }
 
-# Every table and figure of the paper's evaluation, recomputed at scale 0.1
-# and compared to tests/golden/paper.json; docs/EXPERIMENTS.md must quote it.
-gate "paper ledger == committed results" --test paper_ledger
+SKIP=()
+GATED=""
+for entry in "${GATES[@]}"; do
+    IFS='|' read -r _ _ args names flags <<<"${entry}"
+    for name in ${names}; do SKIP+=(--skip "${name}"); done
+    GATED+=$(listed ${args} -- ${flags} ${names})$'\n'
+done
+
+# Every test the main pass skips must be one a gate runs: a --skip that
+# also hides a test elsewhere, or a gate name that matches nothing its gate
+# runs, would otherwise leave a test running nowhere.
+echo "==> gate: every test the main pass skips runs in a gate"
+UNGATED=$(comm -23 <(comm -23 <(listed --) <(listed -- "${SKIP[@]}")) <(sort -u <<<"${GATED}"))
+if [[ -n "${UNGATED}" ]]; then
+    echo "skipped by the main pass but run by no gate:" >&2
+    echo "${UNGATED}" >&2
+    exit 1
+fi
+
+echo "==> cargo test -q (every gated test deferred to its gate)"
+cargo test -q -- "${SKIP[@]}"
+
+# Store, replica and process tests create their scratch dirs under
+# target/tmp (CARGO_TARGET_TMPDIR) and must remove them. Clear residue a
+# *previous* (possibly failed) run may have left so the hygiene gate below
+# judges only this run.
+rm -rf target/tmp/dn_store_* target/tmp/dn_replica_* target/tmp/dn_process_* 2>/dev/null || true
+
+for entry in "${GATES[@]}"; do
+    IFS='|' read -r mode label args names flags <<<"${entry}"
+    if [[ "${mode}" == quick || "${QUICK}" -eq 0 ]]; then
+        gate "${label}" ${args} -- ${flags} ${names}
+    fi
+done
+
 # UPDATE_GOLDEN=1 rewrites the corpus and the ledger and passes; a kernel
 # change must not get through that way.
 git diff --exit-code -- tests/golden
 
-# The filter is a prefix of both differential tests (random graphs + SB, and
-# TUS small on its own). The second gate is the delta side of the same
-# kernel: recomputing the dirty_values dn_graph::delta::dirty_region reports
-# for a changed graph leaves every node to_bits()-equal to a full pass.
-gate "Equation-1 join == literal sweep (to_bits)" \
-    -p dn-graph --lib join_matches_literal_sweep_bit_for_bit
-gate "dirty values are a complete invalidation set (to_bits)" \
-    -p dn-graph --lib dirty_values_are_a_complete_invalidation_set
-
-# Brandes on the twin quotient against the retained per-node kernel: whole
-# graphs, component pools and sampled sources, at 1, 2 and 4 threads, on
-# random graphs, deep caterpillars and ladders, a layered chain whose path
-# counts pass 2^32, and multi-component graphs whose chunks run full lane
-# batches. Then the lane-batched kernel against itself one source at a
-# time, bit for bit, on those graphs and a TUS lake.
-gate "twin-quotient Brandes == per-node Brandes (1e-12 relative); lane batches == one source at a time (to_bits)" \
-    -p dn-graph --lib -- quotient_matches_per_node_brandes \
-    lanes_are_bit_identical_to_one_source_at_a_time
-
-# The one-pass CSV parser against the line-joining reader it replaced
-# (seeded hostile bytes), and load_dir's lake or first error at pool
-# widths 1, 2 and 4 against that reader's sequential fold.
-gate "CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant" \
-    -p lake --lib -- hostile_bytes_match_the_reference_reader \
-    load_dir_is_width_invariant_and_matches_the_reference_reader
-
-# Row-order reads derive rows from each column's dictionary and cache
-# none: a counting allocator sees save_dir, rows(), cells() and the ingest
-# differ leave no live heap behind; the differ, which compares rows by
-# dictionary class, gives its per-cell oracle's ops in the same order; and
-# a one-column table with empty cells survives a CSV round trip.
-gate "a column holds its cells once: row reads retain nothing; dictionary diff == per-cell diff; one-column CSV round trip" \
-    -p lake -p dn-ingest -p domainnet_suite --lib --test row_reads_retain_nothing -- \
-    row_reads_retain_nothing dictionary_diff_matches_the_per_cell_oracle \
-    a_one_column_table_with_empty_cells_round_trips
-
-# A column holds its name, dictionary and row indices only. The lake
-# interns straight from the dictionary and gives the ids of interning each
-# column's sorted distinct list in order (2 000 seeded columns; TUS small
-# and SB with removals, re-adds and replacements); a counting allocator
-# sees new, from_dictionary and JSON decode keep four heap blocks and a
-# derived list leave nothing; a forged `distinct` array fails at decode:
-# the column's JSON, a POST body (400) and a WAL record (Corrupt on
-# recovery).
-gate "a column keeps only its dictionary: interning oracle, retention, forged list rejected at decode" \
-    -p lake -p dn-server -p dn-store -p domainnet_suite --lib \
-    --test column_keeps_only_its_dictionary --test corruption \
-    --test incremental_equivalence -- \
-    dictionary_interning_matches_the_sorted_list_oracle \
-    a_column_keeps_only_its_dictionary_and_indices a_forged_distinct_array
-
-gate "serving concurrency stress (--test-threads ${CORES})" \
-    --test serving_stress -- --test-threads "${CORES}"
-
-# Durability gates (fast; kept inside --quick). The store's snapshot
-# round-trip + WAL unit tests run in the main pass above; these two suites
-# are the labeled corruption-hardening and crash-recovery regressions.
-# Clear residue a *previous* (possibly failed) run may have left so the
-# hygiene gate below judges only this run.
-rm -rf target/tmp/dn_store_* target/tmp/dn_replica_* target/tmp/dn_process_* 2>/dev/null || true
-
-gate "store corruption hardening (typed errors, no panics)" -p dn-store --test corruption
-# Seeded edits of WAL records (resealed past the CRC) and of mutation
-# bodies: deltas or a typed error, replayed as Ok or a typed LakeError.
-gate "WAL records and mutation bodies under hostile bytes (typed errors, no panics)" \
-    --test hostile_inputs -- hostile_wal_records_and_mutation_bodies_decode_or_refuse \
-    nested_brackets_in_a_checksum_valid_wal_record_are_corrupt
-# Seeded edits of real request heads read off a loopback socket: a request
-# whose body is its declared length, or a typed ReadError.
-gate "HTTP request heads under hostile bytes (typed errors, no panics)" \
-    --test hostile_inputs hostile_http_heads_parse_or_refuse
-gate "store crash recovery (kill + recover == uninterrupted)" --test store_recovery
-gate "sharded batch == op-by-op placement; one WAL record per touched shard for an AddTable chain" \
-    --test shard_equivalence -- grouped_commits_place_tables_as_op_by_op_commits \
-    an_add_table_chain_is_one_wal_record_per_touched_shard
-
-# Process probes: the real binaries, spawned by the test's spawn_server
-# helper (which owns launch, address discovery, exit status and cleanup).
-gate "HTTP serving probe (dn-serve --shards 1 and --shards 2)" \
-    --test dn_serve_process http_probe_at_one_and_two_shards
-gate "replication probe (primary --threads 1 and 4 + --follow follower)" \
-    --test dn_serve_process replica_probe_with_sequential_and_pooled_primary
-gate "drop-folder ingest probe (dn-serve --ingest-dir)" \
-    --test dn_serve_process drop_folder_ingest_probe
-gate "drop-folder ingest probe (dn-ingest --once)" \
-    --test dn_serve_process dn_ingest_once_ships_a_drop_folder_over_http
-gate "dn-serve argument errors (retired --smoke* and --cache-capacity flags exit 2 with usage)" \
-    --test dn_serve_process retired_smoke_flags_are_rejected_with_usage
-
-# Store, replica and process tests create their scratch dirs under
-# target/tmp (CARGO_TARGET_TMPDIR) and must remove them; leftovers mean a
-# test leaked state even though it passed.
+# Leftover scratch dirs mean a test leaked state even though it passed.
 echo "==> gate: test tempdir hygiene"
 STRAY=$(find target/tmp -mindepth 1 -maxdepth 1 \( -name 'dn_store_*' -o -name 'dn_replica_*' -o -name 'dn_process_*' \) 2>/dev/null || true)
 if [[ -n "${STRAY}" ]]; then
@@ -293,26 +217,6 @@ if [[ -n "${STRAY}" ]]; then
 fi
 
 if [[ "$QUICK" -eq 0 ]]; then
-    # The CSV differential loop's long mode: the same property as the
-    # quick gate above over 60 000 documents from another seed (#[ignore]d
-    # in the plain test run).
-    gate "CSV parser == reference reader, long mode (60 000 seeded documents)" \
-        -p lake --lib -- --ignored hostile_bytes_match_the_reference_reader_long
-
-    # The snapshot hostile-bytes loop's long mode: seeded edits of the lake
-    # and net payloads, resealed so the CRC passes, over 50 000 cases from
-    # another seed than the quick run's (#[ignore]d in the plain test run).
-    gate "snapshot sections under hostile bytes, long mode (50 000 seeded cases)" \
-        -p dn-store --test corruption -- --ignored hostile_snapshot_sections_decode_or_refuse_long
-
-    # The WAL/mutation-body loop's long mode: 50 000 cases from another seed.
-    gate "WAL records and mutation bodies under hostile bytes, long mode (50 000 seeded cases)" \
-        --test hostile_inputs -- --ignored hostile_wal_records_and_mutation_bodies_decode_or_refuse_long
-
-    # The HTTP head loop's long mode: 50 000 cases from another seed.
-    gate "HTTP request heads under hostile bytes, long mode (50 000 seeded cases)" \
-        --test hostile_inputs -- --ignored hostile_http_heads_parse_or_refuse_long
-
     # Every workload twice from one seed: same operation stream, request
     # count, store bytes and ops delivered both times. The digests must
     # also be the committed ones: batch_detect's folds every ranked
@@ -333,7 +237,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     echo "==> paper all --scale 0.2 (release build; output in target/paper_scale_0.2.md)"
     ./target/release/paper all --scale 0.2 > target/paper_scale_0.2.md
 else
-    echo "==> --quick: skipping the CSV, snapshot, WAL/mutation-body and HTTP-head long modes, the benchmark's determinism run and paper all --scale 0.2"
+    echo "==> --quick: skipping the full gates, the benchmark's determinism run and paper all --scale 0.2"
 fi
 
 echo "CI OK"

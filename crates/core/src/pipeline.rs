@@ -22,7 +22,7 @@ use dn_graph::approx_bc::{approximate_betweenness, approximate_betweenness_withi
 use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{connected_components, Components};
-use dn_graph::delta::{dirty_region, nodes_in_components};
+use dn_graph::delta::{dirty_region, nodes_in_components, Renumbering};
 use dn_graph::lcc::lcc_with_cardinality_for_values;
 use lake::catalog::AttrId;
 use lake::delta::{diff_sorted, DeltaEffects, LakeDelta, LakeView, MutableLake};
@@ -88,42 +88,13 @@ impl DomainNetBuilder {
 
     /// Build the DomainNet graph from the live state of a lake.
     pub fn build<L: LakeView + ?Sized>(&self, lake: &L) -> DomainNet {
-        // Candidates get dense value node ids in ValueId order, and the
-        // attributes holding one get indexes in AttrId order, so the
-        // construction is deterministic.
-        let mut node_of_value = vec![u32::MAX; lake.value_count()];
-        for (node, vid) in lake
-            .values_in_at_least(self.config.min_attrs())
-            .into_iter()
-            .enumerate()
-        {
-            node_of_value[vid.index()] = node as u32;
-        }
-        let mut attr_index_of = vec![u32::MAX; lake.attribute_count()];
-        let mut attr_id_of_index: Vec<AttrId> = Vec::new();
-        for (attr, values) in lake.live_attribute_values() {
-            if values.iter().any(|v| node_of_value[v.index()] != u32::MAX) {
-                attr_index_of[attr.index()] = attr_id_of_index.len() as u32;
-                attr_id_of_index.push(attr);
-            }
-        }
-
-        let graph = graph_of(
-            lake,
-            self.config,
-            &node_of_value,
-            &attr_index_of,
-            &attr_id_of_index,
-        )
-        .expect("a build allocates consistent id maps");
+        let (numbering, graph) = derive(lake, self.config);
         let components = connected_components(&graph);
         DomainNet {
             config: self.config,
             graph,
             components,
-            node_of_value,
-            attr_index_of,
-            attr_id_of_index,
+            numbering,
             generation: 0,
             compute_threads: 1,
             caches: Mutex::new(ScoreCaches::default()),
@@ -148,9 +119,9 @@ struct ScoreCaches {
 /// [`DomainNet::apply_delta`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DeltaStats {
-    /// Value nodes appended to the graph.
+    /// Values that have a node after the delta and had none before it.
     pub value_nodes_added: usize,
-    /// Attribute nodes appended to the graph.
+    /// Attributes that have a node after the delta and had none before it.
     pub attr_nodes_added: usize,
     /// Edges inserted.
     pub edges_added: usize,
@@ -181,14 +152,8 @@ pub struct DomainNet {
     config: DomainNetConfig,
     graph: BipartiteGraph,
     components: Components,
-    /// ValueId -> value node id (`u32::MAX` = no node yet).
-    node_of_value: Vec<u32>,
-    /// AttrId -> attribute index in the graph (`u32::MAX` = no node yet).
-    attr_index_of: Vec<u32>,
-    /// Attribute index -> AttrId (inverse of `attr_index_of`). Not sorted:
-    /// the initial build allocates indexes in AttrId order, but deltas append
-    /// attributes in encounter order.
-    attr_id_of_index: Vec<AttrId>,
+    /// The node numbering the lake determined when `graph` was derived.
+    numbering: Numbering,
     /// Bumped once per applied delta; salts the approximate-BC re-estimation
     /// seed so successive re-estimations are independent but deterministic.
     generation: u64,
@@ -207,9 +172,7 @@ impl Clone for DomainNet {
             config: self.config,
             graph: self.graph.clone(),
             components: self.components.clone(),
-            node_of_value: self.node_of_value.clone(),
-            attr_index_of: self.attr_index_of.clone(),
-            attr_id_of_index: self.attr_id_of_index.clone(),
+            numbering: self.numbering.clone(),
             generation: self.generation,
             compute_threads: self.compute_threads,
             caches: Mutex::new(ScoreCaches {
@@ -249,14 +212,13 @@ impl DomainNet {
         &self.components
     }
 
-    /// Number of value-node slots in the graph, **including** tombstones
-    /// left behind by mutations (values that no longer qualify keep an
-    /// isolated node). Equals the candidate count for a freshly built net.
+    /// Number of value nodes in the graph: the lake's candidate values.
     pub fn candidate_count(&self) -> usize {
         self.graph.value_count()
     }
 
-    /// Number of attribute nodes in the graph (including tombstones).
+    /// Number of attribute nodes in the graph: the live attributes holding
+    /// a candidate value.
     pub fn attribute_count(&self) -> usize {
         self.graph.attribute_count()
     }
@@ -271,17 +233,9 @@ impl DomainNet {
         self.graph.value_label(node)
     }
 
-    /// The graph value node of a lake value, if it currently has one.
-    pub fn node_of_value(&self, id: ValueId) -> Option<u32> {
-        match self.node_of_value.get(id.index()) {
-            Some(&node) if node != u32::MAX => Some(node),
-            _ => None,
-        }
-    }
-
     /// Compute (or fetch from the memo) the raw score of every value node
     /// under a measure, indexed by value node id (no sorting, no direction
-    /// adjustment). Tombstoned value nodes score 0.
+    /// adjustment).
     pub fn raw_scores(&self, measure: Measure) -> Vec<f64> {
         if let Some(cached) = self
             .caches
@@ -358,7 +312,6 @@ impl DomainNet {
         let mut ranked: Vec<ScoredValue> = self
             .graph
             .value_nodes()
-            .filter(|&node| self.graph.degree(node) > 0)
             .map(|node| ScoredValue {
                 value: self.graph.value_label(node).to_owned(),
                 score: scores[node as usize],
@@ -399,12 +352,11 @@ impl DomainNet {
         self.generation
     }
 
-    /// The lake [`AttrId`] behind a graph attribute *index* (the inverse of
-    /// the mapping the builder and the delta path maintain). Snapshot
+    /// The lake [`AttrId`] behind a graph attribute *index*. Snapshot
     /// consumers use this to recover structured `table`/`column` references
     /// from the lake instead of re-parsing the flattened display label.
     pub fn attr_id_of_index(&self, attr_index: u32) -> Option<AttrId> {
-        self.attr_id_of_index.get(attr_index as usize).copied()
+        self.numbering.attrs.get(attr_index as usize).copied()
     }
 
     /// Force the memoized ranking of every listed measure to exist.
@@ -432,17 +384,19 @@ impl DomainNet {
     ///
     /// `lake` must be the same [`MutableLake`] this net was built from (or
     /// last refreshed against), **after** the delta was applied to it, and
-    /// `effects` must be the effects record that application returned:
-    /// each touched value's edges are re-read from the lake and diffed
-    /// against the graph, so touches that cancelled patch nothing. A value
-    /// that gains edges gets the next value node and a new attribute the
-    /// next index; then the graph is derived from the lake by the function
-    /// a build uses, [`dirty_region`] compares it with the old one, and
-    /// every memoized measure is repaired:
+    /// `effects` must be the effects record that application returned. The
+    /// graph is derived from the lake by the function a build uses, so it
+    /// is CSR-identical to a fresh build's: a value or attribute that stops
+    /// qualifying (e.g. pruning is on and a value drops to one attribute)
+    /// loses its node, and the nodes after it move down. Each touched
+    /// value's edges are diffed across the two graphs, so touches that
+    /// cancelled patch nothing; [`dirty_region`] compares the graphs through
+    /// the old→new renumbering, every memoized vector moves through it, and
+    /// then every memoized measure is repaired:
     ///
     /// * **LCC** — recomputed, by the kernel a build runs, only for value
-    ///   nodes whose 2-hop neighborhood changed. Every score, live or
-    ///   tombstoned, is `to_bits()`-equal to
+    ///   nodes whose 2-hop neighborhood changed. Every score is
+    ///   `to_bits()`-equal to
     ///   [`local_clustering_coefficients`](dn_graph::lcc::local_clustering_coefficients)
     ///   over the maintained [`DomainNet::graph`], whatever deltas led there.
     /// * **Exact BC** — recomputed only over the touched connected
@@ -454,35 +408,23 @@ impl DomainNet {
     /// Cached rankings are invalidated and rebuilt lazily from the patched
     /// score vectors on the next [`DomainNet::rank`] call.
     ///
-    /// Values that stop qualifying (e.g. pruning is on and a value drops to
-    /// one attribute) keep a tombstoned, isolated node: rankings exclude
-    /// them and they influence no score, so live results match a fresh
-    /// build of the mutated lake.
-    ///
     /// # Errors
     /// Returns a description of the inconsistency if `effects` does not
-    /// match this net's view of the lake (e.g. it was already applied, or
-    /// came from a different lake). On error the net is left **unchanged**:
-    /// nodes and indexes are allocated on copies of the id maps, which
-    /// replace the net's only once the graph is derived.
+    /// match this net's view of the lake: it names a value outside the
+    /// lake, or the edges of the values it names do not account for the
+    /// change in the graph's edge count (it was cut short, or came from a
+    /// different lake). On error the net is left **unchanged**.
     pub fn apply_delta(
         &mut self,
         lake: &MutableLake,
         effects: &DeltaEffects,
     ) -> Result<DeltaStats, String> {
-        let min_attrs = self.config.min_attrs();
-        let mut node_of_value = self.node_of_value.clone();
-        node_of_value.resize(node_of_value.len().max(lake.value_count()), u32::MAX);
-        let mut attr_index_of = self.attr_index_of.clone();
-        attr_index_of.resize(attr_index_of.len().max(lake.attribute_count()), u32::MAX);
-        let mut attr_id_of_index = self.attr_id_of_index.clone();
+        let (numbering, graph) = derive(lake, self.config);
+        let old = &self.numbering;
 
-        // Diff each touched value's lake attributes against its graph edges
-        // and allocate what the additions need.
-        let old_value_count = self.graph.value_count() as u32;
-        let mut next_node = old_value_count;
+        // Diff each touched value's edges, as AttrIds, across the two graphs.
         let mut changed: Vec<u32> = Vec::new();
-        let (mut edges_added, mut edges_removed) = (0, 0);
+        let (mut edges_added, mut edges_removed, mut value_nodes_added) = (0, 0, 0);
         for &vid in &effects.touched_values {
             if vid.index() >= lake.value_count() {
                 return Err(format!(
@@ -490,59 +432,49 @@ impl DomainNet {
                     vid.0
                 ));
             }
-            let live_attrs = lake.value_attributes(vid);
-            let desired: &[AttrId] = if live_attrs.len() >= min_attrs {
-                live_attrs
-            } else {
-                &[]
-            };
-            let node = node_of_value[vid.index()];
-            // Current edges of the node as sorted AttrIds. The index->id
-            // mapping is not monotone (attrs appended by earlier deltas are
-            // allocated in encounter order), so sort after translating.
-            let current: Vec<AttrId> = if node == u32::MAX {
-                Vec::new()
-            } else {
-                let mut attrs: Vec<AttrId> = self
-                    .graph
-                    .neighbors(node)
-                    .iter()
-                    .map(|&a| self.attr_id_of_index[(a - old_value_count) as usize])
-                    .collect();
-                attrs.sort_unstable();
-                attrs
-            };
-            let (removed, added) = diff_sorted(&current, desired);
+            let (before, after) = (
+                old.attrs_of(&self.graph, vid),
+                numbering.attrs_of(&graph, vid),
+            );
+            let (removed, added) = diff_sorted(&before, &after);
             if removed.is_empty() && added.is_empty() {
                 continue;
             }
             edges_removed += removed.len();
             edges_added += added.len();
-            for attr in added {
-                if attr_index_of[attr.index()] == u32::MAX {
-                    attr_index_of[attr.index()] = attr_id_of_index.len() as u32;
-                    attr_id_of_index.push(attr);
-                }
+            if before.is_empty() {
+                value_nodes_added += 1;
             }
-            if node == u32::MAX {
-                node_of_value[vid.index()] = next_node;
-                next_node += 1;
+            if let Some(node) = numbering.node(vid) {
+                changed.push(node);
             }
-            changed.push(node_of_value[vid.index()]);
+        }
+        if self.graph.edge_count() + edges_added != graph.edge_count() + edges_removed {
+            return Err(format!(
+                "effects add {edges_added} and remove {edges_removed} edges, but the graph \
+                 goes from {} to {}",
+                self.graph.edge_count(),
+                graph.edge_count()
+            ));
         }
 
-        let graph = graph_of(
-            lake,
-            self.config,
-            &node_of_value,
-            &attr_index_of,
-            &attr_id_of_index,
-        )?;
-        let region = dirty_region(&self.graph, &graph, &changed);
+        let renumbering = Renumbering {
+            values: old
+                .values
+                .iter()
+                .map(|v| numbering.node_of_value[v.index()])
+                .collect(),
+            attrs: old
+                .attrs
+                .iter()
+                .map(|a| numbering.index_of_attr[a.index()])
+                .collect(),
+        };
+        let region = dirty_region(&self.graph, &graph, &renumbering, &changed);
         let new_value_count = graph.value_count();
         let touched_pool = nodes_in_components(&region.components, &region.touched_components);
 
-        // Patch every memoized measure against the new graph.
+        // Move every memoized vector to the new numbering, then patch it.
         {
             let mut caches = self.caches.lock().expect("score cache mutex");
             let ScoreCaches {
@@ -552,11 +484,11 @@ impl DomainNet {
             } = &mut *caches;
             ranked.clear();
             if let Some(cardinalities) = cardinalities {
-                cardinalities.resize(new_value_count, 0);
+                *cardinalities = renumbering.move_values(cardinalities, new_value_count);
             }
             let mut cardinalities_patched = false;
             for (&measure, raw) in raw.iter_mut() {
-                raw.resize(new_value_count, 0.0);
+                *raw = renumbering.move_values(raw, new_value_count);
                 match measure {
                     Measure::Lcc(method) => {
                         // The fresh build's kernel over the invalidation set:
@@ -616,8 +548,12 @@ impl DomainNet {
         }
 
         let stats = DeltaStats {
-            value_nodes_added: new_value_count - self.graph.value_count(),
-            attr_nodes_added: graph.attribute_count() - self.graph.attribute_count(),
+            value_nodes_added,
+            attr_nodes_added: numbering
+                .attrs
+                .iter()
+                .filter(|&&attr| old.index(attr).is_none())
+                .count(),
             edges_added,
             edges_removed,
             dirty_values: region.dirty_values.len(),
@@ -626,9 +562,7 @@ impl DomainNet {
         };
         self.graph = graph;
         self.components = region.components;
-        self.node_of_value = node_of_value;
-        self.attr_index_of = attr_index_of;
-        self.attr_id_of_index = attr_id_of_index;
+        self.numbering = numbering;
         self.generation += 1;
         Ok(stats)
     }
@@ -690,30 +624,23 @@ pub struct NetCachesState {
 /// Everything a [`DomainNet`] holds *besides* its graph, in a plain
 /// exportable form for the persistence layer (`dn-store`).
 ///
-/// The graph is not exported: it is a function of the lake and the id maps
-/// below, which [`DomainNet::from_parts`] validates against the lake and
-/// derives it from before a net is handed back.
+/// The graph and its node numbering are not exported: both are a function
+/// of the lake and the configuration, which [`DomainNet::from_parts`]
+/// derives them from before a net is handed back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetState {
     /// The configuration the graph was built with.
     pub config: DomainNetConfig,
     /// Number of deltas folded in since the initial build.
     pub generation: u64,
-    /// ValueId -> value node id (`u32::MAX` = no node).
-    pub node_of_value: Vec<u32>,
-    /// AttrId -> attribute index (`u32::MAX` = no node).
-    pub attr_index_of: Vec<u32>,
-    /// Attribute index -> AttrId.
-    pub attr_id_of_index: Vec<AttrId>,
     /// The memoized per-measure scores.
     pub caches: NetCachesState,
 }
 
 impl DomainNet {
-    /// Export the net's non-graph state (id mappings, generation, memoized
-    /// scores) for persistence. Cache entries are sorted by measure so the
-    /// export — and therefore the on-disk encoding — is deterministic
-    /// across runs.
+    /// Export the net's non-graph state (generation, memoized scores) for
+    /// persistence. Cache entries are sorted by measure so the export — and
+    /// therefore the on-disk encoding — is deterministic across runs.
     pub fn export_state(&self) -> NetState {
         let caches = self.caches.lock().expect("score cache mutex");
         let mut raw: Vec<(Measure, Vec<f64>)> = caches
@@ -725,9 +652,6 @@ impl DomainNet {
         NetState {
             config: self.config,
             generation: self.generation,
-            node_of_value: self.node_of_value.clone(),
-            attr_index_of: self.attr_index_of.clone(),
-            attr_id_of_index: self.attr_id_of_index.clone(),
             caches: NetCachesState {
                 raw,
                 cardinalities: caches.cardinalities.clone(),
@@ -736,20 +660,11 @@ impl DomainNet {
     }
 
     /// Reassemble a net from the lake it was maintained against and its
-    /// persisted [`NetState`]. The graph is derived, by the function
-    /// [`DomainNetBuilder::build`] uses, from the lake and the state's id
-    /// maps, which are validated first:
-    ///
-    /// * `node_of_value` must span the lake's value ids and map them
-    ///   **bijectively** onto `0..n` value nodes, with every candidate
-    ///   value mapped;
-    /// * `attr_index_of` must span the lake's attribute ids, and it and
-    ///   `attr_id_of_index` must be mutual inverses, with every live
-    ///   attribute of a candidate value mapped;
-    /// * every cached raw-score vector must cover exactly the value nodes
-    ///   with finite scores;
-    /// * the cardinality vector, when present, must cover exactly the value
-    ///   nodes and be 0 wherever the degree is.
+    /// persisted [`NetState`]. The graph is derived from the lake by the
+    /// function [`DomainNetBuilder::build`] uses, and the caches are checked
+    /// against it: every cached raw-score vector must cover exactly the
+    /// value nodes with finite scores, and the cardinality vector, when
+    /// present, exactly the value nodes.
     ///
     /// Components are computed from the graph and rankings are left to the
     /// next [`DomainNet::rank`] / [`DomainNet::warm_rankings`].
@@ -761,29 +676,13 @@ impl DomainNet {
         lake: &L,
         state: NetState,
     ) -> Result<DomainNet, String> {
-        let graph = graph_of(
-            lake,
-            state.config,
-            &state.node_of_value,
-            &state.attr_index_of,
-            &state.attr_id_of_index,
-        )?;
-
+        let (numbering, graph) = derive(lake, state.config);
         if let Some(cardinalities) = &state.caches.cardinalities {
             if cardinalities.len() != graph.value_count() {
                 return Err(format!(
                     "cardinalities cover {} of {} value nodes",
                     cardinalities.len(),
                     graph.value_count()
-                ));
-            }
-            if let Some(node) = graph
-                .value_nodes()
-                .find(|&v| graph.degree(v) == 0 && cardinalities[v as usize] != 0)
-            {
-                return Err(format!(
-                    "isolated value node {node} has cardinality {}",
-                    cardinalities[node as usize]
                 ));
             }
         }
@@ -809,9 +708,7 @@ impl DomainNet {
             config: state.config,
             components: connected_components(&graph),
             graph,
-            node_of_value: state.node_of_value,
-            attr_index_of: state.attr_index_of,
-            attr_id_of_index: state.attr_id_of_index,
+            numbering,
             generation: state.generation,
             // Recovered nets start sequential; the serving layer re-applies
             // its configured width (the on-disk format never records one).
@@ -821,143 +718,102 @@ impl DomainNet {
     }
 }
 
-/// The graph a lake and a net's id maps determine: value node `n` is the
-/// value mapped to `n`, attribute index `i` is `attr_id_of_index[i]`, and
-/// every candidate value has an edge to each live attribute holding it. A
-/// value or attribute that stopped qualifying keeps its isolated node.
-/// This is the one constructor of a net's graph:
-/// [`DomainNetBuilder::build`] derives it here from freshly allocated maps,
-/// [`DomainNet::from_parts`] from persisted ones, and
-/// [`DomainNet::apply_delta`] from the maps it extended for a delta.
-///
-/// # Errors
-/// The first way the maps disagree with each other or with the lake.
-fn graph_of<L: LakeView + ?Sized>(
-    lake: &L,
-    config: DomainNetConfig,
-    node_of_value: &[u32],
-    attr_index_of: &[u32],
-    attr_id_of_index: &[AttrId],
-) -> Result<BipartiteGraph, String> {
-    if node_of_value.len() != lake.value_count() {
-        return Err(format!(
-            "value map covers {} ids but the lake has {}",
-            node_of_value.len(),
-            lake.value_count()
-        ));
-    }
-    if attr_index_of.len() != lake.attribute_count() {
-        return Err(format!(
-            "attribute map covers {} ids but the lake has {}",
-            attr_index_of.len(),
-            lake.attribute_count()
-        ));
-    }
-    // Every mapped attribute owns its index, and every index is owned:
-    // the two attribute maps are mutual inverses.
-    let mut mapped_attrs = 0;
-    for (attr, &index) in attr_index_of.iter().enumerate() {
-        if index == u32::MAX {
-            continue;
-        }
-        match attr_id_of_index.get(index as usize) {
-            None => {
-                return Err(format!(
-                    "attribute {attr} maps to index {index} past the {} allocated",
-                    attr_id_of_index.len()
-                ))
-            }
-            Some(owner) if owner.index() != attr => {
-                return Err(format!(
-                    "attribute {attr} maps to index {index}, which belongs to attribute {}",
-                    owner.0
-                ))
-            }
-            Some(_) => mapped_attrs += 1,
-        }
-    }
-    if mapped_attrs != attr_id_of_index.len() {
-        return Err(format!(
-            "{} attribute indexes are allocated but {mapped_attrs} attributes map to one",
-            attr_id_of_index.len()
-        ));
-    }
-    // The mapped values fill `0..n` one to one (n slots, n injective
-    // entries), and no candidate is left without a node.
-    let min_attrs = config.min_attrs();
-    let mapped_values = node_of_value.iter().filter(|&&n| n != u32::MAX).count();
-    let mut value_of_node: Vec<Option<ValueId>> = vec![None; mapped_values];
-    for (vid, &node) in node_of_value.iter().enumerate() {
-        let vid = ValueId(vid as u32);
-        if node == u32::MAX {
-            if lake.value_attributes(vid).len() >= min_attrs {
-                return Err(format!("candidate value {} has no value node", vid.0));
-            }
-            continue;
-        }
-        match value_of_node.get_mut(node as usize) {
-            None => {
-                return Err(format!(
-                    "value {} maps to node {node} past the {mapped_values} mapped",
-                    vid.0
-                ))
-            }
-            Some(Some(other)) => {
-                return Err(format!(
-                    "values {} and {} map to one value node {node}",
-                    other.0, vid.0
-                ))
-            }
-            Some(slot) => *slot = Some(vid),
-        }
-    }
-
-    let mut builder = BipartiteBuilder::with_capacity(
-        mapped_values,
-        attr_id_of_index.len(),
-        lake.incidence_count(),
-    );
-    for &vid in value_of_node.iter().flatten() {
-        builder.add_value(lake.value(vid).expect("the value map spans the lake"));
-    }
-    for &attr in attr_id_of_index {
-        builder.add_attribute(attr_label(lake, attr));
-    }
-    // Value-major with each value's indexes ascending, so the builder's edge
-    // sort finds its input in order (deltas append indexes out of AttrId
-    // order).
-    let mut indexes: Vec<u32> = Vec::new();
-    for (node, &vid) in value_of_node.iter().flatten().enumerate() {
-        let attrs = lake.value_attributes(vid);
-        if attrs.len() < min_attrs {
-            continue;
-        }
-        indexes.clear();
-        for &attr in attrs {
-            match attr_index_of[attr.index()] {
-                u32::MAX => {
-                    return Err(format!(
-                        "attribute {} of candidate value {} has no attribute node",
-                        attr.0, vid.0
-                    ))
-                }
-                index => indexes.push(index),
-            }
-        }
-        indexes.sort_unstable();
-        for &index in &indexes {
-            builder.add_edge(node as u32, index);
-        }
-    }
-    Ok(builder.build())
+/// Which lake value and attribute each graph node stands for.
+#[derive(Debug, Clone)]
+struct Numbering {
+    /// ValueId -> value node (`u32::MAX` = not a candidate).
+    node_of_value: Vec<u32>,
+    /// Value node -> ValueId, ascending.
+    values: Vec<ValueId>,
+    /// AttrId -> attribute index (`u32::MAX` = holds no candidate).
+    index_of_attr: Vec<u32>,
+    /// Attribute index -> AttrId, ascending.
+    attrs: Vec<AttrId>,
 }
 
-/// The graph label of an attribute: `table.column` while it is live, and
-/// `attr_<id>` for a tombstone (no edge reaches it, so nothing reads it).
-fn attr_label<L: LakeView + ?Sized>(lake: &L, attr: AttrId) -> String {
-    lake.attribute_ref(attr)
-        .map(|r| r.qualified())
-        .unwrap_or_else(|| format!("attr_{}", attr.0))
+impl Numbering {
+    /// The value node of a lake value, if it has one.
+    fn node(&self, vid: ValueId) -> Option<u32> {
+        self.node_of_value
+            .get(vid.index())
+            .copied()
+            .filter(|&node| node != u32::MAX)
+    }
+
+    /// The attribute index of a lake attribute, if it has a node.
+    fn index(&self, attr: AttrId) -> Option<u32> {
+        self.index_of_attr
+            .get(attr.index())
+            .copied()
+            .filter(|&index| index != u32::MAX)
+    }
+
+    /// The attributes a value's node is joined to in `graph`, ascending
+    /// (empty without a node).
+    fn attrs_of(&self, graph: &BipartiteGraph, vid: ValueId) -> Vec<AttrId> {
+        let Some(node) = self.node(vid) else {
+            return Vec::new();
+        };
+        let shift = graph.value_count() as u32;
+        graph
+            .neighbors(node)
+            .iter()
+            .map(|&a| self.attrs[(a - shift) as usize])
+            .collect()
+    }
+}
+
+/// The numbering and graph a lake determines: the candidate values (those
+/// in at least `config.min_attrs()` live attributes) are the value nodes in
+/// `ValueId` order, the live attributes holding a candidate are the
+/// attribute nodes in `AttrId` order, and each candidate has an edge to
+/// every live attribute holding it. This is the one constructor of a net's
+/// graph: [`DomainNetBuilder::build`], [`DomainNet::apply_delta`] and
+/// [`DomainNet::from_parts`] all derive it here, so a maintained, a
+/// recovered and a fresh net of one lake are the same graph.
+fn derive<L: LakeView + ?Sized>(lake: &L, config: DomainNetConfig) -> (Numbering, BipartiteGraph) {
+    let values = lake.values_in_at_least(config.min_attrs());
+    let mut node_of_value = vec![u32::MAX; lake.value_count()];
+    // Mark each attribute holding a candidate with 0, then number the
+    // marked ones in AttrId order.
+    let mut index_of_attr = vec![u32::MAX; lake.attribute_count()];
+    for (node, &vid) in values.iter().enumerate() {
+        node_of_value[vid.index()] = node as u32;
+        for &attr in lake.value_attributes(vid) {
+            index_of_attr[attr.index()] = 0;
+        }
+    }
+    let mut attrs: Vec<AttrId> = Vec::new();
+    for (attr, index) in index_of_attr.iter_mut().enumerate() {
+        if *index == 0 {
+            *index = attrs.len() as u32;
+            attrs.push(AttrId(attr as u32));
+        }
+    }
+
+    let mut builder =
+        BipartiteBuilder::with_capacity(values.len(), attrs.len(), lake.incidence_count());
+    for &vid in &values {
+        builder.add_value(lake.value(vid).expect("a candidate is interned"));
+    }
+    for &attr in &attrs {
+        let attr = lake
+            .attribute_ref(attr)
+            .expect("an attribute holding a candidate is live");
+        builder.add_attribute(attr.qualified());
+    }
+    for (node, &vid) in values.iter().enumerate() {
+        for &attr in lake.value_attributes(vid) {
+            builder.add_edge(node as u32, index_of_attr[attr.index()]);
+        }
+    }
+    let numbering = Numbering {
+        node_of_value,
+        values,
+        index_of_attr,
+        attrs,
+    };
+    (numbering, builder.build())
 }
 
 #[cfg(test)]
@@ -1314,10 +1170,37 @@ mod tests {
         assert_eq!(
             net.rank(Measure::lcc()).len(),
             2,
-            "Okapi is tombstoned again"
+            "Okapi loses its node again"
         );
         assert_equivalent(&net, &lake, Measure::lcc());
         assert_equivalent(&net, &lake, Measure::exact_bc());
+    }
+
+    #[test]
+    fn a_delta_that_drops_nodes_counts_the_ones_it_creates() {
+        // Without T3, TOYOTA is left in one attribute and loses its node, and
+        // T3.C2 goes with its table: the graph shrinks, and the counts of
+        // created nodes stay 0 instead of wrapping.
+        let mut lake = mutable_running_example();
+        let mut net = DomainNetBuilder::new().build(&lake);
+        net.warm_rankings(&[Measure::lcc(), Measure::exact_bc()]);
+        assert_eq!((net.candidate_count(), net.attribute_count()), (4, 4));
+        let t3 = lake.table("T3").unwrap().clone();
+        let effects = lake.apply(&LakeDelta::new().remove_table("T3")).unwrap();
+        let stats = net.apply_delta(&lake, &effects).unwrap();
+        assert_eq!((net.candidate_count(), net.attribute_count()), (3, 3));
+        assert_eq!((stats.value_nodes_added, stats.attr_nodes_added), (0, 0));
+        assert_eq!(
+            stats.edges_removed, 3,
+            "both on T3.C2, and TOYOTA's on T4.Name"
+        );
+
+        // Re-adding T3 creates both again.
+        let effects = lake.apply(&LakeDelta::new().add_table(t3)).unwrap();
+        let stats = net.apply_delta(&lake, &effects).unwrap();
+        assert_eq!((net.candidate_count(), net.attribute_count()), (4, 4));
+        assert_eq!((stats.value_nodes_added, stats.attr_nodes_added), (1, 1));
+        assert_equivalent(&net, &lake, Measure::lcc());
     }
 
     #[test]

@@ -16,13 +16,52 @@
 //!   Betweenness centrality never crosses components, so scores outside the
 //!   touched set are still exact.
 //!
-//! Node-id stability: the new graph keeps every value node id and attribute
-//! *index* of the old one and appends new nodes after them. Attribute node
-//! *ids* shift by the number of appended value nodes (the id layout keeps
-//! values first), so the two graphs are compared by attribute index.
+//! Renumbering: the new graph numbers its nodes the way a build of the new
+//! lake would, so a node that stops qualifying is gone and the nodes after
+//! it move down, and a new node lands in its sorted place. The caller
+//! passes a [`Renumbering`], where each old value node and attribute
+//! *index* went, and the two graphs are compared through it. Attribute node
+//! *ids* follow the value count (the id layout keeps values first), so
+//! attributes are compared by index.
 
 use crate::bipartite::BipartiteGraph;
 use crate::components::{connected_components, Components};
+
+/// Where each node of an old graph went in a new one: `u32::MAX` for a node
+/// the new graph lacks. Survivors keep their relative order.
+#[derive(Debug, Clone)]
+pub struct Renumbering {
+    /// Old value node -> new value node.
+    pub values: Vec<u32>,
+    /// Old attribute index -> new attribute index.
+    pub attrs: Vec<u32>,
+}
+
+impl Renumbering {
+    /// A vector indexed by old value node, moved to the new numbering and
+    /// `len` long: a surviving node keeps its entry, a new one gets
+    /// `T::default()`.
+    pub fn move_values<T: Copy + Default>(&self, old: &[T], len: usize) -> Vec<T> {
+        let mut moved = vec![T::default(); len];
+        for (&entry, &node) in old.iter().zip(&self.values) {
+            if node != u32::MAX {
+                moved[node as usize] = entry;
+            }
+        }
+        moved
+    }
+}
+
+/// The old node (or `u32::MAX`) of each of `len` new nodes.
+fn inverse(map: &[u32], len: usize) -> Vec<u32> {
+    let mut old_of = vec![u32::MAX; len];
+    for (old, &new) in map.iter().enumerate() {
+        if new != u32::MAX {
+            old_of[new as usize] = old as u32;
+        }
+    }
+    old_of
+}
 
 /// The result of [`dirty_region`].
 #[derive(Debug, Clone)]
@@ -32,8 +71,9 @@ pub struct DirtyRegion {
     /// attributes plus the changed values) and their old- and new-graph
     /// value neighbors. The complete invalidation set for local clustering
     /// coefficients: recomputing exactly these on the new graph and keeping
-    /// every other score leaves each value `to_bits()`-equal to a full pass
-    /// over that graph (see the "Deltas" section of [`crate::lcc`]). Sorted.
+    /// every other score (moved through the renumbering) leaves each value
+    /// `to_bits()`-equal to a full pass over that graph (see the "Deltas"
+    /// section of [`crate::lcc`]). Sorted.
     pub dirty_values: Vec<u32>,
     /// Connected components of the new graph.
     pub components: Components,
@@ -59,64 +99,94 @@ pub fn nodes_in_components(components: &Components, component_ids: &[u32]) -> Ve
         .collect()
 }
 
-/// The region of `new` that differs from `old`, where `new` keeps `old`'s
-/// node ids and attribute indexes (appending nodes after them) and
-/// `changed_values` lists the value nodes (new id space) whose edge set
-/// differs between the two; an appended node must be one of them or an
-/// attribute one of them gained. Components are one [`connected_components`]
+/// The region of `new` that differs from `old`, where `renumbering` says
+/// where each node of `old` went and `changed_values` lists the value nodes
+/// of `new` whose edge set differs from their old node's (or that had
+/// none). A value node `new` lacks lost every edge; every other node must
+/// keep its edges, translated. Components are one [`connected_components`]
 /// pass over `new`, and the touched set is read off its labels.
 pub fn dirty_region(
     old: &BipartiteGraph,
     new: &BipartiteGraph,
+    renumbering: &Renumbering,
     changed_values: &[u32],
 ) -> DirtyRegion {
     let (old_nv, new_nv) = (old.value_count() as u32, new.value_count() as u32);
-    let old_na = old.attribute_count() as u32;
+    let old_value_of = inverse(&renumbering.values, new_nv as usize);
+    let old_attr_of = inverse(&renumbering.attrs, new.attribute_count());
     let attr_indexes = |graph: &BipartiteGraph, v: u32| -> Vec<u32> {
-        if (v as usize) < graph.value_count() {
-            let shift = graph.value_count() as u32;
-            graph.neighbors(v).iter().map(|&a| a - shift).collect()
-        } else {
-            Vec::new()
+        if v == u32::MAX {
+            return Vec::new();
         }
+        let shift = graph.value_count() as u32;
+        graph.neighbors(v).iter().map(|&a| a - shift).collect()
     };
 
-    // Touched attributes: those a changed value gained or lost.
-    let mut touched_attrs: Vec<u32> = Vec::new();
-    for &v in changed_values {
-        let (before, after) = (attr_indexes(old, v), attr_indexes(new, v));
-        touched_attrs.extend(before.iter().filter(|a| after.binary_search(a).is_err()));
-        touched_attrs.extend(after.iter().filter(|a| before.binary_search(a).is_err()));
+    // Touched attributes, by old and by new index: those a changed value
+    // gained or lost. A vanished value node lost all of its attributes.
+    let (mut touched_old, mut touched_new) = (Vec::new(), Vec::new());
+    let vanished = (0..old_nv).filter(|&v| renumbering.values[v as usize] == u32::MAX);
+    let changed = changed_values
+        .iter()
+        .map(|&v| (old_value_of[v as usize], v))
+        .chain(vanished.map(|v| (v, u32::MAX)));
+    for (was, is) in changed {
+        let (before, after) = (attr_indexes(old, was), attr_indexes(new, is));
+        for &a in &before {
+            let moved = renumbering.attrs[a as usize];
+            if moved == u32::MAX || after.binary_search(&moved).is_err() {
+                touched_old.push(a);
+                touched_new.extend((moved != u32::MAX).then_some(moved));
+            }
+        }
+        for &a in &after {
+            let from = old_attr_of[a as usize];
+            if from == u32::MAX || before.binary_search(&from).is_err() {
+                touched_new.push(a);
+                touched_old.extend((from != u32::MAX).then_some(from));
+            }
+        }
     }
-    touched_attrs.sort_unstable();
-    touched_attrs.dedup();
+    for touched in [&mut touched_old, &mut touched_new] {
+        touched.sort_unstable();
+        touched.dedup();
+    }
 
     // Seeds: the changed values and every old occupant of a touched
-    // attribute. Every new occupant is one of the two, so the seeds are
-    // exactly the values whose N(u) can have changed.
+    // attribute that survived. Every new occupant is one of the two, so the
+    // seeds are exactly the surviving values whose N(u) can have changed.
     let mut stamp = vec![false; new_nv as usize];
     let mut seeds: Vec<u32> = Vec::new();
-    let old_occupants = touched_attrs
+    let old_occupants = touched_old
         .iter()
-        .filter(|&&ai| ai < old_na)
-        .flat_map(|&ai| old.neighbors(old_nv + ai));
-    for &v in changed_values.iter().chain(old_occupants) {
-        if !stamp[v as usize] {
+        .flat_map(|&ai| old.neighbors(old_nv + ai))
+        .map(|&v| renumbering.values[v as usize]);
+    for v in changed_values.iter().copied().chain(old_occupants) {
+        if v != u32::MAX && !stamp[v as usize] {
             stamp[v as usize] = true;
             seeds.push(v);
         }
     }
     // The seeds' value neighbors in either graph.
     let mut dirty = seeds.clone();
-    for (graph, nv) in [(old, old_nv), (new, new_nv)] {
-        for &s in seeds.iter().filter(|&&s| s < nv) {
-            for &attr in graph.neighbors(s) {
-                for &w in graph.neighbors(attr) {
-                    if !stamp[w as usize] {
-                        stamp[w as usize] = true;
-                        dirty.push(w);
-                    }
+    let mut visit = |w: u32| {
+        if w != u32::MAX && !stamp[w as usize] {
+            stamp[w as usize] = true;
+            dirty.push(w);
+        }
+    };
+    for &s in &seeds {
+        let was = old_value_of[s as usize];
+        if was != u32::MAX {
+            for &attr in old.neighbors(was) {
+                for &w in old.neighbors(attr) {
+                    visit(renumbering.values[w as usize]);
                 }
+            }
+        }
+        for &attr in new.neighbors(s) {
+            for &w in new.neighbors(attr) {
+                visit(w);
             }
         }
     }
@@ -127,7 +197,7 @@ pub fn dirty_region(
     let mut touched_components: Vec<u32> = changed_values
         .iter()
         .copied()
-        .chain(touched_attrs.iter().map(|&ai| new_nv + ai))
+        .chain(touched_new.iter().map(|&ai| new_nv + ai))
         .map(|node| components.labels[node as usize])
         .collect();
     touched_components.sort_unstable();
@@ -160,6 +230,14 @@ mod tests {
         b.build()
     }
 
+    /// The renumbering of a change that keeps every node of `old` in place.
+    fn stable(old: &BipartiteGraph) -> Renumbering {
+        Renumbering {
+            values: (0..old.value_count() as u32).collect(),
+            attrs: (0..old.attribute_count() as u32).collect(),
+        }
+    }
+
     /// Two separate stars: v0, v1 on a0 and v2, v3 on a1.
     fn two_stars() -> BipartiteGraph {
         build(
@@ -177,7 +255,7 @@ mod tests {
             &["a0", "a1"],
             &[(0, 0), (2, 1), (3, 1)],
         );
-        let region = dirty_region(&two_stars(), &new, &[1]);
+        let region = dirty_region(&two_stars(), &new, &stable(&two_stars()), &[1]);
         // v0 and v1 are dirty (v1 lost an edge, v0 lost a neighbor);
         // v2 and v3 are untouched.
         assert_eq!(region.dirty_values, vec![0, 1]);
@@ -193,7 +271,7 @@ mod tests {
             &["a0", "a1"],
             &[(0, 0), (1, 0), (2, 1), (3, 1), (4, 0), (4, 1)],
         );
-        let region = dirty_region(&old, &new, &[4]);
+        let region = dirty_region(&old, &new, &stable(&old), &[4]);
         assert_eq!(region.components.count(), 1);
         assert_eq!(region.touched_components, vec![region.components.labels[4]]);
         assert_eq!(region.dirty_values, vec![0, 1, 2, 3, 4]);
@@ -207,7 +285,7 @@ mod tests {
             &["a0", "a1"],
             &[(0, 0), (2, 1), (3, 1)],
         );
-        let region = dirty_region(&two_stars(), &new, &[1]);
+        let region = dirty_region(&two_stars(), &new, &stable(&two_stars()), &[1]);
         let components = &region.components;
         assert_eq!(components.count(), 3);
         assert!(components.connected(2, 3));
@@ -219,6 +297,30 @@ mod tests {
         for node in [0, 1] {
             assert!(region.touched_components.contains(&components.labels[node]));
         }
+    }
+
+    #[test]
+    fn a_vanished_value_shifts_later_ids_and_dirties_its_old_neighbors() {
+        // v1 loses its node: v2 and v3 become 1 and 2. v0 lost a neighbour;
+        // the second star is untouched under its new ids.
+        let new = build(
+            &["v0", "v2", "v3"],
+            &["a0", "a1"],
+            &[(0, 0), (1, 1), (2, 1)],
+        );
+        let renumbering = Renumbering {
+            values: vec![0, u32::MAX, 1, 2],
+            attrs: vec![0, 1],
+        };
+        let region = dirty_region(&two_stars(), &new, &renumbering, &[]);
+        assert_eq!(region.dirty_values, vec![0]);
+        let labels = &region.components.labels;
+        assert_eq!(region.touched_components, vec![labels[0]]);
+        assert_ne!(labels[0], labels[1]);
+        assert_eq!(
+            renumbering.move_values(&[0.5, 0.6, 0.7, 0.8], 3),
+            vec![0.5, 0.7, 0.8]
+        );
     }
 
     #[test]

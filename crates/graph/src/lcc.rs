@@ -78,13 +78,15 @@
 //! target's score reads only the new graph, and its terms are added in
 //! ascending neighbour id whatever the target list holds, so a dirty value
 //! gets the bits a full pass over that graph would give it. A value outside
-//! the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)` (value ids
-//! never change across a delta), so the bits it carries are already those.
-//! A maintained score is therefore a function of the maintained graph
-//! alone, `to_bits()`-equal to a pass over it, and not of the deltas that
-//! led there: `dirty_values_are_a_complete_invalidation_set` pins it. A fresh *build* of the same lake may number nodes differently and
-//! so sum in another order; that, not drift, is what the 1e-9 tolerances of
-//! the cross-layout suites cover.
+//! the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)`, and its
+//! score moves to its new node: a delta renumbers nodes by deleting and
+//! inserting, so the surviving neighbours keep their ascending order and
+//! the bits it carries are already those. A maintained score is therefore
+//! a function of the maintained graph alone, `to_bits()`-equal to a pass
+//! over it, and not of the deltas that led there:
+//! `dirty_values_are_a_complete_invalidation_set` pins it. The maintained
+//! graph is the graph a fresh build of the same lake derives, so the
+//! scores are those of that build too.
 
 use crate::bipartite::BipartiteGraph;
 use crate::twins::{Twins, NONE};
@@ -527,47 +529,70 @@ pub(crate) mod tests {
     }
 
     /// The delta path: recompute `dirty_values` with the kernel, scatter over
-    /// the carried scores, and every node (dirty or not) must hold the bits of
-    /// a full pass over the new graph.
+    /// the carried scores moved through the renumbering, and every node
+    /// (dirty or not) must hold the bits of a full pass over the new graph.
+    /// Nodes are numbered as a build numbers them: a value or attribute is a
+    /// node while it has an edge, in id order, so one that loses its last
+    /// edge takes its node with it and the later ones move down.
     #[test]
     fn dirty_values_are_a_complete_invalidation_set() {
-        use crate::delta::dirty_region;
-        use std::collections::BTreeSet;
-        // Each step's graph is built from scratch out of its edge set.
-        let build = |values: u32, attrs: u32, edges: &BTreeSet<(u32, u32)>| {
+        use crate::delta::{dirty_region, Renumbering};
+        use std::collections::{BTreeMap, BTreeSet};
+        // Each step's graph is built from scratch out of its edge set over
+        // stable (value, attribute) ids, with each id's node beside it.
+        type Nodes = BTreeMap<u32, u32>;
+        let build = |edges: &BTreeSet<(u32, u32)>| -> (BipartiteGraph, Nodes, Nodes) {
+            let number = |ids: BTreeSet<u32>| -> Nodes { ids.into_iter().zip(0..).collect() };
+            let values = number(edges.iter().map(|e| e.0).collect());
+            let attrs = number(edges.iter().map(|e| e.1).collect());
             let mut b = BipartiteBuilder::new();
-            for v in 0..values {
+            for v in values.keys() {
                 b.add_value(format!("v{v}"));
             }
-            for a in 0..attrs {
+            for a in attrs.keys() {
                 b.add_attribute(format!("a{a}"));
             }
-            for &(v, a) in edges {
-                b.add_edge(v, a);
+            for (v, a) in edges {
+                b.add_edge(values[v], attrs[a]);
             }
-            b.build()
+            (b.build(), values, attrs)
+        };
+        let moved = |old: &Nodes, new: &Nodes| -> Vec<u32> {
+            old.keys()
+                .map(|id| new.get(id).copied().unwrap_or(u32::MAX))
+                .collect()
         };
         // A lake-shaped graph: overlapping attributes over a shared pool.
-        let (mut values, mut attrs) = (20, 5);
-        let mut edges: BTreeSet<(u32, u32)> = (0..attrs)
-            .flat_map(|a| (0..values).map(move |v| (v, a)))
+        let mut edges: BTreeSet<(u32, u32)> = (0..5)
+            .flat_map(|a| (0..20).map(move |v| (v, a)))
             .filter(|&(v, a)| (v + a) % 3 != 0)
             .collect();
-        let mut graph = build(values, attrs, &edges);
+        let (mut graph, mut value_nodes, mut attr_nodes) = build(&edges);
         let mut lcc = local_clustering_coefficients(&graph, LccMethod::ValueNeighborJaccard);
         let mut cards: Vec<usize> = (0..graph.value_count() as u32)
             .map(|v| graph.value_neighbor_count(v))
             .collect();
-        // (values appended, attributes appended, edges added, edges removed)
-        type Step = (u32, u32, &'static [(u32, u32)], &'static [(u32, u32)]);
-        let steps: [Step; 4] = [
-            (0, 0, &[(0, 0), (3, 0)], &[(1, 0)]),
-            (1, 1, &[(20, 5), (0, 5), (7, 5)], &[(2, 2)]),
+        enum Edit {
+            Add(u32, u32),
+            Remove(u32, u32),
+            DropValue(u32),
+            DropAttr(u32),
+        }
+        use Edit::*;
+        let steps: [&[Edit]; 6] = [
+            &[Add(0, 0), Add(3, 0), Remove(1, 0)],
+            &[Add(20, 5), Add(0, 5), Add(7, 5), Remove(2, 2)],
             // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
-            (0, 0, &[(3, 5)], &[]),
+            &[Add(3, 5)],
             // ... and split two: 0 leaves the class it just formed with 3,
             // 5 leaves the one it shared with 8, 11, 14 and 17.
-            (0, 0, &[], &[(0, 1), (5, 3)]),
+            &[Remove(0, 1), Remove(5, 3)],
+            // Value 7 loses every edge, as a value that drops to one
+            // attribute does under pruning: values 8.. move down a node.
+            &[DropValue(7)],
+            // Attribute 2 loses every value, as the column of a table whose
+            // last candidate leaves: attributes 3.. move down an index.
+            &[DropAttr(2)],
         ];
         let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
             let index = |n: &u32| g.attribute_index(*n);
@@ -576,29 +601,43 @@ pub(crate) mod tests {
                 .map(index)
                 .eq(g.neighbors(w).iter().map(index))
         };
-        for (step, &(new_values, new_attrs, added, removed)) in steps.iter().enumerate() {
-            values += new_values;
-            attrs += new_attrs;
-            for edge in added {
-                assert!(edges.insert(*edge), "step {step}: {edge:?} exists");
+        for (step, edits) in steps.iter().enumerate() {
+            let mut changed_ids = BTreeSet::new();
+            for edit in *edits {
+                let lost: Vec<(u32, u32)> = match *edit {
+                    Add(v, a) => {
+                        assert!(edges.insert((v, a)), "step {step}: {:?} exists", (v, a));
+                        changed_ids.insert(v);
+                        continue;
+                    }
+                    Remove(v, a) => vec![(v, a)],
+                    DropValue(v) => edges.iter().filter(|e| e.0 == v).copied().collect(),
+                    DropAttr(a) => edges.iter().filter(|e| e.1 == a).copied().collect(),
+                };
+                for edge in lost {
+                    assert!(edges.remove(&edge), "step {step}: {edge:?} is missing");
+                    changed_ids.insert(edge.0);
+                }
             }
-            for edge in removed {
-                assert!(edges.remove(edge), "step {step}: {edge:?} is missing");
-            }
-            let new = build(values, attrs, &edges);
-            let mut changed: Vec<u32> = added.iter().chain(removed).map(|&(v, _)| v).collect();
-            changed.sort_unstable();
-            changed.dedup();
-            let region = dirty_region(&graph, &new, &changed);
+            let (new, new_value_nodes, new_attr_nodes) = build(&edges);
+            let renumbering = Renumbering {
+                values: moved(&value_nodes, &new_value_nodes),
+                attrs: moved(&attr_nodes, &new_attr_nodes),
+            };
+            let changed: Vec<u32> = changed_ids
+                .iter()
+                .filter_map(|id| new_value_nodes.get(id).copied())
+                .collect();
+            let region = dirty_region(&graph, &new, &renumbering, &changed);
             let (fresh, fresh_cards) = lcc_with_cardinality_for_values(
                 &new,
                 &region.dirty_values,
                 LccMethod::ValueNeighborJaccard,
             );
             let full = local_clustering_coefficients(&new, LccMethod::ValueNeighborJaccard);
-            // Scatter, then compare every node against a full pass.
-            lcc.resize(new.value_count(), 0.0);
-            cards.resize(new.value_count(), 0);
+            // Move, scatter, then compare every node against a full pass.
+            lcc = renumbering.move_values(&lcc, new.value_count());
+            cards = renumbering.move_values(&cards, new.value_count());
             for (i, &node) in region.dirty_values.iter().enumerate() {
                 lcc[node as usize] = fresh[i];
                 cards[node as usize] = fresh_cards[i];
@@ -617,7 +656,7 @@ pub(crate) mod tests {
                     "cardinality of node {node}"
                 );
             }
-            graph = new;
+            (graph, value_nodes, attr_nodes) = (new, new_value_nodes, new_attr_nodes);
             match step {
                 1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
                 2 => assert!(same_attributes(&graph, 0, 3)),
@@ -625,6 +664,8 @@ pub(crate) mod tests {
                     assert!(!same_attributes(&graph, 0, 3) && !same_attributes(&graph, 5, 8));
                     assert!(same_attributes(&graph, 8, 11));
                 }
+                4 => assert_eq!((value_nodes.get(&7), value_nodes[&8]), (None, 7)),
+                5 => assert_eq!((attr_nodes.get(&2), attr_nodes[&3]), (None, 2)),
                 _ => {}
             }
         }

@@ -573,6 +573,10 @@ impl Pending {
     }
 }
 
+/// Sum the stats of a batch's shard commits. A node count is the values or
+/// attributes that gained a node in that commit, so a value that loses its
+/// node in one commit and gains it back in a later one counts once per
+/// gain.
 fn add_stats(total: &mut DeltaStats, part: DeltaStats) {
     total.value_nodes_added += part.value_nodes_added;
     total.attr_nodes_added += part.attr_nodes_added;

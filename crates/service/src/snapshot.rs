@@ -23,18 +23,18 @@ pub struct SnapshotStats {
     pub epoch: u64,
     /// The net's delta generation at extraction time.
     pub generation: u64,
-    /// Total graph nodes (value + attribute, tombstones included).
+    /// Total graph nodes (value + attribute).
     pub node_count: usize,
-    /// Value-node slots (tombstones included).
+    /// Value nodes: the lake's candidate values.
     pub value_nodes: usize,
-    /// Attribute-node slots (tombstones included).
+    /// Attribute nodes: the live attributes holding a candidate.
     pub attribute_nodes: usize,
     /// Undirected edges.
     pub edge_count: usize,
-    /// Value nodes with at least one incident edge — the number of entries
-    /// every ranking of this snapshot contains.
+    /// The number of entries every ranking of this snapshot contains: one
+    /// per value node.
     pub live_candidates: usize,
-    /// Connected components (isolated tombstones count as singletons).
+    /// Connected components.
     pub component_count: usize,
 }
 
@@ -123,7 +123,6 @@ pub struct Snapshot {
     generation: u64,
     graph: dn_graph::bipartite::BipartiteGraph,
     component_count: usize,
-    live_candidates: usize,
     measures: Vec<Measure>,
     /// Per measure: the full ranking, shared with the net's memo.
     rankings: HashMap<Measure, Arc<Vec<ScoredValue>>>,
@@ -157,14 +156,10 @@ impl Snapshot {
         epoch: u64,
     ) -> Snapshot {
         let graph = net.graph().clone();
-        let mut node_of_label = HashMap::new();
-        let mut live_candidates = 0usize;
-        for v in graph.value_nodes() {
-            if graph.degree(v) > 0 {
-                node_of_label.insert(graph.value_label(v).to_owned(), v);
-                live_candidates += 1;
-            }
-        }
+        let node_of_label: HashMap<String, u32> = graph
+            .value_nodes()
+            .map(|v| (graph.value_label(v).to_owned(), v))
+            .collect();
 
         let mut rankings = HashMap::new();
         let mut rank_of_node = HashMap::new();
@@ -183,9 +178,6 @@ impl Snapshot {
         let mut attr_refs: HashMap<u32, (String, String)> = HashMap::new();
         let mut tables: BTreeMap<String, Vec<u32>> = BTreeMap::new();
         for attr_node in graph.attribute_nodes() {
-            if graph.degree(attr_node) == 0 {
-                continue; // tombstoned attribute slot
-            }
             let (table, column) = graph
                 .attribute_index(attr_node)
                 .and_then(|idx| net.attr_id_of_index(idx))
@@ -209,7 +201,6 @@ impl Snapshot {
             epoch,
             generation: net.generation(),
             component_count: net.components().count(),
-            live_candidates,
             measures: measures.to_vec(),
             rankings,
             rank_of_node,
@@ -239,7 +230,7 @@ impl Snapshot {
             value_nodes: self.graph.value_count(),
             attribute_nodes: self.graph.attribute_count(),
             edge_count: self.graph.edge_count(),
-            live_candidates: self.live_candidates,
+            live_candidates: self.graph.value_count(),
             component_count: self.component_count,
         }
     }
@@ -360,21 +351,21 @@ impl Snapshot {
     /// This is the invariant the concurrency stress test leans on: all data
     /// reachable from one snapshot must describe the *same* state, so a
     /// reader that pinned epoch `e` can never observe a mixture of epochs.
-    /// Verified: every ranking has exactly `live_candidates` entries in the
+    /// Verified: every ranking has one entry per value node in the
     /// measure's sort order, every ranked value resolves to a live node,
     /// the rank index round-trips, and the per-table attribute partition
-    /// covers exactly the live attribute nodes.
+    /// covers exactly the attribute nodes.
     pub fn verify_consistency(&self) -> Result<(), String> {
         for &measure in &self.measures {
             let ranking = self
                 .rankings
                 .get(&measure)
                 .ok_or_else(|| format!("{measure:?}: served measure has no ranking"))?;
-            if ranking.len() != self.live_candidates {
+            if ranking.len() != self.graph.value_count() {
                 return Err(format!(
-                    "{measure:?}: ranking has {} entries but the graph has {} live candidates",
+                    "{measure:?}: ranking has {} entries but the graph has {} value nodes",
                     ranking.len(),
-                    self.live_candidates
+                    self.graph.value_count()
                 ));
             }
             let higher_first = measure.higher_is_more_homograph_like();
@@ -406,14 +397,10 @@ impl Snapshot {
             }
         }
         let table_attrs: usize = self.tables.values().map(Vec::len).sum();
-        let live_attrs = self
-            .graph
-            .attribute_nodes()
-            .filter(|&a| self.graph.degree(a) > 0)
-            .count();
-        if table_attrs != live_attrs {
+        if table_attrs != self.graph.attribute_count() {
             return Err(format!(
-                "table partition covers {table_attrs} attribute nodes, graph has {live_attrs}"
+                "table partition covers {table_attrs} attribute nodes, graph has {}",
+                self.graph.attribute_count()
             ));
         }
         Ok(())

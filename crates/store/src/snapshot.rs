@@ -1,8 +1,8 @@
 //! The versioned, checksummed snapshot file format.
 //!
 //! A snapshot captures the complete durable state of a serving engine at
-//! one instant: the mutable lake (tables, tombstones, the append-only
-//! interner) and the net's state (id mappings, generation, per-measure
+//! one instant: the mutable lake (tables, removed slots, the append-only
+//! interner) and the net's state (pruning flag, generation, per-measure
 //! score vectors, cardinalities). Scores are stored as raw IEEE-754 bit
 //! patterns, so a write → read → write cycle is **bit-identical**.
 //!
@@ -11,8 +11,9 @@
 //! liveness and value set, each value's attributes, the name index — a
 //! replay of the table slots through `MutableLake::add_table` over the
 //! preloaded interner, [`MutableLake::from_slots`]), the bipartite graph
-//! (one value-major pass over the lake through the net's id maps,
-//! [`DomainNet::from_parts`]), component labels (one BFS over that graph),
+//! and its node numbering (candidates in value-id order, then the
+//! attributes holding one in attribute-id order: one value-major pass over
+//! the lake, [`DomainNet::from_parts`]), component labels (one BFS over that graph),
 //! the memoized rankings (a sort of scores and cardinalities the
 //! recovering engine's `warm_rankings` redoes) and a value's attribute
 //! count (its degree). Raw scores and cardinalities stay: recomputing
@@ -30,9 +31,10 @@
 //! │ payloads, in section-table order:                          │
 //! │   1 manifest   last_seq, epoch, served measures            │
 //! │   2 lake       table slots (a live table columnar, a       │
-//! │                removed one as its column count), interner  │
-//! │   3 net        pruning flag, generation, id maps, raw      │
-//! │                scores per measure, cardinalities           │
+//! │                removed one as its column count and a zero  │
+//! │                byte per column), interner                  │
+//! │   3 net        pruning flag, generation, raw scores per    │
+//! │                measure, cardinalities                      │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -41,19 +43,17 @@
 //! section it corrupted. Decoding validates every cross-reference — within
 //! the lake (a duplicate interner value, an ill-shaped table, two live
 //! tables of one name, a cell value the interner lacks:
-//! [`MutableLake::from_slots`]), and between the net's id maps and the lake
-//! they index, then the score vectors against the derived graph
-//! ([`DomainNet::from_parts`]) — before any state is returned, so a torn or
-//! tampered file yields a typed [`StoreError`], never a half-loaded engine.
-//! A removed slot's column count has no bytes behind it; the net section's
-//! attribute map (4 bytes per attribute slot, covering all of them) bounds
-//! it before anything is allocated.
+//! [`MutableLake::from_slots`]), then the score vectors against the graph
+//! derived from it ([`DomainNet::from_parts`]) — before any state is
+//! returned, so a torn or tampered file yields a typed [`StoreError`],
+//! never a half-loaded engine. A removed slot's zero bytes back its column
+//! count, so a forged count is refused before its attribute ids are
+//! allocated.
 
 use std::fs;
 use std::path::Path;
 
 use domainnet::{DomainNet, Measure, NetCachesState, NetState};
-use lake::catalog::AttrId;
 use lake::delta::{MutableLake, TableSlot};
 
 use crate::codec::{crc32, get_measure, put_measure, put_u32_vec, ByteReader, ByteWriter};
@@ -61,11 +61,12 @@ use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The one snapshot format version this build reads and writes. Format 3
-/// also stored each attribute's table slot, liveness and value set; format
-/// 2 the graph besides, and format 1 component labels, rankings and
-/// attribute counts too. All three are refused.
-pub const FORMAT_VERSION: u32 = 4;
+/// The one snapshot format version this build reads and writes. Format 4
+/// also stored the net's three node-id maps; format 3 each attribute's
+/// table slot, liveness and value set besides; format 2 the graph too, and
+/// format 1 component labels, rankings and attribute counts as well. All
+/// four are refused.
+pub const FORMAT_VERSION: u32 = 5;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
@@ -150,6 +151,7 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
             TableSlot::Removed { columns } => {
                 w.put_bool(false);
                 w.put_u32(*columns as u32);
+                w.put_bytes(&vec![0; *columns]);
             }
             TableSlot::Live(table) => {
                 w.put_bool(true);
@@ -182,12 +184,6 @@ fn encode_net(state: &NetState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(state.config.prune_single_attribute_values);
     w.put_u64(state.generation);
-    put_u32_vec(&mut w, &state.node_of_value);
-    put_u32_vec(&mut w, &state.attr_index_of);
-    w.put_u64(state.attr_id_of_index.len() as u64);
-    for attr in &state.attr_id_of_index {
-        w.put_u32(attr.0);
-    }
     w.put_u64(state.caches.raw.len() as u64);
     for (measure, scores) in &state.caches.raw {
         put_measure(&mut w, *measure);
@@ -347,11 +343,10 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
     })
 }
 
-/// Decode the lake section, refusing slots that claim more than
-/// `max_attributes` attributes: a removed slot's column count has no bytes
-/// behind it, so the net section's attribute map (4 bytes per attribute,
-/// and it must cover every one) is what bounds it.
-fn decode_lake(payload: &[u8], max_attributes: usize) -> Result<MutableLake> {
+/// Decode the lake section. A removed slot's column count is followed by
+/// one zero byte per column, so a count with no bytes behind it is refused
+/// before its attribute ids are allocated.
+fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
     let mut r = ByteReader::new(payload, "lake");
     let slot_count = r.get_count(1)?;
     let mut slots = Vec::with_capacity(slot_count);
@@ -360,17 +355,17 @@ fn decode_lake(payload: &[u8], max_attributes: usize) -> Result<MutableLake> {
         let slot = if r.get_bool()? {
             TableSlot::Live(decode_table(&mut r)?)
         } else {
-            TableSlot::Removed {
-                columns: r.get_u32()? as usize,
+            let columns = r.get_u32()? as usize;
+            if columns > r.remaining() {
+                return Err(StoreError::corrupt(format!(
+                    "lake: slots claim {} attributes, past the bytes behind them",
+                    attributes.saturating_add(columns)
+                )));
             }
+            r.take(columns)?;
+            TableSlot::Removed { columns }
         };
         attributes = attributes.saturating_add(slot.column_count());
-        if attributes > max_attributes {
-            return Err(StoreError::corrupt(format!(
-                "lake: slots claim {attributes} attributes, past the {max_attributes} \
-                 the net section can map"
-            )));
-        }
         slots.push(slot);
     }
     let value_count = r.get_count(8)?;
@@ -404,9 +399,6 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     let mut r = ByteReader::new(payload, "net");
     let prune_single_attribute_values = r.get_bool()?;
     let generation = r.get_u64()?;
-    let node_of_value = r.get_u32_vec()?;
-    let attr_index_of = r.get_u32_vec()?;
-    let attr_id_of_index = r.get_u32_vec()?.into_iter().map(AttrId).collect();
     let raw_count = r.get_count(1)?;
     let mut raw = Vec::with_capacity(raw_count);
     for _ in 0..raw_count {
@@ -431,9 +423,6 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     Ok(NetState {
         config,
         generation,
-        node_of_value,
-        attr_index_of,
-        attr_id_of_index,
         caches: NetCachesState { raw, cardinalities },
     })
 }
@@ -460,10 +449,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PersistedState> {
 /// order (lake, manifest, net).
 pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<PersistedState> {
     let sections = section_table(bytes)?;
-    let max_attributes = sections
-        .iter()
-        .find(|s| s.id == SECTION_NET)
-        .map_or(0, |s| s.len / 4);
     let ctx = dn_trace::current();
     let decoded = dn_pool::Pool::new(threads).run(FAN_OUT.len(), |i| -> Result<DecodedSection> {
         let id = FAN_OUT[i];
@@ -471,7 +456,7 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
         let payload = section_payload(bytes, &sections, id)?;
         Ok(match id {
             SECTION_MANIFEST => DecodedSection::Manifest(decode_manifest(payload)?),
-            SECTION_LAKE => DecodedSection::Lake(Box::new(decode_lake(payload, max_attributes)?)),
+            SECTION_LAKE => DecodedSection::Lake(Box::new(decode_lake(payload)?)),
             _ => DecodedSection::Net(Box::new(decode_net_state(payload)?)),
         })
     });
@@ -547,7 +532,7 @@ mod tests {
             .build(&lake);
         let measures = vec![Measure::lcc(), Measure::exact_bc()];
         net.warm_rankings(&measures);
-        // Fold in a mutation so tombstones and generation > 0 are exercised.
+        // Fold in a mutation so a removed slot and generation > 0 are exercised.
         let effects = lake
             .apply(
                 &LakeDelta::new().remove_table("T3").add_table(

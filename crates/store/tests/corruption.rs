@@ -5,14 +5,14 @@
 //! points (torn writes, full disks), single flipped bytes in every section
 //! (bit rot, bad sectors), foreign files (bad magic), files written by
 //! another release (unsupported version), and checksum-valid sections
-//! that lie: forged slots and id maps, and seeded edits resealed past the
+//! that lie: forged slots and caches, and seeded edits resealed past the
 //! CRC.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` and are removed at
 //! the end of each test; CI's tempdir-hygiene gate fails if anything is
 //! left behind.
 
-use dn_store::codec::{put_u32_vec, ByteReader, ByteWriter};
+use dn_store::codec::{put_u32_vec, ByteWriter};
 use dn_store::snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, section_table, Manifest,
 };
@@ -39,7 +39,7 @@ fn sample_engine() -> (MutableLake, DomainNet, Vec<Measure>) {
     let mut net = DomainNetBuilder::new().build(&lake);
     let measures = vec![Measure::lcc(), Measure::exact_bc()];
     net.warm_rankings(&measures);
-    // A mutation so tombstones, generation, and patched caches are all
+    // A mutation so a removed slot, generation, and patched caches are all
     // present in the encoded state.
     let effects = lake
         .apply(
@@ -84,17 +84,17 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    // A later release's file, format 3 (which also stored each attribute's
-    // slot, liveness and value set), format 2 (the graph besides) and
-    // format 1 (component labels and rankings too): one reader, one typed
-    // refusal.
-    for version in [99u32, 3, 2, 1] {
+    // A later release's file, format 4 (which also stored the net's three
+    // node-id maps), format 3 (each attribute's slot, liveness and value
+    // set besides), format 2 (the graph too) and format 1 (component labels
+    // and rankings as well): one reader, one typed refusal.
+    for version in [99u32, 4, 3, 2, 1] {
         let mut bytes = sample_snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match decode_snapshot(&bytes) {
             Err(StoreError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
-                assert_eq!(supported, 4);
+                assert_eq!(supported, 5);
                 assert_eq!(supported, dn_store::FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -161,103 +161,8 @@ fn forged_cardinalities_are_corrupt_not_served() {
     short[vector - 8..vector].copy_from_slice(&(values as u64 - 1).to_le_bytes());
     expect_corrupt(&short, "cardinalities cover");
 
-    // A tombstoned (degree-0) node that claims neighbours.
-    let graph = net.graph();
-    let isolated = graph
-        .value_nodes()
-        .find(|&v| graph.degree(v) == 0)
-        .expect("the sample mutation tombstones a value");
-    let mut haunted = payload.to_vec();
-    haunted[vector + 8 * isolated as usize] = 7;
-    expect_corrupt(&haunted, "isolated value node");
-
     // The resealing itself is sound: the untouched payload still loads.
     decode_snapshot(&with_payload(&bytes, "net", payload)).unwrap();
-}
-
-/// `bytes` with the net section's id maps rewritten by `forge` (given
-/// `node_of_value` and `attr_index_of`), resealed by [`with_payload`].
-fn with_forged_id_maps(bytes: &[u8], forge: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>)) -> Vec<u8> {
-    let net = *section_table(bytes)
-        .unwrap()
-        .iter()
-        .find(|s| s.name == "net")
-        .unwrap();
-    let mut r = ByteReader::new(&bytes[net.offset..net.offset + net.len], "net");
-    let head = r.take(1 + 8).unwrap(); // pruning flag, generation
-    let mut node_of_value = r.get_u32_vec().unwrap();
-    let mut attr_index_of = r.get_u32_vec().unwrap();
-    let tail = r.take(r.remaining()).unwrap();
-    forge(&mut node_of_value, &mut attr_index_of);
-    let mut w = ByteWriter::new();
-    w.put_bytes(head);
-    put_u32_vec(&mut w, &node_of_value);
-    put_u32_vec(&mut w, &attr_index_of);
-    w.put_bytes(tail);
-    with_payload(bytes, "net", &w.into_inner())
-}
-
-#[test]
-fn forged_id_maps_are_corrupt_not_served() {
-    // The graph is derived from the lake through the net's id maps, so a
-    // checksum-valid net section whose maps lie about the lake must be
-    // refused, naming the invariant, before anything indexes through them.
-    let (lake, net, measures) = sample_engine();
-    let manifest = Manifest {
-        last_seq: 4,
-        epoch: 2,
-        measures,
-    };
-    let bytes = encode_snapshot(&lake, &net, &manifest);
-    let expect_corrupt = |forged: Vec<u8>, what: &str| match decode_snapshot(&forged) {
-        Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
-        other => panic!("expected Corrupt ({what}), got {other:?}"),
-    };
-    let graph = net.graph();
-    let node = |vid: usize| net.node_of_value(ValueId(vid as u32));
-    let mapped: Vec<usize> = (0..lake.value_count())
-        .filter(|&v| node(v).is_some())
-        .collect();
-    let candidate = *mapped
-        .iter()
-        .find(|&&v| graph.degree(node(v).unwrap()) > 0)
-        .expect("the sample has candidates");
-
-    // (a) A candidate value with no node. The value on the last node takes
-    // the candidate's, so the remaining nodes still fill 0..n.
-    let last = graph.value_count() as u32 - 1;
-    expect_corrupt(
-        with_forged_id_maps(&bytes, |values, _| {
-            let top = values.iter().position(|&n| n == last).unwrap();
-            values[top] = values[candidate];
-            values[candidate] = u32::MAX;
-        }),
-        &format!("candidate value {candidate} has no value node"),
-    );
-    // (b) Two values on one node.
-    expect_corrupt(
-        with_forged_id_maps(&bytes, |values, _| values[mapped[1]] = values[mapped[0]]),
-        "map to one value node",
-    );
-    // (c) An attribute index past the allocated ones.
-    let allocated = graph.attribute_count();
-    expect_corrupt(
-        with_forged_id_maps(&bytes, |_, attrs| {
-            let attr = attrs.iter().position(|&i| i != u32::MAX).unwrap();
-            attrs[attr] = allocated as u32 + 3;
-        }),
-        &format!("past the {allocated} allocated"),
-    );
-    // (d) A value map shorter than the lake.
-    expect_corrupt(
-        with_forged_id_maps(&bytes, |values, _| {
-            values.pop();
-        }),
-        "value map covers",
-    );
-
-    // The forging itself is sound: unchanged maps still load.
-    decode_snapshot(&with_forged_id_maps(&bytes, |_, _| {})).unwrap();
 }
 
 #[test]
@@ -385,8 +290,8 @@ fn forged_lake_slots_are_corrupt_not_served() {
     huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
 
     for (forged, what) in [
-        // A removed slot's column count has no bytes behind it: the net
-        // section's attribute map bounds it before anything is allocated.
+        // A removed slot's column count without the zero bytes that back
+        // it: refused before anything is allocated.
         (huge, "slots claim 4294967295 attributes"),
         // The interner's OKAPI renamed: two columns hold a value it lacks.
         (
@@ -418,7 +323,8 @@ fn forged_lake_slots_are_corrupt_not_served() {
 #[test]
 fn a_lake_with_removed_and_readded_tables_round_trips_byte_identically() {
     // Every index of the decoded lake is derived by the replay, so the ids
-    // (values, attributes, tombstones) must come out as the writer had them.
+    // (values, attributes, dead attribute slots) must come out as the writer
+    // had them.
     let (mut lake, mut net, measures) = sample_engine();
     for delta in [
         LakeDelta::new().remove_table("T9").remove_table("T1"),

@@ -12,7 +12,7 @@
 //!   component migration, number nodes differently and so sum in a different
 //!   order. A maintained score does not drift with the deltas applied).
 //!   Sequence 0 at 2 shards also checks, after every commit, that each
-//!   shard's maintained graph is the one its lake and id maps derive.
+//!   shard's maintained net is a fresh build of its lake, bit for bit.
 //! * `grouped_commits_place_tables_as_op_by_op_commits` — a multi-shard
 //!   commit routes op by op but commits once per shard; 50 seeded 8-delta
 //!   sequences, and 30 seeded chains of tables linked by new values,
@@ -269,7 +269,7 @@ fn fifty_seeded_sequences_agree_across_shard_counts() {
                 if sequence == 0 && shards == 2 {
                     for shard in 0..shards {
                         let engine = coordinator.shard(shard);
-                        common::assert_graph_is_derived(
+                        common::assert_net_is_a_fresh_build(
                             engine.lake(),
                             engine.net(),
                             &format!("seq 0 step {step} shard {shard}"),

@@ -8,11 +8,11 @@
 //!   recovers, and the recovered top-k rankings
 //!   for all five golden-corpus measures (LCC, LCC(attr), exact BC, and
 //!   the seeded approx-BC — see `tests/golden_rankings.rs`) must match the
-//!   uninterrupted run within 1e-9, with ids and edges exactly equal.
+//!   uninterrupted run bit for bit, with ids and edges exactly equal.
 //! * `random_checkpoint_recovery_equivalence` — the property: for seeded
 //!   random lakes and mutation streams, with checkpoints taken at random
 //!   points, recovery after a kill at an arbitrary step equals the
-//!   uninterrupted run — exact on value ids and edges, 1e-9 on scores —
+//!   uninterrupted run — exact on value ids, edges and score bits —
 //!   and the recovered coordinator keeps serving correctly afterwards.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
@@ -84,11 +84,10 @@ fn config(measures: Vec<Measure>, prune: bool) -> ServiceConfig {
 }
 
 /// Assert two engines hold the same state: exact on ids and edges (CSR
-/// arrays and interner compared verbatim), 1e-9 on every score of every
-/// served measure, identical ranked orders. The score slack absorbs no
-/// drift: maintained LCC is a function of the maintained graph (`to_bits()`,
-/// see `incremental_equivalence.rs`), so equal CSR arrays carry equal LCC
-/// bits however many deltas each side applied.
+/// arrays and interner compared verbatim), on the bits of every score of
+/// every served measure, and on ranked orders. Recovery replays the same
+/// commits through the same `fold_batch` over the same derived graph, so
+/// nothing may differ, not even the sampled approximate BC.
 fn assert_engines_equal(
     label: &str,
     reference: (&CoordinatorHandle, &Coordinator),
@@ -115,7 +114,7 @@ fn assert_engines_equal(
     );
     assert_eq!(ga.value_labels(), gb.value_labels(), "{label}");
 
-    // Scores: every served measure, whole ranking, 1e-9.
+    // Scores: every served measure, whole ranking, bit for bit.
     let (ref_view, rec_view) = (ref_service.current(), rec_service.current());
     rec_view.verify_consistency().unwrap();
     for &measure in measures {
@@ -124,8 +123,9 @@ fn assert_engines_equal(
         assert_eq!(a.len(), b.len(), "{label}: {measure:?} ranking sizes");
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.value, y.value, "{label}: {measure:?} order");
-            assert!(
-                (x.score - y.score).abs() < 1e-9,
+            assert_eq!(
+                x.score.to_bits(),
+                y.score.to_bits(),
                 "{label}: {measure:?} {} scored {} vs {}",
                 x.value,
                 x.score,
