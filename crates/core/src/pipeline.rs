@@ -135,6 +135,22 @@ pub struct DeltaStats {
     pub touched_component_nodes: usize,
 }
 
+/// Sums the stats of several commits. A node count is the values or
+/// attributes that gained a node in one commit, so a value that loses its
+/// node in one commit and gains it back in a later one counts once per
+/// gain.
+impl std::ops::AddAssign for DeltaStats {
+    fn add_assign(&mut self, part: DeltaStats) {
+        self.value_nodes_added += part.value_nodes_added;
+        self.attr_nodes_added += part.attr_nodes_added;
+        self.edges_added += part.edges_added;
+        self.edges_removed += part.edges_removed;
+        self.dirty_values += part.dirty_values;
+        self.touched_components += part.touched_components;
+        self.touched_component_nodes += part.touched_component_nodes;
+    }
+}
+
 /// Why [`DomainNet::fold_batch`] rebuilt the net instead of patching it.
 #[derive(Debug)]
 pub enum FoldError {
@@ -400,8 +416,9 @@ impl DomainNet {
     ///   [`local_clustering_coefficients`](dn_graph::lcc::local_clustering_coefficients)
     ///   over the maintained [`DomainNet::graph`], whatever deltas led there.
     /// * **Exact BC** — recomputed only over the touched connected
-    ///   components (betweenness never crosses components, so this too is
-    ///   exact).
+    ///   components. Betweenness never crosses components, and the kernel
+    ///   lays its chunks out per component, so every score is `to_bits()`-
+    ///   equal to a whole-graph pass over the maintained graph.
     /// * **Approximate BC** — re-estimated by sampling inside the touched
     ///   components, with a generation-salted seed for determinism.
     ///
@@ -567,31 +584,91 @@ impl DomainNet {
         Ok(stats)
     }
 
-    /// Fold one logged batch into `lake` and this net, then warm `measures`:
-    /// the one policy a live commit, a replicated record and a WAL replay
-    /// share, so all three land on the same state.
+    /// Fold a run of logged batches into `lake` and this net, then warm
+    /// `measures`: the one policy a live commit and a replicated record (a
+    /// run of one) and a WAL replay (the whole suffix) share, so all three
+    /// land on the same state.
+    ///
+    /// The batches are applied to the lake in order, and one
+    /// [`DomainNet::apply_delta`] takes the union of the values they
+    /// touched; an empty run changes nothing. `generation` advances by the
+    /// number of batches. LCC and exact BC are a function of the lake (the
+    /// maintained net is a fresh build, bit for bit), so the run lands on
+    /// the state folding its batches one at a time gives. Sampled BC is
+    /// not: its re-estimates are salted by the generation they run at. So
+    /// while a warmed or memoized measure is sampled BC, a run folds one
+    /// batch at a time.
     ///
     /// # Errors
-    /// When the lake refuses an op the batch stops there with its earlier
-    /// ops applied ([`MutableLake::apply_batch`]); when the net refuses the
-    /// effects it is unchanged. Either way the net is rebuilt from the
-    /// lake's live state before the error is returned, so it is coherent
-    /// and warmed on every path.
+    /// Each batch that did not fold, by its index in the run. When the lake
+    /// refuses an op, that batch stops there with its earlier ops applied
+    /// ([`MutableLake::apply_batch`]) and the run goes on. The net is then
+    /// rebuilt from the lake's live state, and `generation` counts the
+    /// batches after the last refused one, as a rebuild at that batch and
+    /// the rest folded onto it would leave it. When the net refuses the
+    /// run's effects it is rebuilt the same way, as if the last batch had
+    /// failed. Either way the net is coherent and warmed on every path.
     pub fn fold_batch(
         &mut self,
         lake: &mut MutableLake,
-        batch: &[LakeDelta],
+        batches: &[&[LakeDelta]],
         measures: &[Measure],
-    ) -> Result<DeltaStats, FoldError> {
-        let folded = match lake.apply_batch(batch) {
-            Ok(effects) => self.apply_delta(lake, &effects).map_err(FoldError::Net),
-            Err(e) => Err(FoldError::Lake(e)),
-        };
-        if folded.is_err() {
-            self.refresh(lake);
+    ) -> Result<DeltaStats, Vec<(usize, FoldError)>> {
+        if batches.is_empty() {
+            return Ok(DeltaStats::default());
         }
+        if batches.len() > 1 && self.scores_sampled_bc(measures) {
+            let (mut stats, mut failures) = (DeltaStats::default(), Vec::new());
+            for (i, batch) in batches.iter().enumerate() {
+                match self.fold_batch(lake, &[*batch], measures) {
+                    Ok(part) => stats += part,
+                    Err(refused) => failures.extend(refused.into_iter().map(|(_, e)| (i, e))),
+                }
+            }
+            return if failures.is_empty() {
+                Ok(stats)
+            } else {
+                Err(failures)
+            };
+        }
+        let mut touched_values = Vec::new();
+        let mut failures = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            match lake.apply_batch(batch.iter()) {
+                Ok(effects) => touched_values.extend(effects.touched_values),
+                Err(e) => failures.push((i, FoldError::Lake(e))),
+            }
+        }
+        if failures.is_empty() {
+            touched_values.sort_unstable();
+            touched_values.dedup();
+            let generation = self.generation;
+            match self.apply_delta(lake, &DeltaEffects { touched_values }) {
+                Ok(stats) => {
+                    self.generation = generation + batches.len() as u64;
+                    self.warm_rankings(measures);
+                    return Ok(stats);
+                }
+                Err(e) => failures.push((batches.len() - 1, FoldError::Net(e))),
+            }
+        }
+        let last_refused = failures
+            .last()
+            .expect("a run that did not fold names a batch")
+            .0;
+        self.refresh(lake);
+        self.generation = (batches.len() - 1 - last_refused) as u64;
         self.warm_rankings(measures);
-        folded
+        Err(failures)
+    }
+
+    /// Whether a warmed or memoized measure is sampled BC.
+    fn scores_sampled_bc(&self, measures: &[Measure]) -> bool {
+        let caches = self.caches.lock().expect("score cache mutex");
+        measures
+            .iter()
+            .chain(caches.raw.keys())
+            .any(|m| matches!(m, Measure::ApproxBc(_)))
     }
 
     /// Discard all incremental state and rebuild from scratch against the

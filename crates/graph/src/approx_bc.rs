@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use crate::bc::{pool_twins, quotient_brandes};
+use crate::bc::{pool_twins, quotient_brandes, Sources};
 use crate::bipartite::BipartiteGraph;
 use crate::twins::NONE;
 
@@ -45,9 +45,11 @@ impl Default for ApproxBcConfig {
 ///
 /// The returned scores approximate the *exact* (unordered-pair) BC returned
 /// by [`crate::bc::betweenness_centrality`]: with `samples == node_count`
-/// the two are `to_bits()`-equal, because sampling without replacement then
+/// the estimate is exact BC, because sampling without replacement then
 /// draws every member of every class, the scale factor is 1, and the
-/// weighted class list is the exact kernel's.
+/// weighted class list is the exact kernel's. The two are `to_bits()`-equal
+/// when the classes form one component; otherwise the exact kernel's
+/// per-component chunks may sum them in another order (last ulps).
 ///
 /// `threads` is a **runtime execution parameter**, deliberately not part of
 /// [`ApproxBcConfig`]: the config is identity (it keys memo caches and is
@@ -75,8 +77,8 @@ pub fn approximate_betweenness(
 /// connected components (a set, in any order), as for
 /// [`crate::bc::betweenness_from_sources`]; nodes outside it score 0.
 /// `config.samples` is clamped to the pool size; with
-/// `samples == pool.len()` the result is exact on the pool, `to_bits()`-equal
-/// to [`crate::bc::betweenness_from_sources`].
+/// `samples == pool.len()` the result is exact on the pool, equal to
+/// [`crate::bc::betweenness_from_sources`] as above.
 ///
 /// The draws are the same as a per-node estimator's — the same seeded RNG
 /// picks the same pool indexes — and are then grouped per twin class of the
@@ -112,7 +114,7 @@ pub fn approximate_betweenness_within(
         .filter(|&c| draws[c as usize] > 0)
         .map(|c| (c, draws[c as usize] as f64 * scale))
         .collect();
-    quotient_brandes(graph, &twins, &sources, threads)
+    quotient_brandes(graph, &twins, Sources::Drawn(sources), threads)
 }
 
 /// Spearman-style rank agreement between two score vectors over the top-`k`

@@ -73,6 +73,19 @@
 //! or the components a delta touched — so that every node a BFS reaches is
 //! grouped.
 //!
+//! # Chunks
+//!
+//! A pass splits its sources into at most `MAX_CHUNKS` = 32 work chunks,
+//! each with its own accumulator, and folds the partials in chunk order.
+//! Exact BC lays the chunks out per component: each component's classes,
+//! ascending, are cut by `canonical_chunks` of that component's own class
+//! count, and chunk `j` runs piece `j` of every component. A class only
+//! collects from sources in its component, so its sum is parenthesized by
+//! its component alone: a pass over the components a delta touched and a
+//! whole-graph pass give its members the same bits. Sampled BC cuts the
+//! drawn class list flat, since its draws are a function of the whole pool
+//! anyway.
+//!
 //! Every function in this module counts each unordered pair `{v, w}` once,
 //! which is the standard convention for undirected graphs. Use
 //! [`normalize_scores`] to rescale into `[0, 1]`.
@@ -89,14 +102,15 @@ pub fn betweenness_centrality(graph: &BipartiteGraph) -> Vec<f64> {
     betweenness_centrality_parallel(graph, 1)
 }
 
-/// The canonical task-decomposition width: source lists are split into at
-/// most this many chunks. The chunk layout is a **pure function of the
-/// source count** — never of the thread count or of which worker ran what —
-/// so the floating-point reduction is parenthesized identically for every
-/// pool width (1 included) and every run. That is what makes exact-BC
-/// results `to_bits()`-identical across thread counts, which the golden
-/// gates and the replication digest exchange rely on. A call holds 32
-/// accumulators of `classes` floats and one lane workspace per worker.
+/// The canonical task-decomposition width: a pass runs at most this many
+/// chunks. The chunk layout is a **pure function of the sources** — of each
+/// component's class count for exact BC, of the drawn list's length for
+/// sampled BC (module doc), never of the thread count or of which worker
+/// ran what — so the floating-point reduction is parenthesized identically
+/// for every pool width (1 included) and every run. That is what makes BC
+/// `to_bits()`-identical across thread counts, which the golden gates and
+/// the replication digest exchange rely on. A call holds 32 accumulators
+/// of `classes` floats and one lane workspace per worker.
 const MAX_CHUNKS: usize = 32;
 
 /// Split `0..len` into the canonical chunk ranges (at most [`MAX_CHUNKS`],
@@ -113,15 +127,15 @@ pub(crate) fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Exact betweenness centrality using a pool `threads` wide.
 ///
-/// The source classes are split into the canonical chunks (at most
-/// `MAX_CHUNKS`) and scheduled onto a work-stealing [`dn_pool::Pool`]; each
-/// chunk owns a private per-class accumulator, and the per-chunk partials
-/// are folded **in chunk order**, so the result is bit-identical for every
-/// `threads` value — `betweenness_centrality_parallel(g, 1)` and `(g, 8)`
-/// agree on every bit.
+/// The source classes are split into chunks per component (module doc) and
+/// scheduled onto a work-stealing [`dn_pool::Pool`]; each chunk owns a
+/// private per-class accumulator, and the per-chunk partials are folded
+/// **in chunk order**, so the result is bit-identical for every `threads`
+/// value — `betweenness_centrality_parallel(g, 1)` and `(g, 8)` agree on
+/// every bit — and a node's bits depend on its component alone.
 pub fn betweenness_centrality_parallel(graph: &BipartiteGraph, threads: usize) -> Vec<f64> {
     let twins = Twins::of(graph, graph.nodes());
-    quotient_brandes(graph, &twins, &every_class(&twins), threads)
+    quotient_brandes(graph, &twins, Sources::EveryClass, threads)
 }
 
 /// Exact betweenness restricted to shortest paths **starting at `sources`**,
@@ -131,8 +145,9 @@ pub fn betweenness_centrality_parallel(graph: &BipartiteGraph, threads: usize) -
 /// because a dependency accumulation from source `s` never leaves `s`'s
 /// connected component, passing *every* node of a union of components as
 /// `sources` yields, for the nodes **inside** those components, exactly their
-/// global exact BC — without touching the rest of the graph. `sources` must
-/// be such a union (a set, in any order); nodes outside it score 0.
+/// global exact BC, bit for bit — without touching the rest of the graph.
+/// `sources` must be such a union (a set, in any order); nodes outside it
+/// score 0.
 ///
 /// # Panics
 /// Panics if a node of `sources` has a neighbour outside it.
@@ -142,7 +157,7 @@ pub fn betweenness_from_sources(
     threads: usize,
 ) -> Vec<f64> {
     let twins = pool_twins(graph, sources);
-    quotient_brandes(graph, &twins, &every_class(&twins), threads.max(1))
+    quotient_brandes(graph, &twins, Sources::EveryClass, threads.max(1))
 }
 
 /// The twin classes of a union of components given as a node list in any
@@ -154,27 +169,36 @@ pub(crate) fn pool_twins(graph: &BipartiteGraph, pool: &[u32]) -> Twins {
     Twins::of(graph, nodes)
 }
 
-/// Every class as a source, weighted by its size: exact BC.
-fn every_class(twins: &Twins) -> Vec<(u32, f64)> {
-    (0..twins.count() as u32)
-        .map(|c| (c, twins.members(c).len() as f64))
-        .collect()
+/// The sources of one [`quotient_brandes`] pass.
+pub(crate) enum Sources {
+    /// Every class, weighted by its size (exact BC), in chunks laid out per
+    /// component.
+    EveryClass,
+    /// These `(class, weight)` pairs (sampled BC), in the canonical chunks
+    /// of the list.
+    Drawn(Vec<(u32, f64)>),
 }
 
-/// Run the quotient kernel from each `(class, weight)` of `sources` across a
-/// work-stealing pool, scatter the class totals to the members and halve.
-/// Deterministic: the canonical chunk layout over `sources`, its batches of
-/// [`LANES`] and the chunk-index-ordered fold make the output a pure function
-/// of `(graph, twins, sources)`, independent of `threads` and of scheduling.
+/// Run the quotient kernel from `sources` across a work-stealing pool,
+/// scatter the class totals to the members and halve. Deterministic: the
+/// chunk layout (module doc), its batches of [`LANES`] and the
+/// chunk-index-ordered fold make the output a pure function of `(graph,
+/// twins, sources)`, independent of `threads` and of scheduling.
 pub(crate) fn quotient_brandes(
     graph: &BipartiteGraph,
     twins: &Twins,
-    sources: &[(u32, f64)],
+    sources: Sources,
     threads: usize,
 ) -> Vec<f64> {
     let quotient = Quotient::of(graph, twins);
     let classes = twins.count();
-    let chunks = canonical_chunks(sources.len());
+    let chunks = match sources {
+        Sources::EveryClass => quotient.component_chunks(),
+        Sources::Drawn(drawn) => canonical_chunks(drawn.len())
+            .into_iter()
+            .map(|chunk| drawn[chunk].to_vec())
+            .collect(),
+    };
     let ctx = dn_trace::current();
     // Chunks hand their workspace on, so a worker allocates one.
     let workspaces = Mutex::new(Vec::new());
@@ -183,7 +207,7 @@ pub(crate) fn quotient_brandes(
         let mut acc = vec![0.0; classes];
         let spare = workspaces.lock().expect("workspace list").pop();
         let mut workspace = spare.unwrap_or_else(|| Workspace::new(classes));
-        for batch in sources[chunks[c].clone()].chunks(LANES) {
+        for batch in chunks[c].chunks(LANES) {
             quotient.accumulate(batch, &mut workspace, &mut acc);
         }
         workspaces.lock().expect("workspace list").push(workspace);
@@ -286,6 +310,40 @@ impl Quotient {
 
     fn neighbours(&self, class: u32) -> &[u32] {
         &self.adjacency[self.offsets[class as usize]..self.offsets[class as usize + 1]]
+    }
+
+    /// Every class as a source weighted by its size, in chunks laid out per
+    /// component: a component's classes, ascending, are cut by
+    /// [`canonical_chunks`] of its own class count, and chunk `j` holds
+    /// piece `j` of every component, components in order of their lowest
+    /// class.
+    fn component_chunks(&self) -> Vec<Vec<(u32, f64)>> {
+        let classes = self.size.len();
+        let mut seen = vec![false; classes];
+        let mut chunks: Vec<Vec<(u32, f64)>> = Vec::new();
+        for root in 0..classes as u32 {
+            if std::mem::replace(&mut seen[root as usize], true) {
+                continue;
+            }
+            let mut component = vec![root];
+            let mut next = 0;
+            while let Some(&c) = component.get(next) {
+                for &d in self.neighbours(c) {
+                    if !std::mem::replace(&mut seen[d as usize], true) {
+                        component.push(d);
+                    }
+                }
+                next += 1;
+            }
+            component.sort_unstable();
+            for (j, piece) in canonical_chunks(component.len()).into_iter().enumerate() {
+                if j == chunks.len() {
+                    chunks.push(Vec::new());
+                }
+                chunks[j].extend(component[piece].iter().map(|&c| (c, self.size[c as usize])));
+            }
+        }
+        chunks
     }
 
     /// One BFS from a representative of each source class of `batch` (at
@@ -1037,28 +1095,8 @@ mod tests {
         let (mut sides, mut edges) = (vec![false], Vec::new()); // an isolated value
         let mut components = 0;
         loop {
-            let (first, size) = (sides.len(), rng.gen_range(2..=120));
-            let reach = rng.gen_range(1..size);
-            sides.push(rng.gen_bool(0.5));
-            for n in first + 1..first + size {
-                let parent = rng.gen_range(n.saturating_sub(reach).max(first)..n);
-                sides.push(!sides[parent]);
-                edges.push((parent, n));
-            }
-            for _ in 0..rng.gen_range(0..=size / 4) {
-                let (x, y) = (
-                    rng.gen_range(first..first + size),
-                    rng.gen_range(first..first + size),
-                );
-                if sides[x] != sides[y] && !edges.contains(&(x, y)) && !edges.contains(&(y, x)) {
-                    edges.push((x, y));
-                }
-            }
-            for side in [false, true] {
-                if let Some(original) = (first..first + size).find(|&n| sides[n] == side) {
-                    add_twin(&mut sides, &mut edges, original);
-                }
-            }
+            let size = rng.gen_range(2..=120);
+            push_component(rng, &mut sides, &mut edges, size);
             components += 1;
             let graph = graph_of(&sides, &edges);
             if components >= 5 && Twins::of(&graph, graph.nodes()).count() >= 300 {
@@ -1076,6 +1114,114 @@ mod tests {
             .map(|&(x, y)| (position[x], position[y]))
             .collect();
         graph_of(&shuffled, &edges)
+    }
+
+    /// Append to `sides` and `edges` one component of `size` ≥ 2 nodes plus
+    /// two twin copies (`multi_component_graph` says how it is grown).
+    fn push_component(
+        rng: &mut StdRng,
+        sides: &mut Vec<bool>,
+        edges: &mut Vec<(usize, usize)>,
+        size: usize,
+    ) {
+        let first = sides.len();
+        let reach = rng.gen_range(1..size);
+        sides.push(rng.gen_bool(0.5));
+        for n in first + 1..first + size {
+            let parent = rng.gen_range(n.saturating_sub(reach).max(first)..n);
+            sides.push(!sides[parent]);
+            edges.push((parent, n));
+        }
+        for _ in 0..rng.gen_range(0..=size / 4) {
+            let (x, y) = (
+                rng.gen_range(first..first + size),
+                rng.gen_range(first..first + size),
+            );
+            if sides[x] != sides[y] && !edges.contains(&(x, y)) && !edges.contains(&(y, x)) {
+                edges.push((x, y));
+            }
+        }
+        for side in [false, true] {
+            if let Some(original) = (first..first + size).find(|&n| sides[n] == side) {
+                add_twin(sides, edges, original);
+            }
+        }
+    }
+
+    /// The node id `graph_of(sides, ..)` gives each index: each side is
+    /// numbered in index order.
+    fn node_ids(graph: &BipartiteGraph, sides: &[bool]) -> Vec<u32> {
+        let mut counts = [0, 0];
+        sides
+            .iter()
+            .map(|&attribute| {
+                let rank = counts[usize::from(attribute)];
+                counts[usize::from(attribute)] += 1;
+                if attribute {
+                    graph.attribute_node(rank)
+                } else {
+                    rank
+                }
+            })
+            .collect()
+    }
+
+    /// One component of more than 64 classes, alone and then among seeded
+    /// components of other sizes placed before and after it in node order:
+    /// its nodes score the bits they score alone, whole graph and from any
+    /// pool that holds it, at 1 and 2 threads. Each embedding shifts where
+    /// a flat cut of the graph's classes would split the component.
+    #[test]
+    fn a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph() {
+        let mut rng = StdRng::seed_from_u64(2021);
+        let (mut sides, mut edges) = (Vec::new(), Vec::new());
+        push_component(&mut rng, &mut sides, &mut edges, 240);
+        let alone = graph_of(&sides, &edges);
+        assert!(Twins::of(&alone, alone.nodes()).count() > 64);
+        let bits = |scores: Vec<f64>, nodes: &[u32]| -> Vec<u64> {
+            nodes
+                .iter()
+                .map(|&n| scores[n as usize].to_bits())
+                .collect()
+        };
+        let reference = bits(
+            betweenness_centrality_parallel(&alone, 1),
+            &node_ids(&alone, &sides),
+        );
+        for layout in 0..8 {
+            let (mut s, mut e) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..=3) {
+                let size = rng.gen_range(2..=150);
+                push_component(&mut rng, &mut s, &mut e, size);
+            }
+            let (before, first) = (s.len(), s.len());
+            s.extend(&sides);
+            e.extend(edges.iter().map(|&(x, y)| (first + x, first + y)));
+            for _ in 0..rng.gen_range(usize::from(before == 0)..=3) {
+                let size = rng.gen_range(2..=150);
+                push_component(&mut rng, &mut s, &mut e, size);
+            }
+            let graph = graph_of(&s, &e);
+            let ids = node_ids(&graph, &s);
+            let own = ids[first..first + sides.len()].to_vec();
+            let with_before = ids[..first + sides.len()].to_vec();
+            for threads in [1, 2] {
+                let what = format!("layout {layout}, {threads} threads");
+                assert_eq!(
+                    bits(betweenness_centrality_parallel(&graph, threads), &own),
+                    reference,
+                    "{what}: whole graph"
+                );
+                for pool in [&own, &with_before] {
+                    assert_eq!(
+                        bits(betweenness_from_sources(&graph, pool, threads), &own),
+                        reference,
+                        "{what}: a pool of {} nodes",
+                        pool.len()
+                    );
+                }
+            }
+        }
     }
 
     /// Graphs of 300 classes or more, so every canonical chunk of the whole
@@ -1114,7 +1260,9 @@ mod tests {
     fn assert_lanes_match_one_source_at_a_time(graph: &BipartiteGraph, rng: &mut StdRng) {
         let twins = Twins::of(graph, graph.nodes());
         let quotient = Quotient::of(graph, &twins);
-        let in_order = every_class(&twins);
+        let in_order: Vec<(u32, f64)> = (0..twins.count() as u32)
+            .map(|c| (c, twins.members(c).len() as f64))
+            .collect();
         let mut shuffled = in_order.clone();
         shuffled.shuffle(rng);
         let drawn: Vec<(u32, f64)> = shuffled

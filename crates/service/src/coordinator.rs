@@ -573,20 +573,6 @@ impl Pending {
     }
 }
 
-/// Sum the stats of a batch's shard commits. A node count is the values or
-/// attributes that gained a node in that commit, so a value that loses its
-/// node in one commit and gains it back in a later one counts once per
-/// gain.
-fn add_stats(total: &mut DeltaStats, part: DeltaStats) {
-    total.value_nodes_added += part.value_nodes_added;
-    total.attr_nodes_added += part.attr_nodes_added;
-    total.edges_added += part.edges_added;
-    total.edges_removed += part.edges_removed;
-    total.dirty_values += part.dirty_values;
-    total.touched_components += part.touched_components;
-    total.touched_component_nodes += part.touched_component_nodes;
-}
-
 // ---------------------------------------------------------------------------
 // MultiView: the atomically published cross-shard snapshot set
 // ---------------------------------------------------------------------------
@@ -1397,7 +1383,7 @@ impl Coordinator {
         pending.clear();
         for (shard, batch) in batches.iter_mut().enumerate() {
             if !batch.is_empty() {
-                add_stats(total, self.commit_shard(shard, std::mem::take(batch))?);
+                *total += self.commit_shard(shard, std::mem::take(batch))?;
             }
         }
         Ok(())
@@ -2150,7 +2136,8 @@ mod tests {
         let mut twin = domainnet::DomainNetBuilder::new()
             .prune_single_attribute_values(false)
             .build(&twin_lake);
-        twin.fold_batch(&mut twin_lake, &chain, &measures).unwrap();
+        twin.fold_batch(&mut twin_lake, &[&chain], &measures)
+            .unwrap();
         let dir = store_dir("chain");
         let (_, mut coordinator) = serve_sharded_durable(
             running_lake(),

@@ -223,17 +223,18 @@ pub(crate) fn serve_durable(
 }
 
 /// Restore a shard from its store directory: load the newest valid
-/// snapshot, replay the WAL suffix through the incremental path, and
-/// publish the recovered state as the current epoch (numbering resumes
-/// where the crashed shard left off).
+/// snapshot, fold the WAL suffix through the incremental path in one call
+/// ([`Store::recover`]), and publish the recovered state as the current
+/// epoch (numbering resumes where the crashed shard left off).
 ///
 /// The recovered net keeps the graph configuration it was persisted with
 /// (`config.prune_single_attribute_values` does not re-prune an existing
 /// graph). `config.measures` should match the measures the crashed shard
-/// served — recovery replays and re-warms the *persisted* measure list so
-/// incremental approximate-BC estimates continue their exact sequence;
-/// any additional measures requested here are computed fresh on the
-/// recovered graph, which is deterministic for the exact measures.
+/// served — recovery folds and warms the *persisted* measure list, record
+/// by record when it holds sampled BC so its estimates continue their
+/// exact sequence; any additional measures requested here are computed
+/// fresh on the recovered graph, which is deterministic for the exact
+/// measures.
 ///
 /// `gauges` is where the recovered store publishes its sizes: a fresh
 /// `Arc` at start-up, the replaced shard's when a follower reinstalls one
@@ -337,11 +338,13 @@ impl Writer {
             persistence.sync_gauges();
         }
         self.net
-            .fold_batch(&mut self.lake, batch, &self.measures)
-            .map_err(|e| match e {
-                FoldError::Lake(e) => ServiceError::Lake(e),
-                FoldError::Net(msg) => ServiceError::Maintenance(msg),
-            })
+            .fold_batch(&mut self.lake, &[batch], &self.measures)
+            .map_err(
+                |mut refused| match refused.pop().expect("a refused batch").1 {
+                    FoldError::Lake(e) => ServiceError::Lake(e),
+                    FoldError::Net(msg) => ServiceError::Maintenance(msg),
+                },
+            )
     }
 
     /// Bump the epoch and publish the net's current state as its snapshot.
@@ -447,7 +450,9 @@ impl Writer {
         persistence.sync_gauges();
         // A batch that does not fold is not an error here (see above): the
         // net was rebuilt from the lake's live state, as on the primary.
-        let _ = self.net.fold_batch(&mut self.lake, batch, &self.measures);
+        let _ = self
+            .net
+            .fold_batch(&mut self.lake, &[batch], &self.measures);
         // Adopt the primary's post-batch epoch. `publish()` would mint
         // `self.epoch + 1`, which drifts whenever the primary's history
         // contains epochs this follower never saw (pre-snapshot commits).

@@ -404,12 +404,15 @@ impl Store {
     ///
     /// Loads the newest snapshot that validates (skipping corrupt ones),
     /// then replays every WAL batch with a sequence number beyond the
-    /// snapshot through [`DomainNet::fold_batch`] — the exact code path the
-    /// live writer runs, including its failure semantics (a batch that
-    /// fails mid-apply leaves its earlier ops applied and triggers a rebuild
-    /// from live state) and its re-warming of the served measures after
-    /// every batch, so incremental approximate-BC estimates continue the same
-    /// generation-salted sequence. Any torn WAL tail is truncated.
+    /// snapshot through one [`DomainNet::fold_batch`] call over the whole
+    /// suffix — the code path the live writer runs a record at a time,
+    /// including its failure semantics (a batch that fails mid-apply leaves
+    /// its earlier ops applied and triggers a rebuild from live state). The
+    /// run lands on the writer's state bit for bit: LCC and exact BC are a
+    /// function of the lake, so the suffix is one patch and one warm of the
+    /// served measures, while a net serving sampled BC folds it record by
+    /// record, so its estimates continue the same generation-salted
+    /// sequence. Any torn WAL tail is truncated.
     ///
     /// When the newest snapshot is unreadable and recovery falls back to
     /// an older one, WAL records that chained onto the *newest* snapshot
@@ -425,7 +428,7 @@ impl Store {
 
     /// [`Store::recover`] with snapshot section decoding spread over up to
     /// `threads` workers; the recovered state is identical for every width
-    /// (WAL replay itself stays sequential — the records are ordered). The
+    /// (WAL replay itself stays one ordered fold). The
     /// returned store keeps `threads` as its codec width.
     pub fn recover_threaded(dir: impl Into<PathBuf>, threads: usize) -> Result<(Store, Recovered)> {
         let threads = threads.max(1);
@@ -471,8 +474,7 @@ impl Store {
 
         let mut last_seq = manifest.last_seq;
         let mut epoch = manifest.epoch;
-        let mut replayed = 0usize;
-        let mut resyncs = 0usize;
+        let mut suffix: Vec<&[LakeDelta]> = Vec::new();
         let mut discarded = 0usize;
         let mut truncate_to = scan.valid_len;
         for record in &scan.records {
@@ -497,21 +499,20 @@ impl Store {
                     .count();
                 break;
             }
-            // The live writer's fold, failure semantics and re-warming
-            // included, so replay lands on the state it reached.
-            if net
-                .fold_batch(&mut lake, &record.batch, &manifest.measures)
-                .is_err()
-            {
-                resyncs += 1;
-            }
+            suffix.push(&record.batch);
             last_seq = record.seq;
             // The record was committed while `record.epoch` was published;
             // the live writer's next publish would have been epoch + 1, so
             // recovery resumes numbering there (never below the snapshot's).
             epoch = epoch.max(record.epoch + 1);
-            replayed += 1;
         }
+        // The live writer's fold, failure semantics included, over the
+        // whole suffix at once: it lands on the state the writer reached
+        // folding one record at a time.
+        let resyncs = net
+            .fold_batch(&mut lake, &suffix, &manifest.measures)
+            .err()
+            .map_or(0, |refused| refused.len());
 
         let wal = Wal::open_truncated(&wal_path, truncate_to)?;
         let store = Store {
@@ -528,7 +529,7 @@ impl Store {
             snapshot_epoch: manifest.epoch,
             measures: manifest.measures,
             last_seq,
-            replayed_batches: replayed,
+            replayed_batches: suffix.len(),
             resyncs,
             snapshots_skipped: skipped,
             wal_batches_discarded: discarded,
@@ -926,5 +927,111 @@ mod tests {
         );
         assert_eq!(recovered.net.export_state(), net.export_state());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A table of `columns` columns over tokens `{prefix}0..{prefix}79`:
+    /// each token lands in its own seeded set of columns, so the table is
+    /// a component of many twin classes.
+    fn token_table(name: &str, prefix: &str, columns: usize, seed: u64) -> lake::Table {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut builder = TableBuilder::new(name);
+        for c in 0..columns {
+            let cells: Vec<String> = (0..40)
+                .map(|_| format!("{prefix}{}", rng.gen_range(0..80)))
+                .collect();
+            builder = builder.column(format!("c{c}"), cells);
+        }
+        builder.build().unwrap()
+    }
+
+    /// Six records folded by a live writer one at a time, then recovered
+    /// from the WAL in one fold: the lake (slots and interner) and the net
+    /// (raw scores, cardinalities, generation) agree, and so do the
+    /// resyncs. The records touch a TUS lake's components, a new component
+    /// of more than 32 twin classes and both at once; in two of the runs
+    /// the lake refuses the third partway. With sampled BC persisted the
+    /// suffix folds record by record, and the recovered state is the
+    /// writer's too.
+    #[test]
+    fn a_suffix_folded_in_one_call_equals_folding_it_record_by_record() {
+        let generated = datagen::tus::TusGenerator::new(datagen::tus::TusConfig {
+            domain_count: 6,
+            ..datagen::tus::TusConfig::small(7)
+        })
+        .generate();
+        let base = MutableLake::from_tables(generated.catalog.tables().cloned()).unwrap();
+        let tus_table = base.live_table_names()[0].to_owned();
+        let tus_value = base.table(&tus_table).unwrap().columns()[0].cells()[0].to_owned();
+        let records = vec![
+            vec![LakeDelta::new().add_table(token_table("fresh_a", "fa", 12, 1))],
+            vec![LakeDelta::new().remove_table(tus_table.as_str())],
+            vec![LakeDelta::new().add_table(token_table("fresh_b", "fb", 3, 2))],
+            vec![LakeDelta::new().replace_value("fresh_a", "c0", "fa7", "fa81")],
+            vec![LakeDelta::new().add_table(
+                TableBuilder::new("bridge")
+                    .column("x", ["fa3", "fa5", tus_value.as_str()])
+                    .build()
+                    .unwrap(),
+            )],
+            vec![LakeDelta::new().remove_table("fresh_b")],
+        ];
+        let exact = vec![Measure::lcc(), Measure::exact_bc()];
+        for (name, measures, refused) in [
+            ("exact", exact.clone(), false),
+            ("exact, refused", exact, true),
+            (
+                "sampled, refused",
+                vec![Measure::lcc(), Measure::approx_bc(64, 2021)],
+                true,
+            ),
+        ] {
+            let mut records = records.clone();
+            if refused {
+                records[2].push(LakeDelta::new().remove_table("ghost"));
+            }
+            let dir = test_dir(&format!("suffix_{}", name.replace(", ", "_")));
+            let mut lake = base.clone();
+            let mut net = DomainNetBuilder::new()
+                .prune_single_attribute_values(false)
+                .build(&lake);
+            net.warm_rankings(&measures);
+            let mut store = Store::create(&dir).unwrap();
+            store.checkpoint(&lake, &net, 0, &measures).unwrap();
+            let mut resyncs = 0;
+            for batch in &records {
+                store.append_batch(0, batch).unwrap();
+                if net.fold_batch(&mut lake, &[batch], &measures).is_err() {
+                    resyncs += 1;
+                }
+            }
+            drop(store);
+
+            let (_, recovered) = Store::recover(&dir).unwrap();
+            assert_eq!(recovered.replayed_batches, records.len(), "{name}");
+            let refusals = usize::from(refused);
+            assert_eq!((recovered.resyncs, resyncs), (refusals, refusals), "{name}");
+            assert_eq!(
+                format!("{:?}", recovered.lake.table_slots()),
+                format!("{:?}", lake.table_slots()),
+                "{name}: lake slots"
+            );
+            assert!(
+                recovered.lake.interner().iter().eq(lake.interner().iter()),
+                "{name}: interner"
+            );
+            let (state, live) = (recovered.net.export_state(), net.export_state());
+            assert_eq!(state.generation, live.generation, "{name}");
+            assert_eq!(
+                state.caches.cardinalities, live.caches.cardinalities,
+                "{name}"
+            );
+            assert_eq!(state.caches.raw.len(), live.caches.raw.len(), "{name}");
+            for ((m, a), (_, b)) in state.caches.raw.iter().zip(&live.caches.raw) {
+                let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{name}: raw {m:?}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

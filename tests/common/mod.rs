@@ -7,13 +7,9 @@ use domainnet::{DomainNet, DomainNetBuilder, Measure};
 use lake::delta::MutableLake;
 
 /// Assert that `net` is a fresh build of `lake`: the same CSR arrays, value
-/// and attribute labels and node counts, the same raw LCC scores bit for
-/// bit, and the same raw exact-BC scores within 1e-9. A delta re-runs BC
-/// from the sources of the touched components only; once the graph has
-/// more than 32 twin classes, the canonical chunks split those sources
-/// differently from a whole-graph pass, so the sums may differ in the last
-/// ulps. `net` itself is left as it was: a measure it has not scored is
-/// scored on a clone.
+/// and attribute labels and node counts, and the same raw LCC and exact-BC
+/// scores bit for bit. `net` itself is left as it was: a measure it has not
+/// scored is scored on a clone.
 pub fn assert_net_is_a_fresh_build(lake: &MutableLake, net: &DomainNet, context: &str) {
     let fresh = DomainNetBuilder::new()
         .prune_single_attribute_values(net.config().prune_single_attribute_values)
@@ -45,12 +41,8 @@ pub fn assert_net_is_a_fresh_build(lake: &MutableLake, net: &DomainNet, context:
         let (maintained, rebuilt) = (net.raw_scores(measure), fresh.raw_scores(measure));
         assert_eq!(maintained.len(), rebuilt.len(), "{context}");
         for (node, (a, b)) in maintained.iter().zip(&rebuilt).enumerate() {
-            let equal = match measure {
-                Measure::ExactBc => (a - b).abs() < 1e-9,
-                _ => a.to_bits() == b.to_bits(),
-            };
             assert!(
-                equal,
+                a.to_bits() == b.to_bits(),
                 "{context}: {} of node {node} is {a}, a fresh build's {b}",
                 measure.name()
             );

@@ -14,10 +14,12 @@
 //!   longer holds are gone), so its nodes sum in another order.
 //!
 //! After every step the maintained net must also be a fresh build of the
-//! *same* lake: the same CSR arrays, labels and node counts, LCC scores bit
-//! for bit and exact-BC scores within 1e-9 (`common` says why). A net is a
-//! function of its lake, whatever deltas led there, and the snapshot format
-//! rests on that (it stores no graph and no node ids).
+//! *same* lake: the same CSR arrays, labels and node counts, and LCC and
+//! exact-BC scores bit for bit. A net is a function of its lake, whatever
+//! deltas led there, and the snapshot format rests on that (it stores no
+//! graph and no node ids). Exact BC is bits because its chunks are laid
+//! out per component, so a pass over the touched components sums a node's
+//! score as a whole-graph pass does.
 
 mod common;
 
