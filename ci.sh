@@ -146,6 +146,11 @@ GATES=(
     # from_dictionary and JSON decode keep four heap blocks; a forged
     # `distinct` array fails at decode (column JSON, POST body, WAL record).
     "quick|a column keeps only its dictionary: interning oracle, retention, forged list rejected at decode|-p lake -p dn-server -p dn-store -p domainnet_suite --lib --test column_keeps_only_its_dictionary --test corruption --test incremental_equivalence|dictionary_interning_matches_the_sorted_list_oracle a_column_keeps_only_its_dictionary_and_indices a_forged_distinct_array"
+    # Reads that only borrow what a pinned view holds gather in shard order
+    # on the request thread: no probe leaves it, answers match a pooled
+    # view at every width and shard order, and a top-k miss still nests
+    # one shard_query span per shard under coord_scatter.
+    "quick|in-order gathers: calling thread only, width- and order-invariant answers, scatter span tree kept|-p dn-service -p domainnet_suite --lib --test trace_propagation|gather_probes_every_shard_in_order_on_the_calling_thread gathered_reads_do_not_depend_on_width_or_shard_order sharded_requests_build_one_contained_span_tree"
     # --test-threads bounds concurrently running test functions, not the
     # threads a test spawns (this one spawns 8 readers and a writer).
     "quick|serving concurrency stress (--test-threads ${CORES})|--test serving_stress|readers_always_observe_consistent_epochs|--test-threads ${CORES}"

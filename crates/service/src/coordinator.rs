@@ -584,9 +584,12 @@ impl Pending {
 pub struct MultiView {
     epoch: u64,
     shards: Vec<Arc<Snapshot>>,
-    /// Worker threads for scatter phases (inherited from the coordinator's
-    /// [`ServiceConfig::threads`]). Fan-out only engages with more than one
-    /// shard *and* more than one thread; answers are identical either way.
+    /// Worker threads for [`MultiView::scatter`] (inherited from the
+    /// coordinator's [`ServiceConfig::threads`]): the probes that compute
+    /// per shard (the score card probe, `explain`, `table_summary`) fan
+    /// out, and only with more than one shard *and* more than one thread.
+    /// Probes that only read what a pinned snapshot already holds run in
+    /// order through [`MultiView::gather`]. Answers are identical either way.
     threads: usize,
     /// The global order under each served measure (indexed like
     /// [`MultiView::measures`]) as `(shard, position in its ranking)`.
@@ -623,9 +626,11 @@ impl MultiView {
     }
 
     /// Probe every shard and return the answers **in shard order**,
-    /// fanning the probes out over the view's worker pool. `Pool::run`
-    /// degenerates to an inline sequential loop for one shard or one
-    /// thread, so the answers (and their order) are identical either way.
+    /// fanning the probes out over the view's worker pool. Used by the
+    /// probes that compute per shard: the score card probe, `explain` and
+    /// `table_summary`. `Pool::run` degenerates to an inline sequential
+    /// loop for one shard or one thread, so the answers (and their order)
+    /// are identical either way.
     fn scatter<'a, T: Send>(&'a self, probe: impl Fn(&'a Snapshot) -> T + Sync) -> Vec<T> {
         let _scatter = dn_trace::span(dn_trace::Phase::CoordScatter);
         // Pool workers run on their own threads; carry the trace across
@@ -635,6 +640,24 @@ impl MultiView {
             let _probe = ctx.enter(dn_trace::Phase::ShardQuery, format_args!("shard{i}"));
             probe(&self.shards[i])
         })
+    }
+
+    /// [`MultiView::scatter`] run in shard order on the calling thread,
+    /// with the same `coord_scatter` and per-shard `shard_query` spans.
+    /// For probes that only read what a pinned snapshot already holds (a
+    /// ranking, the table names), where a thread spawn would cost more
+    /// than the probe.
+    fn gather<'a, T>(&'a self, probe: impl Fn(&'a Snapshot) -> T) -> Vec<T> {
+        let _scatter = dn_trace::span(dn_trace::Phase::CoordScatter);
+        let ctx = dn_trace::current();
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let _probe = ctx.enter(dn_trace::Phase::ShardQuery, format_args!("shard{i}"));
+                probe(shard)
+            })
+            .collect()
     }
 
     /// The measures every shard serves (all shards share one config).
@@ -701,7 +724,7 @@ impl MultiView {
     /// to end in shard order. Each is sorted already, so the sort merges
     /// them, and a tie goes to the lower shard.
     fn merge(&self, measure: Measure) -> Vec<(u32, u32)> {
-        let rankings = self.scatter(|s| s.ranking(measure).map_or(&[][..], |r| r.as_slice()));
+        let rankings = self.gather(|s| s.ranking(measure).map_or(&[][..], |r| r.as_slice()));
         let _merge = dn_trace::span(dn_trace::Phase::CoordMerge);
         // Ranks are u32 throughout a snapshot (`rank_of_node`).
         let mut order: Vec<(u32, u32)> = (0..rankings.len() as u32)
@@ -724,7 +747,9 @@ impl MultiView {
     /// (counted by binary search — the rankings are sorted by exactly
     /// that order), and the percentile is recomputed from the global
     /// rank and the global candidate count, reproducing the unsharded
-    /// `100 * (of - rank) / of` to the bit.
+    /// `100 * (of - rank) / of` to the bit. The card probe fans out over
+    /// the view's pool; the rank correction only borrows each shard's
+    /// ranking, so it runs in shard order on the calling thread.
     pub fn score_card(&self, measure: Measure, value: &str) -> Option<ScoreCard> {
         let (owner, mut card) = self
             .scatter(|s| s.score_card(measure, value))
@@ -737,7 +762,7 @@ impl MultiView {
             attribute_count: card.attribute_count,
             cardinality: card.cardinality,
         };
-        let rankings = self.scatter(|s| s.ranking(measure));
+        let rankings = self.gather(|s| s.ranking(measure));
         let mut of = 0usize;
         let mut before = 0usize;
         for (i, ranking) in rankings.into_iter().enumerate() {
@@ -777,7 +802,7 @@ impl MultiView {
 
     /// Sorted names of the live tables across all shards.
     pub fn table_names(&self) -> Vec<String> {
-        let per_shard = self.scatter(|s| s.table_names().map(str::to_owned).collect::<Vec<_>>());
+        let per_shard = self.gather(|s| s.table_names().map(str::to_owned).collect::<Vec<_>>());
         let mut names: BTreeSet<String> = BTreeSet::new();
         for shard_names in per_shard {
             names.extend(shard_names);
@@ -1700,6 +1725,67 @@ mod tests {
             "the move converged"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gather_probes_every_shard_in_order_on_the_calling_thread() {
+        let (handle, _coordinator) = serve_sharded(two_component_lake(), config(), 2);
+        let shards = handle.current().shards.clone();
+        let view = MultiView::new(0, shards, 4, Arc::default());
+        // Each probe outlasts a thread spawn, so a pooled fan-out at this
+        // width would hand the second shard to another worker.
+        let probed = view.gather(|s| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            (std::thread::current().id(), s)
+        });
+        let me = std::thread::current().id();
+        assert_eq!(probed.len(), 2);
+        for (i, &(thread, shard)) in probed.iter().enumerate() {
+            assert_eq!(thread, me, "shard {i} was probed on another thread");
+            assert!(
+                std::ptr::eq(shard, &**view.shard(i)),
+                "answer {i} out of order"
+            );
+        }
+    }
+
+    #[test]
+    fn gathered_reads_do_not_depend_on_width_or_shard_order() {
+        // The score card's rank correction, a top-k merge and the table
+        // names gather in order; the card probe still scatters. Every
+        // answer must be the one a one-thread view in shard order gives.
+        let (handle, _coordinator) = serve_sharded(two_component_lake(), config(), 2);
+        let shards = handle.current().shards.clone();
+        let measures = [Measure::lcc(), Measure::exact_bc()];
+        let values: Vec<String> = unsharded(two_component_lake())
+            .ranking(Measure::lcc())
+            .unwrap()
+            .iter()
+            .map(|e| e.value.clone())
+            .collect();
+        let reads = |view: &MultiView| {
+            let cards: Vec<ScoreCard> = measures
+                .iter()
+                .flat_map(|&m| values.iter().map(move |v| (m, v)))
+                .map(|(m, v)| view.score_card(m, v).unwrap())
+                .collect();
+            let merged: Vec<Vec<ScoredValue>> = measures
+                .iter()
+                .map(|&m| view.top_k(m, usize::MAX).unwrap())
+                .collect();
+            assert_eq!(view.reads.misses.get(), 2, "each first top-k read merges");
+            (cards, merged, view.table_names())
+        };
+        let expected = reads(&MultiView::new(0, shards.clone(), 1, Arc::default()));
+        assert_eq!(expected.0.len(), 2 * values.len());
+        assert_eq!(expected.2, ["cars", "fx", "prices", "zoo"]);
+        for threads in [1usize, 4] {
+            for order in [[0, 1], [1, 0]] {
+                let shards = order.iter().map(|&i| Arc::clone(&shards[i])).collect();
+                let view = MultiView::new(0, shards, threads, Arc::default());
+                assert_eq!(reads(&view), expected, "threads {threads}, order {order:?}");
+            }
+        }
     }
 
     #[test]
