@@ -132,9 +132,10 @@ GATES=(
     # source at a time, bit for bit.
     "quick|twin-quotient Brandes == per-node Brandes (1e-12 relative); lane batches == one source at a time (to_bits)|-p dn-graph --lib|quotient_matches_per_node_brandes lanes_are_bit_identical_to_one_source_at_a_time"
     # Exact BC's chunks are laid out per component, so a component's bits
-    # are its own, and recovery folds a WAL suffix in one call onto the
-    # state folding it record by record gives.
-    "quick|a component's exact BC bits are its own; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p dn-store --lib|a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
+    # are its own; sampled BC is re-drawn from the whole graph as a build
+    # draws it; so recovery folds a WAL suffix in one call onto the state
+    # folding it record by record gives.
+    "quick|a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
     # The one-pass CSV parser against the line-joining reader it replaced
     # (seeded hostile bytes), and load_dir at pool widths 1, 2 and 4.
     "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader"

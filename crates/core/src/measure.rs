@@ -61,6 +61,12 @@ impl Measure {
     }
 
     /// Approximate BC with the given sample count and seed.
+    ///
+    /// The seed draws the sources from the whole graph, so the estimate is
+    /// a function of the lake: a net maintained through deltas, recovered
+    /// or replicated holds a fresh build's estimate bit for bit. The price
+    /// is that every delta re-draws it, one whole-graph sampled pass per
+    /// delta ([`DomainNet::apply_delta`](crate::DomainNet::apply_delta)).
     pub fn approx_bc(samples: usize, seed: u64) -> Self {
         Measure::ApproxBc(ApproxBcConfig { samples, seed })
     }

@@ -10,15 +10,15 @@
 //!   [`DomainNet::apply_delta`] consumes to re-derive the graph (by the
 //!   function a build uses) and *patch* every cached score vector instead
 //!   of recomputing from scratch: local clustering coefficients are
-//!   recomputed only for the dirty 2-hop region, and betweenness centrality
-//!   only for the connected components the mutation touched (exactly for
-//!   [`Measure::ExactBc`]; by sampled re-estimation for
-//!   [`Measure::ApproxBc`]).
+//!   recomputed only for the dirty 2-hop region, exact betweenness
+//!   centrality only for the connected components the mutation touched, and
+//!   sampled betweenness ([`Measure::ApproxBc`]) re-estimated over the new
+//!   graph as a build estimates it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use dn_graph::approx_bc::{approximate_betweenness, approximate_betweenness_within};
+use dn_graph::approx_bc::approximate_betweenness;
 use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::{connected_components, Components};
@@ -95,7 +95,6 @@ impl DomainNetBuilder {
             graph,
             components,
             numbering,
-            generation: 0,
             compute_threads: 1,
             caches: Mutex::new(ScoreCaches::default()),
         }
@@ -129,7 +128,7 @@ pub struct DeltaStats {
     pub edges_removed: usize,
     /// Value nodes whose LCC had to be recomputed (the dirty 2-hop region).
     pub dirty_values: usize,
-    /// Connected components whose BC had to be recomputed.
+    /// Connected components whose exact BC had to be recomputed.
     pub touched_components: usize,
     /// Total nodes inside the touched components.
     pub touched_component_nodes: usize,
@@ -170,9 +169,6 @@ pub struct DomainNet {
     components: Components,
     /// The node numbering the lake determined when `graph` was derived.
     numbering: Numbering,
-    /// Bumped once per applied delta; salts the approximate-BC re-estimation
-    /// seed so successive re-estimations are independent but deterministic.
-    generation: u64,
     /// How many worker threads score computations may use. Runtime state,
     /// **not** identity: it is never persisted (snapshots from an 8-way host
     /// recover cleanly on a 1-way host) and scores are bit-identical for
@@ -189,7 +185,6 @@ impl Clone for DomainNet {
             graph: self.graph.clone(),
             components: self.components.clone(),
             numbering: self.numbering.clone(),
-            generation: self.generation,
             compute_threads: self.compute_threads,
             caches: Mutex::new(ScoreCaches {
                 raw: caches.raw.clone(),
@@ -362,12 +357,6 @@ impl DomainNet {
         ranked.iter().take(k).cloned().collect()
     }
 
-    /// The number of deltas folded into this net since it was built (0 for
-    /// a fresh build). Snapshot consumers use this to tag extracted state.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The lake [`AttrId`] behind a graph attribute *index*. Snapshot
     /// consumers use this to recover structured `table`/`column` references
     /// from the lake instead of re-parsing the flattened display label.
@@ -419,8 +408,12 @@ impl DomainNet {
     ///   components. Betweenness never crosses components, and the kernel
     ///   lays its chunks out per component, so every score is `to_bits()`-
     ///   equal to a whole-graph pass over the maintained graph.
-    /// * **Approximate BC** — re-estimated by sampling inside the touched
-    ///   components, with a generation-salted seed for determinism.
+    /// * **Approximate BC** — re-estimated over the whole new graph by the
+    ///   call a build makes, so every score is `to_bits()`-equal to a fresh
+    ///   build's estimate: the same seed draws the same sources from the
+    ///   same graph. Every delta re-draws every source, so scores in
+    ///   components the delta never touched move too, as they would
+    ///   between two fresh builds.
     ///
     /// Cached rankings are invalidated and rebuilt lazily from the patched
     /// score vectors on the next [`DomainNet::rank`] call.
@@ -535,23 +528,9 @@ impl DomainNet {
                         }
                     }
                     Measure::ApproxBc(config) => {
-                        let salted = dn_graph::approx_bc::ApproxBcConfig {
-                            samples: config.samples,
-                            seed: config
-                                .seed
-                                .wrapping_add(self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                        };
-                        let acc = approximate_betweenness_within(
-                            &graph,
-                            &touched_pool,
-                            salted,
-                            self.compute_threads,
-                        );
-                        for &node in &touched_pool {
-                            if (node as usize) < new_value_count {
-                                raw[node as usize] = acc[node as usize];
-                            }
-                        }
+                        let mut all = approximate_betweenness(&graph, config, self.compute_threads);
+                        all.truncate(new_value_count);
+                        *raw = all;
                     }
                 }
             }
@@ -580,7 +559,6 @@ impl DomainNet {
         self.graph = graph;
         self.components = region.components;
         self.numbering = numbering;
-        self.generation += 1;
         Ok(stats)
     }
 
@@ -591,23 +569,18 @@ impl DomainNet {
     ///
     /// The batches are applied to the lake in order, and one
     /// [`DomainNet::apply_delta`] takes the union of the values they
-    /// touched; an empty run changes nothing. `generation` advances by the
-    /// number of batches. LCC and exact BC are a function of the lake (the
-    /// maintained net is a fresh build, bit for bit), so the run lands on
-    /// the state folding its batches one at a time gives. Sampled BC is
-    /// not: its re-estimates are salted by the generation they run at. So
-    /// while a warmed or memoized measure is sampled BC, a run folds one
-    /// batch at a time.
+    /// touched; an empty run changes nothing. Every measure is a function
+    /// of the lake (the maintained net is a fresh build, bit for bit), so
+    /// the run lands on the state folding its batches one at a time gives.
     ///
     /// # Errors
     /// Each batch that did not fold, by its index in the run. When the lake
     /// refuses an op, that batch stops there with its earlier ops applied
     /// ([`MutableLake::apply_batch`]) and the run goes on. The net is then
-    /// rebuilt from the lake's live state, and `generation` counts the
-    /// batches after the last refused one, as a rebuild at that batch and
-    /// the rest folded onto it would leave it. When the net refuses the
-    /// run's effects it is rebuilt the same way, as if the last batch had
-    /// failed. Either way the net is coherent and warmed on every path.
+    /// rebuilt from the lake's live state, which is where folding the rest
+    /// would have left it too. When the net refuses the run's effects it is
+    /// rebuilt the same way, and that refusal is reported against the last
+    /// batch. Either way the net is coherent and warmed on every path.
     pub fn fold_batch(
         &mut self,
         lake: &mut MutableLake,
@@ -616,20 +589,6 @@ impl DomainNet {
     ) -> Result<DeltaStats, Vec<(usize, FoldError)>> {
         if batches.is_empty() {
             return Ok(DeltaStats::default());
-        }
-        if batches.len() > 1 && self.scores_sampled_bc(measures) {
-            let (mut stats, mut failures) = (DeltaStats::default(), Vec::new());
-            for (i, batch) in batches.iter().enumerate() {
-                match self.fold_batch(lake, &[*batch], measures) {
-                    Ok(part) => stats += part,
-                    Err(refused) => failures.extend(refused.into_iter().map(|(_, e)| (i, e))),
-                }
-            }
-            return if failures.is_empty() {
-                Ok(stats)
-            } else {
-                Err(failures)
-            };
         }
         let mut touched_values = Vec::new();
         let mut failures = Vec::new();
@@ -642,33 +601,17 @@ impl DomainNet {
         if failures.is_empty() {
             touched_values.sort_unstable();
             touched_values.dedup();
-            let generation = self.generation;
             match self.apply_delta(lake, &DeltaEffects { touched_values }) {
                 Ok(stats) => {
-                    self.generation = generation + batches.len() as u64;
                     self.warm_rankings(measures);
                     return Ok(stats);
                 }
                 Err(e) => failures.push((batches.len() - 1, FoldError::Net(e))),
             }
         }
-        let last_refused = failures
-            .last()
-            .expect("a run that did not fold names a batch")
-            .0;
         self.refresh(lake);
-        self.generation = (batches.len() - 1 - last_refused) as u64;
         self.warm_rankings(measures);
         Err(failures)
-    }
-
-    /// Whether a warmed or memoized measure is sampled BC.
-    fn scores_sampled_bc(&self, measures: &[Measure]) -> bool {
-        let caches = self.caches.lock().expect("score cache mutex");
-        measures
-            .iter()
-            .chain(caches.raw.keys())
-            .any(|m| matches!(m, Measure::ApproxBc(_)))
     }
 
     /// Discard all incremental state and rebuild from scratch against the
@@ -708,14 +651,12 @@ pub struct NetCachesState {
 pub struct NetState {
     /// The configuration the graph was built with.
     pub config: DomainNetConfig,
-    /// Number of deltas folded in since the initial build.
-    pub generation: u64,
     /// The memoized per-measure scores.
     pub caches: NetCachesState,
 }
 
 impl DomainNet {
-    /// Export the net's non-graph state (generation, memoized scores) for
+    /// Export the net's non-graph state (configuration, memoized scores) for
     /// persistence. Cache entries are sorted by measure so the export — and
     /// therefore the on-disk encoding — is deterministic across runs.
     pub fn export_state(&self) -> NetState {
@@ -728,7 +669,6 @@ impl DomainNet {
         raw.sort_by_key(|(m, _)| format!("{m:?}"));
         NetState {
             config: self.config,
-            generation: self.generation,
             caches: NetCachesState {
                 raw,
                 cardinalities: caches.cardinalities.clone(),
@@ -786,7 +726,6 @@ impl DomainNet {
             components: connected_components(&graph),
             graph,
             numbering,
-            generation: state.generation,
             // Recovered nets start sequential; the serving layer re-applies
             // its configured width (the on-disk format never records one).
             compute_threads: 1,
@@ -1167,11 +1106,8 @@ mod tests {
     }
 
     #[test]
-    fn generation_counts_applied_deltas_and_warming_fills_the_memo() {
-        let mut lake = mutable_running_example();
-        let mut net = DomainNetBuilder::new().build(&lake);
-        assert_eq!(net.generation(), 0);
-
+    fn warming_fills_the_memo() {
+        let net = DomainNetBuilder::new().build(&mutable_running_example());
         let measures = [Measure::lcc(), Measure::exact_bc()];
         net.warm_rankings(&measures);
         for m in measures {
@@ -1181,12 +1117,6 @@ mod tests {
                 "warm_rankings must have populated the memo"
             );
         }
-
-        let effects = lake.apply(&LakeDelta::new().remove_table("T3")).unwrap();
-        net.apply_delta(&lake, &effects).unwrap();
-        assert_eq!(net.generation(), 1);
-        net.refresh(&lake);
-        assert_eq!(net.generation(), 0, "refresh resets the delta counter");
     }
 
     #[test]
@@ -1367,23 +1297,30 @@ mod tests {
         assert_equivalent(&net, &lake, Measure::lcc());
     }
 
+    /// A partial sample draws some sources and not others, so an estimate
+    /// kept across a delta equals a fresh build's only if it is re-drawn
+    /// from the new graph with the build's seed.
     #[test]
-    fn approx_bc_is_re_estimated_for_touched_components() {
+    fn sampled_bc_after_a_delta_is_a_fresh_builds_estimate() {
         let mut lake = mutable_running_example();
         let mut net = DomainNetBuilder::new().build(&lake);
-        let n = net.graph().node_count();
-        let measure = Measure::approx_bc(n * 2, 7);
-        let _ = net.rank(measure);
-        let effects = lake.apply(&LakeDelta::new().remove_table("T3")).unwrap();
-        net.apply_delta(&lake, &effects).unwrap();
-        // With sample count >= pool size the re-estimation is exact, so the
-        // patched approx ranking must agree with a fresh exact computation.
-        let approx = net.rank(measure);
-        let fresh = DomainNetBuilder::new().build(&lake);
-        let exact = fresh.rank(Measure::exact_bc());
-        for (a, e) in approx.iter().zip(&exact) {
-            assert_eq!(a.value, e.value);
-            assert!((a.score - e.score).abs() < 1e-6);
+        let measure = Measure::approx_bc(net.graph().node_count() / 3, 7);
+        net.warm_rankings(&[measure]);
+        let t3 = lake.table("T3").unwrap().clone();
+        for (step, delta) in [
+            ("remove T3", LakeDelta::new().remove_table("T3")),
+            ("re-add T3", LakeDelta::new().add_table(t3)),
+        ] {
+            let effects = lake.apply(&delta).unwrap();
+            net.apply_delta(&lake, &effects).unwrap();
+            let fresh = DomainNetBuilder::new().build(&lake);
+            let bits = |net: &DomainNet| -> Vec<u64> {
+                net.raw_scores(measure)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&net), bits(&fresh), "{step}");
         }
     }
 }

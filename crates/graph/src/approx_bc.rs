@@ -14,14 +14,19 @@
 //! (see [`crate::bc`]): twins give every other node the same dependency, so
 //! a class drawn `k` times is run once with weight `k·n / s`. That is the
 //! same estimator over the same draws, with the duplicate BFS runs removed.
+//!
+//! The estimate is a function of the graph and the config alone. There is
+//! no component-local variant: after a lake mutation the incremental
+//! pipeline re-runs [`approximate_betweenness`] over the whole new graph,
+//! which is what keeps a maintained estimate equal to a fresh build's.
 
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use crate::bc::{pool_twins, quotient_brandes, Sources};
+use crate::bc::{quotient_brandes, Sources};
 use crate::bipartite::BipartiteGraph;
-use crate::twins::NONE;
+use crate::twins::{Twins, NONE};
 
 /// Configuration for [`approximate_betweenness`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -51,6 +56,11 @@ impl Default for ApproxBcConfig {
 /// when the classes form one component; otherwise the exact kernel's
 /// per-component chunks may sum them in another order (last ulps).
 ///
+/// The draws are a per-node estimator's (the seeded RNG picks
+/// `samples` node ids without replacement), grouped per twin class: each
+/// drawn class runs the quotient kernel of [`crate::bc`] once, with weight
+/// `draws · n / samples`.
+///
 /// `threads` is a **runtime execution parameter**, deliberately not part of
 /// [`ApproxBcConfig`]: the config is identity (it keys memo caches and is
 /// persisted in snapshot manifests), and the estimate is bit-identical for
@@ -62,54 +72,23 @@ pub fn approximate_betweenness(
     config: ApproxBcConfig,
     threads: usize,
 ) -> Vec<f64> {
-    let pool: Vec<u32> = graph.nodes().collect();
-    approximate_betweenness_within(graph, &pool, config, threads)
-}
-
-/// Sampled BC estimation with sources drawn from an explicit node `pool`.
-///
-/// This is the approximate counterpart of
-/// [`crate::bc::betweenness_from_sources`], used by the incremental pipeline
-/// to re-estimate BC only for the components touched by a lake mutation: the
-/// pool is the node set of the touched components, so the estimate for nodes
-/// *inside* the pool approximates their global BC (sources outside their
-/// component would have contributed nothing). `pool` must be a union of
-/// connected components (a set, in any order), as for
-/// [`crate::bc::betweenness_from_sources`]; nodes outside it score 0.
-/// `config.samples` is clamped to the pool size; with
-/// `samples == pool.len()` the result is exact on the pool, equal to
-/// [`crate::bc::betweenness_from_sources`] as above.
-///
-/// The draws are the same as a per-node estimator's — the same seeded RNG
-/// picks the same pool indexes — and are then grouped per twin class of the
-/// pool: each drawn class runs the quotient kernel of [`crate::bc`] once,
-/// with weight `draws · pool.len() / samples`.
-///
-/// # Panics
-/// Panics if a node of `pool` has a neighbour outside it.
-pub fn approximate_betweenness_within(
-    graph: &BipartiteGraph,
-    pool: &[u32],
-    config: ApproxBcConfig,
-    threads: usize,
-) -> Vec<f64> {
     let n = graph.node_count();
-    if pool.is_empty() {
-        return vec![0.0; n];
+    if n == 0 {
+        return Vec::new();
     }
-    let samples = config.samples.clamp(1, pool.len());
+    let samples = config.samples.clamp(1, n);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let twins = pool_twins(graph, pool);
+    let twins = Twins::of(graph, graph.nodes());
     let mut draws = vec![0u32; twins.count()];
-    for i in index_sample(&mut rng, pool.len(), samples) {
+    for node in index_sample(&mut rng, n, samples) {
         // A degree-0 draw is in no class and reaches nothing.
-        let class = twins.class_of[pool[i] as usize];
+        let class = twins.class_of[node];
         if class != NONE {
             draws[class as usize] += 1;
         }
     }
-    // The estimator rescales to "all sources of the pool".
-    let scale = pool.len() as f64 / samples as f64;
+    // The estimator rescales to "all sources".
+    let scale = n as f64 / samples as f64;
     let sources: Vec<(u32, f64)> = (0..twins.count() as u32)
         .filter(|&c| draws[c as usize] > 0)
         .map(|c| (c, draws[c as usize] as f64 * scale))
@@ -239,19 +218,6 @@ mod tests {
                     .collect();
                 assert_eq!(bits, reference, "threads={threads} run={run}");
             }
-        }
-        // The component-scoped estimator holds the same contract.
-        let pool: Vec<u32> = (0..g.node_count() as u32).collect();
-        let within_ref: Vec<u64> = approximate_betweenness_within(&g, &pool, base, 1)
-            .iter()
-            .map(|s| s.to_bits())
-            .collect();
-        for threads in [2, 4, 8] {
-            let bits: Vec<u64> = approximate_betweenness_within(&g, &pool, base, threads)
-                .iter()
-                .map(|s| s.to_bits())
-                .collect();
-            assert_eq!(bits, within_ref, "within threads={threads}");
         }
     }
 

@@ -509,7 +509,7 @@ pub fn normalize_scores(scores: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_bc::{approximate_betweenness_within, ApproxBcConfig};
+    use crate::approx_bc::{approximate_betweenness, ApproxBcConfig};
     use crate::bipartite::BipartiteBuilder;
     use crate::components::connected_components;
     use crate::delta::nodes_in_components;
@@ -874,7 +874,7 @@ mod tests {
 
     /// Every entry point against the per-node oracle at 1, 2 and 4 threads:
     /// the whole graph, each pool of `pools` (unions of components), and
-    /// `samples` draws from `pools[0]`.
+    /// `samples` draws from the whole graph.
     fn assert_every_entry_point_matches(
         graph: &BipartiteGraph,
         pools: &[Vec<u32>],
@@ -883,15 +883,10 @@ mod tests {
         what: &str,
     ) {
         let all: Vec<u32> = graph.nodes().collect();
-        let sampled_pool = &pools[0];
         let config = ApproxBcConfig { samples, seed };
-        let scale = sampled_pool.len() as f64 / samples as f64;
-        let drawn = index_sample(
-            &mut StdRng::seed_from_u64(seed),
-            sampled_pool.len(),
-            samples,
-        );
-        let sampled = per_node_brandes(graph, drawn.into_iter().map(|i| (sampled_pool[i], scale)));
+        let scale = all.len() as f64 / samples as f64;
+        let drawn = index_sample(&mut StdRng::seed_from_u64(seed), all.len(), samples);
+        let sampled = per_node_brandes(graph, drawn.into_iter().map(|i| (all[i], scale)));
         let exact = per_node_brandes(graph, all.iter().map(|&s| (s, 1.0)));
         for threads in [1, 2, 4] {
             let what = format!("{what}, {threads} threads");
@@ -913,10 +908,10 @@ mod tests {
             }
             assert_matches(
                 graph,
-                sampled_pool,
-                &approximate_betweenness_within(graph, sampled_pool, config, threads),
+                &all,
+                &approximate_betweenness(graph, config, threads),
                 &sampled,
-                &format!("{what}, {samples} of {} sampled", sampled_pool.len()),
+                &format!("{what}, {samples} of {} sampled", all.len()),
             );
         }
     }
@@ -938,7 +933,7 @@ mod tests {
                 graph.nodes().collect(),
                 nodes_in_components(&components, &some),
             ];
-            let samples = rng.gen_range(1..=pools[0].len());
+            let samples = rng.gen_range(1..=graph.node_count());
             assert_every_entry_point_matches(
                 &graph,
                 &pools,

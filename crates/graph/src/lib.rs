@@ -77,7 +77,7 @@ pub mod projection;
 pub mod subgraph;
 mod twins;
 
-pub use approx_bc::{approximate_betweenness, approximate_betweenness_within, ApproxBcConfig};
+pub use approx_bc::{approximate_betweenness, ApproxBcConfig};
 pub use bc::{betweenness_centrality, betweenness_centrality_parallel, betweenness_from_sources};
 pub use bipartite::{BipartiteBuilder, BipartiteGraph};
 pub use delta::{dirty_region, nodes_in_components, DirtyRegion};

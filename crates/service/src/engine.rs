@@ -230,11 +230,10 @@ pub(crate) fn serve_durable(
 /// The recovered net keeps the graph configuration it was persisted with
 /// (`config.prune_single_attribute_values` does not re-prune an existing
 /// graph). `config.measures` should match the measures the crashed shard
-/// served — recovery folds and warms the *persisted* measure list, record
-/// by record when it holds sampled BC so its estimates continue their
-/// exact sequence; any additional measures requested here are computed
-/// fresh on the recovered graph, which is deterministic for the exact
-/// measures.
+/// served — recovery folds and warms the *persisted* measure list; any
+/// additional measures requested here are computed fresh on the recovered
+/// graph. Every measure is a function of the lake, so either way a score is
+/// the one a fresh build of the recovered lake computes.
 ///
 /// `gauges` is where the recovered store publishes its sizes: a fresh
 /// `Arc` at start-up, the replaced shard's when a follower reinstalls one

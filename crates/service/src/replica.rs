@@ -46,20 +46,17 @@ use crate::snapshot::Snapshot;
 /// Fold one published shard snapshot into a 64-bit state digest.
 ///
 /// The digest covers everything a reader can observe: the graph's identity
-/// counts (value/attribute nodes, edges, live candidates, components) and,
-/// per served measure, the measure label plus every ranking entry's value
-/// string and raw `f64::to_bits` score. It deliberately **excludes** the
-/// epoch and the net generation: the epoch is the comparison *key* (two
-/// digests are only compared when their epochs match), and the generation
-/// counts internal rebuilds that differ between a primary and a follower
-/// without any observable difference.
+/// counts (value/attribute nodes, edges, components) and, per served
+/// measure, the measure label plus every ranking entry's value string and
+/// raw `f64::to_bits` score. It deliberately **excludes** the epoch: that
+/// is the comparison *key* (two digests are only compared when their
+/// epochs match).
 pub fn snapshot_digest(snapshot: &Snapshot) -> u64 {
     let mut d = Digest64::new();
     let stats = snapshot.stats();
     d.write_u64(stats.value_nodes as u64);
     d.write_u64(stats.attribute_nodes as u64);
     d.write_u64(stats.edge_count as u64);
-    d.write_u64(stats.live_candidates as u64);
     d.write_u64(stats.component_count as u64);
     for &measure in snapshot.measures() {
         d.write_str(&format!("{measure:?}"));

@@ -21,19 +21,15 @@ const EXPLAIN_SAMPLE_LIMIT: usize = 8;
 pub struct SnapshotStats {
     /// The epoch this snapshot was published as.
     pub epoch: u64,
-    /// The net's delta generation at extraction time.
-    pub generation: u64,
     /// Total graph nodes (value + attribute).
     pub node_count: usize,
-    /// Value nodes: the lake's candidate values.
+    /// Value nodes: the lake's candidate values. Every ranking of this
+    /// snapshot holds one entry per value node.
     pub value_nodes: usize,
     /// Attribute nodes: the live attributes holding a candidate.
     pub attribute_nodes: usize,
     /// Undirected edges.
     pub edge_count: usize,
-    /// The number of entries every ranking of this snapshot contains: one
-    /// per value node.
-    pub live_candidates: usize,
     /// Connected components.
     pub component_count: usize,
 }
@@ -120,7 +116,6 @@ pub struct TableSummary {
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    generation: u64,
     graph: dn_graph::bipartite::BipartiteGraph,
     component_count: usize,
     measures: Vec<Measure>,
@@ -199,7 +194,6 @@ impl Snapshot {
 
         Snapshot {
             epoch,
-            generation: net.generation(),
             component_count: net.components().count(),
             measures: measures.to_vec(),
             rankings,
@@ -225,12 +219,10 @@ impl Snapshot {
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
             epoch: self.epoch,
-            generation: self.generation,
             node_count: self.graph.node_count(),
             value_nodes: self.graph.value_count(),
             attribute_nodes: self.graph.attribute_count(),
             edge_count: self.graph.edge_count(),
-            live_candidates: self.graph.value_count(),
             component_count: self.component_count,
         }
     }
@@ -539,12 +531,10 @@ mod tests {
         let snap = running_snapshot();
         snap.verify_consistency().unwrap();
         assert_eq!(snap.epoch(), 3);
-        let stats = snap.stats();
-        assert_eq!(stats.live_candidates, stats.value_nodes);
         assert_eq!(
             snap.ranking(Measure::lcc()).unwrap().len(),
-            stats.live_candidates,
-            "one ranked entry per live candidate"
+            snap.stats().value_nodes,
+            "one ranked entry per value node"
         );
     }
 }

@@ -10,8 +10,8 @@
 //!   columnar format for the complete engine state: the
 //!   [`lake::MutableLake`] (tables, removed slots, the append-only
 //!   interner) and the [`domainnet::DomainNet`] state (pruning flag,
-//!   generation, per-measure score vectors stored as raw IEEE-754 bits so
-//!   they round-trip exactly, cardinalities). The CSR
+//!   per-measure score vectors stored as raw IEEE-754 bits so they
+//!   round-trip exactly, cardinalities). The CSR
 //!   [`dn_graph::bipartite::BipartiteGraph`] and its node numbering,
 //!   component labels and rankings are derived from those on load, not
 //!   stored. Every section

@@ -2,8 +2,8 @@
 //!
 //! A snapshot captures the complete durable state of a serving engine at
 //! one instant: the mutable lake (tables, removed slots, the append-only
-//! interner) and the net's state (pruning flag, generation, per-measure
-//! score vectors, cardinalities). Scores are stored as raw IEEE-754 bit
+//! interner) and the net's state (pruning flag, per-measure score vectors,
+//! cardinalities). Scores are stored as raw IEEE-754 bit
 //! patterns, so a write → read → write cycle is **bit-identical**.
 //!
 //! What is a function of those and cheaper to recompute than to read back
@@ -33,8 +33,8 @@
 //! │   2 lake       table slots (a live table columnar, a       │
 //! │                removed one as its column count and a zero  │
 //! │                byte per column), interner                  │
-//! │   3 net        pruning flag, generation, raw scores per    │
-//! │                measure, cardinalities                      │
+//! │   3 net        pruning flag, raw scores per measure,       │
+//! │                cardinalities                               │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -61,12 +61,12 @@ use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The one snapshot format version this build reads and writes. Format 4
-/// also stored the net's three node-id maps; format 3 each attribute's
-/// table slot, liveness and value set besides; format 2 the graph too, and
-/// format 1 component labels, rankings and attribute counts as well. All
-/// four are refused.
-pub const FORMAT_VERSION: u32 = 5;
+/// The one snapshot format version this build reads and writes. Format 5
+/// also stored the net's delta generation; format 4 the net's three
+/// node-id maps besides; format 3 each attribute's table slot, liveness and
+/// value set too; format 2 the graph as well, and format 1 component
+/// labels, rankings and attribute counts on top. All five are refused.
+pub const FORMAT_VERSION: u32 = 6;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
@@ -183,7 +183,6 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
 fn encode_net(state: &NetState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(state.config.prune_single_attribute_values);
-    w.put_u64(state.generation);
     w.put_u64(state.caches.raw.len() as u64);
     for (measure, scores) in &state.caches.raw {
         put_measure(&mut w, *measure);
@@ -398,7 +397,6 @@ fn decode_table(r: &mut ByteReader<'_>) -> Result<lake::Table> {
 fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     let mut r = ByteReader::new(payload, "net");
     let prune_single_attribute_values = r.get_bool()?;
-    let generation = r.get_u64()?;
     let raw_count = r.get_count(1)?;
     let mut raw = Vec::with_capacity(raw_count);
     for _ in 0..raw_count {
@@ -422,7 +420,6 @@ fn decode_net_state(payload: &[u8]) -> Result<NetState> {
     };
     Ok(NetState {
         config,
-        generation,
         caches: NetCachesState { raw, cardinalities },
     })
 }
@@ -532,7 +529,7 @@ mod tests {
             .build(&lake);
         let measures = vec![Measure::lcc(), Measure::exact_bc()];
         net.warm_rankings(&measures);
-        // Fold in a mutation so a removed slot and generation > 0 are exercised.
+        // Fold in a mutation so a removed slot and patched caches are exercised.
         let effects = lake
             .apply(
                 &LakeDelta::new().remove_table("T3").add_table(

@@ -408,11 +408,9 @@ impl Store {
     /// suffix — the code path the live writer runs a record at a time,
     /// including its failure semantics (a batch that fails mid-apply leaves
     /// its earlier ops applied and triggers a rebuild from live state). The
-    /// run lands on the writer's state bit for bit: LCC and exact BC are a
-    /// function of the lake, so the suffix is one patch and one warm of the
-    /// served measures, while a net serving sampled BC folds it record by
-    /// record, so its estimates continue the same generation-salted
-    /// sequence. Any torn WAL tail is truncated.
+    /// run lands on the writer's state bit for bit: every measure, sampled
+    /// BC included, is a function of the lake, so the suffix is one patch
+    /// and one warm of the served measures. Any torn WAL tail is truncated.
     ///
     /// When the newest snapshot is unreadable and recovery falls back to
     /// an older one, WAL records that chained onto the *newest* snapshot
@@ -947,12 +945,11 @@ mod tests {
 
     /// Six records folded by a live writer one at a time, then recovered
     /// from the WAL in one fold: the lake (slots and interner) and the net
-    /// (raw scores, cardinalities, generation) agree, and so do the
-    /// resyncs. The records touch a TUS lake's components, a new component
-    /// of more than 32 twin classes and both at once; in two of the runs
-    /// the lake refuses the third partway. With sampled BC persisted the
-    /// suffix folds record by record, and the recovered state is the
-    /// writer's too.
+    /// (raw scores and cardinalities) agree, and so do the resyncs. The
+    /// records touch a TUS lake's components, a new component of more than
+    /// 32 twin classes and both at once; in two of the runs the lake
+    /// refuses the third partway. With sampled BC persisted the recovered
+    /// state is the writer's too.
     #[test]
     fn a_suffix_folded_in_one_call_equals_folding_it_record_by_record() {
         let generated = datagen::tus::TusGenerator::new(datagen::tus::TusConfig {
@@ -1021,7 +1018,6 @@ mod tests {
                 "{name}: interner"
             );
             let (state, live) = (recovered.net.export_state(), net.export_state());
-            assert_eq!(state.generation, live.generation, "{name}");
             assert_eq!(
                 state.caches.cardinalities, live.caches.cardinalities,
                 "{name}"

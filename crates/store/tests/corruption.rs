@@ -39,7 +39,7 @@ fn sample_engine() -> (MutableLake, DomainNet, Vec<Measure>) {
     let mut net = DomainNetBuilder::new().build(&lake);
     let measures = vec![Measure::lcc(), Measure::exact_bc()];
     net.warm_rankings(&measures);
-    // A mutation so a removed slot, generation, and patched caches are all
+    // A mutation so a removed slot and patched caches are both
     // present in the encoded state.
     let effects = lake
         .apply(
@@ -84,17 +84,18 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    // A later release's file, format 4 (which also stored the net's three
-    // node-id maps), format 3 (each attribute's slot, liveness and value
-    // set besides), format 2 (the graph too) and format 1 (component labels
-    // and rankings as well): one reader, one typed refusal.
-    for version in [99u32, 4, 3, 2, 1] {
+    // A later release's file, format 5 (which also stored the net's delta
+    // generation), format 4 (the net's three node-id maps besides), format
+    // 3 (each attribute's slot, liveness and value set too), format 2 (the
+    // graph as well) and format 1 (component labels and rankings on top):
+    // one reader, one typed refusal.
+    for version in [99u32, 5, 4, 3, 2, 1] {
         let mut bytes = sample_snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match decode_snapshot(&bytes) {
             Err(StoreError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
-                assert_eq!(supported, 5);
+                assert_eq!(supported, 6);
                 assert_eq!(supported, dn_store::FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),

@@ -7,8 +7,8 @@ use domainnet::{DomainNet, DomainNetBuilder, Measure};
 use lake::delta::MutableLake;
 
 /// Assert that `net` is a fresh build of `lake`: the same CSR arrays, value
-/// and attribute labels and node counts, and the same raw LCC and exact-BC
-/// scores bit for bit. `net` itself is left as it was: a measure it has not
+/// and attribute labels and node counts, and the same raw LCC, exact-BC
+/// and sampled-BC (8 sources, seed 7) scores bit for bit. `net` itself is left as it was: a measure it has not
 /// scored is scored on a clone.
 pub fn assert_net_is_a_fresh_build(lake: &MutableLake, net: &DomainNet, context: &str) {
     let fresh = DomainNetBuilder::new()
@@ -37,7 +37,11 @@ pub fn assert_net_is_a_fresh_build(lake: &MutableLake, net: &DomainNet, context:
     assert_eq!(net.attribute_count(), fresh.attribute_count(), "{context}");
 
     let net = net.clone();
-    for measure in [Measure::lcc(), Measure::exact_bc()] {
+    for measure in [
+        Measure::lcc(),
+        Measure::exact_bc(),
+        Measure::approx_bc(8, 7),
+    ] {
         let (maintained, rebuilt) = (net.raw_scores(measure), fresh.raw_scores(measure));
         assert_eq!(maintained.len(), rebuilt.len(), "{context}");
         for (node, (a, b)) in maintained.iter().zip(&rebuilt).enumerate() {

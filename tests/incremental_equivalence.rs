@@ -14,12 +14,14 @@
 //!   longer holds are gone), so its nodes sum in another order.
 //!
 //! After every step the maintained net must also be a fresh build of the
-//! *same* lake: the same CSR arrays, labels and node counts, and LCC and
-//! exact-BC scores bit for bit. A net is a function of its lake, whatever
-//! deltas led there, and the snapshot format rests on that (it stores no
-//! graph and no node ids). Exact BC is bits because its chunks are laid
-//! out per component, so a pass over the touched components sums a node's
-//! score as a whole-graph pass does.
+//! *same* lake: the same CSR arrays, labels and node counts, and LCC,
+//! exact-BC and sampled-BC scores bit for bit. A net is a function of its
+//! lake, whatever deltas led there, and the snapshot format rests on that
+//! (it stores no graph, no node ids and no delta count). Exact BC is bits
+//! because its chunks are laid out per component, so a pass over the
+//! touched components sums a node's score as a whole-graph pass does;
+//! sampled BC because a delta re-draws it from the whole graph with the
+//! build's seed.
 
 mod common;
 
@@ -161,9 +163,10 @@ fn random_mutation_sequences_match_from_scratch_builds() {
 
         let builder = DomainNetBuilder::new().prune_single_attribute_values(seq % 2 == 0);
         let mut net = builder.build(&lake);
-        // Warm both caches so each delta exercises the patch path.
+        // Warm every cache so each delta exercises the patch path.
         let _ = net.rank(Measure::lcc());
         let _ = net.rank(Measure::exact_bc());
+        let _ = net.rank(Measure::approx_bc(8, 7));
 
         let mut removed: Vec<lake::Table> = Vec::new();
         let steps = rng.gen_range(3..=8usize);

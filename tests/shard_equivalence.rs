@@ -65,8 +65,9 @@ const GROUPED_DELTAS: usize = 8;
 const CHAINS: usize = 30;
 
 /// Both measures exact: equivalence can be asserted to 1e-9 with no
-/// estimation slack (the approx-BC sampler is salted by generation and
-/// deliberately out of scope here).
+/// estimation slack. Sampled BC is out of scope here: a shard samples its
+/// own nodes, so a sharded estimate draws other sources than an unsharded
+/// one.
 fn measures() -> Vec<Measure> {
     vec![Measure::lcc(), Measure::exact_bc()]
 }
