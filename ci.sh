@@ -121,11 +121,16 @@ GATES=(
     # quote it.
     "quick|paper ledger == committed results|--test paper_ledger|reproduces:: the_ledger_holds_every_experiment compute_width_does_not_move_the_ledger the_papers_claims_hold_in_the_ledger experiments_doc_quotes_the_ledger"
     # A prefix of both differential tests (random graphs + SB, and TUS
-    # small). The next gate is the delta side of the same kernel:
+    # small), each at pool widths 1, 2 and 3 with the bitset table, with
+    # the class lists, and switching from one to the other between its two
+    # passes. The next gate is the delta side of the same kernel:
     # recomputing the dirty_values dirty_region reports for a changed and
-    # renumbered graph leaves every node to_bits()-equal to a full pass.
-    "quick|Equation-1 join == literal sweep (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
+    # renumbered graph, at width 2, leaves every node to_bits()-equal to a
+    # full pass. The third is the closed-neighbourhood primitive's |N(v)|
+    # over three- and four-word graphs, and the attribute-set LCC's widths.
+    "quick|Equation-1 join == literal sweep at widths 1, 2 and 3 (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
     "quick|dirty values are a complete invalidation set (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
+    "quick|closed-neighbourhood cardinalities across word boundaries at widths 1, 2 and 4; attribute-set LCC at widths 1, 2 and 4 (to_bits)|-p dn-graph --test properties|value_neighbor_counts_match_across_word_boundaries attribute_jaccard_is_width_invariant"
     # Brandes on the twin quotient against the per-node kernel (whole
     # graphs, component pools, sampled sources; 1, 2 and 4 threads; deep,
     # 2^32-path and full-lane-batch graphs), then lane batches against one

@@ -271,8 +271,12 @@ impl DomainNet {
         match measure {
             Measure::Lcc(method) => {
                 let targets: Vec<u32> = self.graph.value_nodes().collect();
-                let (scores, cardinalities) =
-                    lcc_with_cardinality_for_values(&self.graph, &targets, method);
+                let (scores, cardinalities) = lcc_with_cardinality_for_values(
+                    &self.graph,
+                    &targets,
+                    method,
+                    self.compute_threads,
+                );
                 // Both kernels return |N(v)| with the scores; keep it so
                 // `cardinalities` has nothing left to walk.
                 self.caches
@@ -503,9 +507,14 @@ impl DomainNet {
                     Measure::Lcc(method) => {
                         // The fresh build's kernel over the invalidation set:
                         // the scattered scores are to_bits()-equal to a full
-                        // pass over the new graph.
-                        let (fresh, cards) =
-                            lcc_with_cardinality_for_values(&graph, &region.dirty_values, method);
+                        // pass over the new graph. One thread: the writer
+                        // shares the box with the readers.
+                        let (fresh, cards) = lcc_with_cardinality_for_values(
+                            &graph,
+                            &region.dirty_values,
+                            method,
+                            1,
+                        );
                         for (i, &node) in region.dirty_values.iter().enumerate() {
                             raw[node as usize] = fresh[i];
                         }

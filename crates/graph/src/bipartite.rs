@@ -312,30 +312,24 @@ impl BipartiteGraph {
     }
 
     /// The cardinality |N(v)| of **every** value node, indexed by value node
-    /// id, on a pool `threads` wide: one two-hop walk per value deduplicated
-    /// through a stamp array per canonical chunk of value nodes, so nothing
-    /// is allocated, sorted or deduplicated per value. The counts are
-    /// integers, hence the same at every width.
+    /// id, on a pool `threads` wide. It is `|B(v)| − 1` for the closed
+    /// neighbourhood `B(v)`, `v` with every value sharing an attribute with
+    /// it: the word runs of `v`'s attributes are OR-ed into one bitset per
+    /// canonical chunk of value nodes, popcounted and cleared within their
+    /// span of words. An isolated value has the empty `B(v)` and count 0.
+    /// The counts are integers, hence the same at every width.
     pub fn value_neighbor_counts(&self, threads: usize) -> Vec<usize> {
+        let runs = crate::closed::AttributeRuns::of(self);
         let chunks = crate::bc::canonical_chunks(self.n_values);
         let counts = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
-            // `seen_by[w] == v` once w was counted for v (or is v itself).
-            let mut seen_by = vec![u32::MAX; self.n_values];
+            let mut bits = vec![0u64; runs.words()];
             chunks[c]
                 .clone()
                 .map(|v| {
-                    let v = v as u32;
-                    seen_by[v as usize] = v;
-                    let mut count = 0;
-                    for &attr in self.neighbors(v) {
-                        for &w in self.neighbors(attr) {
-                            if seen_by[w as usize] != v {
-                                seen_by[w as usize] = v;
-                                count += 1;
-                            }
-                        }
-                    }
-                    count
+                    let span = runs.or_closed(self, v as u32, &mut bits);
+                    let closed = crate::closed::popcount(&bits[span.clone()]);
+                    bits[span].fill(0);
+                    closed.saturating_sub(1)
                 })
                 .collect::<Vec<usize>>()
         });

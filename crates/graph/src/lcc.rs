@@ -36,10 +36,16 @@
 //! order, nothing depends on hash order; degree-0 values have no class and
 //! score 0) — and the join runs between classes:
 //!
-//! * `cadj(c)` is the set of classes that share an attribute with `c`, `c`
-//!   included, and `S(c) = Σ_{d ∈ cadj(c)} |d|` the size of the *closed*
-//!   neighbourhood `B_c` of every member, so `|N(u)| = S(c) − 1` for `u ∈ c`.
-//!   A class alone in all its attributes has `S = 1`: no neighbour, score 0.
+//! * Every member of a class `c` has one closed neighbourhood `B_c`, the
+//!   values sharing an attribute with it, itself included. It is a bitset
+//!   over value ids, the OR of the word runs of the class's attributes
+//!   (the primitive `value_neighbor_counts` also reads; `crate::closed`),
+//!   with a span `[lo, hi)` outside which every word is zero.
+//! * `cadj(c)`, the classes that share an attribute with `c` (`c`
+//!   included), are the classes whose first member lies in `B_c` (a class
+//!   lies in `B_c` whole or not at all). `S(c) = |B_c|`, so
+//!   `|N(u)| = S(c) − 1` for `u ∈ c`. A class alone in all its attributes
+//!   has `S = 1`: no neighbour, score 0.
 //! * For `u ∈ c` and a neighbour `v ∈ d`, both lie in `B_c ∩ B_d` and in
 //!   neither open neighbourhood, so with `I = |B_c ∩ B_d|`
 //!
@@ -48,11 +54,9 @@
 //!   ```
 //!
 //!   — one Jaccard term per *class pair*, the same `usize as f64 / usize as
-//!   f64` the per-pair sweep evaluates. `B_c` is materialised as a bitset over
-//!   value ids for the targets' classes and their `cadj` only, and `I` is
-//!   the popcount of an AND: `O(values / 64)` per class pair where the sweep
-//!   paid a two-hop walk per value pair (5.7 × 10⁸ inner iterations on that
-//!   lake, 1.0 s → 0.02 s).
+//!   f64` the per-pair sweep evaluates. `I` is the popcount of an AND over
+//!   the intersection of the two spans, where the sweep paid a two-hop walk
+//!   per value pair (5.7 × 10⁸ inner iterations on that lake).
 //! * The score of `u` is then the sum of its neighbours' terms **in ascending
 //!   neighbour id** (the set bits of `B_c`, skipping `u`) over `S(c) − 1`.
 //!   Multiplying a term by `|d|` would save that pass and change the last
@@ -61,12 +65,31 @@
 //!   `join_matches_literal_sweep_bit_for_bit` (against the retained sweep)
 //!   all rely on.
 //!
+//! A row of the table is one class's `B_c`: the targets' classes first, in
+//! target order, then every other class adjacent to one of them. The kernel
+//! runs on a pool `threads` wide in two passes over the canonical chunks of
+//! the target rows ([`crate::bc`]'s cut, a function of the row count
+//! alone). In pass A each task fills its rows' `B_c` into its own slice of
+//! the table and reads `cadj(c)`, `S(c)` and the span off it. Between the
+//! passes the caller numbers the classes those rows reached, in chunk
+//! order, and fills their rows. In pass B each task forms its rows' terms
+//! and folds each member's score. A score is written by the one task that
+//! owns its row, from the same terms in the same order whatever the width,
+//! so every score is `to_bits()`-equal at every width. Builds pass the
+//! engine's compute width. A delta passes 1, because the writer shares the
+//! machine with the readers (on a prototype, a pooled delta left POSTs
+//! flat and slowed the co-located reader's reads by ~15 %). On the exact
+//! lake (2-core box, release, medians of 15) the kernel takes 31–33 ms at
+//! one thread, ~27 ms of it in pass B, and 16–26 ms at two, where the
+//! serial join over whole rows took 27–38 ms.
+//!
 //! Memory: the table is `rows × ⌈values / 64⌉` words (0.7 MB on that lake,
 //! 20 MB for the 13 522 values of its large one), freed before the kernel
-//! returns. Above `JOIN_TABLE_BYTES` (64 MiB) it is not built: `I` is then
-//! `Σ |e|` over `e ∈ cadj(c) ∩ cadj(d)`, found by stamping `cadj(c)` —
-//! `O(classes)` scratch plus one bitset row for the summation order, 0.24 s
-//! instead of 0.02 s on the exact lake, everything else shared.
+//! returns; each task adds a few buffers of `classes` or `values / 64`
+//! entries. Above `JOIN_TABLE_BYTES` (64 MiB) no table is kept: `I` is then
+//! `Σ |e|` over `e ∈ cadj(c) ∩ cadj(d)`, found by stamping `cadj(c)`, and
+//! a task refills one scratch row for the summation order — the same passes
+//! and bits, ~0.11 s at one thread and ~0.09 s at two on the exact lake.
 //!
 //! # Deltas
 //!
@@ -88,7 +111,11 @@
 //! graph is the graph a fresh build of the same lake derives, so the
 //! scores are those of that build too.
 
+use std::ops::Range;
+
+use crate::bc::canonical_chunks;
 use crate::bipartite::BipartiteGraph;
+use crate::closed::{for_each_bit, popcount, AttributeRuns};
 use crate::twins::{Twins, NONE};
 
 /// Which formulation of the local clustering coefficient to compute.
@@ -100,35 +127,33 @@ pub enum LccMethod {
     AttributeJaccard,
 }
 
-/// Compute the LCC of every **value node**, returned as a vector indexed by
-/// value node id.
+/// Compute the LCC of every **value node** on one thread, returned as a
+/// vector indexed by value node id. Nodes with no value neighbors get 0.
 pub fn local_clustering_coefficients(graph: &BipartiteGraph, method: LccMethod) -> Vec<f64> {
     let targets: Vec<u32> = graph.value_nodes().collect();
-    lcc_for_values(graph, &targets, method)
+    lcc_with_cardinality_for_values(graph, &targets, method, 1).0
 }
 
-/// Compute the LCC for an explicit list of value nodes.
-///
-/// The result is parallel to `targets`. Nodes with no value neighbors get an
-/// LCC of 0.
-pub fn lcc_for_values(graph: &BipartiteGraph, targets: &[u32], method: LccMethod) -> Vec<f64> {
-    lcc_with_cardinality_for_values(graph, targets, method).0
-}
-
-/// Like [`lcc_for_values`], but also returns each target's cardinality
-/// `|N(u)|` (its number of distinct value neighbors).
+/// The LCC of each of `targets` and its cardinality `|N(u)|` (its number
+/// of distinct value neighbors), both parallel to `targets`, on a pool
+/// `threads` wide. Nodes with no value neighbors get an LCC of 0.
 ///
 /// Both algorithms need `|N(u)|` anyway, so the cardinality is free —
 /// callers that need both (the ranking metadata and the incremental score
-/// maintenance do) avoid a second 2-hop sweep per node.
+/// maintenance do) avoid a second 2-hop sweep per node. Each score is
+/// computed by one task in the order a single thread computes it, so the
+/// result is `to_bits()`-identical at every width.
 pub fn lcc_with_cardinality_for_values(
     graph: &BipartiteGraph,
     targets: &[u32],
     method: LccMethod,
+    threads: usize,
 ) -> (Vec<f64>, Vec<usize>) {
     match method {
-        LccMethod::ValueNeighborJaccard => lcc_value_neighbors(graph, targets, JOIN_TABLE_BYTES),
-        LccMethod::AttributeJaccard => lcc_attribute_jaccard(graph, targets),
+        LccMethod::ValueNeighborJaccard => {
+            lcc_value_neighbors(graph, targets, JOIN_TABLE_BYTES, threads)
+        }
+        LccMethod::AttributeJaccard => lcc_attribute_jaccard(graph, targets, threads),
     }
 }
 
@@ -137,13 +162,63 @@ pub fn lcc_with_cardinality_for_values(
 /// same intersection sizes from the class lists instead (see the module doc).
 const JOIN_TABLE_BYTES: usize = 64 << 20;
 
-/// Equation 1 for `targets` as one class-level join (see the module doc).
-/// `table_bytes` is the bitset-table budget; production passes
-/// `JOIN_TABLE_BYTES`.
+/// What the join knows of each of its rows, read off `B_c`: `cadj(c)`
+/// (flat, row `r`'s entries end at `cadj_ends[r]`), `S(c) = |B_c|` and
+/// `B_c`'s span of words.
+#[derive(Default)]
+struct Rows {
+    cadj: Vec<u32>,
+    cadj_ends: Vec<usize>,
+    size: Vec<usize>,
+    span: Vec<Range<usize>>,
+}
+
+impl Rows {
+    /// Append the row whose closed neighbourhood `bits` holds in `span`.
+    /// `leaders` has the bit of each class's first member set, so the
+    /// classes adjacent to the row are those of `bits & leaders`.
+    fn push(&mut self, bits: &[u64], span: Range<usize>, leaders: &[u64], classes: &Twins) {
+        for i in span.clone() {
+            let mut word = bits[i] & leaders[i];
+            while word != 0 {
+                let v = (i * 64) as u32 + word.trailing_zeros();
+                word &= word - 1;
+                self.cadj.push(classes.class_of[v as usize]);
+            }
+        }
+        self.cadj_ends.push(self.cadj.len());
+        self.size.push(popcount(&bits[span.clone()]));
+        self.span.push(span);
+    }
+
+    fn cadj(&self, r: usize) -> &[u32] {
+        let start = if r == 0 { 0 } else { self.cadj_ends[r - 1] };
+        &self.cadj[start..self.cadj_ends[r]]
+    }
+
+    /// Lay `parts` end to end.
+    fn concat(parts: Vec<Rows>) -> Rows {
+        let mut rows = Rows::default();
+        for part in parts {
+            let base = rows.cadj.len();
+            rows.cadj.extend(part.cadj);
+            rows.cadj_ends
+                .extend(part.cadj_ends.iter().map(|end| base + end));
+            rows.size.extend(part.size);
+            rows.span.extend(part.span);
+        }
+        rows
+    }
+}
+
+/// Equation 1 for `targets` as one class-level join on a pool `threads`
+/// wide (see the module doc). `table_bytes` is the bitset-table budget;
+/// production passes `JOIN_TABLE_BYTES`.
 fn lcc_value_neighbors(
     graph: &BipartiteGraph,
     targets: &[u32],
     table_bytes: usize,
+    threads: usize,
 ) -> (Vec<f64>, Vec<usize>) {
     // Degree-0 targets and classes alone in their attributes keep 0 / 0.
     let mut scores = vec![0.0; targets.len()];
@@ -153,6 +228,42 @@ fn lcc_value_neighbors(
     }
     let classes = Twins::of(graph, graph.value_nodes());
     let class_of = |v: u32| classes.class_of[v as usize];
+    let runs = AttributeRuns::of(graph);
+    let words = runs.words();
+    let mut leaders = vec![0u64; words];
+    for c in 0..classes.count() as u32 {
+        let v = classes.members(c)[0];
+        leaders[v as usize / 64] |= 1u64 << (v % 64);
+    }
+    // B_c of every member of c is B(its first member). `fill_rows` fills
+    // the rows of `cs` into `table` (one row of `words` each), or, when it
+    // is empty, one at a time into a scratch row, and reads each off B_c.
+    let fill = |bits: &mut [u64], c: u32| runs.or_closed(graph, classes.members(c)[0], bits);
+    let fill_rows = |cs: &[u32], table: &mut [u64]| {
+        let mut rows = Rows::default();
+        let in_table = !table.is_empty();
+        let mut scratch = vec![0u64; if in_table { 0 } else { words }];
+        for (k, &c) in cs.iter().enumerate() {
+            let bits = if in_table {
+                &mut table[k * words..][..words]
+            } else {
+                &mut scratch[..]
+            };
+            let span = fill(bits, c);
+            rows.push(bits, span.clone(), &leaders, &classes);
+            if !in_table {
+                bits[span].fill(0);
+            }
+        }
+        rows
+    };
+    let class_len: Vec<u32> = (0..classes.count() as u32)
+        .map(|c| classes.members(c).len() as u32)
+        .collect();
+    let fits = |rows: usize| {
+        rows.checked_mul(words * 8)
+            .is_some_and(|bytes| bytes <= table_bytes)
+    };
 
     // A row per class whose closed neighbourhood is needed: the classes of
     // the targets first, then every other class adjacent to one of them.
@@ -168,163 +279,186 @@ fn lcc_value_neighbors(
     }
     let target_rows = rows.len();
 
-    // cadj(c), the classes sharing an attribute with c (c among them), and
-    // S(c) = Σ |d| over them, per row.
-    let mut stamp = vec![0u32; classes.count()];
-    let mut epoch = 0u32;
-    let mut cadj: Vec<u32> = Vec::new();
-    let mut cadj_offsets = vec![0usize];
-    let mut closed_size: Vec<usize> = Vec::new();
-    let mut r = 0;
-    while r < rows.len() {
-        epoch += 1;
-        let mut size = 0;
-        for &attr in graph.neighbors(classes.members(rows[r])[0]) {
-            for &w in graph.neighbors(attr) {
-                let d = class_of(w);
-                if stamp[d as usize] != epoch {
-                    stamp[d as usize] = epoch;
-                    cadj.push(d);
-                    size += classes.members(d).len();
-                    if r < target_rows && row_of[d as usize] == NONE {
-                        row_of[d as usize] = rows.len() as u32;
-                        rows.push(d);
-                    }
-                }
-            }
-        }
-        cadj_offsets.push(cadj.len());
-        closed_size.push(size);
-        r += 1;
-    }
-    let cadj_of = |r: usize| &cadj[cadj_offsets[r]..cadj_offsets[r + 1]];
-
-    // B_c: the closed neighbourhood of a row as a bitset over value ids.
-    let words = graph.value_count().div_ceil(64);
-    let fill = |bits: &mut [u64], r: usize| {
-        for &d in cadj_of(r) {
-            for &w in classes.members(d) {
-                bits[w as usize / 64] |= 1u64 << (w % 64);
-            }
-        }
-    };
-    let use_table = rows
-        .len()
-        .checked_mul(words * 8)
-        .is_some_and(|bytes| bytes <= table_bytes);
-    let mut table = vec![0u64; if use_table { rows.len() * words } else { words }];
-    if use_table {
-        for (r, bits) in table.chunks_exact_mut(words).enumerate() {
-            fill(bits, r);
-        }
-    }
-
     // Targets in row order; rows were numbered in target order, so every
-    // target row owns one contiguous, non-empty run.
-    let target_row = |i: u32| row_of[class_of(targets[i as usize]) as usize];
+    // target row `r` owns one contiguous, non-empty run of `order`, from
+    // `run_offsets[r]` to `run_offsets[r + 1]`.
+    let target_row = |i: u32| row_of[class_of(targets[i as usize]) as usize] as usize;
     let mut order: Vec<u32> = (0..targets.len() as u32)
         .filter(|&i| class_of(targets[i as usize]) != NONE)
         .collect();
     order.sort_by_key(|&i| target_row(i));
-    let mut run_end = 0;
-
-    let mut term_of = vec![0.0f64; classes.count()];
-    let mut neighbourhood: Vec<(u32, f64)> = Vec::new();
+    let mut run_offsets = vec![0usize; target_rows + 1];
+    for &i in &order {
+        run_offsets[target_row(i) + 1] += 1;
+    }
     for r in 0..target_rows {
-        let run_start = run_end;
-        while run_end < order.len() && target_row(order[run_end]) as usize == r {
-            run_end += 1;
-        }
-        if closed_size[r] == 1 {
-            // Alone in all its attributes: no neighbour, no pair.
-            continue;
-        }
-        // One Jaccard term per adjacent class: with I = |B_c ∩ B_d|, both
-        // endpoints lie in I and in neither open neighbourhood.
-        epoch += 1;
-        if !use_table {
-            for &e in cadj_of(r) {
-                stamp[e as usize] = epoch;
+        run_offsets[r + 1] += run_offsets[r];
+    }
+    let run = |r: usize| &order[run_offsets[r]..run_offsets[r + 1]];
+
+    // Pass A: each task fills its target rows, in its own slice of the
+    // table when the target rows fit the budget.
+    let pool = dn_pool::Pool::new(threads);
+    let chunks = canonical_chunks(target_rows);
+    let mut use_table = fits(target_rows);
+    let mut table = vec![0u64; if use_table { target_rows * words } else { 0 }];
+    let mut slices: Vec<&mut [u64]> = Vec::with_capacity(chunks.len());
+    let mut rest = &mut table[..];
+    for chunk in &chunks {
+        let (slice, tail) = rest.split_at_mut(if use_table { chunk.len() * words } else { 0 });
+        slices.push(slice);
+        rest = tail;
+    }
+    let mut parts = pool.run_over_mut(&mut slices, |ch, slice| {
+        fill_rows(&rows[chunks[ch].clone()], slice)
+    });
+    drop(slices);
+
+    // Between the passes: number the classes the target rows reached, in
+    // chunk order, and fill their rows (in the table while all rows fit).
+    for part in &parts {
+        for &d in &part.cadj {
+            if row_of[d as usize] == NONE {
+                row_of[d as usize] = rows.len() as u32;
+                rows.push(d);
             }
         }
-        for &d in cadj_of(r) {
-            let rd = row_of[d as usize] as usize;
-            let shared = if use_table {
-                let (b_c, b_d) = (&table[r * words..][..words], &table[rd * words..][..words]);
-                b_c.iter()
-                    .zip(b_d)
-                    .map(|(x, y)| (x & y).count_ones() as usize)
-                    .sum()
-            } else {
-                cadj_of(rd)
-                    .iter()
-                    .filter(|&&e| stamp[e as usize] == epoch)
-                    .map(|&e| classes.members(e).len())
-                    .sum::<usize>()
-            };
-            let union = closed_size[r] + closed_size[rd] - shared;
-            term_of[d as usize] = (shared - 2) as f64 / union as f64;
-        }
-        // The terms in ascending neighbour id: the order the literal sweep
-        // adds them in, which is what keeps every score bit-identical.
-        let bits = if use_table {
-            &table[r * words..][..words]
+    }
+    use_table &= fits(rows.len());
+    table.resize(if use_table { rows.len() * words } else { 0 }, 0);
+    parts.push(fill_rows(
+        &rows[target_rows..],
+        table.get_mut(target_rows * words..).unwrap_or_default(),
+    ));
+    let info = Rows::concat(parts);
+
+    // Pass B: one Jaccard term per adjacent class, then each member's terms
+    // summed in ascending neighbour id, per target row.
+    let parts = pool.run(chunks.len(), |ch| {
+        let mut term_of = vec![0.0f64; classes.count()];
+        let (mut stamp, mut scratch) = if use_table {
+            (Vec::new(), Vec::new())
         } else {
-            fill(&mut table, r);
-            &table[..]
+            (vec![NONE; classes.count()], vec![0u64; words])
         };
-        neighbourhood.clear();
-        for (i, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let v = (i * 64) as u32 + word.trailing_zeros();
-                word &= word - 1;
-                neighbourhood.push((v, term_of[class_of(v) as usize]));
+        let mut neighbourhood: Vec<(u32, f64)> = Vec::new();
+        let mut out = Vec::new();
+        for r in chunks[ch].clone() {
+            let members = run(r);
+            let size = info.size[r];
+            if size == 1 {
+                // Alone in all its attributes: no neighbour, no pair.
+                out.extend(members.iter().map(|_| 0.0));
+                continue;
             }
-        }
-        if !use_table {
-            table.fill(0);
-        }
-        let cardinality = closed_size[r] - 1;
-        for &i in &order[run_start..run_end] {
-            let u = targets[i as usize];
-            let mut sum = 0.0;
-            for &(v, term) in &neighbourhood {
-                if v != u {
-                    sum += term;
+            if !use_table {
+                for &e in info.cadj(r) {
+                    stamp[e as usize] = r as u32;
                 }
             }
-            scores[i as usize] = sum / cardinality as f64;
-            cardinalities[i as usize] = cardinality;
+            // With I = |B_c ∩ B_d|, both endpoints lie in I and in neither
+            // open neighbourhood.
+            for &d in info.cadj(r) {
+                let rd = row_of[d as usize] as usize;
+                let shared = if use_table {
+                    let lo = info.span[r].start.max(info.span[rd].start);
+                    let hi = info.span[r].end.min(info.span[rd].end);
+                    let (b_c, b_d) = (&table[r * words..][lo..hi], &table[rd * words..][lo..hi]);
+                    b_c.iter()
+                        .zip(b_d)
+                        .map(|(x, y)| (x & y).count_ones() as usize)
+                        .sum()
+                } else {
+                    // Branch-free: a stamp test fails about as often as
+                    // it passes, and the sum vectorises (2–3× at one
+                    // thread on the exact lake).
+                    info.cadj(rd)
+                        .iter()
+                        .map(|&e| {
+                            (stamp[e as usize] == r as u32) as usize
+                                * class_len[e as usize] as usize
+                        })
+                        .sum::<usize>()
+                };
+                let union = size + info.size[rd] - shared;
+                term_of[d as usize] = (shared - 2) as f64 / union as f64;
+            }
+            // The terms in ascending neighbour id: the order the literal
+            // sweep adds them in, which is what keeps every score
+            // bit-identical.
+            let span = info.span[r].clone();
+            let bits = if use_table {
+                &table[r * words..][..words]
+            } else {
+                fill(&mut scratch, rows[r]);
+                &scratch[..]
+            };
+            neighbourhood.clear();
+            for_each_bit(bits, span.clone(), |v| {
+                neighbourhood.push((v, term_of[class_of(v) as usize]));
+            });
+            if !use_table {
+                scratch[span].fill(0);
+            }
+            for &i in members {
+                let u = targets[i as usize];
+                let mut sum = 0.0;
+                for &(v, term) in &neighbourhood {
+                    if v != u {
+                        sum += term;
+                    }
+                }
+                out.push(sum / (size - 1) as f64);
+            }
+        }
+        out
+    });
+    for (part, chunk) in parts.iter().zip(&chunks) {
+        let members = chunk
+            .clone()
+            .flat_map(|r| run(r).iter().map(move |&i| (r, i)));
+        for (&score, (r, i)) in part.iter().zip(members) {
+            scores[i as usize] = score;
+            cardinalities[i as usize] = info.size[r] - 1;
         }
     }
     (scores, cardinalities)
 }
 
-fn lcc_attribute_jaccard(graph: &BipartiteGraph, targets: &[u32]) -> (Vec<f64>, Vec<usize>) {
-    let mut out = Vec::with_capacity(targets.len());
-    let mut cardinalities = Vec::with_capacity(targets.len());
-    for &u in targets {
-        debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
-        let nu = graph.value_neighbors(u);
-        cardinalities.push(nu.len());
-        if nu.is_empty() {
-            out.push(0.0);
-            continue;
-        }
-        let au = graph.neighbors(u);
-        let mut sum = 0.0;
-        for &v in &nu {
-            let av = graph.neighbors(v);
-            let inter = sorted_intersection_size(au, av);
-            let union = au.len() + av.len() - inter;
-            if union > 0 {
-                sum += inter as f64 / union as f64;
-            }
-        }
-        out.push(sum / nu.len() as f64);
+/// The attribute-set variant, over canonical chunks of `targets` on a pool
+/// `threads` wide; a target's score is computed as on one thread.
+fn lcc_attribute_jaccard(
+    graph: &BipartiteGraph,
+    targets: &[u32],
+    threads: usize,
+) -> (Vec<f64>, Vec<usize>) {
+    let chunks = canonical_chunks(targets.len());
+    let parts = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
+        targets[chunks[c].clone()]
+            .iter()
+            .map(|&u| attribute_jaccard(graph, u))
+            .collect::<Vec<_>>()
+    });
+    parts.into_iter().flatten().unzip()
+}
+
+fn attribute_jaccard(graph: &BipartiteGraph, u: u32) -> (f64, usize) {
+    debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
+    let nu = graph.value_neighbors(u);
+    if nu.is_empty() {
+        return (0.0, 0);
     }
-    (out, cardinalities)
+    let au = graph.neighbors(u);
+    let mut sum = 0.0;
+    for &v in &nu {
+        let av = graph.neighbors(v);
+        let inter = sorted_intersection_size(au, av);
+        let union = au.len() + av.len() - inter;
+        if union > 0 {
+            sum += inter as f64 / union as f64;
+        }
+    }
+    (sum / nu.len() as f64, nu.len())
 }
 
 fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
@@ -633,6 +767,7 @@ pub(crate) mod tests {
                 &new,
                 &region.dirty_values,
                 LccMethod::ValueNeighborJaccard,
+                2,
             );
             let full = local_clustering_coefficients(&new, LccMethod::ValueNeighborJaccard);
             // Move, scatter, then compare every node against a full pass.
@@ -676,28 +811,40 @@ pub(crate) mod tests {
         let (g, ids) = crate::bipartite::tests::figure3b();
         let full = local_clustering_coefficients(&g, LccMethod::ValueNeighborJaccard);
         let targets = vec![ids["JAGUAR"], ids["PANDA"]];
-        let partial = lcc_for_values(&g, &targets, LccMethod::ValueNeighborJaccard);
+        let (partial, _) =
+            lcc_with_cardinality_for_values(&g, &targets, LccMethod::ValueNeighborJaccard, 1);
         assert!((partial[0] - full[ids["JAGUAR"] as usize]).abs() < 1e-12);
         assert!((partial[1] - full[ids["PANDA"] as usize]).abs() < 1e-12);
     }
 
-    /// The join against the literal sweep on one target list, once per
-    /// intersection primitive (bitset table, and class lists at budget 0).
+    /// The join against the literal sweep on one target list, at widths 1, 2
+    /// and 3 and once per intersection primitive: the bitset table, the
+    /// class lists at budget 0, and the switch between them after pass A at
+    /// a budget that holds the targets' rows only.
     fn assert_join_matches_literal(graph: &BipartiteGraph, targets: &[u32], what: &str) {
         let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         let (want, want_cardinalities) = lcc_value_neighbors_literal(graph, targets);
         let want = bits(&want);
-        for table_bytes in [JOIN_TABLE_BYTES, 0] {
-            let (got, got_cardinalities) = lcc_value_neighbors(graph, targets, table_bytes);
-            assert_eq!(
-                got_cardinalities, want_cardinalities,
-                "{what}, table budget {table_bytes}: cardinalities"
-            );
-            assert_eq!(
-                bits(&got),
-                want,
-                "{what}, table budget {table_bytes}: score bits"
-            );
+        let classes = Twins::of(graph, graph.value_nodes());
+        let mut target_classes: Vec<u32> = targets
+            .iter()
+            .map(|&u| classes.class_of[u as usize])
+            .filter(|&c| c != NONE)
+            .collect();
+        target_classes.sort_unstable();
+        target_classes.dedup();
+        let target_rows_only = target_classes.len() * graph.value_count().div_ceil(64) * 8;
+        for threads in [1, 2, 3] {
+            for table_bytes in [JOIN_TABLE_BYTES, 0, target_rows_only] {
+                let (got, got_cardinalities) =
+                    lcc_value_neighbors(graph, targets, table_bytes, threads);
+                let case = format!("{what}, {threads} threads, table budget {table_bytes}");
+                assert_eq!(
+                    got_cardinalities, want_cardinalities,
+                    "{case}: cardinalities"
+                );
+                assert_eq!(bits(&got), want, "{case}: score bits");
+            }
         }
     }
 

@@ -70,6 +70,7 @@
 pub mod approx_bc;
 pub mod bc;
 pub mod bipartite;
+mod closed;
 pub mod components;
 pub mod delta;
 pub mod lcc;

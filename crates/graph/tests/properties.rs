@@ -12,7 +12,7 @@ use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig};
 use dn_graph::bc::{betweenness_centrality, betweenness_centrality_parallel, normalize_scores};
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::connected_components;
-use dn_graph::lcc::{local_clustering_coefficients, LccMethod};
+use dn_graph::lcc::{lcc_with_cardinality_for_values, local_clustering_coefficients, LccMethod};
 use dn_graph::projection::project_values;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,6 +173,80 @@ fn projection_degree_matches_value_neighbor_count() {
                     "seed {seed}, {threads} threads"
                 );
             }
+        }
+    }
+}
+
+/// A graph over 130 to 200 values (three or four 64-bit words of value ids)
+/// with, by construction, an attribute whose members straddle words 0–2, one
+/// confined to word 1, one joining value 1 to the last value, an isolated
+/// value, and random attributes over the rest.
+fn wide_graph(seed: u64) -> BipartiteGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let nv = rng.gen_range(130..=200u32);
+    let mut b = BipartiteBuilder::new();
+    for v in 0..nv {
+        b.add_value(format!("v{v}"));
+    }
+    let isolated = rng.gen_range(0..nv);
+    let edge = |b: &mut BipartiteBuilder, v: u32, a: u32| {
+        if v != isolated {
+            b.add_edge(v, a);
+        }
+    };
+    let straddling = b.add_attribute("straddling");
+    for v in [0, 63, 64, 127, 128] {
+        edge(&mut b, v, straddling);
+    }
+    let confined = b.add_attribute("confined");
+    for v in 64 + rng.gen_range(0..8)..rng.gen_range(100..128) {
+        edge(&mut b, v, confined);
+    }
+    let ends = b.add_attribute("ends");
+    edge(&mut b, 1, ends);
+    edge(&mut b, nv - 1, ends);
+    for _ in 0..rng.gen_range(1..=8) {
+        let a = b.add_attribute("random");
+        for _ in 0..rng.gen_range(1..=40) {
+            edge(&mut b, rng.gen_range(0..nv), a);
+        }
+    }
+    let g = b.build();
+    assert_eq!(g.degree(isolated), 0, "seed {seed}");
+    g
+}
+
+#[test]
+fn value_neighbor_counts_match_across_word_boundaries() {
+    for seed in 0..CASES {
+        let g = wide_graph(seed);
+        let want: Vec<usize> = g.value_nodes().map(|v| g.value_neighbor_count(v)).collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                g.value_neighbor_counts(threads),
+                want,
+                "seed {seed}, {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn attribute_jaccard_is_width_invariant() {
+    let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    for seed in 0..CASES {
+        let g = if seed % 2 == 0 {
+            wide_graph(seed)
+        } else {
+            random_graph(40, 8, seed)
+        };
+        let targets: Vec<u32> = (0..g.value_count() as u32).rev().collect();
+        let method = LccMethod::AttributeJaccard;
+        let (want, want_cards) = lcc_with_cardinality_for_values(&g, &targets, method, 1);
+        for threads in [2, 4] {
+            let (got, cards) = lcc_with_cardinality_for_values(&g, &targets, method, threads);
+            assert_eq!(bits(&got), bits(&want), "seed {seed}, {threads} threads");
+            assert_eq!(cards, want_cards, "seed {seed}, {threads} threads");
         }
     }
 }
