@@ -141,9 +141,16 @@ GATES=(
     # draws it; so recovery folds a WAL suffix in one call onto the state
     # folding it record by record gives.
     "quick|a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
+    # The in-order scheduler every pool call runs on: the sink sees every
+    # index in order at widths 1-4 under seeded uneven costs, its error
+    # stops the run, and a worker's or the sink's panic is re-raised after
+    # the join, without a hang.
+    "quick|in-order pool: sink order and values width-invariant; sink error stops the run; worker and sink panics re-raised after the join|-p dn-pool --lib|run_in_order_sinks_every_index_in_order_at_every_width a_sink_error_is_returned_and_stops_the_run a_worker_panic_at_the_awaited_index_is_re_raised_without_a_hang a_sink_panic_stops_claiming_and_is_re_raised_after_the_join"
     # The one-pass CSV parser against the line-joining reader it replaced
-    # (seeded hostile bytes), and load_dir at pool widths 1, 2 and 4.
-    "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader"
+    # (seeded hostile bytes), and load_dir at pool widths 1, 2 and 4: the
+    # lake or first error equals the sequential fold's, a failing add_table
+    # included.
+    "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant, a failing add_table stops it|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader a_failing_add_table_stops_the_load_at_every_width"
     # Row reads leave no live heap behind (a counting allocator), the
     # dictionary differ gives its per-cell oracle's ops, and a one-column
     # table with empty cells survives a CSV round trip.

@@ -128,7 +128,7 @@ pub(crate) fn canonical_chunks(len: usize) -> Vec<std::ops::Range<usize>> {
 /// Exact betweenness centrality using a pool `threads` wide.
 ///
 /// The source classes are split into chunks per component (module doc) and
-/// scheduled onto a work-stealing [`dn_pool::Pool`]; each chunk owns a
+/// scheduled onto a [`dn_pool::Pool`]; each chunk owns a
 /// private per-class accumulator, and the per-chunk partials are folded
 /// **in chunk order**, so the result is bit-identical for every `threads`
 /// value — `betweenness_centrality_parallel(g, 1)` and `(g, 8)` agree on
@@ -179,7 +179,7 @@ pub(crate) enum Sources {
     Drawn(Vec<(u32, f64)>),
 }
 
-/// Run the quotient kernel from `sources` across a work-stealing pool,
+/// Run the quotient kernel from `sources` across a pool,
 /// scatter the class totals to the members and halve. Deterministic: the
 /// chunk layout (module doc), its batches of [`LANES`] and the
 /// chunk-index-ordered fold make the output a pure function of `(graph,

@@ -48,6 +48,12 @@ impl StringList {
         self.ends.push(self.buf.len());
     }
 
+    /// Release the spare capacity of both buffers.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.buf.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.ends.len()

@@ -9,11 +9,13 @@
 //! A file is read whole and parsed in one pass ([`crate::csv`]); every cell
 //! goes straight into its column's dictionary, one buffer per column, so
 //! only distinct cells are ever copied. [`load_dir`] parses its files and
-//! builds their tables on a machine-wide [`dn_pool::Pool`], and the calling
-//! thread adds them in path order, so the lake is the same at every width.
-//! A column is a handful of buffers, so the tables a worker built pin no
-//! measurable share of its malloc arena (ARCHITECTURE.md, "Who allocates
-//! what outlives the call").
+//! builds their tables on a machine-wide [`dn_pool::Pool`]
+//! ([`Pool::run_in_order`]); the calling thread adds each table as soon as
+//! it and every table before it are parsed, so indexing overlaps the
+//! parsing of later files, and the lake is the sequential fold's at every
+//! width. A column is a handful of buffers trimmed to their length, so the
+//! tables a worker built pin no measurable share of its malloc arena
+//! (ARCHITECTURE.md, "Who allocates what outlives the call").
 
 use std::borrow::Cow;
 use std::fs::{self, File};
@@ -49,10 +51,11 @@ struct ParsedColumn {
 }
 
 /// Parse a CSV document into per-column dictionaries, then build its
-/// columns (validated, normalized and sorted by [`Column::from_dictionary`]).
-/// A record is checked in full (structure, then UTF-8) before its width is,
-/// and every record before the header names are: a header that names a
-/// column twice is [`LakeError::DuplicateColumn`].
+/// columns (validated by [`Column::from_dictionary`]), each holding no
+/// spare capacity: the lake keeps them. A record is checked in full
+/// (structure, then UTF-8) before its width is, and every record before
+/// the header names are: a header that names a column twice is
+/// [`LakeError::DuplicateColumn`].
 fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Table> {
     let mut records = Records::new(bytes, options.csv);
     let mut fields = Vec::new();
@@ -100,12 +103,14 @@ fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Table
     let columns = columns
         .into_iter()
         .enumerate()
-        .map(|(i, column)| {
+        .map(|(i, mut column)| {
             let name = if column.name.trim().is_empty() {
                 format!("column_{i}")
             } else {
                 column.name
             };
+            column.dictionary.shrink_to_fit();
+            column.indices.shrink_to_fit();
             Column::from_dictionary(name, column.dictionary, column.indices)
         })
         .collect::<Result<Vec<_>>>()?;
@@ -128,7 +133,9 @@ pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
 ///
 /// Files are loaded in lexicographic order so the resulting [`AttrId`]s
 /// (and therefore downstream graph node ids) are deterministic. They are
-/// parsed in parallel; the first error in that order is returned.
+/// parsed on a machine-wide pool, and each table is added to the lake as
+/// soon as it and every file before it are parsed, while later files still
+/// parse; the first error in path order is returned, and stops the load.
 ///
 /// [`AttrId`]: crate::catalog::AttrId
 pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatalog> {
@@ -146,15 +153,17 @@ pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatal
     load_paths(&paths, options, Pool::machine_wide())
 }
 
-/// Load `paths` on `pool` and add their tables in path order: the lake, or
+/// Load `paths` on `pool` and add each table as soon as it and every
+/// table before it are parsed, while later files still parse: the lake, or
 /// the first error in path order, is the one a sequential fold of
-/// [`load_table`] gives, whatever the pool's width.
+/// [`load_table`] and `add_table` gives, whatever the pool's width.
 fn load_paths(paths: &[PathBuf], options: LoadOptions, pool: Pool) -> Result<LakeCatalog> {
-    let loaded = pool.run(paths.len(), |i| load_table(&paths[i], options));
     let mut catalog = LakeCatalog::new();
-    for table in loaded {
-        catalog.add_table(table?)?;
-    }
+    pool.run_in_order(
+        paths.len(),
+        |i| load_table(&paths[i], options),
+        |_, table| catalog.add_table(table?),
+    )?;
     Ok(catalog)
 }
 
@@ -326,6 +335,49 @@ mod tests {
         fs::write(dir.join("a.csv"), "y\n2\n").unwrap();
         let lake = load_dir(&dir, LoadOptions::default()).unwrap();
         assert_eq!(lake.live_table_names(), ["a", "b"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sink's own error stops the load: `a.CSV` and `a.csv` share the
+    /// stem `a`, so adding the second is `DuplicateTable("a")`, the first
+    /// error in path order even though `b.csv` after them does not parse.
+    /// When the bad file sorts first, its CSV error is the one returned.
+    #[test]
+    fn a_failing_add_table_stops_the_load_at_every_width() {
+        let dir = temp_dir("sink_error");
+        fs::write(dir.join("a.CSV"), "x\n1\n").unwrap();
+        fs::write(dir.join("a.csv"), "y\n2\n").unwrap();
+        fs::write(dir.join("b.csv"), "z\n\"unterminated\n").unwrap();
+        let paths =
+            |names: &[&str]| -> Vec<PathBuf> { names.iter().map(|n| dir.join(n)).collect() };
+        let options = LoadOptions::default();
+        for threads in [1, 2, 4] {
+            let err = load_paths(
+                &paths(&["a.CSV", "a.csv", "b.csv"]),
+                options,
+                Pool::new(threads),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, LakeError::DuplicateTable(name) if name == "a"),
+                "{threads} threads: {err:?}"
+            );
+            let err = load_paths(
+                &paths(&["b.csv", "a.CSV", "a.csv"]),
+                options,
+                Pool::new(threads),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, LakeError::Csv { .. }),
+                "{threads} threads: {err:?}"
+            );
+        }
+        let err = load_dir(&dir, options).unwrap_err();
+        assert!(
+            matches!(&err, LakeError::DuplicateTable(name) if name == "a"),
+            "{err:?}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
