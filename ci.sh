@@ -120,17 +120,26 @@ GATES=(
     # 0.1 and compared to tests/golden/paper.json; docs/EXPERIMENTS.md must
     # quote it.
     "quick|paper ledger == committed results|--test paper_ledger|reproduces:: the_ledger_holds_every_experiment compute_width_does_not_move_the_ledger the_papers_claims_hold_in_the_ledger experiments_doc_quotes_the_ledger"
-    # A prefix of both differential tests (random graphs + SB, and TUS
-    # small), each at pool widths 1, 2 and 3 with the bitset table, with
-    # the class lists, and switching from one to the other between its two
-    # passes. The next gate is the delta side of the same kernel:
-    # recomputing the dirty_values dirty_region reports for a changed and
-    # renumbered graph, at width 2, leaves every node to_bits()-equal to a
-    # full pass. The third is the closed-neighbourhood primitive's |N(v)|
-    # over three- and four-word graphs, and the attribute-set LCC's widths.
-    "quick|Equation-1 join == literal sweep at widths 1, 2 and 3 (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
-    "quick|dirty values are a complete invalidation set (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
-    "quick|closed-neighbourhood cardinalities across word boundaries at widths 1, 2 and 4; attribute-set LCC at widths 1, 2 and 4 (to_bits)|-p dn-graph --test properties|value_neighbor_counts_match_across_word_boundaries attribute_jaccard_is_width_invariant"
+    # The served LCC, the attribute-set counting join, against the
+    # per-value walk it replaced (random graphs with twins, isolated and
+    # lone values, tombstones; SB and TUS small; widths 1, 2 and 3; scores
+    # within 1e-12 relative, cardinalities exact, bits independent of width
+    # and target list) and on Example 3.6; then the readers of the switch:
+    # explain reads |N(v)| off the rankings, and a data dir whose manifest
+    # lists the value-neighbour LCC recovers to the new one.
+    "quick|attribute-set LCC == per-value walk (1e-12 relative; to_bits across widths and target lists), Example 3.6; explain's neighbour count off the view; a pre-switch data dir recovers to the new LCC|-p dn-graph -p dn-service -p domainnet_suite --lib --test store_recovery|counting_join_matches_the_per_value_walk the_attribute_set_reading_prints_example_3_6 explain_cardinality_is_the_rankings a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure"
+    # A prefix of both differential tests of the value-neighbour join
+    # (random graphs + SB, and TUS small), each at pool widths 1, 2 and 3
+    # with the bitset table, with the class lists, and switching from one
+    # to the other between its two passes. The next gate is the delta side
+    # of both LCC kernels: recomputing the dirty_values dirty_region
+    # reports for a changed and renumbered graph, at width 2, leaves every
+    # node to_bits()-equal to a full pass. The third is the
+    # closed-neighbourhood primitive's |N(v)| over three- and four-word
+    # graphs, and the attribute-set LCC's widths.
+    "quick|value-neighbour join == literal sweep at widths 1, 2 and 3 (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
+    "quick|dirty values are a complete invalidation set for both LCC readings (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
+    "quick|closed-neighbourhood cardinalities across word boundaries at widths 1, 2 and 4; attribute-set LCC at widths 1, 2, 3 and 4 (to_bits)|-p dn-graph --test properties|value_neighbor_counts_match_across_word_boundaries attribute_jaccard_is_width_invariant"
     # Brandes on the twin quotient against the per-node kernel (whole
     # graphs, component pools, sampled sources; 1, 2 and 4 threads; deep,
     # 2^32-path and full-lane-batch graphs), then lane batches against one
@@ -248,7 +257,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     DETERMINISM=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir target/benchmark -- --check-determinism --seconds 2)
     echo "${DETERMINISM}"
-    for pinned in batch_detect:9da0b76958e31f31 serve_read_heavy:1cd3f341b6a2ccc1 \
+    for pinned in batch_detect:60a171c5c9d8b436 serve_read_heavy:1cd3f341b6a2ccc1 \
         serve_write_heavy:89f7dcf647c4ddf7 ingest_restart:f129264fa90ba08b; do
         if ! grep -F -- "${pinned%%:*}: digest ${pinned#*:}," <<<"${DETERMINISM}" >/dev/null; then
             echo "${pinned%%:*}: digest is not the committed ${pinned#*:}" >&2

@@ -10,7 +10,6 @@ use datagen::scale::{ScaleConfig, ScaleGenerator};
 use datagen::truth::{GeneratedLake, LakeTruth};
 use dn_graph::approx_bc::{approximate_betweenness, ApproxBcConfig};
 use dn_graph::bc::normalize_scores;
-use dn_graph::lcc::LccMethod;
 use dn_graph::subgraph::random_attribute_subgraph;
 use domainnet::eval::{
     precision_recall_at_k, precision_recall_of_set, recall_of_expected_in_top_k, EvalPoint,
@@ -353,8 +352,7 @@ fn fig8(ctx: &Ctx) -> Vec<Table> {
 fn fig9(ctx: &Ctx) -> Vec<Table> {
     let (lake, generate) = timed(|| scale_lake(ctx));
     let (net, build) = timed(|| ctx.net(&lake));
-    // The attribute-Jaccard variant is the one a lake of this size would use.
-    let (_, lcc) = timed(|| net.raw_scores(Measure::Lcc(LccMethod::AttributeJaccard)));
+    let (_, lcc) = timed(|| net.raw_scores(Measure::lcc()));
     let mut timings = Table::new("timings", "generate (s) | build (s) | LCC (s)");
     timings.push(row![generate, build, lcc]);
 

@@ -55,9 +55,11 @@ impl Measure {
         Measure::ExactBc
     }
 
-    /// The paper's default LCC (the literal Equation 1).
+    /// The paper's LCC: the mean Jaccard of a value's attribute set with
+    /// those of the values it shares an attribute with (the reading that
+    /// reproduces Example 3.6; see [`dn_graph::lcc`]). Named `"LCC"`.
     pub fn lcc() -> Self {
-        Measure::Lcc(LccMethod::ValueNeighborJaccard)
+        Measure::Lcc(LccMethod::AttributeJaccard)
     }
 
     /// Approximate BC with the given sample count and seed.
@@ -92,8 +94,8 @@ impl Measure {
     /// A short human-readable name used in experiment output.
     pub fn name(&self) -> &'static str {
         match self {
-            Measure::Lcc(LccMethod::ValueNeighborJaccard) => "LCC",
-            Measure::Lcc(LccMethod::AttributeJaccard) => "LCC(attr)",
+            Measure::Lcc(LccMethod::AttributeJaccard) => "LCC",
+            Measure::Lcc(LccMethod::ValueNeighborJaccard) => "LCC(value)",
             Measure::ExactBc => "BC",
             Measure::ApproxBc(_) => "BC(approx)",
         }
@@ -128,7 +130,7 @@ mod tests {
     fn measure_names_are_distinct() {
         let names = [
             Measure::lcc().name(),
-            Measure::Lcc(LccMethod::AttributeJaccard).name(),
+            Measure::Lcc(LccMethod::ValueNeighborJaccard).name(),
             Measure::exact_bc().name(),
             Measure::approx_bc(10, 0).name(),
         ];

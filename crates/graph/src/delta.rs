@@ -8,8 +8,8 @@
 //!
 //! * [`DirtyRegion::dirty_values`] — the value nodes whose 2-hop
 //!   neighborhood changed, i.e. the only nodes whose local clustering
-//!   coefficient can have changed (Equation 1 depends on `N(u)` and `N(v)`
-//!   for `v ∈ N(u)` only).
+//!   coefficient can have changed (either reading depends on `N(u)` and,
+//!   for `v ∈ N(u)`, on `A(v)` or `N(v)` only).
 //! * [`DirtyRegion::components`] / [`DirtyRegion::touched_components`] —
 //!   connected components of the new graph, plus the ids of those
 //!   containing an endpoint of a changed edge.

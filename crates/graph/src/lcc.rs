@@ -1,95 +1,98 @@
-//! Bipartite local clustering coefficients (Equation 1 of the paper).
+//! Bipartite local clustering coefficients (§3.3 of the paper).
 //!
-//! For a value node `u`, let `N(u)` be its *value neighbors* — every other
-//! value that shares at least one attribute with `u`. The pairwise clustering
-//! coefficient of two values is the Jaccard similarity of their neighbor
-//! sets,
+//! For a value node `u`, let `A(u)` be its attributes and `N(u)` its *value
+//! neighbours* — every other value that shares at least one attribute with
+//! `u`. The local clustering coefficient of `u` is the mean, over
+//! `v ∈ N(u)`, of a Jaccard similarity of `u` and `v`. Hypothesis 3.4 of the
+//! paper: homographs, whose neighbours come from several unrelated
+//! communities, have *lower* LCC than unambiguous values. Two readings of
+//! the pairwise term are offered:
 //!
-//! ```text
-//! c_vw = |N(v) ∩ N(w)| / |N(v) ∪ N(w)|
-//! ```
-//!
-//! and the local clustering coefficient of `u` is the mean of `c_uv` over all
-//! `v ∈ N(u)`. Hypothesis 3.4 of the paper: homographs, whose neighbors come
-//! from several unrelated communities, have *lower* LCC than unambiguous
-//! values.
-//!
-//! Two computation methods are offered:
-//!
-//! * [`LccMethod::ValueNeighborJaccard`] — Equation 1, evaluated as one
-//!   value–attribute–value join over *classes* (below) instead of a two-hop
-//!   walk per value pair.
-//! * [`LccMethod::AttributeJaccard`] — the scalable variant the paper
-//!   alludes to ("no more than the average Jaccard similarity between the
-//!   set of attributes that a value co-occurs with"): the Jaccard is taken
-//!   over the (much smaller) sets of *attributes* containing each value.
-//!   Shares the same bias — it rewards values confined to overlapping
-//!   attribute sets — at a fraction of the cost.
-//!
-//! # Cost of Equation 1
-//!
-//! `N(v)` and `|N(u) ∩ N(v)|` depend only on the *attribute sets* of `u` and
-//! `v`, and a lake has far fewer distinct attribute sets than values (1 518
-//! for 3 685 values on the standing benchmark's exact lake). So values are
-//! grouped into **classes** of equal adjacency slice — the twin grouping
-//! [`crate::bc`] also runs on, fed the value nodes (ids in first-occurrence
-//! order, nothing depends on hash order; degree-0 values have no class and
-//! score 0) — and the join runs between classes:
-//!
-//! * Every member of a class `c` has one closed neighbourhood `B_c`, the
-//!   values sharing an attribute with it, itself included. It is a bitset
-//!   over value ids, the OR of the word runs of the class's attributes
-//!   (the primitive `value_neighbor_counts` also reads; `crate::closed`),
-//!   with a span `[lo, hi)` outside which every word is zero.
-//! * `cadj(c)`, the classes that share an attribute with `c` (`c`
-//!   included), are the classes whose first member lies in `B_c` (a class
-//!   lies in `B_c` whole or not at all). `S(c) = |B_c|`, so
-//!   `|N(u)| = S(c) − 1` for `u ∈ c`. A class alone in all its attributes
-//!   has `S = 1`: no neighbour, score 0.
-//! * For `u ∈ c` and a neighbour `v ∈ d`, both lie in `B_c ∩ B_d` and in
-//!   neither open neighbourhood, so with `I = |B_c ∩ B_d|`
+//! * [`LccMethod::AttributeJaccard`], the one served (`Measure::lcc()`): the
+//!   Jaccard of the two values' **attribute sets**,
 //!
 //!   ```text
-//!   |N(u) ∩ N(v)| = I − 2        |N(u) ∪ N(v)| = S(c) + S(d) − I
+//!   c_uv = |A(u) ∩ A(v)| / |A(u) ∪ A(v)|
 //!   ```
 //!
-//!   — one Jaccard term per *class pair*, the same `usize as f64 / usize as
-//!   f64` the per-pair sweep evaluates. `I` is the popcount of an AND over
-//!   the intersection of the two spans, where the sweep paid a two-hop walk
-//!   per value pair (5.7 × 10⁸ inner iterations on that lake).
-//! * The score of `u` is then the sum of its neighbours' terms **in ascending
-//!   neighbour id** (the set bits of `B_c`, skipping `u`) over `S(c) − 1`.
-//!   Multiplying a term by `|d|` would save that pass and change the last
-//!   ulp; replaying the sweep's summation order is what keeps every score
-//!   bit-identical to it, which the golden corpus, the replica digests and
-//!   `join_matches_literal_sweep_bit_for_bit` (against the retained sweep)
-//!   all rely on.
+//!   This is the bipartite clustering coefficient of Latapy, Magnien & Del
+//!   Vecchio ("Basic notions for the analysis of large two-mode networks",
+//!   Social Networks 30(1), 2008), the paper's "average Jaccard similarity
+//!   between the set of attributes that a value co-occurs with". It is the
+//!   reading that reproduces Example 3.6 at the printed precision (Jaguar
+//!   0.36, Puma 0.43, Panda 0.46 on the running example); the other gives
+//!   0.29, 0.35 and 0.32.
+//! * [`LccMethod::ValueNeighborJaccard`]: the Jaccard of the two values'
+//!   **value-neighbour sets**, `|N(u) ∩ N(v)| / |N(u) ∪ N(v)|`. It was
+//!   served until the Example 3.6 numbers ruled it out, and stays while the
+//!   standing benchmark's `graph.lcc_s` layer times it by name.
 //!
-//! A row of the table is one class's `B_c`: the targets' classes first, in
-//! target order, then every other class adjacent to one of them. The kernel
-//! runs on a pool `threads` wide in two passes over the canonical chunks of
-//! the target rows ([`crate::bc`]'s cut, a function of the row count
-//! alone). In pass A each task fills its rows' `B_c` into its own slice of
-//! the table and reads `cadj(c)`, `S(c)` and the span off it. Between the
-//! passes the caller numbers the classes those rows reached, in chunk
-//! order, and fills their rows. In pass B each task forms its rows' terms
-//! and folds each member's score. A score is written by the one task that
-//! owns its row, from the same terms in the same order whatever the width,
-//! so every score is `to_bits()`-equal at every width. Builds pass the
-//! engine's compute width. A delta passes 1, because the writer shares the
-//! machine with the readers (on a prototype, a pooled delta left POSTs
-//! flat and slowed the co-located reader's reads by ~15 %). On the exact
-//! lake (2-core box, release, medians of 15) the kernel takes 31–33 ms at
-//! one thread, ~27 ms of it in pass B, and 16–26 ms at two, where the
-//! serial join over whole rows took 27–38 ms.
+//! # The attribute-set reading as a counting join
 //!
-//! Memory: the table is `rows × ⌈values / 64⌉` words (0.7 MB on that lake,
-//! 20 MB for the 13 522 values of its large one), freed before the kernel
-//! returns; each task adds a few buffers of `classes` or `values / 64`
-//! entries. Above `JOIN_TABLE_BYTES` (64 MiB) no table is kept: `I` is then
-//! `Σ |e|` over `e ∈ cadj(c) ∩ cadj(d)`, found by stamping `cadj(c)`, and
-//! a task refills one scratch row for the summation order — the same passes
-//! and bits, ~0.11 s at one thread and ~0.09 s at two on the exact lake.
+//! `c_uv` depends only on the attribute sets of `u` and `v`, and a lake has
+//! far fewer distinct attribute sets than values (1 518 for 3 685 values on
+//! the standing benchmark's exact lake). So values are grouped into
+//! **classes** of equal attribute set — the twin grouping [`crate::bc`] also
+//! runs on, fed the value nodes (ids in first-occurrence order, nothing
+//! depends on hash order; degree-0 values have no class and score 0) — and
+//! the mean is taken over classes, as one join over ids:
+//!
+//! * Each attribute has a **class list**: the classes of its members,
+//!   ascending and without repeats.
+//! * For a class `c`, walking the class lists of its attributes counts
+//!   `shared[d] = |A_c ∩ A_d|` for every class `d` that shares an attribute
+//!   with `c` (`c` itself included, with `shared = |A_c|`).
+//! * Every member of `d` is a value neighbour of `u ∈ c`, except `u`
+//!   itself: `d` stands for `w_d = |d|` neighbours, and `c` for `|c| − 1`.
+//!   With `S = Σ |d|` over the touched classes, `|N(u)| = S − 1` (the count
+//!   `value_neighbor_counts` gives), and
+//!
+//!   ```text
+//!   LCC(u) = Σ_d w_d · shared[d] / (|A_c| + |A_d| − shared[d])  /  (S − 1)
+//!   ```
+//!
+//!   A class alone in all its attributes has `S = 1`: no neighbour, score 0.
+//!
+//! **Fold order.** The touched classes are summed in ascending class id, a
+//! function of the graph alone and never of the target list: a task marks
+//! them in a bitset over class ids and reads its set bits, which come out
+//! ascending without a sort (sorting the touched list cost as much as the
+//! counting itself). So a score is the same bits whichever targets, chunks
+//! or width computed it (the "Deltas" section below relies on it). The
+//! per-value walk the kernel replaced sums one term per neighbour value;
+//! the class sum regroups those terms, so the two agree to a relative
+//! 1e-12 (the kernel's oracle test), not in every bit.
+//!
+//! **Cost.** The distinct target classes are cut into [`crate::bc`]'s
+//! canonical chunks and run on a pool `threads` wide, each task with its
+//! own `shared` counters (one `u32` per class). The work is one class-list
+//! visit per (target class, attribute, class in that attribute): on the
+//! exact lake ~0.9 M visits and ~0.28 M touched pairs, where the
+//! value-neighbour join ANDs a bitset span per class pair and the per-value
+//! walk went two hops per value pair. There is no table and no memory
+//! budget: the class lists hold one entry per distinct (attribute, class)
+//! pair, at most one per edge. Builds pass the engine's compute width; a
+//! delta passes 1, because the writer shares the machine with the readers.
+//! On the exact lake (2-core box, release, medians of 15, three runs) the
+//! kernel takes 4.6–6.5 ms at one thread and 3.0–3.5 ms at two, against
+//! 25–35 and 20–23 ms for the value-neighbour join. On the 2 225-value
+//! serving lake a delta's 10 and 100 dirty targets take 0.5–0.8 and
+//! 0.7–1.0 ms at one thread (the join 1.1–1.7 and 1.8–2.6 ms), most of it
+//! the grouping and class lists every call builds.
+//!
+//! # Note: the value-neighbour join
+//!
+//! [`LccMethod::ValueNeighborJaccard`] is computed over the same classes.
+//! Every member of `c` has one closed neighbourhood `B_c`, a bitset over
+//! value ids (the OR of the word runs of its attributes, `crate::closed`),
+//! `S(c) = |B_c|`, and for a neighbour class `d` with `I = |B_c ∩ B_d|` the
+//! term is `(I − 2) / (S(c) + S(d) − I)`. It runs in two pooled passes over
+//! canonical chunks of the target rows (fill the rows' `B_c`, then form the
+//! terms), and sums each member's terms in ascending neighbour id, which
+//! keeps it bit-identical to the literal per-pair sweep retained as its
+//! oracle. The table is `rows × ⌈values / 64⌉` words; above
+//! `JOIN_TABLE_BYTES` (64 MiB) `I` is counted from the class lists instead,
+//! with the same passes and bits.
 //!
 //! # Deltas
 //!
@@ -98,18 +101,19 @@
 //! with [`DirtyRegion::dirty_values`](crate::delta::DirtyRegion::dirty_values)
 //! (from [`dirty_region`](crate::delta::dirty_region)) as the target list and
 //! scatters the result; no score is derived from its previous value. A
-//! target's score reads only the new graph, and its terms are added in
-//! ascending neighbour id whatever the target list holds, so a dirty value
-//! gets the bits a full pass over that graph would give it. A value outside
-//! the dirty set kept its `N(u)` and every `N(v)`, `v ∈ N(u)`, and its
-//! score moves to its new node: a delta renumbers nodes by deleting and
-//! inserting, so the surviving neighbours keep their ascending order and
-//! the bits it carries are already those. A maintained score is therefore
-//! a function of the maintained graph alone, `to_bits()`-equal to a pass
-//! over it, and not of the deltas that led there:
-//! `dirty_values_are_a_complete_invalidation_set` pins it. The maintained
-//! graph is the graph a fresh build of the same lake derives, so the
-//! scores are those of that build too.
+//! target's score reads only the new graph, in a fold order fixed by that
+//! graph (ascending class id for the attribute reading, ascending neighbour
+//! id for the value-neighbour one), so a dirty value gets the bits a full
+//! pass over that graph would give it. A value outside the dirty set kept
+//! `N(u)` and every `N(v)` and `A(v)`, `v ∈ N(u)`, and its score moves to
+//! its new node: a delta renumbers nodes by deleting and inserting, so the
+//! surviving neighbours keep their relative order, the classes among them
+//! keep theirs, and the bits it carries are already those. A maintained
+//! score is therefore a function of the maintained graph alone,
+//! `to_bits()`-equal to a pass over it, and not of the deltas that led
+//! there: `dirty_values_are_a_complete_invalidation_set` pins it for both
+//! readings. The maintained graph is the graph a fresh build of the same
+//! lake derives, so the scores are those of that build too.
 
 use std::ops::Range;
 
@@ -118,12 +122,13 @@ use crate::bipartite::BipartiteGraph;
 use crate::closed::{for_each_bit, popcount, AttributeRuns};
 use crate::twins::{Twins, NONE};
 
-/// Which formulation of the local clustering coefficient to compute.
+/// Which reading of the bipartite local clustering coefficient to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum LccMethod {
-    /// Equation 1: Jaccard over 2-hop value-neighbor sets.
+    /// Jaccard over 2-hop value-neighbour sets.
     ValueNeighborJaccard,
-    /// Scalable variant: Jaccard over attribute (1-hop) sets.
+    /// Jaccard over attribute (1-hop) sets: the paper's reading, served as
+    /// `Measure::lcc()`.
     AttributeJaccard,
 }
 
@@ -138,11 +143,11 @@ pub fn local_clustering_coefficients(graph: &BipartiteGraph, method: LccMethod) 
 /// of distinct value neighbors), both parallel to `targets`, on a pool
 /// `threads` wide. Nodes with no value neighbors get an LCC of 0.
 ///
-/// Both algorithms need `|N(u)|` anyway, so the cardinality is free —
+/// Both kernels count `|N(u)|` on the way, so the cardinality is free —
 /// callers that need both (the ranking metadata and the incremental score
 /// maintenance do) avoid a second 2-hop sweep per node. Each score is
-/// computed by one task in the order a single thread computes it, so the
-/// result is `to_bits()`-identical at every width.
+/// computed by one task in an order fixed by the graph, so the result is
+/// `to_bits()`-identical at every width and for every target list.
 pub fn lcc_with_cardinality_for_values(
     graph: &BipartiteGraph,
     targets: &[u32],
@@ -153,8 +158,104 @@ pub fn lcc_with_cardinality_for_values(
         LccMethod::ValueNeighborJaccard => {
             lcc_value_neighbors(graph, targets, JOIN_TABLE_BYTES, threads)
         }
-        LccMethod::AttributeJaccard => lcc_attribute_jaccard(graph, targets, threads),
+        LccMethod::AttributeJaccard => lcc_attribute_sets(graph, targets, threads),
     }
+}
+
+/// The attribute-set reading for `targets` as one class-level counting join
+/// on a pool `threads` wide (see the module doc).
+fn lcc_attribute_sets(
+    graph: &BipartiteGraph,
+    targets: &[u32],
+    threads: usize,
+) -> (Vec<f64>, Vec<usize>) {
+    // Degree-0 targets keep 0 / 0.
+    let mut scores = vec![0.0; targets.len()];
+    let mut cardinalities = vec![0usize; targets.len()];
+    if targets.is_empty() {
+        return (scores, cardinalities);
+    }
+    let classes = Twins::of(graph, graph.value_nodes());
+    let class_of = |v: u32| classes.class_of[v as usize];
+    let attributes = |c: u32| graph.neighbors(classes.members(c)[0]);
+    let class_len: Vec<usize> = (0..classes.count() as u32)
+        .map(|c| classes.members(c).len())
+        .collect();
+    let class_degree: Vec<usize> = (0..classes.count() as u32)
+        .map(|c| attributes(c).len())
+        .collect();
+    let class_lists: Vec<Vec<u32>> = graph
+        .attribute_nodes()
+        .map(|a| {
+            let mut list: Vec<u32> = graph.neighbors(a).iter().map(|&v| class_of(v)).collect();
+            list.sort_unstable();
+            list.dedup();
+            list
+        })
+        .collect();
+    let value_count = graph.value_count() as u32;
+
+    // The distinct target classes, in target order.
+    let mut row_of = vec![NONE; classes.count()];
+    let mut rows: Vec<u32> = Vec::new();
+    for &u in targets {
+        debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
+        let c = class_of(u);
+        if c != NONE && row_of[c as usize] == NONE {
+            row_of[c as usize] = rows.len() as u32;
+            rows.push(c);
+        }
+    }
+
+    let chunks = canonical_chunks(rows.len());
+    let parts = dn_pool::Pool::new(threads).run(chunks.len(), |ch| {
+        let mut shared = vec![0u32; classes.count()];
+        // The touched classes as a bitset over class ids, whose set bits
+        // come out ascending without a sort.
+        let mut touched = vec![0u64; classes.count().div_ceil(64)];
+        rows[chunks[ch].clone()]
+            .iter()
+            .map(|&c| {
+                let (mut lo, mut hi) = (usize::MAX, 0);
+                for &a in attributes(c) {
+                    // Non-empty: `c` is in the list of each of its attributes.
+                    let list = &class_lists[(a - value_count) as usize];
+                    for &d in list {
+                        touched[d as usize / 64] |= 1 << (d % 64);
+                        shared[d as usize] += 1;
+                    }
+                    lo = lo.min(list[0] as usize / 64);
+                    hi = hi.max(list[list.len() - 1] as usize / 64 + 1);
+                }
+                let (mut size, mut sum) = (0usize, 0.0);
+                for_each_bit(&touched, lo..hi, |d| {
+                    let common = std::mem::take(&mut shared[d as usize]) as usize;
+                    let len = class_len[d as usize];
+                    size += len;
+                    let weight = if d == c { len - 1 } else { len };
+                    let union = class_degree[c as usize] + class_degree[d as usize] - common;
+                    sum += (weight * common) as f64 / union as f64;
+                });
+                touched[lo..hi].fill(0);
+                // Alone in all its attributes: no neighbour, score 0.
+                let neighbours = size - 1;
+                let score = if neighbours == 0 {
+                    0.0
+                } else {
+                    sum / neighbours as f64
+                };
+                (score, neighbours)
+            })
+            .collect::<Vec<_>>()
+    });
+    let per_row: Vec<(f64, usize)> = parts.into_iter().flatten().collect();
+    for (i, &u) in targets.iter().enumerate() {
+        let c = class_of(u);
+        if c != NONE {
+            (scores[i], cardinalities[i]) = per_row[row_of[c as usize] as usize];
+        }
+    }
+    (scores, cardinalities)
 }
 
 /// Byte budget of the closed-neighbourhood bitset table of
@@ -211,9 +312,9 @@ impl Rows {
     }
 }
 
-/// Equation 1 for `targets` as one class-level join on a pool `threads`
-/// wide (see the module doc). `table_bytes` is the bitset-table budget;
-/// production passes `JOIN_TABLE_BYTES`.
+/// The value-neighbour reading for `targets` as one class-level join on a
+/// pool `threads` wide (see the module doc). `table_bytes` is the
+/// bitset-table budget; production passes `JOIN_TABLE_BYTES`.
 fn lcc_value_neighbors(
     graph: &BipartiteGraph,
     targets: &[u32],
@@ -425,60 +526,6 @@ fn lcc_value_neighbors(
     (scores, cardinalities)
 }
 
-/// The attribute-set variant, over canonical chunks of `targets` on a pool
-/// `threads` wide; a target's score is computed as on one thread.
-fn lcc_attribute_jaccard(
-    graph: &BipartiteGraph,
-    targets: &[u32],
-    threads: usize,
-) -> (Vec<f64>, Vec<usize>) {
-    let chunks = canonical_chunks(targets.len());
-    let parts = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
-        targets[chunks[c].clone()]
-            .iter()
-            .map(|&u| attribute_jaccard(graph, u))
-            .collect::<Vec<_>>()
-    });
-    parts.into_iter().flatten().unzip()
-}
-
-fn attribute_jaccard(graph: &BipartiteGraph, u: u32) -> (f64, usize) {
-    debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
-    let nu = graph.value_neighbors(u);
-    if nu.is_empty() {
-        return (0.0, 0);
-    }
-    let au = graph.neighbors(u);
-    let mut sum = 0.0;
-    for &v in &nu {
-        let av = graph.neighbors(v);
-        let inter = sorted_intersection_size(au, av);
-        let union = au.len() + av.len() - inter;
-        if union > 0 {
-            sum += inter as f64 / union as f64;
-        }
-    }
-    (sum / nu.len() as f64, nu.len())
-}
-
-fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -486,7 +533,7 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The literal Equation-1 sweep the join replaced, kept as its oracle: per
+    /// The literal value-neighbour sweep the join replaced, kept as its oracle: per
     /// target, one stamp-deduplicated two-hop walk per value neighbour.
     fn lcc_value_neighbors_literal(
         graph: &BipartiteGraph,
@@ -548,6 +595,46 @@ pub(crate) mod tests {
         (out, cardinalities)
     }
 
+    /// The per-value walk the counting join replaced, kept as its oracle:
+    /// one sorted attribute-list intersection per value neighbour, summed
+    /// in ascending neighbour id.
+    fn attribute_jaccard(graph: &BipartiteGraph, u: u32) -> (f64, usize) {
+        debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
+        let nu = graph.value_neighbors(u);
+        if nu.is_empty() {
+            return (0.0, 0);
+        }
+        let au = graph.neighbors(u);
+        let mut sum = 0.0;
+        for &v in &nu {
+            let av = graph.neighbors(v);
+            let inter = sorted_intersection_size(au, av);
+            let union = au.len() + av.len() - inter;
+            if union > 0 {
+                sum += inter as f64 / union as f64;
+            }
+        }
+        (sum / nu.len() as f64, nu.len())
+    }
+
+    fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
+        let mut i = 0;
+        let mut j = 0;
+        let mut count = 0;
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+
     fn star(k: usize) -> BipartiteGraph {
         let mut b = BipartiteBuilder::new();
         let a = b.add_attribute("a");
@@ -562,8 +649,8 @@ pub(crate) mod tests {
     fn single_attribute_closed_form() {
         // All k values share one attribute: N(u) = k-1 others, and for any
         // neighbor v, |N(u) ∩ N(v)| = k-2, |N(u) ∪ N(v)| = k, so every value
-        // has LCC = (k-2)/k under Equation 1 and exactly 1 under the
-        // attribute-Jaccard variant.
+        // has LCC = (k-2)/k under the value-neighbour reading and exactly 1
+        // under the attribute-set one.
         for k in [3usize, 4, 7] {
             let g = star(k);
             let eq1 = local_clustering_coefficients(&g, LccMethod::ValueNeighborJaccard);
@@ -662,9 +749,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The delta path: recompute `dirty_values` with the kernel, scatter over
-    /// the carried scores moved through the renumbering, and every node
-    /// (dirty or not) must hold the bits of a full pass over the new graph.
+    /// The delta path, for both readings: recompute `dirty_values` with the
+    /// kernel, scatter over the carried scores moved through the
+    /// renumbering, and every node (dirty or not) must hold the bits of a
+    /// full pass over the new graph.
     /// Nodes are numbered as a build numbers them: a value or attribute is a
     /// node while it has an edge, in id order, so one that loses its last
     /// edge takes its node with it and the later ones move down.
@@ -696,112 +784,110 @@ pub(crate) mod tests {
                 .map(|id| new.get(id).copied().unwrap_or(u32::MAX))
                 .collect()
         };
-        // A lake-shaped graph: overlapping attributes over a shared pool.
-        let mut edges: BTreeSet<(u32, u32)> = (0..5)
-            .flat_map(|a| (0..20).map(move |v| (v, a)))
-            .filter(|&(v, a)| (v + a) % 3 != 0)
-            .collect();
-        let (mut graph, mut value_nodes, mut attr_nodes) = build(&edges);
-        let mut lcc = local_clustering_coefficients(&graph, LccMethod::ValueNeighborJaccard);
-        let mut cards: Vec<usize> = (0..graph.value_count() as u32)
-            .map(|v| graph.value_neighbor_count(v))
-            .collect();
-        enum Edit {
-            Add(u32, u32),
-            Remove(u32, u32),
-            DropValue(u32),
-            DropAttr(u32),
-        }
-        use Edit::*;
-        let steps: [&[Edit]; 6] = [
-            &[Add(0, 0), Add(3, 0), Remove(1, 0)],
-            &[Add(20, 5), Add(0, 5), Add(7, 5), Remove(2, 2)],
-            // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
-            &[Add(3, 5)],
-            // ... and split two: 0 leaves the class it just formed with 3,
-            // 5 leaves the one it shared with 8, 11, 14 and 17.
-            &[Remove(0, 1), Remove(5, 3)],
-            // Value 7 loses every edge, as a value that drops to one
-            // attribute does under pruning: values 8.. move down a node.
-            &[DropValue(7)],
-            // Attribute 2 loses every value, as the column of a table whose
-            // last candidate leaves: attributes 3.. move down an index.
-            &[DropAttr(2)],
-        ];
-        let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
-            let index = |n: &u32| g.attribute_index(*n);
-            g.neighbors(v)
-                .iter()
-                .map(index)
-                .eq(g.neighbors(w).iter().map(index))
-        };
-        for (step, edits) in steps.iter().enumerate() {
-            let mut changed_ids = BTreeSet::new();
-            for edit in *edits {
-                let lost: Vec<(u32, u32)> = match *edit {
-                    Add(v, a) => {
-                        assert!(edges.insert((v, a)), "step {step}: {:?} exists", (v, a));
-                        changed_ids.insert(v);
-                        continue;
-                    }
-                    Remove(v, a) => vec![(v, a)],
-                    DropValue(v) => edges.iter().filter(|e| e.0 == v).copied().collect(),
-                    DropAttr(a) => edges.iter().filter(|e| e.1 == a).copied().collect(),
-                };
-                for edge in lost {
-                    assert!(edges.remove(&edge), "step {step}: {edge:?} is missing");
-                    changed_ids.insert(edge.0);
-                }
-            }
-            let (new, new_value_nodes, new_attr_nodes) = build(&edges);
-            let renumbering = Renumbering {
-                values: moved(&value_nodes, &new_value_nodes),
-                attrs: moved(&attr_nodes, &new_attr_nodes),
-            };
-            let changed: Vec<u32> = changed_ids
-                .iter()
-                .filter_map(|id| new_value_nodes.get(id).copied())
+        for method in [LccMethod::ValueNeighborJaccard, LccMethod::AttributeJaccard] {
+            // A lake-shaped graph: overlapping attributes over a shared pool.
+            let mut edges: BTreeSet<(u32, u32)> = (0..5)
+                .flat_map(|a| (0..20).map(move |v| (v, a)))
+                .filter(|&(v, a)| (v + a) % 3 != 0)
                 .collect();
-            let region = dirty_region(&graph, &new, &renumbering, &changed);
-            let (fresh, fresh_cards) = lcc_with_cardinality_for_values(
-                &new,
-                &region.dirty_values,
-                LccMethod::ValueNeighborJaccard,
-                2,
-            );
-            let full = local_clustering_coefficients(&new, LccMethod::ValueNeighborJaccard);
-            // Move, scatter, then compare every node against a full pass.
-            lcc = renumbering.move_values(&lcc, new.value_count());
-            cards = renumbering.move_values(&cards, new.value_count());
-            for (i, &node) in region.dirty_values.iter().enumerate() {
-                lcc[node as usize] = fresh[i];
-                cards[node as usize] = fresh_cards[i];
+            let (mut graph, mut value_nodes, mut attr_nodes) = build(&edges);
+            let mut lcc = local_clustering_coefficients(&graph, method);
+            let mut cards: Vec<usize> = (0..graph.value_count() as u32)
+                .map(|v| graph.value_neighbor_count(v))
+                .collect();
+            enum Edit {
+                Add(u32, u32),
+                Remove(u32, u32),
+                DropValue(u32),
+                DropAttr(u32),
             }
-            for node in 0..new.value_count() {
-                assert_eq!(
-                    lcc[node].to_bits(),
-                    full[node].to_bits(),
-                    "step {step}, node {node}: maintained {} vs full {}",
-                    lcc[node],
-                    full[node]
-                );
-                assert_eq!(
-                    cards[node],
-                    new.value_neighbor_count(node as u32),
-                    "cardinality of node {node}"
-                );
-            }
-            (graph, value_nodes, attr_nodes) = (new, new_value_nodes, new_attr_nodes);
-            match step {
-                1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
-                2 => assert!(same_attributes(&graph, 0, 3)),
-                3 => {
-                    assert!(!same_attributes(&graph, 0, 3) && !same_attributes(&graph, 5, 8));
-                    assert!(same_attributes(&graph, 8, 11));
+            use Edit::*;
+            let steps: [&[Edit]; 6] = [
+                &[Add(0, 0), Add(3, 0), Remove(1, 0)],
+                &[Add(20, 5), Add(0, 5), Add(7, 5), Remove(2, 2)],
+                // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
+                &[Add(3, 5)],
+                // ... and split two: 0 leaves the class it just formed with 3,
+                // 5 leaves the one it shared with 8, 11, 14 and 17.
+                &[Remove(0, 1), Remove(5, 3)],
+                // Value 7 loses every edge, as a value that drops to one
+                // attribute does under pruning: values 8.. move down a node.
+                &[DropValue(7)],
+                // Attribute 2 loses every value, as the column of a table whose
+                // last candidate leaves: attributes 3.. move down an index.
+                &[DropAttr(2)],
+            ];
+            let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
+                let index = |n: &u32| g.attribute_index(*n);
+                g.neighbors(v)
+                    .iter()
+                    .map(index)
+                    .eq(g.neighbors(w).iter().map(index))
+            };
+            for (step, edits) in steps.iter().enumerate() {
+                let mut changed_ids = BTreeSet::new();
+                for edit in *edits {
+                    let lost: Vec<(u32, u32)> = match *edit {
+                        Add(v, a) => {
+                            assert!(edges.insert((v, a)), "step {step}: {:?} exists", (v, a));
+                            changed_ids.insert(v);
+                            continue;
+                        }
+                        Remove(v, a) => vec![(v, a)],
+                        DropValue(v) => edges.iter().filter(|e| e.0 == v).copied().collect(),
+                        DropAttr(a) => edges.iter().filter(|e| e.1 == a).copied().collect(),
+                    };
+                    for edge in lost {
+                        assert!(edges.remove(&edge), "step {step}: {edge:?} is missing");
+                        changed_ids.insert(edge.0);
+                    }
                 }
-                4 => assert_eq!((value_nodes.get(&7), value_nodes[&8]), (None, 7)),
-                5 => assert_eq!((attr_nodes.get(&2), attr_nodes[&3]), (None, 2)),
-                _ => {}
+                let (new, new_value_nodes, new_attr_nodes) = build(&edges);
+                let renumbering = Renumbering {
+                    values: moved(&value_nodes, &new_value_nodes),
+                    attrs: moved(&attr_nodes, &new_attr_nodes),
+                };
+                let changed: Vec<u32> = changed_ids
+                    .iter()
+                    .filter_map(|id| new_value_nodes.get(id).copied())
+                    .collect();
+                let region = dirty_region(&graph, &new, &renumbering, &changed);
+                let (fresh, fresh_cards) =
+                    lcc_with_cardinality_for_values(&new, &region.dirty_values, method, 2);
+                let full = local_clustering_coefficients(&new, method);
+                // Move, scatter, then compare every node against a full pass.
+                lcc = renumbering.move_values(&lcc, new.value_count());
+                cards = renumbering.move_values(&cards, new.value_count());
+                for (i, &node) in region.dirty_values.iter().enumerate() {
+                    lcc[node as usize] = fresh[i];
+                    cards[node as usize] = fresh_cards[i];
+                }
+                for node in 0..new.value_count() {
+                    assert_eq!(
+                        lcc[node].to_bits(),
+                        full[node].to_bits(),
+                        "{method:?}, step {step}, node {node}: maintained {} vs full {}",
+                        lcc[node],
+                        full[node]
+                    );
+                    assert_eq!(
+                        cards[node],
+                        new.value_neighbor_count(node as u32),
+                        "cardinality of node {node}"
+                    );
+                }
+                (graph, value_nodes, attr_nodes) = (new, new_value_nodes, new_attr_nodes);
+                match step {
+                    1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
+                    2 => assert!(same_attributes(&graph, 0, 3)),
+                    3 => {
+                        assert!(!same_attributes(&graph, 0, 3) && !same_attributes(&graph, 5, 8));
+                        assert!(same_attributes(&graph, 8, 11));
+                    }
+                    4 => assert_eq!((value_nodes.get(&7), value_nodes[&8]), (None, 7)),
+                    5 => assert_eq!((attr_nodes.get(&2), attr_nodes[&3]), (None, 2)),
+                    _ => {}
+                }
             }
         }
     }
@@ -919,6 +1005,30 @@ pub(crate) mod tests {
         b.build()
     }
 
+    /// The same graph without the edges of one live value, drawn by `rng`.
+    fn tombstone_a_value(graph: &BipartiteGraph, rng: &mut StdRng, what: &str) -> BipartiteGraph {
+        let live: Vec<u32> = graph
+            .value_nodes()
+            .filter(|&v| graph.degree(v) > 0)
+            .collect();
+        let victim = live[rng.gen_range(0..live.len())];
+        let mut b = BipartiteBuilder::new();
+        for a in 0..graph.attribute_count() as u32 {
+            b.add_attribute(graph.attribute_label(a));
+        }
+        for v in graph.value_nodes() {
+            b.add_value(graph.value_label(v));
+            if v != victim {
+                for &a in graph.neighbors(v) {
+                    b.add_edge(v, graph.attribute_index(a).unwrap());
+                }
+            }
+        }
+        let tombstoned = b.build();
+        assert_eq!(tombstoned.degree(victim), 0, "{what}");
+        tombstoned
+    }
+
     #[test]
     fn join_matches_literal_sweep_bit_for_bit() {
         for seed in 0..1000u64 {
@@ -927,26 +1037,7 @@ pub(crate) mod tests {
             let graph = random_graph_with_corner_cases(&mut rng, &what);
             assert_join_matches_literal_on(&graph, &mut rng, &what);
 
-            // Tombstone a live value: the same graph without its edges.
-            let live: Vec<u32> = graph
-                .value_nodes()
-                .filter(|&v| graph.degree(v) > 0)
-                .collect();
-            let victim = live[rng.gen_range(0..live.len())];
-            let mut b = BipartiteBuilder::new();
-            for a in 0..graph.attribute_count() as u32 {
-                b.add_attribute(graph.attribute_label(a));
-            }
-            for v in graph.value_nodes() {
-                b.add_value(graph.value_label(v));
-                if v != victim {
-                    for &a in graph.neighbors(v) {
-                        b.add_edge(v, graph.attribute_index(a).unwrap());
-                    }
-                }
-            }
-            let tombstoned = b.build();
-            assert_eq!(tombstoned.degree(victim), 0, "{what}");
+            let tombstoned = tombstone_a_value(&graph, &mut rng, &what);
             assert_join_matches_literal_on(&tombstoned, &mut rng, &format!("{what}, tombstoned"));
         }
 
@@ -962,5 +1053,87 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(2021);
         let tus = datagen::tus::TusGenerator::new(datagen::tus::TusConfig::small(2021)).generate();
         assert_join_matches_literal_on(&lake_graph(&tus.catalog), &mut rng, "TUS small");
+    }
+
+    /// The counting join against the per-value walk on one target list, at
+    /// widths 1, 2 and 3. The class sum regroups the walk's terms, so scores
+    /// agree within a relative 1e-12; cardinalities equal the walk's and
+    /// `value_neighbor_counts` exactly. Bits do not depend on the width or
+    /// the target list: each score is the bits of a width-1 full pass.
+    fn assert_counting_join_matches_walk(graph: &BipartiteGraph, targets: &[u32], what: &str) {
+        let all: Vec<u32> = graph.value_nodes().collect();
+        let (full, _) = lcc_attribute_sets(graph, &all, 1);
+        let counts = graph.value_neighbor_counts(1);
+        let (want, want_cardinalities): (Vec<f64>, Vec<usize>) =
+            targets.iter().map(|&u| attribute_jaccard(graph, u)).unzip();
+        for threads in [1, 2, 3] {
+            let (got, got_cardinalities) = lcc_attribute_sets(graph, targets, threads);
+            let case = format!("{what}, {threads} threads");
+            assert_eq!(
+                got_cardinalities, want_cardinalities,
+                "{case}: cardinalities"
+            );
+            for (i, &u) in targets.iter().enumerate() {
+                assert_eq!(got_cardinalities[i], counts[u as usize], "{case}: |N({u})|");
+                assert!(
+                    (got[i] - want[i]).abs() <= 1e-12 * want[i],
+                    "{case}: value {u} scores {} against the walk's {}",
+                    got[i],
+                    want[i]
+                );
+                assert_eq!(
+                    got[i].to_bits(),
+                    full[u as usize].to_bits(),
+                    "{case}: value {u} against a full pass"
+                );
+            }
+        }
+    }
+
+    fn assert_counting_join_matches_walk_on(graph: &BipartiteGraph, rng: &mut StdRng, what: &str) {
+        let n = graph.value_count() as u32;
+        let all: Vec<u32> = graph.value_nodes().collect();
+        assert_counting_join_matches_walk(graph, &all, what);
+        let some: Vec<u32> = (0..rng.gen_range(1..=n.min(64)))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        assert_counting_join_matches_walk(graph, &some, what);
+        assert_counting_join_matches_walk(graph, &[], what);
+    }
+
+    /// Random graphs with twins, an isolated value, a value alone in its
+    /// attributes and single-attribute classes, each also with a value
+    /// tombstoned; then the SB and small TUS lakes.
+    #[test]
+    fn counting_join_matches_the_per_value_walk() {
+        for seed in 0..1000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let what = format!("random graph {seed}");
+            let graph = random_graph_with_corner_cases(&mut rng, &what);
+            assert_counting_join_matches_walk_on(&graph, &mut rng, &what);
+            let tombstoned = tombstone_a_value(&graph, &mut rng, &what);
+            assert_counting_join_matches_walk_on(
+                &tombstoned,
+                &mut rng,
+                &format!("{what}, tombstoned"),
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(2021);
+        let sb = datagen::sb::SbGenerator::new(2021).generate();
+        assert_counting_join_matches_walk_on(&lake_graph(&sb.catalog), &mut rng, "SB seed 2021");
+        let tus = datagen::tus::TusGenerator::new(datagen::tus::TusConfig::small(2021)).generate();
+        assert_counting_join_matches_walk_on(&lake_graph(&tus.catalog), &mut rng, "TUS small");
+    }
+
+    /// Example 3.6 prints Jaguar 0.36, Puma 0.43 and Panda 0.45–0.46: the
+    /// attribute-set reading on the running example.
+    #[test]
+    fn the_attribute_set_reading_prints_example_3_6() {
+        let (g, ids) = crate::bipartite::tests::figure3b();
+        let lcc = local_clustering_coefficients(&g, LccMethod::AttributeJaccard);
+        let printed = |v: &str| (lcc[ids[v] as usize] * 100.0).round() / 100.0;
+        assert_eq!(printed("JAGUAR"), 0.36);
+        assert_eq!(printed("PUMA"), 0.43);
+        assert_eq!(printed("PANDA"), 0.46);
     }
 }

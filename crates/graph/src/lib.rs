@@ -18,8 +18,9 @@
 //!   each drawn twin class once; this is what makes DomainNet scale to
 //!   million-node lakes (§5.4).
 //! * [`lcc`] — the paper's **bipartite local clustering coefficient**
-//!   (Equation 1): the mean Jaccard similarity between a value's
-//!   value-neighbor set and those of its value neighbors.
+//!   (§3.3): the mean Jaccard similarity between a value's attribute set
+//!   and those of its value neighbors, as one class-level counting join
+//!   (the value-neighbour-set reading is kept beside it).
 //! * [`components`] — connected components.
 //! * [`delta`] — what a change dirtied: [`delta::dirty_region`] compares
 //!   the graph before and after a lake mutation and reports the regions

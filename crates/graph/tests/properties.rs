@@ -243,7 +243,7 @@ fn attribute_jaccard_is_width_invariant() {
         let targets: Vec<u32> = (0..g.value_count() as u32).rev().collect();
         let method = LccMethod::AttributeJaccard;
         let (want, want_cards) = lcc_with_cardinality_for_values(&g, &targets, method, 1);
-        for threads in [2, 4] {
+        for threads in [2, 3, 4] {
             let (got, cards) = lcc_with_cardinality_for_values(&g, &targets, method, threads);
             assert_eq!(bits(&got), bits(&want), "seed {seed}, {threads} threads");
             assert_eq!(cards, want_cards, "seed {seed}, {threads} threads");

@@ -152,8 +152,7 @@ fn resolve_measure(served: &[Measure], param: Option<&str>) -> Result<Measure, A
             .ok_or_else(|| ApiError::not_found("this server serves no measures"));
     };
     let canonical = match token.to_ascii_lowercase().replace('-', "_").as_str() {
-        "lcc" => "LCC",
-        "lcc_attr" | "lcc(attr)" => "LCC(attr)",
+        "lcc" | "lcc_attr" | "lcc(attr)" => "LCC",
         "bc" | "exact_bc" => "BC",
         "bc_approx" | "approx_bc" | "bc(approx)" => "BC(approx)",
         _ => {
@@ -552,10 +551,13 @@ mod tests {
             resolve_measure(&served, Some("BC")).unwrap(),
             Measure::exact_bc()
         );
-        assert_eq!(
-            resolve_measure(&served, Some("lcc")).unwrap(),
-            Measure::lcc()
-        );
+        // `lcc_attr` named the attribute-set reading before it became `lcc`.
+        for token in ["lcc", "lcc_attr", "LCC(attr)"] {
+            assert_eq!(
+                resolve_measure(&served, Some(token)).unwrap(),
+                Measure::lcc()
+            );
+        }
         // Recognized but unserved → 404.
         assert_eq!(
             resolve_measure(&served, Some("approx_bc"))

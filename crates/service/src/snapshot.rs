@@ -291,10 +291,19 @@ impl Snapshot {
                 }
             })
             .collect();
+        // Every ranking carries |N(v)|; the two-hop walk runs only when the
+        // snapshot serves no measure.
+        let cardinality = match self.measures.first() {
+            Some(measure) => {
+                let rank = self.rank_of_node[measure][node as usize];
+                self.rankings[measure][rank as usize].cardinality
+            }
+            None => self.graph.value_neighbor_count(node),
+        };
         Some(ValueExplanation {
             value: normalized,
             attribute_count: self.graph.value_attribute_count(node),
-            cardinality: self.graph.value_neighbor_count(node),
+            cardinality,
             attributes,
         })
     }
@@ -504,6 +513,41 @@ mod tests {
             assert!(attr.size >= 1);
             assert!(attr.sample_co_values.len() < attr.size);
             assert!(!attr.sample_co_values.contains(&"JAGUAR".to_owned()));
+        }
+    }
+
+    /// `explain` reads `|N(v)|` off the rankings, which must hold the
+    /// two-hop count for every value; with no measure served it walks.
+    #[test]
+    fn explain_cardinality_is_the_rankings() {
+        let tus = datagen::tus::TusGenerator::new(datagen::tus::TusConfig::small(7)).generate();
+        for (what, lake) in [
+            ("running example", lake::fixtures::running_example()),
+            ("TUS small", tus.catalog),
+        ] {
+            let net = DomainNetBuilder::new()
+                .prune_single_attribute_values(false)
+                .build(&lake);
+            let served = Snapshot::extract(&net, &lake, &[Measure::lcc(), Measure::exact_bc()], 0);
+            let unserved = Snapshot::extract(&net, &lake, &[], 0);
+            for v in net.graph().value_nodes() {
+                let value = net.graph().value_label(v);
+                let count = net.graph().value_neighbor_count(v);
+                assert_eq!(
+                    served.explain(value).unwrap().cardinality,
+                    count,
+                    "{what}: {value}"
+                );
+                assert_eq!(
+                    unserved.explain(value).unwrap().cardinality,
+                    count,
+                    "{what}: {value}"
+                );
+                for measure in [Measure::lcc(), Measure::exact_bc()] {
+                    let card = served.score_card(measure, value).unwrap();
+                    assert_eq!(card.cardinality, count, "{what}: {value}, {measure:?}");
+                }
+            }
         }
     }
 

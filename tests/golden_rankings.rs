@@ -73,12 +73,6 @@ fn cases() -> Vec<GoldenCase> {
             measure_label: "LCC",
         },
         GoldenCase {
-            file: "running_example_lcc_attr.json",
-            workload: "running-example",
-            measure: Measure::Lcc(LccMethod::AttributeJaccard),
-            measure_label: "LCC(attr)",
-        },
-        GoldenCase {
             file: "running_example_bc.json",
             workload: "running-example",
             measure: Measure::exact_bc(),
@@ -244,7 +238,7 @@ fn single_shard_coordinator_serves_the_corpus_bit_identically() {
             lake::delta::MutableLake::from_catalog(&lake::fixtures::running_example()),
             vec![
                 Measure::lcc(),
-                Measure::Lcc(LccMethod::AttributeJaccard),
+                Measure::Lcc(LccMethod::ValueNeighborJaccard),
                 Measure::exact_bc(),
             ],
             false,

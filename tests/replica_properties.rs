@@ -2,9 +2,10 @@
 //! against a durable sharded primary, with one to three followers joining
 //! and leaving at random epochs, must end with **every surviving follower
 //! bit-identical to the primary** — `to_bits` equality on every ranking
-//! entry of all four golden-corpus measures (LCC, LCC(attr), exact BC,
-//! and the seeded approx BC — see `tests/golden_rankings.rs`), exact
-//! per-shard identity counts, and zero divergences flagged.
+//! entry of the golden-corpus measures (LCC, exact BC and the seeded
+//! approx BC — see `tests/golden_rankings.rs`) and the retained
+//! value-neighbour LCC, exact per-shard identity counts, and zero
+//! divergences flagged.
 //!
 //! Every measure, approx BC included, is a function of the lake: a
 //! maintained net holds a fresh build's scores bit for bit, and approx BC
@@ -43,13 +44,13 @@ const RUNS: usize = 30;
 const STEPS: usize = 10;
 const SHARDS: usize = 2;
 
-/// The four golden-corpus measures (`tests/golden_rankings.rs`), approx
-/// BC included: replication must preserve even seeded-sampler scores bit
-/// for bit.
+/// The three golden-corpus measures (`tests/golden_rankings.rs`), approx
+/// BC included, and the value-neighbour LCC: replication must preserve
+/// even seeded-sampler scores bit for bit.
 fn golden_measures() -> Vec<Measure> {
     vec![
         Measure::lcc(),
-        Measure::Lcc(LccMethod::AttributeJaccard),
+        Measure::Lcc(LccMethod::ValueNeighborJaccard),
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,

@@ -6,9 +6,10 @@
 //!   single-shard coordinator on the seeded SB workload is dropped
 //!   mid-stream after K committed batches; `serve_sharded_from_dir`
 //!   recovers, and the recovered top-k rankings
-//!   for all five golden-corpus measures (LCC, LCC(attr), exact BC, and
-//!   the seeded approx-BC — see `tests/golden_rankings.rs`) must match the
-//!   uninterrupted run bit for bit, with ids and edges exactly equal.
+//!   for the golden-corpus measures (LCC, exact BC and the seeded
+//!   approx BC — see `tests/golden_rankings.rs`) and the retained
+//!   value-neighbour LCC must match the uninterrupted run bit for bit,
+//!   with ids and edges exactly equal.
 //! * `random_checkpoint_recovery_equivalence` — the property: for seeded
 //!   random lakes and mutation streams, with checkpoints taken at random
 //!   points, recovery after a kill at an arbitrary step equals the
@@ -59,14 +60,14 @@ fn test_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The five golden-corpus measures (`tests/golden_rankings.rs`): LCC and
-/// exact BC on the running example, LCC(attr), and SB's LCC + seeded
-/// approx BC — four distinct `Measure` values once the shared LCC is
-/// deduplicated.
+/// The golden-corpus measures (`tests/golden_rankings.rs`): LCC and exact
+/// BC on the running example, SB's LCC and seeded approx BC — three
+/// distinct `Measure` values — plus the value-neighbour LCC, which is no
+/// longer served by default but keeps its delta and recovery paths.
 fn golden_measures() -> Vec<Measure> {
     vec![
         Measure::lcc(),
-        Measure::Lcc(LccMethod::AttributeJaccard),
+        Measure::Lcc(LccMethod::ValueNeighborJaccard),
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,
@@ -339,5 +340,95 @@ fn recovered_export_matches_golden_corpus_workflow() {
             "{measure:?}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A data dir written while `Measure::lcc()` was the value-neighbour
+/// reading lists `Lcc(ValueNeighborJaccard)` in its manifest. Recovered
+/// with today's config, the served LCC is a fresh build's attribute-set
+/// ranking bit for bit, and `measure=lcc` and its old alias `lcc_attr`
+/// both resolve to it over HTTP.
+#[test]
+fn a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure() {
+    use dn_server::api::TopKResponse;
+    use dn_server::{serve_http, Client, ServerConfig};
+
+    let dir = test_dir("pre_switch");
+    let old_lcc = Measure::Lcc(LccMethod::ValueNeighborJaccard);
+    let sb = SbGenerator::with_config(SbConfig {
+        seed: 2021,
+        rows_per_table: 60,
+    })
+    .generate();
+    let (service, mut writer) = serve_sharded_durable(
+        MutableLake::from_catalog(&sb.catalog),
+        config(vec![old_lcc, Measure::exact_bc()], true),
+        &dir,
+        CheckpointPolicy::every_epochs(2),
+        1,
+    )
+    .unwrap();
+    let mut stream = MutationStream::new(MutationConfig {
+        seed: 7,
+        rows_per_table: 40,
+        ..MutationConfig::default()
+    });
+    for _ in 0..3 {
+        let delta = stream.next_delta(writer.shard(0).lake());
+        writer.apply_and_publish(delta).unwrap();
+    }
+    assert!(writer.checkpoint_now().unwrap());
+    drop(writer);
+    drop(service);
+    let (_, persisted) = dn_store::Store::recover(dn_store::shard_dir(&dir, 0)).unwrap();
+    assert_eq!(persisted.measures, [old_lcc, Measure::exact_bc()]);
+
+    let measures = vec![Measure::lcc(), Measure::exact_bc()];
+    let (rec_service, rec_writer) = serve_sharded_from_dir(
+        &dir,
+        config(measures, true),
+        CheckpointPolicy::every_epochs(2),
+    )
+    .unwrap();
+    let fresh = DomainNetBuilder::new()
+        .prune_single_attribute_values(true)
+        .build(rec_writer.shard(0).lake())
+        .rank(Measure::lcc());
+    let served = rec_service
+        .current()
+        .shard(0)
+        .ranking(Measure::lcc())
+        .unwrap()
+        .clone();
+    assert_eq!(served.len(), fresh.len());
+    for (x, y) in served.iter().zip(&fresh) {
+        assert_eq!(x.value, y.value, "order");
+        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{}", x.value);
+        assert_eq!(x.cardinality, y.cardinality, "{}", x.value);
+    }
+
+    let server = serve_http(
+        rec_service,
+        rec_writer,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::new(server.local_addr());
+    for token in ["lcc", "lcc_attr"] {
+        let response = client
+            .get(&format!("/v1/top-k?measure={token}&k=20"))
+            .unwrap();
+        assert_eq!(response.status, 200, "{token}: {}", response.body);
+        let top: TopKResponse = response.json().unwrap();
+        assert_eq!(top.measure, "LCC", "{token}");
+        let values: Vec<&str> = top.results.iter().map(|s| s.value.as_str()).collect();
+        let want: Vec<&str> = fresh[..20].iter().map(|s| s.value.as_str()).collect();
+        assert_eq!(values, want, "{token}");
+    }
+    server.shutdown();
+    server.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
