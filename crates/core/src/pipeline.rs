@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use dn_graph::approx_bc::approximate_betweenness;
 use dn_graph::bc::{betweenness_centrality_parallel, betweenness_from_sources};
-use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
+use dn_graph::bipartite::BipartiteGraph;
 use dn_graph::components::{connected_components, Components};
 use dn_graph::delta::{dirty_region, nodes_in_components, Renumbering};
 use dn_graph::lcc::lcc_with_cardinality_for_values;
@@ -816,29 +816,30 @@ fn derive<L: LakeView + ?Sized>(lake: &L, config: DomainNetConfig) -> (Numbering
         }
     }
 
-    let mut builder =
-        BipartiteBuilder::with_capacity(values.len(), attrs.len(), lake.incidence_count());
-    for &vid in &values {
-        builder.add_value(lake.value(vid).expect("a candidate is interned"));
-    }
-    for &attr in &attrs {
-        let attr = lake
-            .attribute_ref(attr)
-            .expect("an attribute holding a candidate is live");
-        builder.add_attribute(attr.qualified());
-    }
-    for (node, &vid) in values.iter().enumerate() {
-        for &attr in lake.value_attributes(vid) {
-            builder.add_edge(node as u32, index_of_attr[attr.index()]);
-        }
-    }
+    let value_labels = values
+        .iter()
+        .map(|&vid| lake.value(vid).expect("a candidate is interned").to_owned())
+        .collect();
+    let attr_labels = attrs
+        .iter()
+        .map(|&attr| {
+            lake.attribute_ref(attr)
+                .expect("an attribute holding a candidate is live")
+                .qualified()
+        })
+        .collect();
+    // A candidate's attributes ascend by AttrId, and so by index.
+    let graph = BipartiteGraph::from_value_rows(value_labels, attr_labels, |node| {
+        let attrs = lake.value_attributes(values[node as usize]);
+        attrs.iter().map(|attr| index_of_attr[attr.index()])
+    });
     let numbering = Numbering {
         node_of_value,
         values,
         index_of_attr,
         attrs,
     };
-    (numbering, builder.build())
+    (numbering, graph)
 }
 
 #[cfg(test)]
@@ -1201,7 +1202,7 @@ mod tests {
         let mut net = DomainNetBuilder::new().build(&lake);
         net.warm_rankings(&[Measure::lcc(), Measure::exact_bc()]);
         assert_eq!((net.candidate_count(), net.attribute_count()), (4, 4));
-        let t3 = lake.table("T3").unwrap().clone();
+        let t3 = lake.table("T3").unwrap();
         let effects = lake.apply(&LakeDelta::new().remove_table("T3")).unwrap();
         let stats = net.apply_delta(&lake, &effects).unwrap();
         assert_eq!((net.candidate_count(), net.attribute_count()), (3, 3));
@@ -1315,7 +1316,7 @@ mod tests {
         let mut net = DomainNetBuilder::new().build(&lake);
         let measure = Measure::approx_bc(net.graph().node_count() / 3, 7);
         net.warm_rankings(&[measure]);
-        let t3 = lake.table("T3").unwrap().clone();
+        let t3 = lake.table("T3").unwrap();
         for (step, delta) in [
             ("remove T3", LakeDelta::new().remove_table("T3")),
             ("re-add T3", LakeDelta::new().add_table(t3)),

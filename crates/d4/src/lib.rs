@@ -45,7 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use lake::catalog::{AttrId, LakeCatalog};
-use lake::value::ValueId;
+use lake::value::{value_kind, ValueId, ValueKind};
 
 /// Configuration of the simplified D4 algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,9 +168,13 @@ pub fn discover(lake: &LakeCatalog, config: D4Config) -> D4Output {
         if values.is_empty() {
             continue;
         }
-        // Emptiness off the index: `numeric_fraction` derives the list once.
-        let column = lake.attribute(attr).expect("live attribute");
-        if 1.0 - column.numeric_fraction() < config.string_column_min_fraction {
+        // `Column::numeric_fraction`, over the attribute's interned values.
+        let numeric = values
+            .iter()
+            .filter(|&&v| value_kind(lake.value(v).expect("interned")) != ValueKind::Text)
+            .count();
+        let numeric_fraction = numeric as f64 / values.len() as f64;
+        if 1.0 - numeric_fraction < config.string_column_min_fraction {
             continue;
         }
         columns.push(attr);
@@ -492,7 +496,7 @@ mod tests {
         let removed = lake.live_table_names()[0].to_owned();
         lake.apply(&lake::LakeDelta::new().remove_table(&removed))
             .unwrap();
-        let compact = LakeCatalog::from_tables(lake.tables().cloned()).unwrap();
+        let compact = LakeCatalog::from_tables(lake.tables()).unwrap();
         assert!(lake.attribute_count() > compact.attribute_count());
         assert!(lake.value_count() > compact.value_count());
 

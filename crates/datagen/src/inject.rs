@@ -73,7 +73,7 @@ const MIN_VALUE_LEN: usize = 3;
 pub fn remove_homographs(lake: &GeneratedLake) -> GeneratedLake {
     let homographs: BTreeSet<String> = lake.homograph_set();
     let truth = lake.truth.clone();
-    let mut tables: Vec<_> = lake.catalog.tables().cloned().collect();
+    let mut tables: Vec<_> = lake.catalog.tables().collect();
     for table in &mut tables {
         let table_name = table.name().to_owned();
         for column in table.columns_mut() {
@@ -174,7 +174,7 @@ pub fn inject_homographs(lake: &GeneratedLake, config: InjectionConfig) -> Optio
     // Apply the plan to the tables.
     let replacement_of: BTreeMap<&str, &str> =
         plan.iter().map(|(v, t)| (v.as_str(), t.as_str())).collect();
-    let mut tables: Vec<_> = lake.catalog.tables().cloned().collect();
+    let mut tables: Vec<_> = lake.catalog.tables().collect();
     for table in &mut tables {
         for column in table.columns_mut() {
             let present: Vec<(String, String)> = column

@@ -36,6 +36,7 @@
 //! lake.apply(&delta).unwrap();
 //! ```
 
+use lake::catalog::AttrId;
 use lake::delta::{LakeDelta, MutableLake};
 use lake::table::{Table, TableBuilder};
 use rand::rngs::StdRng;
@@ -153,7 +154,7 @@ impl MutationStream {
                     live.retain(|t| t != &name);
                     self.own_live.retain(|t| t != &name);
                     if let Some(table) = lake.table(&name) {
-                        self.parked.push(table.clone());
+                        self.parked.push(table);
                     }
                     delta = delta.remove_table(name);
                 } else {
@@ -234,26 +235,29 @@ impl MutationStream {
         lake: &MutableLake,
         live: &[String],
     ) -> Option<(String, String, String, String)> {
-        // Try a few random live columns for one with a distinct value.
+        // Try a few random live columns for one with a distinct value,
+        // read off the lake's index: its values, sorted as
+        // `Column::distinct_values` sorts them.
         for _ in 0..8 {
             let table_name = live.choose(&mut self.rng)?;
-            let Some(table) = lake.table(table_name) else {
+            let attrs: Vec<AttrId> = lake.table_attributes(table_name).collect();
+            if attrs.is_empty() {
                 continue;
-            };
-            let col_idx = self.rng.gen_range(0..table.column_count());
-            let column = &table.columns()[col_idx];
-            let distinct = column.distinct_values();
+            }
+            let attr = attrs[self.rng.gen_range(0..attrs.len())];
+            let mut distinct: Vec<&str> = lake
+                .attribute_values(attr)
+                .iter()
+                .map(|&v| lake.value(v).expect("an indexed value is interned"))
+                .collect();
             if distinct.is_empty() {
                 continue;
             }
+            distinct.sort_unstable();
             let target = distinct[self.rng.gen_range(0..distinct.len())].to_owned();
             let replacement = format!("Mutated{}", self.rng.gen_range(0..1_000_000u32));
-            return Some((
-                table_name.clone(),
-                column.name().to_owned(),
-                target,
-                replacement,
-            ));
+            let column = lake.attribute_ref(attr).expect("a live attribute").column;
+            return Some((table_name.clone(), column, target, replacement));
         }
         None
     }
@@ -606,8 +610,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("step {step}: {e}"));
         }
         // Base tables were never touched.
-        assert!(lake.table("base_a").is_some());
-        assert!(lake.table("base_b").is_some());
+        assert!(lake.contains_table("base_a"));
+        assert!(lake.contains_table("base_b"));
     }
 
     #[test]

@@ -92,6 +92,7 @@
 
 use crate::bipartite::BipartiteGraph;
 use crate::twins::{Twins, NONE};
+use std::convert::Infallible;
 use std::sync::Mutex;
 
 /// Exact betweenness centrality of every node (single-threaded).
@@ -202,7 +203,7 @@ pub(crate) fn quotient_brandes(
     let ctx = dn_trace::current();
     // Chunks hand their workspace on, so a worker allocates one.
     let workspaces = Mutex::new(Vec::new());
-    let partials = dn_pool::Pool::new(threads).run(chunks.len(), |c| {
+    let task = |c: usize| {
         let _chunk = ctx.enter(dn_trace::Phase::PoolBcChunks, format_args!("chunk{c}"));
         let mut acc = vec![0.0; classes];
         let spare = workspaces.lock().expect("workspace list").pop();
@@ -212,15 +213,21 @@ pub(crate) fn quotient_brandes(
         }
         workspaces.lock().expect("workspace list").push(workspace);
         acc
-    });
-    // Fold in chunk-index order — float addition is not associative, so this
-    // order IS the determinism guarantee.
+    };
+    // Each partial is folded in as soon as every chunk before it is, so
+    // only the chunks in flight hold one. Fold in chunk-index order — float
+    // addition is not associative, so this order IS the determinism
+    // guarantee.
     let mut total = vec![0.0; classes];
-    for partial in partials {
+    let fold = |_, partial: Vec<f64>| {
         for (t, p) in total.iter_mut().zip(partial) {
             *t += p;
         }
-    }
+        Ok::<(), Infallible>(())
+    };
+    dn_pool::Pool::new(threads)
+        .run_in_order(chunks.len(), task, fold)
+        .unwrap_or_else(|never| match never {});
     twins
         .class_of
         .iter()

@@ -76,53 +76,26 @@ impl BipartiteBuilder {
         self.attr_labels.len()
     }
 
-    /// Finalize into an immutable CSR graph. Duplicate edges are removed.
+    /// Finalize into an immutable CSR graph. Duplicate edges are removed:
+    /// the edges are sorted and de-duplicated, and each value's run of
+    /// them is its row in [`BipartiteGraph::from_value_rows`].
     pub fn build(self) -> BipartiteGraph {
-        let n_values = self.value_labels.len();
-        let n_attrs = self.attr_labels.len();
-        let n = n_values + n_attrs;
-
         let mut edges = self.edges;
         edges.sort_unstable();
         edges.dedup();
-
-        // Degree counting (each undirected edge contributes to both ends).
-        let mut degree = vec![0u32; n];
-        for &(v, a) in &edges {
-            degree[v as usize] += 1;
-            degree[n_values + a as usize] += 1;
+        // Value v's row is edges[starts[v]..starts[v + 1]].
+        let mut starts = vec![0usize; self.value_labels.len() + 1];
+        for &(v, _) in &edges {
+            starts[v as usize + 1] += 1;
         }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        for d in &degree {
-            let last = *offsets.last().expect("offsets never empty");
-            offsets.push(last + u64::from(*d));
+        for v in 1..starts.len() {
+            starts[v] += starts[v - 1];
         }
-        let m2 = *offsets.last().expect("offsets never empty") as usize;
-        let mut adjacency = vec![0u32; m2];
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        for &(v, a) in &edges {
-            let attr_node = (n_values + a as usize) as u32;
-            adjacency[cursor[v as usize] as usize] = attr_node;
-            cursor[v as usize] += 1;
-            adjacency[cursor[attr_node as usize] as usize] = v;
-            cursor[attr_node as usize] += 1;
-        }
-        // Sort each adjacency list for deterministic iteration and binary search.
-        for node in 0..n {
-            let (s, e) = (offsets[node] as usize, offsets[node + 1] as usize);
-            adjacency[s..e].sort_unstable();
-        }
-
-        BipartiteGraph {
-            n_values,
-            n_attrs,
-            offsets,
-            adjacency,
-            value_labels: self.value_labels,
-            attr_labels: self.attr_labels,
-        }
+        BipartiteGraph::from_value_rows(self.value_labels, self.attr_labels, |v| {
+            edges[starts[v as usize]..starts[v as usize + 1]]
+                .iter()
+                .map(|&(_, a)| a)
+        })
     }
 }
 
@@ -170,6 +143,61 @@ pub struct BipartiteGraph {
 }
 
 impl BipartiteGraph {
+    /// The one CSR fill: value node `v`'s edges go to the attribute
+    /// indices `row(v)`, which must ascend strictly and be below
+    /// `attr_labels.len()`. `row` is called twice per value (degrees, then
+    /// the fill), and no edge list is built beside the CSR. Values are
+    /// filled in ascending order, so every attribute's row comes out
+    /// ascending too: the graph [`BipartiteBuilder::build`] gives for the
+    /// same edges.
+    ///
+    /// # Panics
+    /// Panics if a row names an attribute index out of range.
+    pub fn from_value_rows<I>(
+        value_labels: Vec<String>,
+        attr_labels: Vec<String>,
+        row: impl Fn(u32) -> I,
+    ) -> BipartiteGraph
+    where
+        I: IntoIterator<Item = u32>,
+    {
+        let (n_values, n_attrs) = (value_labels.len(), attr_labels.len());
+        let n = n_values + n_attrs;
+        // Each node's degree at its index + 1, then summed into offsets.
+        let mut offsets = vec![0u64; n + 1];
+        for v in 0..n_values {
+            for a in row(v as u32) {
+                assert!((a as usize) < n_attrs, "attribute node {a} was never added");
+                offsets[v + 1] += 1;
+                offsets[n_values + a as usize + 1] += 1;
+            }
+        }
+        for node in 0..n {
+            offsets[node + 1] += offsets[node];
+        }
+        let mut adjacency = vec![0u32; offsets[n] as usize];
+        let mut cursor: Vec<u64> = offsets[n_values..n].to_vec();
+        for (v, &row_start) in offsets[..n_values].iter().enumerate() {
+            let row_start = row_start as usize;
+            for (i, a) in row(v as u32).into_iter().enumerate() {
+                let attr_node = (n_values + a as usize) as u32;
+                debug_assert!(i == 0 || adjacency[row_start + i - 1] < attr_node);
+                adjacency[row_start + i] = attr_node;
+                let at = &mut cursor[a as usize];
+                adjacency[*at as usize] = v as u32;
+                *at += 1;
+            }
+        }
+        BipartiteGraph {
+            n_values,
+            n_attrs,
+            offsets,
+            adjacency,
+            value_labels,
+            attr_labels,
+        }
+    }
+
     /// The CSR offset array (length `node_count() + 1`), for comparing two
     /// graphs node for node.
     pub fn csr_offsets(&self) -> &[u64] {

@@ -121,7 +121,7 @@ fn drift_stream(seed: u64) -> datagen::DriftStream {
 fn rebuilt_ranking(coordinator: &Arc<Mutex<Coordinator>>) -> BTreeMap<String, u64> {
     let mut tables: Vec<Table> = {
         let guard = coordinator.lock().expect("coordinator lock");
-        guard.shard(0).lake().tables().cloned().collect()
+        guard.shard(0).lake().tables().collect()
     };
     tables.sort_by(|a, b| a.name().cmp(b.name()));
     let lake = MutableLake::from_tables(tables).expect("rebuild the live tables");

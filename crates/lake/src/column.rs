@@ -1,4 +1,13 @@
-//! Column-oriented storage for a single attribute of a table.
+//! Column-oriented storage for a single attribute of a table in flight.
+//!
+//! A [`Column`] is the form a column travels in: a parsed CSV file, a
+//! delta, a POST body, a WAL record, a decoded snapshot. Inside a
+//! [`crate::delta::MutableLake`] a column is only its name and one `u32`
+//! store id per cell, each raw text held once in the lake's text store.
+//! [`crate::delta::MutableLake::table`] materializes a column back with its
+//! dictionary in the order each entry first occurs in the rows — the order
+//! [`Column::new`], the CSV loader and [`Column::replace_value`] give — so
+//! a table that went through a lake comes back as it went in.
 
 use std::fmt;
 use std::ops::Index;
@@ -249,6 +258,16 @@ impl Column {
         Ok(column)
     }
 
+    /// Adopt parts that uphold the column's invariants by construction
+    /// (the lake's materialization), without checking them.
+    pub(crate) fn from_parts(name: String, dictionary: StringList, indices: Vec<u32>) -> Self {
+        Column {
+            name,
+            dictionary,
+            indices,
+        }
+    }
+
     /// Check this column's dictionary-encoding invariants: every index in
     /// range, every entry referenced by some row, entries pairwise
     /// distinct.
@@ -299,11 +318,6 @@ impl Column {
     /// The column (attribute) name. May be empty or meaningless in a lake.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Rename the column.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// Number of rows (cells), counting duplicates and missing cells.
@@ -581,13 +595,6 @@ mod tests {
         let mut c = col(&["Puma"]);
         assert_eq!(c.replace_value("JAGUAR", "X"), 0);
         assert_eq!(c.distinct_values(), list(&["PUMA"]));
-    }
-
-    #[test]
-    fn rename() {
-        let mut c = Column::empty("a");
-        c.set_name("b");
-        assert_eq!(c.name(), "b");
     }
 
     #[test]

@@ -44,10 +44,11 @@ use std::collections::{HashMap, HashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::{AttrId, AttrRef};
-use crate::column::Column;
+use crate::column::{Column, StringList};
 use crate::error::LakeError;
 use crate::table::Table;
-use crate::value::{normalize, ValueId, ValueInterner};
+use crate::texts::{TextId, TextStore};
+use crate::value::{normalize, normalize_into, ValueId, ValueInterner};
 use crate::Result;
 
 // ---------------------------------------------------------------------------
@@ -218,7 +219,8 @@ pub struct DeltaEffects {
 // The lake
 // ---------------------------------------------------------------------------
 
-/// One table slot of a [`MutableLake`], in allocation order. Slots are
+/// One table slot in flight: what [`MutableLake::table_slots`] hands the
+/// snapshot encoder and [`MutableLake::from_slots`] takes back. Slots are
 /// never reused: removing a table leaves its slot `Removed`, and its
 /// columns' attribute ids stay allocated, dead.
 #[derive(Debug, Clone)]
@@ -250,10 +252,51 @@ impl TableSlot {
     }
 }
 
-/// The data lake: an ordered collection of [`Table`]s with global indexes,
+/// A column inside the lake: its name and the store id of each cell.
+#[derive(Debug, Clone)]
+struct StoredColumn {
+    name: String,
+    cells: Vec<TextId>,
+}
+
+/// A live table inside the lake. Its columns hold the attribute ids
+/// `first_attr..first_attr + columns.len()`.
+#[derive(Debug, Clone)]
+struct StoredTable {
+    name: String,
+    first_attr: u32,
+    columns: Vec<StoredColumn>,
+}
+
+impl StoredTable {
+    fn attributes(&self) -> impl Iterator<Item = AttrId> {
+        (self.first_attr..self.first_attr + self.columns.len() as u32).map(AttrId)
+    }
+}
+
+/// One table slot inside the lake, in allocation order.
+#[derive(Debug, Clone)]
+enum Slot {
+    Live(StoredTable),
+    Removed { columns: usize },
+}
+
+impl Slot {
+    fn live(&self) -> Option<&StoredTable> {
+        match self {
+            Slot::Live(table) => Some(table),
+            Slot::Removed { .. } => None,
+        }
+    }
+}
+
+/// The data lake: an ordered collection of tables with global indexes,
 /// mutable in place with **stable identifiers**.
 ///
 /// The lake maintains:
+/// * one store of raw cell texts, each held once with the [`ValueId`] of
+///   its normalized form; a column inside the lake is its name plus one
+///   `u32` store id per cell,
 /// * a global [`ValueInterner`] over all distinct normalized values,
 /// * an [`AttrId`] per column,
 /// * for every attribute, the sorted set of distinct [`ValueId`]s it contains,
@@ -261,11 +304,19 @@ impl TableSlot {
 ///   index that makes "candidate homographs appear in ≥ 2 attributes"
 ///   queries cheap).
 ///
+/// A [`Table`] is the in-flight form (a parsed CSV file, a delta, a WAL
+/// record, a decoded snapshot). [`MutableLake::add_table`] takes one apart
+/// and [`MutableLake::table`] builds one back, its dictionary in the order
+/// each entry first occurs in the rows: the order [`Column::new`], the CSV
+/// loader and [`Column::replace_value`] give. Only a checkpoint and a
+/// migration materialize tables; reads go through the indexes.
+///
 /// Identifier stability is the contract mutation keeps:
 ///
 /// * [`ValueId`]s are append-only. A value that disappears from every live
 ///   attribute keeps its id (it simply occurs in zero attributes); if it
-///   later reappears, the same id is reused.
+///   later reappears, the same id is reused. The text store is append-only
+///   the same way.
 /// * [`AttrId`]s are append-only, assigned in the order tables are added
 ///   and, within a table, in column order. Removing a table *tombstones*
 ///   its attribute slots — they stay allocated but hold no incidences.
@@ -275,7 +326,7 @@ impl TableSlot {
 /// graph be *patched* instead of rebuilt: node indices derived from these
 /// ids never shift underneath a consumer. Every read accessor
 /// describes the live state, so code written against a never-mutated lake
-/// is correct on a mutated one; `MutableLake::from_tables(lake.tables().cloned())`
+/// is correct on a mutated one; `MutableLake::from_tables(lake.tables())`
 /// compacts the live state into fresh, dense ids.
 ///
 /// ```
@@ -307,7 +358,7 @@ impl TableSlot {
 pub struct MutableLake {
     /// Table slots in allocation order; an attribute is live exactly when
     /// its slot is.
-    tables: Vec<TableSlot>,
+    tables: Vec<Slot>,
     /// Live table name -> slot.
     table_index: HashMap<String, usize>,
     /// AttrId -> (table slot, column index). Never shrinks.
@@ -318,6 +369,8 @@ pub struct MutableLake {
     value_attrs: Vec<Vec<AttrId>>,
     /// Append-only value interner.
     interner: ValueInterner,
+    /// Append-only store of raw cell texts.
+    texts: TextStore,
 }
 
 impl MutableLake {
@@ -341,31 +394,66 @@ impl MutableLake {
     }
 
     /// Add a table to the lake, indexing all of its columns and values.
+    /// The table is taken apart: each cell becomes the store id of its
+    /// text, and the table's buffers are dropped.
     ///
     /// # Errors
     /// [`LakeError::DuplicateTable`] if a live table has the same name, or
     /// the shape error [`Table::validate_shape`] reports: a lake holds only
     /// tables its snapshot can decode.
     pub fn add_table(&mut self, table: Table) -> Result<()> {
+        self.index_table(&table)
+    }
+
+    /// [`MutableLake::add_table`] on a borrowed table: a delta's table is
+    /// read, not copied.
+    pub(crate) fn index_table(&mut self, table: &Table) -> Result<()> {
         table.validate_shape()?;
         if self.table_index.contains_key(table.name()) {
             return Err(LakeError::DuplicateTable(table.name().to_owned()));
         }
         let slot = self.tables.len();
-        self.table_index.insert(table.name().to_owned(), slot);
+        let first_attr = self.attrs.len() as u32;
+        let mut columns = Vec::with_capacity(table.column_count());
         for (col_idx, column) in table.columns().iter().enumerate() {
             let attr = AttrId(self.attrs.len() as u32);
             self.attrs.push((slot, col_idx));
-            let values = dictionary_ids(&mut self.interner, column);
+            let (text_of_entry, values) =
+                store_dictionary(&mut self.interner, &mut self.texts, column.dictionary());
+            let cells = column
+                .cell_indices()
+                .iter()
+                .map(|&ix| text_of_entry[ix as usize])
+                .collect();
             self.value_attrs.resize(self.interner.len(), Vec::new());
             for &vid in &values {
                 // `attr` is the newest id, so pushing keeps the list sorted.
                 self.value_attrs[vid.index()].push(attr);
             }
             self.attr_values.push(values);
+            columns.push(StoredColumn {
+                name: column.name().to_owned(),
+                cells,
+            });
         }
-        self.tables.push(TableSlot::Live(table));
+        self.table_index.insert(table.name().to_owned(), slot);
+        self.tables.push(Slot::Live(StoredTable {
+            name: table.name().to_owned(),
+            first_attr,
+            columns,
+        }));
         Ok(())
+    }
+
+    /// The store id of `text`, stored (and its normalized form interned)
+    /// if it is new.
+    fn store_text(&mut self, text: &str) -> TextId {
+        if let Some(id) = self.texts.get(text) {
+            return id;
+        }
+        let normalized = normalize(text);
+        let value = (!normalized.is_empty()).then(|| self.interner.intern(&normalized));
+        self.texts.get_or_insert(text, value)
     }
 
     /// Apply a delta, returning the [`DeltaEffects`] of its ops.
@@ -413,7 +501,7 @@ impl MutableLake {
         match op {
             LakeOp::AddTable(table) => {
                 let first_new = self.attrs.len();
-                self.add_table(table.clone())?;
+                self.index_table(table)?;
                 touched.extend(self.attr_values[first_new..].iter().flatten());
                 Ok(())
             }
@@ -432,21 +520,23 @@ impl MutableLake {
             .table_index
             .remove(name)
             .ok_or_else(|| LakeError::NotFound(format!("table '{name}'")))?;
-        for (attr_idx, &(t, _)) in self.attrs.iter().enumerate() {
-            if t != slot {
-                continue;
-            }
-            let attr = AttrId(attr_idx as u32);
-            for &vid in &self.attr_values[attr_idx] {
+        let Slot::Live(table) = &self.tables[slot] else {
+            unreachable!("an indexed slot is live")
+        };
+        let columns = table.columns.len();
+        for attr in table.attributes() {
+            for &vid in &self.attr_values[attr.index()] {
                 remove_sorted(&mut self.value_attrs[vid.index()], attr);
             }
-            touched.append(&mut self.attr_values[attr_idx]);
+            touched.append(&mut self.attr_values[attr.index()]);
         }
-        let columns = self.tables[slot].column_count();
-        self.tables[slot] = TableSlot::Removed { columns };
+        self.tables[slot] = Slot::Removed { columns };
         Ok(())
     }
 
+    /// Every cell of `table.column` whose text normalizes to `target` takes
+    /// the store id of `replacement`; the attribute's value set loses
+    /// `target` and gains the replacement's value.
     fn replace_value(
         &mut self,
         table: &str,
@@ -461,18 +551,45 @@ impl MutableLake {
         let attr = self
             .attribute_id(table, column)
             .ok_or_else(|| LakeError::NotFound(format!("column '{table}.{column}'")))?;
+        // Every non-empty normalized text is interned, so a target the
+        // interner lacks matches no cell; an empty one matches the missing.
+        let target_value = match target {
+            "" => None,
+            _ => match self.interner.get(target) {
+                Some(id) => Some(id),
+                None => return Ok(()),
+            },
+        };
         let (slot, col_idx) = self.attrs[attr.index()];
-        let TableSlot::Live(tab) = &mut self.tables[slot] else {
+        let Slot::Live(stored) = &self.tables[slot] else {
             unreachable!("a live attribute's slot is live")
         };
-        let col = &mut tab.columns_mut()[col_idx];
-        if col.replace_value(target, replacement) == 0 {
+        let cells = &stored.columns[col_idx].cells;
+        let hits: Vec<usize> = (0..cells.len())
+            .filter(|&row| self.texts.value(cells[row]) == target_value)
+            .collect();
+        if hits.is_empty() {
             return Ok(());
         }
-        // Recompute the attribute's distinct set and diff it against the index.
-        let new_values = dictionary_ids(&mut self.interner, col);
+        let with = self.store_text(replacement);
+        let Slot::Live(stored) = &mut self.tables[slot] else {
+            unreachable!("a live attribute's slot is live")
+        };
+        for row in hits {
+            stored.columns[col_idx].cells[row] = with;
+        }
+        // Diff the attribute's value set against the index.
+        let old = &self.attr_values[attr.index()];
+        let mut new_values: Vec<ValueId> = old
+            .iter()
+            .copied()
+            .filter(|&v| Some(v) != target_value)
+            .collect();
+        if let Some(value) = self.texts.value(with) {
+            insert_sorted(&mut new_values, value);
+        }
         self.value_attrs.resize(self.interner.len(), Vec::new());
-        let (removed, added) = diff_sorted(&self.attr_values[attr.index()], &new_values);
+        let (removed, added) = diff_sorted(old, &new_values);
         for &o in &removed {
             remove_sorted(&mut self.value_attrs[o.index()], attr);
         }
@@ -494,21 +611,98 @@ impl MutableLake {
         self.table_index.len()
     }
 
-    /// The live tables, in slot (insertion) order.
-    pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.iter().filter_map(TableSlot::live)
+    fn live_tables(&self) -> impl Iterator<Item = &StoredTable> {
+        self.tables.iter().filter_map(Slot::live)
+    }
+
+    /// The live tables, in slot (insertion) order, each materialized as
+    /// [`MutableLake::table`] does.
+    pub fn tables(&self) -> impl Iterator<Item = Table> + '_ {
+        let mut entry_of = self.entry_scratch();
+        self.live_tables()
+            .map(move |table| self.materialize(table, &mut entry_of))
     }
 
     /// Names of the live tables, in slot order.
     pub fn live_table_names(&self) -> Vec<&str> {
-        self.tables().map(Table::name).collect()
+        self.live_tables().map(|t| t.name.as_str()).collect()
     }
 
-    /// Look up a live table by name.
-    pub fn table(&self, name: &str) -> Option<&Table> {
+    /// Whether a live table has this name (the name index; nothing is
+    /// materialized).
+    pub fn contains_table(&self, name: &str) -> bool {
+        self.table_index.contains_key(name)
+    }
+
+    fn stored_table(&self, name: &str) -> Option<&StoredTable> {
         self.table_index
             .get(name)
             .and_then(|&slot| self.tables[slot].live())
+    }
+
+    /// A live table, materialized: each column's dictionary holds its
+    /// texts in the order they first occur in the rows, and its indices
+    /// point into it — the table [`Column::new`] builds from the rows.
+    pub fn table(&self, name: &str) -> Option<Table> {
+        let table = self.stored_table(name)?;
+        Some(self.materialize(table, &mut self.entry_scratch()))
+    }
+
+    /// The attributes of a live table, in column order (none for a name
+    /// with no live table).
+    pub fn table_attributes(&self, name: &str) -> impl Iterator<Item = AttrId> {
+        self.stored_table(name)
+            .map(StoredTable::attributes)
+            .into_iter()
+            .flatten()
+    }
+
+    /// Per stored text, its entry in the dictionary being materialized
+    /// (`u32::MAX`: none); [`MutableLake::materialize`] leaves it all
+    /// `u32::MAX` again.
+    fn entry_scratch(&self) -> Vec<u32> {
+        vec![u32::MAX; self.texts.len()]
+    }
+
+    fn materialize(&self, table: &StoredTable, entry_of: &mut [u32]) -> Table {
+        let columns = table
+            .columns
+            .iter()
+            .map(|column| {
+                let mut dictionary = StringList::new();
+                let indices = column
+                    .cells
+                    .iter()
+                    .map(|&text| {
+                        let entry = &mut entry_of[text as usize];
+                        if *entry == u32::MAX {
+                            *entry = dictionary.len() as u32;
+                            dictionary.push(self.texts.text(text));
+                        }
+                        *entry
+                    })
+                    .collect();
+                for &text in &column.cells {
+                    entry_of[text as usize] = u32::MAX;
+                }
+                Column::from_parts(column.name.clone(), dictionary, indices)
+            })
+            .collect();
+        Table::from_columns(table.name.clone(), columns)
+    }
+
+    /// How many stored texts no live cell uses: the store is append-only,
+    /// so a text rewritten away or dropped with its table stays.
+    pub fn unused_text_count(&self) -> usize {
+        let mut used = vec![false; self.texts.len()];
+        for table in self.live_tables() {
+            for column in &table.columns {
+                for &text in &column.cells {
+                    used[text as usize] = true;
+                }
+            }
+        }
+        used.iter().filter(|&&u| !u).count()
     }
 
     // ------------------------------------------------------------------
@@ -534,34 +728,18 @@ impl MutableLake {
             .filter(|&id| self.is_attr_live(id))
     }
 
-    /// The table and column behind a live attribute id.
-    fn locate(&self, id: AttrId) -> Option<(&Table, &Column)> {
-        let &(slot, col) = self.attrs.get(id.index())?;
-        let table = self.tables[slot].live()?;
-        Some((table, table.columns().get(col)?))
-    }
-
-    /// The column behind a live attribute id.
-    pub fn attribute(&self, id: AttrId) -> Option<&Column> {
-        self.locate(id).map(|(_, column)| column)
-    }
-
     /// The fully-qualified `table.column` reference of a live attribute.
     pub fn attribute_ref(&self, id: AttrId) -> Option<AttrRef> {
-        self.locate(id)
-            .map(|(table, column)| AttrRef::new(table.name(), column.name()))
+        let &(slot, col) = self.attrs.get(id.index())?;
+        let table = self.tables[slot].live()?;
+        Some(AttrRef::new(&table.name, &table.columns.get(col)?.name))
     }
 
     /// Resolve a `table.column` pair of a live table to its attribute id.
     pub fn attribute_id(&self, table: &str, column: &str) -> Option<AttrId> {
-        let &slot = self.table_index.get(table)?;
-        let col = self.tables[slot]
-            .live()?
-            .columns()
-            .iter()
-            .position(|c| c.name() == column)?;
-        self.attribute_ids()
-            .find(|id| self.attrs[id.index()] == (slot, col))
+        let table = self.stored_table(table)?;
+        let col = table.columns.iter().position(|c| c.name == column)?;
+        Some(AttrId(table.first_attr + col as u32))
     }
 
     /// Sorted distinct live values of an attribute (empty for tombstones).
@@ -668,11 +846,16 @@ impl MutableLake {
     // Persistence (consumed by the `dn-store` crate)
     // ------------------------------------------------------------------
 
-    /// All table slots in allocation order, removed ones included: with
+    /// All table slots in allocation order, removed ones included, each
+    /// live one materialized as it is reached: with
     /// [`MutableLake::interner`], everything [`MutableLake::from_slots`]
     /// needs to rebuild this lake, ids included.
-    pub fn table_slots(&self) -> &[TableSlot] {
-        &self.tables
+    pub fn table_slots(&self) -> impl ExactSizeIterator<Item = TableSlot> + '_ {
+        let mut entry_of = self.entry_scratch();
+        self.tables.iter().map(move |slot| match slot {
+            Slot::Live(table) => TableSlot::Live(self.materialize(table, &mut entry_of)),
+            Slot::Removed { columns } => TableSlot::Removed { columns: *columns },
+        })
     }
 
     /// Rebuild a lake from its interner's values (ids are their positions)
@@ -703,12 +886,12 @@ impl MutableLake {
             match slot {
                 TableSlot::Live(table) => {
                     let interned = lake.value_count();
+                    let name = table.name().to_owned();
                     lake.add_table(table)?;
                     if lake.value_count() > interned {
-                        let table = lake.tables().last().expect("just added").name();
                         let value = lake.value(ValueId(interned as u32)).unwrap_or_default();
                         return Err(LakeError::Serde(format!(
-                            "table '{table}' holds value {value:?} missing from the interner"
+                            "table '{name}' holds value {value:?} missing from the interner"
                         )));
                     }
                 }
@@ -716,7 +899,7 @@ impl MutableLake {
                     let slot = lake.tables.len();
                     lake.attrs.extend((0..columns).map(|col| (slot, col)));
                     lake.attr_values.resize(lake.attrs.len(), Vec::new());
-                    lake.tables.push(TableSlot::Removed { columns });
+                    lake.tables.push(Slot::Removed { columns });
                 }
             }
         }
@@ -751,18 +934,66 @@ impl LakeView for MutableLake {
     }
 }
 
-/// The sorted ids of `column`'s distinct normalized values. Only those new
-/// to `interner` are sorted and interned, in byte order: the ids interning
+/// The store id of each entry of a column's `dictionary`, and the sorted
+/// ids of its distinct normalized values. Each entry is looked up by its
+/// raw text first, and only a text new to `texts` is normalized. The values
+/// new to `interner` are interned in byte order: the ids interning
 /// [`Column::distinct_values`] in order gives, minus most of its sort.
-fn dictionary_ids(interner: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+fn store_dictionary(
+    interner: &mut ValueInterner,
+    texts: &mut TextStore,
+    dictionary: &StringList,
+) -> (Vec<TextId>, Vec<ValueId>) {
+    let mut text_of_entry: Vec<TextId> = Vec::with_capacity(dictionary.len());
     let mut ids = Vec::new();
-    // Known values give their ids; the spans kept are the new ones.
-    let (fresh, spans) =
-        column.normalized_spans(|v| interner.get(v).map(|id| ids.push(id)).is_none());
-    ids.extend(spans.iter().map(|&(a, b)| interner.intern(&fresh[a..b])));
+    // Texts whose normalized form is new to the interner: (entry, span of
+    // the form in `fresh`).
+    let mut fresh = String::new();
+    let mut unknown: Vec<(usize, usize, usize)> = Vec::new();
+    for (entry, raw) in dictionary.iter().enumerate() {
+        if let Some(text) = texts.get(raw) {
+            ids.extend(texts.value(text));
+            text_of_entry.push(text);
+            continue;
+        }
+        let start = fresh.len();
+        normalize_into(raw, &mut fresh);
+        let value = match &fresh[start..] {
+            "" => None,
+            normalized => match interner.get(normalized) {
+                Some(id) => Some(id),
+                None => {
+                    unknown.push((entry, start, fresh.len()));
+                    text_of_entry.push(TextId::MAX);
+                    continue;
+                }
+            },
+        };
+        fresh.truncate(start);
+        ids.extend(value);
+        text_of_entry.push(texts.get_or_insert(raw, value));
+    }
+    // Interning a form twice returns one id, so interning the unknown
+    // forms sorted interns the new values in byte order.
+    let bytes = fresh.as_bytes();
+    unknown.sort_by(|&(_, a, b), &(_, c, d)| bytes[a..b].cmp(&bytes[c..d]));
+    for (entry, a, b) in unknown {
+        let value = interner.intern(&fresh[a..b]);
+        ids.push(value);
+        text_of_entry[entry] = texts.get_or_insert(&dictionary[entry], Some(value));
+    }
     ids.sort_unstable();
     ids.dedup();
-    ids
+    // The lake keeps the list as the attribute's value set.
+    ids.shrink_to_fit();
+    (text_of_entry, ids)
+}
+
+/// The sorted ids of `column`'s distinct normalized values, interned
+/// through an empty store: [`store_dictionary`] with every text new.
+#[cfg(test)]
+fn dictionary_ids(interner: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+    store_dictionary(interner, &mut TextStore::default(), column.dictionary()).1
 }
 
 /// Symmetric difference of two sorted, deduplicated slices: returns the
@@ -1151,8 +1382,8 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, LakeError::NotFound(_)));
         // The first delta stuck, the third never ran.
-        assert!(lake.table("zoo").is_some());
-        assert!(lake.table("cars").is_none());
+        assert!(lake.contains_table("zoo"));
+        assert!(!lake.contains_table("cars"));
     }
 
     #[test]
@@ -1161,7 +1392,7 @@ mod tests {
         lake.apply(&LakeDelta::new().add_table(zoo()).add_table(cars()))
             .unwrap();
         lake.apply(&LakeDelta::new().remove_table("zoo")).unwrap();
-        let snap = MutableLake::from_tables(lake.tables().cloned()).unwrap();
+        let snap = MutableLake::from_tables(lake.tables()).unwrap();
         assert_eq!(snap.table_count(), 1);
         assert_eq!(snap.value_count(), 3, "only the live values remain");
         assert!(snap.contains_value("FIAT"));
@@ -1198,7 +1429,7 @@ mod tests {
                 .remove_table("zoo"),
         )
         .unwrap();
-        let snap = MutableLake::from_tables(lake.tables().cloned()).unwrap();
+        let snap = MutableLake::from_tables(lake.tables()).unwrap();
         // Same live incidence structure, possibly different id spaces:
         // compare as (attr label, value string) pairs.
         let live_pairs = |view: &dyn LakeView| -> Vec<(String, String)> {

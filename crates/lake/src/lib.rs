@@ -14,12 +14,18 @@
 //!   string, trims surrounding whitespace, and upper-cases it so the same
 //!   token compares equal across tables) and a compact [`value::ValueInterner`]
 //!   mapping each distinct normalized value to a dense [`value::ValueId`].
-//! * [`mod@column`] / [`mod@table`] — column-oriented table storage with per-column
-//!   distinct-value sets and lightweight type sniffing.
-//! * [`delta`] — [`delta::MutableLake`], the one lake type: tables, a global
-//!   value interner and both directions of the value↔attribute incidence
-//!   index, iterated as (attribute, distinct values) pairs — the shape the
-//!   bipartite DomainNet graph is built from. [`delta::LakeDelta`]s mutate
+//! * [`mod@column`] / [`mod@table`] — tables in flight: dictionary-encoded
+//!   columns with derived distinct-value lists and lightweight type
+//!   sniffing.
+//! * [`delta`] — [`delta::MutableLake`], the one lake type: one store of
+//!   raw cell texts (each distinct text once, beside the id of its
+//!   normalized value), tables whose columns are a name plus one store id
+//!   per cell, a global value interner and both directions of the
+//!   value↔attribute incidence index, iterated as (attribute, distinct
+//!   values) pairs — the shape the bipartite DomainNet graph is built
+//!   from. A [`Table`] is the in-flight form: `add_table` takes one apart,
+//!   and `table` materializes one back, each dictionary in the order its
+//!   entries first occur in the rows. [`delta::LakeDelta`]s mutate
 //!   it in place under stable ids and report the values they touched
 //!   ([`delta::DeltaEffects`]) for incremental downstream maintenance.
 //! * [`catalog`] — [`catalog::AttrId`] / [`catalog::AttrRef`], and
@@ -64,6 +70,7 @@ pub mod fixtures;
 pub mod loader;
 pub mod stats;
 pub mod table;
+mod texts;
 pub mod value;
 
 pub use catalog::{AttrId, LakeCatalog};

@@ -36,11 +36,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of columns (attributes).
     pub fn column_count(&self) -> usize {
         self.columns.len()

@@ -407,7 +407,7 @@ fn partition_lake(lake: MutableLake, shards: usize) -> Vec<MutableLake> {
     let mut lakes: Vec<MutableLake> = (0..shards).map(|_| MutableLake::new()).collect();
     for (i, name) in names.iter().enumerate() {
         let target = shard_of_root[&roots[i]];
-        let table = lake.table(name).expect("live table").clone();
+        let table = lake.table(name).expect("live table");
         lakes[target]
             .apply(&LakeDelta::new().add_table(table))
             .expect("repartitioned table re-applies cleanly");
@@ -557,8 +557,10 @@ impl Pending {
             }
             LakeOp::RemoveTable(name) => {
                 self.tables.insert(name.clone());
-                if let Some(table) = owner.table(name) {
-                    self.values.extend(distinct_values(table));
+                for attr in owner.table_attributes(name) {
+                    let values = owner.attribute_values(attr).iter();
+                    self.values
+                        .extend(values.map(|&v| owner.value(v).expect("interned").to_owned()));
                 }
             }
             LakeOp::ReplaceValue {
@@ -1230,7 +1232,7 @@ impl Coordinator {
     pub fn table_owner(&self, table: &str) -> Option<usize> {
         self.shards
             .iter()
-            .position(|w| w.lake().table(table).is_some())
+            .position(|w| w.lake().contains_table(table))
     }
 
     /// A read handle onto this coordinator.
@@ -1502,12 +1504,12 @@ impl Coordinator {
                     self.shards.len()
                 )));
             }
-            let on_to = self.shards[mv.to].lake().table(&mv.table).is_some();
-            let Some(table) = self.shards[mv.from].lake().table(&mv.table) else {
+            if !self.shards[mv.from].lake().contains_table(&mv.table) {
                 continue; // move completed (or never started *and* the table is gone)
-            };
-            if !on_to {
-                let add = LakeDelta::new().add_table(table.clone());
+            }
+            if !self.shards[mv.to].lake().contains_table(&mv.table) {
+                let table = self.shards[mv.from].lake().table(&mv.table);
+                let add = LakeDelta::new().add_table(table.expect("live table"));
                 self.commit_shard(mv.to, add)?;
             }
             self.commit_shard(mv.from, LakeDelta::new().remove_table(mv.table.clone()))?;
@@ -1683,7 +1685,7 @@ mod tests {
         let (service, mut coordinator) =
             serve_sharded_durable(two_component_lake(), config(), &dir, policy, 2).unwrap();
         assert_eq!(coordinator.table_owner("zoo"), Some(0));
-        let zoo_table = coordinator.shard(0).lake().table("zoo").unwrap().clone();
+        let zoo_table = coordinator.shard(0).lake().table("zoo").unwrap();
         let (seq, epoch) = (
             coordinator.shard(1).last_seq() + 1,
             coordinator.shard(1).epoch(),
@@ -1693,7 +1695,7 @@ mod tests {
             .apply_replicated(1, seq, epoch, &add_half)
             .unwrap();
         coordinator.refresh_view();
-        assert!(coordinator.shard(1).lake().table("zoo").is_some());
+        assert!(coordinator.shard(1).lake().contains_table("zoo"));
         assert_eq!(
             coordinator.table_owner("zoo"),
             Some(0),

@@ -150,8 +150,8 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
         match slot {
             TableSlot::Removed { columns } => {
                 w.put_bool(false);
-                w.put_u32(*columns as u32);
-                w.put_bytes(&vec![0; *columns]);
+                w.put_u32(columns as u32);
+                w.put_bytes(&vec![0; columns]);
             }
             TableSlot::Live(table) => {
                 w.put_bool(true);
@@ -159,10 +159,10 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
                 w.put_u32(table.column_count() as u32);
                 for column in table.columns() {
                     w.put_str(column.name());
-                    // Columns are dictionary-encoded natively; persist the
-                    // dictionary + row indices verbatim (small on disk, and
-                    // the loader normalizes once per distinct raw cell
-                    // instead of once per row).
+                    // The lake materializes one table at a time, its
+                    // dictionary in first-occurrence order; persist it and
+                    // the row indices (small on disk, and the loader
+                    // normalizes once per distinct raw cell, not per row).
                     let dictionary = column.dictionary();
                     w.put_u64(dictionary.len() as u64);
                     for entry in dictionary {
@@ -658,5 +658,110 @@ mod tests {
         let restored = read_snapshot(&path).unwrap();
         assert_eq!(restored.net.export_state(), net.export_state());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A lake keeps each cell as the id of its text in one store and builds
+    /// a table back only when asked. Seeded mutations (adds, removals and
+    /// re-adds of parked tables, fresh replacements, and replacements onto
+    /// a text the column already holds, whose entries merge) run against a
+    /// lake and against shadow in-flight tables that `Column::replace_value`
+    /// updates. After every op each materialized table equals its shadow
+    /// (names, dictionary order, indices), and the lake section re-encodes
+    /// to the bytes it was decoded from.
+    #[test]
+    fn materialized_tables_match_their_in_flight_shadows() {
+        use datagen::mutate::{MutationConfig, MutationStream};
+        use lake::delta::LakeOp;
+        use lake::Table;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let variants = TableBuilder::new("variants")
+            .column(
+                "a",
+                [
+                    "Jaguar", " jaguar", "JAGUAR ", "Puma", "", "  ", "puma", "Jaguar",
+                ],
+            )
+            .column("b", ["x", "X", "y", "Straße", "STRASSE", "x", "", "é"])
+            .build()
+            .unwrap();
+        let mut lake = MutableLake::from_catalog(&lake::fixtures::running_example());
+        lake.add_table(variants).unwrap();
+        let mut shadow: Vec<Table> = lake.tables().collect();
+        let mut stream = MutationStream::new(MutationConfig {
+            seed: 0x5EED,
+            rows_per_table: 12,
+            touch_base_tables: true,
+            ..MutationConfig::default()
+        });
+        let mut rng = StdRng::seed_from_u64(0x0DD);
+        let (mut adds, mut removals, mut merges) = (0, 0, 0);
+        for step in 0..300 {
+            let mut ops = stream.next_delta(&lake).ops().to_vec();
+            if rng.gen_bool(0.4) {
+                let table = &shadow[rng.gen_range(0..shadow.len())];
+                let column = &table.columns()[rng.gen_range(0..table.column_count())];
+                let dictionary = column.dictionary();
+                let mut entry = || &dictionary[rng.gen_range(0..dictionary.len())];
+                // Ahead of the stream's ops, which may remove the table.
+                ops.insert(
+                    0,
+                    LakeOp::ReplaceValue {
+                        table: table.name().to_owned(),
+                        column: column.name().to_owned(),
+                        target: lake::normalize(entry()),
+                        replacement: entry().to_owned(),
+                    },
+                );
+            }
+            for op in ops {
+                let mut delta = LakeDelta::new();
+                delta.push(op.clone());
+                lake.apply(&delta).unwrap();
+                match op {
+                    LakeOp::AddTable(table) => {
+                        adds += 1;
+                        shadow.push(table);
+                    }
+                    LakeOp::RemoveTable(name) => {
+                        removals += 1;
+                        shadow.retain(|t| t.name() != name);
+                    }
+                    LakeOp::ReplaceValue {
+                        table,
+                        column,
+                        target,
+                        replacement,
+                    } => {
+                        let table = shadow.iter_mut().find(|t| t.name() == table).unwrap();
+                        let columns = table.columns_mut().iter_mut();
+                        let column = columns.into_iter().find(|c| c.name() == column).unwrap();
+                        let entries = column.dictionary().len();
+                        column.replace_value(&target, &replacement);
+                        merges += usize::from(column.dictionary().len() < entries);
+                    }
+                }
+                let names: Vec<&str> = shadow.iter().map(Table::name).collect();
+                assert_eq!(lake.live_table_names(), names, "step {step}");
+                for want in &shadow {
+                    let got = lake.table(want.name()).unwrap();
+                    assert_eq!(got.column_count(), want.column_count());
+                    for (got, want) in got.columns().iter().zip(want.columns()) {
+                        assert_eq!(
+                            (got.name(), got.dictionary(), got.cell_indices()),
+                            (want.name(), want.dictionary(), want.cell_indices()),
+                            "step {step}"
+                        );
+                    }
+                }
+                let bytes = encode_lake(&lake);
+                let decoded = decode_lake(&bytes).unwrap();
+                assert_eq!(encode_lake(&decoded), bytes, "step {step}");
+            }
+        }
+        assert!(
+            adds >= 50 && removals >= 50 && merges >= 20,
+            "{adds} adds, {removals} removals, {merges} merging replacements"
+        );
     }
 }

@@ -706,7 +706,7 @@ mod tests {
         fs::remove_file(&newest).unwrap(); // drop the corrupt file entirely
         let (_, recovered) = Store::recover(&dir).unwrap();
         assert_eq!(recovered.replayed_batches, 1);
-        assert!(recovered.lake.table("extra_9").is_some());
+        assert!(recovered.lake.contains_table("extra_9"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -957,7 +957,7 @@ mod tests {
             ..datagen::tus::TusConfig::small(7)
         })
         .generate();
-        let base = MutableLake::from_tables(generated.catalog.tables().cloned()).unwrap();
+        let base = MutableLake::from_tables(generated.catalog.tables()).unwrap();
         let tus_table = base.live_table_names()[0].to_owned();
         let tus_value = base.table(&tus_table).unwrap().columns()[0].cells()[0].to_owned();
         let records = vec![
@@ -1009,8 +1009,8 @@ mod tests {
             let refusals = usize::from(refused);
             assert_eq!((recovered.resyncs, resyncs), (refusals, refusals), "{name}");
             assert_eq!(
-                format!("{:?}", recovered.lake.table_slots()),
-                format!("{:?}", lake.table_slots()),
+                format!("{:?}", recovered.lake.table_slots().collect::<Vec<_>>()),
+                format!("{:?}", lake.table_slots().collect::<Vec<_>>()),
                 "{name}: lake slots"
             );
             assert!(

@@ -583,8 +583,8 @@ fn wal_flip_truncates_replay_at_the_flip() {
 
     let (_, recovered) = Store::recover(&dir).unwrap();
     assert_eq!(recovered.replayed_batches, 2, "third batch torn away");
-    assert!(recovered.lake.table("wal_1").is_some());
-    assert!(recovered.lake.table("wal_2").is_none());
+    assert!(recovered.lake.contains_table("wal_1"));
+    assert!(!recovered.lake.contains_table("wal_2"));
     assert_eq!(
         fs::metadata(&wal_path).unwrap().len(),
         good_len,

@@ -71,7 +71,7 @@ fn main() {
     );
 
     // Build a copy of the lake without the detected values and re-run D4.
-    let mut tables: Vec<_> = polluted.tables().cloned().collect();
+    let mut tables: Vec<_> = polluted.tables().collect();
     for column in tables.iter_mut().flat_map(|t| t.columns_mut()) {
         for value in &detected {
             column.replace_value(value, "");

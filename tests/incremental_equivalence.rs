@@ -197,7 +197,7 @@ fn random_mutation_sequences_match_from_scratch_builds() {
                         continue;
                     }
                     let name = live[rng.gen_range(0..live.len())].clone();
-                    removed.push(lake.table(&name).expect("live table").clone());
+                    removed.push(lake.table(&name).expect("live table"));
                     LakeDelta::new().remove_table(name)
                 }
                 _ => {
@@ -222,8 +222,7 @@ fn random_mutation_sequences_match_from_scratch_builds() {
         }
 
         // From-scratch reference over a fully independent id space.
-        let compact =
-            MutableLake::from_tables(lake.tables().cloned()).expect("live tables are well-formed");
+        let compact = MutableLake::from_tables(lake.tables()).expect("live tables are well-formed");
         let fresh = builder.build(&compact);
         assert_equivalent(seq, steps, &net, &fresh);
 
@@ -255,7 +254,7 @@ fn a_long_lived_net_has_a_fresh_builds_node_counts() {
         ..base
     })
     .generate();
-    let mut lake = MutableLake::from_tables(generated.catalog.tables().cloned())
+    let mut lake = MutableLake::from_tables(generated.catalog.tables())
         .expect("generated tables are well-formed");
     let mut net = DomainNetBuilder::new().build(&lake);
     let mut stream = MutationStream::new(MutationConfig::default());
@@ -324,7 +323,7 @@ fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
         TusGenerator::new(TusConfig::small(7)).generate(),
         SbGenerator::new(2021).generate(),
     ] {
-        let tables: Vec<lake::Table> = generated.catalog.tables().cloned().collect();
+        let tables: Vec<lake::Table> = generated.catalog.tables().collect();
         let thirds: Vec<&lake::Table> = tables.iter().step_by(3).collect();
         let mut deltas: Vec<LakeDelta> = tables
             .iter()
@@ -373,7 +372,8 @@ fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
                 LakeOp::RemoveTable(_) => {}
                 LakeOp::ReplaceValue { table, column, .. } => {
                     let attr = lake.attribute_id(table, column).expect("live column");
-                    let column = lake.table(table).unwrap().column(column).unwrap();
+                    let table = lake.table(table).unwrap();
+                    let column = table.column(column).unwrap();
                     want[attr.index()] = sorted_list_ids(&mut oracle, column);
                 }
             }

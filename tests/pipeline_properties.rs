@@ -108,3 +108,60 @@ fn unpruned_graph_matches_lake_shape() {
         assert!(net.graph().validate().is_ok(), "seed {seed}");
     }
 }
+
+/// `derive` fills the CSR straight from the lake's sorted rows, with no
+/// edge list beside it; a `BipartiteBuilder` sorts and de-duplicates one
+/// first. On the running example, a seeded TUS lake and the random lakes,
+/// pruned and not, the net's graph must be the one a builder gives for the
+/// same numbering (candidates in value-id order, then the attributes
+/// holding one in attribute-id order), fed its edges attribute by
+/// attribute and each one twice.
+#[test]
+fn derived_csr_is_the_builders_csr() {
+    use dn_graph::bipartite::BipartiteBuilder;
+
+    let tus = datagen::tus::TusGenerator::new(datagen::tus::TusConfig::small(7)).generate();
+    let lakes = [lake::fixtures::running_example(), tus.catalog]
+        .into_iter()
+        .chain((0..CASES).map(|seed| random_lake(seed + 0xC5A)));
+    let mut edges = 0;
+    for (case, lake) in lakes.enumerate() {
+        for prune in [false, true] {
+            let net = DomainNetBuilder::new()
+                .prune_single_attribute_values(prune)
+                .build(&lake);
+            let values = lake.values_in_at_least(if prune { 2 } else { 1 });
+            let mut attrs: Vec<_> = values
+                .iter()
+                .flat_map(|&v| lake.value_attributes(v).iter().copied())
+                .collect();
+            attrs.sort_unstable();
+            attrs.dedup();
+            let mut builder = BipartiteBuilder::new();
+            for &v in &values {
+                builder.add_value(lake.value(v).unwrap());
+            }
+            for &a in &attrs {
+                builder.add_attribute(lake.attribute_ref(a).unwrap().qualified());
+            }
+            for (index, &a) in attrs.iter().enumerate() {
+                for &v in lake.attribute_values(a) {
+                    if let Ok(node) = values.binary_search(&v) {
+                        builder.add_edge(node as u32, index as u32);
+                        builder.add_edge(node as u32, index as u32);
+                    }
+                }
+            }
+            let built = builder.build();
+            let graph = net.graph();
+            edges += graph.edge_count();
+            assert_eq!(graph.csr_offsets(), built.csr_offsets(), "case {case}");
+            assert_eq!(graph.csr_adjacency(), built.csr_adjacency(), "case {case}");
+            assert_eq!(graph.value_labels(), built.value_labels(), "case {case}");
+            for a in 0..graph.attribute_count() as u32 {
+                assert_eq!(graph.attribute_label(a), built.attribute_label(a));
+            }
+        }
+    }
+    assert!(edges > 10_000, "{edges} edges in all");
+}

@@ -587,8 +587,8 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
         "recovery must clear the completed intent"
     );
     assert_eq!(recovered.table_owner("mover"), Some(1));
-    assert!(recovered.shard(0).lake().table("mover").is_none());
-    assert!(recovered.shard(1).lake().table("mover").is_some());
+    assert!(!recovered.shard(0).lake().contains_table("mover"));
+    assert!(recovered.shard(1).lake().contains_table("mover"));
 
     // The finished state equals a fresh build of the three live tables.
     let mut expected = MutableLake::new();
