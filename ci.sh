@@ -145,11 +145,13 @@ GATES=(
     # 2^32-path and full-lane-batch graphs), then lane batches against one
     # source at a time, bit for bit.
     "quick|twin-quotient Brandes == per-node Brandes (1e-12 relative); lane batches == one source at a time (to_bits)|-p dn-graph --lib|quotient_matches_per_node_brandes lanes_are_bit_identical_to_one_source_at_a_time"
-    # Exact BC's chunks are laid out per component, so a component's bits
-    # are its own; sampled BC is re-drawn from the whole graph as a build
-    # draws it; so recovery folds a WAL suffix in one call onto the state
-    # folding it record by record gives.
-    "quick|a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
+    # BC runs its sources in one source order (per component, BFS order
+    # from its lowest class, value classes first), exact BC in whole-lane
+    # chunks laid out per component, sampled BC's draws in the same order.
+    # So a component's bits are its own; sampled BC is re-drawn from the
+    # whole graph as a build draws it; so recovery folds a WAL suffix in
+    # one call onto the state folding it record by record gives.
+    "quick|BC sources in BFS order, value classes first, whole-lane chunks; a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|component_chunks_run_value_classes_then_attribute_classes_in_bfs_order drawn_classes_run_in_the_shared_source_order a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
     # The in-order scheduler every pool call runs on: the sink sees every
     # index in order at widths 1-4 under seeded uneven costs, its error
     # stops the run, and a worker's or the sink's panic is re-raised after
@@ -264,7 +266,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     DETERMINISM=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir target/benchmark -- --check-determinism --seconds 2)
     echo "${DETERMINISM}"
-    for pinned in batch_detect:60a171c5c9d8b436 serve_read_heavy:1cd3f341b6a2ccc1 \
+    for pinned in batch_detect:1893493e3bd6ed79 serve_read_heavy:1cd3f341b6a2ccc1 \
         serve_write_heavy:89f7dcf647c4ddf7 ingest_restart:f129264fa90ba08b; do
         if ! grep -F -- "${pinned%%:*}: digest ${pinned#*:}," <<<"${DETERMINISM}" >/dev/null; then
             echo "${pinned%%:*}: digest is not the committed ${pinned#*:}" >&2

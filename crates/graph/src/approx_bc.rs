@@ -59,7 +59,10 @@ impl Default for ApproxBcConfig {
 /// The draws are a per-node estimator's (the seeded RNG picks
 /// `samples` node ids without replacement), grouped per twin class: each
 /// drawn class runs the quotient kernel of [`crate::bc`] once, with weight
-/// `draws · n / samples`.
+/// `draws · n / samples`. The drawn classes run in exact BC's source order
+/// (components by lowest class, each in BFS order from it, value classes
+/// first), cut into whole-lane canonical chunks, so the eight sources of a
+/// sweep lie close together in the graph.
 ///
 /// `threads` is a **runtime execution parameter**, deliberately not part of
 /// [`ApproxBcConfig`]: the config is identity (it keys memo caches and is

@@ -26,8 +26,6 @@
 //!   the graph before and after a lake mutation and reports the regions
 //!   (2-hop LCC invalidation set, touched components) downstream measures
 //!   must recompute.
-//! * [`projection`] — the unipartite value co-occurrence projection
-//!   (Figure 3a of the paper), useful for analysis and testing.
 //! * [`subgraph`] — attribute-anchored random subgraph extraction, used by
 //!   the scalability experiment (Figure 9).
 //!
@@ -75,7 +73,6 @@ mod closed;
 pub mod components;
 pub mod delta;
 pub mod lcc;
-pub mod projection;
 pub mod subgraph;
 mod twins;
 

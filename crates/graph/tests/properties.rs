@@ -13,7 +13,6 @@ use dn_graph::bc::{betweenness_centrality, betweenness_centrality_parallel, norm
 use dn_graph::bipartite::{BipartiteBuilder, BipartiteGraph};
 use dn_graph::components::connected_components;
 use dn_graph::lcc::{lcc_with_cardinality_for_values, local_clustering_coefficients, LccMethod};
-use dn_graph::projection::project_values;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -160,13 +159,29 @@ fn components_partition_the_nodes() {
 fn projection_degree_matches_value_neighbor_count() {
     for seed in 0..CASES {
         let g = random_graph(20, 5, seed);
-        let proj = project_values(&g);
-        assert_eq!(proj.node_count(), g.value_count(), "seed {seed}");
+        // A value's degree in the value co-occurrence projection (Figure 3a):
+        // the distinct other values two hops away.
+        let projection_degree = |v: u32| {
+            let mut two_hop: Vec<u32> = g
+                .neighbors(v)
+                .iter()
+                .flat_map(|&a| g.neighbors(a))
+                .copied()
+                .filter(|&w| w != v)
+                .collect();
+            two_hop.sort_unstable();
+            two_hop.dedup();
+            two_hop.len()
+        };
         for threads in [1, 2, 4] {
             let bulk = g.value_neighbor_counts(threads);
             assert_eq!(bulk.len(), g.value_count(), "seed {seed}");
             for v in g.value_nodes() {
-                assert_eq!(proj.degree(v), g.value_neighbor_count(v), "seed {seed}");
+                assert_eq!(
+                    projection_degree(v),
+                    g.value_neighbor_count(v),
+                    "seed {seed}"
+                );
                 assert_eq!(
                     bulk[v as usize],
                     g.value_neighbor_count(v),
