@@ -160,8 +160,11 @@ GATES=(
     # The one-pass CSV parser against the line-joining reader it replaced
     # (seeded hostile bytes), and load_dir at pool widths 1, 2 and 4: the
     # lake or first error equals the sequential fold's, a failing add_table
-    # included.
-    "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant, a failing add_table stops it|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader a_failing_add_table_stops_the_load_at_every_width"
+    # included. A parse scratch reused across files (wide then narrow,
+    # ragged, quoted, header-only, a failed strict parse, a growing table,
+    # the hostile documents) parses as a fresh one, and a small file's
+    # clear releases a large file's slot table.
+    "quick|CSV parser == reference reader; hostile bytes never panic; load_dir width-invariant, a failing add_table stops it; a reused parse scratch == a fresh one, its clear bounded by the last file|-p lake --lib|hostile_bytes_match_the_reference_reader load_dir_is_width_invariant_and_matches_the_reference_reader a_failing_add_table_stops_the_load_at_every_width a_reused_parse_scratch_parses_as_a_fresh_one a_small_files_clear_releases_a_large_files_slot_table hostile_documents_parse_alike_through_a_reused_scratch"
     # Row reads leave no live heap behind (a counting allocator), the
     # dictionary differ gives its per-cell oracle's ops, and a one-column
     # table with empty cells survives a CSV round trip.

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lake::loader::{load_table, LoadOptions};
+use lake::loader::{LoadOptions, ParseScratch};
 use lake::{LakeDelta, Table};
 
 use crate::diff::{diff_tables, rewrite_delta};
@@ -183,11 +183,13 @@ impl<S: DeltaSink> Ingester<S> {
         let journal = Journal::new(&config.journal_path);
         let state = journal.load()?.unwrap_or_default();
         let mut tables = HashMap::new();
+        // One parse scratch for every file the diff base re-reads.
+        let mut scratch = ParseScratch::default();
         for entry in &state.files {
             let path = config.watch_dir.join(&entry.name);
             if let Ok(fp) = fingerprint_file(&path) {
                 if fp.same_content(&entry.fingerprint) {
-                    if let Ok(table) = load_table(&path, strict_load()) {
+                    if let Ok(table) = scratch.load_table(&path, strict_load()) {
                         tables.insert(table_stem(&entry.name), table);
                     }
                 }
@@ -224,7 +226,9 @@ impl<S: DeltaSink> Ingester<S> {
         let _trace = dn_trace::start_trace("ingest_poll", None);
         self.stats.polls.inc();
         let mut report = PollReport::default();
-        self.recover_pending(&mut report)?;
+        // One parse scratch for every file this poll reads.
+        let mut scratch = ParseScratch::default();
+        self.recover_pending(&mut report, &mut scratch)?;
 
         let scan_span = dn_trace::span(dn_trace::Phase::IngestScan);
         let names = self.scan()?;
@@ -301,7 +305,7 @@ impl<S: DeltaSink> Ingester<S> {
                 }
             }
             let path = self.config.watch_dir.join(name);
-            let table = match load_table(&path, strict_load()) {
+            let table = match scratch.load_table(&path, strict_load()) {
                 Ok(table) => table,
                 Err(_) => {
                     report.torn_skipped += 1;
@@ -362,14 +366,14 @@ impl<S: DeltaSink> Ingester<S> {
                 && (batch.len() >= self.config.max_deltas_per_batch
                     || batch_ops + ops > MAX_OPS_PER_BATCH);
             if full {
-                self.deliver_fresh_batch(std::mem::take(&mut batch), &mut report)?;
+                self.deliver_fresh_batch(std::mem::take(&mut batch), &mut report, &mut scratch)?;
                 batch_ops = 0;
             }
             batch_ops += ops;
             batch.push(action);
         }
         if !batch.is_empty() {
-            self.deliver_fresh_batch(batch, &mut report)?;
+            self.deliver_fresh_batch(batch, &mut report, &mut scratch)?;
         }
 
         if !silent.is_empty() {
@@ -441,14 +445,18 @@ impl<S: DeltaSink> Ingester<S> {
         fingerprint_file(path).map_err(|e| IngestError::io(path, e))
     }
 
-    fn recover_pending(&mut self, report: &mut PollReport) -> Result<(), IngestError> {
+    fn recover_pending(
+        &mut self,
+        report: &mut PollReport,
+        scratch: &mut ParseScratch,
+    ) -> Result<(), IngestError> {
         let pending = match &self.state.pending {
             Some(pending) => pending.clone(),
             None => return Ok(()),
         };
         report.redelivered = true;
         match self.deliver_with_retry(pending.seq, &pending.deltas, false) {
-            Ok(()) => self.commit_pending(HashMap::new()),
+            Ok(()) => self.commit_pending(HashMap::new(), scratch),
             Err(e) => Err(e),
         }
     }
@@ -457,6 +465,7 @@ impl<S: DeltaSink> Ingester<S> {
         &mut self,
         actions: Vec<FileAction>,
         report: &mut PollReport,
+        scratch: &mut ParseScratch,
     ) -> Result<(), IngestError> {
         let seq = self.state.seq + 1;
         let deltas: Vec<LakeDelta> = actions.iter().map(|a| a.delta.clone()).collect();
@@ -484,7 +493,7 @@ impl<S: DeltaSink> Ingester<S> {
         match self.deliver_with_retry(seq, &deltas, true) {
             Ok(()) => {
                 // Phase 2: confirmed applied.
-                self.commit_pending(parsed)?;
+                self.commit_pending(parsed, scratch)?;
                 report.batches_delivered += 1;
                 report.ops_delivered += ops;
                 Ok(())
@@ -544,7 +553,11 @@ impl<S: DeltaSink> Ingester<S> {
     /// `parsed` carries the freshly parsed tables for the diff base; during
     /// restart recovery it is empty and the base is rebuilt from disk where
     /// the content still matches.
-    fn commit_pending(&mut self, mut parsed: HashMap<String, Table>) -> Result<(), IngestError> {
+    fn commit_pending(
+        &mut self,
+        mut parsed: HashMap<String, Table>,
+        scratch: &mut ParseScratch,
+    ) -> Result<(), IngestError> {
         let pending = self
             .state
             .pending
@@ -573,7 +586,7 @@ impl<S: DeltaSink> Ingester<S> {
                             .map(|cur| cur.same_content(fp))
                             .unwrap_or(false);
                         let reparsed = matches
-                            .then(|| load_table(&path, strict_load()).ok())
+                            .then(|| scratch.load_table(&path, strict_load()).ok())
                             .flatten();
                         match reparsed {
                             Some(table) => {

@@ -57,10 +57,10 @@ impl StringList {
         self.ends.push(self.buf.len());
     }
 
-    /// Release the spare capacity of both buffers.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.buf.shrink_to_fit();
-        self.ends.shrink_to_fit();
+    /// Remove every entry, keeping both buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.ends.clear();
     }
 
     /// Number of entries.
@@ -234,8 +234,7 @@ impl Column {
     }
 
     /// Reassemble a column from its dictionary-encoded parts — the shape
-    /// the persistence layer stores and the CSV loader parses into. The
-    /// column's invariants are validated (every index in range, every
+    /// the persistence layer stores. The column's invariants are validated (every index in range, every
     /// entry referenced, no duplicate entries) and the parts are adopted
     /// as they are, so the result is identical to [`Column::new`] over the
     /// materialized rows at a fraction of the cost (no per-row allocation,
@@ -259,7 +258,7 @@ impl Column {
     }
 
     /// Adopt parts that uphold the column's invariants by construction
-    /// (the lake's materialization), without checking them.
+    /// (the lake's materialization, a CSV parse), without checking them.
     pub(crate) fn from_parts(name: String, dictionary: StringList, indices: Vec<u32>) -> Self {
         Column {
             name,

@@ -430,6 +430,27 @@ pub(crate) mod oracle {
         }
     }
 
+    /// A seeded random document of up to 24 pieces over the bytes a parser
+    /// must get right: a two-byte character, a byte that is never UTF-8,
+    /// the delimiter, the quote and both halves of a line break.
+    pub(crate) fn hostile_document(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        const PIECES: [&[u8]; 8] = [
+            b"a",
+            "é".as_bytes(),
+            b"\xFF",
+            b",",
+            b"\"",
+            b"\n",
+            b"\r",
+            b" ",
+        ];
+        let len = rng.gen_range(0..24);
+        (0..len)
+            .flat_map(|_| PIECES[rng.gen_range(0..PIECES.len())].iter().copied())
+            .collect()
+    }
+
     fn quotes_balanced(bytes: &[u8], quote: u8) -> bool {
         bytes.iter().filter(|&&b| b == quote).count() % 2 == 0
     }
@@ -678,30 +699,16 @@ mod tests {
         false
     }
 
-    /// `cases` seeded random documents over the bytes a parser must get
-    /// right — a two-byte character, a byte that is never UTF-8, the
-    /// delimiter, the quote and both halves of a line break — parsed by the
-    /// parser and the oracle: nothing panics, and without a stray quote
-    /// both give the same records or the same error (variant and line).
+    /// `cases` seeded random documents ([`super::oracle::hostile_document`])
+    /// parsed by the parser and the oracle: nothing panics, and without a
+    /// stray quote both give the same records or the same error (variant
+    /// and line).
     fn hostile_bytes_against_the_oracle(seed: u64, cases: usize) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        const PIECES: [&[u8]; 8] = [
-            b"a",
-            "é".as_bytes(),
-            b"\xFF",
-            b",",
-            b"\"",
-            b"\n",
-            b"\r",
-            b" ",
-        ];
+        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut compared = 0;
         for case in 0..cases {
-            let len = rng.gen_range(0..24);
-            let doc: Vec<u8> = (0..len)
-                .flat_map(|_| PIECES[rng.gen_range(0..PIECES.len())].iter().copied())
-                .collect();
+            let doc = super::oracle::hostile_document(&mut rng);
             for skip_empty_lines in [true, false] {
                 let options = CsvOptions {
                     skip_empty_lines,

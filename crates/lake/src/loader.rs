@@ -6,18 +6,21 @@
 //! truncated or rejected depending on [`LoadOptions::strict`]; open-data CSV
 //! exports are frequently ragged, so lenient loading is the default.
 //!
-//! A file is read whole and parsed in one pass ([`crate::csv`]); every cell
-//! goes straight into its column's dictionary, one buffer per column, so
-//! only distinct cells are ever copied. [`load_dir`] parses its files and
-//! builds their tables on a machine-wide [`dn_pool::Pool`]
-//! ([`Pool::run_in_order`]); the calling thread adds each table as soon as
-//! it and every table before it are parsed, so indexing overlaps the
-//! parsing of later files, and the lake is the sequential fold's at every
-//! width. A column is a handful of buffers trimmed to their length, so the
-//! tables a worker built pin no measurable share of its malloc arena
+//! A file is read whole and parsed in one pass ([`crate::csv`]) into a
+//! [`ParseScratch`]: per column position, an open-addressing set of the
+//! column's distinct cells (the lake's text store's `TextSet`) and its row
+//! indices, so only distinct cells are ever copied. The scratch is cleared,
+//! not freed, from one file to the next, and each column leaves it as
+//! exact-size copies of its dictionary and indices. [`load_dir`] parses its
+//! files on a machine-wide [`dn_pool::Pool`] ([`Pool::run_in_order`]),
+//! each task taking a scratch an earlier one handed back, so a worker
+//! allocates one; the calling thread adds each table as soon as it and
+//! every table before it are parsed, so indexing overlaps the parsing of
+//! later files, and the lake is the sequential fold's at every width. A
+//! column is a handful of buffers of exactly their length, so the tables a
+//! worker built pin no measurable share of its malloc arena
 //! (ARCHITECTURE.md, "Who allocates what outlives the call").
 
-use std::borrow::Cow;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -26,11 +29,11 @@ use std::sync::Mutex;
 use dn_pool::Pool;
 
 use crate::catalog::LakeCatalog;
-use crate::column::{Column, StringList};
+use crate::column::Column;
 use crate::csv::{write_record, CsvOptions, Records};
 use crate::error::LakeError;
 use crate::table::Table;
-use crate::value::FxHashMap;
+use crate::texts::TextSet;
 use crate::Result;
 
 /// Options controlling how CSV files are turned into tables.
@@ -43,91 +46,112 @@ pub struct LoadOptions {
     pub strict: bool,
 }
 
-/// One column of a file being parsed: its distinct raw cells in
-/// first-occurrence order and the dictionary index of every row.
-struct ParsedColumn {
-    name: String,
-    dictionary: StringList,
+/// The buffers a parse collects a file's columns in, kept from one file to
+/// the next: per column position, the column's distinct cells (a `TextSet`
+/// in first-occurrence order) and the dictionary index of every row.
+///
+/// A parse clears the scratch before it starts, so nothing a parse that
+/// failed half way stored reaches the next one, and clearing costs O(what
+/// the last file stored). The buffers grow to the widest and longest file parsed and are
+/// freed with the scratch, so a caller keeps one for one batch of files:
+/// [`load_dir`] one per worker, an ingester one per poll.
+#[derive(Debug, Default)]
+pub struct ParseScratch {
+    columns: Vec<ColumnScratch>,
+}
+
+/// One column position of a [`ParseScratch`].
+#[derive(Debug, Default)]
+struct ColumnScratch {
+    cells: TextSet,
     indices: Vec<u32>,
 }
 
-/// Parse a CSV document into per-column dictionaries, then build its
-/// columns (validated by [`Column::from_dictionary`]), each holding no
-/// spare capacity: an ingester keeps its tables. A record is checked in full
-/// (structure, then UTF-8) before its width is, and every record before
-/// the header names are: a header that names a column twice is
-/// [`LakeError::DuplicateColumn`].
-fn parse_table(name: String, bytes: &[u8], options: LoadOptions) -> Result<Table> {
-    let mut records = Records::new(bytes, options.csv);
-    let mut fields = Vec::new();
-    if !records.next_into(&mut fields)? {
-        return Err(LakeError::EmptyTable(name));
+impl ParseScratch {
+    /// Parse a single CSV file into a [`Table`] named after its file stem.
+    pub fn load_table(&mut self, path: &Path, options: LoadOptions) -> Result<Table> {
+        let bytes = fs::read(path).map_err(|e| LakeError::io_with_path(e, path))?;
+        let name = path
+            .file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "unnamed".to_owned());
+        self.parse_table(name, &bytes, options)
     }
-    let mut columns: Vec<ParsedColumn> = fields
-        .drain(..)
-        .map(|header| ParsedColumn {
-            name: header.into_owned(),
-            dictionary: StringList::new(),
-            indices: Vec::new(),
-        })
-        .collect();
-    let width = columns.len();
-    let mut index_of: Vec<FxHashMap<Cow<str>, u32>> =
-        (0..width).map(|_| FxHashMap::default()).collect();
-    let mut row = 0;
-    while records.next_into(&mut fields)? {
-        row += 1;
-        if fields.len() != width && options.strict {
-            return Err(LakeError::RaggedRow {
-                table: name,
-                row,
-                expected: width,
-                found: fields.len(),
-            });
-        }
-        // Short rows are padded with empty cells, long ones truncated.
-        let mut cells = fields.drain(..);
-        for (column, index_of) in columns.iter_mut().zip(&mut index_of) {
-            let cell = cells.next().unwrap_or(Cow::Borrowed(""));
-            let ix = match index_of.get(cell.as_ref()) {
-                Some(&ix) => ix,
-                None => {
-                    let ix = column.dictionary.len() as u32;
-                    column.dictionary.push(&cell);
-                    index_of.insert(cell, ix);
-                    ix
-                }
-            };
-            column.indices.push(ix);
+
+    /// Forget the last file's columns and keep their buffers.
+    fn clear(&mut self) {
+        for column in &mut self.columns {
+            column.cells.clear();
+            column.indices.clear();
         }
     }
-    let columns = columns
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut column)| {
-            let name = if column.name.trim().is_empty() {
-                format!("column_{i}")
-            } else {
-                column.name
-            };
-            column.dictionary.shrink_to_fit();
-            column.indices.shrink_to_fit();
-            Column::from_dictionary(name, column.dictionary, column.indices)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let table = Table::from_columns(name, columns);
-    table.validate_shape()?;
-    Ok(table)
+
+    /// Parse a CSV document into the scratch's per-column sets, then build
+    /// its columns from exact-size copies of them. The entries are
+    /// distinct, each referenced by the row that stored it, and every index
+    /// is in range, so the columns are built unchecked (and re-checked in
+    /// debug builds). A record is checked in full (structure, then UTF-8)
+    /// before its width is, and every record before the header names are: a
+    /// header that names a column twice is [`LakeError::DuplicateColumn`].
+    fn parse_table(&mut self, name: String, bytes: &[u8], options: LoadOptions) -> Result<Table> {
+        self.clear();
+        let mut records = Records::new(bytes, options.csv);
+        let mut fields = Vec::new();
+        if !records.next_into(&mut fields)? {
+            return Err(LakeError::EmptyTable(name));
+        }
+        let names: Vec<String> = fields.drain(..).map(|header| header.into_owned()).collect();
+        let width = names.len();
+        if self.columns.len() < width {
+            self.columns.resize_with(width, ColumnScratch::default);
+        }
+        let columns = &mut self.columns[..width];
+        let mut row = 0;
+        while records.next_into(&mut fields)? {
+            row += 1;
+            if fields.len() != width && options.strict {
+                return Err(LakeError::RaggedRow {
+                    table: name,
+                    row,
+                    expected: width,
+                    found: fields.len(),
+                });
+            }
+            // Short rows are padded with empty cells, long ones truncated.
+            let mut cells = fields.drain(..);
+            for column in columns.iter_mut() {
+                let cell = cells.next();
+                let (ix, _) = column.cells.insert(cell.as_deref().unwrap_or(""));
+                column.indices.push(ix);
+            }
+        }
+        let columns = names
+            .into_iter()
+            .zip(columns.iter())
+            .enumerate()
+            .map(|(i, (name, parsed))| {
+                let name = if name.trim().is_empty() {
+                    format!("column_{i}")
+                } else {
+                    name
+                };
+                let column =
+                    Column::from_parts(name, parsed.cells.texts().clone(), parsed.indices.clone());
+                debug_assert!(column.validate_encoding().is_ok());
+                column
+            })
+            .collect();
+        let table = Table::from_columns(name, columns);
+        table.validate_shape()?;
+        Ok(table)
+    }
 }
 
-/// Parse a single CSV file into a [`Table`] named after its file stem.
+/// Parse a single CSV file into a [`Table`] named after its file stem, with
+/// a scratch of its own. A caller parsing many files should hand one
+/// [`ParseScratch`] on from file to file instead.
 pub fn load_table(path: &Path, options: LoadOptions) -> Result<Table> {
-    let bytes = fs::read(path).map_err(|e| LakeError::io_with_path(e, path))?;
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unnamed".to_owned());
-    parse_table(name, &bytes, options)
+    ParseScratch::default().load_table(path, options)
 }
 
 /// Load every `*.csv` file in a directory (non-recursive) into a lake.
@@ -162,15 +186,22 @@ pub fn load_dir(dir: impl AsRef<Path>, options: LoadOptions) -> Result<LakeCatal
 /// The lake keeps only store ids, so each table is dropped once indexed.
 /// The tables indexed so far are dropped by the next task, on a worker:
 /// freeing a worker's buffers on the calling thread while that worker
-/// allocates slowed the serving lake's load by ~30 % (2 cores).
+/// allocates slowed the serving lake's load by ~30 % (2 cores). Tasks hand
+/// their [`ParseScratch`] on, failed parses included, so a worker
+/// allocates one.
 fn load_paths(paths: &[PathBuf], options: LoadOptions, pool: Pool) -> Result<LakeCatalog> {
     let mut catalog = LakeCatalog::new();
     let spent = Mutex::new(Vec::new());
+    let scratches = Mutex::new(Vec::new());
     pool.run_in_order(
         paths.len(),
         |i| {
             drop(std::mem::take(&mut *spent.lock().expect("spent tables")));
-            load_table(&paths[i], options)
+            let spare = scratches.lock().expect("parse scratches").pop();
+            let mut scratch: ParseScratch = spare.unwrap_or_default();
+            let table = scratch.load_table(&paths[i], options);
+            scratches.lock().expect("parse scratches").push(scratch);
+            table
         },
         |_, table| {
             let table = table?;
@@ -557,5 +588,144 @@ mod tests {
             fs::remove_dir_all(&dir).unwrap();
         }
         assert!(lakes >= 4 && errors >= 4, "{lakes} lakes, {errors} errors");
+    }
+
+    /// A parsed table's every part, or the error's every field.
+    fn parsed(table: &Result<Table>) -> String {
+        match table {
+            Ok(table) => {
+                let columns: Vec<_> = table
+                    .columns()
+                    .iter()
+                    .map(|c| {
+                        c.validate_encoding().unwrap();
+                        (c.name(), c.dictionary(), c.cell_indices())
+                    })
+                    .collect();
+                format!("{:?}", (table.name(), columns))
+            }
+            Err(err) => format!("{err:?}"),
+        }
+    }
+
+    /// Parse `doc` with `scratch` and with a fresh scratch: the same table,
+    /// or the same error.
+    fn parse_as_fresh(
+        scratch: &mut ParseScratch,
+        doc: &[u8],
+        options: LoadOptions,
+    ) -> Result<Table> {
+        let reused = scratch.parse_table("t".to_owned(), doc, options);
+        let fresh = ParseScratch::default().parse_table("t".to_owned(), doc, options);
+        let doc = String::from_utf8_lossy(doc);
+        assert_eq!(parsed(&reused), parsed(&fresh), "{doc:?}");
+        reused
+    }
+
+    /// One scratch through documents that differ in every way a scratch
+    /// could carry over — width, length, raggedness, owned cells, a header
+    /// alone, a failed parse, a table that grows mid-file — parses each as
+    /// a fresh one does.
+    #[test]
+    fn a_reused_parse_scratch_parses_as_a_fresh_one() {
+        let lenient = LoadOptions::default();
+        let strict = LoadOptions {
+            strict: true,
+            ..LoadOptions::default()
+        };
+        let mut wide = String::from("a,b,c,d,e,f\n");
+        for row in 0..400 {
+            let cells: Vec<String> = (0..6)
+                .map(|c| format!("v{}", (row * (c + 1)) % 97))
+                .collect();
+            wide.push_str(&cells.join(","));
+            wide.push('\n');
+        }
+        // Column `id` stores a new cell every row: its table grows mid-file.
+        let mut growing = String::from("id,kind\n");
+        for row in 0..300 {
+            growing.push_str(&format!("r{row},{}\n", ["x", "y"][row % 2]));
+        }
+        let docs: [(&str, LoadOptions, bool); 9] = [
+            (&wide, lenient, true),
+            ("v1,v2\nv1,v95\nv3,v1\n", lenient, true),
+            ("a,b,c\n1,2\n1,2,3,4\n,,\n5\n", lenient, true),
+            (
+                "q,\"r\"\n\"say \"\"hi\"\"\",\n,\"\"\n\"say \"\"hi\"\"\",\"a,b\"\n",
+                lenient,
+                true,
+            ),
+            ("only,a,header\n", lenient, true),
+            ("a,b\nv1,v2\nv3,v4\nv5\nv6,v7\n", strict, false),
+            ("a,b\nv3,v4\nv1,v2\n", strict, true),
+            (&growing, strict, true),
+            ("v1\nv1\n", lenient, true),
+        ];
+        let mut scratch = ParseScratch::default();
+        for (doc, options, ok) in docs {
+            let table = parse_as_fresh(&mut scratch, doc.as_bytes(), options);
+            assert_eq!(table.is_ok(), ok, "{doc:?}: {table:?}");
+        }
+        // Every document again, in reverse, on the same scratch.
+        for (doc, options, ok) in docs.iter().rev() {
+            let table = parse_as_fresh(&mut scratch, doc.as_bytes(), *options);
+            assert_eq!(table.is_ok(), *ok, "{doc:?}: {table:?}");
+        }
+    }
+
+    /// After a large file, the clear that follows a small one leaves every
+    /// slot table within a multiple of what the small file stored.
+    #[test]
+    fn a_small_files_clear_releases_a_large_files_slot_table() {
+        let mut large = String::from("a,b\n");
+        for row in 0..5_000 {
+            large.push_str(&format!("{row},{}\n", row % 3));
+        }
+        let small = "a,b,c\n1,2,3\n4,2,3\n";
+        let mut scratch = ParseScratch::default();
+        parse_as_fresh(&mut scratch, large.as_bytes(), LoadOptions::default()).unwrap();
+        let slots = |scratch: &ParseScratch| -> Vec<usize> {
+            let columns = scratch.columns.iter();
+            columns.map(|column| column.cells.slot_count()).collect()
+        };
+        assert!(slots(&scratch)[0] >= 10_000, "{:?}", slots(&scratch));
+        for _ in 0..2 {
+            parse_as_fresh(&mut scratch, small.as_bytes(), LoadOptions::default()).unwrap();
+            let stored: Vec<usize> = scratch.columns.iter().map(|c| c.cells.len()).collect();
+            scratch.clear();
+            for (column, (slots, stored)) in slots(&scratch).into_iter().zip(stored).enumerate() {
+                assert!(
+                    slots <= 8 * stored.max(2),
+                    "column {column}: {slots} slots after a file of {stored} cells"
+                );
+            }
+        }
+    }
+
+    /// The CSV parser's hostile documents, strict and lenient, through one
+    /// reused scratch and through a fresh one each: the same table or error.
+    #[test]
+    fn hostile_documents_parse_alike_through_a_reused_scratch() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5C8A);
+        let mut scratch = ParseScratch::default();
+        let (mut tables, mut errors) = (0, 0);
+        for _ in 0..4_000 {
+            let doc = crate::csv::oracle::hostile_document(&mut rng);
+            for strict in [false, true] {
+                let options = LoadOptions {
+                    strict,
+                    ..LoadOptions::default()
+                };
+                match parse_as_fresh(&mut scratch, &doc, options) {
+                    Ok(_) => tables += 1,
+                    Err(_) => errors += 1,
+                }
+            }
+        }
+        assert!(
+            tables >= 1_000 && errors >= 1_000,
+            "{tables} tables, {errors} errors"
+        );
     }
 }

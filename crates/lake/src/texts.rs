@@ -6,6 +6,9 @@
 //! text across columns and tables cost four bytes a cell, not a copy of
 //! the text in every column's dictionary. The store is append-only, like
 //! the interner: a text no live cell uses any more keeps its id.
+//!
+//! The store's open-addressing set, [`TextSet`], is also what a CSV parse
+//! collects each column's distinct cells in (`crate::loader`).
 
 use std::hash::BuildHasher;
 
@@ -15,8 +18,8 @@ use crate::value::{FxBuildHasher, ValueId};
 /// The position of a raw text in a [`TextStore`].
 pub(crate) type TextId = u32;
 
-/// A slot of the hash table: a text id and the top 32 bits of its text's
-/// hash, compared before the text is read.
+/// A slot of a [`TextSet`]'s table: a text id and the top 32 bits of its
+/// text's hash, compared before the text is read.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     id: TextId,
@@ -29,33 +32,37 @@ const EMPTY: Slot = Slot {
     tag: 0,
 };
 
-/// Each distinct raw text once, in the order first stored, with the value
-/// id of its normalized form (`None`: it normalizes to the empty, missing
-/// value).
+/// [`TextSet::clear`] empties its table in place while the table has at
+/// most this many slots per text it forgets (and per [`MIN_TEXTS`]), and
+/// releases it otherwise. A table grown for `n` texts has fewer than
+/// `4 n` slots (or 16), so one sized for the texts it holds is kept.
+const SLACK: usize = 8;
+/// The text count [`SLACK`] is taken of when fewer texts were stored, so
+/// the smallest table (16 slots) is always kept.
+const MIN_TEXTS: usize = 2;
+
+/// Distinct texts, each once, numbered in the order first stored.
+///
+/// Open addressing over text ids, probed linearly from the hash's top bits
+/// (which the multiply mixes best); an empty slot ends a probe. The table's
+/// length is a power of two at least twice the text count, or zero. The
+/// lake's [`TextStore`] is one, and so is each column a CSV parse collects
+/// (`crate::loader::ParseScratch`).
 #[derive(Debug, Default, Clone)]
-pub(crate) struct TextStore {
+pub(crate) struct TextSet {
     texts: StringList,
-    values: Vec<Option<ValueId>>,
-    /// Open addressing over text ids, probed linearly from the hash's top
-    /// bits (which the multiply mixes best); an empty slot ends a probe.
-    /// Its length is a power of two at least twice the text count, or zero.
     slots: Vec<Slot>,
 }
 
-impl TextStore {
+impl TextSet {
     /// Number of texts stored.
     pub(crate) fn len(&self) -> usize {
-        self.values.len()
+        self.texts.len()
     }
 
-    /// The text behind an id.
-    pub(crate) fn text(&self, id: TextId) -> &str {
-        &self.texts[id as usize]
-    }
-
-    /// The value id of a text's normalized form (`None` when it is empty).
-    pub(crate) fn value(&self, id: TextId) -> Option<ValueId> {
-        self.values[id as usize]
+    /// The texts, in the order first stored: text `id` is entry `id`.
+    pub(crate) fn texts(&self) -> &StringList {
+        &self.texts
     }
 
     /// The id of `text`, if it is stored.
@@ -63,25 +70,42 @@ impl TextStore {
         self.probe(text, hash(text)).ok()
     }
 
-    /// The id of `text`, stored with the value id `value` of its
-    /// normalized form if it is new.
-    pub(crate) fn get_or_insert(&mut self, text: &str, value: Option<ValueId>) -> TextId {
+    /// The id of `text`, and whether this call stored it.
+    pub(crate) fn insert(&mut self, text: &str) -> (TextId, bool) {
         if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
         let hash = hash(text);
         let slot = match self.probe(text, hash) {
-            Ok(id) => return id,
+            Ok(id) => return (id, false),
             Err(slot) => slot,
         };
         let id = self.len() as TextId;
         self.texts.push(text);
-        self.values.push(value);
         self.slots[slot] = Slot {
             id,
             tag: (hash >> 32) as u32,
         };
-        id
+        (id, true)
+    }
+
+    /// Forget every text and keep the buffers, at a cost of O(texts
+    /// forgotten): a table more than [`SLACK`] times the size they needed
+    /// is released rather than emptied, so a set that once held a huge
+    /// column does not make every later clear pay for it.
+    pub(crate) fn clear(&mut self) {
+        if self.slots.len() > SLACK * self.len().max(MIN_TEXTS) {
+            self.slots = Vec::new();
+        } else {
+            self.slots.fill(EMPTY);
+        }
+        self.texts.clear();
+    }
+
+    /// Number of slots in the table.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// The id of `text` (`Ok`), or the empty slot it would take (`Err`).
@@ -97,7 +121,7 @@ impl TextStore {
             if slot.id == EMPTY.id {
                 return Err(at);
             }
-            if slot.tag == tag && self.text(slot.id) == text {
+            if slot.tag == tag && &self.texts[slot.id as usize] == text {
                 return Ok(slot.id);
             }
             at = (at + 1) & mask;
@@ -116,6 +140,47 @@ impl TextStore {
             }
             self.slots[at] = slot;
         }
+    }
+}
+
+/// Each distinct raw text once, in the order first stored, with the value
+/// id of its normalized form (`None`: it normalizes to the empty, missing
+/// value).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TextStore {
+    texts: TextSet,
+    values: Vec<Option<ValueId>>,
+}
+
+impl TextStore {
+    /// Number of texts stored.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The text behind an id.
+    pub(crate) fn text(&self, id: TextId) -> &str {
+        &self.texts.texts()[id as usize]
+    }
+
+    /// The value id of a text's normalized form (`None` when it is empty).
+    pub(crate) fn value(&self, id: TextId) -> Option<ValueId> {
+        self.values[id as usize]
+    }
+
+    /// The id of `text`, if it is stored.
+    pub(crate) fn get(&self, text: &str) -> Option<TextId> {
+        self.texts.get(text)
+    }
+
+    /// The id of `text`, stored with the value id `value` of its
+    /// normalized form if it is new.
+    pub(crate) fn get_or_insert(&mut self, text: &str, value: Option<ValueId>) -> TextId {
+        let (id, new) = self.texts.insert(text);
+        if new {
+            self.values.push(value);
+        }
+        id
     }
 }
 

@@ -997,47 +997,6 @@ impl CoordinatorReader {
     pub fn table_summary(&self, table: &str, measure: Measure, k: usize) -> Option<TableSummary> {
         self.pinned.table_summary(table, measure, k)
     }
-
-    /// Dump the merged top-`k` ranking under `measure` as CSV (header +
-    /// `rank,value,score,attribute_count,cardinality` rows) — the export
-    /// the golden-corpus workflow and external diffing tools consume.
-    /// Scores are rendered with Rust's shortest-round-trip float
-    /// formatting, so re-parsing the CSV recovers them exactly. Returns
-    /// the number of data rows written.
-    ///
-    /// # Errors
-    /// [`lake::LakeError::NotFound`] when the pinned view does not serve
-    /// `measure`; I/O errors from the underlying writer.
-    pub fn export_top_k_csv<W: std::io::Write>(
-        &self,
-        measure: Measure,
-        k: usize,
-        out: &mut W,
-    ) -> lake::Result<usize> {
-        let ranking = self.top_k(measure, k).ok_or_else(|| {
-            lake::LakeError::NotFound(format!(
-                "measure {measure:?} in the view of epoch {}",
-                self.epoch()
-            ))
-        })?;
-        let mut records = Vec::with_capacity(ranking.len() + 1);
-        records.push(
-            ["rank", "value", "score", "attribute_count", "cardinality"]
-                .map(str::to_owned)
-                .to_vec(),
-        );
-        for (i, scored) in ranking.iter().enumerate() {
-            records.push(vec![
-                (i + 1).to_string(),
-                scored.value.clone(),
-                scored.score.to_string(),
-                scored.attribute_count.to_string(),
-                scored.cardinality.to_string(),
-            ]);
-        }
-        lake::csv::write_records(out, &records)?;
-        Ok(ranking.len())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2424,55 +2383,32 @@ mod tests {
     }
 
     #[test]
-    fn export_top_k_csv_round_trips() {
-        let (service, _coordinator) = serve_sharded(running_lake(), config(), 1);
-        let reader = service.reader();
-        let mut out = Vec::new();
-        let rows = reader
-            .export_top_k_csv(Measure::exact_bc(), 3, &mut out)
-            .unwrap();
-        assert_eq!(rows, 3);
-        let records = lake::csv::parse_str(std::str::from_utf8(&out).unwrap()).unwrap();
-        assert_eq!(records.len(), 4, "header + 3 rows");
-        assert_eq!(records[0][1], "value");
-        assert_eq!(records[1][0], "1");
-        assert_eq!(records[1][1], "JAGUAR");
-
-        // Unserved measures are a typed error, not a panic.
-        let err = reader
-            .export_top_k_csv(Measure::approx_bc(64, 7), 3, &mut Vec::new())
-            .unwrap_err();
-        assert!(matches!(err, lake::LakeError::NotFound(_)));
-    }
-
-    #[test]
-    fn export_top_k_csv_is_byte_identical_across_shard_counts() {
-        let mut exports = Vec::new();
+    fn top_k_is_bit_identical_across_shard_counts() {
+        let mut rankings = Vec::new();
         for shards in [1usize, 2] {
             let (service, _coordinator) = serve_sharded(two_component_lake(), config(), shards);
             let reader = service.reader();
             for measure in [Measure::lcc(), Measure::exact_bc()] {
-                let mut out = Vec::new();
-                let rows = reader
-                    .export_top_k_csv(measure, usize::MAX, &mut out)
-                    .unwrap();
-                // Shortest-round-trip float formatting: every score
-                // re-parses to the exact bits the merged ranking holds.
-                let ranking = reader.top_k(measure, usize::MAX).unwrap();
-                assert_eq!(rows, ranking.len());
-                let records = lake::csv::parse_str(std::str::from_utf8(&out).unwrap()).unwrap();
-                assert_eq!(records.len(), rows + 1, "header + one row per value");
-                for (record, scored) in records[1..].iter().zip(ranking.iter()) {
-                    assert_eq!(record[1], scored.value);
-                    let parsed: f64 = record[2].parse().unwrap();
-                    assert_eq!(parsed.to_bits(), scored.score.to_bits(), "{}", scored.value);
-                }
-                exports.push((shards, measure, out));
+                let ranking: Vec<_> = reader
+                    .top_k(measure, usize::MAX)
+                    .unwrap()
+                    .iter()
+                    .map(|scored| {
+                        (
+                            scored.value.clone(),
+                            scored.score.to_bits(),
+                            scored.attribute_count,
+                            scored.cardinality,
+                        )
+                    })
+                    .collect();
+                assert!(!ranking.is_empty(), "{measure:?}");
+                rankings.push((measure, ranking));
             }
         }
-        let (one, two) = exports.split_at(2);
-        for ((_, measure, a), (_, _, b)) in one.iter().zip(two) {
-            assert_eq!(a, b, "{measure:?}: 1-shard and 2-shard exports differ");
+        let (one, two) = rankings.split_at(2);
+        for ((measure, a), (_, b)) in one.iter().zip(two) {
+            assert_eq!(a, b, "{measure:?}: 1-shard and 2-shard rankings differ");
         }
     }
 }
