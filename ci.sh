@@ -126,19 +126,19 @@ GATES=(
     # within 1e-12 relative, cardinalities exact, bits independent of width
     # and target list) and on Example 3.6; then the readers of the switch:
     # explain reads |N(v)| off the rankings, and a data dir whose manifest
-    # lists the value-neighbour LCC recovers to the new one.
-    "quick|attribute-set LCC == per-value walk (1e-12 relative; to_bits across widths and target lists), Example 3.6; explain's neighbour count off the view; a pre-switch data dir recovers to the new LCC|-p dn-graph -p dn-service -p domainnet_suite --lib --test store_recovery|counting_join_matches_the_per_value_walk the_attribute_set_reading_prints_example_3_6 explain_cardinality_is_the_rankings a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure"
-    # A prefix of both differential tests of the value-neighbour join
-    # (random graphs + SB, and TUS small), each at pool widths 1, 2 and 3
-    # with the bitset table, with the class lists, and switching from one
-    # to the other between its two passes. The next gate is the delta side
-    # of both LCC kernels: recomputing the dirty_values dirty_region
-    # reports for a changed and renumbered graph, at width 2, leaves every
-    # node to_bits()-equal to a full pass. The third is the
+    # names the retired value-neighbour LCC is refused with the typed error
+    # that names it.
+    "quick|attribute-set LCC == per-value walk (1e-12 relative; to_bits across widths and target lists), Example 3.6; explain's neighbour count off the view; a data dir naming the retired LCC reading is refused|-p dn-graph -p dn-service -p domainnet_suite --lib --test store_recovery|counting_join_matches_the_per_value_walk the_attribute_set_reading_prints_example_3_6 explain_cardinality_is_the_rankings a_data_dir_that_names_the_retired_lcc_reading_is_refused"
+    # A prefix of both differential tests of the value-neighbour pass, the
+    # whole-graph kernel the standing benchmark times (random graphs, each
+    # also with a value tombstoned, + SB, and TUS small). The next gate is
+    # the delta side of the served LCC: recomputing the dirty_values
+    # dirty_region reports for a changed and renumbered graph, at width 2,
+    # leaves every node to_bits()-equal to a full pass. The third is the
     # closed-neighbourhood primitive's |N(v)| over three- and four-word
     # graphs, and the attribute-set LCC's widths.
-    "quick|value-neighbour join == literal sweep at widths 1, 2 and 3 (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
-    "quick|dirty values are a complete invalidation set for both LCC readings (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
+    "quick|value-neighbour pass == literal sweep (to_bits)|-p dn-graph --lib|join_matches_literal_sweep_bit_for_bit"
+    "quick|dirty values are a complete invalidation set for the served LCC (to_bits)|-p dn-graph --lib|dirty_values_are_a_complete_invalidation_set"
     "quick|closed-neighbourhood cardinalities across word boundaries at widths 1, 2 and 4; attribute-set LCC at widths 1, 2, 3 and 4 (to_bits)|-p dn-graph --test properties|value_neighbor_counts_match_across_word_boundaries attribute_jaccard_is_width_invariant"
     # Brandes on the twin quotient against the per-node kernel (whole
     # graphs, component pools, sampled sources; 1, 2 and 4 threads; deep,

@@ -1,7 +1,6 @@
 //! Homograph-scoring measures and scored results.
 
 use dn_graph::approx_bc::ApproxBcConfig;
-use dn_graph::lcc::LccMethod;
 use serde::{Deserialize, Serialize};
 
 /// A network-centrality measure used to score value nodes.
@@ -33,8 +32,9 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Measure {
-    /// Bipartite local clustering coefficient (lower = more homograph-like).
-    Lcc(LccMethod),
+    /// Bipartite local clustering coefficient, the paper's attribute-set
+    /// reading (lower = more homograph-like).
+    Lcc,
     /// Exact betweenness centrality (higher = more homograph-like).
     ExactBc,
     /// Approximate betweenness centrality via source sampling.
@@ -59,7 +59,7 @@ impl Measure {
     /// those of the values it shares an attribute with (the reading that
     /// reproduces Example 3.6; see [`dn_graph::lcc`]). Named `"LCC"`.
     pub fn lcc() -> Self {
-        Measure::Lcc(LccMethod::AttributeJaccard)
+        Measure::Lcc
     }
 
     /// Approximate BC with the given sample count and seed.
@@ -75,7 +75,7 @@ impl Measure {
 
     /// Whether larger scores mean "more homograph-like" for this measure.
     pub fn higher_is_more_homograph_like(&self) -> bool {
-        !matches!(self, Measure::Lcc(_))
+        !matches!(self, Measure::Lcc)
     }
 
     /// The total order a ranking under this measure is sorted by: the most
@@ -94,8 +94,7 @@ impl Measure {
     /// A short human-readable name used in experiment output.
     pub fn name(&self) -> &'static str {
         match self {
-            Measure::Lcc(LccMethod::AttributeJaccard) => "LCC",
-            Measure::Lcc(LccMethod::ValueNeighborJaccard) => "LCC(value)",
+            Measure::Lcc => "LCC",
             Measure::ExactBc => "BC",
             Measure::ApproxBc(_) => "BC(approx)",
         }
@@ -130,7 +129,6 @@ mod tests {
     fn measure_names_are_distinct() {
         let names = [
             Measure::lcc().name(),
-            Measure::Lcc(LccMethod::ValueNeighborJaccard).name(),
             Measure::exact_bc().name(),
             Measure::approx_bc(10, 0).name(),
         ];

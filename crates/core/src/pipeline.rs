@@ -10,10 +10,10 @@
 //!   [`DomainNet::apply_delta`] consumes to re-derive the graph (by the
 //!   function a build uses) and *patch* every cached score vector instead
 //!   of recomputing from scratch: local clustering coefficients are
-//!   recomputed only for the dirty 2-hop region, exact betweenness
-//!   centrality only for the connected components the mutation touched, and
-//!   sampled betweenness ([`Measure::ApproxBc`]) re-estimated over the new
-//!   graph as a build estimates it.
+//!   recomputed only for the changed values and their value neighbours,
+//!   exact betweenness centrality only for the connected components the
+//!   mutation touched, and sampled betweenness ([`Measure::ApproxBc`])
+//!   re-estimated over the new graph as a build estimates it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -126,7 +126,8 @@ pub struct DeltaStats {
     pub edges_added: usize,
     /// Edges deleted.
     pub edges_removed: usize,
-    /// Value nodes whose LCC had to be recomputed (the dirty 2-hop region).
+    /// Value nodes whose LCC had to be recomputed (the changed values and
+    /// their value neighbours in the old or the new graph).
     pub dirty_values: usize,
     /// Connected components whose exact BC had to be recomputed.
     pub touched_components: usize,
@@ -269,15 +270,11 @@ impl DomainNet {
     fn compute_raw_scores(&self, measure: Measure) -> Vec<f64> {
         let _compute = dn_trace::span_labeled(dn_trace::Phase::MeasureCompute, measure.name());
         match measure {
-            Measure::Lcc(method) => {
+            Measure::Lcc => {
                 let targets: Vec<u32> = self.graph.value_nodes().collect();
-                let (scores, cardinalities) = lcc_with_cardinality_for_values(
-                    &self.graph,
-                    &targets,
-                    method,
-                    self.compute_threads,
-                );
-                // Both kernels return |N(v)| with the scores; keep it so
+                let (scores, cardinalities) =
+                    lcc_with_cardinality_for_values(&self.graph, &targets, self.compute_threads);
+                // The kernel returns |N(v)| with the scores; keep it so
                 // `cardinalities` has nothing left to walk.
                 self.caches
                     .lock()
@@ -403,9 +400,9 @@ impl DomainNet {
     /// the old→new renumbering, every memoized vector moves through it, and
     /// then every memoized measure is repaired:
     ///
-    /// * **LCC** — recomputed, by the kernel a build runs, only for value
-    ///   nodes whose 2-hop neighborhood changed. Every score is
-    ///   `to_bits()`-equal to
+    /// * **LCC** — recomputed, by the kernel a build runs, only for the
+    ///   changed values and their value neighbours in the old or the new
+    ///   graph, one hop out. Every score is `to_bits()`-equal to
     ///   [`local_clustering_coefficients`](dn_graph::lcc::local_clustering_coefficients)
     ///   over the maintained [`DomainNet::graph`], whatever deltas led there.
     /// * **Exact BC** — recomputed only over the touched connected
@@ -504,27 +501,21 @@ impl DomainNet {
             for (&measure, raw) in raw.iter_mut() {
                 *raw = renumbering.move_values(raw, new_value_count);
                 match measure {
-                    Measure::Lcc(method) => {
+                    Measure::Lcc => {
                         // The fresh build's kernel over the invalidation set:
                         // the scattered scores are to_bits()-equal to a full
                         // pass over the new graph. One thread: the writer
                         // shares the box with the readers.
-                        let (fresh, cards) = lcc_with_cardinality_for_values(
-                            &graph,
-                            &region.dirty_values,
-                            method,
-                            1,
-                        );
+                        let (fresh, cards) =
+                            lcc_with_cardinality_for_values(&graph, &region.dirty_values, 1);
                         for (i, &node) in region.dirty_values.iter().enumerate() {
                             raw[node as usize] = fresh[i];
                         }
                         if let Some(cardinalities) = cardinalities {
-                            if !cardinalities_patched {
-                                for (i, &node) in region.dirty_values.iter().enumerate() {
-                                    cardinalities[node as usize] = cards[i];
-                                }
-                                cardinalities_patched = true;
+                            for (i, &node) in region.dirty_values.iter().enumerate() {
+                                cardinalities[node as usize] = cards[i];
                             }
+                            cardinalities_patched = true;
                         }
                     }
                     Measure::ExactBc => {
@@ -846,7 +837,6 @@ fn derive<L: LakeView + ?Sized>(lake: &L, config: DomainNetConfig) -> (Numbering
 mod tests {
     use super::*;
     use crate::measure::Measure;
-    use dn_graph::lcc::LccMethod;
     use lake::delta::LakeDelta;
     use lake::table::TableBuilder;
 
@@ -951,7 +941,8 @@ mod tests {
     #[test]
     fn attribute_jaccard_lcc_is_also_available() {
         let net = running_example_net(false);
-        let ranked = net.rank(Measure::Lcc(LccMethod::AttributeJaccard));
+        assert_eq!(Measure::lcc(), Measure::Lcc);
+        let ranked = net.rank(Measure::Lcc);
         assert_eq!(ranked.len(), net.candidate_count());
         for s in &ranked {
             assert!((0.0..=1.0).contains(&s.score));

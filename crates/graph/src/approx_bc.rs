@@ -99,30 +99,6 @@ pub fn approximate_betweenness(
     quotient_brandes(graph, &twins, Sources::Drawn(sources), threads)
 }
 
-/// Spearman-style rank agreement between two score vectors over the top-`k`
-/// nodes of `reference`: the fraction of `reference`'s top-`k` nodes that
-/// also appear in `candidate`'s top-`k`.
-///
-/// DomainNet only consumes the *ranking* of BC scores, so this is the metric
-/// that matters when judging whether a sample size is large enough
-/// (Figure 8).
-pub fn top_k_overlap(reference: &[f64], candidate: &[f64], k: usize) -> f64 {
-    assert_eq!(reference.len(), candidate.len());
-    if k == 0 || reference.is_empty() {
-        return 1.0;
-    }
-    let top = |scores: &[f64]| -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-        idx.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
-        idx.truncate(k);
-        idx
-    };
-    let ref_top = top(reference);
-    let cand_top: std::collections::HashSet<u32> = top(candidate).into_iter().collect();
-    let hits = ref_top.iter().filter(|i| cand_top.contains(i)).count();
-    hits as f64 / ref_top.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +162,19 @@ mod tests {
             },
             2,
         );
-        let overlap = top_k_overlap(&exact, &approx, 10);
-        assert!(overlap >= 0.6, "top-10 overlap too low: {overlap}");
+        // The share of the exact top 10 that is also in the estimate's.
+        let top_10 = |scores: &[f64]| {
+            let mut nodes: Vec<usize> = (0..scores.len()).collect();
+            nodes.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+            nodes.truncate(10);
+            nodes
+        };
+        let estimated = top_10(&approx);
+        let hits = top_10(&exact)
+            .iter()
+            .filter(|v| estimated.contains(v))
+            .count();
+        assert!(hits >= 6, "top-10 overlap too low: {hits} of 10");
     }
 
     #[test]
@@ -235,15 +222,5 @@ mod tests {
         let g = b.build();
         let scores = approximate_betweenness(&g, ApproxBcConfig::default(), 1);
         assert_eq!(scores, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn top_k_overlap_bounds() {
-        let a = vec![3.0, 2.0, 1.0, 0.0];
-        let b = vec![0.0, 1.0, 2.0, 3.0];
-        assert_eq!(top_k_overlap(&a, &a, 2), 1.0);
-        assert_eq!(top_k_overlap(&a, &b, 1), 0.0);
-        assert_eq!(top_k_overlap(&a, &b, 4), 1.0);
-        assert_eq!(top_k_overlap(&[], &[], 3), 1.0);
     }
 }

@@ -5,7 +5,7 @@
 //! with an attribute (an isolated value has the empty `B(v)` and no
 //! neighbour). Both of the paper's per-value quantities read it:
 //! [`BipartiteGraph::value_neighbor_counts`] is its popcount, and the
-//! value-neighbour join of [`crate::lcc`] intersects it between classes.
+//! value-neighbour pass of [`crate::lcc`] intersects it between classes.
 //!
 //! A kernel call first lays each attribute's members out as `(word, bits)`
 //! runs over value ids, `O(edges)` once. `B(v)` is then the OR of the runs

@@ -6,10 +6,11 @@
 //! [`dirty_region`]. That reports exactly which parts of the new graph
 //! downstream measures must recompute:
 //!
-//! * [`DirtyRegion::dirty_values`] — the value nodes whose 2-hop
-//!   neighborhood changed, i.e. the only nodes whose local clustering
-//!   coefficient can have changed (either reading depends on `N(u)` and,
-//!   for `v ∈ N(u)`, on `A(v)` or `N(v)` only).
+//! * [`DirtyRegion::dirty_values`] — the changed values and their value
+//!   neighbours in the old graph or the new one, one hop out: the only
+//!   nodes whose local clustering coefficient can have changed (it reads
+//!   `N(u)` and, for `v ∈ N(u)`, `A(v)` only, so a value whose score moved
+//!   changed itself or shares an attribute with one that did).
 //! * [`DirtyRegion::components`] / [`DirtyRegion::touched_components`] —
 //!   connected components of the new graph, plus the ids of those
 //!   containing an endpoint of a changed edge.
@@ -66,14 +67,17 @@ fn inverse(map: &[u32], len: usize) -> Vec<u32> {
 /// The result of [`dirty_region`].
 #[derive(Debug, Clone)]
 pub struct DirtyRegion {
-    /// Value nodes (new id space) whose 2-hop neighborhood changed: the
-    /// values whose own neighbor set `N(u)` changed (occupants of touched
-    /// attributes plus the changed values) and their old- and new-graph
-    /// value neighbors. The complete invalidation set for local clustering
-    /// coefficients: recomputing exactly these on the new graph and keeping
-    /// every other score (moved through the renumbering) leaves each value
-    /// `to_bits()`-equal to a full pass over that graph (see the "Deltas"
-    /// section of [`crate::lcc`]). Sorted.
+    /// Value nodes (new id space) one hop from a change: the changed
+    /// values, plus their value neighbours in the old graph and in the new
+    /// one; a vanished value counts through its old neighbours. A score
+    /// reads `N(u)`, `|N(u)|` and `A(v)` for `v ∈ N(u)`; `N(u)` changes
+    /// only when a value joins or leaves one of `u`'s attributes, and
+    /// `A(v)` only when `v` changed, so either way `u` is a changed value
+    /// or a neighbour of one. The complete invalidation set for the served
+    /// local clustering coefficient: recomputing exactly these on the new
+    /// graph and keeping every other score (moved through the renumbering)
+    /// leaves each value `to_bits()`-equal to a full pass over that graph
+    /// (see the "Deltas" section of [`crate::lcc`]). Sorted.
     pub dirty_values: Vec<u32>,
     /// Connected components of the new graph.
     pub components: Components,
@@ -122,9 +126,19 @@ pub fn dirty_region(
         graph.neighbors(v).iter().map(|&a| a - shift).collect()
     };
 
-    // Touched attributes, by old and by new index: those a changed value
-    // gained or lost. A vanished value node lost all of its attributes.
-    let (mut touched_old, mut touched_new) = (Vec::new(), Vec::new());
+    // Per changed value (a vanished value node lost all of its
+    // attributes): the touched attributes, by new index, that it gained or
+    // lost, and the dirty values, itself and its value neighbours in
+    // either graph.
+    let mut touched_new = Vec::new();
+    let mut stamp = vec![false; new_nv as usize];
+    let mut dirty = Vec::new();
+    let mut visit = |w: u32| {
+        if w != u32::MAX && !stamp[w as usize] {
+            stamp[w as usize] = true;
+            dirty.push(w);
+        }
+    };
     let vanished = (0..old_nv).filter(|&v| renumbering.values[v as usize] == u32::MAX);
     let changed = changed_values
         .iter()
@@ -134,58 +148,24 @@ pub fn dirty_region(
         let (before, after) = (attr_indexes(old, was), attr_indexes(new, is));
         for &a in &before {
             let moved = renumbering.attrs[a as usize];
-            if moved == u32::MAX || after.binary_search(&moved).is_err() {
-                touched_old.push(a);
-                touched_new.extend((moved != u32::MAX).then_some(moved));
+            if moved != u32::MAX && after.binary_search(&moved).is_err() {
+                touched_new.push(moved);
             }
         }
         for &a in &after {
             let from = old_attr_of[a as usize];
             if from == u32::MAX || before.binary_search(&from).is_err() {
                 touched_new.push(a);
-                touched_old.extend((from != u32::MAX).then_some(from));
             }
         }
-    }
-    for touched in [&mut touched_old, &mut touched_new] {
-        touched.sort_unstable();
-        touched.dedup();
-    }
-
-    // Seeds: the changed values and every old occupant of a touched
-    // attribute that survived. Every new occupant is one of the two, so the
-    // seeds are exactly the surviving values whose N(u) can have changed.
-    let mut stamp = vec![false; new_nv as usize];
-    let mut seeds: Vec<u32> = Vec::new();
-    let old_occupants = touched_old
-        .iter()
-        .flat_map(|&ai| old.neighbors(old_nv + ai))
-        .map(|&v| renumbering.values[v as usize]);
-    for v in changed_values.iter().copied().chain(old_occupants) {
-        if v != u32::MAX && !stamp[v as usize] {
-            stamp[v as usize] = true;
-            seeds.push(v);
-        }
-    }
-    // The seeds' value neighbors in either graph.
-    let mut dirty = seeds.clone();
-    let mut visit = |w: u32| {
-        if w != u32::MAX && !stamp[w as usize] {
-            stamp[w as usize] = true;
-            dirty.push(w);
-        }
-    };
-    for &s in &seeds {
-        let was = old_value_of[s as usize];
-        if was != u32::MAX {
-            for &attr in old.neighbors(was) {
-                for &w in old.neighbors(attr) {
-                    visit(renumbering.values[w as usize]);
-                }
+        visit(is);
+        for &a in &before {
+            for &w in old.neighbors(old_nv + a) {
+                visit(renumbering.values[w as usize]);
             }
         }
-        for &attr in new.neighbors(s) {
-            for &w in new.neighbors(attr) {
+        for &a in &after {
+            for &w in new.neighbors(new_nv + a) {
                 visit(w);
             }
         }
@@ -214,6 +194,7 @@ pub fn dirty_region(
 mod tests {
     use super::*;
     use crate::bipartite::BipartiteBuilder;
+    use crate::lcc::LccMethod;
 
     /// A graph built from scratch out of explicit edges.
     fn build(value_labels: &[&str], attr_labels: &[&str], edges: &[(u32, u32)]) -> BipartiteGraph {
@@ -248,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_values_cover_the_two_hop_region() {
+    fn dirty_values_cover_the_one_hop_region() {
         // Mutate only the first star.
         let new = build(
             &["v0", "v1", "v2", "v3"],
@@ -259,6 +240,22 @@ mod tests {
         // v0 and v1 are dirty (v1 lost an edge, v0 lost a neighbor);
         // v2 and v3 are untouched.
         assert_eq!(region.dirty_values, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_chain_dirties_one_hop_not_two() {
+        // v1 is in a0 and a1, v2 in a1, and v0 gains a0. v2 is two hops
+        // from v0, which a set for the value-neighbour reading would add; its
+        // attribute-set LCC reads N(v2) = {v1} and A(v1), which held.
+        let (values, attrs) = (&["v0", "v1", "v2"], &["a0", "a1"]);
+        let old = build(values, attrs, &[(1, 0), (1, 1), (2, 1)]);
+        let new = build(values, attrs, &[(0, 0), (1, 0), (1, 1), (2, 1)]);
+        let region = dirty_region(&old, &new, &stable(&old), &[0]);
+        assert_eq!(region.dirty_values, vec![0, 1]);
+        let v2 = |g: &BipartiteGraph| {
+            crate::lcc::local_clustering_coefficients(g, LccMethod::AttributeJaccard)[2].to_bits()
+        };
+        assert_eq!(v2(&old), v2(&new));
     }
 
     #[test]

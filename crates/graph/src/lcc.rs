@@ -5,27 +5,25 @@
 //! `u`. The local clustering coefficient of `u` is the mean, over
 //! `v ∈ N(u)`, of a Jaccard similarity of `u` and `v`. Hypothesis 3.4 of the
 //! paper: homographs, whose neighbours come from several unrelated
-//! communities, have *lower* LCC than unambiguous values. Two readings of
-//! the pairwise term are offered:
+//! communities, have *lower* LCC than unambiguous values. The served reading
+//! (`Measure::lcc()`, [`lcc_with_cardinality_for_values`]) is the Jaccard of
+//! the two values' **attribute sets**,
 //!
-//! * [`LccMethod::AttributeJaccard`], the one served (`Measure::lcc()`): the
-//!   Jaccard of the two values' **attribute sets**,
+//! ```text
+//! c_uv = |A(u) ∩ A(v)| / |A(u) ∪ A(v)|
+//! ```
 //!
-//!   ```text
-//!   c_uv = |A(u) ∩ A(v)| / |A(u) ∪ A(v)|
-//!   ```
-//!
-//!   This is the bipartite clustering coefficient of Latapy, Magnien & Del
-//!   Vecchio ("Basic notions for the analysis of large two-mode networks",
-//!   Social Networks 30(1), 2008), the paper's "average Jaccard similarity
-//!   between the set of attributes that a value co-occurs with". It is the
-//!   reading that reproduces Example 3.6 at the printed precision (Jaguar
-//!   0.36, Puma 0.43, Panda 0.46 on the running example); the other gives
-//!   0.29, 0.35 and 0.32.
-//! * [`LccMethod::ValueNeighborJaccard`]: the Jaccard of the two values'
-//!   **value-neighbour sets**, `|N(u) ∩ N(v)| / |N(u) ∪ N(v)|`. It was
-//!   served until the Example 3.6 numbers ruled it out, and stays while the
-//!   standing benchmark's `graph.lcc_s` layer times it by name.
+//! This is the bipartite clustering coefficient of Latapy, Magnien & Del
+//! Vecchio ("Basic notions for the analysis of large two-mode networks",
+//! Social Networks 30(1), 2008), the paper's "average Jaccard similarity
+//! between the set of attributes that a value co-occurs with". It is the
+//! reading that reproduces Example 3.6 at the printed precision (Jaguar
+//! 0.36, Puma 0.43, Panda 0.46 on the running example). The Jaccard of the
+//! two values' **value-neighbour sets**, `|N(u) ∩ N(v)| / |N(u) ∪ N(v)|`,
+//! gives 0.29, 0.35 and 0.32 there. No layer serves it; it stays only as
+//! [`local_clustering_coefficients`] with
+//! [`LccMethod::ValueNeighborJaccard`], the whole-graph pass the standing
+//! benchmark's `graph.lcc_s` layer times by name (see the note below).
 //!
 //! # The attribute-set reading as a counting join
 //!
@@ -68,31 +66,31 @@
 //! own `shared` counters (one `u32` per class). The work is one class-list
 //! visit per (target class, attribute, class in that attribute): on the
 //! exact lake ~0.9 M visits and ~0.28 M touched pairs, where the
-//! value-neighbour join ANDs a bitset span per class pair and the per-value
-//! walk went two hops per value pair. There is no table and no memory
-//! budget: the class lists hold one entry per distinct (attribute, class)
-//! pair, at most one per edge. Builds pass the engine's compute width; a
-//! delta passes 1, because the writer shares the machine with the readers.
-//! On the exact lake (2-core box, release, medians of 15, three runs) the
-//! kernel takes 4.6–6.5 ms at one thread and 3.0–3.5 ms at two, against
-//! 25–35 and 20–23 ms for the value-neighbour join. On the 2 225-value
-//! serving lake a delta's 10 and 100 dirty targets take 0.5–0.8 and
-//! 0.7–1.0 ms at one thread (the join 1.1–1.7 and 1.8–2.6 ms), most of it
-//! the grouping and class lists every call builds.
+//! value-neighbour pass ANDs a bitset span per class pair. There is no
+//! table and no memory budget: the class lists hold one entry per distinct
+//! (attribute, class) pair, at most one per edge. Builds pass the engine's
+//! compute width; a delta passes 1, because the writer shares the machine
+//! with the readers. On the exact lake (2-core box, release, medians of 15,
+//! three runs) the kernel takes 4.6–6.5 ms at one thread and 3.0–3.5 ms at
+//! two. On the 2 225-value serving lake a delta's 10 and 100 dirty targets
+//! take 0.5–0.8 and 0.7–1.0 ms at one thread, most of it the grouping and
+//! class lists every call builds.
 //!
-//! # Note: the value-neighbour join
+//! # Note: the value-neighbour pass
 //!
-//! [`LccMethod::ValueNeighborJaccard`] is computed over the same classes.
-//! Every member of `c` has one closed neighbourhood `B_c`, a bitset over
-//! value ids (the OR of the word runs of its attributes, `crate::closed`),
-//! `S(c) = |B_c|`, and for a neighbour class `d` with `I = |B_c ∩ B_d|` the
-//! term is `(I − 2) / (S(c) + S(d) − I)`. It runs in two pooled passes over
-//! canonical chunks of the target rows (fill the rows' `B_c`, then form the
-//! terms), and sums each member's terms in ascending neighbour id, which
-//! keeps it bit-identical to the literal per-pair sweep retained as its
-//! oracle. The table is `rows × ⌈values / 64⌉` words; above
-//! `JOIN_TABLE_BYTES` (64 MiB) `I` is counted from the class lists instead,
-//! with the same passes and bits.
+//! [`LccMethod::ValueNeighborJaccard`] is one whole-graph pass on one
+//! thread, over the same classes. Every member of a class `c` has one closed
+//! neighbourhood `B_c`, a bitset over value ids (the OR of the word runs of
+//! its attributes, `crate::closed`), and `S_c = |B_c|`. The pass fills one
+//! row `B_c` per class; then each row forms, once per neighbour class `d`,
+//! the term `(I − 2) / (S_c + S_d − I)` with `I = |B_c ∩ B_d|`, and each
+//! member of `c` sums its terms in ascending neighbour id, skipping itself.
+//! That is the order of the literal per-pair sweep kept as its oracle, so
+//! the two agree in every bit. The table is classes × ⌈values / 64⌉ × 8 B:
+//! 0.7 MB on the standing benchmark's exact lake (3 685 values) and ~20 MB
+//! on its large one. It has no budget, because its only non-test caller is
+//! that benchmark's `graph.lcc_s` layer, on the exact lake, where it takes
+//! 20–29 ms (shared 2-vCPU box, release, medians of 15 in seven runs).
 //!
 //! # Deltas
 //!
@@ -102,32 +100,31 @@
 //! (from [`dirty_region`](crate::delta::dirty_region)) as the target list and
 //! scatters the result; no score is derived from its previous value. A
 //! target's score reads only the new graph, in a fold order fixed by that
-//! graph (ascending class id for the attribute reading, ascending neighbour
-//! id for the value-neighbour one), so a dirty value gets the bits a full
-//! pass over that graph would give it. A value outside the dirty set kept
-//! `N(u)` and every `N(v)` and `A(v)`, `v ∈ N(u)`, and its score moves to
-//! its new node: a delta renumbers nodes by deleting and inserting, so the
-//! surviving neighbours keep their relative order, the classes among them
-//! keep theirs, and the bits it carries are already those. A maintained
-//! score is therefore a function of the maintained graph alone,
-//! `to_bits()`-equal to a pass over it, and not of the deltas that led
-//! there: `dirty_values_are_a_complete_invalidation_set` pins it for both
-//! readings. The maintained graph is the graph a fresh build of the same
-//! lake derives, so the scores are those of that build too.
-
-use std::ops::Range;
+//! graph (ascending class id), so a dirty value gets the bits a full pass
+//! over that graph would give it. A value outside the dirty set kept `N(u)`
+//! and every `A(v)`, `v ∈ N(u)`, and its score moves to its new node: a
+//! delta renumbers nodes by deleting and inserting, so the surviving
+//! neighbours keep their relative order, the classes among them keep
+//! theirs, and the bits it carries are already those. A maintained score is
+//! therefore a function of the maintained graph alone, `to_bits()`-equal to
+//! a pass over it, and not of the deltas that led there:
+//! `dirty_values_are_a_complete_invalidation_set` pins it. The maintained
+//! graph is the graph a fresh build of the same lake derives, so the scores
+//! are those of that build too.
 
 use crate::bc::canonical_chunks;
 use crate::bipartite::BipartiteGraph;
 use crate::closed::{for_each_bit, popcount, AttributeRuns};
 use crate::twins::{Twins, NONE};
 
-/// Which reading of the bipartite local clustering coefficient to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// Which reading of the bipartite local clustering coefficient
+/// [`local_clustering_coefficients`] computes.
+#[derive(Debug, Clone, Copy)]
 pub enum LccMethod {
-    /// Jaccard over 2-hop value-neighbour sets.
+    /// Jaccard over value-neighbour sets. Served by no layer; the standing
+    /// benchmark's `graph.lcc_s` layer times it.
     ValueNeighborJaccard,
-    /// Jaccard over attribute (1-hop) sets: the paper's reading, served as
+    /// Jaccard over attribute sets: the paper's reading, served as
     /// `Measure::lcc()`.
     AttributeJaccard,
 }
@@ -135,36 +132,26 @@ pub enum LccMethod {
 /// Compute the LCC of every **value node** on one thread, returned as a
 /// vector indexed by value node id. Nodes with no value neighbors get 0.
 pub fn local_clustering_coefficients(graph: &BipartiteGraph, method: LccMethod) -> Vec<f64> {
-    let targets: Vec<u32> = graph.value_nodes().collect();
-    lcc_with_cardinality_for_values(graph, &targets, method, 1).0
+    match method {
+        LccMethod::ValueNeighborJaccard => lcc_value_neighbors(graph),
+        LccMethod::AttributeJaccard => {
+            let targets: Vec<u32> = graph.value_nodes().collect();
+            lcc_with_cardinality_for_values(graph, &targets, 1).0
+        }
+    }
 }
 
-/// The LCC of each of `targets` and its cardinality `|N(u)|` (its number
-/// of distinct value neighbors), both parallel to `targets`, on a pool
-/// `threads` wide. Nodes with no value neighbors get an LCC of 0.
+/// The attribute-set LCC of each of `targets` and its cardinality `|N(u)|`
+/// (its number of distinct value neighbors), both parallel to `targets`, as
+/// one class-level counting join on a pool `threads` wide (see the module
+/// doc). Nodes with no value neighbors get an LCC of 0.
 ///
-/// Both kernels count `|N(u)|` on the way, so the cardinality is free —
+/// The join counts `|N(u)|` on the way, so the cardinality is free —
 /// callers that need both (the ranking metadata and the incremental score
 /// maintenance do) avoid a second 2-hop sweep per node. Each score is
 /// computed by one task in an order fixed by the graph, so the result is
 /// `to_bits()`-identical at every width and for every target list.
 pub fn lcc_with_cardinality_for_values(
-    graph: &BipartiteGraph,
-    targets: &[u32],
-    method: LccMethod,
-    threads: usize,
-) -> (Vec<f64>, Vec<usize>) {
-    match method {
-        LccMethod::ValueNeighborJaccard => {
-            lcc_value_neighbors(graph, targets, JOIN_TABLE_BYTES, threads)
-        }
-        LccMethod::AttributeJaccard => lcc_attribute_sets(graph, targets, threads),
-    }
-}
-
-/// The attribute-set reading for `targets` as one class-level counting join
-/// on a pool `threads` wide (see the module doc).
-fn lcc_attribute_sets(
     graph: &BipartiteGraph,
     targets: &[u32],
     threads: usize,
@@ -258,272 +245,62 @@ fn lcc_attribute_sets(
     (scores, cardinalities)
 }
 
-/// Byte budget of the closed-neighbourhood bitset table of
-/// `lcc_value_neighbors`. A lake whose table would be larger computes the
-/// same intersection sizes from the class lists instead (see the module doc).
-const JOIN_TABLE_BYTES: usize = 64 << 20;
-
-/// What the join knows of each of its rows, read off `B_c`: `cadj(c)`
-/// (flat, row `r`'s entries end at `cadj_ends[r]`), `S(c) = |B_c|` and
-/// `B_c`'s span of words.
-#[derive(Default)]
-struct Rows {
-    cadj: Vec<u32>,
-    cadj_ends: Vec<usize>,
-    size: Vec<usize>,
-    span: Vec<Range<usize>>,
-}
-
-impl Rows {
-    /// Append the row whose closed neighbourhood `bits` holds in `span`.
-    /// `leaders` has the bit of each class's first member set, so the
-    /// classes adjacent to the row are those of `bits & leaders`.
-    fn push(&mut self, bits: &[u64], span: Range<usize>, leaders: &[u64], classes: &Twins) {
-        for i in span.clone() {
-            let mut word = bits[i] & leaders[i];
-            while word != 0 {
-                let v = (i * 64) as u32 + word.trailing_zeros();
-                word &= word - 1;
-                self.cadj.push(classes.class_of[v as usize]);
-            }
-        }
-        self.cadj_ends.push(self.cadj.len());
-        self.size.push(popcount(&bits[span.clone()]));
-        self.span.push(span);
-    }
-
-    fn cadj(&self, r: usize) -> &[u32] {
-        let start = if r == 0 { 0 } else { self.cadj_ends[r - 1] };
-        &self.cadj[start..self.cadj_ends[r]]
-    }
-
-    /// Lay `parts` end to end.
-    fn concat(parts: Vec<Rows>) -> Rows {
-        let mut rows = Rows::default();
-        for part in parts {
-            let base = rows.cadj.len();
-            rows.cadj.extend(part.cadj);
-            rows.cadj_ends
-                .extend(part.cadj_ends.iter().map(|end| base + end));
-            rows.size.extend(part.size);
-            rows.span.extend(part.span);
-        }
-        rows
-    }
-}
-
-/// The value-neighbour reading for `targets` as one class-level join on a
-/// pool `threads` wide (see the module doc). `table_bytes` is the
-/// bitset-table budget; production passes `JOIN_TABLE_BYTES`.
-fn lcc_value_neighbors(
-    graph: &BipartiteGraph,
-    targets: &[u32],
-    table_bytes: usize,
-    threads: usize,
-) -> (Vec<f64>, Vec<usize>) {
-    // Degree-0 targets and classes alone in their attributes keep 0 / 0.
-    let mut scores = vec![0.0; targets.len()];
-    let mut cardinalities = vec![0usize; targets.len()];
-    if targets.is_empty() {
-        return (scores, cardinalities);
-    }
+/// The value-neighbour reading of every value node, one whole-graph pass
+/// on one thread (see the module doc).
+fn lcc_value_neighbors(graph: &BipartiteGraph) -> Vec<f64> {
     let classes = Twins::of(graph, graph.value_nodes());
-    let class_of = |v: u32| classes.class_of[v as usize];
     let runs = AttributeRuns::of(graph);
     let words = runs.words();
-    let mut leaders = vec![0u64; words];
-    for c in 0..classes.count() as u32 {
-        let v = classes.members(c)[0];
-        leaders[v as usize / 64] |= 1u64 << (v % 64);
+    // One row B_c per class, the closed neighbourhood of its first member,
+    // with its span and S_c.
+    let mut table = vec![0u64; classes.count() * words];
+    let (mut spans, mut sizes) = (Vec::new(), Vec::new());
+    for c in 0..classes.count() {
+        let row = &mut table[c * words..][..words];
+        let span = runs.or_closed(graph, classes.members(c as u32)[0], row);
+        sizes.push(popcount(&row[span.clone()]));
+        spans.push(span);
     }
-    // B_c of every member of c is B(its first member). `fill_rows` fills
-    // the rows of `cs` into `table` (one row of `words` each), or, when it
-    // is empty, one at a time into a scratch row, and reads each off B_c.
-    let fill = |bits: &mut [u64], c: u32| runs.or_closed(graph, classes.members(c)[0], bits);
-    let fill_rows = |cs: &[u32], table: &mut [u64]| {
-        let mut rows = Rows::default();
-        let in_table = !table.is_empty();
-        let mut scratch = vec![0u64; if in_table { 0 } else { words }];
-        for (k, &c) in cs.iter().enumerate() {
-            let bits = if in_table {
-                &mut table[k * words..][..words]
-            } else {
-                &mut scratch[..]
-            };
-            let span = fill(bits, c);
-            rows.push(bits, span.clone(), &leaders, &classes);
-            if !in_table {
-                bits[span].fill(0);
-            }
+    // Degree-0 values and classes alone in their attributes keep 0.
+    let mut scores = vec![0.0; graph.value_count()];
+    // Row `c` has formed `term[d]` once `formed_by[d] == c`.
+    let (mut formed_by, mut term) = (vec![NONE; classes.count()], vec![0.0; classes.count()]);
+    let mut neighbourhood: Vec<(u32, f64)> = Vec::new();
+    for c in 0..classes.count() {
+        let (b_c, span, size) = (&table[c * words..][..words], spans[c].clone(), sizes[c]);
+        if size == 1 {
+            continue;
         }
-        rows
-    };
-    let class_len: Vec<u32> = (0..classes.count() as u32)
-        .map(|c| classes.members(c).len() as u32)
-        .collect();
-    let fits = |rows: usize| {
-        rows.checked_mul(words * 8)
-            .is_some_and(|bytes| bytes <= table_bytes)
-    };
-
-    // A row per class whose closed neighbourhood is needed: the classes of
-    // the targets first, then every other class adjacent to one of them.
-    let mut row_of = vec![NONE; classes.count()];
-    let mut rows: Vec<u32> = Vec::new();
-    for &u in targets {
-        debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
-        let c = class_of(u);
-        if c != NONE && row_of[c as usize] == NONE {
-            row_of[c as usize] = rows.len() as u32;
-            rows.push(c);
-        }
-    }
-    let target_rows = rows.len();
-
-    // Targets in row order; rows were numbered in target order, so every
-    // target row `r` owns one contiguous, non-empty run of `order`, from
-    // `run_offsets[r]` to `run_offsets[r + 1]`.
-    let target_row = |i: u32| row_of[class_of(targets[i as usize]) as usize] as usize;
-    let mut order: Vec<u32> = (0..targets.len() as u32)
-        .filter(|&i| class_of(targets[i as usize]) != NONE)
-        .collect();
-    order.sort_by_key(|&i| target_row(i));
-    let mut run_offsets = vec![0usize; target_rows + 1];
-    for &i in &order {
-        run_offsets[target_row(i) + 1] += 1;
-    }
-    for r in 0..target_rows {
-        run_offsets[r + 1] += run_offsets[r];
-    }
-    let run = |r: usize| &order[run_offsets[r]..run_offsets[r + 1]];
-
-    // Pass A: each task fills its target rows, in its own slice of the
-    // table when the target rows fit the budget.
-    let pool = dn_pool::Pool::new(threads);
-    let chunks = canonical_chunks(target_rows);
-    let mut use_table = fits(target_rows);
-    let mut table = vec![0u64; if use_table { target_rows * words } else { 0 }];
-    let mut slices: Vec<&mut [u64]> = Vec::with_capacity(chunks.len());
-    let mut rest = &mut table[..];
-    for chunk in &chunks {
-        let (slice, tail) = rest.split_at_mut(if use_table { chunk.len() * words } else { 0 });
-        slices.push(slice);
-        rest = tail;
-    }
-    let mut parts = pool.run_over_mut(&mut slices, |ch, slice| {
-        fill_rows(&rows[chunks[ch].clone()], slice)
-    });
-    drop(slices);
-
-    // Between the passes: number the classes the target rows reached, in
-    // chunk order, and fill their rows (in the table while all rows fit).
-    for part in &parts {
-        for &d in &part.cadj {
-            if row_of[d as usize] == NONE {
-                row_of[d as usize] = rows.len() as u32;
-                rows.push(d);
+        neighbourhood.clear();
+        for_each_bit(b_c, span.clone(), |v| {
+            let d = classes.class_of[v as usize] as usize;
+            if formed_by[d] != c as u32 {
+                formed_by[d] = c as u32;
+                // Both endpoints lie in I and in neither open neighbourhood.
+                let both = span.start.max(spans[d].start)..span.end.min(spans[d].end);
+                let b_d = &table[d * words..][both.clone()];
+                let shared: usize = b_c[both]
+                    .iter()
+                    .zip(b_d)
+                    .map(|(x, y)| (x & y).count_ones() as usize)
+                    .sum();
+                term[d] = (shared - 2) as f64 / (size + sizes[d] - shared) as f64;
             }
-        }
-    }
-    use_table &= fits(rows.len());
-    table.resize(if use_table { rows.len() * words } else { 0 }, 0);
-    parts.push(fill_rows(
-        &rows[target_rows..],
-        table.get_mut(target_rows * words..).unwrap_or_default(),
-    ));
-    let info = Rows::concat(parts);
-
-    // Pass B: one Jaccard term per adjacent class, then each member's terms
-    // summed in ascending neighbour id, per target row.
-    let parts = pool.run(chunks.len(), |ch| {
-        let mut term_of = vec![0.0f64; classes.count()];
-        let (mut stamp, mut scratch) = if use_table {
-            (Vec::new(), Vec::new())
-        } else {
-            (vec![NONE; classes.count()], vec![0u64; words])
-        };
-        let mut neighbourhood: Vec<(u32, f64)> = Vec::new();
-        let mut out = Vec::new();
-        for r in chunks[ch].clone() {
-            let members = run(r);
-            let size = info.size[r];
-            if size == 1 {
-                // Alone in all its attributes: no neighbour, no pair.
-                out.extend(members.iter().map(|_| 0.0));
-                continue;
-            }
-            if !use_table {
-                for &e in info.cadj(r) {
-                    stamp[e as usize] = r as u32;
+            neighbourhood.push((v, term[d]));
+        });
+        // Ascending neighbour id, the literal sweep's order: what keeps
+        // every score bit-identical to it.
+        for &u in classes.members(c as u32) {
+            let mut sum = 0.0;
+            for &(v, t) in &neighbourhood {
+                if v != u {
+                    sum += t;
                 }
             }
-            // With I = |B_c ∩ B_d|, both endpoints lie in I and in neither
-            // open neighbourhood.
-            for &d in info.cadj(r) {
-                let rd = row_of[d as usize] as usize;
-                let shared = if use_table {
-                    let lo = info.span[r].start.max(info.span[rd].start);
-                    let hi = info.span[r].end.min(info.span[rd].end);
-                    let (b_c, b_d) = (&table[r * words..][lo..hi], &table[rd * words..][lo..hi]);
-                    b_c.iter()
-                        .zip(b_d)
-                        .map(|(x, y)| (x & y).count_ones() as usize)
-                        .sum()
-                } else {
-                    // Branch-free: a stamp test fails about as often as
-                    // it passes, and the sum vectorises (2–3× at one
-                    // thread on the exact lake).
-                    info.cadj(rd)
-                        .iter()
-                        .map(|&e| {
-                            (stamp[e as usize] == r as u32) as usize
-                                * class_len[e as usize] as usize
-                        })
-                        .sum::<usize>()
-                };
-                let union = size + info.size[rd] - shared;
-                term_of[d as usize] = (shared - 2) as f64 / union as f64;
-            }
-            // The terms in ascending neighbour id: the order the literal
-            // sweep adds them in, which is what keeps every score
-            // bit-identical.
-            let span = info.span[r].clone();
-            let bits = if use_table {
-                &table[r * words..][..words]
-            } else {
-                fill(&mut scratch, rows[r]);
-                &scratch[..]
-            };
-            neighbourhood.clear();
-            for_each_bit(bits, span.clone(), |v| {
-                neighbourhood.push((v, term_of[class_of(v) as usize]));
-            });
-            if !use_table {
-                scratch[span].fill(0);
-            }
-            for &i in members {
-                let u = targets[i as usize];
-                let mut sum = 0.0;
-                for &(v, term) in &neighbourhood {
-                    if v != u {
-                        sum += term;
-                    }
-                }
-                out.push(sum / (size - 1) as f64);
-            }
-        }
-        out
-    });
-    for (part, chunk) in parts.iter().zip(&chunks) {
-        let members = chunk
-            .clone()
-            .flat_map(|r| run(r).iter().map(move |&i| (r, i)));
-        for (&score, (r, i)) in part.iter().zip(members) {
-            scores[i as usize] = score;
-            cardinalities[i as usize] = info.size[r] - 1;
+            scores[u as usize] = sum / (size - 1) as f64;
         }
     }
-    (scores, cardinalities)
+    scores
 }
 
 #[cfg(test)]
@@ -533,27 +310,21 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The literal value-neighbour sweep the join replaced, kept as its oracle: per
-    /// target, one stamp-deduplicated two-hop walk per value neighbour.
-    fn lcc_value_neighbors_literal(
-        graph: &BipartiteGraph,
-        targets: &[u32],
-    ) -> (Vec<f64>, Vec<usize>) {
+    /// The literal value-neighbour sweep, kept as the pass's oracle: per
+    /// value, one stamp-deduplicated two-hop walk per value neighbour.
+    fn lcc_value_neighbors_literal(graph: &BipartiteGraph) -> Vec<f64> {
         let n_values = graph.value_count();
-        // Stamp arrays avoid clearing O(n) state per target/per neighbor.
+        // Stamp arrays avoid clearing O(n) state per value/per neighbor.
         let mut in_target_neighborhood = vec![0u32; n_values];
         let mut visited = vec![0u32; n_values];
         let mut target_epoch = 0u32;
         let mut visit_epoch = 0u32;
 
-        let mut out = Vec::with_capacity(targets.len());
-        let mut cardinalities = Vec::with_capacity(targets.len());
-        for &u in targets {
-            debug_assert!(graph.is_value_node(u), "LCC is defined for value nodes");
+        let mut out = Vec::with_capacity(n_values);
+        for u in graph.value_nodes() {
             target_epoch += 1;
             // Materialize N(u) and mark it.
             let nu = graph.value_neighbors(u);
-            cardinalities.push(nu.len());
             for &v in &nu {
                 in_target_neighborhood[v as usize] = target_epoch;
             }
@@ -592,7 +363,7 @@ pub(crate) mod tests {
             }
             out.push(sum / nu_len);
         }
-        (out, cardinalities)
+        out
     }
 
     /// The per-value walk the counting join replaced, kept as its oracle:
@@ -749,8 +520,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The delta path, for both readings: recompute `dirty_values` with the
-    /// kernel, scatter over the carried scores moved through the
+    /// The delta path: recompute `dirty_values` with the kernel, scatter over the carried scores moved through the
     /// renumbering, and every node (dirty or not) must hold the bits of a
     /// full pass over the new graph.
     /// Nodes are numbered as a build numbers them: a value or attribute is a
@@ -784,110 +554,108 @@ pub(crate) mod tests {
                 .map(|id| new.get(id).copied().unwrap_or(u32::MAX))
                 .collect()
         };
-        for method in [LccMethod::ValueNeighborJaccard, LccMethod::AttributeJaccard] {
-            // A lake-shaped graph: overlapping attributes over a shared pool.
-            let mut edges: BTreeSet<(u32, u32)> = (0..5)
-                .flat_map(|a| (0..20).map(move |v| (v, a)))
-                .filter(|&(v, a)| (v + a) % 3 != 0)
-                .collect();
-            let (mut graph, mut value_nodes, mut attr_nodes) = build(&edges);
-            let mut lcc = local_clustering_coefficients(&graph, method);
-            let mut cards: Vec<usize> = (0..graph.value_count() as u32)
-                .map(|v| graph.value_neighbor_count(v))
-                .collect();
-            enum Edit {
-                Add(u32, u32),
-                Remove(u32, u32),
-                DropValue(u32),
-                DropAttr(u32),
-            }
-            use Edit::*;
-            let steps: [&[Edit]; 6] = [
-                &[Add(0, 0), Add(3, 0), Remove(1, 0)],
-                &[Add(20, 5), Add(0, 5), Add(7, 5), Remove(2, 2)],
-                // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
-                &[Add(3, 5)],
-                // ... and split two: 0 leaves the class it just formed with 3,
-                // 5 leaves the one it shared with 8, 11, 14 and 17.
-                &[Remove(0, 1), Remove(5, 3)],
-                // Value 7 loses every edge, as a value that drops to one
-                // attribute does under pruning: values 8.. move down a node.
-                &[DropValue(7)],
-                // Attribute 2 loses every value, as the column of a table whose
-                // last candidate leaves: attributes 3.. move down an index.
-                &[DropAttr(2)],
-            ];
-            let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
-                let index = |n: &u32| g.attribute_index(*n);
-                g.neighbors(v)
-                    .iter()
-                    .map(index)
-                    .eq(g.neighbors(w).iter().map(index))
-            };
-            for (step, edits) in steps.iter().enumerate() {
-                let mut changed_ids = BTreeSet::new();
-                for edit in *edits {
-                    let lost: Vec<(u32, u32)> = match *edit {
-                        Add(v, a) => {
-                            assert!(edges.insert((v, a)), "step {step}: {:?} exists", (v, a));
-                            changed_ids.insert(v);
-                            continue;
-                        }
-                        Remove(v, a) => vec![(v, a)],
-                        DropValue(v) => edges.iter().filter(|e| e.0 == v).copied().collect(),
-                        DropAttr(a) => edges.iter().filter(|e| e.1 == a).copied().collect(),
-                    };
-                    for edge in lost {
-                        assert!(edges.remove(&edge), "step {step}: {edge:?} is missing");
-                        changed_ids.insert(edge.0);
+        // A lake-shaped graph: overlapping attributes over a shared pool.
+        let mut edges: BTreeSet<(u32, u32)> = (0..5)
+            .flat_map(|a| (0..20).map(move |v| (v, a)))
+            .filter(|&(v, a)| (v + a) % 3 != 0)
+            .collect();
+        let (mut graph, mut value_nodes, mut attr_nodes) = build(&edges);
+        let mut lcc = local_clustering_coefficients(&graph, LccMethod::AttributeJaccard);
+        let mut cards: Vec<usize> = (0..graph.value_count() as u32)
+            .map(|v| graph.value_neighbor_count(v))
+            .collect();
+        enum Edit {
+            Add(u32, u32),
+            Remove(u32, u32),
+            DropValue(u32),
+            DropAttr(u32),
+        }
+        use Edit::*;
+        let steps: [&[Edit]; 6] = [
+            &[Add(0, 0), Add(3, 0), Remove(1, 0)],
+            &[Add(20, 5), Add(0, 5), Add(7, 5), Remove(2, 2)],
+            // The kernel groups values by attribute set. Merge two classes: value 3 now has exactly value 0's attributes ...
+            &[Add(3, 5)],
+            // ... and split two: 0 leaves the class it just formed with 3,
+            // 5 leaves the one it shared with 8, 11, 14 and 17.
+            &[Remove(0, 1), Remove(5, 3)],
+            // Value 7 loses every edge, as a value that drops to one
+            // attribute does under pruning: values 8.. move down a node.
+            &[DropValue(7)],
+            // Attribute 2 loses every value, as the column of a table whose
+            // last candidate leaves: attributes 3.. move down an index.
+            &[DropAttr(2)],
+        ];
+        let same_attributes = |g: &BipartiteGraph, v: u32, w: u32| {
+            let index = |n: &u32| g.attribute_index(*n);
+            g.neighbors(v)
+                .iter()
+                .map(index)
+                .eq(g.neighbors(w).iter().map(index))
+        };
+        for (step, edits) in steps.iter().enumerate() {
+            let mut changed_ids = BTreeSet::new();
+            for edit in *edits {
+                let lost: Vec<(u32, u32)> = match *edit {
+                    Add(v, a) => {
+                        assert!(edges.insert((v, a)), "step {step}: {:?} exists", (v, a));
+                        changed_ids.insert(v);
+                        continue;
                     }
-                }
-                let (new, new_value_nodes, new_attr_nodes) = build(&edges);
-                let renumbering = Renumbering {
-                    values: moved(&value_nodes, &new_value_nodes),
-                    attrs: moved(&attr_nodes, &new_attr_nodes),
+                    Remove(v, a) => vec![(v, a)],
+                    DropValue(v) => edges.iter().filter(|e| e.0 == v).copied().collect(),
+                    DropAttr(a) => edges.iter().filter(|e| e.1 == a).copied().collect(),
                 };
-                let changed: Vec<u32> = changed_ids
-                    .iter()
-                    .filter_map(|id| new_value_nodes.get(id).copied())
-                    .collect();
-                let region = dirty_region(&graph, &new, &renumbering, &changed);
-                let (fresh, fresh_cards) =
-                    lcc_with_cardinality_for_values(&new, &region.dirty_values, method, 2);
-                let full = local_clustering_coefficients(&new, method);
-                // Move, scatter, then compare every node against a full pass.
-                lcc = renumbering.move_values(&lcc, new.value_count());
-                cards = renumbering.move_values(&cards, new.value_count());
-                for (i, &node) in region.dirty_values.iter().enumerate() {
-                    lcc[node as usize] = fresh[i];
-                    cards[node as usize] = fresh_cards[i];
+                for edge in lost {
+                    assert!(edges.remove(&edge), "step {step}: {edge:?} is missing");
+                    changed_ids.insert(edge.0);
                 }
-                for node in 0..new.value_count() {
-                    assert_eq!(
-                        lcc[node].to_bits(),
-                        full[node].to_bits(),
-                        "{method:?}, step {step}, node {node}: maintained {} vs full {}",
-                        lcc[node],
-                        full[node]
-                    );
-                    assert_eq!(
-                        cards[node],
-                        new.value_neighbor_count(node as u32),
-                        "cardinality of node {node}"
-                    );
+            }
+            let (new, new_value_nodes, new_attr_nodes) = build(&edges);
+            let renumbering = Renumbering {
+                values: moved(&value_nodes, &new_value_nodes),
+                attrs: moved(&attr_nodes, &new_attr_nodes),
+            };
+            let changed: Vec<u32> = changed_ids
+                .iter()
+                .filter_map(|id| new_value_nodes.get(id).copied())
+                .collect();
+            let region = dirty_region(&graph, &new, &renumbering, &changed);
+            let (fresh, fresh_cards) =
+                lcc_with_cardinality_for_values(&new, &region.dirty_values, 2);
+            let full = local_clustering_coefficients(&new, LccMethod::AttributeJaccard);
+            // Move, scatter, then compare every node against a full pass.
+            lcc = renumbering.move_values(&lcc, new.value_count());
+            cards = renumbering.move_values(&cards, new.value_count());
+            for (i, &node) in region.dirty_values.iter().enumerate() {
+                lcc[node as usize] = fresh[i];
+                cards[node as usize] = fresh_cards[i];
+            }
+            for node in 0..new.value_count() {
+                assert_eq!(
+                    lcc[node].to_bits(),
+                    full[node].to_bits(),
+                    "step {step}, node {node}: maintained {} vs full {}",
+                    lcc[node],
+                    full[node]
+                );
+                assert_eq!(
+                    cards[node],
+                    new.value_neighbor_count(node as u32),
+                    "cardinality of node {node}"
+                );
+            }
+            (graph, value_nodes, attr_nodes) = (new, new_value_nodes, new_attr_nodes);
+            match step {
+                1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
+                2 => assert!(same_attributes(&graph, 0, 3)),
+                3 => {
+                    assert!(!same_attributes(&graph, 0, 3) && !same_attributes(&graph, 5, 8));
+                    assert!(same_attributes(&graph, 8, 11));
                 }
-                (graph, value_nodes, attr_nodes) = (new, new_value_nodes, new_attr_nodes);
-                match step {
-                    1 => assert!(!same_attributes(&graph, 0, 3) && same_attributes(&graph, 5, 8)),
-                    2 => assert!(same_attributes(&graph, 0, 3)),
-                    3 => {
-                        assert!(!same_attributes(&graph, 0, 3) && !same_attributes(&graph, 5, 8));
-                        assert!(same_attributes(&graph, 8, 11));
-                    }
-                    4 => assert_eq!((value_nodes.get(&7), value_nodes[&8]), (None, 7)),
-                    5 => assert_eq!((attr_nodes.get(&2), attr_nodes[&3]), (None, 2)),
-                    _ => {}
-                }
+                4 => assert_eq!((value_nodes.get(&7), value_nodes[&8]), (None, 7)),
+                5 => assert_eq!((attr_nodes.get(&2), attr_nodes[&3]), (None, 2)),
+                _ => {}
             }
         }
     }
@@ -895,56 +663,24 @@ pub(crate) mod tests {
     #[test]
     fn targeted_computation_matches_full_computation() {
         let (g, ids) = crate::bipartite::tests::figure3b();
-        let full = local_clustering_coefficients(&g, LccMethod::ValueNeighborJaccard);
+        let full = local_clustering_coefficients(&g, LccMethod::AttributeJaccard);
         let targets = vec![ids["JAGUAR"], ids["PANDA"]];
-        let (partial, _) =
-            lcc_with_cardinality_for_values(&g, &targets, LccMethod::ValueNeighborJaccard, 1);
-        assert!((partial[0] - full[ids["JAGUAR"] as usize]).abs() < 1e-12);
-        assert!((partial[1] - full[ids["PANDA"] as usize]).abs() < 1e-12);
+        let (partial, _) = lcc_with_cardinality_for_values(&g, &targets, 1);
+        assert_eq!(partial[0].to_bits(), full[ids["JAGUAR"] as usize].to_bits());
+        assert_eq!(partial[1].to_bits(), full[ids["PANDA"] as usize].to_bits());
     }
 
-    /// The join against the literal sweep on one target list, at widths 1, 2
-    /// and 3 and once per intersection primitive: the bitset table, the
-    /// class lists at budget 0, and the switch between them after pass A at
-    /// a budget that holds the targets' rows only.
-    fn assert_join_matches_literal(graph: &BipartiteGraph, targets: &[u32], what: &str) {
+    /// The pass against the literal sweep, score bits.
+    fn assert_pass_matches_literal(graph: &BipartiteGraph, what: &str) {
         let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        let (want, want_cardinalities) = lcc_value_neighbors_literal(graph, targets);
-        let want = bits(&want);
-        let classes = Twins::of(graph, graph.value_nodes());
-        let mut target_classes: Vec<u32> = targets
-            .iter()
-            .map(|&u| classes.class_of[u as usize])
-            .filter(|&c| c != NONE)
-            .collect();
-        target_classes.sort_unstable();
-        target_classes.dedup();
-        let target_rows_only = target_classes.len() * graph.value_count().div_ceil(64) * 8;
-        for threads in [1, 2, 3] {
-            for table_bytes in [JOIN_TABLE_BYTES, 0, target_rows_only] {
-                let (got, got_cardinalities) =
-                    lcc_value_neighbors(graph, targets, table_bytes, threads);
-                let case = format!("{what}, {threads} threads, table budget {table_bytes}");
-                assert_eq!(
-                    got_cardinalities, want_cardinalities,
-                    "{case}: cardinalities"
-                );
-                assert_eq!(bits(&got), want, "{case}: score bits");
-            }
-        }
-    }
-
-    /// Full target list, a random list (unordered, may repeat; at most 64
-    /// long, which only the lakes exceed) and the empty one.
-    fn assert_join_matches_literal_on(graph: &BipartiteGraph, rng: &mut StdRng, what: &str) {
-        let n = graph.value_count() as u32;
-        let all: Vec<u32> = graph.value_nodes().collect();
-        assert_join_matches_literal(graph, &all, what);
-        let some: Vec<u32> = (0..rng.gen_range(1..=n.min(64)))
-            .map(|_| rng.gen_range(0..n))
-            .collect();
-        assert_join_matches_literal(graph, &some, what);
-        assert_join_matches_literal(graph, &[], what);
+        assert_eq!(
+            bits(&local_clustering_coefficients(
+                graph,
+                LccMethod::ValueNeighborJaccard
+            )),
+            bits(&lcc_value_neighbors_literal(graph)),
+            "{what}: score bits"
+        );
     }
 
     /// A random graph of up to 60 values × 12 attributes that holds, by
@@ -1035,24 +771,20 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let what = format!("random graph {seed}");
             let graph = random_graph_with_corner_cases(&mut rng, &what);
-            assert_join_matches_literal_on(&graph, &mut rng, &what);
-
+            assert_pass_matches_literal(&graph, &what);
             let tombstoned = tombstone_a_value(&graph, &mut rng, &what);
-            assert_join_matches_literal_on(&tombstoned, &mut rng, &format!("{what}, tombstoned"));
+            assert_pass_matches_literal(&tombstoned, &format!("{what}, tombstoned"));
         }
-
-        let mut rng = StdRng::seed_from_u64(2021);
         let sb = datagen::sb::SbGenerator::new(2021).generate();
-        assert_join_matches_literal_on(&lake_graph(&sb.catalog), &mut rng, "SB seed 2021");
+        assert_pass_matches_literal(&lake_graph(&sb.catalog), "SB seed 2021");
     }
 
     /// A test of its own only because the literal sweep of this lake takes
     /// two seconds in a debug build; `ci.sh` runs both by the common name.
     #[test]
     fn join_matches_literal_sweep_bit_for_bit_on_tus_small() {
-        let mut rng = StdRng::seed_from_u64(2021);
         let tus = datagen::tus::TusGenerator::new(datagen::tus::TusConfig::small(2021)).generate();
-        assert_join_matches_literal_on(&lake_graph(&tus.catalog), &mut rng, "TUS small");
+        assert_pass_matches_literal(&lake_graph(&tus.catalog), "TUS small");
     }
 
     /// The counting join against the per-value walk on one target list, at
@@ -1062,12 +794,12 @@ pub(crate) mod tests {
     /// the target list: each score is the bits of a width-1 full pass.
     fn assert_counting_join_matches_walk(graph: &BipartiteGraph, targets: &[u32], what: &str) {
         let all: Vec<u32> = graph.value_nodes().collect();
-        let (full, _) = lcc_attribute_sets(graph, &all, 1);
+        let (full, _) = lcc_with_cardinality_for_values(graph, &all, 1);
         let counts = graph.value_neighbor_counts(1);
         let (want, want_cardinalities): (Vec<f64>, Vec<usize>) =
             targets.iter().map(|&u| attribute_jaccard(graph, u)).unzip();
         for threads in [1, 2, 3] {
-            let (got, got_cardinalities) = lcc_attribute_sets(graph, targets, threads);
+            let (got, got_cardinalities) = lcc_with_cardinality_for_values(graph, targets, threads);
             let case = format!("{what}, {threads} threads");
             assert_eq!(
                 got_cardinalities, want_cardinalities,

@@ -1,14 +1,15 @@
 //! Twin classes: nodes with one non-empty neighbour list. Twins lie on one
 //! side and swapping two is an automorphism, so whatever the structure
-//! alone determines is the same for every member. The LCC join
-//! ([`crate::lcc`]) groups the value nodes, Brandes ([`crate::bc`]) its
+//! alone determines is the same for every member. Both LCC kernels
+//! ([`crate::lcc`]) group the value nodes, Brandes ([`crate::bc`]) its
 //! whole source set.
 
 use std::collections::HashMap;
 
 use crate::bipartite::BipartiteGraph;
 
-/// "In no class" (degree 0, or not grouped); also the LCC join's "no row".
+/// "In no class" (degree 0, or not grouped); also the LCC kernels' "none
+/// yet" marker.
 pub(crate) const NONE: u32 = u32::MAX;
 
 pub(crate) struct Twins {

@@ -256,10 +256,9 @@ fn attribute_jaccard_is_width_invariant() {
             random_graph(40, 8, seed)
         };
         let targets: Vec<u32> = (0..g.value_count() as u32).rev().collect();
-        let method = LccMethod::AttributeJaccard;
-        let (want, want_cards) = lcc_with_cardinality_for_values(&g, &targets, method, 1);
+        let (want, want_cards) = lcc_with_cardinality_for_values(&g, &targets, 1);
         for threads in [2, 3, 4] {
-            let (got, cards) = lcc_with_cardinality_for_values(&g, &targets, method, threads);
+            let (got, cards) = lcc_with_cardinality_for_values(&g, &targets, threads);
             assert_eq!(bits(&got), bits(&want), "seed {seed}, {threads} threads");
             assert_eq!(cards, want_cards, "seed {seed}, {threads} threads");
         }

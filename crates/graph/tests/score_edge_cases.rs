@@ -1,67 +1,10 @@
-//! Edge-case coverage for the score post-processing helpers the serving
-//! layer leans on: [`dn_graph::approx_bc::top_k_overlap`] (ranking
-//! agreement) and [`dn_graph::bc::normalize_scores`] (rescaling raw BC into
-//! `[0, 1]`). Both are consumed downstream on arbitrary, possibly
-//! degenerate inputs — empty graphs, `k` larger than the node count, score
-//! ties — and must never emit NaN.
+//! Edge-case coverage for [`dn_graph::bc::normalize_scores`] (rescaling
+//! raw BC into `[0, 1]`) on arbitrary, possibly degenerate inputs — empty
+//! and tiny graphs, all-zero and all-equal scores — where it must never
+//! emit NaN.
 
-use dn_graph::approx_bc::top_k_overlap;
 use dn_graph::bc::{betweenness_centrality, normalize_scores};
 use dn_graph::bipartite::BipartiteBuilder;
-
-// ---------------------------------------------------------------------------
-// top_k_overlap
-// ---------------------------------------------------------------------------
-
-#[test]
-fn overlap_of_empty_slices_is_perfect() {
-    // No nodes to disagree about: vacuous agreement, not NaN or a panic.
-    assert_eq!(top_k_overlap(&[], &[], 0), 1.0);
-    assert_eq!(top_k_overlap(&[], &[], 5), 1.0);
-}
-
-#[test]
-fn overlap_with_k_zero_is_perfect() {
-    let scores = [3.0, 1.0, 2.0];
-    assert_eq!(top_k_overlap(&scores, &scores, 0), 1.0);
-}
-
-#[test]
-fn overlap_with_k_larger_than_n_compares_everything() {
-    // k is effectively min(k, n): both top sets are the full index set.
-    let a = [3.0, 1.0, 2.0];
-    let b = [0.0, 10.0, 5.0];
-    assert_eq!(top_k_overlap(&a, &b, 100), 1.0);
-    // Still a proper fraction when the orderings disagree on a prefix.
-    assert_eq!(top_k_overlap(&a, &b, 1), 0.0);
-}
-
-#[test]
-fn overlap_with_all_equal_scores_is_deterministic_and_full() {
-    // With every score tied, the top-k sets are chosen by index order on
-    // both sides (the sort is stable), so agreement is exact at every k.
-    let a = [0.5; 8];
-    let b = [0.5; 8];
-    for k in 0..=9 {
-        let overlap = top_k_overlap(&a, &b, k);
-        assert_eq!(overlap, 1.0, "k = {k}");
-        assert!(overlap.is_finite());
-    }
-}
-
-#[test]
-fn overlap_is_always_a_finite_fraction() {
-    let a = [1.0, 0.0, 2.0, 0.0, 5.0];
-    let b = [5.0, 2.0, 0.0, 1.0, 0.0];
-    for k in 0..=6 {
-        let overlap = top_k_overlap(&a, &b, k);
-        assert!(
-            (0.0..=1.0).contains(&overlap),
-            "k = {k} gave overlap {overlap}"
-        );
-        assert!(!overlap.is_nan());
-    }
-}
 
 // ---------------------------------------------------------------------------
 // normalize_scores

@@ -294,6 +294,51 @@ pub struct ErrorDetail {
 mod tests {
     use super::*;
 
+    /// Every `"measure":` value in the JSON examples of `docs/API.md` is
+    /// one the server writes: a response's measure is a measure's name, and
+    /// a score card's is a serialized `Measure` that decodes and re-encodes
+    /// to the same text.
+    #[test]
+    fn the_api_docs_measure_fields_decode_and_re_encode() {
+        use domainnet::Measure;
+        let doc = include_str!("../../../docs/API.md");
+        let names = [
+            Measure::lcc(),
+            Measure::exact_bc(),
+            Measure::approx_bc(1, 0),
+        ]
+        .map(|m| m.name());
+        let mut checked = 0;
+        for block in doc.split("```json").skip(1) {
+            let block = &block[..block.find("```").expect("an unclosed JSON example")];
+            for (at, key) in block.match_indices("\"measure\":") {
+                let rest = &block[at + key.len()..];
+                // A string, or an object with no braces in its strings.
+                let mut depth = 0;
+                let end = match rest.as_bytes()[0] {
+                    b'"' => rest[1..].find('"').map(|i| i + 2),
+                    b'{' => rest.char_indices().find_map(|(i, c)| {
+                        depth += (c == '{') as i32 - (c == '}') as i32;
+                        (depth == 0).then_some(i + 1)
+                    }),
+                    _ => None,
+                };
+                let text = &rest[..end.unwrap_or_else(|| panic!("a malformed measure: {rest}"))];
+                checked += 1;
+                if names.iter().any(|name| text == format!("\"{name}\"")) {
+                    continue;
+                }
+                let measure: Measure = serde_json::from_str(text)
+                    .unwrap_or_else(|e| panic!("docs/API.md's measure {text}: {e}"));
+                assert_eq!(serde_json::to_string(&measure).unwrap(), text);
+            }
+        }
+        assert!(
+            checked >= 4,
+            "only {checked} measures in docs/API.md's examples"
+        );
+    }
+
     #[test]
     fn error_body_round_trips() {
         let body = ErrorBody {

@@ -10,7 +10,6 @@
 //! out-of-memory abort.
 
 use dn_graph::approx_bc::ApproxBcConfig;
-use dn_graph::lcc::LccMethod;
 use domainnet::Measure;
 
 use crate::error::{Result, StoreError};
@@ -342,12 +341,11 @@ const TAG_APPROX_BC: u8 = 2;
 /// Encode a [`Measure`] (stable across runs; part of the snapshot format).
 pub fn put_measure(w: &mut ByteWriter, measure: Measure) {
     match measure {
-        Measure::Lcc(method) => {
+        Measure::Lcc => {
+            // The byte after the tag named the LCC reading; 0, the
+            // value-neighbour one, is retired.
             w.put_u8(TAG_LCC);
-            w.put_u8(match method {
-                LccMethod::ValueNeighborJaccard => 0,
-                LccMethod::AttributeJaccard => 1,
-            });
+            w.put_u8(1);
         }
         Measure::ExactBc => {
             w.put_u8(TAG_EXACT_BC);
@@ -364,14 +362,11 @@ pub fn put_measure(w: &mut ByteWriter, measure: Measure) {
 pub fn get_measure(r: &mut ByteReader<'_>) -> Result<Measure> {
     let invalid = |what: String| StoreError::corrupt(format!("measure: {what}"));
     match r.get_u8()? {
-        TAG_LCC => {
-            let method = match r.get_u8()? {
-                0 => LccMethod::ValueNeighborJaccard,
-                1 => LccMethod::AttributeJaccard,
-                other => return Err(invalid(format!("unknown LCC method {other}"))),
-            };
-            Ok(Measure::Lcc(method))
-        }
+        TAG_LCC => match r.get_u8()? {
+            1 => Ok(Measure::Lcc),
+            0 => Err(StoreError::RetiredLccReading),
+            other => Err(invalid(format!("unknown LCC method {other}"))),
+        },
         TAG_EXACT_BC => Ok(Measure::ExactBc),
         TAG_APPROX_BC => {
             let samples = r.get_u64()? as usize;
@@ -459,7 +454,6 @@ mod tests {
     fn measures_round_trip() {
         let measures = [
             Measure::lcc(),
-            Measure::Lcc(LccMethod::AttributeJaccard),
             Measure::exact_bc(),
             Measure::ApproxBc(ApproxBcConfig {
                 samples: 512,
@@ -482,6 +476,22 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "measure");
         assert!(matches!(
             get_measure(&mut r).unwrap_err(),
+            StoreError::Corrupt { .. }
+        ));
+    }
+
+    #[test]
+    fn get_measure_refuses_the_retired_lcc_byte() {
+        let mut w = ByteWriter::new();
+        put_measure(&mut w, Measure::Lcc);
+        assert_eq!(w.into_inner(), [TAG_LCC, 1]);
+        let decode = |bytes: &[u8]| get_measure(&mut ByteReader::new(bytes, "measure"));
+        assert_eq!(decode(&[TAG_LCC, 1]).unwrap(), Measure::Lcc);
+        let err = decode(&[TAG_LCC, 0]).unwrap_err();
+        assert!(matches!(err, StoreError::RetiredLccReading), "{err:?}");
+        assert!(err.to_string().contains("LCC(value)"), "{err}");
+        assert!(matches!(
+            decode(&[TAG_LCC, 2]).unwrap_err(),
             StoreError::Corrupt { .. }
         ));
     }

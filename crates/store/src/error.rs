@@ -52,6 +52,10 @@ pub enum StoreError {
         /// What was inconsistent.
         context: String,
     },
+    /// A measure in the file is `LCC(value)`, the value-neighbour LCC
+    /// reading, which is retired: a data dir that names it is refused, not
+    /// served.
+    RetiredLccReading,
     /// Recovery found no snapshot to start from in the directory.
     MissingSnapshot {
         /// The directory that was searched.
@@ -83,6 +87,11 @@ impl fmt::Display for StoreError {
                 write!(f, "checksum mismatch in section '{section}'")
             }
             StoreError::Corrupt { context } => write!(f, "corrupt store state: {context}"),
+            StoreError::RetiredLccReading => write!(
+                f,
+                "the store names LCC(value), the retired value-neighbour LCC reading; \
+                 this build serves only the attribute-set LCC"
+            ),
             StoreError::MissingSnapshot { dir } => {
                 write!(f, "no usable snapshot found in {}", dir.display())
             }

@@ -405,7 +405,9 @@ fn mutate(rng: &mut StdRng, payload: &[u8]) -> Vec<u8> {
 
 /// `cases` seeded mutations of the lake or the net payload of the sample
 /// snapshot, each resealed by [`with_payload`] so the CRC passes: decode
-/// must load or refuse with a typed structural error, and never panic.
+/// must load or refuse with a typed structural error, and never panic. An
+/// edit that writes 0 after a measure's LCC tag names the retired
+/// value-neighbour reading, which is refused by a type of its own.
 fn hostile_sections_decode_or_refuse(seed: u64, cases: usize) {
     let bytes = sample_snapshot_bytes();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -415,7 +417,11 @@ fn hostile_sections_decode_or_refuse(seed: u64, cases: usize) {
         let forged = with_payload(&bytes, name, &mutate(&mut rng, section_bytes(&bytes, name)));
         match std::panic::catch_unwind(|| decode_snapshot(&forged)) {
             Ok(Ok(_)) => {}
-            Ok(Err(StoreError::Corrupt { .. } | StoreError::Truncated { .. })) => refused += 1,
+            Ok(Err(
+                StoreError::Corrupt { .. }
+                | StoreError::Truncated { .. }
+                | StoreError::RetiredLccReading,
+            )) => refused += 1,
             Ok(Err(other)) => panic!("case {case} ({name}, seed {seed}): unexpected {other:?}"),
             Err(_) => panic!("case {case} ({name}, seed {seed}): decode panicked"),
         }

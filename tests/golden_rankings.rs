@@ -16,7 +16,6 @@
 
 use datagen::sb::{SbConfig, SbGenerator};
 use dn_graph::approx_bc::ApproxBcConfig;
-use dn_graph::lcc::LccMethod;
 use domainnet::{DomainNetBuilder, Measure, ScoredValue};
 use lake::delta::LakeView;
 use serde::{Deserialize, Serialize};
@@ -236,11 +235,7 @@ fn single_shard_coordinator_serves_the_corpus_bit_identically() {
         (
             "running-example",
             lake::delta::MutableLake::from_catalog(&lake::fixtures::running_example()),
-            vec![
-                Measure::lcc(),
-                Measure::Lcc(LccMethod::ValueNeighborJaccard),
-                Measure::exact_bc(),
-            ],
+            vec![Measure::lcc(), Measure::exact_bc()],
             false,
         ),
         (

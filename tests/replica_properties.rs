@@ -3,9 +3,8 @@
 //! and leaving at random epochs, must end with **every surviving follower
 //! bit-identical to the primary** — `to_bits` equality on every ranking
 //! entry of the golden-corpus measures (LCC, exact BC and the seeded
-//! approx BC — see `tests/golden_rankings.rs`) and the retained
-//! value-neighbour LCC, exact per-shard identity counts, and zero
-//! divergences flagged.
+//! approx BC — see `tests/golden_rankings.rs`), exact per-shard identity
+//! counts, and zero divergences flagged.
 //!
 //! Every measure, approx BC included, is a function of the lake: a
 //! maintained net holds a fresh build's scores bit for bit, and approx BC
@@ -30,7 +29,6 @@ use std::sync::{Arc, Mutex};
 
 use datagen::mutate::{MutationConfig, MutationStream};
 use dn_graph::approx_bc::ApproxBcConfig;
-use dn_graph::lcc::LccMethod;
 use dn_service::{
     serve_sharded_durable, CheckpointPolicy, Coordinator, Follower, LocalReplicaSource,
     ServiceConfig,
@@ -45,12 +43,11 @@ const STEPS: usize = 10;
 const SHARDS: usize = 2;
 
 /// The three golden-corpus measures (`tests/golden_rankings.rs`), approx
-/// BC included, and the value-neighbour LCC: replication must preserve
-/// even seeded-sampler scores bit for bit.
+/// BC included: replication must preserve even seeded-sampler scores bit
+/// for bit.
 fn golden_measures() -> Vec<Measure> {
     vec![
         Measure::lcc(),
-        Measure::Lcc(LccMethod::ValueNeighborJaccard),
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,

@@ -7,9 +7,8 @@
 //!   mid-stream after K committed batches; `serve_sharded_from_dir`
 //!   recovers, and the recovered top-k rankings
 //!   for the golden-corpus measures (LCC, exact BC and the seeded
-//!   approx BC — see `tests/golden_rankings.rs`) and the retained
-//!   value-neighbour LCC must match the uninterrupted run bit for bit,
-//!   with ids and edges exactly equal.
+//!   approx BC — see `tests/golden_rankings.rs`) must match the
+//!   uninterrupted run bit for bit, with ids and edges exactly equal.
 //! * `random_checkpoint_recovery_equivalence` — the property: for seeded
 //!   random lakes and mutation streams, with checkpoints taken at random
 //!   points, recovery after a kill at an arbitrary step equals the
@@ -24,7 +23,6 @@ use std::path::PathBuf;
 use datagen::mutate::{MutationConfig, MutationStream};
 use datagen::sb::{SbConfig, SbGenerator};
 use dn_graph::approx_bc::ApproxBcConfig;
-use dn_graph::lcc::LccMethod;
 use dn_service::{
     serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator,
     CoordinatorHandle, ServiceConfig,
@@ -62,12 +60,10 @@ fn test_dir(name: &str) -> PathBuf {
 
 /// The golden-corpus measures (`tests/golden_rankings.rs`): LCC and exact
 /// BC on the running example, SB's LCC and seeded approx BC — three
-/// distinct `Measure` values — plus the value-neighbour LCC, which is no
-/// longer served by default but keeps its delta and recovery paths.
+/// distinct `Measure` values.
 fn golden_measures() -> Vec<Measure> {
     vec![
         Measure::lcc(),
-        Measure::Lcc(LccMethod::ValueNeighborJaccard),
         Measure::exact_bc(),
         Measure::ApproxBc(ApproxBcConfig {
             samples: 512,
@@ -347,18 +343,19 @@ fn recovered_export_matches_golden_corpus_workflow() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A data dir written while `Measure::lcc()` was the value-neighbour
-/// reading lists `Lcc(ValueNeighborJaccard)` in its manifest. Recovered
-/// with today's config, the served LCC is a fresh build's attribute-set
-/// ranking bit for bit, and `measure=lcc` and its old alias `lcc_attr`
-/// both resolve to it over HTTP.
+/// A data dir whose manifests name `LCC(value)`, the retired
+/// value-neighbour LCC reading, as a dir written while it was served does:
+/// the measure is `TAG_LCC, 0` there. It is forged out of a dir written
+/// today, each snapshot's manifest resealed so every checksum holds.
+/// Recovery refuses it with the typed error that names the reading, and so
+/// does serving from it.
 #[test]
-fn a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure() {
-    use dn_server::api::TopKResponse;
-    use dn_server::{serve_http, Client, ServerConfig};
+fn a_data_dir_that_names_the_retired_lcc_reading_is_refused() {
+    use dn_store::snapshot::section_table;
+    use dn_store::StoreError;
 
-    let dir = test_dir("pre_switch");
-    let old_lcc = Measure::Lcc(LccMethod::ValueNeighborJaccard);
+    let dir = test_dir("retired_lcc");
+    let measures = vec![Measure::lcc(), Measure::exact_bc()];
     let sb = SbGenerator::with_config(SbConfig {
         seed: 2021,
         rows_per_table: 60,
@@ -366,7 +363,7 @@ fn a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure() {
     .generate();
     let (service, mut writer) = serve_sharded_durable(
         MutableLake::from_catalog(&sb.catalog),
-        config(vec![old_lcc, Measure::exact_bc()], true),
+        config(measures.clone(), true),
         &dir,
         CheckpointPolicy::every_epochs(2),
         1,
@@ -384,55 +381,48 @@ fn a_data_dir_written_before_the_lcc_switch_recovers_to_the_new_measure() {
     assert!(writer.checkpoint_now().unwrap());
     drop(writer);
     drop(service);
-    let (_, persisted) = dn_store::Store::recover(dn_store::shard_dir(&dir, 0)).unwrap();
-    assert_eq!(persisted.measures, [old_lcc, Measure::exact_bc()]);
 
-    let measures = vec![Measure::lcc(), Measure::exact_bc()];
-    let (rec_service, rec_writer) = serve_sharded_from_dir(
+    let shard = dn_store::shard_dir(&dir, 0);
+    let snapshots = dn_store::list_snapshots(&shard).unwrap();
+    assert!(!snapshots.is_empty());
+    for (_, path) in &snapshots {
+        let mut bytes = std::fs::read(path).unwrap();
+        let (index, manifest) = section_table(&bytes)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .find(|(_, s)| s.name == "manifest")
+            .unwrap();
+        // Last seq, epoch and the measure count (a u64 each), then LCC as
+        // `TAG_LCC, 1` and exact BC as its tag. Rewrite the 1 to a 0 and
+        // the section's CRC (the last field of its table entry, after the
+        // 16-byte header) to match.
+        let payload = manifest.offset..manifest.offset + manifest.len;
+        assert_eq!(
+            bytes[payload.start + 24..payload.end],
+            [0, 1, 1],
+            "manifest layout changed"
+        );
+        bytes[payload.start + 25] = 0;
+        let crc = dn_store::codec::crc32(&bytes[payload]);
+        bytes[16 + index * 24 + 20..][..4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    match dn_store::Store::recover(&shard) {
+        Err(StoreError::RetiredLccReading) => {}
+        Err(other) => panic!("expected the retired LCC reading to be refused, got {other}"),
+        Ok(_) => panic!("recovered a dir naming LCC(value)"),
+    }
+    let refused = serve_sharded_from_dir(
         &dir,
         config(measures, true),
         CheckpointPolicy::every_epochs(2),
-    )
-    .unwrap();
-    let fresh = DomainNetBuilder::new()
-        .prune_single_attribute_values(true)
-        .build(rec_writer.shard(0).lake())
-        .rank(Measure::lcc());
-    let served = rec_service
-        .current()
-        .shard(0)
-        .ranking(Measure::lcc())
-        .unwrap()
-        .clone();
-    assert_eq!(served.len(), fresh.len());
-    for (x, y) in served.iter().zip(&fresh) {
-        assert_eq!(x.value, y.value, "order");
-        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{}", x.value);
-        assert_eq!(x.cardinality, y.cardinality, "{}", x.value);
-    }
-
-    let server = serve_http(
-        rec_service,
-        rec_writer,
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::new(server.local_addr());
-    for token in ["lcc", "lcc_attr"] {
-        let response = client
-            .get(&format!("/v1/top-k?measure={token}&k=20"))
-            .unwrap();
-        assert_eq!(response.status, 200, "{token}: {}", response.body);
-        let top: TopKResponse = response.json().unwrap();
-        assert_eq!(top.measure, "LCC", "{token}");
-        let values: Vec<&str> = top.results.iter().map(|s| s.value.as_str()).collect();
-        let want: Vec<&str> = fresh[..20].iter().map(|s| s.value.as_str()).collect();
-        assert_eq!(values, want, "{token}");
-    }
-    server.shutdown();
-    server.join();
+    );
+    let message = refused
+        .err()
+        .expect("served a dir naming LCC(value)")
+        .to_string();
+    assert!(message.contains("LCC(value)"), "{message}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
