@@ -39,8 +39,12 @@ cargo fmt --check
 # A source file's non-test part: everything up to its first #[cfg(test)].
 non_test() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
 
-# The needle-2 number the ROADMAP anchors quote.
+# ...and its test part: from the first #[cfg(test)] on.
+test_tail() { awk '/#\[cfg\(test\)\]/{t=1} t{print}' "$1"; }
+
+# The needle-2 numbers the ROADMAP anchors quote.
 echo "non-test Rust lines (crates/*/src + src): $(find crates/*/src src -name '*.rs' | sort | while read -r file; do non_test "$file"; done | wc -l)"
+echo "test Rust lines (tests + crates/*/tests + #[cfg(test)] tails): $( (find tests crates/*/tests -name '*.rs' -exec cat {} +; find crates/*/src src -name '*.rs' | sort | while read -r file; do test_tail "$file"; done) | wc -l)"
 
 # The registry (crates/trace/src/metrics.rs) holds the only code that
 # formats a /metrics line. A `# TYPE` or `_bucket{` anywhere else in
@@ -193,8 +197,15 @@ GATES=(
     # bodies, and of real request heads read off a loopback socket.
     "quick|WAL records and mutation bodies under hostile bytes (typed errors, no panics)|--test hostile_inputs|hostile_wal_records_and_mutation_bodies_decode_or_refuse nested_brackets_in_a_checksum_valid_wal_record_are_corrupt"
     "quick|HTTP request heads under hostile bytes (typed errors, no panics)|--test hostile_inputs|hostile_http_heads_parse_or_refuse"
-    "quick|store crash recovery (kill + recover == uninterrupted)|--test store_recovery|kill_and_recover_matches_uninterrupted_run_on_golden_measures random_checkpoint_recovery_equivalence recovered_export_matches_golden_corpus_workflow"
+    "quick|store crash recovery (kill + recover == uninterrupted; a recovered reader's top 10 == the uninterrupted engine's)|--test store_recovery|kill_and_recover_matches_uninterrupted_run_on_golden_measures random_checkpoint_recovery_equivalence recovered_export_matches_golden_corpus_workflow"
     "quick|sharded batch == op-by-op placement; one WAL record per touched shard for an AddTable chain|--test shard_equivalence|grouped_commits_place_tables_as_op_by_op_commits an_add_table_chain_is_one_wal_record_per_touched_shard"
+    # One referee for every write path (tests/common): each row drives
+    # seeded streams, pruning on and off, through its path and holds every
+    # engine it serves to the reference lake (lake equality, every shard's
+    # net a fresh build of its lake by to_bits, the served exact rankings
+    # a fresh build of the live tables within 1e-9), and fails if its
+    # streams missed a kind of change.
+    "quick|referee matrix: live, folded, recovered (1 and 3 shards), follower, HTTP, drop-folder ingest and sharded (1, 2, 4) rows serve the reference|--test referee_matrix|row_live_commits row_folded_runs row_recovered_after_every_commit row_follower row_http_mutations row_drop_folder_ingest row_sharded_1_2_4"
     # The real binaries, spawned by the test's spawn_server helper.
     "quick|HTTP serving probe (dn-serve --shards 1 and --shards 2)|--test dn_serve_process|http_probe_at_one_and_two_shards"
     "quick|replication probe (primary --threads 1 and 4 + --follow follower)|--test dn_serve_process|replica_probe_with_sequential_and_pooled_primary"

@@ -78,18 +78,6 @@ impl LakeTruth {
         }
         result
     }
-
-    /// The set of values (normalized) that repeat across attributes but are
-    /// **not** homographs — the "unambiguous repeated values" the evaluation
-    /// treats as negatives.
-    pub fn unambiguous_repeats(&self, lake: &LakeCatalog) -> BTreeSet<String> {
-        let homographs = self.homographs(lake);
-        lake.values_in_at_least(2)
-            .into_iter()
-            .filter_map(|id| lake.value(id).map(str::to_owned))
-            .filter(|v| !homographs.contains_key(v))
-            .collect()
-    }
 }
 
 /// A generated lake together with its ground truth.
@@ -122,6 +110,20 @@ impl GeneratedLake {
 mod tests {
     use super::*;
     use lake::table::TableBuilder;
+
+    impl LakeTruth {
+        /// The set of values (normalized) that repeat across attributes but
+        /// are **not** homographs — the "unambiguous repeated values" the
+        /// evaluation treats as negatives.
+        pub(crate) fn unambiguous_repeats(&self, lake: &LakeCatalog) -> BTreeSet<String> {
+            let homographs = self.homographs(lake);
+            lake.values_in_at_least(2)
+                .into_iter()
+                .filter_map(|id| lake.value(id).map(str::to_owned))
+                .filter(|v| !homographs.contains_key(v))
+                .collect()
+        }
+    }
 
     fn labeled_running_example() -> GeneratedLake {
         let catalog = lake::fixtures::running_example();

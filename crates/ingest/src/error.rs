@@ -77,13 +77,4 @@ impl IngestError {
             source,
         }
     }
-
-    /// Whether the error clears on its own (retry next poll) rather than
-    /// requiring operator attention.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            IngestError::Io { .. } | IngestError::SinkExhausted { .. }
-        )
-    }
 }

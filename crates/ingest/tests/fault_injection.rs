@@ -17,7 +17,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dn_ingest::{CoordinatorSink, DeltaSink, IngestConfig, IngestStats, Ingester, SinkError};
+use dn_ingest::{
+    CoordinatorSink, DeltaSink, IngestConfig, IngestError, IngestStats, Ingester, SinkError,
+};
 use dn_service::{serve_sharded, Coordinator, CoordinatorHandle, ServiceConfig};
 use domainnet::Measure;
 use lake::delta::MutableLake;
@@ -199,7 +201,13 @@ fn kill_mid_delivery(dir: &Path, coordinator: &Arc<Mutex<Coordinator>>, seq: u64
             Err(e) => break e,
         }
     };
-    assert!(err.is_transient(), "injected crash is transient: {err}");
+    assert!(
+        matches!(
+            err,
+            IngestError::Io { .. } | IngestError::SinkExhausted { .. }
+        ),
+        "injected crash is transient: {err}"
+    );
     assert!(victim.has_pending(), "the batch intent survives the kill");
     // Dropping with a journaled pending batch == kill -9 mid-delivery.
 }
@@ -357,7 +365,13 @@ fn redelivered_batch_is_a_noop() {
             Err(e) => break e,
         }
     };
-    assert!(err.is_transient(), "{err}");
+    assert!(
+        matches!(
+            err,
+            IngestError::Io { .. } | IngestError::SinkExhausted { .. }
+        ),
+        "{err}"
+    );
     assert!(ingester.has_pending());
     assert_eq!(
         stats.batches_applied.get(),

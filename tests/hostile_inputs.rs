@@ -16,6 +16,9 @@
 //! GET and a mutation POST off a loopback socket and must return a request
 //! whose body is exactly its declared length, or a typed `ReadError`.
 
+mod common;
+
+use common::test_dir;
 use dn_server::api::MutationRequest;
 use dn_server::http::{read_request, ReadError, Request};
 use dn_server::Limits;
@@ -30,18 +33,10 @@ use std::fs;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic and version.
 const WAL_HEADER: usize = 12;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_store_hostile_{name}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn base_lake() -> MutableLake {
     MutableLake::from_catalog(&lake::fixtures::running_example())
@@ -119,7 +114,8 @@ fn sealed(records: &[Record]) -> Vec<u8> {
 
 #[test]
 fn nested_brackets_in_a_checksum_valid_wal_record_are_corrupt() {
-    let dir = test_dir("nested");
+    let dir = test_dir("hostile_nested");
+    fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal.dnlog");
     let mut records = pristine_records(&dir);
     fs::write(&path, sealed(&records)).unwrap();
@@ -211,7 +207,8 @@ fn apply(lake: &mut MutableLake, batch: &[LakeDelta], what: &str) {
 /// `cases` seeded edits of one WAL record each, scanned as a resealed WAL
 /// and decoded as a mutation body; every batch that decodes is replayed.
 fn hostile_records_and_bodies(seed: u64, cases: usize) {
-    let dir = test_dir(&format!("loop_{seed:x}"));
+    let dir = test_dir(&format!("hostile_loop_{seed:x}"));
+    fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal.dnlog");
     let pristine = pristine_records(&dir);
     let mut rng = StdRng::seed_from_u64(seed);

@@ -14,22 +14,17 @@
 //! may observe a phase. The second test holds `docs/OBSERVABILITY.md`'s
 //! metric reference to the registry's family table.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use common::{config, table, test_dir};
 use dn_server::metrics::{Metrics, Route};
-use dn_service::{serve_sharded_durable, CheckpointPolicy, ReplicaShared, ServiceConfig};
+use dn_service::{serve_sharded_durable, CheckpointPolicy, ReplicaShared};
 use dn_trace::Phase;
 use domainnet::Measure;
 use lake::delta::{LakeDelta, MutableLake};
-use lake::table::TableBuilder;
-
-fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
-    TableBuilder::new(name)
-        .column(column, cells.iter().copied())
-        .build()
-        .expect("rectangular by construction")
-}
 
 /// The exposition as a set of lines, with the one wall-clock value masked.
 fn line_set(text: &str) -> BTreeSet<String> {
@@ -76,9 +71,7 @@ fn exposition_matches_the_committed_text() {
 
     // A durable two-shard primary: two components per shard, a commit, a
     // manual checkpoint, one more commit per shard, and a cached read.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_store_metrics_pin_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = test_dir("metrics_pin");
     let mut lake = MutableLake::new();
     lake.apply(
         &LakeDelta::new()
@@ -88,13 +81,8 @@ fn exposition_matches_the_committed_text() {
             .add_table(table("cities", "city", &["Memphis", "Sydney", "Austin"])),
     )
     .expect("base lake applies");
-    let config = ServiceConfig {
-        measures: vec![Measure::lcc(), Measure::exact_bc()],
-        prune_single_attribute_values: true,
-        threads: 1,
-    };
     let (handle, mut coordinator) =
-        serve_sharded_durable(lake, config, &dir, CheckpointPolicy::manual(), 2)
+        serve_sharded_durable(lake, config(), &dir, CheckpointPolicy::manual(), 2)
             .expect("fresh sharded store");
     coordinator
         .apply_and_publish(LakeDelta::new().add_table(table("pets", "animal", &["Okapi", "Gecko"])))

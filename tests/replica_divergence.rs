@@ -20,55 +20,21 @@
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).
 
+mod common;
+
 use std::cell::Cell;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use common::{config, multi_component_base, table, test_dir};
 use dn_server::{serve_http_follower, Client, ReplicaContext, ServerConfig};
 use dn_service::{
     serve_sharded_durable, CheckpointPolicy, Follower, LocalReplicaSource, ReplicaError,
-    ReplicaSource, ServiceConfig, WalFetch,
+    ReplicaSource, WalFetch,
 };
-use domainnet::Measure;
-use lake::delta::{LakeDelta, MutableLake};
-use lake::table::TableBuilder;
+use lake::delta::LakeDelta;
 
 const SHARDS: usize = 2;
-
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        measures: vec![Measure::lcc(), Measure::exact_bc()],
-        prune_single_attribute_values: true,
-        threads: 1,
-    }
-}
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_replica_div_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn multi_component_base() -> MutableLake {
-    let mut lake = MutableLake::new();
-    lake.apply(
-        &LakeDelta::new()
-            .add_table(table("zoo", "animal", &["Jaguar", "Okapi", "Zebra"]))
-            .add_table(table("cars", "make", &["Jaguar", "Fiat", "Kia"]))
-            .add_table(table("fx", "code", &["USD", "EUR", "JPY"]))
-            .add_table(table("cities", "city", &["Memphis", "Sydney", "Austin"])),
-    )
-    .expect("base lake applies");
-    lake
-}
-
-fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
-    TableBuilder::new(name)
-        .column(column, cells.iter().copied())
-        .build()
-        .expect("rectangular by construction")
-}
 
 /// Stand up a durable primary + caught-up follower pair under `root`.
 fn primary_and_follower(

@@ -7,10 +7,10 @@
 //!   traffic is killed (dropped without a final checkpoint) at ten
 //!   different points while a follower is mid-tail, restarted via
 //!   `serve_sharded_from_dir`, and mutated further. The follower must
-//!   reconnect, drain the suffix, and converge — bit-exact (`to_bits`)
-//!   against the primary's merged rankings, exact on per-shard identity
-//!   counts (nodes, edges, candidates, components), and within 1e-9 of a
-//!   from-scratch build of the same lake — with zero divergences counted.
+//!   reconnect, drain the suffix, and converge: it serves the reference
+//!   (`common::assert_serves_the_reference`) and holds the primary's lakes
+//!   id for id and its rankings bit for bit, with zero divergences
+//!   counted.
 //! * `follower_killed_mid_apply_resumes_from_its_own_seq` — the follower
 //!   side: a fault-injecting source cuts the link *between* per-shard WAL
 //!   fetches, so the follower dies with one shard's records applied and
@@ -27,144 +27,34 @@
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).
 
+mod common;
+
 use std::cell::Cell;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use common::{
+    assert_serves_the_reference, config, multi_component_base, test_dir, Engine, Reference,
+};
 use datagen::mutate::{MutationConfig, MutationStream};
 use dn_service::{
     serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator, Follower,
-    LocalReplicaSource, MultiView, ReplicaError, ReplicaSource, ServiceConfig, WalFetch,
+    LocalReplicaSource, ReplicaError, ReplicaSource, WalFetch,
 };
-use domainnet::{DomainNetBuilder, Measure};
-use lake::delta::{LakeDelta, MutableLake};
-use lake::table::TableBuilder;
+use lake::delta::MutableLake;
 
 const SHARDS: usize = 2;
 const KILL_POINTS: usize = 10;
 
-/// Both measures exact, so cross-engine agreement can be asserted to raw
-/// score bits (no estimation slack).
-fn measures() -> Vec<Measure> {
-    vec![Measure::lcc(), Measure::exact_bc()]
-}
-
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        measures: measures(),
-        prune_single_attribute_values: true,
-        threads: 1,
-    }
-}
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_replica_fault_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A base lake with disjoint value islands so the partitioner has real
-/// components to spread across shards.
-fn multi_component_base() -> MutableLake {
-    let mut lake = MutableLake::new();
-    lake.apply(
-        &LakeDelta::new()
-            .add_table(table("zoo", "animal", &["Jaguar", "Okapi", "Zebra"]))
-            .add_table(table("cars", "make", &["Jaguar", "Fiat", "Kia"]))
-            .add_table(table("fx", "code", &["USD", "EUR", "JPY"]))
-            .add_table(table("prices", "currency", &["USD", "EUR", "GBP"]))
-            .add_table(table("cities", "city", &["Memphis", "Sydney", "Austin"]))
-            .add_table(table("routes", "dest", &["Sydney", "Phoenix", "Lima"])),
-    )
-    .expect("base lake applies");
-    lake
-}
-
-fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
-    TableBuilder::new(name)
-        .column(column, cells.iter().copied())
-        .build()
-        .expect("rectangular by construction")
-}
-
-/// Bit-exact agreement between two live engines: merged rankings compared
-/// entry by entry on `to_bits`, per-shard identity counts compared exactly
-/// (the epoch excluded).
-fn assert_bit_exact(label: &str, primary: &MultiView, follower: &MultiView) {
-    assert_eq!(
-        primary.shard_count(),
-        follower.shard_count(),
-        "{label}: shard counts"
-    );
-    for shard in 0..primary.shard_count() {
-        let (p, f) = (primary.shard(shard).stats(), follower.shard(shard).stats());
-        assert_eq!(
-            p.value_nodes, f.value_nodes,
-            "{label} shard {shard}: value nodes"
-        );
-        assert_eq!(
-            p.attribute_nodes, f.attribute_nodes,
-            "{label} shard {shard}: attribute nodes"
-        );
-        assert_eq!(p.edge_count, f.edge_count, "{label} shard {shard}: edges");
-        assert_eq!(
-            p.component_count, f.component_count,
-            "{label} shard {shard}: components"
-        );
-    }
-    for measure in measures() {
-        let merged_p = primary.top_k(measure, usize::MAX).expect("served measure");
-        let merged_f = follower.top_k(measure, usize::MAX).expect("served measure");
-        assert_eq!(
-            merged_p.len(),
-            merged_f.len(),
-            "{label} {measure:?}: ranking lengths"
-        );
-        for (p, f) in merged_p.iter().zip(&merged_f) {
-            assert_eq!(p.value, f.value, "{label} {measure:?}: ranked order");
-            assert_eq!(
-                p.score.to_bits(),
-                f.score.to_bits(),
-                "{label} {measure:?}: {} scored {} vs {}",
-                p.value,
-                p.score,
-                f.score
-            );
-        }
-    }
-}
-
-/// 1e-9 agreement between a follower's merged rankings and a from-scratch
-/// single-engine build of the shadow lake (the slack covers the fresh
-/// build's different node layout, not drift).
-fn assert_matches_fresh_build(view: &MultiView, expected: &MutableLake, context: &str) {
-    let fresh = DomainNetBuilder::new().build(expected);
-    for measure in measures() {
-        let merged = view.top_k(measure, usize::MAX).expect("served measure");
-        let rebuilt = fresh.rank_shared(measure);
-        assert_eq!(
-            merged.len(),
-            rebuilt.len(),
-            "{context} {measure:?}: candidate counts diverged"
-        );
-        let by_value: std::collections::HashMap<&str, f64> = rebuilt
-            .iter()
-            .map(|s| (s.value.as_str(), s.score))
-            .collect();
-        for s in &merged {
-            let fresh_score = by_value
-                .get(s.value.as_str())
-                .unwrap_or_else(|| panic!("{context} {measure:?}: {} not in rebuild", s.value));
-            assert!(
-                (s.score - fresh_score).abs() < 1e-9,
-                "{context} {measure:?}: {} scored {} replicated vs {} rebuilt",
-                s.value,
-                s.score,
-                fresh_score
-            );
-        }
-    }
+/// Assert that `follower` serves `shadow` and holds what `primary` holds.
+fn assert_converged(
+    follower: &Follower,
+    primary: &Arc<Mutex<Coordinator>>,
+    shadow: &MutableLake,
+    context: &str,
+) {
+    let engine = Engine::coordinator(&follower.coordinator().lock().unwrap());
+    let live = Engine::coordinator(&primary.lock().unwrap());
+    assert_serves_the_reference(Reference::Applied(shadow), &engine, Some(&live), context);
 }
 
 fn mutate(
@@ -230,7 +120,7 @@ fn primary_killed_at_ten_seeded_points_follower_reconverges() {
         let (handle, coordinator) =
             serve_sharded_from_dir(&primary_dir, config(), policy).expect("primary recovers");
         let primary = Arc::new(Mutex::new(coordinator));
-        let source = LocalReplicaSource::new(handle.clone(), Arc::clone(&primary));
+        let source = LocalReplicaSource::new(handle, Arc::clone(&primary));
         mutate(&primary, &mut stream, &mut shadow, 2);
 
         let report = follower.sync_once(&source).expect("post-restart sync");
@@ -246,18 +136,13 @@ fn primary_killed_at_ten_seeded_points_follower_reconverges() {
         );
         assert_eq!(follower.shared().halted(), None, "{context}: still serving");
 
-        let primary_view = handle.current();
-        let follower_view = follower.handle().current();
-        follower_view.verify_consistency().expect("follower view");
-        assert_eq!(primary_view.epoch(), follower_view.epoch(), "{context}");
-        assert_bit_exact(&context, &primary_view, &follower_view);
-        assert_matches_fresh_build(&follower_view, &shadow, &context);
+        assert_converged(&follower, &primary, &shadow, &context);
 
         // The pair keeps serving: one more write replicates cleanly.
         mutate(&primary, &mut stream, &mut shadow, 1);
         let report = follower.sync_once(&source).expect("follow-up sync");
         assert_eq!(report.lag_epochs, 0, "{context}: keeps tailing");
-        assert_bit_exact(&context, &handle.current(), &follower.handle().current());
+        assert_converged(&follower, &primary, &shadow, &context);
 
         std::fs::remove_dir_all(&root).expect("scratch cleanup");
     }
@@ -305,7 +190,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     )
     .expect("fresh sharded primary");
     let primary = Arc::new(Mutex::new(coordinator));
-    let source = LocalReplicaSource::new(handle.clone(), Arc::clone(&primary));
+    let source = LocalReplicaSource::new(handle, Arc::clone(&primary));
     let mut stream = MutationStream::new(MutationConfig {
         seed: 7_700,
         tables_per_delta: 2,
@@ -390,10 +275,7 @@ fn follower_killed_mid_apply_resumes_from_its_own_seq() {
     assert_eq!(report.checked_shards, SHARDS);
     assert_eq!(follower.shared().divergence_total.get(), 0);
 
-    let follower_view = follower.handle().current();
-    follower_view.verify_consistency().expect("follower view");
-    assert_bit_exact("follower restart", &handle.current(), &follower_view);
-    assert_matches_fresh_build(&follower_view, &shadow, "follower restart");
+    assert_converged(&follower, &primary, &shadow, "follower restart");
 
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
 }

@@ -1,36 +1,29 @@
-//! Sharded-serving equivalence and crash recovery.
+//! Sharded serving beyond "serves the reference", which
+//! `row_sharded_1_2_4` of `tests/referee_matrix.rs` checks at 1, 2 and 4
+//! shards, and `row_recovered_after_every_commit` after a kill at every
+//! commit. Four suites for the component-sharded coordinator
+//! (`dn_service::serve_sharded*`), each also holding what it serves to
+//! `common::assert_serves_the_reference`:
 //!
-//! Five suites for the component-sharded coordinator
-//! (`dn_service::serve_sharded*`):
-//!
-//! * `fifty_seeded_sequences_agree_across_shard_counts` — the property:
-//!   50 seeded mutation sequences, each replayed through coordinators at
-//!   1, 2, and 4 shards, must all end with merged rankings that match a
-//!   from-scratch single-engine build of the final lake — same candidate
-//!   sets, scores within 1e-9 (both served measures are exact; the slack
-//!   covers node layout only: the fresh build, and a shard rebuilt by a
-//!   component migration, number nodes differently and so sum in a different
-//!   order. A maintained score does not drift with the deltas applied).
-//!   Sequence 0 at 2 shards also checks, after every commit, that each
-//!   shard's maintained net is a fresh build of its lake, bit for bit.
 //! * `grouped_commits_place_tables_as_op_by_op_commits` — a multi-shard
 //!   commit routes op by op but commits once per shard; 50 seeded 8-delta
 //!   sequences, and 30 seeded chains of tables linked by new values,
 //!   committed whole must leave every shard holding the tables
-//!   one-op-per-commit leaves it, match a fresh build, and recover from
-//!   their per-shard WAL records to the `to_bits()` live rankings. The
-//!   chains end by meeting a committed component or by a replacement
-//!   that a chain table made live, on the chain's shard or another one.
+//!   one-op-per-commit leaves it, serve the reference, and recover from
+//!   their per-shard WAL records to the live engine, id for id and bit for
+//!   bit. The chains end by meeting a committed component or by a
+//!   replacement that a chain table made live, on the chain's shard or
+//!   another one.
 //! * `an_add_table_chain_is_one_wal_record_per_touched_shard` — eight
 //!   tables sharing only new values, committed whole, are one WAL record
 //!   on their shard and none on the other.
 //! * `kill_between_shard_checkpoints_recovers_a_consistent_epoch` — the
 //!   crash scenario the sharded store layout exists for: shards checkpoint
-//!   on their *own* cadence, so a kill almost always catches them at
-//!   different snapshot/WAL positions; recovery must replay each shard's
-//!   WAL suffix independently and restore the exact per-shard epochs (and
-//!   therefore the exact coordinator epoch, their sum) plus rankings that
-//!   match a fresh build — then keep serving.
+//!   on their *own* cadence, so a kill after ten commits at three shards
+//!   catches them at different snapshot/WAL positions; recovery must
+//!   replay each shard's WAL suffix independently and restore the exact
+//!   per-shard epochs (and so the coordinator epoch, their sum) and the
+//!   live engine's lakes and rankings, then keep serving.
 //! * `rebalance_intent_left_by_a_crash_is_completed_on_recovery` — a
 //!   crash mid-migration leaves the intent file plus a table live on both
 //!   shards; `serve_sharded_from_dir` must finish the move (remove from
@@ -41,80 +34,25 @@
 
 mod common;
 
-use std::collections::HashMap;
-use std::path::PathBuf;
-
+use common::{
+    assert_serves_the_reference, config, measures, multi_component_base, table, test_dir, Engine,
+    Reference, BASE_TABLES,
+};
 use datagen::mutate::{MutationConfig, MutationStream};
 use dn_service::{
     serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator,
-    MultiView, ServiceConfig,
 };
-use domainnet::{DomainNetBuilder, Measure};
+use domainnet::DomainNetBuilder;
 use lake::delta::{LakeDelta, MutableLake};
-use lake::table::TableBuilder;
 use lake::value::normalize;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const SEQUENCES: usize = 50;
-const DELTAS_PER_SEQUENCE: usize = 4;
 /// Deltas of one grouped commit in the op-by-op placement property.
 const GROUPED_DELTAS: usize = 8;
 /// Seeded chain sequences in the op-by-op placement property.
 const CHAINS: usize = 30;
-
-/// Both measures exact: equivalence can be asserted to 1e-9 with no
-/// estimation slack. Sampled BC is out of scope here: a shard samples its
-/// own nodes, so a sharded estimate draws other sources than an unsharded
-/// one.
-fn measures() -> Vec<Measure> {
-    vec![Measure::lcc(), Measure::exact_bc()]
-}
-
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        measures: measures(),
-        prune_single_attribute_values: true,
-        threads: 1,
-    }
-}
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_store_shard_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The base lake's tables: name, column, cells.
-const BASE_TABLES: [(&str, &str, [&str; 3]); 6] = [
-    ("zoo", "animal", ["Jaguar", "Okapi", "Zebra"]),
-    ("cars", "make", ["Jaguar", "Fiat", "Kia"]),
-    ("fx", "code", ["USD", "EUR", "JPY"]),
-    ("prices", "currency", ["USD", "EUR", "GBP"]),
-    ("cities", "city", ["Memphis", "Sydney", "Austin"]),
-    ("routes", "dest", ["Sydney", "Phoenix", "Lima"]),
-];
-
-/// A base lake with three *disjoint* value islands, so the partitioner
-/// has real components to spread and mutations can later bridge them.
-fn multi_component_base() -> MutableLake {
-    let mut delta = LakeDelta::new();
-    for (name, column, cells) in BASE_TABLES {
-        delta = delta.add_table(table(name, column, &cells));
-    }
-    let mut lake = MutableLake::new();
-    lake.apply(&delta).expect("base lake applies");
-    lake
-}
-
-fn table(name: &str, column: &str, cells: &[&str]) -> lake::Table {
-    TableBuilder::new(name)
-        .column(column, cells.iter().copied())
-        .build()
-        .expect("rectangular by construction")
-}
 
 /// `len` seeded two-op mutation deltas against `base`, and the lake they
 /// leave behind.
@@ -203,93 +141,10 @@ fn chain_sequence(base: &MutableLake, seed: u64) -> Chain {
     }
 }
 
-/// Assert two views rank every served measure alike, scores `to_bits()`.
-fn assert_same_bits(a: &MultiView, b: &MultiView, context: &str) {
-    for measure in measures() {
-        let a = a.top_k(measure, usize::MAX).expect("served measure");
-        let b = b.top_k(measure, usize::MAX).expect("served measure");
-        assert_eq!(a.len(), b.len(), "{context} {measure:?}");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.value, y.value, "{context} {measure:?}");
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "{context} {measure:?} {}",
-                x.value
-            );
-        }
-    }
-}
-
-/// Assert one coordinator's merged rankings equal a from-scratch
-/// single-engine build of `expected` — same candidates, scores to 1e-9
-/// (node layout, not drift: see the module doc).
-fn assert_matches_fresh_build(view: &dn_service::MultiView, expected: &MutableLake, context: &str) {
-    let fresh = DomainNetBuilder::new().build(expected);
-    for measure in measures() {
-        let merged = view.top_k(measure, usize::MAX).expect("served measure");
-        let rebuilt = fresh.rank_shared(measure);
-        assert_eq!(
-            merged.len(),
-            rebuilt.len(),
-            "{context} {measure:?}: candidate counts diverged"
-        );
-        let by_value: HashMap<&str, f64> = rebuilt
-            .iter()
-            .map(|s| (s.value.as_str(), s.score))
-            .collect();
-        for s in &merged {
-            let fresh_score = by_value
-                .get(s.value.as_str())
-                .unwrap_or_else(|| panic!("{context} {measure:?}: {} not in rebuild", s.value));
-            assert!(
-                (s.score - fresh_score).abs() < 1e-9,
-                "{context} {measure:?}: {} scored {} sharded vs {} rebuilt",
-                s.value,
-                s.score,
-                fresh_score
-            );
-        }
-    }
-}
-
-#[test]
-fn fifty_seeded_sequences_agree_across_shard_counts() {
-    let base = multi_component_base();
-    for sequence in 0..SEQUENCES {
-        // Materialize the sequence once so every shard count replays the
-        // byte-identical deltas.
-        let (deltas, shadow) = seeded_sequence(&base, 5_000 + sequence as u64, DELTAS_PER_SEQUENCE);
-
-        for shards in SHARD_COUNTS {
-            let (handle, mut coordinator) = serve_sharded(base.clone(), config(), shards);
-            for (step, delta) in deltas.iter().enumerate() {
-                coordinator.stage(delta.clone());
-                coordinator.commit().expect("batch commits cleanly");
-                coordinator.publish();
-                if sequence == 0 && shards == 2 {
-                    for shard in 0..shards {
-                        let engine = coordinator.shard(shard);
-                        common::assert_net_is_a_fresh_build(
-                            engine.lake(),
-                            engine.net(),
-                            &format!("seq 0 step {step} shard {shard}"),
-                        );
-                    }
-                }
-            }
-            let view = handle.current();
-            view.verify_consistency()
-                .unwrap_or_else(|e| panic!("seq {sequence} shards {shards}: {e}"));
-            assert_matches_fresh_build(&view, &shadow, &format!("seq {sequence} shards {shards}"));
-        }
-    }
-}
-
 /// Commit `deltas` on `base` at `shards` durable shards twice, grouped
 /// into one commit and one op per commit, and assert that both runs place
-/// every table alike and match a fresh build of `shadow`, and that the
-/// grouped store recovers to its live rankings bit for bit. `before_op`
+/// every table alike and serve `shadow`, and that the grouped store
+/// recovers to the live engine. `before_op`
 /// sees the op-by-op coordinator before each op commits, with the op's
 /// index.
 fn assert_grouped_places_as_op_by_op(
@@ -303,7 +158,7 @@ fn assert_grouped_places_as_op_by_op(
     let policy = CheckpointPolicy::manual();
     let grouped_dir = test_dir(&format!("grouped_{shards}"));
     let op_by_op_dir = test_dir(&format!("op_by_op_{shards}"));
-    let (grouped_handle, mut grouped) =
+    let (_, mut grouped) =
         serve_sharded_durable(base.clone(), config(), &grouped_dir, policy, shards)
             .expect("fresh sharded store");
     for delta in deltas {
@@ -311,7 +166,7 @@ fn assert_grouped_places_as_op_by_op(
     }
     grouped.commit().expect("grouped batch commits cleanly");
     grouped.publish();
-    let (op_by_op_handle, mut op_by_op) =
+    let (_, mut op_by_op) =
         serve_sharded_durable(base.clone(), config(), &op_by_op_dir, policy, shards)
             .expect("fresh sharded store");
     for (step, op) in deltas.iter().flat_map(LakeDelta::ops).enumerate() {
@@ -330,20 +185,20 @@ fn assert_grouped_places_as_op_by_op(
             "{context}: shard {shard} holds different tables"
         );
     }
-    for (name, handle) in [("grouped", &grouped_handle), ("op-by-op", &op_by_op_handle)] {
-        let view = handle.current();
-        view.verify_consistency()
-            .unwrap_or_else(|e| panic!("{context} {name}: {e}"));
-        assert_matches_fresh_build(&view, shadow, &format!("{context} {name}"));
+    for (name, coordinator) in [("grouped", &grouped), ("op-by-op", &op_by_op)] {
+        let engine = Engine::coordinator(coordinator);
+        let context = format!("{context} {name}");
+        assert_serves_the_reference(Reference::Applied(shadow), &engine, None, &context);
     }
 
     // The grouped WAL records are what recovery replays.
-    let live = grouped_handle.current();
+    let live = Engine::coordinator(&grouped);
     drop(grouped);
-    let (recovered_handle, recovered_coordinator) =
+    let (_, recovered) =
         serve_sharded_from_dir(&grouped_dir, config(), policy).expect("sharded recovery");
-    assert_same_bits(&live, &recovered_handle.current(), context);
-    drop(recovered_coordinator);
+    let engine = Engine::coordinator(&recovered);
+    assert_serves_the_reference(Reference::Applied(shadow), &engine, Some(&live), context);
+    drop(recovered);
     drop(op_by_op);
     std::fs::remove_dir_all(&grouped_dir).expect("cleanup");
     std::fs::remove_dir_all(&op_by_op_dir).expect("cleanup");
@@ -406,7 +261,7 @@ fn an_add_table_chain_is_one_wal_record_per_touched_shard() {
     let base = multi_component_base();
     let dir = test_dir("chain");
     let policy = CheckpointPolicy::manual();
-    let (handle, mut coordinator) =
+    let (_, mut coordinator) =
         serve_sharded_durable(base.clone(), config(), &dir, policy, 2).expect("fresh store");
     // t1..t8 share only values no committed table holds: ti and ti+1
     // share LINKi+1, so each table's one contact is the one before it.
@@ -452,26 +307,26 @@ fn an_add_table_chain_is_one_wal_record_per_touched_shard() {
     for delta in &chain {
         expected.apply(delta).expect("chain applies");
     }
-    let live = handle.current();
-    live.verify_consistency().expect("live view");
-    assert_matches_fresh_build(&live, &expected, "chain");
+    let live = Engine::coordinator(&coordinator);
+    assert_serves_the_reference(Reference::Applied(&expected), &live, None, "chain");
 
     drop(coordinator);
-    let (recovered_handle, recovered) =
-        serve_sharded_from_dir(&dir, config(), policy).expect("sharded recovery");
-    assert_same_bits(&live, &recovered_handle.current(), "chain recovered");
+    let (_, recovered) = serve_sharded_from_dir(&dir, config(), policy).expect("sharded recovery");
+    let engine = Engine::coordinator(&recovered);
+    let context = "chain recovered";
+    assert_serves_the_reference(Reference::Applied(&expected), &engine, Some(&live), context);
     drop(recovered);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn kill_between_shard_checkpoints_recovers_a_consistent_epoch() {
-    let root = test_dir("kill");
+    let root = test_dir("shard_kill");
     let base = multi_component_base();
     let policy = CheckpointPolicy::every_epochs(2);
     let shards = 3;
 
-    let (pre_epoch, per_shard_epochs, shadow) = {
+    let (live, pre_epoch, per_shard_epochs, shadow) = {
         let (_, mut coordinator) =
             serve_sharded_durable(base.clone(), config(), &root, policy, shards)
                 .expect("fresh sharded store");
@@ -498,7 +353,8 @@ fn kill_between_shard_checkpoints_recovers_a_consistent_epoch() {
             "every shard happened to be exactly checkpointed; weaken the policy"
         );
         assert_eq!(coordinator.epoch(), per_shard.iter().sum::<u64>());
-        (coordinator.epoch(), per_shard, shadow)
+        let live = Engine::coordinator(&coordinator);
+        (live, coordinator.epoch(), per_shard, shadow)
         // Drop without checkpoint_now(): the simulated kill.
     };
 
@@ -512,9 +368,17 @@ fn kill_between_shard_checkpoints_recovers_a_consistent_epoch() {
     assert_eq!(recovered.epoch(), pre_epoch);
     assert_eq!(handle.epoch(), pre_epoch);
 
-    let view = handle.current();
-    view.verify_consistency().expect("recovered view");
-    assert_matches_fresh_build(&view, &shadow, "recovered");
+    handle
+        .current()
+        .verify_consistency()
+        .expect("recovered view");
+    let engine = Engine::coordinator(&recovered);
+    assert_serves_the_reference(
+        Reference::Applied(&shadow),
+        &engine,
+        Some(&live),
+        "recovered",
+    );
 
     // The recovered coordinator keeps serving: one more mutation routes,
     // commits, and publishes.
@@ -578,7 +442,7 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
     )
     .expect("intent");
 
-    let (handle, recovered) =
+    let (_, recovered) =
         serve_sharded_from_dir(&root, config(), CheckpointPolicy::manual()).expect("recovery");
     assert!(
         dn_store::read_rebalance_intent(&root)
@@ -590,7 +454,7 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
     assert!(!recovered.shard(0).lake().contains_table("mover"));
     assert!(recovered.shard(1).lake().contains_table("mover"));
 
-    // The finished state equals a fresh build of the three live tables.
+    // The finished state serves the three live tables.
     let mut expected = MutableLake::new();
     expected
         .apply(
@@ -600,9 +464,13 @@ fn rebalance_intent_left_by_a_crash_is_completed_on_recovery() {
                 .add_table(table("mover", "code", &["USD", "EUR"])),
         )
         .expect("expected lake");
-    let view = handle.current();
-    view.verify_consistency().expect("recovered view");
-    assert_matches_fresh_build(&view, &expected, "intent recovery");
+    let engine = Engine::coordinator(&recovered);
+    assert_serves_the_reference(
+        Reference::Applied(&expected),
+        &engine,
+        None,
+        "intent recovery",
+    );
 
     drop(recovered);
     std::fs::remove_dir_all(&root).expect("cleanup");

@@ -1,28 +1,40 @@
-//! Crash-recovery equivalence for the durable serving engine.
+//! Crash-recovery equivalence for the durable serving engine, beyond
+//! `row_recovered_after_every_commit` of `tests/referee_matrix.rs`, which
+//! kills a coordinator after every commit of its seeded streams:
 //!
-//! Two suites:
-//!
-//! * `kill_and_recover_*` — the acceptance scenario: a durable
-//!   single-shard coordinator on the seeded SB workload is dropped
-//!   mid-stream after K committed batches; `serve_sharded_from_dir`
-//!   recovers, and the recovered top-k rankings
-//!   for the golden-corpus measures (LCC, exact BC and the seeded
-//!   approx BC — see `tests/golden_rankings.rs`) must match the
-//!   uninterrupted run bit for bit, with ids and edges exactly equal.
+//! * `kill_and_recover_matches_uninterrupted_run_on_golden_measures` — the
+//!   acceptance scenario: a durable single-shard coordinator on the seeded
+//!   SB workload is dropped mid-stream after K committed batches;
+//!   `serve_sharded_from_dir` recovers, and the recovered engine must hold
+//!   the uninterrupted run's lake id for id and serve its rankings of the
+//!   golden-corpus measures (LCC, exact BC and the seeded approx BC — see
+//!   `tests/golden_rankings.rs`) bit for bit, then keep serving.
 //! * `random_checkpoint_recovery_equivalence` — the property: for seeded
-//!   random lakes and mutation streams, with checkpoints taken at random
-//!   points, recovery after a kill at an arbitrary step equals the
-//!   uninterrupted run — exact on value ids, edges and score bits —
-//!   and the recovered coordinator keeps serving correctly afterwards.
+//!   random lakes and churny mutation streams, with checkpoints taken at
+//!   random points, recovery after a kill equals the uninterrupted run, and
+//!   the recovered coordinator keeps serving correctly afterwards.
+//! * `recovered_export_matches_golden_corpus_workflow` — a recovered
+//!   reader's top 10 equals the uninterrupted engine's, entry by entry;
+//! * `a_data_dir_that_names_the_retired_lcc_reading_is_refused` — a data
+//!   dir naming the retired value-neighbour LCC is refused with its typed
+//!   error.
+//!
+//! Every recovered engine is held to `common::assert_serves_the_reference`
+//! with the uninterrupted engine as the live one: the same interner, ids
+//! and live tables, fresh-build nets, and per-shard rankings of every
+//! served measure by score bits.
 //!
 //! Temp directories live under `CARGO_TARGET_TMPDIR` (the CI hygiene gate
 //! fails if anything is left behind).
 
-use std::path::PathBuf;
+mod common;
 
+use common::{
+    assert_serves_the_reference, config, golden_measures, measures, random_base_table, test_dir,
+    Engine, Reference,
+};
 use datagen::mutate::{MutationConfig, MutationStream};
 use datagen::sb::{SbConfig, SbGenerator};
-use dn_graph::approx_bc::ApproxBcConfig;
 use dn_service::{
     serve_sharded, serve_sharded_durable, serve_sharded_from_dir, CheckpointPolicy, Coordinator,
     CoordinatorHandle, ServiceConfig,
@@ -31,125 +43,49 @@ use domainnet_suite::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A small random table over overlapping vocabularies, in the `base_*`
-/// namespace (disjoint from `MutationStream`'s generated names).
-fn random_base_table(rng: &mut StdRng, index: usize) -> lake::Table {
-    const POOLS: &[(&str, &[&str])] = &[
-        ("animal", &["Jaguar", "Puma", "Panda", "Lemur", "Okapi"]),
-        ("brand", &["Jaguar", "Puma", "Fiat", "Toyota", "Rover"]),
-        ("city", &["Memphis", "Sydney", "Austin", "Phoenix"]),
-    ];
-    let mut builder = lake::table::TableBuilder::new(format!("base_{index}"));
-    let n_cols = rng.gen_range(1..=POOLS.len());
-    let rows = rng.gen_range(2..=6usize);
-    for (col, pool) in POOLS.iter().take(n_cols) {
-        let cells: Vec<String> = (0..rows)
-            .map(|_| pool[rng.gen_range(0..pool.len())].to_owned())
-            .collect();
-        builder = builder.column(*col, cells);
-    }
-    builder.build().expect("rectangular by construction")
-}
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dn_store_recovery_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The golden-corpus measures (`tests/golden_rankings.rs`): LCC and exact
-/// BC on the running example, SB's LCC and seeded approx BC — three
-/// distinct `Measure` values.
-fn golden_measures() -> Vec<Measure> {
-    vec![
-        Measure::lcc(),
-        Measure::exact_bc(),
-        Measure::ApproxBc(ApproxBcConfig {
-            samples: 512,
-            seed: 2021,
-        }),
-    ]
-}
-
-fn config(measures: Vec<Measure>, prune: bool) -> ServiceConfig {
-    ServiceConfig {
-        measures,
-        prune_single_attribute_values: prune,
-        threads: 1,
-    }
-}
-
-/// Assert two engines hold the same state: exact on ids and edges (CSR
-/// arrays and interner compared verbatim), on the bits of every score of
-/// every served measure, and on ranked orders. Recovery replays the same
-/// commits through the same `fold_batch` over the same derived graph, so
-/// nothing may differ, not even the sampled approximate BC.
-fn assert_engines_equal(
+/// Assert that `recovered` serves `shadow`, the deltas applied in order,
+/// and holds and serves what the uninterrupted `live` engine does.
+/// Recovery replays the same commits through the same `fold_batch` over
+/// the same derived graph, so nothing may differ, not even the sampled
+/// approximate BC.
+fn assert_recovered_is_live(
     label: &str,
-    reference: (&CoordinatorHandle, &Coordinator),
-    recovered: (&CoordinatorHandle, &Coordinator),
-    measures: &[Measure],
+    shadow: &MutableLake,
+    live: &Coordinator,
+    recovered: &Coordinator,
 ) {
-    let (ref_service, rec_service) = (reference.0, recovered.0);
-    let (ref_writer, rec_writer) = (reference.1.shard(0), recovered.1.shard(0));
-
-    // Ids: the interners must agree entry by entry.
-    let (a, b) = (ref_writer.lake().interner(), rec_writer.lake().interner());
-    assert_eq!(a.len(), b.len(), "{label}: interned value counts");
-    for ((id_a, v_a), (id_b, v_b)) in a.iter().zip(b.iter()) {
-        assert_eq!(id_a, id_b, "{label}");
-        assert_eq!(v_a, v_b, "{label}: value id {id_a:?}");
-    }
-    // Edges: the CSR graphs must agree verbatim.
-    let (ga, gb) = (ref_writer.net().graph(), rec_writer.net().graph());
-    assert_eq!(ga.csr_offsets(), gb.csr_offsets(), "{label}: CSR offsets");
-    assert_eq!(
-        ga.csr_adjacency(),
-        gb.csr_adjacency(),
-        "{label}: CSR adjacency"
+    recovered
+        .handle()
+        .current()
+        .verify_consistency()
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_serves_the_reference(
+        Reference::Applied(shadow),
+        &Engine::coordinator(recovered),
+        Some(&Engine::coordinator(live)),
+        label,
     );
-    assert_eq!(ga.value_labels(), gb.value_labels(), "{label}");
-
-    // Scores: every served measure, whole ranking, bit for bit.
-    let (ref_view, rec_view) = (ref_service.current(), rec_service.current());
-    rec_view.verify_consistency().unwrap();
-    for &measure in measures {
-        let a = ref_view.shard(0).ranking(measure).unwrap();
-        let b = rec_view.shard(0).ranking(measure).unwrap();
-        assert_eq!(a.len(), b.len(), "{label}: {measure:?} ranking sizes");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.value, y.value, "{label}: {measure:?} order");
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "{label}: {measure:?} {} scored {} vs {}",
-                x.value,
-                x.score,
-                y.score
-            );
-            assert_eq!(x.attribute_count, y.attribute_count, "{label}");
-            assert_eq!(x.cardinality, y.cardinality, "{label}");
-        }
-    }
 }
 
 #[test]
 fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
     let dir = test_dir("golden");
     let measures = golden_measures();
+    let config = ServiceConfig {
+        measures: measures.clone(),
+        ..config()
+    };
     let sb = SbGenerator::with_config(SbConfig {
         seed: 2021,
         rows_per_table: 60,
     })
     .generate();
-    let lake = MutableLake::from_catalog(&sb.catalog);
+    let mut shadow = MutableLake::from_catalog(&sb.catalog);
 
-    let (ref_service, mut ref_writer) =
-        serve_sharded(lake.clone(), config(measures.clone(), true), 1);
+    let (_, mut ref_writer) = serve_sharded(shadow.clone(), config.clone(), 1);
     let (dur_service, mut dur_writer) = serve_sharded_durable(
-        lake,
-        config(measures.clone(), true),
+        shadow.clone(),
+        config.clone(),
         &dir,
         CheckpointPolicy::every_epochs(2),
         1,
@@ -165,7 +101,8 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
         ..MutationConfig::default()
     });
     for _ in 0..k {
-        let delta = stream.next_delta(dur_writer.shard(0).lake());
+        let delta = stream.next_delta(&shadow);
+        shadow.apply(&delta).unwrap();
         dur_writer.apply_and_publish(delta.clone()).unwrap();
         ref_writer.apply_and_publish(delta).unwrap();
     }
@@ -177,19 +114,10 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
     drop(dur_writer); // kill mid-stream
     drop(dur_service);
 
-    let (rec_service, mut rec_writer) = serve_sharded_from_dir(
-        &dir,
-        config(measures.clone(), true),
-        CheckpointPolicy::every_epochs(2),
-    )
-    .unwrap();
+    let (rec_service, mut rec_writer) =
+        serve_sharded_from_dir(&dir, config, CheckpointPolicy::every_epochs(2)).unwrap();
     assert_eq!(rec_writer.epoch(), killed_epoch, "epoch numbering resumes");
-    assert_engines_equal(
-        "after recovery",
-        (&ref_service, &ref_writer),
-        (&rec_service, &rec_writer),
-        &measures,
-    );
+    assert_recovered_is_live("after recovery", &shadow, &ref_writer, &rec_writer);
 
     // Recovered readers answer the acceptance query: top-20 per measure.
     let reader = rec_service.reader();
@@ -200,14 +128,15 @@ fn kill_and_recover_matches_uninterrupted_run_on_golden_measures() {
 
     // The recovered engine is fully live: one more identical batch keeps
     // the two lineages equal.
-    let delta = stream.next_delta(rec_writer.shard(0).lake());
+    let delta = stream.next_delta(&shadow);
+    shadow.apply(&delta).unwrap();
     rec_writer.apply_and_publish(delta.clone()).unwrap();
     ref_writer.apply_and_publish(delta).unwrap();
-    assert_engines_equal(
+    assert_recovered_is_live(
         "after post-recovery mutation",
-        (&ref_service, &ref_writer),
-        (&rec_service, &rec_writer),
-        &measures,
+        &shadow,
+        &ref_writer,
+        &rec_writer,
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -219,22 +148,24 @@ fn random_checkpoint_recovery_equivalence() {
     for seq in 0..sequences {
         let mut rng = StdRng::seed_from_u64(0x0005_709E + seq);
         let dir = test_dir(&format!("prop_{seq}"));
-        let measures = vec![Measure::lcc(), Measure::exact_bc()];
-        let prune = seq % 2 == 0;
+        let config = ServiceConfig {
+            prune_single_attribute_values: seq % 2 == 0,
+            ..config()
+        };
 
         // Random base lake (names disjoint from the stream's `mut_table_*`
         // namespace so re-adds never collide).
-        let mut base = MutableLake::new();
+        let mut shadow = MutableLake::new();
         for i in 0..rng.gen_range(2..=4usize) {
-            base.apply(&LakeDelta::new().add_table(random_base_table(&mut rng, i)))
+            shadow
+                .apply(&LakeDelta::new().add_table(random_base_table(&mut rng, i)))
                 .unwrap();
         }
 
-        let (ref_service, mut ref_writer) =
-            serve_sharded(base.clone(), config(measures.clone(), prune), 1);
+        let (_, mut ref_writer) = serve_sharded(shadow.clone(), config.clone(), 1);
         let (_dur_service, mut dur_writer) = serve_sharded_durable(
-            base,
-            config(measures.clone(), prune),
+            shadow.clone(),
+            config.clone(),
             &dir,
             CheckpointPolicy::manual(),
             1,
@@ -251,7 +182,8 @@ fn random_checkpoint_recovery_equivalence() {
         });
         let steps = rng.gen_range(3..=6usize);
         for _ in 0..steps {
-            let delta = stream.next_delta(dur_writer.shard(0).lake());
+            let delta = stream.next_delta(&shadow);
+            shadow.apply(&delta).unwrap();
             dur_writer.apply_and_publish(delta.clone()).unwrap();
             ref_writer.apply_and_publish(delta).unwrap();
             if rng.gen_bool(0.4) {
@@ -260,28 +192,25 @@ fn random_checkpoint_recovery_equivalence() {
         }
         drop(dur_writer); // kill
 
-        let (rec_service, mut rec_writer) = serve_sharded_from_dir(
-            &dir,
-            config(measures.clone(), prune),
-            CheckpointPolicy::manual(),
-        )
-        .unwrap();
-        assert_engines_equal(
+        let (_, mut rec_writer) =
+            serve_sharded_from_dir(&dir, config, CheckpointPolicy::manual()).unwrap();
+        assert_recovered_is_live(
             &format!("seq {seq} after recovery"),
-            (&ref_service, &ref_writer),
-            (&rec_service, &rec_writer),
-            &measures,
+            &shadow,
+            &ref_writer,
+            &rec_writer,
         );
 
         // Keep going after recovery.
-        let delta = stream.next_delta(rec_writer.shard(0).lake());
+        let delta = stream.next_delta(&shadow);
+        shadow.apply(&delta).unwrap();
         rec_writer.apply_and_publish(delta.clone()).unwrap();
         ref_writer.apply_and_publish(delta).unwrap();
-        assert_engines_equal(
+        assert_recovered_is_live(
             &format!("seq {seq} after post-recovery mutation"),
-            (&ref_service, &ref_writer),
-            (&rec_service, &rec_writer),
-            &measures,
+            &shadow,
+            &ref_writer,
+            &rec_writer,
         );
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -294,18 +223,15 @@ fn recovered_export_matches_golden_corpus_workflow() {
     // corpus uses: a recovered reader's top 10 equals the uninterrupted
     // engine's entry by entry, score bits included.
     let dir = test_dir("export");
-    let measures = vec![Measure::lcc(), Measure::exact_bc()];
+    let measures = measures();
+    let config = ServiceConfig {
+        prune_single_attribute_values: false,
+        ..config()
+    };
     let lake = MutableLake::from_catalog(&lake::fixtures::running_example());
-    let (ref_service, mut ref_writer) =
-        serve_sharded(lake.clone(), config(measures.clone(), false), 1);
-    let (_, mut dur_writer) = serve_sharded_durable(
-        lake,
-        config(measures.clone(), false),
-        &dir,
-        CheckpointPolicy::manual(),
-        1,
-    )
-    .unwrap();
+    let (ref_service, mut ref_writer) = serve_sharded(lake.clone(), config.clone(), 1);
+    let (_, mut dur_writer) =
+        serve_sharded_durable(lake, config.clone(), &dir, CheckpointPolicy::manual(), 1).unwrap();
     for writer in [&mut ref_writer, &mut dur_writer] {
         writer
             .apply_and_publish(LakeDelta::new().remove_table("T3"))
@@ -313,12 +239,8 @@ fn recovered_export_matches_golden_corpus_workflow() {
     }
     drop(dur_writer);
 
-    let (rec_service, _rec_writer) = serve_sharded_from_dir(
-        &dir,
-        config(measures.clone(), false),
-        CheckpointPolicy::manual(),
-    )
-    .unwrap();
+    let (rec_service, _rec_writer) =
+        serve_sharded_from_dir(&dir, config, CheckpointPolicy::manual()).unwrap();
     let top_10 = |service: &CoordinatorHandle, measure| -> Vec<_> {
         service
             .reader()
@@ -355,7 +277,6 @@ fn a_data_dir_that_names_the_retired_lcc_reading_is_refused() {
     use dn_store::StoreError;
 
     let dir = test_dir("retired_lcc");
-    let measures = vec![Measure::lcc(), Measure::exact_bc()];
     let sb = SbGenerator::with_config(SbConfig {
         seed: 2021,
         rows_per_table: 60,
@@ -363,7 +284,7 @@ fn a_data_dir_that_names_the_retired_lcc_reading_is_refused() {
     .generate();
     let (service, mut writer) = serve_sharded_durable(
         MutableLake::from_catalog(&sb.catalog),
-        config(measures.clone(), true),
+        config(),
         &dir,
         CheckpointPolicy::every_epochs(2),
         1,
@@ -414,11 +335,7 @@ fn a_data_dir_that_names_the_retired_lcc_reading_is_refused() {
         Err(other) => panic!("expected the retired LCC reading to be refused, got {other}"),
         Ok(_) => panic!("recovered a dir naming LCC(value)"),
     }
-    let refused = serve_sharded_from_dir(
-        &dir,
-        config(measures, true),
-        CheckpointPolicy::every_epochs(2),
-    );
+    let refused = serve_sharded_from_dir(&dir, config(), CheckpointPolicy::every_epochs(2));
     let message = refused
         .err()
         .expect("served a dir naming LCC(value)")
