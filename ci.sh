@@ -173,17 +173,19 @@ GATES=(
     # dictionary differ gives its per-cell oracle's ops, and a one-column
     # table with empty cells survives a CSV round trip.
     "quick|a column holds its cells once: row reads retain nothing; dictionary diff == per-cell diff; one-column CSV round trip|-p lake -p dn-ingest -p domainnet_suite --lib --test row_reads_retain_nothing|row_reads_retain_nothing dictionary_diff_matches_the_per_cell_oracle a_one_column_table_with_empty_cells_round_trips"
-    # Dictionary interning against the sorted-list oracle; new,
-    # from_dictionary and JSON decode keep four heap blocks; a forged
-    # `distinct` array fails at decode (column JSON, POST body, WAL record).
+    # Dictionary interning against the sorted-list oracle; new and JSON
+    # decode keep four heap blocks; a forged `distinct` array fails at
+    # decode (column JSON, POST body, WAL record).
     "quick|a column keeps only its dictionary: interning oracle, retention, forged list rejected at decode|-p lake -p dn-server -p dn-store -p domainnet_suite --lib --test column_keeps_only_its_dictionary --test corruption --test incremental_equivalence|dictionary_interning_matches_the_sorted_list_oracle a_column_keeps_only_its_dictionary_and_indices a_forged_distinct_array"
     # The lake's one store of raw cell texts: each text stored once and
     # found across the table's growth; a lake indexing tables of repeated
     # texts grows by their id vectors, not their text (a counting
     # allocator); a materialized table equals its in-flight shadow after
-    # every seeded op and the lake section re-encodes byte for byte; and
-    # derive's direct CSR fill is a builder's graph.
-    "quick|one lake-wide text store: texts stored once, the lake grows by ids, materialized tables == in-flight shadows, derive's CSR == the builder's|-p lake -p dn-store -p domainnet_suite --lib --test lake_keeps_each_text_once --test pipeline_properties|texts_are_stored_once_and_found_across_growth indexing_repeated_texts_grows_the_lake_by_ids_not_text materialized_tables_match_their_in_flight_shadows derived_csr_is_the_builders_csr"
+    # every seeded op and the lake section re-encodes byte for byte; a
+    # checkpoint writes each text a live cell holds once and no dead one,
+    # and the recovered lake is the writer's; and derive's direct CSR fill
+    # is a builder's graph.
+    "quick|one lake-wide text store: texts stored once, the lake grows by ids, materialized tables == in-flight shadows, a checkpoint writes each live text once, derive's CSR == the builder's|-p lake -p dn-store -p domainnet_suite --lib --test lake_keeps_each_text_once --test pipeline_properties|texts_are_stored_once_and_found_across_growth indexing_repeated_texts_grows_the_lake_by_ids_not_text materialized_tables_match_their_in_flight_shadows a_checkpoint_writes_only_the_texts_live_cells_hold derived_csr_is_the_builders_csr"
     # Reads that only borrow what a pinned view holds gather in shard order
     # on the request thread: no probe leaves it, answers match a pooled
     # view at every width and shard order, and a top-k miss still nests

@@ -1,7 +1,7 @@
 //! Column-oriented storage for a single attribute of a table in flight.
 //!
 //! A [`Column`] is the form a column travels in: a parsed CSV file, a
-//! delta, a POST body, a WAL record, a decoded snapshot. Inside a
+//! delta, a POST body, a WAL record. Inside a
 //! [`crate::delta::MutableLake`] a column is only its name and one `u32`
 //! store id per cell, each raw text held once in the lake's text store.
 //! [`crate::delta::MutableLake::table`] materializes a column back with its
@@ -184,10 +184,8 @@ impl Deserialize for StringList {
 /// (in first-occurrence order) plus one index per row. Real-lake columns
 /// repeat a small vocabulary across many rows, so this is dramatically
 /// smaller than dense row storage, it makes [`Column::replace_value`] an
-/// O(dictionary) operation instead of an O(rows) one, and it is the shape
-/// the persistence layer (`dn-store`) writes to and restores from disk —
-/// normalization on load runs once per distinct raw cell, not once per
-/// row. The dictionary is a [`StringList`], so a column holds no string
+/// O(dictionary) operation instead of an O(rows) one, and the lake
+/// normalizes once per distinct raw cell, not once per row. The dictionary is a [`StringList`], so a column holds no string
 /// per entry, and it and the indices are all a column holds.
 ///
 /// Everything else is derived on every read and never cached: row order
@@ -198,7 +196,7 @@ impl Deserialize for StringList {
 ///
 /// Invariant: every dictionary entry is referenced by at least one row and
 /// entries are pairwise distinct; all constructors and mutators uphold
-/// this, and [`Column::from_dictionary`] validates it.
+/// this, and [`Column::validate_encoding`] checks it.
 #[derive(Debug, Clone)]
 pub struct Column {
     name: String,
@@ -231,30 +229,6 @@ impl Column {
     /// Create an empty column with just a name.
     pub fn empty(name: impl Into<String>) -> Self {
         Column::new(name, Vec::new())
-    }
-
-    /// Reassemble a column from its dictionary-encoded parts — the shape
-    /// the persistence layer stores. The column's invariants are validated (every index in range, every
-    /// entry referenced, no duplicate entries) and the parts are adopted
-    /// as they are, so the result is identical to [`Column::new`] over the
-    /// materialized rows at a fraction of the cost (no per-row allocation,
-    /// no normalization).
-    ///
-    /// # Errors
-    /// [`crate::error::LakeError::Serde`] describing the violated
-    /// invariant.
-    pub fn from_dictionary(
-        name: impl Into<String>,
-        dictionary: StringList,
-        indices: Vec<u32>,
-    ) -> crate::Result<Self> {
-        let column = Column {
-            name: name.into(),
-            dictionary,
-            indices,
-        };
-        column.validate_encoding()?;
-        Ok(column)
     }
 
     /// Adopt parts that uphold the column's invariants by construction
@@ -579,14 +553,7 @@ mod tests {
         assert_eq!(c.cells(), &["Rover", "Rover", "Rover", "Rover"]);
         assert_eq!(c.dictionary().len(), 1, "collided entries merged");
         assert_eq!(c.distinct_values(), list(&["ROVER"]));
-        // The merged encoding round-trips through from_dictionary.
-        let rebuilt = Column::from_dictionary(
-            c.name().to_owned(),
-            c.dictionary().clone(),
-            c.cell_indices().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.cells(), c.cells());
+        c.validate_encoding().unwrap();
     }
 
     #[test]
@@ -597,29 +564,19 @@ mod tests {
     }
 
     #[test]
-    fn from_dictionary_matches_new_over_materialized_cells() {
-        let cells = ["Jaguar", " jaguar", "Puma", "", "Puma"];
-        let reference = col(&cells);
-        let rebuilt = Column::from_dictionary(
-            "c",
-            reference.dictionary().clone(),
-            reference.cell_indices().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.cells(), reference.cells());
-        assert_eq!(rebuilt.distinct_values(), reference.distinct_values());
-    }
-
-    #[test]
-    fn from_dictionary_rejects_violated_invariants() {
+    fn validate_encoding_rejects_violated_invariants() {
+        let check = |dictionary: &[&str], indices: Vec<u32>| {
+            Column::from_parts("c".into(), list(dictionary), indices).validate_encoding()
+        };
+        check(&["x", "y"], vec![1, 0, 1]).unwrap();
         // Out-of-range index.
-        let err = Column::from_dictionary("c", list(&["x"]), vec![0, 3]).unwrap_err();
+        let err = check(&["x"], vec![0, 3]).unwrap_err();
         assert!(matches!(err, crate::error::LakeError::Serde(_)));
         // Unreferenced entry.
-        let err = Column::from_dictionary("c", list(&["x", "ghost"]), vec![0, 0]).unwrap_err();
+        let err = check(&["x", "ghost"], vec![0, 0]).unwrap_err();
         assert!(matches!(err, crate::error::LakeError::Serde(_)));
         // Duplicate entries.
-        let err = Column::from_dictionary("c", list(&["x", "x"]), vec![0, 1]).unwrap_err();
+        let err = check(&["x", "x"], vec![0, 1]).unwrap_err();
         assert!(matches!(err, crate::error::LakeError::Serde(_)));
     }
 

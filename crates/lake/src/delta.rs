@@ -46,8 +46,9 @@ use serde::{Deserialize, Serialize};
 use crate::catalog::{AttrId, AttrRef};
 use crate::column::{Column, StringList};
 use crate::error::LakeError;
-use crate::table::Table;
-use crate::texts::{TextId, TextStore};
+use crate::table::{check_shape, Table};
+pub use crate::texts::TextId;
+use crate::texts::TextStore;
 use crate::value::{normalize, normalize_into, ValueId, ValueInterner};
 use crate::Result;
 
@@ -219,14 +220,14 @@ pub struct DeltaEffects {
 // The lake
 // ---------------------------------------------------------------------------
 
-/// One table slot in flight: what [`MutableLake::table_slots`] hands the
-/// snapshot encoder and [`MutableLake::from_slots`] takes back. Slots are
-/// never reused: removing a table leaves its slot `Removed`, and its
-/// columns' attribute ids stay allocated, dead.
+/// One table slot of the lake, in allocation order: how the lake holds a
+/// table, what a checkpoint writes and what [`MutableLake::from_parts`]
+/// takes back. Slots are never reused: removing a table leaves its slot
+/// `Removed`, and its columns' attribute ids stay allocated, dead.
 #[derive(Debug, Clone)]
-pub enum TableSlot {
+pub enum Slot {
     /// A live table.
-    Live(Table),
+    Live(StoredTable),
     /// A removed table.
     Removed {
         /// The removed table's column count: the attribute ids it keeps.
@@ -234,60 +235,33 @@ pub enum TableSlot {
     },
 }
 
-impl TableSlot {
-    /// The table, if the slot is live.
-    pub fn live(&self) -> Option<&Table> {
-        match self {
-            TableSlot::Live(table) => Some(table),
-            TableSlot::Removed { .. } => None,
-        }
-    }
-
-    /// The slot's column count: the attribute ids it holds, live or dead.
-    pub fn column_count(&self) -> usize {
-        match self {
-            TableSlot::Live(table) => table.column_count(),
-            TableSlot::Removed { columns } => *columns,
-        }
-    }
-}
-
-/// A column inside the lake: its name and the store id of each cell.
-#[derive(Debug, Clone)]
-struct StoredColumn {
-    name: String,
-    cells: Vec<TextId>,
-}
-
-/// A live table inside the lake. Its columns hold the attribute ids
-/// `first_attr..first_attr + columns.len()`.
-#[derive(Debug, Clone)]
-struct StoredTable {
-    name: String,
-    first_attr: u32,
-    columns: Vec<StoredColumn>,
-}
-
-impl StoredTable {
-    fn attributes(&self) -> impl Iterator<Item = AttrId> {
-        (self.first_attr..self.first_attr + self.columns.len() as u32).map(AttrId)
-    }
-}
-
-/// One table slot inside the lake, in allocation order.
-#[derive(Debug, Clone)]
-enum Slot {
-    Live(StoredTable),
-    Removed { columns: usize },
-}
-
 impl Slot {
-    fn live(&self) -> Option<&StoredTable> {
+    /// The table, if the slot is live.
+    pub fn live(&self) -> Option<&StoredTable> {
         match self {
             Slot::Live(table) => Some(table),
             Slot::Removed { .. } => None,
         }
     }
+}
+
+/// A live table inside the lake: its name and its columns.
+#[derive(Debug, Clone)]
+pub struct StoredTable {
+    /// The table name.
+    pub name: String,
+    /// The columns, in order.
+    pub columns: Vec<StoredColumn>,
+}
+
+/// A column inside the lake: its name and the store id of each cell's
+/// text ([`MutableLake::text`]).
+#[derive(Debug, Clone)]
+pub struct StoredColumn {
+    /// The column name.
+    pub name: String,
+    /// One store id per row.
+    pub cells: Vec<TextId>,
 }
 
 /// The data lake: an ordered collection of tables with global indexes,
@@ -305,11 +279,13 @@ impl Slot {
 ///   queries cheap).
 ///
 /// A [`Table`] is the in-flight form (a parsed CSV file, a delta, a WAL
-/// record, a decoded snapshot). [`MutableLake::add_table`] takes one apart
-/// and [`MutableLake::table`] builds one back, its dictionary in the order
+/// record). [`MutableLake::add_table`] takes one apart and
+/// [`MutableLake::table`] builds one back, its dictionary in the order
 /// each entry first occurs in the rows: the order [`Column::new`], the CSV
-/// loader and [`Column::replace_value`] give. Only a checkpoint and a
-/// migration materialize tables; reads go through the indexes.
+/// loader and [`Column::replace_value`] give. Only a migration, CSV
+/// write-back and the generators materialize tables; reads go through the
+/// indexes, and a checkpoint writes the [`Slot`]s and the text store as
+/// they are ([`MutableLake::slots`], [`MutableLake::from_parts`]).
 ///
 /// Identifier stability is the contract mutation keeps:
 ///
@@ -359,8 +335,9 @@ pub struct MutableLake {
     /// Table slots in allocation order; an attribute is live exactly when
     /// its slot is.
     tables: Vec<Slot>,
-    /// Live table name -> slot.
-    table_index: HashMap<String, usize>,
+    /// Live table name -> (slot, its first attribute id). A table's
+    /// columns hold the attribute ids from the first on, in column order.
+    table_index: HashMap<String, (usize, AttrId)>,
     /// AttrId -> (table slot, column index). Never shrinks.
     attrs: Vec<(usize, usize)>,
     /// AttrId -> sorted distinct live ValueIds (empty for tombstones).
@@ -412,36 +389,50 @@ impl MutableLake {
         if self.table_index.contains_key(table.name()) {
             return Err(LakeError::DuplicateTable(table.name().to_owned()));
         }
-        let slot = self.tables.len();
-        let first_attr = self.attrs.len() as u32;
         let mut columns = Vec::with_capacity(table.column_count());
-        for (col_idx, column) in table.columns().iter().enumerate() {
-            let attr = AttrId(self.attrs.len() as u32);
-            self.attrs.push((slot, col_idx));
-            let (text_of_entry, values) =
+        let mut values = Vec::with_capacity(table.column_count());
+        for column in table.columns() {
+            let (text_of_entry, column_values) =
                 store_dictionary(&mut self.interner, &mut self.texts, column.dictionary());
             let cells = column
                 .cell_indices()
                 .iter()
                 .map(|&ix| text_of_entry[ix as usize])
                 .collect();
-            self.value_attrs.resize(self.interner.len(), Vec::new());
+            columns.push(StoredColumn {
+                name: column.name().to_owned(),
+                cells,
+            });
+            values.push(column_values);
+        }
+        let name = table.name().to_owned();
+        self.push_live(StoredTable { name, columns }, values)
+    }
+
+    /// Append a live slot whose columns hold the sorted value sets
+    /// `values`: allocate its attribute ids and index them.
+    ///
+    /// # Errors
+    /// [`LakeError::DuplicateTable`] if a live table has the same name.
+    fn push_live(&mut self, table: StoredTable, values: Vec<Vec<ValueId>>) -> Result<()> {
+        if self.table_index.contains_key(&table.name) {
+            return Err(LakeError::DuplicateTable(table.name));
+        }
+        let slot = self.tables.len();
+        let first_attr = AttrId(self.attrs.len() as u32);
+        self.value_attrs.resize(self.interner.len(), Vec::new());
+        for (col, values) in values.into_iter().enumerate() {
+            let attr = AttrId(self.attrs.len() as u32);
+            self.attrs.push((slot, col));
             for &vid in &values {
                 // `attr` is the newest id, so pushing keeps the list sorted.
                 self.value_attrs[vid.index()].push(attr);
             }
             self.attr_values.push(values);
-            columns.push(StoredColumn {
-                name: column.name().to_owned(),
-                cells,
-            });
         }
-        self.table_index.insert(table.name().to_owned(), slot);
-        self.tables.push(Slot::Live(StoredTable {
-            name: table.name().to_owned(),
-            first_attr,
-            columns,
-        }));
+        self.table_index
+            .insert(table.name.clone(), (slot, first_attr));
+        self.tables.push(Slot::Live(table));
         Ok(())
     }
 
@@ -516,7 +507,7 @@ impl MutableLake {
     }
 
     fn remove_table(&mut self, name: &str, touched: &mut Vec<ValueId>) -> Result<()> {
-        let slot = self
+        let (slot, first_attr) = self
             .table_index
             .remove(name)
             .ok_or_else(|| LakeError::NotFound(format!("table '{name}'")))?;
@@ -524,7 +515,7 @@ impl MutableLake {
             unreachable!("an indexed slot is live")
         };
         let columns = table.columns.len();
-        for attr in table.attributes() {
+        for attr in attributes(first_attr, columns) {
             for &vid in &self.attr_values[attr.index()] {
                 remove_sorted(&mut self.value_attrs[vid.index()], attr);
             }
@@ -634,17 +625,17 @@ impl MutableLake {
         self.table_index.contains_key(name)
     }
 
-    fn stored_table(&self, name: &str) -> Option<&StoredTable> {
-        self.table_index
-            .get(name)
-            .and_then(|&slot| self.tables[slot].live())
+    /// A live table and its first attribute id.
+    fn stored_table(&self, name: &str) -> Option<(&StoredTable, AttrId)> {
+        let &(slot, first_attr) = self.table_index.get(name)?;
+        Some((self.tables[slot].live()?, first_attr))
     }
 
     /// A live table, materialized: each column's dictionary holds its
     /// texts in the order they first occur in the rows, and its indices
     /// point into it — the table [`Column::new`] builds from the rows.
     pub fn table(&self, name: &str) -> Option<Table> {
-        let table = self.stored_table(name)?;
+        let (table, _) = self.stored_table(name)?;
         Some(self.materialize(table, &mut self.entry_scratch()))
     }
 
@@ -652,7 +643,7 @@ impl MutableLake {
     /// with no live table).
     pub fn table_attributes(&self, name: &str) -> impl Iterator<Item = AttrId> {
         self.stored_table(name)
-            .map(StoredTable::attributes)
+            .map(|(table, first_attr)| attributes(first_attr, table.columns.len()))
             .into_iter()
             .flatten()
     }
@@ -737,9 +728,9 @@ impl MutableLake {
 
     /// Resolve a `table.column` pair of a live table to its attribute id.
     pub fn attribute_id(&self, table: &str, column: &str) -> Option<AttrId> {
-        let table = self.stored_table(table)?;
+        let (table, first_attr) = self.stored_table(table)?;
         let col = table.columns.iter().position(|c| c.name == column)?;
-        Some(AttrId(table.first_attr + col as u32))
+        Some(AttrId(first_attr.0 + col as u32))
     }
 
     /// Sorted distinct live values of an attribute (empty for tombstones).
@@ -846,64 +837,122 @@ impl MutableLake {
     // Persistence (consumed by the `dn-store` crate)
     // ------------------------------------------------------------------
 
-    /// All table slots in allocation order, removed ones included, each
-    /// live one materialized as it is reached: with
-    /// [`MutableLake::interner`], everything [`MutableLake::from_slots`]
+    /// All table slots in allocation order, removed ones included: with
+    /// [`MutableLake::interner`] and the texts the cells name
+    /// ([`MutableLake::text`]), everything [`MutableLake::from_parts`]
     /// needs to rebuild this lake, ids included.
-    pub fn table_slots(&self) -> impl ExactSizeIterator<Item = TableSlot> + '_ {
-        let mut entry_of = self.entry_scratch();
-        self.tables.iter().map(move |slot| match slot {
-            Slot::Live(table) => TableSlot::Live(self.materialize(table, &mut entry_of)),
-            Slot::Removed { columns } => TableSlot::Removed { columns: *columns },
-        })
+    pub fn slots(&self) -> &[Slot] {
+        &self.tables
     }
 
-    /// Rebuild a lake from its interner's values (ids are their positions)
-    /// and its table slots, in allocation order. Live slots are indexed by
-    /// [`MutableLake::add_table`], the function a load and a delta use; a
-    /// removed slot allocates its attribute ids, dead. Every index is
-    /// derived here, so the result has the ids of the lake that wrote the
-    /// parts.
+    /// Number of stored texts, used by a live cell or not.
+    pub fn text_count(&self) -> usize {
+        self.texts.len()
+    }
+
+    /// The raw text behind a store id.
+    ///
+    /// # Panics
+    /// If `id` is not below [`MutableLake::text_count`].
+    pub fn text(&self, id: TextId) -> &str {
+        self.texts.text(id)
+    }
+
+    /// Rebuild a lake from its interner's values (ids are their
+    /// positions), its texts (store ids are their positions) and its table
+    /// slots, in allocation order. A text's value id is the id of its
+    /// normalized form in the interner; a removed slot allocates its
+    /// attribute ids, dead; every index is derived from the cells' texts.
+    /// So the result has the ids of the lake that wrote the parts, and
+    /// nothing is interned or normalized twice.
     ///
     /// # Errors
-    /// [`LakeError::Serde`] when the values hold a duplicate or a live
-    /// table holds a value they lack (the ids would no longer be the
-    /// writer's); [`MutableLake::add_table`]'s error for an ill-shaped
-    /// table or a second live table of one name.
-    pub fn from_slots(
+    /// [`LakeError::Serde`] when the values or the texts hold a duplicate,
+    /// a text normalizes to a value the interner lacks, a cell names a
+    /// store id past the texts, a live table is ragged or names a column
+    /// twice, or two live slots share a name.
+    pub fn from_parts<'a>(
         values: Vec<String>,
-        slots: impl IntoIterator<Item = TableSlot>,
+        texts: impl IntoIterator<Item = &'a str>,
+        slots: Vec<Slot>,
     ) -> Result<Self> {
         let interner = ValueInterner::from_values(values).map_err(|(kept, dup)| {
             LakeError::Serde(format!("interner value {dup} duplicates value {}", kept.0))
         })?;
+        let mut store = TextStore::default();
+        let mut normalized = String::new();
+        for (id, text) in texts.into_iter().enumerate() {
+            normalized.clear();
+            normalize_into(text, &mut normalized);
+            let value = match normalized.as_str() {
+                "" => None,
+                form => Some(interner.get(form).ok_or_else(|| {
+                    LakeError::Serde(format!(
+                        "text {text:?} normalizes to {form:?}, missing from the interner"
+                    ))
+                })?),
+            };
+            let stored = store.get_or_insert(text, value);
+            if stored as usize != id {
+                return Err(LakeError::Serde(format!(
+                    "text {id} duplicates text {stored}"
+                )));
+            }
+        }
         let mut lake = MutableLake {
             value_attrs: vec![Vec::new(); interner.len()],
             interner,
+            texts: store,
             ..MutableLake::default()
         };
+        let refuse = |err: LakeError| LakeError::Serde(err.to_string());
         for slot in slots {
             match slot {
-                TableSlot::Live(table) => {
-                    let interned = lake.value_count();
-                    let name = table.name().to_owned();
-                    lake.add_table(table)?;
-                    if lake.value_count() > interned {
-                        let value = lake.value(ValueId(interned as u32)).unwrap_or_default();
-                        return Err(LakeError::Serde(format!(
-                            "table '{name}' holds value {value:?} missing from the interner"
-                        )));
-                    }
+                Slot::Live(table) => {
+                    let shape = table
+                        .columns
+                        .iter()
+                        .map(|c| (c.name.as_str(), c.cells.len()));
+                    check_shape(&table.name, shape).map_err(refuse)?;
+                    let values = table
+                        .columns
+                        .iter()
+                        .map(|column| lake.cell_values(&table.name, column))
+                        .collect::<Result<_>>()?;
+                    lake.push_live(table, values).map_err(refuse)?;
                 }
-                TableSlot::Removed { columns } => {
-                    let slot = lake.tables.len();
-                    lake.attrs.extend((0..columns).map(|col| (slot, col)));
+                Slot::Removed { columns } => {
+                    let index = lake.tables.len();
+                    lake.attrs.extend((0..columns).map(|col| (index, col)));
                     lake.attr_values.resize(lake.attrs.len(), Vec::new());
                     lake.tables.push(Slot::Removed { columns });
                 }
             }
         }
         Ok(lake)
+    }
+
+    /// The sorted distinct values of a decoded column's cells.
+    ///
+    /// # Errors
+    /// [`LakeError::Serde`] when a cell names a store id past the texts.
+    fn cell_values(&self, table: &str, column: &StoredColumn) -> Result<Vec<ValueId>> {
+        let texts = self.texts.len();
+        if let Some(id) = column.cells.iter().find(|&&id| id as usize >= texts) {
+            return Err(LakeError::Serde(format!(
+                "column '{table}.{}' names store id {id}, past the {texts} texts",
+                column.name
+            )));
+        }
+        let mut values: Vec<ValueId> = column
+            .cells
+            .iter()
+            .filter_map(|&id| self.texts.value(id))
+            .collect();
+        values.sort_unstable();
+        values.dedup();
+        values.shrink_to_fit();
+        Ok(values)
     }
 }
 
@@ -994,6 +1043,12 @@ fn store_dictionary(
 #[cfg(test)]
 fn dictionary_ids(interner: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
     store_dictionary(interner, &mut TextStore::default(), column.dictionary()).1
+}
+
+/// The attribute ids of a table of `columns` columns whose first is
+/// `first_attr`.
+fn attributes(first_attr: AttrId, columns: usize) -> impl Iterator<Item = AttrId> {
+    (first_attr.0..first_attr.0 + columns as u32).map(AttrId)
 }
 
 /// Symmetric difference of two sorted, deduplicated slices: returns the

@@ -100,34 +100,44 @@ impl Table {
     /// Check that the columns are equally long and uniquely named. Every
     /// door into a lake runs it: [`TableBuilder::build`], the CSV loader,
     /// [`MutableLake::add_table`](crate::delta::MutableLake::add_table)
-    /// and snapshot decode. `rows()` and CSV write-back would pad or
-    /// truncate a ragged table, and a lake holding an ill-shaped table
-    /// would write a snapshot that decode refuses.
+    /// and (on the stored columns) snapshot decode. `rows()` and CSV
+    /// write-back would pad or truncate a ragged table, and a lake holding
+    /// an ill-shaped table would write a snapshot that decode refuses.
     ///
     /// # Errors
     /// [`LakeError::ColumnLengthMismatch`] or [`LakeError::DuplicateColumn`].
     pub fn validate_shape(&self) -> Result<()> {
-        let expected = self.row_count();
-        for col in &self.columns {
-            if col.len() != expected {
-                return Err(LakeError::ColumnLengthMismatch {
-                    table: self.name.clone(),
-                    column: col.name().to_owned(),
-                    expected,
-                    found: col.len(),
-                });
-            }
-        }
-        for (i, col) in self.columns.iter().enumerate() {
-            if self.columns[..i].iter().any(|c| c.name() == col.name()) {
-                return Err(LakeError::DuplicateColumn {
-                    table: self.name.clone(),
-                    column: col.name().to_owned(),
-                });
-            }
-        }
-        Ok(())
+        check_shape(&self.name, self.columns.iter().map(|c| (c.name(), c.len())))
     }
+}
+
+/// [`Table::validate_shape`] over each column's name and row count: the
+/// check a table passes whatever form it is held in.
+///
+/// # Errors
+/// [`LakeError::ColumnLengthMismatch`] or [`LakeError::DuplicateColumn`].
+pub(crate) fn check_shape<'a, I>(table: &str, columns: I) -> Result<()>
+where
+    I: Iterator<Item = (&'a str, usize)> + Clone,
+{
+    let expected = columns.clone().next().map_or(0, |(_, rows)| rows);
+    if let Some((column, found)) = columns.clone().find(|&(_, rows)| rows != expected) {
+        return Err(LakeError::ColumnLengthMismatch {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            expected,
+            found,
+        });
+    }
+    for (i, (column, _)) in columns.clone().enumerate() {
+        if columns.clone().take(i).any(|(other, _)| other == column) {
+            return Err(LakeError::DuplicateColumn {
+                table: table.to_owned(),
+                column: column.to_owned(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Incremental builder for [`Table`] with validation.

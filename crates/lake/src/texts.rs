@@ -15,8 +15,9 @@ use std::hash::BuildHasher;
 use crate::column::StringList;
 use crate::value::{FxBuildHasher, ValueId};
 
-/// The position of a raw text in a [`TextStore`].
-pub(crate) type TextId = u32;
+/// The position of a raw text in the lake's one text store
+/// ([`crate::delta::MutableLake::text`]).
+pub type TextId = u32;
 
 /// A slot of a [`TextSet`]'s table: a text id and the top 32 bits of its
 /// text's hash, compared before the text is read.

@@ -7,9 +7,10 @@
 //! crate makes the engine durable with two cooperating halves:
 //!
 //! * **[`snapshot`]** — a versioned, checksummed, length-prefixed binary
-//!   columnar format for the complete engine state: the
-//!   [`lake::MutableLake`] (tables, removed slots, the append-only
-//!   interner) and the [`domainnet::DomainNet`] state (pruning flag,
+//!   format for the complete engine state: the [`lake::MutableLake`] as
+//!   it holds itself (each text a live cell holds, once; the append-only
+//!   interner; the table slots, removed ones included) and the
+//!   [`domainnet::DomainNet`] state (pruning flag,
 //!   per-measure score vectors stored as raw IEEE-754 bits so they
 //!   round-trip exactly, cardinalities). The CSR
 //!   [`dn_graph::bipartite::BipartiteGraph`] and its node numbering,
@@ -92,10 +93,7 @@ pub use sharded::{
     sharded_store_exists, write_rebalance_intent, write_shard_manifest, RebalanceIntent,
     ShardManifest, TableMove,
 };
-pub use snapshot::{
-    read_snapshot, write_snapshot, Manifest, PersistedState, SectionInfo, FORMAT_VERSION,
-    SNAPSHOT_MAGIC,
-};
+pub use snapshot::{Manifest, PersistedState, SectionInfo, FORMAT_VERSION, SNAPSHOT_MAGIC};
 pub use store::{install_snapshot, list_snapshots, Recovered, Store, StorePresence, WalTail};
 pub use wal::{scan_wal, Wal, WalRecord, WalScan};
 

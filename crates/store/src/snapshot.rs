@@ -1,16 +1,25 @@
 //! The versioned, checksummed snapshot file format.
 //!
 //! A snapshot captures the complete durable state of a serving engine at
-//! one instant: the mutable lake (tables, removed slots, the append-only
-//! interner) and the net's state (pruning flag, per-measure score vectors,
-//! cardinalities). Scores are stored as raw IEEE-754 bit
-//! patterns, so a write → read → write cycle is **bit-identical**.
+//! one instant: the mutable lake (the texts its live cells hold, the
+//! append-only interner, the table slots, removed ones included) and the
+//! net's state (pruning flag, per-measure score vectors, cardinalities).
+//! Scores are stored as raw IEEE-754 bit patterns, so a write → read →
+//! write cycle is **bit-identical**.
+//!
+//! The lake section is the lake as the lake holds it ([`MutableLake::slots`]):
+//! each live text once, and a column as its name and the store id of each
+//! cell. No table is materialized to write it or replayed to read it. The
+//! texts are renumbered in the order live cells first use them (slot, then
+//! column, then row), so a text no live cell uses is not written, and a
+//! recovered lake's store ids are those positions; re-encoding it gives the
+//! same bytes.
 //!
 //! What is a function of those and cheaper to recompute than to read back
-//! is not stored: the lake's indexes (each attribute's table slot,
-//! liveness and value set, each value's attributes, the name index — a
-//! replay of the table slots through `MutableLake::add_table` over the
-//! preloaded interner, [`MutableLake::from_slots`]), the bipartite graph
+//! is not stored: each text's value id (its normalized form, looked up in
+//! the interner), the lake's indexes (each attribute's table slot,
+//! liveness and value set, each value's attributes, the name index — one
+//! pass over the cells, [`MutableLake::from_parts`]), the bipartite graph
 //! and its node numbering (candidates in value-id order, then the
 //! attributes holding one in attribute-id order: one value-major pass over
 //! the lake, [`DomainNet::from_parts`]), component labels (one BFS over that graph),
@@ -19,7 +28,7 @@
 //! count (its degree). Raw scores and cardinalities stay: recomputing
 //! either costs a kernel pass, far more than decoding it.
 //!
-//! ## File layout
+//! ## File layout (format 7)
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
@@ -30,9 +39,11 @@
 //! ├────────────────────────────────────────────────────────────┤
 //! │ payloads, in section-table order:                          │
 //! │   1 manifest   last_seq, epoch, served measures            │
-//! │   2 lake       table slots (a live table columnar, a       │
-//! │                removed one as its column count and a zero  │
-//! │                byte per column), interner                  │
+//! │   2 lake       live texts (each once, in first-use order), │
+//! │                interner, table slots (a live one as its    │
+//! │                name and each column's name and store ids,  │
+//! │                a removed one as its column count and a     │
+//! │                zero byte per column)                       │
 //! │   3 net        pruning flag, raw scores per measure,       │
 //! │                cardinalities                               │
 //! └────────────────────────────────────────────────────────────┘
@@ -41,32 +52,32 @@
 //! All integers are little-endian; strings are length-prefixed UTF-8. Each
 //! section carries its own CRC-32 so a flipped byte is attributed to the
 //! section it corrupted. Decoding validates every cross-reference — within
-//! the lake (a duplicate interner value, an ill-shaped table, two live
-//! tables of one name, a cell value the interner lacks:
-//! [`MutableLake::from_slots`]), then the score vectors against the graph
+//! the lake (a duplicate interner value or text, a text whose normalized
+//! form the interner lacks, a store id past the texts, a ragged table or a
+//! repeated column name, two live tables of one name:
+//! [`MutableLake::from_parts`]), then the score vectors against the graph
 //! derived from it ([`DomainNet::from_parts`]) — before any state is
 //! returned, so a torn or tampered file yields a typed [`StoreError`],
 //! never a half-loaded engine. A removed slot's zero bytes back its column
 //! count, so a forged count is refused before its attribute ids are
 //! allocated.
 
-use std::fs;
-use std::path::Path;
-
 use domainnet::{DomainNet, Measure, NetCachesState, NetState};
-use lake::delta::{MutableLake, TableSlot};
+use lake::delta::{MutableLake, Slot, StoredColumn, StoredTable, TextId};
 
-use crate::codec::{crc32, get_measure, put_measure, put_u32_vec, ByteReader, ByteWriter};
+use crate::codec::{crc32, get_measure, put_measure, ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
 
 /// The 8-byte magic every snapshot file starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DNSNAP01";
-/// The one snapshot format version this build reads and writes. Format 5
-/// also stored the net's delta generation; format 4 the net's three
-/// node-id maps besides; format 3 each attribute's table slot, liveness and
-/// value set too; format 2 the graph as well, and format 1 component
-/// labels, rankings and attribute counts on top. All five are refused.
-pub const FORMAT_VERSION: u32 = 6;
+/// The one snapshot format version this build reads and writes. Format 6
+/// stored each live column as a dictionary of its distinct texts and row
+/// indices into it; format 5 also the net's delta generation; format 4 the
+/// net's three node-id maps besides; format 3 each attribute's table slot,
+/// liveness and value set too; format 2 the graph as well, and format 1
+/// component labels, rankings and attribute counts on top. All six are
+/// refused.
+pub const FORMAT_VERSION: u32 = 7;
 
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_LAKE: u32 = 2;
@@ -143,39 +154,48 @@ fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
 }
 
 fn encode_lake(lake: &MutableLake) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    let slots = lake.table_slots();
-    w.put_u64(slots.len() as u64);
-    for slot in slots {
-        match slot {
-            TableSlot::Removed { columns } => {
-                w.put_bool(false);
-                w.put_u32(columns as u32);
-                w.put_bytes(&vec![0; columns]);
-            }
-            TableSlot::Live(table) => {
-                w.put_bool(true);
-                w.put_str(table.name());
-                w.put_u32(table.column_count() as u32);
-                for column in table.columns() {
-                    w.put_str(column.name());
-                    // The lake materializes one table at a time, its
-                    // dictionary in first-occurrence order; persist it and
-                    // the row indices (small on disk, and the loader
-                    // normalizes once per distinct raw cell, not per row).
-                    let dictionary = column.dictionary();
-                    w.put_u64(dictionary.len() as u64);
-                    for entry in dictionary {
-                        w.put_str(entry);
-                    }
-                    put_u32_vec(&mut w, column.cell_indices());
-                }
-            }
+    let slots = lake.slots();
+    // Each live text's id in the section: the order live cells first use
+    // it (`TextId::MAX`: no live cell does).
+    let mut renumbered = vec![TextId::MAX; lake.text_count()];
+    let mut live_texts: Vec<TextId> = Vec::new();
+    let live_columns = slots.iter().filter_map(Slot::live).flat_map(|t| &t.columns);
+    for &text in live_columns.flat_map(|column| &column.cells) {
+        if renumbered[text as usize] == TextId::MAX {
+            renumbered[text as usize] = live_texts.len() as TextId;
+            live_texts.push(text);
         }
+    }
+    let mut w = ByteWriter::new();
+    w.put_u64(live_texts.len() as u64);
+    for &text in &live_texts {
+        w.put_str(lake.text(text));
     }
     w.put_u64(lake.interner().len() as u64);
     for (_, value) in lake.interner().iter() {
         w.put_str(value);
+    }
+    w.put_u64(slots.len() as u64);
+    for slot in slots {
+        match slot {
+            Slot::Removed { columns } => {
+                w.put_bool(false);
+                w.put_u32(*columns as u32);
+                w.put_bytes(&vec![0; *columns]);
+            }
+            Slot::Live(table) => {
+                w.put_bool(true);
+                w.put_str(&table.name);
+                w.put_u32(table.columns.len() as u32);
+                for column in &table.columns {
+                    w.put_str(&column.name);
+                    w.put_u64(column.cells.len() as u64);
+                    for &text in &column.cells {
+                        w.put_u32(renumbered[text as usize]);
+                    }
+                }
+            }
+        }
     }
     w.into_inner()
 }
@@ -204,18 +224,11 @@ fn encode_net(state: &NetState) -> Vec<u8> {
     w.into_inner()
 }
 
-/// Encode a complete snapshot into bytes. Deterministic: the same state
-/// always produces the same bytes. Equivalent to
-/// [`encode_snapshot_threaded`] with one thread.
-pub fn encode_snapshot(lake: &MutableLake, net: &DomainNet, manifest: &Manifest) -> Vec<u8> {
-    encode_snapshot_threaded(lake, net, manifest, 1)
-}
-
-/// [`encode_snapshot`] with the three section encodes (and their CRCs)
-/// spread over up to `threads` workers. The section table and payload
-/// assembly stay in fixed section order, so the output bytes are identical
-/// for every thread count — the `snapshot_round_trips_bit_exactly` test
-/// pins this.
+/// Encode a complete snapshot into bytes, the three section encodes (and
+/// their CRCs) spread over up to `threads` workers. Deterministic: the
+/// same state always produces the same bytes, at every thread count — the
+/// `snapshot_round_trips_bit_exactly` test pins this, since the section
+/// table and payload assembly stay in fixed section order.
 pub fn encode_snapshot_threaded(
     lake: &MutableLake,
     net: &DomainNet,
@@ -342,56 +355,49 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
     })
 }
 
-/// Decode the lake section. A removed slot's column count is followed by
-/// one zero byte per column, so a count with no bytes behind it is refused
-/// before its attribute ids are allocated.
+/// Decode the lake section: the texts, the interner, then the slots. A
+/// removed slot's column count is followed by one zero byte per column, so
+/// a count with no bytes behind it is refused before its attribute ids are
+/// allocated.
 fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
     let mut r = ByteReader::new(payload, "lake");
-    let slot_count = r.get_count(1)?;
-    let mut slots = Vec::with_capacity(slot_count);
-    let mut attributes = 0usize;
-    for _ in 0..slot_count {
-        let slot = if r.get_bool()? {
-            TableSlot::Live(decode_table(&mut r)?)
-        } else {
-            let columns = r.get_u32()? as usize;
-            if columns > r.remaining() {
-                return Err(StoreError::corrupt(format!(
-                    "lake: slots claim {} attributes, past the bytes behind them",
-                    attributes.saturating_add(columns)
-                )));
-            }
-            r.take(columns)?;
-            TableSlot::Removed { columns }
-        };
-        attributes = attributes.saturating_add(slot.column_count());
-        slots.push(slot);
-    }
+    let text_count = r.get_count(8)?;
+    let texts = (0..text_count)
+        .map(|_| r.get_str_ref())
+        .collect::<Result<Vec<&str>>>()?;
     let value_count = r.get_count(8)?;
     let values = (0..value_count)
         .map(|_| r.get_str())
         .collect::<Result<Vec<String>>>()?;
+    let slot_count = r.get_count(1)?;
+    let mut slots = Vec::with_capacity(slot_count);
+    for _ in 0..slot_count {
+        slots.push(if r.get_bool()? {
+            let name = r.get_str()?;
+            let column_count = r.get_u32()? as usize;
+            let mut columns = Vec::with_capacity(column_count.min(r.remaining()));
+            for _ in 0..column_count {
+                columns.push(StoredColumn {
+                    name: r.get_str()?,
+                    cells: r.get_u32_vec()?,
+                });
+            }
+            Slot::Live(StoredTable { name, columns })
+        } else {
+            let columns = r.get_u32()? as usize;
+            if columns > r.remaining() {
+                return Err(StoreError::corrupt(format!(
+                    "lake: a removed slot claims {columns} attributes, past the bytes behind it"
+                )));
+            }
+            r.take(columns)?;
+            Slot::Removed { columns }
+        });
+    }
     r.expect_exhausted()?;
 
-    MutableLake::from_slots(values, slots).map_err(|e| StoreError::corrupt(format!("lake: {e}")))
-}
-
-fn decode_table(r: &mut ByteReader<'_>) -> Result<lake::Table> {
-    let name = r.get_str()?;
-    let col_count = r.get_u32()? as usize;
-    let mut columns = Vec::with_capacity(col_count.min(r.remaining()));
-    for _ in 0..col_count {
-        let col_name = r.get_str()?;
-        let dict_count = r.get_count(8)?;
-        let dictionary = (0..dict_count)
-            .map(|_| r.get_str_ref())
-            .collect::<Result<lake::column::StringList>>()?;
-        let indices = r.get_u32_vec()?;
-        let column = lake::Column::from_dictionary(col_name, dictionary, indices)
-            .map_err(|e| StoreError::corrupt(format!("lake: {e}")))?;
-        columns.push(column);
-    }
-    Ok(lake::Table::from_columns(name, columns))
+    MutableLake::from_parts(values, texts, slots)
+        .map_err(|e| StoreError::corrupt(format!("lake: {e}")))
 }
 
 fn decode_net_state(payload: &[u8]) -> Result<NetState> {
@@ -432,18 +438,12 @@ enum DecodedSection {
     Net(Box<NetState>),
 }
 
-/// Decode and fully validate a snapshot from bytes. Equivalent to
-/// [`decode_snapshot_threaded`] with one thread.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<PersistedState> {
-    decode_snapshot_threaded(bytes, 1)
-}
-
-/// [`decode_snapshot`] with the per-section CRC checks and decodes spread
-/// over up to `threads` workers. Validation coverage is identical to the
-/// sequential path — every section is checked, and the net is validated
-/// against the lake (and its graph derived) after the fan-in. When several
-/// sections are corrupt at once, every width reports the first in fan-out
-/// order (lake, manifest, net).
+/// Decode and fully validate a snapshot from bytes, the per-section CRC
+/// checks and decodes spread over up to `threads` workers. Every section
+/// is checked at every width, and the net is validated against the lake
+/// (and its graph derived) after the fan-in. When several sections are
+/// corrupt at once, every width reports the first in fan-out order (lake,
+/// manifest, net).
 pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<PersistedState> {
     let sections = section_table(bytes)?;
     let ctx = dn_trace::current();
@@ -477,43 +477,6 @@ pub fn decode_snapshot_threaded(bytes: &[u8], threads: usize) -> Result<Persiste
     })
 }
 
-/// Encode a snapshot and write it atomically ([`crate::write_atomic`]).
-/// Returns the snapshot size in bytes.
-pub fn write_snapshot(
-    path: &Path,
-    lake: &MutableLake,
-    net: &DomainNet,
-    manifest: &Manifest,
-) -> Result<u64> {
-    write_snapshot_threaded(path, lake, net, manifest, 1)
-}
-
-/// [`write_snapshot`] with the section encodes spread over up to `threads`
-/// workers (the file bytes are identical for every thread count).
-pub fn write_snapshot_threaded(
-    path: &Path,
-    lake: &MutableLake,
-    net: &DomainNet,
-    manifest: &Manifest,
-    threads: usize,
-) -> Result<u64> {
-    let bytes = encode_snapshot_threaded(lake, net, manifest, threads);
-    crate::write_atomic(path, &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Read and fully validate a snapshot file.
-pub fn read_snapshot(path: &Path) -> Result<PersistedState> {
-    read_snapshot_threaded(path, 1)
-}
-
-/// [`read_snapshot`] with section decoding spread over up to `threads`
-/// workers.
-pub fn read_snapshot_threaded(path: &Path, threads: usize) -> Result<PersistedState> {
-    let bytes = fs::read(path).map_err(|e| StoreError::io_with_path(e, path))?;
-    decode_snapshot_threaded(&bytes, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +484,14 @@ mod tests {
     use lake::delta::{LakeDelta, LakeView};
     use lake::table::TableBuilder;
     use lake::value::ValueId;
+
+    fn encode(lake: &MutableLake, net: &DomainNet, manifest: &Manifest) -> Vec<u8> {
+        encode_snapshot_threaded(lake, net, manifest, 1)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<PersistedState> {
+        decode_snapshot_threaded(bytes, 1)
+    }
 
     fn sample_state() -> (MutableLake, DomainNet, Manifest) {
         let mut lake = MutableLake::from_catalog(&lake::fixtures::running_example());
@@ -553,8 +524,8 @@ mod tests {
     #[test]
     fn snapshot_round_trips_bit_exactly() {
         let (lake, net, manifest) = sample_state();
-        let bytes = encode_snapshot(&lake, &net, &manifest);
-        let restored = decode_snapshot(&bytes).unwrap();
+        let bytes = encode(&lake, &net, &manifest);
+        let restored = decode(&bytes).unwrap();
 
         assert_eq!(restored.manifest, manifest);
         // Lake: identical id spaces and live structure.
@@ -579,7 +550,7 @@ mod tests {
         // Re-encoding the restored state is byte-identical: the format is
         // deterministic and nothing was lost.
         assert_eq!(
-            encode_snapshot(&restored.lake, &restored.net, &restored.manifest),
+            encode(&restored.lake, &restored.net, &restored.manifest),
             bytes
         );
     }
@@ -587,7 +558,7 @@ mod tests {
     #[test]
     fn threaded_codec_is_byte_identical_to_sequential() {
         let (lake, net, manifest) = sample_state();
-        let sequential = encode_snapshot(&lake, &net, &manifest);
+        let sequential = encode(&lake, &net, &manifest);
         for threads in [2, 4, 8] {
             let threaded = encode_snapshot_threaded(&lake, &net, &manifest, threads);
             assert_eq!(threaded, sequential, "threads={threads}");
@@ -604,7 +575,7 @@ mod tests {
     #[test]
     fn threaded_decode_still_attributes_corruption_to_its_section() {
         let (lake, net, manifest) = sample_state();
-        let bytes = encode_snapshot(&lake, &net, &manifest);
+        let bytes = encode(&lake, &net, &manifest);
         let sections = section_table(&bytes).unwrap();
         let lake = sections.iter().find(|s| s.id == SECTION_LAKE).unwrap();
         let mut bad = bytes.clone();
@@ -618,8 +589,8 @@ mod tests {
     #[test]
     fn restored_rankings_are_served_from_the_memo() {
         let (lake, net, manifest) = sample_state();
-        let bytes = encode_snapshot(&lake, &net, &manifest);
-        let restored = decode_snapshot(&bytes).unwrap();
+        let bytes = encode(&lake, &net, &manifest);
+        let restored = decode(&bytes).unwrap();
         for &measure in &manifest.measures {
             let a = net.rank_shared(measure);
             let b = restored.net.rank_shared(measure);
@@ -634,7 +605,7 @@ mod tests {
     #[test]
     fn section_table_locates_all_three_sections() {
         let (lake, net, manifest) = sample_state();
-        let bytes = encode_snapshot(&lake, &net, &manifest);
+        let bytes = encode(&lake, &net, &manifest);
         let sections = section_table(&bytes).unwrap();
         let names: Vec<&str> = sections.iter().map(|s| s.name).collect();
         assert_eq!(names, ["manifest", "lake", "net"]);
@@ -649,15 +620,16 @@ mod tests {
         let dir = crate::testutil::scratch_dir("snapfile");
         let (lake, net, manifest) = sample_state();
         let path = dir.join("snap.dnsnap");
-        let bytes_written = write_snapshot(&path, &lake, &net, &manifest).unwrap();
-        assert_eq!(bytes_written, fs::metadata(&path).unwrap().len());
+        let bytes = encode(&lake, &net, &manifest);
+        crate::write_atomic(&path, &bytes).unwrap();
+        assert_eq!(bytes.len() as u64, std::fs::metadata(&path).unwrap().len());
         assert!(
             !dir.join("snap.dnsnap.tmp").exists(),
             "temp file renamed away"
         );
-        let restored = read_snapshot(&path).unwrap();
+        let restored = decode(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(restored.net.export_state(), net.export_state());
-        fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A lake keeps each cell as the id of its text in one store and builds

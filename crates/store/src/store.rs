@@ -29,7 +29,7 @@ use domainnet::{DomainNet, Measure};
 use lake::delta::{LakeDelta, MutableLake};
 
 use crate::error::{Result, StoreError};
-use crate::snapshot::{read_snapshot_threaded, write_snapshot_threaded, Manifest};
+use crate::snapshot::{decode_snapshot_threaded, encode_snapshot_threaded, Manifest};
 use crate::wal::{scan_wal, Wal};
 
 const SNAPSHOT_PREFIX: &str = "snapshot-";
@@ -136,7 +136,7 @@ pub enum WalTail {
 /// [`StoreError::Corrupt`] when the bytes fail validation or `dir`
 /// already holds a store; I/O errors from writing.
 pub fn install_snapshot(dir: &Path, bytes: &[u8]) -> Result<u64> {
-    let state = crate::snapshot::decode_snapshot(bytes)?;
+    let state = decode_snapshot_threaded(bytes, 1)?;
     let last_seq = state.manifest.last_seq;
     fs::create_dir_all(dir).map_err(|e| StoreError::io_with_path(e, dir))?;
     if !list_snapshots(dir)?.is_empty() || dir.join(WAL_FILE).exists() {
@@ -388,7 +388,8 @@ impl Store {
             measures: measures.to_vec(),
         };
         let path = snapshot_path(&self.dir, manifest.last_seq);
-        let bytes = write_snapshot_threaded(&path, lake, net, &manifest, self.threads)?;
+        let bytes = encode_snapshot_threaded(lake, net, &manifest, self.threads);
+        crate::write_atomic(&path, &bytes)?;
         self.wal.reset()?;
         let snapshots = list_snapshots(&self.dir)?;
         self.snapshot_count = snapshots.len();
@@ -396,7 +397,7 @@ impl Store {
             fs::remove_file(&old).map_err(|e| StoreError::io_with_path(e, &old))?;
             self.snapshot_count -= 1;
         }
-        Ok(bytes)
+        Ok(bytes.len() as u64)
     }
 
     /// Recover a store directory after a crash (or a clean shutdown — the
@@ -439,7 +440,8 @@ impl Store {
         let mut loaded = None;
         let mut last_error = None;
         for (_, path) in &snapshots {
-            match read_snapshot_threaded(path, threads) {
+            let read = fs::read(path).map_err(|e| StoreError::io_with_path(e, path));
+            match read.and_then(|bytes| decode_snapshot_threaded(&bytes, threads)) {
                 Ok(state) => {
                     loaded = Some(state);
                     break;
@@ -540,7 +542,7 @@ impl Store {
 mod tests {
     use super::*;
     use domainnet::DomainNetBuilder;
-    use lake::delta::LakeView;
+    use lake::delta::{LakeView, Slot};
     use lake::table::TableBuilder;
 
     fn test_dir(name: &str) -> PathBuf {
@@ -1008,11 +1010,20 @@ mod tests {
             assert_eq!(recovered.replayed_batches, records.len(), "{name}");
             let refusals = usize::from(refused);
             assert_eq!((recovered.resyncs, resyncs), (refusals, refusals), "{name}");
-            assert_eq!(
-                format!("{:?}", recovered.lake.table_slots().collect::<Vec<_>>()),
-                format!("{:?}", lake.table_slots().collect::<Vec<_>>()),
-                "{name}: lake slots"
-            );
+            // Slot by slot: a removed slot's column count, and the live
+            // tables materialized in slot order.
+            let slots = |lake: &MutableLake| {
+                let removed: Vec<Option<usize>> = lake
+                    .slots()
+                    .iter()
+                    .map(|slot| match slot {
+                        Slot::Removed { columns } => Some(*columns),
+                        Slot::Live(_) => None,
+                    })
+                    .collect();
+                format!("{removed:?} {:?}", lake.tables().collect::<Vec<_>>())
+            };
+            assert_eq!(slots(&recovered.lake), slots(&lake), "{name}: lake slots");
             assert!(
                 recovered.lake.interner().iter().eq(lake.interner().iter()),
                 "{name}: interner"
@@ -1029,5 +1040,58 @@ mod tests {
             }
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A checkpoint writes each text a live cell holds once, and no other:
+    /// after a seeded write stream leaves texts no live cell uses (removed
+    /// tables, rewritten cells), the recovered lake holds none of them, and
+    /// its interner, attribute ids, materialized tables and net are the
+    /// writer's. Its checkpoint is the bytes it was recovered from.
+    #[test]
+    fn a_checkpoint_writes_only_the_texts_live_cells_hold() {
+        use datagen::mutate::{MutationConfig, MutationStream};
+
+        let dir = test_dir("live_texts");
+        let (mut lake, mut net, measures) = engine();
+        let mut stream = MutationStream::new(MutationConfig {
+            seed: 0x7E47,
+            rows_per_table: 6,
+            touch_base_tables: true,
+            ..MutationConfig::default()
+        });
+        for _ in 0..40 {
+            let effects = lake.apply(&stream.next_delta(&lake)).unwrap();
+            net.apply_delta(&lake, &effects).unwrap();
+        }
+        net.warm_rankings(&measures);
+        let dead = lake.unused_text_count();
+        assert!(dead > 0, "the stream left no dead text");
+        let mut store = Store::create(&dir).unwrap();
+        store.checkpoint(&lake, &net, 4, &measures).unwrap();
+        let (_, written) = store.newest_snapshot_bytes().unwrap();
+        drop(store);
+
+        let (_, recovered) = Store::recover(&dir).unwrap();
+        let restored = &recovered.lake;
+        assert_eq!(restored.unused_text_count(), 0);
+        assert_eq!(restored.text_count(), lake.text_count() - dead);
+        assert!(restored.interner().iter().eq(lake.interner().iter()));
+        assert_eq!(restored.attribute_count(), lake.attribute_count());
+        for attr in (0..lake.attribute_count() as u32).map(lake::AttrId) {
+            assert_eq!(restored.is_attr_live(attr), lake.is_attr_live(attr));
+            assert_eq!(restored.attribute_values(attr), lake.attribute_values(attr));
+        }
+        assert_eq!(
+            format!("{:?}", restored.tables().collect::<Vec<_>>()),
+            format!("{:?}", lake.tables().collect::<Vec<_>>())
+        );
+        assert_eq!(recovered.net.export_state(), net.export_state());
+        let manifest = Manifest {
+            last_seq: 0,
+            epoch: 4,
+            measures,
+        };
+        assert!(encode_snapshot_threaded(restored, &recovered.net, &manifest, 1) == written);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,7 +14,7 @@
 
 use dn_store::codec::{put_u32_vec, ByteWriter};
 use dn_store::snapshot::{
-    decode_snapshot, encode_snapshot, read_snapshot, section_table, Manifest,
+    decode_snapshot_threaded, encode_snapshot_threaded, section_table, Manifest, PersistedState,
 };
 use dn_store::{scan_wal, Store, StoreError, Wal};
 use domainnet::{DomainNet, DomainNetBuilder, Measure};
@@ -32,6 +32,14 @@ fn test_dir(name: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn encode(lake: &MutableLake, net: &DomainNet, manifest: &Manifest) -> Vec<u8> {
+    encode_snapshot_threaded(lake, net, manifest, 1)
+}
+
+fn decode(bytes: &[u8]) -> Result<PersistedState, StoreError> {
+    decode_snapshot_threaded(bytes, 1)
 }
 
 fn sample_engine() -> (MutableLake, DomainNet, Vec<Measure>) {
@@ -63,20 +71,20 @@ fn sample_snapshot_bytes() -> Vec<u8> {
         epoch: 2,
         measures,
     };
-    encode_snapshot(&lake, &net, &manifest)
+    encode(&lake, &net, &manifest)
 }
 
 #[test]
 fn pristine_snapshot_decodes() {
     let bytes = sample_snapshot_bytes();
-    decode_snapshot(&bytes).expect("the uncorrupted baseline must load");
+    decode(&bytes).expect("the uncorrupted baseline must load");
 }
 
 #[test]
 fn bad_magic_is_typed() {
     let mut bytes = sample_snapshot_bytes();
     bytes[..8].copy_from_slice(b"NOTASNAP");
-    match decode_snapshot(&bytes) {
+    match decode(&bytes) {
         Err(StoreError::BadMagic { found, .. }) => assert_eq!(found, b"NOTASNAP"),
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -84,18 +92,19 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn future_format_version_is_typed() {
-    // A later release's file, format 5 (which also stored the net's delta
+    // A later release's file, format 6 (each live column as a dictionary
+    // and row indices), format 5 (which also stored the net's delta
     // generation), format 4 (the net's three node-id maps besides), format
     // 3 (each attribute's slot, liveness and value set too), format 2 (the
     // graph as well) and format 1 (component labels and rankings on top):
     // one reader, one typed refusal.
-    for version in [99u32, 5, 4, 3, 2, 1] {
+    for version in [99u32, 6, 5, 4, 3, 2, 1] {
         let mut bytes = sample_snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        match decode_snapshot(&bytes) {
+        match decode(&bytes) {
             Err(StoreError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
-                assert_eq!(supported, 6);
+                assert_eq!(supported, 7);
                 assert_eq!(supported, dn_store::FORMAT_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -135,7 +144,7 @@ fn forged_cardinalities_are_corrupt_not_served() {
         epoch: 2,
         measures,
     };
-    let bytes = encode_snapshot(&lake, &net, &manifest);
+    let bytes = encode(&lake, &net, &manifest);
     let section = *section_table(&bytes)
         .unwrap()
         .iter()
@@ -150,7 +159,7 @@ fn forged_cardinalities_are_corrupt_not_served() {
         "net section layout changed"
     );
     let expect_corrupt =
-        |payload: &[u8], what: &str| match decode_snapshot(&with_payload(&bytes, "net", payload)) {
+        |payload: &[u8], what: &str| match decode(&with_payload(&bytes, "net", payload)) {
             Err(StoreError::Corrupt { context }) => {
                 assert!(context.contains(what), "{context}")
             }
@@ -163,12 +172,12 @@ fn forged_cardinalities_are_corrupt_not_served() {
     expect_corrupt(&short, "cardinalities cover");
 
     // The resealing itself is sound: the untouched payload still loads.
-    decode_snapshot(&with_payload(&bytes, "net", payload)).unwrap();
+    decode(&with_payload(&bytes, "net", payload)).unwrap();
 }
 
 #[test]
 fn ill_shaped_tables_are_corrupt_not_served() {
-    // Each column of the lake section is validated on its own, so a
+    // The lake section holds each column as its name and store ids, so a
     // checksum-valid snapshot can still hold a ragged table or name a
     // column twice; rows() and save_dir would then pad or truncate it. A
     // lake refuses such a table, so the lake section is forged.
@@ -184,20 +193,13 @@ fn ill_shaped_tables_are_corrupt_not_served() {
         epoch: 1,
         measures: Vec::new(),
     };
-    let bytes = encode_snapshot(&lake, &net, &manifest);
-    let section = *section_table(&bytes)
-        .unwrap()
-        .iter()
-        .find(|s| s.name == "lake")
-        .unwrap();
-    let payload = &bytes[section.offset..section.offset + section.len];
-    // A dictionary entry and the row indices after it, or a bare name.
-    let encoded = |text: &str, indices: Option<&[u32]>| {
+    let bytes = encode(&lake, &net, &manifest);
+    let payload = section_bytes(&bytes, "lake");
+    // A column: its name, then its cells' store ids (Okapi is text 2).
+    let column = |name: &str, cells: &[u32]| {
         let mut w = ByteWriter::new();
-        w.put_str(text);
-        if let Some(indices) = indices {
-            put_u32_vec(&mut w, indices);
-        }
+        w.put_str(name);
+        put_u32_vec(&mut w, cells);
         w.into_inner()
     };
     let replaced = |from: &[u8], to: &[u8]| {
@@ -207,25 +209,21 @@ fn ill_shaped_tables_are_corrupt_not_served() {
             .expect("lake section layout changed");
         [&payload[..at], to, &payload[at + from.len()..]].concat()
     };
-    // `col_two` keeps its one-entry dictionary but loses a row; or it is
-    // renamed `col_one`.
-    let ragged = replaced(
-        &encoded("Okapi", Some(&[0, 0])),
-        &encoded("Okapi", Some(&[0])),
-    );
-    let twice = replaced(&encoded("col_two", None), &encoded("col_one", None));
+    // `col_two` loses a row; or it is renamed `col_one`.
+    let ragged = replaced(&column("col_two", &[2, 2]), &column("col_two", &[2]));
+    let twice = replaced(&column("col_two", &[2, 2]), &column("col_one", &[2, 2]));
     for (forged, what) in [
         (ragged, "column 'col_two' has 1 rows but the table has 2"),
         (twice, "declares column 'col_one' more than once"),
     ] {
-        match decode_snapshot(&with_payload(&bytes, "lake", &forged)) {
+        match decode(&with_payload(&bytes, "lake", &forged)) {
             Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
             other => panic!("expected Corrupt ({what}), got {other:?}"),
         }
     }
 
     // The forging itself is sound: the unchanged section still loads.
-    decode_snapshot(&with_payload(&bytes, "lake", payload)).unwrap();
+    decode(&with_payload(&bytes, "lake", payload)).unwrap();
 }
 
 /// The snapshot of a lake whose first slot is a removed table, then the
@@ -250,7 +248,7 @@ fn removed_slot_snapshot() -> Vec<u8> {
         epoch: 1,
         measures: Vec::new(),
     };
-    encode_snapshot(&lake, &net, &manifest)
+    encode(&lake, &net, &manifest)
 }
 
 fn section_bytes<'a>(bytes: &'a [u8], name: &str) -> &'a [u8] {
@@ -264,14 +262,29 @@ fn section_bytes<'a>(bytes: &'a [u8], name: &str) -> &'a [u8] {
 
 #[test]
 fn forged_lake_slots_are_corrupt_not_served() {
-    // The lake section is the table slots plus the interner; every index
-    // is rebuilt by replaying the slots through add_table, so what a
-    // checksum-valid section can still lie about must be refused there.
+    // The lake section is the live texts, the interner and the table
+    // slots; every index is derived from them in one pass over the cells,
+    // so what a checksum-valid section can still lie about must be refused
+    // there. The live texts are Jaguar, Okapi and Puma (0, 1, 2, in the
+    // order kept's and also's cells first use them); gone's Lynx is dead
+    // and not written.
     let bytes = removed_slot_snapshot();
     let payload = section_bytes(&bytes, "lake");
     let encoded = |text: &str| {
         let mut w = ByteWriter::new();
         w.put_str(text);
+        w.into_inner()
+    };
+    // A live slot of one column: its name, the column's name and cells.
+    let live = |table: &str, columns: &[(&str, &[u32])]| {
+        let mut w = ByteWriter::new();
+        w.put_bool(true);
+        w.put_str(table);
+        w.put_u32(columns.len() as u32);
+        for (name, cells) in columns {
+            w.put_str(name);
+            put_u32_vec(&mut w, cells);
+        }
         w.into_inner()
     };
     let replaced = |from: &[u8], to: &[u8]| {
@@ -281,23 +294,27 @@ fn forged_lake_slots_are_corrupt_not_served() {
             .expect("lake section layout changed");
         [&payload[..at], to, &payload[at + from.len()..]].concat()
     };
-    // Slot count, then slot 0: removed, with its column count.
-    assert_eq!(
-        payload[8..13],
-        [0, 1, 0, 0, 0],
+    assert!(
+        payload.starts_with(&[&3u64.to_le_bytes()[..], &encoded("Jaguar")].concat()),
         "lake section layout changed"
     );
-    let mut huge = payload.to_vec();
-    huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+    // Slot count, then slot 0: removed, with its column count.
+    let removed = [&3u64.to_le_bytes()[..], &[0, 1, 0, 0, 0, 0]].concat();
+    let huge = [&3u64.to_le_bytes()[..], &[0], &u32::MAX.to_le_bytes(), &[0]].concat();
+    let kept = live("kept", &[("c_kept", &[0, 1])]);
 
     for (forged, what) in [
         // A removed slot's column count without the zero bytes that back
         // it: refused before anything is allocated.
-        (huge, "slots claim 4294967295 attributes"),
-        // The interner's OKAPI renamed: two columns hold a value it lacks.
+        (
+            replaced(&removed, &huge),
+            "a removed slot claims 4294967295 attributes",
+        ),
+        // The interner's OKAPI renamed: a text normalizes to a value it
+        // lacks.
         (
             replaced(&encoded("OKAPI"), &encoded("OKAPO")),
-            "table 'kept' holds value \"OKAPI\" missing from the interner",
+            "text \"Okapi\" normalizes to \"OKAPI\", missing from the interner",
         ),
         // The interner's PUMA renamed LYNX, which it holds already: the
         // removed table's values keep their ids.
@@ -310,15 +327,33 @@ fn forged_lake_slots_are_corrupt_not_served() {
             replaced(&encoded("also"), &encoded("kept")),
             "a table named 'kept' already exists",
         ),
+        // A text written twice: Puma renamed Okapi.
+        (
+            replaced(&encoded("Puma"), &encoded("Okapi")),
+            "text 2 duplicates text 1",
+        ),
+        // A store id equal to the text count.
+        (
+            replaced(&kept, &live("kept", &[("c_kept", &[0, 3])])),
+            "column 'kept.c_kept' names store id 3, past the 3 texts",
+        ),
+        // A live slot whose second column is a row short.
+        (
+            replaced(
+                &kept,
+                &live("kept", &[("c_kept", &[0, 1]), ("c_more", &[2])]),
+            ),
+            "column 'c_more' has 1 rows but the table has 2",
+        ),
     ] {
-        match decode_snapshot(&with_payload(&bytes, "lake", &forged)) {
+        match decode(&with_payload(&bytes, "lake", &forged)) {
             Err(StoreError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
             other => panic!("expected Corrupt ({what}), got {other:?}"),
         }
     }
 
     // The forging itself is sound: the unchanged section still loads.
-    decode_snapshot(&with_payload(&bytes, "lake", payload)).unwrap();
+    decode(&with_payload(&bytes, "lake", payload)).unwrap();
 }
 
 #[test]
@@ -347,10 +382,10 @@ fn a_lake_with_removed_and_readded_tables_round_trips_byte_identically() {
         epoch: 5,
         measures,
     };
-    let bytes = encode_snapshot(&lake, &net, &manifest);
-    let restored = decode_snapshot(&bytes).unwrap();
+    let bytes = encode(&lake, &net, &manifest);
+    let restored = decode(&bytes).unwrap();
     assert_eq!(
-        encode_snapshot(&restored.lake, &restored.net, &restored.manifest),
+        encode(&restored.lake, &restored.net, &restored.manifest),
         bytes
     );
     assert_eq!(restored.lake.attribute_count(), lake.attribute_count());
@@ -415,7 +450,7 @@ fn hostile_sections_decode_or_refuse(seed: u64, cases: usize) {
     for case in 0..cases {
         let name = if rng.gen_bool(0.5) { "lake" } else { "net" };
         let forged = with_payload(&bytes, name, &mutate(&mut rng, section_bytes(&bytes, name)));
-        match std::panic::catch_unwind(|| decode_snapshot(&forged)) {
+        match std::panic::catch_unwind(|| decode(&forged)) {
             Ok(Ok(_)) => {}
             Ok(Err(
                 StoreError::Corrupt { .. }
@@ -457,7 +492,7 @@ fn truncation_at_every_region_is_typed_and_panic_free() {
     }
     for cut in cuts {
         let truncated = &bytes[..cut];
-        let err = decode_snapshot(truncated).expect_err("truncated file must not load");
+        let err = decode(truncated).expect_err("truncated file must not load");
         assert!(
             matches!(
                 err,
@@ -480,7 +515,7 @@ fn flipped_byte_in_each_section_fails_that_sections_crc() {
         for probe in [0, section.len / 2, section.len - 1] {
             let mut corrupted = bytes.clone();
             corrupted[section.offset + probe] ^= 0x40;
-            match decode_snapshot(&corrupted) {
+            match decode(&corrupted) {
                 Err(StoreError::SectionCrc { section: name }) => {
                     assert_eq!(name, section.name, "flip at {probe} of {}", section.name)
                 }
@@ -492,7 +527,7 @@ fn flipped_byte_in_each_section_fails_that_sections_crc() {
         }
     }
     // And the original still decodes — the corruption probes copied.
-    decode_snapshot(&bytes).unwrap();
+    decode(&bytes).unwrap();
 }
 
 #[test]
@@ -504,22 +539,26 @@ fn flipped_bytes_in_the_header_never_panic() {
         corrupted[pos] ^= 0x01;
         // Any typed error (or, for a benign flip such as a section id that
         // still resolves, even success) is acceptable; panicking is not.
-        let _ = decode_snapshot(&corrupted);
+        let _ = decode(&corrupted);
     }
 }
 
 #[test]
 fn read_snapshot_propagates_io_and_corruption_errors() {
+    // Recovery reads the only snapshot file of a store: one that cannot be
+    // read (a directory in its place) is an I/O error, and garbage is a
+    // foreign file.
     let dir = test_dir("read");
-    let missing = dir.join("missing.dnsnap");
+    let snapshot = dir.join(format!("snapshot-{:020}.dnsnap", 0));
+    fs::create_dir(&snapshot).unwrap();
     assert!(matches!(
-        read_snapshot(&missing).unwrap_err(),
+        Store::recover(&dir).unwrap_err(),
         StoreError::Io { .. }
     ));
-    let garbage = dir.join("garbage.dnsnap");
-    fs::write(&garbage, b"not a snapshot at all").unwrap();
+    fs::remove_dir(&snapshot).unwrap();
+    fs::write(&snapshot, b"not a snapshot at all").unwrap();
     assert!(matches!(
-        read_snapshot(&garbage).unwrap_err(),
+        Store::recover(&dir).unwrap_err(),
         StoreError::BadMagic { .. }
     ));
     fs::remove_dir_all(&dir).unwrap();

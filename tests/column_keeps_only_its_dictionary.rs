@@ -73,10 +73,6 @@ fn a_column_keeps_only_its_dictionary_and_indices() {
         json.contains(r#""distinct":["VALUE 0","VALUE 1","#),
         "{json}"
     );
-    let (dictionary, indices) = (
-        reference.dictionary().clone(),
-        reference.cell_indices().to_vec(),
-    );
 
     // Column::new consumes the cells and keeps four blocks.
     let input = cells.clone();
@@ -84,13 +80,6 @@ fn a_column_keeps_only_its_dictionary_and_indices() {
     assert_eq!(column.cells(), reference.cells());
     let (_, blocks) = held(column);
     assert_eq!(blocks, PARTS, "Column::new");
-
-    // from_dictionary adopts its parts and allocates nothing that stays.
-    let name = String::from("c");
-    let before = live();
-    let column = Column::from_dictionary(name, dictionary, indices).unwrap();
-    assert_eq!(live(), before, "Column::from_dictionary");
-    assert_eq!(held(column).1, PARTS);
 
     // A decoded column keeps four blocks; the decoder's tree and the
     // decoded `distinct` array are gone.

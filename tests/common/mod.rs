@@ -38,14 +38,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use datagen::MutationStream;
 use dn_graph::approx_bc::ApproxBcConfig;
 use dn_service::{Coordinator, MultiView, ServiceConfig};
 use domainnet::{DomainNet, DomainNetBuilder, Measure, ScoredValue};
 use lake::catalog::AttrId;
-use lake::delta::{LakeDelta, MutableLake};
+use lake::delta::{LakeDelta, LakeOp, MutableLake};
 use lake::table::TableBuilder;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// A scratch directory under `CARGO_TARGET_TMPDIR`, cleared of what an
 /// earlier failed run left. The test removes it: CI fails on a leftover
@@ -152,6 +153,60 @@ pub fn live_tables(lake: &MutableLake) -> Vec<(String, Columns)> {
             (table.name().to_owned(), columns)
         })
         .collect()
+}
+
+/// A [`MutationStream`] whose replacements also land on values the lake
+/// already holds. The stream's own replacement is always a fresh text, so
+/// alone it never merges two components through an edit or revives a
+/// value that left the graph; here a seeded share of each delta's
+/// `ReplaceValue` ops takes instead a text drawn from the cells of another
+/// live column of the lake the delta is drawn against.
+pub struct HeldValueReplacements {
+    stream: MutationStream,
+    rng: StdRng,
+}
+
+impl HeldValueReplacements {
+    /// The share of `ReplaceValue` ops whose replacement is a held text.
+    const SHARE: f64 = 0.5;
+
+    /// Wrap `stream`, drawing which replacements change and to what from
+    /// `seed`.
+    pub fn new(stream: MutationStream, seed: u64) -> Self {
+        HeldValueReplacements {
+            stream,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// The stream's next delta against `lake`, a share of its replacements
+    /// redrawn from the texts `lake`'s other live columns hold.
+    pub fn next_delta(&mut self, lake: &MutableLake) -> LakeDelta {
+        let tables = live_tables(lake);
+        let mut delta = LakeDelta::new();
+        for op in self.stream.next_delta(lake).ops() {
+            let mut op = op.clone();
+            if let LakeOp::ReplaceValue {
+                table,
+                column,
+                replacement,
+                ..
+            } = &mut op
+            {
+                let held: Vec<&str> = tables
+                    .iter()
+                    .flat_map(|(t, columns)| columns.iter().map(move |(c, cells)| (t, c, cells)))
+                    .filter(|&(t, c, _)| (t, c) != (&*table, &*column))
+                    .flat_map(|(_, _, cells)| cells.iter().map(String::as_str))
+                    .collect();
+                if !held.is_empty() && self.rng.gen_bool(Self::SHARE) {
+                    *replacement = held[self.rng.gen_range(0..held.len())].to_owned();
+                }
+            }
+            delta.push(op);
+        }
+        delta
+    }
 }
 
 /// Where a reference lake came from, which decides how a one-shard

@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 use common::{
     assert_serves_the_reference, config, golden_measures, live_tables, multi_component_base,
-    random_base_table, test_dir, Columns, Engine, Reference,
+    random_base_table, test_dir, Columns, Engine, HeldValueReplacements, Reference,
 };
 use datagen::{DriftConfig, DriftStream, MutationConfig, MutationStream};
 use dn_ingest::{CoordinatorSink, IngestConfig, IngestStats, Ingester};
@@ -75,6 +75,9 @@ struct Coverage {
     removals: usize,
     re_adds: usize,
     replacements: usize,
+    /// Edited columns whose new cells hold a value another column held
+    /// before the step: a replacement onto a held value.
+    held_replacements: usize,
     /// Value nodes a step took out of the graph.
     vanished: usize,
     merges: usize,
@@ -106,14 +109,45 @@ impl Coverage {
     /// Count what changed between the last state and `lake`.
     fn step(&mut self, lake: &MutableLake) {
         let tables: HashMap<_, _> = live_tables(lake).into_iter().collect();
+        // Each normalized value the last state held, and the columns
+        // holding it.
+        let mut holders: HashMap<String, HashSet<(&str, &str)>> = HashMap::new();
+        for (name, columns) in &self.tables {
+            for (column, cells) in columns {
+                for cell in cells {
+                    let holder = (name.as_str(), column.as_str());
+                    holders
+                        .entry(lake::normalize(cell))
+                        .or_default()
+                        .insert(holder);
+                }
+            }
+        }
+        let mut held_replacements = 0;
         for (name, columns) in &tables {
             match self.tables.get(name) {
                 None if self.removed.remove(name) => self.re_adds += 1,
                 None => self.adds += 1,
-                Some(old) if old != columns => self.replacements += 1,
+                Some(old) if old != columns => {
+                    self.replacements += 1;
+                    for ((column, cells), (_, old_cells)) in columns.iter().zip(old) {
+                        let held_elsewhere = cells.iter().zip(old_cells).any(|(cell, was)| {
+                            let value = lake::normalize(cell);
+                            cell != was
+                                && !value.is_empty()
+                                && holders.get(&value).is_some_and(|columns| {
+                                    columns
+                                        .iter()
+                                        .any(|&h| h != (name.as_str(), column.as_str()))
+                                })
+                        });
+                        held_replacements += usize::from(held_elsewhere);
+                    }
+                }
                 Some(_) => {}
             }
         }
+        self.held_replacements += held_replacements;
         for name in self.tables.keys() {
             if !tables.contains_key(name) {
                 self.removals += 1;
@@ -160,6 +194,7 @@ impl Coverage {
             ("table removals", self.removals),
             ("re-adds of a removed table", self.re_adds),
             ("replacements", self.replacements),
+            ("replacements onto a held value", self.held_replacements),
             ("values leaving the graph", self.vanished),
             ("component merges", self.merges),
             ("component splits", self.splits),
@@ -175,7 +210,7 @@ impl Coverage {
 
 /// One seeded mutation stream and its reference lake.
 struct Stream<'a> {
-    deltas: MutationStream,
+    deltas: HeldValueReplacements,
     reference: MutableLake,
     coverage: &'a mut Coverage,
 }
@@ -216,13 +251,16 @@ fn run_row(row: &str, mut path: impl FnMut(&str, bool, MutableLake, &mut Stream)
             };
             coverage.begin(&base, prune);
             let mut stream = Stream {
-                deltas: MutationStream::new(MutationConfig {
-                    seed: 5_000 + seed,
-                    tables_per_delta: 2,
-                    rows_per_table: 8,
-                    touch_base_tables: true,
-                    ..MutationConfig::default()
-                }),
+                deltas: HeldValueReplacements::new(
+                    MutationStream::new(MutationConfig {
+                        seed: 5_000 + seed,
+                        tables_per_delta: 2,
+                        rows_per_table: 8,
+                        touch_base_tables: true,
+                        ..MutationConfig::default()
+                    }),
+                    0x4E1D + seed,
+                ),
                 reference: base.clone(),
                 coverage: &mut coverage,
             };
