@@ -186,11 +186,14 @@ GATES=(
     # and the recovered lake is the writer's; and derive's direct CSR fill
     # is a builder's graph.
     "quick|one lake-wide text store: texts stored once, the lake grows by ids, materialized tables == in-flight shadows, a checkpoint writes each live text once, derive's CSR == the builder's|-p lake -p dn-store -p domainnet_suite --lib --test lake_keeps_each_text_once --test pipeline_properties|texts_are_stored_once_and_found_across_growth indexing_repeated_texts_grows_the_lake_by_ids_not_text materialized_tables_match_their_in_flight_shadows a_checkpoint_writes_only_the_texts_live_cells_hold derived_csr_is_the_builders_csr"
-    # Reads that only borrow what a pinned view holds gather in shard order
-    # on the request thread: no probe leaves it, answers match a pooled
-    # view at every width and shard order, and a top-k miss still nests
-    # one shard_query span per shard under coord_scatter.
-    "quick|in-order gathers: calling thread only, width- and order-invariant answers, scatter span tree kept|-p dn-service -p domainnet_suite --lib --test trace_propagation|gather_probes_every_shard_in_order_on_the_calling_thread gathered_reads_do_not_depend_on_width_or_shard_order sharded_requests_build_one_contained_span_tree"
+    # The read fan-out: reads that only borrow what a pinned view holds
+    # gather in shard order on the request thread (no probe leaves it,
+    # answers match a pooled view at every width and shard order); a score
+    # read's one card probe gives each measure's per-measure card at 1, 2
+    # and 4 shards and widths 1 and 4; a top-k miss nests one shard_query
+    # span per shard under coord_scatter, and a score read for both
+    # measures runs one card probe and one rank correction.
+    "quick|read fan-out: in-order gathers on the calling thread, width- and order-invariant answers, one card probe per score read == per-measure cards, scatter span tree kept|-p dn-service -p domainnet_suite --lib --test trace_propagation|gather_probes_every_shard_in_order_on_the_calling_thread gathered_reads_do_not_depend_on_width_or_shard_order one_scatter_score_cards_equal_per_measure_cards sharded_requests_build_one_contained_span_tree"
     # --test-threads bounds concurrently running test functions, not the
     # threads a test spawns (this one spawns 8 readers and a writer).
     "quick|serving concurrency stress (--test-threads ${CORES})|--test serving_stress|readers_always_observe_consistent_epochs|--test-threads ${CORES}"

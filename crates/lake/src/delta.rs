@@ -682,20 +682,6 @@ impl MutableLake {
         Table::from_columns(table.name.clone(), columns)
     }
 
-    /// How many stored texts no live cell uses: the store is append-only,
-    /// so a text rewritten away or dropped with its table stays.
-    pub fn unused_text_count(&self) -> usize {
-        let mut used = vec![false; self.texts.len()];
-        for table in self.live_tables() {
-            for column in &table.columns {
-                for &text in &column.cells {
-                    used[text as usize] = true;
-                }
-            }
-        }
-        used.iter().filter(|&&u| !u).count()
-    }
-
     // ------------------------------------------------------------------
     // Attributes (live state)
     // ------------------------------------------------------------------

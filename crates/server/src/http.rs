@@ -290,27 +290,37 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Room for the longest head [`write_response`] writes (about 180 bytes:
+/// the longest reason phrase and content type, a 20-digit length, a
+/// trace ID and `keep-alive`), so the buffer is allocated once.
+const HEAD_CAPACITY: usize = 256;
+
 /// Serialize `response` onto the stream. `keep_alive` decides the
-/// `Connection` header (the worker closes the socket when false).
+/// `Connection` header (the worker closes the socket when false). The
+/// head and the body go out in one `write_all` from one buffer: the
+/// socket runs with `TCP_NODELAY`, so two writes would leave as two
+/// segments.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     response: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let trace_header = match response.trace_id {
-        Some(id) => format!("X-Dn-Trace-Id: {}\r\n", dn_trace::format_trace_id(id)),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{trace_header}Connection: {}\r\n\r\n",
+    let mut out = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         reason_phrase(response.status),
         response.content_type,
         response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    )?;
+    if let Some(id) = response.trace_id {
+        write!(out, "X-Dn-Trace-Id: {}\r\n", dn_trace::format_trace_id(id))?;
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n\r\n")?;
+    out.extend_from_slice(&response.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -417,6 +427,77 @@ mod tests {
             ]
         );
         assert!(parse_query("").is_empty());
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The head-then-body output `write_response` used to send in two
+    /// writes: the reference its one buffer must equal byte for byte.
+    fn head_then_body(response: &Response, keep_alive: bool) -> Vec<u8> {
+        let trace_header = match response.trace_id {
+            Some(id) => format!("X-Dn-Trace-Id: {}\r\n", dn_trace::format_trace_id(id)),
+            None => String::new(),
+        };
+        let head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{trace_header}Connection: {}\r\n\r\n",
+            response.status,
+            reason_phrase(response.status),
+            response.content_type,
+            response.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        );
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&response.body);
+        out
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_head_then_the_body() {
+        let five_kb: String = (0..5 * 1024)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        for body in [String::new(), five_kb] {
+            for trace_id in [None, Some(0x0123_4567_89ab_cdef)] {
+                for keep_alive in [true, false] {
+                    for mut response in [
+                        Response::json(200, body.clone()),
+                        Response::text(431, body.clone()),
+                    ] {
+                        response.trace_id = trace_id;
+                        let mut writer = CountingWriter::default();
+                        write_response(&mut writer, &response, keep_alive).unwrap();
+                        let case = format!(
+                            "{} B body, trace {trace_id:?}, keep-alive {keep_alive}",
+                            body.len()
+                        );
+                        assert_eq!(writer.writes, 1, "{case}");
+                        assert!(writer.bytes.len() - body.len() <= HEAD_CAPACITY, "{case}");
+                        assert_eq!(
+                            writer.bytes,
+                            head_then_body(&response, keep_alive),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

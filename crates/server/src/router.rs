@@ -228,12 +228,7 @@ fn top_k(state: &ServerState, req: &Request) -> Result<Response, ApiError> {
 fn score(state: &ServerState, raw_value: &str) -> Result<Response, ApiError> {
     let value = decode_segment(raw_value)?;
     let view = state.service.current();
-    let cards: Vec<_> = view
-        .measures()
-        .to_vec()
-        .into_iter()
-        .filter_map(|m| view.score_card(m, &value))
-        .collect();
+    let cards = view.score_cards(view.measures(), &value);
     if cards.is_empty() {
         return Err(ApiError::not_found(format!(
             "value {value:?} is not a live candidate in epoch {}",

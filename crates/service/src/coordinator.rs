@@ -734,47 +734,75 @@ impl MultiView {
         order
     }
 
-    /// Score, **global** rank, and **global** percentile of one value.
-    ///
-    /// The owning shard's card supplies the score (bit-identical to the
-    /// unsharded engine's — components never span shards); rank and
-    /// percentile are then corrected globally: the global rank is one
-    /// plus the number of entries across *all* shard rankings ordered
-    /// strictly before this value under the measure's total order
-    /// (counted by binary search — the rankings are sorted by exactly
-    /// that order), and the percentile is recomputed from the global
-    /// rank and the global candidate count, reproducing the unsharded
-    /// `100 * (of - rank) / of` to the bit. The card probe fans out over
-    /// the view's pool; the rank correction only borrows each shard's
-    /// ranking, so it runs in shard order on the calling thread.
+    /// Score, **global** rank, and **global** percentile of one value:
+    /// [`MultiView::score_cards`] under one measure.
     pub fn score_card(&self, measure: Measure, value: &str) -> Option<ScoreCard> {
-        let (owner, mut card) = self
-            .scatter(|s| s.score_card(measure, value))
-            .into_iter()
-            .enumerate()
-            .find_map(|(i, c)| c.map(|c| (i, c)))?;
-        let target = ScoredValue {
-            value: card.value.clone(),
-            score: card.score,
-            attribute_count: card.attribute_count,
-            cardinality: card.cardinality,
-        };
-        let rankings = self.gather(|s| s.ranking(measure));
-        let mut of = 0usize;
-        let mut before = 0usize;
-        for (i, ranking) in rankings.into_iter().enumerate() {
-            let ranking = ranking?;
-            of += ranking.len();
-            if i == owner {
-                before += card.rank - 1;
-            } else {
-                before += ranking.partition_point(|e| measure.rank_order(e, &target).is_lt());
-            }
+        self.score_cards(&[measure], value).pop()
+    }
+
+    /// The value's card under each of `measures` that has one, in the
+    /// order given: empty when the value is not a live candidate.
+    ///
+    /// One probe asks every shard for all the cards at once (a single
+    /// fan-out over the view's pool, however many measures). Under each
+    /// measure the lowest-index answering shard owns the card and supplies
+    /// the score (bit-identical to the unsharded engine's — components
+    /// never span shards); rank and percentile are then corrected
+    /// globally: the global rank is one plus the number of entries across
+    /// *all* shard rankings ordered strictly before this value under the
+    /// measure's total order (counted by binary search — the rankings are
+    /// sorted by exactly that order), and the percentile is recomputed
+    /// from the global rank and the global candidate count, reproducing
+    /// the unsharded `100 * (of - rank) / of` to the bit. The rank
+    /// correction only borrows each shard's rankings, so it runs in shard
+    /// order on the calling thread.
+    pub fn score_cards(&self, measures: &[Measure], value: &str) -> Vec<ScoreCard> {
+        let mut probed = self.scatter(|s| {
+            measures
+                .iter()
+                .map(|&m| s.score_card(m, value))
+                .collect::<Vec<_>>()
+        });
+        let owned: Vec<(usize, usize, ScoreCard)> = (0..measures.len())
+            .filter_map(|j| {
+                probed
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(owner, cards)| cards[j].take().map(|card| (j, owner, card)))
+            })
+            .collect();
+        if owned.is_empty() {
+            return Vec::new();
         }
-        card.rank = before + 1;
-        card.of = of;
-        card.percentile = 100.0 * (of - card.rank) as f64 / of as f64;
-        Some(card)
+        let rankings = self.gather(|s| measures.iter().map(|&m| s.ranking(m)).collect::<Vec<_>>());
+        owned
+            .into_iter()
+            .filter_map(|(j, owner, mut card)| {
+                let measure = measures[j];
+                let target = ScoredValue {
+                    value: card.value.clone(),
+                    score: card.score,
+                    attribute_count: card.attribute_count,
+                    cardinality: card.cardinality,
+                };
+                let mut of = 0usize;
+                let mut before = 0usize;
+                for (i, shard) in rankings.iter().enumerate() {
+                    let ranking = shard[j]?;
+                    of += ranking.len();
+                    if i == owner {
+                        before += card.rank - 1;
+                    } else {
+                        before +=
+                            ranking.partition_point(|e| measure.rank_order(e, &target).is_lt());
+                    }
+                }
+                card.rank = before + 1;
+                card.of = of;
+                card.percentile = 100.0 * (of - card.rank) as f64 / of as f64;
+                Some(card)
+            })
+            .collect()
     }
 
     /// The attribute-neighborhood explanation of a value.
@@ -1740,6 +1768,40 @@ mod tests {
                 let shards = order.iter().map(|&i| Arc::clone(&shards[i])).collect();
                 let view = MultiView::new(0, shards, threads, Arc::default());
                 assert_eq!(reads(&view), expected, "threads {threads}, order {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_scatter_score_cards_equal_per_measure_cards() {
+        // The score read's one probe asks each shard for every measure's
+        // card at once; each card must be the one a one-measure read
+        // gives, in the order the measures were asked for, at every shard
+        // count and width.
+        let measures = [Measure::lcc(), Measure::exact_bc()];
+        let reversed = [Measure::exact_bc(), Measure::lcc()];
+        let values: Vec<String> = unsharded(two_component_lake())
+            .ranking(Measure::lcc())
+            .unwrap()
+            .iter()
+            .map(|e| e.value.clone())
+            .collect();
+        for shard_count in [1usize, 2, 4] {
+            let (handle, _coordinator) = serve_sharded(two_component_lake(), config(), shard_count);
+            let shards = handle.current().shards.clone();
+            for threads in [1usize, 4] {
+                let view = MultiView::new(0, shards.clone(), threads, Arc::default());
+                let at = format!("{shard_count} shards, threads {threads}");
+                for value in &values {
+                    for asked in [&measures, &reversed] {
+                        let one_by_one: Vec<ScoreCard> = asked
+                            .iter()
+                            .map(|&m| view.score_card(m, value).unwrap())
+                            .collect();
+                        assert_eq!(view.score_cards(asked, value), one_by_one, "{at}, {value}");
+                    }
+                }
+                assert!(view.score_cards(&measures, "no-such-value").is_empty());
             }
         }
     }

@@ -8,9 +8,10 @@
 //! it would move the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-use lake::delta::MutableLake;
+use lake::delta::{MutableLake, Slot, TextId};
 use lake::table::{Table, TableBuilder};
 
 /// Live heap bytes, counted around the system allocator (the default
@@ -96,5 +97,13 @@ fn indexing_repeated_texts_grows_the_lake_by_ids_not_text() {
     // the whole bound.
     assert!(bound < added * 2 * text_per_column);
     assert_eq!(lake.table_count(), TABLES);
-    assert_eq!(lake.unused_text_count(), 0);
+    // Every stored text is one a live cell holds.
+    let held: HashSet<TextId> = lake
+        .slots()
+        .iter()
+        .filter_map(Slot::live)
+        .flat_map(|table| &table.columns)
+        .flat_map(|column| column.cells.iter().copied())
+        .collect();
+    assert_eq!(held.len(), lake.text_count());
 }

@@ -2,12 +2,12 @@
 //!
 //! Three suites, all over real sockets:
 //!
-//! * `sharded_requests_build_one_contained_span_tree` — a mutation and a
-//!   top-k against a 2-shard server (threads=1 so pool work is inline and
-//!   strictly sequential) must each produce a single trace whose span tree
-//!   covers route → coordinator → per-shard work, with every child span
-//!   contained in its parent's interval and the root's duration at least
-//!   the sum of the other spans' self-times.
+//! * `sharded_requests_build_one_contained_span_tree` — a mutation, a
+//!   top-k and a score read against a 2-shard server (threads=1 so pool
+//!   work is inline and strictly sequential) must each produce a single
+//!   trace whose span tree covers route → coordinator → per-shard work,
+//!   with every child span contained in its parent's interval and the
+//!   root's duration at least the sum of the other spans' self-times.
 //! * `http_sink_deliveries_forward_the_cycle_trace_id` — an ingest-style
 //!   delivery made while a local trace is active must surface on the
 //!   primary's ring as an `http` trace with the *same* ID, marked
@@ -24,7 +24,9 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use dn_ingest::DeltaSink;
-use dn_server::api::{MutationRequest, MutationResponse, TraceListResponse, TraceResponse};
+use dn_server::api::{
+    MutationRequest, MutationResponse, ScoreResponse, SpanDto, TraceListResponse, TraceResponse,
+};
 use dn_server::{serve_http, Client, HttpReplicaSource, HttpSink, Limits, Server, ServerConfig};
 use dn_service::{serve_sharded, serve_sharded_durable, CheckpointPolicy, Follower, ServiceConfig};
 use domainnet::Measure;
@@ -197,6 +199,42 @@ fn sharded_requests_build_one_contained_span_tree() {
         "both shards answered under the scatter"
     );
     assert_ne!(mutation_id, topk_id, "each request gets its own trace");
+
+    // A sharded score read for both served measures: one card probe asks
+    // every shard for both cards under one coord_scatter, then the rank
+    // correction gathers under a second one; one query span per shard
+    // under each.
+    let response = client.get("/v1/score/Jaguar").expect("score transport");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let score: ScoreResponse = response.json().expect("score json");
+    assert_eq!(score.cards.len(), 2, "one card per served measure");
+    let score_id = response.trace_id.expect("score is sampled too");
+    let tree = fetch_and_check_tree(&mut client, score_id);
+    let mut scatters: Vec<&SpanDto> = tree
+        .spans
+        .iter()
+        .filter(|s| s.name == "coord_scatter")
+        .collect();
+    scatters.sort_by_key(|s| s.id);
+    assert_eq!(
+        scatters.len(),
+        2,
+        "one card probe and one rank correction for both measures"
+    );
+    for (scatter, role) in scatters.iter().zip(["card probe", "rank correction"]) {
+        let mut shards: Vec<&str> = tree
+            .spans
+            .iter()
+            .filter(|s| s.name == "shard_query" && s.parent == Some(scatter.id))
+            .map(|s| s.label.as_str())
+            .collect();
+        shards.sort_unstable();
+        assert_eq!(
+            shards,
+            ["shard0", "shard1"],
+            "the {role} probes each shard once"
+        );
+    }
 
     // The list endpoint carries both summaries.
     let response = client
