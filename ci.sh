@@ -77,6 +77,15 @@ if grep -F 'struct LakeCatalog' <<<"${LAKE_SRC}" >/dev/null || [[ $(grep -cF 'im
     exit 1
 fi
 
+# lake::TextSet is the one structure that numbers distinct strings in the
+# order first seen: the lake's values, a column's dictionary, the ingest
+# differ's classes, a snapshot's label index.
+echo "==> gate: one string set (no struct ValueInterner, no FxHashMap)"
+if grep -E 'struct ValueInterner|FxHashMap' <<<"${LAKE_SRC}" >/dev/null; then
+    echo "crates/*/src must hold no 'struct ValueInterner' and no 'FxHashMap' outside tests; number distinct strings with lake::TextSet" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -154,8 +163,9 @@ GATES=(
     # chunks laid out per component, sampled BC's draws in the same order.
     # So a component's bits are its own; sampled BC is re-drawn from the
     # whole graph as a build draws it; so recovery folds a WAL suffix in
-    # one call onto the state folding it record by record gives.
-    "quick|BC sources in BFS order, value classes first, whole-lane chunks; a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|component_chunks_run_value_classes_then_attribute_classes_in_bfs_order drawn_classes_run_in_the_shared_source_order a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
+    # one call onto the state folding it record by record gives. A delta
+    # that changes no edge keeps every score and ranking as they are.
+    "quick|BC sources in BFS order, value classes first, whole-lane chunks; a component's exact BC bits are its own; sampled BC after a delta == a fresh build's; a delta that changes no edge keeps the net; a WAL suffix folded in one call == record by record (to_bits)|-p dn-graph -p domainnet -p dn-store --lib|component_chunks_run_value_classes_then_attribute_classes_in_bfs_order drawn_classes_run_in_the_shared_source_order a_components_exact_bits_do_not_depend_on_the_rest_of_the_graph sampled_bc_after_a_delta_is_a_fresh_builds_estimate a_delta_that_changes_no_edge_keeps_the_net a_suffix_folded_in_one_call_equals_folding_it_record_by_record"
     # The in-order scheduler every pool call runs on: the sink sees every
     # index in order at widths 1-4 under seeded uneven costs, its error
     # stops the run, and a worker's or the sink's panic is re-raised after

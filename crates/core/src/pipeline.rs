@@ -412,12 +412,16 @@ impl DomainNet {
     /// * **Approximate BC** — re-estimated over the whole new graph by the
     ///   call a build makes, so every score is `to_bits()`-equal to a fresh
     ///   build's estimate: the same seed draws the same sources from the
-    ///   same graph. Every delta re-draws every source, so scores in
-    ///   components the delta never touched move too, as they would
-    ///   between two fresh builds.
+    ///   same graph. Every delta that changes an edge re-draws every
+    ///   source, so scores in components the delta never touched move too,
+    ///   as they would between two fresh builds.
     ///
     /// Cached rankings are invalidated and rebuilt lazily from the patched
-    /// score vectors on the next [`DomainNet::rank`] call.
+    /// score vectors on the next [`DomainNet::rank`] call. A delta that
+    /// changes no edge (a table whose every value pruning drops, effects
+    /// already folded) leaves the graph as it is, so it keeps the
+    /// components and every memo, rankings included, and reports all-zero
+    /// [`DeltaStats`].
     ///
     /// # Errors
     /// Returns a description of the inconsistency if `effects` does not
@@ -467,6 +471,11 @@ impl DomainNet {
                 self.graph.edge_count(),
                 graph.edge_count()
             ));
+        }
+        if edges_added == 0 && edges_removed == 0 {
+            // No node or edge changed, so no component or score did either.
+            self.numbering = numbering;
+            return Ok(DeltaStats::default());
         }
 
         let renumbering = Renumbering {
@@ -1296,6 +1305,46 @@ mod tests {
         // The complete record still folds.
         net.apply_delta(&lake, &applied).unwrap();
         assert_equivalent(&net, &lake, Measure::lcc());
+    }
+
+    /// A table whose every value sits in that one attribute only is pruned
+    /// whole: the graph keeps every node and edge, so the fold keeps every
+    /// score and ranking (the same `Arc`s, nothing re-ranked), and they are
+    /// a fresh build's, bit for bit.
+    #[test]
+    fn a_delta_that_changes_no_edge_keeps_the_net() {
+        let sampled = Measure::approx_bc(7, 11);
+        for measures in [
+            vec![Measure::lcc()],
+            vec![Measure::lcc(), Measure::exact_bc()],
+            vec![Measure::lcc(), sampled],
+        ] {
+            let mut lake = mutable_running_example();
+            let mut net = DomainNetBuilder::new().build(&lake);
+            net.warm_rankings(&measures);
+            let bits = |net: &DomainNet| -> Vec<Vec<u64>> {
+                let scores = |m| net.raw_scores(m).iter().map(|s| s.to_bits()).collect();
+                measures.iter().map(|&m| scores(m)).collect()
+            };
+            let scores = bits(&net);
+            let ranked: Vec<_> = measures.iter().map(|&m| net.rank_shared(m)).collect();
+            let pruned = LakeDelta::new().add_table(
+                TableBuilder::new("T5")
+                    .column("bird", ["Kiwi", "Okapi", "Kiwi"])
+                    .column("count", ["7", "9", "11"])
+                    .build()
+                    .unwrap(),
+            );
+            let stats = net.fold_batch(&mut lake, &[&[pruned]], &measures).unwrap();
+            assert_eq!(stats, DeltaStats::default(), "{measures:?}");
+            assert!(lake.contains_value("KIWI"), "the lake took the table");
+            assert_eq!(bits(&net), scores, "{measures:?}: scores before");
+            let fresh = DomainNetBuilder::new().build(&lake);
+            assert_eq!(bits(&net), bits(&fresh), "{measures:?}: a fresh build");
+            for (&m, before) in measures.iter().zip(&ranked) {
+                assert!(Arc::ptr_eq(before, &net.rank_shared(m)), "{m:?}");
+            }
+        }
     }
 
     /// A partial sample draws some sources and not others, so an estimate

@@ -25,9 +25,8 @@
 //! the classes of their dictionary indices. The per-cell differ it
 //! replaced is the test oracle (same ops, same order).
 
-use std::collections::HashMap;
-
-use lake::{normalize, Column, LakeDelta, Table};
+use lake::value::normalize_into;
+use lake::{Column, LakeDelta, Table, TextSet};
 
 /// Outcome of diffing one table across two generations.
 #[derive(Debug)]
@@ -75,22 +74,26 @@ fn try_replace_diff(old: &Table, new: &Table) -> Option<LakeDelta> {
         return None;
     }
     let mut delta = LakeDelta::new();
+    // The normalized forms of a column pair's distinct raw cells, numbered
+    // in first-seen order: one set and one buffer for every column.
+    let (mut classes, mut normalized) = (TextSet::default(), String::new());
     for (oc, nc) in old.columns().iter().zip(new.columns()) {
         // Each distinct raw cell of either column is normalized once into a
         // class: two cells are equal exactly when their classes are.
-        let mut class_of: HashMap<String, u32> = HashMap::new();
+        classes.clear();
         let mut class = |raw: &str| {
-            let next = class_of.len() as u32;
-            *class_of.entry(normalize(raw)).or_insert(next)
+            normalized.clear();
+            normalize_into(raw, &mut normalized);
+            classes.insert(&normalized).0
         };
         let old_class: Vec<u32> = oc.dictionary().iter().map(&mut class).collect();
         let new_class: Vec<u32> = nc.dictionary().iter().map(&mut class).collect();
-        let missing = class_of.get("").copied();
+        let missing = classes.get("");
         // Per class: the new dictionary entry its first changed row holds,
         // and whether a row keeps it. Targets in first-seen order, with
         // their old and new dictionary entries.
-        let mut replacement: Vec<Option<u32>> = vec![None; class_of.len()];
-        let mut kept = vec![false; class_of.len()];
+        let mut replacement: Vec<Option<u32>> = vec![None; classes.len()];
+        let mut kept = vec![false; classes.len()];
         let mut targets: Vec<(u32, u32, u32)> = Vec::new();
         for (&oi, &ni) in oc.cell_indices().iter().zip(nc.cell_indices()) {
             let (from, to) = (old_class[oi as usize], new_class[ni as usize]);
@@ -125,7 +128,7 @@ fn try_replace_diff(old: &Table, new: &Table) -> Option<LakeDelta> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lake::{LakeOp, TableBuilder};
+    use lake::{normalize, LakeOp, TableBuilder};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
 

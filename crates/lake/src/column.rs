@@ -14,7 +14,8 @@ use std::ops::Index;
 
 use serde::{Deserialize, Serialize};
 
-use crate::value::{normalize_into, value_kind, FxBuildHasher, FxHashMap, ValueKind};
+use crate::texts::TextSet;
+use crate::value::{normalize_into, value_kind, ValueKind};
 
 /// A list of strings held as one buffer plus the end offset of each entry:
 /// two allocations for the whole list instead of one per entry.
@@ -209,19 +210,11 @@ pub struct Column {
 impl Column {
     /// Create a column from a name and dense raw cells.
     pub fn new(name: impl Into<String>, cells: Vec<String>) -> Self {
-        let mut dictionary = StringList::new();
-        let mut index_of: FxHashMap<&str, u32> = FxHashMap::default();
-        let mut indices = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            let ix = *index_of.entry(cell).or_insert_with(|| {
-                dictionary.push(cell);
-                dictionary.len() as u32 - 1
-            });
-            indices.push(ix);
-        }
+        let mut dictionary = TextSet::default();
+        let indices = cells.iter().map(|cell| dictionary.insert(cell).0).collect();
         Column {
             name: name.into(),
-            dictionary,
+            dictionary: dictionary.into_texts(),
             indices,
         }
     }
@@ -276,10 +269,9 @@ impl Column {
                 "column '{name}': dictionary entry {unused} is referenced by no row"
             )));
         }
-        let mut seen: FxHashMap<&str, usize> =
-            FxHashMap::with_capacity_and_hasher(dictionary.len(), FxBuildHasher::default());
+        let mut seen = TextSet::default();
         for (i, entry) in dictionary.iter().enumerate() {
-            if let Some(prev) = seen.insert(entry, i) {
+            if let (prev, false) = seen.insert(entry) {
                 return Err(corrupt(format!(
                     "column '{name}': dictionary entries {prev} and {i} are identical"
                 )));
@@ -403,23 +395,14 @@ impl Column {
         // one replacement, or the replacement already existed): merge
         // duplicates back into a canonical first-occurrence dictionary and
         // remap the row indices.
-        let mut canonical = StringList::new();
-        let mut new_of_old: Vec<u32> = Vec::with_capacity(self.dictionary.len());
-        {
-            let mut index_of: FxHashMap<&str, u32> = FxHashMap::with_capacity_and_hasher(
-                self.dictionary.len(),
-                FxBuildHasher::default(),
-            );
-            for (entry, hit) in self.dictionary.iter().zip(hit) {
-                let entry = if hit { replacement } else { entry };
-                let ix = *index_of.entry(entry).or_insert_with(|| {
-                    canonical.push(entry);
-                    canonical.len() as u32 - 1
-                });
-                new_of_old.push(ix);
-            }
-        }
-        self.dictionary = canonical;
+        let mut canonical = TextSet::default();
+        let new_of_old: Vec<u32> = self
+            .dictionary
+            .iter()
+            .zip(hit)
+            .map(|(entry, hit)| canonical.insert(if hit { replacement } else { entry }).0)
+            .collect();
+        self.dictionary = canonical.into_texts();
         for ix in &mut self.indices {
             *ix = new_of_old[*ix as usize];
         }

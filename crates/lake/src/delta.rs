@@ -48,8 +48,8 @@ use crate::column::{Column, StringList};
 use crate::error::LakeError;
 use crate::table::{check_shape, Table};
 pub use crate::texts::TextId;
-use crate::texts::TextStore;
-use crate::value::{normalize, normalize_into, ValueId, ValueInterner};
+use crate::texts::{TextSet, TextStore};
+use crate::value::{normalize, normalize_into, ValueId};
 use crate::Result;
 
 // ---------------------------------------------------------------------------
@@ -271,7 +271,8 @@ pub struct StoredColumn {
 /// * one store of raw cell texts, each held once with the [`ValueId`] of
 ///   its normalized form; a column inside the lake is its name plus one
 ///   `u32` store id per cell,
-/// * a global [`ValueInterner`] over all distinct normalized values,
+/// * the distinct normalized values, each once in a [`TextSet`] whose
+///   positions are their [`ValueId`]s,
 /// * an [`AttrId`] per column,
 /// * for every attribute, the sorted set of distinct [`ValueId`]s it contains,
 /// * for every value, the set of attributes it appears in (the inverted
@@ -344,8 +345,9 @@ pub struct MutableLake {
     attr_values: Vec<Vec<ValueId>>,
     /// ValueId -> sorted live AttrIds containing it.
     value_attrs: Vec<Vec<AttrId>>,
-    /// Append-only value interner.
-    interner: ValueInterner,
+    /// Append-only distinct normalized values: a value's id is its
+    /// position.
+    interner: TextSet,
     /// Append-only store of raw cell texts.
     texts: TextStore,
 }
@@ -443,7 +445,7 @@ impl MutableLake {
             return id;
         }
         let normalized = normalize(text);
-        let value = (!normalized.is_empty()).then(|| self.interner.intern(&normalized));
+        let value = (!normalized.is_empty()).then(|| ValueId(self.interner.insert(&normalized).0));
         self.texts.get_or_insert(text, value)
     }
 
@@ -546,7 +548,7 @@ impl MutableLake {
         // interner lacks matches no cell; an empty one matches the missing.
         let target_value = match target {
             "" => None,
-            _ => match self.interner.get(target) {
+            _ => match self.value_id(target) {
                 Some(id) => Some(id),
                 None => return Ok(()),
             },
@@ -756,14 +758,15 @@ impl MutableLake {
         self.interner.len()
     }
 
-    /// The shared append-only interner.
-    pub fn interner(&self) -> &ValueInterner {
+    /// The distinct normalized values, append-only: value `id` is
+    /// `interner().texts()[id]`.
+    pub fn interner(&self) -> &TextSet {
         &self.interner
     }
 
     /// Look up the id of a normalized value.
     pub fn value_id(&self, normalized: &str) -> Option<ValueId> {
-        self.interner.get(normalized)
+        self.interner.get(normalized).map(ValueId)
     }
 
     /// Whether the given **normalized** value occurs in a live attribute.
@@ -774,7 +777,7 @@ impl MutableLake {
 
     /// The normalized string behind a value id.
     pub fn value(&self, id: ValueId) -> Option<&str> {
-        self.interner.try_resolve(id)
+        self.interner.texts().get(id.index())
     }
 
     /// Live attributes in which a value occurs (sorted ascending by id).
@@ -844,10 +847,10 @@ impl MutableLake {
         self.texts.text(id)
     }
 
-    /// Rebuild a lake from its interner's values (ids are their
-    /// positions), its texts (store ids are their positions) and its table
+    /// Rebuild a lake from its values (value ids are their positions), its
+    /// texts (store ids are their positions) and its table
     /// slots, in allocation order. A text's value id is the id of its
-    /// normalized form in the interner; a removed slot allocates its
+    /// normalized form among the values; a removed slot allocates its
     /// attribute ids, dead; every index is derived from the cells' texts.
     /// So the result has the ids of the lake that wrote the parts, and
     /// nothing is interned or normalized twice.
@@ -858,13 +861,18 @@ impl MutableLake {
     /// store id past the texts, a live table is ragged or names a column
     /// twice, or two live slots share a name.
     pub fn from_parts<'a>(
-        values: Vec<String>,
+        values: impl IntoIterator<Item = &'a str>,
         texts: impl IntoIterator<Item = &'a str>,
         slots: Vec<Slot>,
     ) -> Result<Self> {
-        let interner = ValueInterner::from_values(values).map_err(|(kept, dup)| {
-            LakeError::Serde(format!("interner value {dup} duplicates value {}", kept.0))
-        })?;
+        let mut interner = TextSet::default();
+        for (id, value) in values.into_iter().enumerate() {
+            if let (kept, false) = interner.insert(value) {
+                return Err(LakeError::Serde(format!(
+                    "interner value {id} duplicates value {kept}"
+                )));
+            }
+        }
         let mut store = TextStore::default();
         let mut normalized = String::new();
         for (id, text) in texts.into_iter().enumerate() {
@@ -872,7 +880,7 @@ impl MutableLake {
             normalize_into(text, &mut normalized);
             let value = match normalized.as_str() {
                 "" => None,
-                form => Some(interner.get(form).ok_or_else(|| {
+                form => Some(interner.get(form).map(ValueId).ok_or_else(|| {
                     LakeError::Serde(format!(
                         "text {text:?} normalizes to {form:?}, missing from the interner"
                     ))
@@ -972,10 +980,10 @@ impl LakeView for MutableLake {
 /// The store id of each entry of a column's `dictionary`, and the sorted
 /// ids of its distinct normalized values. Each entry is looked up by its
 /// raw text first, and only a text new to `texts` is normalized. The values
-/// new to `interner` are interned in byte order: the ids interning
+/// new to `interner` are inserted in byte order: the ids inserting
 /// [`Column::distinct_values`] in order gives, minus most of its sort.
 fn store_dictionary(
-    interner: &mut ValueInterner,
+    interner: &mut TextSet,
     texts: &mut TextStore,
     dictionary: &StringList,
 ) -> (Vec<TextId>, Vec<ValueId>) {
@@ -996,7 +1004,7 @@ fn store_dictionary(
         let value = match &fresh[start..] {
             "" => None,
             normalized => match interner.get(normalized) {
-                Some(id) => Some(id),
+                Some(id) => Some(ValueId(id)),
                 None => {
                     unknown.push((entry, start, fresh.len()));
                     text_of_entry.push(TextId::MAX);
@@ -1008,12 +1016,12 @@ fn store_dictionary(
         ids.extend(value);
         text_of_entry.push(texts.get_or_insert(raw, value));
     }
-    // Interning a form twice returns one id, so interning the unknown
-    // forms sorted interns the new values in byte order.
+    // Inserting a form twice returns one id, so inserting the unknown
+    // forms sorted numbers the new values in byte order.
     let bytes = fresh.as_bytes();
     unknown.sort_by(|&(_, a, b), &(_, c, d)| bytes[a..b].cmp(&bytes[c..d]));
     for (entry, a, b) in unknown {
-        let value = interner.intern(&fresh[a..b]);
+        let value = ValueId(interner.insert(&fresh[a..b]).0);
         ids.push(value);
         text_of_entry[entry] = texts.get_or_insert(&dictionary[entry], Some(value));
     }
@@ -1027,7 +1035,7 @@ fn store_dictionary(
 /// The sorted ids of `column`'s distinct normalized values, interned
 /// through an empty store: [`store_dictionary`] with every text new.
 #[cfg(test)]
-fn dictionary_ids(interner: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+fn dictionary_ids(interner: &mut TextSet, column: &Column) -> Vec<ValueId> {
     store_dictionary(interner, &mut TextStore::default(), column.dictionary()).1
 }
 
@@ -1092,9 +1100,28 @@ mod tests {
     use crate::table::TableBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// A reference interner, a list and a map, independent of [`TextSet`]:
+    /// each new value gets the next id.
+    #[derive(Default)]
+    struct Interner {
+        values: Vec<String>,
+        index: HashMap<String, ValueId>,
+    }
+
+    impl Interner {
+        fn intern(&mut self, value: &str) -> ValueId {
+            let next = ValueId(self.values.len() as u32);
+            let id = *self.index.entry(value.to_owned()).or_insert(next);
+            if id == next {
+                self.values.push(value.to_owned());
+            }
+            id
+        }
+    }
+
     /// The oracle of [`dictionary_ids`]: interning the column's sorted
     /// distinct list in order, as the lake did while a column stored it.
-    fn sorted_list_ids(interner: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+    fn sorted_list_ids(interner: &mut Interner, column: &Column) -> Vec<ValueId> {
         let mut ids: Vec<ValueId> = column
             .distinct_values()
             .iter()
@@ -1133,7 +1160,7 @@ mod tests {
             "san diego",
         ];
         let mut rng = StdRng::seed_from_u64(0x1D5);
-        let (mut lake, mut oracle) = (ValueInterner::new(), ValueInterner::new());
+        let (mut lake, mut oracle) = (TextSet::default(), Interner::default());
         let (mut known, mut fresh) = (0, 0);
         for i in 0..2_000 {
             let cells: Vec<String> = (0..rng.gen_range(0..12))
@@ -1143,12 +1170,17 @@ mod tests {
                 })
                 .collect();
             let column = Column::new("c", cells);
-            let before = oracle.len();
+            let before = oracle.values.len();
             let want = sorted_list_ids(&mut oracle, &column);
             assert_eq!(dictionary_ids(&mut lake, &column), want, "column {i}");
-            assert!(lake.iter().eq(oracle.iter()), "column {i}: interner order");
-            fresh += oracle.len() - before;
-            known += want.len() - (oracle.len() - before);
+            assert!(
+                lake.texts()
+                    .iter()
+                    .eq(oracle.values.iter().map(String::as_str)),
+                "column {i}: interner order"
+            );
+            fresh += oracle.values.len() - before;
+            known += want.len() - (oracle.values.len() - before);
         }
         assert!(
             fresh >= 1_000 && known >= 1_000,

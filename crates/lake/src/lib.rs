@@ -12,15 +12,19 @@
 //!
 //! * [`value`] — value normalization (the paper treats every cell as a single
 //!   string, trims surrounding whitespace, and upper-cases it so the same
-//!   token compares equal across tables) and a compact [`value::ValueInterner`]
-//!   mapping each distinct normalized value to a dense [`value::ValueId`].
+//!   token compares equal across tables) and the dense [`value::ValueId`] of
+//!   each distinct normalized value: its position in the lake's values.
+//! * [`TextSet`] — the one structure that numbers distinct strings in the
+//!   order first seen: the lake's values and raw texts, each column's
+//!   dictionary, and (outside this crate) the ingest differ's classes and a
+//!   served snapshot's label index.
 //! * [`mod@column`] / [`mod@table`] — tables in flight: dictionary-encoded
 //!   columns with derived distinct-value lists and lightweight type
 //!   sniffing.
 //! * [`delta`] — [`delta::MutableLake`], the one lake type: one store of
 //!   raw cell texts (each distinct text once, beside the id of its
 //!   normalized value), tables whose columns are a name plus one store id
-//!   per cell, a global value interner and both directions of the
+//!   per cell, the lake's values (a [`TextSet`]) and both directions of the
 //!   value↔attribute incidence index, iterated as (attribute, distinct
 //!   values) pairs — the shape the bipartite DomainNet graph is built
 //!   from. A [`Table`] is the in-flight form: `add_table` takes one apart,
@@ -78,7 +82,8 @@ pub use column::Column;
 pub use delta::{DeltaEffects, LakeDelta, LakeOp, LakeView, MutableLake};
 pub use error::LakeError;
 pub use table::{Table, TableBuilder};
-pub use value::{normalize, ValueId, ValueInterner};
+pub use texts::TextSet;
+pub use value::{normalize, ValueId};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LakeError>;

@@ -494,8 +494,7 @@ mod tests {
                 format!("{:?}", (table.name(), columns))
             })
             .collect();
-        let values: Vec<_> = lake.interner().iter().collect();
-        format!("{tables:?} {values:?}")
+        format!("{tables:?} {:?}", lake.interner().texts())
     }
 
     /// Seeded directories of files the writer produced (some ragged),

@@ -5,10 +5,13 @@
 //! inside the lake is its name plus one [`TextId`] per cell. Repeats of a
 //! text across columns and tables cost four bytes a cell, not a copy of
 //! the text in every column's dictionary. The store is append-only, like
-//! the interner: a text no live cell uses any more keeps its id.
+//! the lake's values: a text no live cell uses any more keeps its id.
 //!
-//! The store's open-addressing set, [`TextSet`], is also what a CSV parse
-//! collects each column's distinct cells in (`crate::loader`).
+//! The store's open-addressing set, [`TextSet`], is the one structure
+//! that numbers distinct strings in the order first seen: the lake's
+//! values (a [`ValueId`] is a position in it), each column's dictionary
+//! ([`crate::Column::new`], a CSV parse in `crate::loader`), the ingest
+//! differ's per-column classes and a served snapshot's label index.
 
 use std::hash::BuildHasher;
 
@@ -46,33 +49,54 @@ const MIN_TEXTS: usize = 2;
 ///
 /// Open addressing over text ids, probed linearly from the hash's top bits
 /// (which the multiply mixes best); an empty slot ends a probe. The table's
-/// length is a power of two at least twice the text count, or zero. The
-/// lake's [`TextStore`] is one, and so is each column a CSV parse collects
-/// (`crate::loader::ParseScratch`).
+/// length is a power of two at least twice the text count, or zero. Each
+/// text is held once, in the set's one [`StringList`]; the table holds
+/// only ids and hash tags.
+///
+/// ```
+/// let mut set = lake::TextSet::default();
+/// assert_eq!(set.insert("JAGUAR"), (0, true));
+/// assert_eq!(set.insert("PUMA"), (1, true));
+/// assert_eq!(set.insert("JAGUAR"), (0, false));
+/// assert_eq!(set.get("PUMA"), Some(1));
+/// assert_eq!(set.get("LYNX"), None);
+/// assert_eq!(set.texts().iter().collect::<Vec<_>>(), ["JAGUAR", "PUMA"]);
+/// ```
 #[derive(Debug, Default, Clone)]
-pub(crate) struct TextSet {
+pub struct TextSet {
     texts: StringList,
     slots: Vec<Slot>,
 }
 
 impl TextSet {
     /// Number of texts stored.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.texts.len()
     }
 
+    /// Whether no text is stored.
+    pub fn is_empty(&self) -> bool {
+        self.texts.is_empty()
+    }
+
     /// The texts, in the order first stored: text `id` is entry `id`.
-    pub(crate) fn texts(&self) -> &StringList {
+    pub fn texts(&self) -> &StringList {
         &self.texts
     }
 
+    /// The texts, in the order first stored, without the table.
+    pub fn into_texts(self) -> StringList {
+        self.texts
+    }
+
     /// The id of `text`, if it is stored.
-    pub(crate) fn get(&self, text: &str) -> Option<TextId> {
+    pub fn get(&self, text: &str) -> Option<TextId> {
         self.probe(text, hash(text)).ok()
     }
 
-    /// The id of `text`, and whether this call stored it.
-    pub(crate) fn insert(&mut self, text: &str) -> (TextId, bool) {
+    /// The id of `text`, and whether this call stored it (`false`: the id
+    /// is the one it was first stored under).
+    pub fn insert(&mut self, text: &str) -> (TextId, bool) {
         if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -91,10 +115,10 @@ impl TextSet {
     }
 
     /// Forget every text and keep the buffers, at a cost of O(texts
-    /// forgotten): a table more than [`SLACK`] times the size they needed
+    /// forgotten): a table more than 8 times (`SLACK`) the size they needed
     /// is released rather than emptied, so a set that once held a huge
     /// column does not make every later clear pay for it.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         if self.slots.len() > SLACK * self.len().max(MIN_TEXTS) {
             self.slots = Vec::new();
         } else {

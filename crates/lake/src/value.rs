@@ -6,10 +6,10 @@
 //! comparison of data values across the lake" (§3.2). The same normalized
 //! string occurring in several attributes is represented by *one* value node
 //! in the bipartite graph, so the lake needs a global mapping from normalized
-//! strings to dense integer identifiers. That mapping is the
-//! [`ValueInterner`].
+//! strings to dense integer identifiers. That mapping is a
+//! [`crate::TextSet`] inside [`crate::MutableLake`]: a [`ValueId`] is a
+//! value's position in it ([`crate::MutableLake::interner`]).
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
@@ -17,12 +17,12 @@ use serde::{Deserialize, Serialize};
 /// A fast, non-cryptographic string hasher (the multiply-rotate scheme
 /// popularized by Firefox and rustc's `FxHasher`).
 ///
-/// The interner's string→id map — and the per-column maps in
-/// [`crate::column`] — sit on the hot path of both CSV ingestion and
+/// It is the hash of [`crate::TextSet`], the one string set: the lake's
+/// values and texts, each column's dictionary and a CSV parse's columns
+/// are numbered through it on the hot path of both CSV ingestion and
 /// snapshot recovery, where SipHash's keyed security buys nothing: the
-/// keys are data values we already store verbatim, and the maps are
-/// rebuilt from scratch on every load. Swapping the hasher measurably
-/// shortens cold starts.
+/// keys are data values we already store verbatim, and the sets are
+/// rebuilt from scratch on every load.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FxHasher {
     hash: u64,
@@ -67,11 +67,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
+/// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` using [`FxHasher`] — the lake's default for hot-path maps.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A dense identifier for a distinct normalized data value in the lake.
 ///
@@ -174,91 +171,6 @@ pub fn is_missing(normalized: &str) -> bool {
     normalized.is_empty()
 }
 
-/// A global mapping between normalized data values and dense [`ValueId`]s.
-///
-/// The interner owns one copy of every distinct normalized string in the lake
-/// and hands out stable ids. Lookups by string and by id are both O(1).
-#[derive(Debug, Default, Clone)]
-pub struct ValueInterner {
-    values: Vec<String>,
-    index: FxHashMap<String, ValueId>,
-}
-
-impl ValueInterner {
-    /// Create an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create an empty interner with space for `capacity` distinct values.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ValueInterner {
-            values: Vec::with_capacity(capacity),
-            index: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-        }
-    }
-
-    /// Rebuild an interner from its value table (ids are the positions),
-    /// e.g. when loading persisted state. Cheaper than re-interning one by
-    /// one — the table is adopted as-is and each value is cloned once for
-    /// the index instead of twice.
-    ///
-    /// # Errors
-    /// The first duplicated value, as `(kept id, duplicate position)` —
-    /// duplicates would silently alias two ids onto one string.
-    pub fn from_values(values: Vec<String>) -> std::result::Result<Self, (ValueId, usize)> {
-        let mut index = FxHashMap::with_capacity_and_hasher(values.len(), FxBuildHasher::default());
-        for (i, v) in values.iter().enumerate() {
-            if let Some(&prev) = index.get(v) {
-                return Err((prev, i));
-            }
-            index.insert(v.clone(), ValueId(i as u32));
-        }
-        Ok(ValueInterner { values, index })
-    }
-
-    /// Intern an **already normalized** value ([`normalize`]), returning its
-    /// id. Calling this with a non-normalized string would create a distinct
-    /// entry.
-    pub fn intern(&mut self, normalized: &str) -> ValueId {
-        if let Some(&id) = self.index.get(normalized) {
-            return id;
-        }
-        let id = ValueId(self.values.len() as u32);
-        self.values.push(normalized.to_owned());
-        self.index.insert(normalized.to_owned(), id);
-        id
-    }
-
-    /// Look up the id of a normalized value without inserting it.
-    pub fn get(&self, normalized: &str) -> Option<ValueId> {
-        self.index.get(normalized).copied()
-    }
-
-    /// The normalized string behind an id, if it exists.
-    pub fn try_resolve(&self, id: ValueId) -> Option<&str> {
-        self.values.get(id.index()).map(String::as_str)
-    }
-
-    /// Number of distinct values interned.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the interner is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Iterate over `(ValueId, &str)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (ValueId(i as u32), v.as_str()))
-    }
-}
-
 /// Classification of a value's lexical shape.
 ///
 /// DomainNet itself is type-agnostic, but the D4 baseline only operates on
@@ -300,6 +212,7 @@ pub fn value_kind(value: &str) -> ValueKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TextSet;
 
     #[test]
     fn normalize_trims_and_uppercases() {
@@ -328,38 +241,39 @@ mod tests {
         assert!(!is_missing(&normalize("NA")));
     }
 
+    // The lake's values are a `TextSet`: a value's id is its position.
+
     #[test]
     fn intern_is_idempotent() {
-        let mut interner = ValueInterner::new();
-        let a = interner.intern("JAGUAR");
-        let b = interner.intern("JAGUAR");
-        assert_eq!(a, b);
-        assert_eq!(interner.len(), 1);
+        let mut values = TextSet::default();
+        let (a, new) = values.insert("JAGUAR");
+        assert!(new);
+        assert_eq!(values.insert("JAGUAR"), (a, false));
+        assert_eq!(values.len(), 1);
     }
 
     #[test]
     fn ids_are_dense_and_ordered() {
-        let mut interner = ValueInterner::new();
-        let ids: Vec<ValueId> = ["A", "B", "C"].iter().map(|v| interner.intern(v)).collect();
-        assert_eq!(ids, vec![ValueId(0), ValueId(1), ValueId(2)]);
-        assert_eq!(interner.try_resolve(ValueId(1)), Some("B"));
+        let mut values = TextSet::default();
+        let ids: Vec<u32> = ["A", "B", "C"].iter().map(|v| values.insert(v).0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(values.texts().get(1), Some("B"));
     }
 
     #[test]
     fn get_does_not_insert() {
-        let mut interner = ValueInterner::new();
-        interner.intern("A");
-        assert!(interner.get("B").is_none());
-        assert_eq!(interner.len(), 1);
+        let mut values = TextSet::default();
+        values.insert("A");
+        assert!(values.get("B").is_none());
+        assert_eq!(values.len(), 1);
     }
 
     #[test]
     fn iter_yields_in_id_order() {
-        let mut interner = ValueInterner::new();
-        interner.intern("X");
-        interner.intern("Y");
-        let collected: Vec<(ValueId, &str)> = interner.iter().collect();
-        assert_eq!(collected, vec![(ValueId(0), "X"), (ValueId(1), "Y")]);
+        let mut values = TextSet::default();
+        values.insert("X");
+        values.insert("Y");
+        assert_eq!(values.texts().iter().collect::<Vec<_>>(), ["X", "Y"]);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use domainnet::{DomainNet, Measure, ScoredValue};
 use lake::delta::LakeView;
 use lake::value::normalize;
+use lake::TextSet;
 
 const EXPLAIN_SAMPLE_LIMIT: usize = 8;
 
@@ -123,8 +124,9 @@ pub struct Snapshot {
     rankings: HashMap<Measure, Arc<Vec<ScoredValue>>>,
     /// Per measure: value node id -> 0-based rank (`u32::MAX` = unranked).
     rank_of_node: HashMap<Measure, Vec<u32>>,
-    /// Normalized value -> live value node id.
-    node_of_label: HashMap<String, u32>,
+    /// The value labels in node order: a normalized value's id in the set
+    /// is its live value node id.
+    node_of_label: TextSet,
     /// Live attribute node -> structured `(table, column)` reference,
     /// resolved from the lake at extraction time (display labels are
     /// ambiguous once table names contain dots).
@@ -151,10 +153,11 @@ impl Snapshot {
         epoch: u64,
     ) -> Snapshot {
         let graph = net.graph().clone();
-        let node_of_label: HashMap<String, u32> = graph
-            .value_nodes()
-            .map(|v| (graph.value_label(v).to_owned(), v))
-            .collect();
+        // The labels are distinct, so each one is stored under its node id.
+        let mut node_of_label = TextSet::default();
+        for label in graph.value_labels() {
+            node_of_label.insert(label);
+        }
 
         let mut rankings = HashMap::new();
         let mut rank_of_node = HashMap::new();
@@ -162,7 +165,7 @@ impl Snapshot {
             let ranking = net.rank_shared(measure);
             let mut ranks = vec![u32::MAX; graph.value_count()];
             for (pos, scored) in ranking.iter().enumerate() {
-                if let Some(&node) = node_of_label.get(&scored.value) {
+                if let Some(node) = node_of_label.get(&scored.value) {
                     ranks[node as usize] = pos as u32;
                 }
             }
@@ -238,7 +241,7 @@ impl Snapshot {
     /// measure is not served or the value is not a live candidate.
     pub fn score_card(&self, measure: Measure, value: &str) -> Option<ScoreCard> {
         let normalized = normalize(value);
-        let &node = self.node_of_label.get(&normalized)?;
+        let node = self.node_of_label.get(&normalized)?;
         let ranks = self.rank_of_node.get(&measure)?;
         let rank0 = ranks[node as usize];
         if rank0 == u32::MAX {
@@ -263,7 +266,7 @@ impl Snapshot {
     /// occurs in and a sample of the values it co-occurs with there.
     pub fn explain(&self, value: &str) -> Option<ValueExplanation> {
         let normalized = normalize(value);
-        let &node = self.node_of_label.get(&normalized)?;
+        let node = self.node_of_label.get(&normalized)?;
         let attributes = self
             .graph
             .neighbors(node)
@@ -385,7 +388,7 @@ impl Snapshot {
                         ));
                     }
                 }
-                let &node = self
+                let node = self
                     .node_of_label
                     .get(&scored.value)
                     .ok_or_else(|| format!("{measure:?}: '{}' has no live node", scored.value))?;
@@ -494,6 +497,41 @@ mod tests {
         assert!(snap
             .score_card(Measure::approx_bc(64, 7), "jaguar")
             .is_none());
+
+        // Every ranked value answers by each raw spelling the lake holds,
+        // at its rank.
+        let lake = lake::fixtures::running_example();
+        let mut answered = vec![false; ranking.len()];
+        for raw in (0..lake.text_count() as u32).map(|id| lake.text(id)) {
+            let normalized = normalize(raw);
+            let Some(pos) = ranking.iter().position(|s| s.value == normalized) else {
+                continue;
+            };
+            let card = snap.score_card(Measure::exact_bc(), raw).unwrap();
+            assert_eq!((card.value, card.rank), (normalized, pos + 1), "{raw:?}");
+            answered[pos] = true;
+        }
+        assert!(answered.iter().all(|&a| a), "every ranked value answered");
+
+        // Values the lake interned but pruning dropped have no node.
+        let net = DomainNetBuilder::new().build(&lake);
+        let pruned = Snapshot::extract(&net, &lake, &[Measure::exact_bc()], 0);
+        let dropped: Vec<&str> = lake
+            .interner()
+            .texts()
+            .iter()
+            .filter(|&v| lake.value_attribute_count(lake.value_id(v).unwrap()) < 2)
+            .collect();
+        assert!(dropped.len() > 10, "{dropped:?}");
+        for value in dropped {
+            assert!(pruned.score_card(Measure::exact_bc(), value).is_none());
+            assert!(pruned.explain(value).is_none());
+        }
+        // Nor does the empty string, pruned or not.
+        for snap in [&snap, &pruned] {
+            assert!(snap.score_card(Measure::exact_bc(), "").is_none());
+            assert!(snap.explain("").is_none());
+        }
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn encode_lake(lake: &MutableLake) -> Vec<u8> {
         w.put_str(lake.text(text));
     }
     w.put_u64(lake.interner().len() as u64);
-    for (_, value) in lake.interner().iter() {
+    for value in lake.interner().texts() {
         w.put_str(value);
     }
     w.put_u64(slots.len() as u64);
@@ -367,8 +367,8 @@ fn decode_lake(payload: &[u8]) -> Result<MutableLake> {
         .collect::<Result<Vec<&str>>>()?;
     let value_count = r.get_count(8)?;
     let values = (0..value_count)
-        .map(|_| r.get_str())
-        .collect::<Result<Vec<String>>>()?;
+        .map(|_| r.get_str_ref())
+        .collect::<Result<Vec<&str>>>()?;
     let slot_count = r.get_count(1)?;
     let mut slots = Vec::with_capacity(slot_count);
     for _ in 0..slot_count {

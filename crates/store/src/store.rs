@@ -1025,7 +1025,7 @@ mod tests {
             };
             assert_eq!(slots(&recovered.lake), slots(&lake), "{name}: lake slots");
             assert!(
-                recovered.lake.interner().iter().eq(lake.interner().iter()),
+                recovered.lake.interner().texts() == lake.interner().texts(),
                 "{name}: interner"
             );
             let (state, live) = (recovered.net.export_state(), net.export_state());
@@ -1087,7 +1087,7 @@ mod tests {
         let restored = &recovered.lake;
         assert_eq!(live_text_count(restored), restored.text_count());
         assert_eq!(restored.text_count(), lake.text_count() - dead);
-        assert!(restored.interner().iter().eq(lake.interner().iter()));
+        assert!(restored.interner().texts() == lake.interner().texts());
         assert_eq!(restored.attribute_count(), lake.attribute_count());
         for attr in (0..lake.attribute_count() as u32).map(lake::AttrId) {
             assert_eq!(restored.is_attr_live(attr), lake.is_attr_live(attr));

@@ -351,7 +351,7 @@ pub fn assert_serves_the_reference(
 /// order, cell for cell.
 fn assert_lakes_equal(want: &MutableLake, lake: &MutableLake, context: &str) {
     assert!(
-        lake.interner().iter().eq(want.interner().iter()),
+        lake.interner().texts() == want.interner().texts(),
         "{context}: interner"
     );
     assert_eq!(

@@ -86,9 +86,29 @@ fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
     use lake::catalog::AttrId;
     use lake::column::Column;
     use lake::delta::LakeOp;
-    use lake::value::{ValueId, ValueInterner};
+    use lake::value::ValueId;
+    use std::collections::HashMap;
 
-    fn sorted_list_ids(oracle: &mut ValueInterner, column: &Column) -> Vec<ValueId> {
+    /// A reference interner, a list and a map, independent of the lake's
+    /// `TextSet`: each new value gets the next id.
+    #[derive(Default)]
+    struct Interner {
+        values: Vec<String>,
+        index: HashMap<String, ValueId>,
+    }
+
+    impl Interner {
+        fn intern(&mut self, value: &str) -> ValueId {
+            let next = ValueId(self.values.len() as u32);
+            let id = *self.index.entry(value.to_owned()).or_insert(next);
+            if id == next {
+                self.values.push(value.to_owned());
+            }
+            id
+        }
+    }
+
+    fn sorted_list_ids(oracle: &mut Interner, column: &Column) -> Vec<ValueId> {
         let mut ids: Vec<ValueId> = column
             .distinct_values()
             .iter()
@@ -140,7 +160,7 @@ fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
         }
 
         let mut lake = MutableLake::new();
-        let mut oracle = ValueInterner::new();
+        let mut oracle = Interner::default();
         let mut want: Vec<Vec<ValueId>> = Vec::new();
         for (step, delta) in deltas.iter().enumerate() {
             lake.apply(delta)
@@ -158,7 +178,13 @@ fn dictionary_interning_matches_the_sorted_list_oracle_on_tus_and_sb() {
                 }
             }
         }
-        assert!(lake.interner().iter().eq(oracle.iter()), "interner order");
+        assert!(
+            lake.interner()
+                .texts()
+                .iter()
+                .eq(oracle.values.iter().map(String::as_str)),
+            "interner order"
+        );
         for (a, want) in want.iter().enumerate() {
             let attr = AttrId(a as u32);
             if lake.is_attr_live(attr) {
